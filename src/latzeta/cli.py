@@ -324,7 +324,10 @@ def _check_selberg_rational(lazy: _Lazy, cfg: RunConfig):
 
 
 def _check_comparison(lazy: _Lazy, cfg: RunConfig):
-    report = comparison_check(lazy.gamma, max(cfg.max_degree, 1))
+    # the identity concerns the subgroup, so a perturbed graph's determinant
+    # is not the one to compare against; comparison_check then builds its own
+    zeta = lazy.det_poly if cfg.perturb is None else None
+    report = comparison_check(lazy.gamma, max(cfg.max_degree, 1), zeta=zeta)
     return report.corrected_equal, report.to_json_obj()
 
 

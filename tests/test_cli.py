@@ -108,6 +108,28 @@ def test_perturbation_fails_run(tmp_path):
     assert not report["results"]["geodesic_oracle"]["pass"]
 
 
+def test_clean_run_builds_graph_and_determinant_once(monkeypatch):
+    import latzeta.cli
+    import latzeta.selberg
+    import latzeta.zeta
+
+    calls = {"build_graph": 0, "zeta_positive_det": 0}
+    for name in calls:
+        original = getattr(latzeta.zeta, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (latzeta.cli, latzeta.selberg, latzeta.zeta):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, report = run_config(RunConfig.from_json_obj(BASIC))
+    assert code == 0
+    assert "comparison" in report["results"]
+    assert calls == {"build_graph": 1, "zeta_positive_det": 1}
+
+
 def test_report_round_trip_and_determinism(tmp_path):
     cfg = RunConfig.from_json_obj(BASIC)
     code1, report1 = run_config(cfg)

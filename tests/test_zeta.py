@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from latzeta import exactdet
 from latzeta.errors import MultigraphError, ToleranceError
 from latzeta.cayley import build_graph, perturb_adjacency
 from latzeta.exactdet import coefficient_bound, naive_polymatrix_det, polymatrix_det
@@ -28,26 +29,75 @@ from latzeta.zeta import (
 
 def test_polymatrix_det_against_leibniz_oracle():
     rng = random.Random(31)
+    cases = []
     for _ in range(25):
         size = rng.randint(1, 4)
         terms = rng.randint(1, 4)
-        mats = [np.array([[rng.randint(-3, 3) for _ in range(size)]
-                          for _ in range(size)], dtype=np.int64)
-                for _ in range(terms)]
+        cases.append([np.array([[rng.randint(-3, 3) for _ in range(size)]
+                                for _ in range(size)], dtype=np.int64)
+                      for _ in range(terms)])
+    # C_0 singular: the shift moves off u = 0 (to u = 2 for diag(u, u - 1))
+    cases.append([np.diag([0, -1]), np.eye(2, dtype=np.int64)])
+    cases.append([np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+                  np.array([[1, 0, 2], [0, -1, 0], [3, 0, 1]]),
+                  np.eye(3, dtype=np.int64)])
+    # identically zero: the rows are proportional in every coefficient
+    cases.append([np.array([[1, 2], [2, 4]]), np.array([[-1, 3], [-2, 6]])])
+    # leading coefficient zero, and nilpotent
+    cases.append([np.eye(2, dtype=np.int64), np.array([[2, -1], [1, 1]]),
+                  np.zeros((2, 2), dtype=np.int64)])
+    cases.append([np.array([[1, 1, 0], [0, 2, 0], [1, 0, 1]]),
+                  np.array([[0, 1, -2], [1, 0, 1], [0, 3, 0]]),
+                  np.array([[0, 1, 5], [0, 0, 1], [0, 0, 0]])])
+    for mats in cases:
         expected = naive_polymatrix_det(mats)
         got = polymatrix_det(mats)
         assert got == expected
 
 
+def _zeta_and_bass_matrices(g):
+    eye = np.eye(g.num_vertices, dtype=np.int64)
+    positive = ([eye] + [(-1) ** i * a for i, a in enumerate(g.mats, start=1)]
+                + [(-1) ** g.n * eye])
+    bass = [eye, -g.adjacency(), (2 ** g.n - 3) * eye]
+    return positive, bass
+
+
+def test_corrupted_residue_fails_certificate(monkeypatch):
+    real = exactdet._residues_mod
+    primes = []
+
+    def corrupt_first(mats, p):
+        out = real(mats, p)
+        if not primes:
+            out[1] = (out[1] + 1) % p
+        primes.append(p)
+        return out
+
+    monkeypatch.setattr(exactdet, "_residues_mod", corrupt_first)
+    positive, _ = _zeta_and_bass_matrices(
+        build_graph(TranslationSubgroup(3, [[6, 0], [0, 6]])))
+    with pytest.raises(ArithmeticError, match="certification"):
+        polymatrix_det(positive)
+    assert len(primes) > 1
+
+
 def test_coefficient_bound_dominates():
     rng = random.Random(32)
+    cases = []
     for _ in range(10):
         size = rng.randint(1, 3)
         mats = [np.array([[rng.randint(-4, 4) for _ in range(size)]
                           for _ in range(size)], dtype=np.int64)
                 for _ in range(3)]
+        cases.append((mats, naive_polymatrix_det(mats)))
+    g = build_graph(TranslationSubgroup(3, [[3, 0], [0, 3]]))
+    for graph in (g, perturb_adjacency(g, 1, 0, 1, 1)):
+        positive, bass = _zeta_and_bass_matrices(graph)
+        cases.append((positive, zeta_positive_det(graph)))
+        cases.append((bass, ihara_bass(graph)[0]))
+    for mats, poly in cases:
         bound = coefficient_bound(mats)
-        poly = naive_polymatrix_det(mats)
         assert all(abs(c) <= bound for c in poly.coeffs)
 
 
@@ -58,6 +108,14 @@ def test_zeta_positive_det_examples():
     assert zeta_positive_det(g3) == IntPolynomial.one_minus_power(3, 3)
     g9 = build_graph(TranslationSubgroup(3, [[3, 0], [0, 3]]))
     assert zeta_positive_det(g9) == IntPolynomial.one_minus_power(3, 9)
+
+
+def test_determinant_routes_match_orders_on_larger_quotients():
+    # at n = 2 the Bass numerator det(I - A u + u^2 I) is Z+ itself
+    gam2 = TranslationSubgroup(2, [[64]])
+    assert ihara_bass(build_graph(gam2))[0] == zeta_positive_orders(gam2)
+    gam3 = TranslationSubgroup(3, [[9, 0], [0, 9]])
+    assert zeta_positive_det(build_graph(gam3)) == zeta_positive_orders(gam3)
 
 
 def test_zeta_degree_and_constant_term():
