@@ -55,6 +55,7 @@ from .cayley import (
 from .zeta import (
     GeodesicClass,
     ZetaReport,
+    backtrackless_cycle_product,
     enumerate_backtrackless_cycles,
     enumerate_positive_geodesics,
     euler_product_truncation,

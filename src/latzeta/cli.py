@@ -29,6 +29,7 @@ from .cayley import (
     perturb_adjacency,
     typed_adjacency,
 )
+from .intmat import det_bareiss
 from .lattice import (
     AffineElement,
     GEODESIC,
@@ -37,7 +38,7 @@ from .lattice import (
     Permutation,
     length_vector,
 )
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, MultiSeries
 from .quotient import AffineSubgroup, TranslationSubgroup, characters, quotient_group
 from .selberg import (
     comparison_check,
@@ -46,9 +47,8 @@ from .selberg import (
     selberg_series_translation,
 )
 from .zeta import (
-    backtrackless_euler_truncation,
+    backtrackless_cycle_product,
     direction_orders,
-    enumerate_backtrackless_cycles,
     enumerate_positive_geodesics,
     euler_product_truncation,
     ihara_bass,
@@ -75,6 +75,36 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         self.field_name = field_name
         super().__init__(f"config field '{field_name}': {message}")
+
+
+def _is_int(x) -> bool:
+    # JSON true/false parse as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_perturb(p, n: int, basis) -> Tuple[int, int, int, int]:
+    """(type, row, col, delta), range-checked against n and, for a
+    translation subgroup, its number of vertices |det basis|."""
+    if not isinstance(p, dict):
+        raise ConfigError("perturb", "must be an object with integer "
+                          "type/row/col")
+    values = []
+    for key, default in (("type", None), ("row", None), ("col", None),
+                         ("delta", 1)):
+        x = p.get(key, default)
+        if not _is_int(x):
+            raise ConfigError(f"perturb.{key}", "must be an integer")
+        values.append(x)
+    t, row, col, _ = values
+    if not 1 <= t <= n - 1:
+        raise ConfigError("perturb.type", f"must be in 1..{n - 1}")
+    size = abs(det_bareiss(basis)) if basis is not None else 0
+    if size:
+        for key, x in (("row", row), ("col", col)):
+            if not 0 <= x < size:
+                raise ConfigError(f"perturb.{key}", f"must be in 0..{size - 1}"
+                                  f" (the quotient has {size} vertices)")
+    return tuple(values)
 
 
 @dataclass
@@ -108,7 +138,8 @@ class RunConfig:
         basis = gamma.get(basis_key)
         k = n - 1
         if (not isinstance(basis, list) or len(basis) != k
-                or any(not isinstance(r, list) or len(r) != k for r in basis)):
+                or any(not isinstance(r, list) or len(r) != k
+                       or not all(map(_is_int, r)) for r in basis)):
             raise ConfigError(f"gamma.{basis_key}",
                               f"must be a {k}x{k} integer matrix")
         perms: Tuple[Tuple[int, ...], ...] = ()
@@ -123,7 +154,7 @@ class RunConfig:
                                       f"{p!r} is not a permutation of 0..{n-1}")
             perms = tuple(tuple(p) for p in raw)
         max_degree = obj.get("maxDegree", 12)
-        if not isinstance(max_degree, int) or max_degree < 0:
+        if not _is_int(max_degree) or max_degree < 0:
             raise ConfigError("maxDegree", "must be an integer >= 0")
         scale = obj.get("scale", GEODESIC)
         if scale not in (GEODESIC, FACTORIAL):
@@ -143,26 +174,27 @@ class RunConfig:
                     "checks", f"{c!r} is not valid for a {kind} subgroup "
                     f"(allowed: {', '.join(allowed)})")
         caps = obj.get("caps", {})
+        if not isinstance(caps, dict):
+            raise ConfigError("caps", "must be an object")
         max_vertices = caps.get("maxVertices", 4096)
-        acknowledge = bool(caps.get("acknowledgeLarge", False))
+        if not _is_int(max_vertices) or max_vertices < 1:
+            raise ConfigError("caps.maxVertices", "must be an integer >= 1")
+        acknowledge = caps.get("acknowledgeLarge", False)
+        if not isinstance(acknowledge, bool):
+            raise ConfigError("caps.acknowledgeLarge", "must be true or false")
         if max_vertices > 4096 and not acknowledge:
             raise ConfigError("caps.maxVertices",
                               "raising the cap requires acknowledgeLarge=true")
         perturb = None
         if "perturb" in obj:
-            p = obj["perturb"]
-            try:
-                perturb = (int(p["type"]), int(p["row"]), int(p["col"]),
-                           int(p.get("delta", 1)))
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError("perturb",
-                                  "must provide integer type/row/col")
+            perturb = _parse_perturb(obj["perturb"], n,
+                                     basis if kind == "translation" else None)
         return cls(
             n=n, gamma_kind=kind,
-            basis=tuple(tuple(int(x) for x in r) for r in basis),
+            basis=tuple(tuple(r) for r in basis),
             perms=perms, max_degree=max_degree, scale=scale,
             tolerance=float(tolerance), checks=tuple(checks),
-            max_vertices=int(max_vertices), acknowledge_large=acknowledge,
+            max_vertices=max_vertices, acknowledge_large=acknowledge,
             perturb=perturb,
         )
 
@@ -196,6 +228,7 @@ class _Lazy:
         self.gamma = TranslationSubgroup(cfg.n, cfg.basis)
         self._graph = None
         self._det = None
+        self._series = {}
 
     @property
     def graph(self) -> QuotientGraph:
@@ -212,6 +245,14 @@ class _Lazy:
         if self._det is None:
             self._det = zeta_positive_det(self.graph)
         return self._det
+
+    def selberg_series(self, max_deg: int, scale: str) -> MultiSeries:
+        # from the subgroup, never the graph, so a perturbation leaves it be
+        key = (max_deg, scale)
+        if key not in self._series:
+            self._series[key] = selberg_series_translation(
+                self.gamma, max_deg, scale)
+        return self._series[key]
 
 
 def _check_positive_zeta(lazy: _Lazy, cfg: RunConfig):
@@ -252,18 +293,18 @@ def _check_ihara(lazy: _Lazy, cfg: RunConfig):
             if chi < 0 else IntPolynomial.one(), cfg.max_degree)
         result["zeta_series_negative_exponent"] = alt.to_json_coeffs()
     ok = True
-    # cycle enumeration is exponential in depth; 8 is where the acceptance
-    # checks run and stays well under a second at desk scale
+    # the Hashimoto traces cost O(depth * edges * degree); the depth stays
+    # at 8, where the acceptance checks run, because every entry of W^depth
+    # must stay below 2^63
     oracle_deg = min(cfg.max_degree, 8)
     if lazy.graph.is_simple() and oracle_deg > 0:
-        classes = enumerate_backtrackless_cycles(lazy.graph, oracle_deg)
-        product = backtrackless_euler_truncation(classes, oracle_deg)
+        product, count = backtrackless_cycle_product(lazy.graph, oracle_deg)
         expected = ihara_zeta_series(numerator, chi, oracle_deg)
         ok = product == expected
         result["oracle"] = "match" if ok else "mismatch"
         result["oracle_degree"] = oracle_deg
         result["cycle_product"] = product.to_json_coeffs()
-        result["primitive_cycle_count"] = len(classes)
+        result["primitive_cycle_count"] = count
     return ok, result
 
 
@@ -289,7 +330,7 @@ def _check_geodesic_oracle(lazy: _Lazy, cfg: RunConfig):
 
 
 def _check_selberg_series(lazy: _Lazy, cfg: RunConfig):
-    series = selberg_series_translation(lazy.gamma, cfg.max_degree, cfg.scale)
+    series = lazy.selberg_series(cfg.max_degree, cfg.scale)
     expected_constant = lazy.gamma.index * math.factorial(cfg.n)
     ok = series.get((0,) * (cfg.n - 1)) == expected_constant
     return ok, {
@@ -301,7 +342,7 @@ def _check_selberg_series(lazy: _Lazy, cfg: RunConfig):
 
 def _check_selberg_rational(lazy: _Lazy, cfg: RunConfig):
     rational = selberg_rational_translation(lazy.gamma, cfg.scale)
-    series = selberg_series_translation(lazy.gamma, cfg.max_degree, cfg.scale)
+    series = lazy.selberg_series(cfg.max_degree, cfg.scale)
     expansion = rational.expand(cfg.max_degree)
     series_ok = expansion == series
     poles_ok = True
@@ -327,7 +368,9 @@ def _check_comparison(lazy: _Lazy, cfg: RunConfig):
     # the identity concerns the subgroup, so a perturbed graph's determinant
     # is not the one to compare against; comparison_check then builds its own
     zeta = lazy.det_poly if cfg.perturb is None else None
-    report = comparison_check(lazy.gamma, max(cfg.max_degree, 1), zeta=zeta)
+    max_deg = max(cfg.max_degree, 1)
+    report = comparison_check(lazy.gamma, max_deg, zeta=zeta,
+                              series=lazy.selberg_series(max_deg, GEODESIC))
     return report.corrected_equal, report.to_json_obj()
 
 
@@ -402,7 +445,6 @@ _CHECKS = {
 
 
 def _run_affine(cfg: RunConfig):
-    from .polynomials import MultiSeries
     from .selberg import affine_conjugacy_classes
 
     lattice = TranslationSubgroup(cfg.n, cfg.basis)

@@ -91,11 +91,6 @@ def fraction_inverse(m: Sequence[Sequence[int]]) -> List[List[Fraction]]:
     return [row[n:] for row in a]
 
 
-def solve_fraction(m: Sequence[Sequence[int]], b: Sequence) -> List[Fraction]:
-    inv = fraction_inverse(m)
-    return [sum(c * Fraction(x) for c, x in zip(row, b)) for row in inv]
-
-
 def adjugate_and_det(m: Sequence[Sequence[int]]) -> Tuple[Matrix, int]:
     """(adj, det) with adj * m = det * I, both exact integers."""
     d = det_bareiss(m)

@@ -124,18 +124,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "IntPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = IntPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def truncate(self, max_deg: int) -> "IntPolynomial":
         return IntPolynomial(self.coeffs[: max_deg + 1])
 

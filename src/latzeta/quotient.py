@@ -152,7 +152,6 @@ class FiniteAbelianGroup:
     n: int
     divisors: Tuple[int, ...]
     u_matrix: Tuple[Tuple[int, ...], ...]
-    v_matrix: Tuple[Tuple[int, ...], ...]
     gamma: TranslationSubgroup
 
     @property
@@ -183,13 +182,12 @@ class FiniteAbelianGroup:
 def quotient_group(gamma: TranslationSubgroup) -> FiniteAbelianGroup:
     """Quotient of the lattice by the subgroup, as elementary divisors plus
     the projection transform."""
-    u, d, v = snf_with_transforms([list(r) for r in gamma.basis])
+    u, d, _ = snf_with_transforms([list(r) for r in gamma.basis])
     divisors = snf_diagonal(d)
     return FiniteAbelianGroup(
         n=gamma.n,
         divisors=tuple(divisors),
         u_matrix=tuple(tuple(row) for row in u),
-        v_matrix=tuple(tuple(row) for row in v),
         gamma=gamma,
     )
 

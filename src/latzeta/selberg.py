@@ -523,19 +523,22 @@ class ComparisonReport:
 
 
 def comparison_check(gamma: TranslationSubgroup, max_deg: int,
-                     zeta: Optional[IntPolynomial] = None) -> ComparisonReport:
+                     zeta: Optional[IntPolynomial] = None,
+                     series: Optional[MultiSeries] = None) -> ComparisonReport:
     """Check S(x, 0, .., 0), identity class removed, against the corrected
     form -(n-1)! * x * Z'/Z; the literal form (n-1)! * Z'/Z is evaluated and
     reported alongside.
 
     Lengths are taken at the geodesic scale, which is what measures vertex
     counts along closed straight paths.  A precomputed positive zeta may be
-    supplied; otherwise the determinant route is used.
+    supplied; otherwise the determinant route is used.  Likewise a
+    precomputed ``selberg_series_translation(gamma, max_deg, GEODESIC)``.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     n = gamma.n
-    series = selberg_series_translation(gamma, max_deg, GEODESIC)
+    if series is None:
+        series = selberg_series_translation(gamma, max_deg, GEODESIC)
     lhs = [0] * (max_deg + 1)
     for k, c in series.specialize_first().items():
         if k > 0:

@@ -6,8 +6,10 @@ the orders of the standard directions, and as a character (L-function)
 product in high-precision complex arithmetic rounded back to integers.  A
 fourth route truncates the Euler product over brute-force enumerated
 positive geodesics.  The classical Ihara zeta comes from the Bass
-determinant together with a backtrackless-cycle enumeration oracle on simple
-quotients.
+determinant.  On simple quotients it is checked against the Euler product
+over primitive backtrackless tailless cycles, which the traces of the
+non-backtracking edge operator give in time polynomial in the depth; the
+explicit cycle enumerator stays as the reference for small depths.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .errors import MultigraphError, ToleranceError
+from .errors import MultigraphError, ResourceCapError, ToleranceError
 from .exactdet import polymatrix_det
 from .cayley import QuotientGraph, build_graph
 from .lattice import LatticeVector
@@ -227,20 +229,22 @@ def enumerate_backtrackless_cycles(g: QuotientGraph, max_len: int
     size = g.num_vertices
     adj_mat = g.adjacency()
     neighbors = [np.nonzero(adj_mat[:, v])[0].tolist() for v in range(size)]
+    in_neighbors = [np.nonzero(adj_mat[v, :])[0].tolist() for v in range(size)]
     edge_id: Dict[Tuple[int, int], int] = {}
     for v in range(size):
         for w in neighbors[v]:
             edge_id[(v, w)] = len(edge_id)
 
-    # graph distances for pruning (plain BFS per start vertex)
-    def bfs(src: int) -> List[int]:
+    # distances *to* a start vertex for pruning: BFS over in-edges, which
+    # differ from out-edges once a perturbation makes the graph directed
+    def bfs(dst: int) -> List[int]:
         dist = [-1] * size
-        dist[src] = 0
-        frontier = [src]
+        dist[dst] = 0
+        frontier = [dst]
         while frontier:
             nxt = []
             for x in frontier:
-                for y in neighbors[x]:
+                for y in in_neighbors[x]:
                     if dist[y] < 0:
                         dist[y] = dist[x] + 1
                         nxt.append(y)
@@ -298,6 +302,110 @@ def backtrackless_euler_truncation(classes: Sequence[CycleClass], max_deg: int
             out = out.mul_truncated(
                 IntPolynomial([1] + [0] * (c.length - 1) + [-1]), max_deg)
     return out
+
+
+# start-edge columns pushed through the edge operator together
+HASHIMOTO_BLOCK = 64
+
+
+def hashimoto_traces(g: QuotientGraph, max_len: int) -> List[int]:
+    """[tr(W), tr(W^2), .., tr(W^max_len)] for the non-backtracking edge
+    operator W, as Python ints.
+
+    Edges are v -> w wherever a[w, v], and (W x)[f] sums x[e] over the
+    predecessors e of f: head(e) = tail(f) and tail(e) != head(f).  So
+    tr(W^L) counts closed tailless backtrackless walks of length L with a
+    marked start edge.  Nothing assumes the graph is undirected or
+    vertex-transitive.  Indicator columns of HASHIMOTO_BLOCK start edges at a
+    time go through W by gather-sums over a predecessor table padded with a
+    zero row.  Every entry of W^L is at most r^L, where r is the largest
+    number of predecessors of an edge, so r^max_len < 2^63 is checked before
+    the table or any block is allocated.
+    """
+    if not g.is_simple():
+        raise MultigraphError(
+            "Hashimoto traces need a simple quotient graph")
+    a = g.adjacency() != 0
+    heads, tails = np.nonzero(a)          # sorted by head
+    # v -> w has the in-edges of v as predecessors, less w -> v if present
+    r = int((a.sum(axis=1)[tails] - a[tails, heads]).max(initial=0))
+    if r ** max_len >= 2 ** 63:
+        raise ResourceCapError(
+            f"Hashimoto traces to length {max_len}: entries of W^{max_len} "
+            f"can reach {r}^{max_len}, above the int64 bound 2^63")
+    traces = [0] * max_len
+    if r == 0:
+        return traces
+    heads, tails = heads.tolist(), tails.tolist()
+    n_edges = len(heads)
+    in_edges: List[List[int]] = [[] for _ in range(g.num_vertices)]
+    for e, w in enumerate(heads):
+        in_edges[w].append(e)
+    pred = np.full((n_edges, r), n_edges)       # row n_edges stays zero
+    for f, (w, v) in enumerate(zip(heads, tails)):
+        row = [e for e in in_edges[v] if tails[e] != w]
+        pred[f, :len(row)] = row
+    for lo in range(0, n_edges, HASHIMOTO_BLOCK):
+        starts = np.arange(lo, min(lo + HASHIMOTO_BLOCK, n_edges))
+        cols = np.arange(len(starts))
+        x = np.zeros((n_edges + 1, len(starts)), dtype=np.int64)
+        x[starts, cols] = 1
+        nxt = np.empty((n_edges, len(starts)), dtype=np.int64)
+        gathered = np.empty_like(nxt)
+        for step in range(max_len):
+            np.take(x, pred[:, 0], axis=0, out=nxt)
+            for slot in range(1, r):
+                np.take(x, pred[:, slot], axis=0, out=gathered)
+                nxt += gathered
+            x[:n_edges] = nxt
+            traces[step] += sum(x[starts, cols].tolist())
+    return traces
+
+
+def _mobius(m: int) -> int:
+    out = 1
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
+
+
+def backtrackless_cycle_product(g: QuotientGraph, max_len: int
+                                ) -> Tuple[IntPolynomial, int]:
+    """(prod (1 - u^length) truncated at max_len, number of classes) over the
+    primitive tailless backtrackless cycle classes of length <= max_len.
+
+    Both come from the Hashimoto traces t_L = tr(W^L), without listing a
+    cycle: the product's coefficients from Newton's recurrence
+    k p_k = -sum_{j=1..k} t_j p_{k-j}, and the number of classes of length
+    L by Moebius inversion, (1/L) sum_{d | L} mu(L/d) t_d.  A division that
+    is not exact, or a negative class count, raises ArithmeticError.
+    """
+    traces = hashimoto_traces(g, max_len)
+    coeffs = [1]
+    for k in range(1, max_len + 1):
+        total = -sum(traces[j - 1] * coeffs[k - j] for j in range(1, k + 1))
+        q, rem = divmod(total, k)
+        if rem:
+            raise ArithmeticError(
+                f"Newton recurrence: {total} is not divisible by {k}")
+        coeffs.append(q)
+    count = 0
+    for length in range(1, max_len + 1):
+        total = sum(_mobius(length // d) * traces[d - 1]
+                    for d in range(1, length + 1) if length % d == 0)
+        q, rem = divmod(total, length)
+        if rem or q < 0:
+            raise ArithmeticError(
+                f"Moebius inversion gives {total}/{length} primitive classes "
+                f"of length {length}")
+        count += q
+    return IntPolynomial(coeffs), count
 
 
 @dataclass

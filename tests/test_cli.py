@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from latzeta.cli import (
     RunConfig,
     demo_suite,
@@ -56,6 +58,32 @@ def test_invalid_config_shapes(tmp_path, capsys):
     ]
     for obj in bad:
         assert main(["run", "--config", write_config(tmp_path, obj)]) == 2
+
+
+def _config_with(basis=([3, 0], [0, 3]), **fields):
+    return {"n": 3, "gamma": {"kind": "translation", "basis": list(basis)},
+            "checks": ["positive_zeta"], **fields}
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"basis": [[3.7, 0], [0, 3]]}, "gamma.basis"),
+    ({"basis": [["a", 0], [0, 3]]}, "gamma.basis"),
+    ({"caps": []}, "caps"),
+    ({"caps": {"maxVertices": "10"}}, "caps.maxVertices"),
+    ({"perturb": {"type": 1, "row": 99, "col": 0}}, "perturb.row"),
+    ({"perturb": {"type": 1, "row": -1, "col": 0}}, "perturb.row"),
+], ids=["basis_float", "basis_string", "caps_list", "max_vertices_string",
+        "perturb_row_too_large", "perturb_row_negative"])
+def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, changes,
+                                                field):
+    path = write_config(tmp_path, _config_with(**changes))
+    assert main(["run", "--config", path]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_perturb_in_range_is_accepted(tmp_path):
+    obj = _config_with(perturb={"type": 2, "row": 8, "col": 0})
+    assert main(["run", "--config", write_config(tmp_path, obj)]) == 1
 
 
 def test_affine_config_restricted_checks(tmp_path):
@@ -128,6 +156,25 @@ def test_clean_run_builds_graph_and_determinant_once(monkeypatch):
     assert code == 0
     assert "comparison" in report["results"]
     assert calls == {"build_graph": 1, "zeta_positive_det": 1}
+
+
+def test_run_never_lists_backtrackless_cycles(monkeypatch):
+    import latzeta.zeta
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cycle oracle listed cycles")
+
+    for name in ("enumerate_backtrackless_cycles",
+                 "backtrackless_euler_truncation"):
+        monkeypatch.setattr(latzeta.zeta, name, refuse)
+    cfg = {"n": 3, "gamma": {"kind": "translation",
+                             "basis": [[3, 0], [0, 3]]},
+           "maxDegree": 8, "checks": ["ihara"]}
+    code, report = run_config(RunConfig.from_json_obj(cfg))
+    assert code == 0
+    ihara = report["results"]["ihara"]
+    assert ihara["oracle"] == "match" and ihara["oracle_degree"] == 8
+    assert ihara["primitive_cycle_count"] == 64242
 
 
 def test_report_round_trip_and_determinism(tmp_path):

@@ -13,7 +13,7 @@ def test_int_polynomial_basic_arithmetic():
     assert p + q == IntPolynomial([2])
     assert (p - p) == IntPolynomial.zero()
     assert p.degree == 1 and IntPolynomial.zero().degree == -1
-    assert (p ** 3) == IntPolynomial([1, 3, 3, 1])
+    assert p * p * p == IntPolynomial([1, 3, 3, 1])
 
 
 def test_one_minus_power_matches_repeated_multiplication():

@@ -1,22 +1,26 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latzeta import exactdet
-from latzeta.errors import MultigraphError, ToleranceError
+from latzeta import exactdet, zeta
+from latzeta.errors import MultigraphError, ResourceCapError, ToleranceError
 from latzeta.cayley import build_graph, perturb_adjacency
 from latzeta.exactdet import coefficient_bound, naive_polymatrix_det, polymatrix_det
 from latzeta.polynomials import IntPolynomial
 from latzeta.quotient import TranslationSubgroup
 from latzeta.zeta import (
+    HASHIMOTO_BLOCK,
+    backtrackless_cycle_product,
     backtrackless_euler_truncation,
     direction_orders,
     enumerate_backtrackless_cycles,
     enumerate_positive_geodesics,
     euler_product_truncation,
+    hashimoto_traces,
     ihara_bass,
     ihara_zeta_series,
     lfunction,
@@ -256,6 +260,95 @@ def test_backtrackless_counts_match_hashimoto_traces():
         expected = sum(d * counts.get(d, 0) for d in range(1, ell + 1)
                        if ell % d == 0)
         assert int(np.trace(power)) == expected
+
+
+def _closed_walk_counts(classes, max_len):
+    # a primitive class of length d closes d walks of every length d * k
+    return [sum(c.length for c in classes if ell % c.length == 0)
+            for ell in range(1, max_len + 1)]
+
+
+def _directed_graphs():
+    """Simple graphs made asymmetric by one perturbed entry."""
+    untyped = TranslationSubgroup(3, [[5, 0], [0, 5]], check_types=False)
+    for gam, perturb in [
+            (TranslationSubgroup(3, [[3, 0], [0, 3]]), (1, 0, 5, 1)),
+            (TranslationSubgroup(3, [[6, 0], [0, 3]]), (2, 0, 3, 1)),
+            (untyped, (1, 0, 4, -1))]:
+        g = perturb_adjacency(build_graph(gam), *perturb)
+        a = g.adjacency()
+        assert g.is_simple() and (a != a.T).any()
+        yield g
+
+
+def test_backtrackless_enumerator_on_directed_graph_matches_brute_force():
+    # every closed tailless backtrackless walk of length <= 6, unpruned
+    g = next(_directed_graphs())
+    a = g.adjacency()
+    out = [np.nonzero(a[:, v])[0].tolist() for v in range(g.num_vertices)]
+    brute = [0] * 6
+    for v0 in range(g.num_vertices):
+        for w0 in out[v0]:
+            stack = [(w0, v0, 1)]
+            while stack:
+                cur, prev, length = stack.pop()
+                if cur == v0 and prev != w0:
+                    brute[length - 1] += 1
+                if length < 6:
+                    stack.extend((nxt, cur, length + 1)
+                                 for nxt in out[cur] if nxt != prev)
+    assert brute[5] == 17010
+    assert _closed_walk_counts(enumerate_backtrackless_cycles(g, 6), 6) \
+        == brute
+    assert hashimoto_traces(g, 6) == brute
+
+
+def test_cycle_product_matches_enumerator():
+    graphs = [build_graph(TranslationSubgroup(2, [[m]], check_types=False))
+              for m in range(4, 11)]
+    graphs += [build_graph(TranslationSubgroup(3, basis, check_types=False))
+               for basis in ([[3, 0], [0, 3]], [[5, 0], [0, 5]],
+                             [[6, 0], [0, 3]])]
+    graphs += list(_directed_graphs())
+    for g in graphs:
+        classes = enumerate_backtrackless_cycles(g, 6)
+        assert backtrackless_cycle_product(g, 6) == (
+            backtrackless_euler_truncation(classes, 6), len(classes))
+        assert hashimoto_traces(g, 6) == _closed_walk_counts(classes, 6)
+
+
+def test_cycle_product_matches_bass_to_degree_12():
+    for basis in ([[3, 0], [0, 3]], [[6, 0], [0, 3]], [[9, 0], [0, 3]],
+                  [[6, 0], [0, 6]]):
+        g = build_graph(TranslationSubgroup(3, basis))
+        product, count = backtrackless_cycle_product(g, 12)
+        assert product == ihara_zeta_series(*ihara_bass(g), 12)
+        assert count > 0
+
+
+def test_hashimoto_overflow_guard_raises_before_allocating():
+    g = build_graph(TranslationSubgroup(3, [[6, 0], [0, 6]]))
+    block_bytes = 6 * g.num_vertices * HASHIMOTO_BLOCK * 8
+    hashimoto_traces(g, 27)       # 5^27 < 2^63
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=r"5\^28.*2\^63"):
+            hashimoto_traces(g, 28)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes // 4
+
+
+def test_inexact_trace_division_raises(monkeypatch):
+    g = build_graph(TranslationSubgroup(3, [[3, 0], [0, 3]]))
+    traces = hashimoto_traces(g, 3)
+    assert traces[:2] == [0, 0]   # girth 3: only triangles, each 3 walks
+    assert backtrackless_cycle_product(g, 3)[1] == traces[2] // 3
+    monkeypatch.setattr(zeta, "hashimoto_traces",
+                        lambda g, n: traces[:2] + [traces[2] + 1])
+    with pytest.raises(ArithmeticError, match="Newton"):
+        backtrackless_cycle_product(g, 3)
 
 
 def test_verify_theorems_examples():
