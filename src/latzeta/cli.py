@@ -149,10 +149,16 @@ class RunConfig:
                 raise ConfigError("gamma.perms", "must be a list of 0-based "
                                   "image tuples")
             for p in raw:
-                if sorted(p) != list(range(n)):
-                    raise ConfigError("gamma.perms",
-                                      f"{p!r} is not a permutation of 0..{n-1}")
+                if (not isinstance(p, list) or not all(map(_is_int, p))
+                        or sorted(p) != list(range(n))):
+                    raise ConfigError("gamma.perms", f"{p!r} is not a list "
+                                      f"of the integers 0..{n-1} in some order")
             perms = tuple(tuple(p) for p in raw)
+            try:
+                AffineSubgroup(TranslationSubgroup(n, basis, check_types=False),
+                               [Permutation(p) for p in perms])
+            except ValueError as exc:   # singular, or not stable under perms
+                raise ConfigError("gamma.lattice", str(exc)) from None
         max_degree = obj.get("maxDegree", 12)
         if not _is_int(max_degree) or max_degree < 0:
             raise ConfigError("maxDegree", "must be an integer >= 0")

@@ -1,17 +1,27 @@
 """Several-variable Selberg-type zeta of a finite-index subgroup.
 
 For a translation subgroup the conjugacy classes are single lattice
-elements, so the series is a direct box enumeration and the closed form is a
-finite sum of cone sums: summing the stabilizer size over a class's sorted
-pattern is the same as summing, over all coordinate permutations q, the
-points of q(subgroup) that land in the dominant cone, face by face.  Each
-face contributes an exact geometric-series rational function.
+elements, so the series is a box scan and the closed form is a finite sum
+of cone sums: summing the stabilizer size over a class's sorted pattern is
+the same as summing, over all coordinate permutations q, the points of
+q(subgroup) that land in the dominant cone, face by face.  Each face
+contributes an exact geometric-series rational function.  The scan streams
+the box in slabs of its first coordinate over one reused sub-grid, tests
+membership by adjugate residues in int64, and counts the members of each
+sorted coordinate pattern, so the series gets one term per pattern rather
+than one per member.
 
 For a split affine subgroup M x| P, conjugacy classes are enumerated
 exactly: for fixed permutation part p, translation parts live in the cosets
 of (1-p)M inside M, and the finite group P folds those cosets together.
+Each coset box is first filtered in int64 by the spread of its cycle sums
+(scaled by the lcm of the cycle lengths, so the test is exact), and only
+the survivors are built as elements and reduced to a canonical class key.
 Class weights are centralizer indices computed from fixed sublattices and
 finite permutation counts.
+
+Every int64 kernel checks a proven bound on its entries before it
+allocates, and otherwise raises :class:`ResourceCapError`.
 """
 
 from __future__ import annotations
@@ -20,11 +30,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoxExhaustionError
+from .errors import BoxExhaustionError, ResourceCapError
 from .intmat import (
     ImageLattice,
     adjugate_and_det,
@@ -86,28 +96,68 @@ def _sorted_gap_exponents(coords: Sequence[int], factor: int) -> Tuple[int, ...]
     return tuple(factor * (s[j] - s[j + 1]) for j in range(len(s) - 1))
 
 
+def _check_int64(context: str, what: str, bound: int) -> None:
+    """Raise before allocating unless the proven bound fits in int64."""
+    if bound >= 2 ** 63:
+        raise ResourceCapError(
+            f"{context}: {what} can reach {bound}, above the int64 bound 2^63")
+
+
 def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
                                scale: str = GEODESIC) -> MultiSeries:
     """Truncated Selberg series of a translation subgroup.
 
     Every subgroup element is its own conjugacy class with weight
     N * (stabilizer of its coordinate pattern); elements of length degree at
-    most max_deg have canonical coordinates inside [0, max_deg/scale]^n.
+    most max_deg have canonical coordinates inside [0, span]^n, where
+    span = max_deg // scale factor.  The box is scanned in slabs of its
+    first coordinate over one reused (span+1)^(n-1) sub-grid.  Members are
+    found by the adjugate residue test, each member's sorted coordinates are
+    encoded as one base-(span+1) integer, and every distinct pattern adds
+    one term of weight N * stabilizer * (members with that pattern).
     """
     n = gamma.n
     f = scale_factor(n, scale)
-    n_index = gamma.index
-    series = MultiSeries(n - 1, max_deg)
     span = max_deg // f
-    grids = np.meshgrid(*([np.arange(span + 1)] * n), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    points = points[points.min(axis=1) == 0]
-    basis_coords = points[:, : n - 1] - points[:, n - 1:]
+    base = span + 1
+    det = gamma.adjugate_det
+    adj_max = max(abs(x) for row in gamma.adjugate for x in row)
+    context = f"translation Selberg series to degree {max_deg}"
+    _check_int64(context, f"the pattern code (span+1)^n = {base}^{n}",
+                 base ** n)
+    # span counted as at least 1, so that the adjugate itself fits
+    _check_int64(context, f"an adjugate residue (n-1)*span*max|adj| = "
+                 f"{n - 1}*{max(span, 1)}*{adj_max}",
+                 (n - 1) * max(span, 1) * adj_max)
+    _check_int64(context, "the residue modulus |det|", abs(det))
     adj = np.array(gamma.adjugate, dtype=np.int64)
-    residues = basis_coords @ adj.T
-    members = points[(residues % gamma.adjugate_det == 0).all(axis=1)]
-    for row in members.tolist():
-        weight = n_index * _pattern_stabilizer_size(row)
+    axes = np.meshgrid(*([np.arange(base, dtype=np.int64)] * (n - 1)),
+                       indexing="ij")
+    sub = np.stack([a.ravel() for a in axes], axis=1)   # coordinates 2..n
+    # basis coordinates x_i - x_n of the point (0, sub); a slab with first
+    # coordinate x adds x to the first of them
+    sub_coords = np.concatenate([np.zeros_like(sub[:, :1]), sub[:, :-1]],
+                                axis=1) - sub[:, -1:]
+    sub_res = sub_coords @ adj.T
+    # with a positive first coordinate the minimum 0 must lie in the sub-grid
+    on_floor = sub.min(axis=1) == 0
+    floor_sub, floor_res = sub[on_floor], sub_res[on_floor]
+    place = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    counts: Dict[int, int] = {}
+    for x in range(base):
+        rows, res = ((sub, sub_res) if x == 0
+                     else (floor_sub, floor_res + x * adj[:, 0]))
+        members = rows[(res % det == 0).all(axis=1)]
+        patterns = np.sort(np.concatenate(
+            [np.full((len(members), 1), x, dtype=np.int64), members], axis=1),
+            axis=1)
+        codes, mult = np.unique(patterns @ place, return_counts=True)
+        for code, m in zip(codes.tolist(), mult.tolist()):
+            counts[code] = counts.get(code, 0) + m
+    series = MultiSeries(n - 1, max_deg)
+    for code in sorted(counts):
+        row = [code // base ** i % base for i in range(n)]
+        weight = gamma.index * _pattern_stabilizer_size(row) * counts[code]
         series.add_term(_sorted_gap_exponents(row, f), weight)
     return series
 
@@ -221,6 +271,16 @@ class _PermCosetData:
         self.free_idx = [i for i, di in enumerate(self.divisors) if di == 0]
         self.image_lambda = ImageLattice(one_minus_p)
         self.image_m = ImageLattice(self.one_minus_p_m)
+        # row j maps U-coordinate j to the cycle sums S_c of
+        # e = m_basis uinv coords, each times lcm/|c|: the cycle averages
+        # scaled by the lcm of the cycle lengths, all integers
+        cycles = p.cycles()
+        self.lcm = math.lcm(*map(len, cycles))
+        a = mat_mul(m_basis, self.uinv)
+        self.scaled_averages = [
+            [sum(a[i][j] for i in cyc if i < n - 1) * (self.lcm // len(cyc))
+             for cyc in cycles]
+            for j in range(n - 1)]
 
     def element_from_coords(self, coords: Sequence[int]) -> List[int]:
         """e-coordinates of the representative with the given U-coordinates."""
@@ -274,6 +334,48 @@ def _free_coordinate_bounds(data: _PermCosetData, torsion_coords, max_spread):
         los.append(math.floor(center[i] - radius))
         his.append(math.ceil(center[i] + radius))
     return los, his
+
+
+_BOX_BLOCK = 1 << 16   # box points filtered per numpy block
+
+
+def _short_box_points(data: _PermCosetData, torsion: Sequence[int],
+                      los: Sequence[int], his: Sequence[int], factor: int,
+                      max_deg: int) -> Iterator[List[int]]:
+    """U-coordinates, in lexicographic order, of the points with the given
+    torsion coordinates and free coordinates in [los, his] whose element has
+    total length at most max_deg.
+
+    The total length is factor * (max - min) of the cycle averages; times
+    the lcm L of the cycle lengths it is an integer, so the test
+    factor * spread(T) <= max_deg * L on T = coords @ scaled_averages is
+    exact in int64.
+    """
+    n1 = len(data.divisors)
+    shape = [hi - lo + 1 for lo, hi in zip(los, his)]
+    total = math.prod(max(w, 0) for w in shape)
+    coord_max = max([abs(x) for x in (*los, *his)] + list(torsion), default=0)
+    # |T_c| <= coord_max * (column sum of |scaled_averages|)
+    col_max = max(map(sum, zip(*[[abs(x) for x in row]
+                                 for row in data.scaled_averages])))
+    context = f"affine class scan to degree {max_deg}"
+    _check_int64(context, "the box point count", total)
+    _check_int64(context, "factor * the spread of the scaled cycle sums",
+                 2 * factor * coord_max * col_max)
+    _check_int64(context, "max_deg * L", max_deg * data.lcm)
+    weights = np.array(data.scaled_averages, dtype=np.int64)
+    limit = max_deg * data.lcm
+    for start in range(0, total, _BOX_BLOCK):
+        flat = np.arange(start, min(start + _BOX_BLOCK, total), dtype=np.int64)
+        coords = np.empty((len(flat), n1), dtype=np.int64)
+        for pos, idx in enumerate(data.torsion_idx):
+            coords[:, idx] = torsion[pos]
+        for pos in reversed(range(len(shape))):
+            flat, digit = np.divmod(flat, shape[pos])
+            coords[:, data.free_idx[pos]] = digit + los[pos]
+        t = coords @ weights
+        keep = factor * (t.max(axis=1) - t.min(axis=1)) <= limit
+        yield from coords[keep].tolist()
 
 
 def _conjugate_key(gamma: AffineSubgroup, data_by_perm, p: Permutation,
@@ -373,7 +475,10 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     For each permutation part p the translation parts are enumerated coset
     by coset modulo (1-p)M; the free coset coordinates are scanned over a box
     derived from the exact inverse of the cycle-average map, and a doubled
-    box re-scan guards against any box sizing error.
+    box re-scan guards against any box sizing error.  Each box is filtered
+    in int64 by the integer spread test of :func:`_short_box_points`; only
+    its survivors are built as elements, measured exactly and reduced to
+    their canonical class key.
     """
     n = gamma.n
     f = scale_factor(n, scale)
@@ -387,14 +492,9 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
             torsion_ranges = [range(data.divisors[i]) for i in data.torsion_idx]
             for torsion in itertools.product(*torsion_ranges):
                 los, his = _free_coordinate_bounds(data, torsion, max_spread)
-                free_ranges = [range(lo - extra, hi + 1 + extra)
-                               for lo, hi in zip(los, his)]
-                for free in itertools.product(*free_ranges):
-                    coords = [0] * len(data.divisors)
-                    for pos, idx in enumerate(data.torsion_idx):
-                        coords[idx] = torsion[pos]
-                    for pos, idx in enumerate(data.free_idx):
-                        coords[idx] = free[pos]
+                for coords in _short_box_points(
+                        data, torsion, [lo - extra for lo in los],
+                        [hi + extra for hi in his], f, max_deg):
                     e_coords = data.element_from_coords(coords)
                     elem = AffineElement(
                         LatticeVector.from_basis_coords(n, e_coords), p)

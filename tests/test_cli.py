@@ -81,6 +81,25 @@ def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, changes,
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+def _affine_config_with(lattice=([3, 0], [0, 3]), perms=([1, 2, 0],)):
+    return {"n": 3, "gamma": {"kind": "affine", "lattice": list(lattice),
+                              "perms": list(perms)}, "maxDegree": 4}
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"perms": [5]}, "gamma.perms"),
+    ({"perms": [[1.0, 2, 0]]}, "gamma.perms"),
+    ({"perms": [[True, 2, 0]]}, "gamma.perms"),
+    ({"lattice": [[3, 0], [0, 6]]}, "gamma.lattice"),
+], ids=["perm_not_a_list", "perm_float_entry", "perm_bool_entry",
+        "lattice_not_perm_stable"])
+def test_bad_affine_config_field_exits_2_and_names_it(tmp_path, capsys,
+                                                       changes, field):
+    path = write_config(tmp_path, _affine_config_with(**changes))
+    assert main(["run", "--config", path]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_perturb_in_range_is_accepted(tmp_path):
     obj = _config_with(perturb={"type": 2, "row": 8, "col": 0})
     assert main(["run", "--config", write_config(tmp_path, obj)]) == 1

@@ -1,8 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import pytest
+
+from latzeta import selberg
+from latzeta.errors import BoxExhaustionError, ResourceCapError
 from latzeta.lattice import (
     AffineElement,
     FACTORIAL,
@@ -24,6 +29,8 @@ from latzeta.selberg import (
     selberg_series_affine,
     selberg_series_translation,
 )
+from perfbench.workloads import PANELS, transform_columns, unimodular
+
 
 def brute_force_translation_series(gamma, max_deg, scale=GEODESIC):
     """Definition-level oracle: scan subgroup elements in a wide box."""
@@ -67,18 +74,90 @@ def test_series_translation_index3_example():
 
 
 def test_series_translation_matches_brute_force():
-    rng = random.Random(41)
     cases = [
-        TranslationSubgroup(2, [[4]]),
-        TranslationSubgroup(3, [[1, 0], [-1, 3]]),
-        TranslationSubgroup(3, [[3, 0], [0, 6]]),
-        TranslationSubgroup(4, [[2, 0, 1], [-2, 2, 1], [0, -2, 2]]),
+        (TranslationSubgroup(2, [[4]]), 8),
+        (TranslationSubgroup(3, [[1, 0], [-1, 3]]), 8),
+        (TranslationSubgroup(3, [[3, 0], [0, 6]]), 8),
+        (TranslationSubgroup(4, [[2, 0, 1], [-2, 2, 1], [0, -2, 2]]), 8),
+        (TranslationSubgroup(5, [[1, 0, 0, 1], [-1, 1, 0, 1], [0, -1, 1, 1],
+                                 [0, 0, -1, 2]]), 6),
+        (TranslationSubgroup(5, [[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0],
+                                 [0, 0, 0, 5]]), 10),
+        (TranslationSubgroup(5, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1],
+                                 [0, 0, -1, 1]], check_types=False), 5),
     ]
-    for gam in cases:
-        assert selberg_series_translation(gam, 8) \
-            == brute_force_translation_series(gam, 8)
+    for gam, max_deg in cases:
+        f = math.factorial(gam.n)
+        # the geodesic scale; max_deg = 0; the factorial scale with span 2;
+        # and the factorial scale with span 0 (max_deg < n!)
+        for deg, scale in [(max_deg, GEODESIC), (0, GEODESIC),
+                           (2 * f + 1, FACTORIAL), (f - 1, FACTORIAL)]:
+            assert selberg_series_translation(gam, deg, scale) \
+                == brute_force_translation_series(gam, deg, scale)
 
 
+def test_series_translation_matches_brute_force_on_transformed_bases():
+    # the benchmark's translation bases, rewritten by unimodular column
+    # transforms: the subgroup, and so the series, must not change
+    degree = {3: 24, 4: 10, 5: 6}
+    rng = random.Random(43)
+    bases = [m["config"] for m in PANELS["selberg_deep"]
+             if m["config"]["gamma"]["kind"] == "translation"]
+    for cfg in bases:
+        n = cfg["n"]
+        expected = brute_force_translation_series(
+            TranslationSubgroup(n, cfg["gamma"]["basis"]), degree[n])
+        for _ in range(3):
+            basis = transform_columns(cfg["gamma"]["basis"],
+                                      unimodular(n - 1, rng))
+            gam = TranslationSubgroup(n, basis)
+            assert selberg_series_translation(gam, degree[n]) == expected
+
+
+def test_series_translation_adds_one_term_per_sorted_pattern(monkeypatch):
+    gam = TranslationSubgroup(4, [[1, 0, 1], [-1, 1, 1], [0, -1, 2]])
+    max_deg = 9
+    members = [p for p in itertools.product(range(max_deg + 1), repeat=4)
+               if min(p) == 0
+               and gam.contains([p[i] - p[-1] for i in range(3)])]
+    patterns = {tuple(sorted(p)) for p in members}
+    calls = []
+    original = MultiSeries.add_term
+    monkeypatch.setattr(MultiSeries, "add_term",
+                        lambda self, exp, coeff: (calls.append(exp),
+                                                  original(self, exp, coeff)))
+    series = selberg_series_translation(gam, max_deg)
+    assert len(calls) == len(patterns) == len(series.terms) < len(members)
+    assert series == brute_force_translation_series(gam, max_deg)
+
+
+def _translation_guard_peak(gam, max_deg, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=match):
+            selberg_series_translation(gam, max_deg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_series_translation_residue_guard_raises_before_allocating():
+    # adjugate entries near 3^38 times span 1000: each residue could leave
+    # int64, while one slab of the sub-grid would hold 1001^2 points
+    gam = TranslationSubgroup(3, [[3, 0], [-3, 3 ** 38]])
+    slab_bytes = 1001 ** 2 * 2 * 8
+    peak = _translation_guard_peak(gam, 1000, r"residue.*2\^63")
+    assert peak < slab_bytes // 100
+    # the same subgroup is fine while the residues stay below 2^63
+    assert selberg_series_translation(gam, 3).get((0, 0)) == 3 ** 39 * 6
+
+
+def test_series_translation_pattern_code_guard_raises_before_allocating():
+    # (2^32 + 1)^2 pattern codes overflow int64; the slab would be 32 GB
+    peak = _translation_guard_peak(TranslationSubgroup(2, [[2]]), 2 ** 32,
+                                   r"pattern code.*2\^63")
+    assert peak < 1 << 20
 def test_series_factorial_scale_rescales_exponents():
     gam = TranslationSubgroup(3, [[1, 0], [-1, 3]])
     geo = selberg_series_translation(gam, 4, GEODESIC)
@@ -212,6 +291,96 @@ def test_affine_box_doubling_self_check_runs():
     gam = TranslationSubgroup(2, [[4]])
     aff = AffineSubgroup(gam, [Permutation((1, 0))])
     selberg_series_affine(aff, 6, verify_box=True)
+
+
+def test_affine_box_doubling_catches_a_short_box(monkeypatch):
+    gam = TranslationSubgroup(3, [[3, 0], [0, 3]])
+    aff = AffineSubgroup(gam, [Permutation.from_cycles(3, [(0, 1)])])
+    original = selberg._free_coordinate_bounds
+
+    def centre_only(data, torsion, max_spread):
+        los, his = original(data, torsion, max_spread)
+        mids = [(lo + hi) // 2 for lo, hi in zip(los, his)]
+        return mids, mids
+
+    monkeypatch.setattr(selberg, "_free_coordinate_bounds", centre_only)
+    affine_conjugacy_classes(aff, 6, verify_box=False)
+    with pytest.raises(BoxExhaustionError, match="doubling"):
+        affine_conjugacy_classes(aff, 6)
+
+
+AFFINE_FILTER_CASES = [
+    (3, [[3, 0], [0, 3]], (0, 1, 2)),          # identity
+    (3, [[3, 0], [0, 3]], (1, 2, 0)),          # rotation
+    (3, [[3, 0], [0, 3]], (1, 0, 2)),          # transposition: halves
+    (3, [[1, 0], [-1, 3]], (0, 2, 1)),
+    (4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]], (1, 2, 3, 0)),
+    (4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]], (1, 0, 2, 3)),
+    (4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]], (1, 0, 3, 2)),
+    (4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]], (0, 2, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("n, lattice, images", AFFINE_FILTER_CASES)
+@pytest.mark.parametrize("scale, max_deg",
+                         [(GEODESIC, 3), (GEODESIC, 5), (FACTORIAL, 0),
+                          (FACTORIAL, 57)])
+def test_affine_integer_filter_keeps_exactly_the_short_points(
+        n, lattice, images, scale, max_deg):
+    aff = AffineSubgroup(TranslationSubgroup(n, lattice),
+                         [Permutation(images)])
+    f = math.factorial(n) if scale == FACTORIAL else 1
+    for p in aff.perms:
+        data = selberg._PermCosetData(aff, p)
+        torsion_ranges = [range(data.divisors[i]) for i in data.torsion_idx]
+        for torsion in itertools.product(*torsion_ranges):
+            los, his = selberg._free_coordinate_bounds(
+                data, torsion, Fraction(max_deg, f))
+            # a box wider than the one the scan uses, so that it holds
+            # points on both sides of the cut
+            los = [lo - 2 for lo in los]
+            his = [hi + 2 for hi in his]
+            expected = []
+            for free in itertools.product(
+                    *[range(lo, hi + 1) for lo, hi in zip(los, his)]):
+                coords = [0] * len(data.divisors)
+                for pos, idx in enumerate(data.torsion_idx):
+                    coords[idx] = torsion[pos]
+                for pos, idx in enumerate(data.free_idx):
+                    coords[idx] = free[pos]
+                elem = AffineElement(LatticeVector.from_basis_coords(
+                    n, data.element_from_coords(coords)), p)
+                if length_vector(elem, scale).total <= max_deg:
+                    expected.append(coords)
+            kept = list(selberg._short_box_points(data, torsion, los, his, f,
+                                                  max_deg))
+            assert kept == expected
+
+
+def test_affine_scan_guards_raise_before_allocating():
+    aff = AffineSubgroup(TranslationSubgroup(3, [[3, 0], [0, 3]]),
+                         [Permutation((1, 2, 0))])
+    identity = selberg._PermCosetData(aff, Permutation.identity(3))
+    rotation = selberg._PermCosetData(aff, Permutation((1, 2, 0)))
+    assert identity.free_idx == [0, 1] and rotation.free_idx == []
+    cases = [
+        (identity, [0, 0], [2 ** 32, 2 ** 31], 3, "point count"),
+        (identity, [-2 ** 61] * 2, [-2 ** 61] * 2, 3, "spread"),
+        (rotation, [], [], 2 ** 62, r"max_deg \* L"),
+    ]
+    tracemalloc.start()
+    try:
+        for data, los, his, max_deg, match in cases:
+            torsion = [0] * len(data.torsion_idx)
+            with pytest.raises(ResourceCapError, match=match + r".*2\^63"):
+                next(selberg._short_box_points(data, torsion, los, his, 1,
+                                               max_deg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ResourceCapError, match=r"affine class scan"):
+        affine_conjugacy_classes(aff, 2 ** 40)
 
 
 def test_affine_transposition_half_integer_lengths():
