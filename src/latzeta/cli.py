@@ -95,7 +95,7 @@ def _parse_perturb(p, n: int, basis) -> Tuple[int, int, int, int]:
         if not _is_int(x):
             raise ConfigError(f"perturb.{key}", "must be an integer")
         values.append(x)
-    t, row, col, _ = values
+    t, row, col, delta = values
     if not 1 <= t <= n - 1:
         raise ConfigError("perturb.type", f"must be in 1..{n - 1}")
     size = abs(det_bareiss(basis)) if basis is not None else 0
@@ -104,6 +104,14 @@ def _parse_perturb(p, n: int, basis) -> Tuple[int, int, int, int]:
             if not 0 <= x < size:
                 raise ConfigError(f"perturb.{key}", f"must be in 0..{size - 1}"
                                   f" (the quotient has {size} vertices)")
+        # the typed adjacency matrices are int64, and their entries are at
+        # most binom(n, n//2) before the perturbation; the invariants check
+        # multiplies two of them and sums rows, which stays below
+        # N * (|delta| + binom(n, n//2))^2
+        if size * (abs(delta) + math.comb(n, n // 2)) ** 2 >= 2 ** 63:
+            raise ConfigError("perturb.delta", f"|delta| = {abs(delta)} "
+                              f"overflows the int64 adjacency products on "
+                              f"{size} vertices")
     return tuple(values)
 
 
@@ -166,8 +174,12 @@ class RunConfig:
         if scale not in (GEODESIC, FACTORIAL):
             raise ConfigError("scale", "must be 'geodesic' or 'factorial'")
         tolerance = obj.get("tolerance", 1e-9)
-        if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-            raise ConfigError("tolerance", "must be positive")
+        # NaN would pass every deviation test, true would read as 1.0, and
+        # an integer above the largest float would not convert
+        if (isinstance(tolerance, bool)
+                or not isinstance(tolerance, (int, float))
+                or not 0 < tolerance <= sys.float_info.max):
+            raise ConfigError("tolerance", "must be a finite positive number")
         allowed = TRANSLATION_CHECKS if kind == "translation" else AFFINE_CHECKS
         checks = obj.get("checks", "all")
         if checks == "all":
@@ -261,6 +273,16 @@ class _Lazy:
         return self._series[key]
 
 
+def _first_difference(left: IntPolynomial, right: IntPolynomial):
+    """None, or the lowest degree where the two polynomials differ with
+    both coefficients there, as decimal strings like the coefficient lists."""
+    for i in range(max(left.degree, right.degree) + 1):
+        a, b = left.coefficient(i), right.coefficient(i)
+        if a != b:
+            return {"index": i, "left": str(a), "right": str(b)}
+    return None
+
+
 def _check_positive_zeta(lazy: _Lazy, cfg: RunConfig):
     det = lazy.det_poly
     orders = zeta_positive_orders(lazy.gamma)
@@ -269,6 +291,7 @@ def _check_positive_zeta(lazy: _Lazy, cfg: RunConfig):
         "determinant": det.to_json_coeffs(),
         "orders_product": orders.to_json_coeffs(),
         "equal": ok,
+        "first_difference": _first_difference(det, orders),
     }
 
 
@@ -279,6 +302,7 @@ def _check_lfunction(lazy: _Lazy, cfg: RunConfig):
         "lfunction": poly.to_json_coeffs(),
         "rounding_deviation": dev,
         "equals_determinant": ok,
+        "first_difference": _first_difference(poly, lazy.det_poly),
     }
 
 

@@ -26,6 +26,7 @@ allocates, and otherwise raises :class:`ResourceCapError`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -243,11 +244,13 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
 
 class _PermCosetData:
     """Per-permutation-part data: cosets of (1-p)M in M and both membership
-    lattices."""
+    lattices, plus the class-weight data that depends on p alone, filled on
+    first use."""
 
     def __init__(self, gamma: AffineSubgroup, p: Permutation):
         self.p = p
-        n = gamma.n
+        self.n = n = gamma.n
+        self.perms = gamma.perms
         m_basis = [list(r) for r in gamma.lattice.basis]
         p_mat = p.basis_matrix()
         eye = [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
@@ -281,6 +284,37 @@ class _PermCosetData:
             [sum(a[i][j] for i in cyc if i < n - 1) * (self.lcm // len(cyc))
              for cyc in cycles]
             for j in range(n - 1)]
+
+    @functools.cached_property
+    def fixed_index(self) -> int:
+        """Index of the fixed sublattice M^p in the fixed lattice of p."""
+        lam_fixed = kernel_basis(self.one_minus_p)
+        if not lam_fixed:
+            return 1
+        m_fixed_z = kernel_basis(self.one_minus_p_m)
+        m_fixed = [mat_vec(self.m_basis, z) for z in m_fixed_z]
+        # coordinates of M^p in the basis of the full fixed lattice
+        dim = len(lam_fixed)
+        a = [[Fraction(lam_fixed[c][r]) for c in range(dim)]
+             for r in range(len(lam_fixed[0]))]
+        w_cols = [_solve_full_column_rank(a, vec) for vec in m_fixed]
+        w = [[w_cols[j][i] for j in range(dim)] for i in range(dim)]
+        if any(x.denominator != 1 for row in w for x in row):
+            raise ArithmeticError("fixed sublattice is not contained in the "
+                                  "fixed lattice")
+        return abs(det_bareiss([[int(x) for x in row] for row in w]))
+
+    @functools.cached_property
+    def centralizer_mats(self) -> Tuple[List[List[List[int]]], ...]:
+        """Basis matrices of the permutations that commute with p: all of
+        them in S_n, then those in the permutation part of the subgroup."""
+        p = self.p
+
+        def commuting(perms):
+            return [q.basis_matrix() for q in perms
+                    if q.compose(p).images == p.compose(q).images]
+
+        return commuting(all_permutations(self.n)), commuting(self.perms)
 
     def element_from_coords(self, coords: Sequence[int]) -> List[int]:
         """e-coordinates of the representative with the given U-coordinates."""
@@ -395,48 +429,20 @@ def _conjugate_key(gamma: AffineSubgroup, data_by_perm, p: Permutation,
     return best, best_elem
 
 
-def _class_weight(gamma: AffineSubgroup, data: _PermCosetData,
-                  e_coords: Sequence[int]) -> int:
+def _class_weight(data: _PermCosetData, e_coords: Sequence[int]) -> int:
     """Centralizer index: fixed-lattice index times the permutation count
     ratio."""
-    n = gamma.n
-    p = data.p
-    lam_fixed = kernel_basis(data.one_minus_p)
-    if lam_fixed:
-        m_fixed_z = kernel_basis(data.one_minus_p_m)
-        m_fixed = [mat_vec(data.m_basis, z) for z in m_fixed_z]
-        # coordinates of M^p in the basis of the full fixed lattice
-        dim = len(lam_fixed)
-        a = [[Fraction(lam_fixed[c][r]) for c in range(dim)]
-             for r in range(len(lam_fixed[0]))]
-        w_cols = []
-        for vec in m_fixed:
-            sol = _solve_full_column_rank(a, vec)
-            w_cols.append(sol)
-        w = [[w_cols[j][i] for j in range(dim)] for i in range(dim)]
-        if any(x.denominator != 1 for row in w for x in row):
-            raise ArithmeticError("fixed sublattice is not contained in the "
-                                  "fixed lattice")
-        index = abs(det_bareiss([[int(x) for x in row] for row in w]))
-    else:
-        index = 1
-    qg = 0
-    for q in all_permutations(n):
-        if q.compose(p).images != p.compose(q).images:
-            continue
-        diff = [a - b for a, b in zip(e_coords, mat_vec(q.basis_matrix(), e_coords))]
-        if data.image_lambda.contains(diff):
-            qg += 1
-    qgamma = 0
-    for q in gamma.perms:
-        if q.compose(p).images != p.compose(q).images:
-            continue
-        diff = [a - b for a, b in zip(e_coords, mat_vec(q.basis_matrix(), e_coords))]
-        if data.image_m.contains(diff):
-            qgamma += 1
+    in_lambda, in_m = data.centralizer_mats
+
+    def fixing(mats, image) -> int:
+        return sum(1 for q_mat in mats if image.contains(
+            [a - b for a, b in zip(e_coords, mat_vec(q_mat, e_coords))]))
+
+    qg = fixing(in_lambda, data.image_lambda)
+    qgamma = fixing(in_m, data.image_m)
     if qg % qgamma:
         raise ArithmeticError("permutation centralizer counts are inconsistent")
-    return index * (qg // qgamma)
+    return data.fixed_index * (qg // qgamma)
 
 
 def _solve_full_column_rank(a_rows: List[List[Fraction]], b: Sequence[int]
@@ -524,7 +530,7 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
         p2, e_coords = classes[key]
         elem = AffineElement(LatticeVector.from_basis_coords(n, e_coords), p2)
         data = data_by_perm[p2.images]
-        weight = _class_weight(gamma, data, e_coords)
+        weight = _class_weight(data, e_coords)
         out.append(ConjugacyClass(
             representative=elem,
             weight=weight,

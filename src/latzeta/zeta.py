@@ -3,23 +3,25 @@
 The positive-geodesic zeta is computed three ways: as an exact determinant of
 the typed adjacency polynomial, as the product of (1 - u^{m_i})^{N/m_i} over
 the orders of the standard directions, and as a character (L-function)
-product in high-precision complex arithmetic rounded back to integers.  A
-fourth route truncates the Euler product over brute-force enumerated
-positive geodesics.  The classical Ihara zeta comes from the Bass
-determinant.  On simple quotients it is checked against the Euler product
-over primitive backtrackless tailless cycles, which the traces of the
-non-backtracking edge operator give in time polynomial in the depth; the
-explicit cycle enumerator stays as the reference for small depths.
+product in fixed-point Gaussian-integer arithmetic, whose proven error bound
+stays below 1/2 so that rounding recovers the integers (mpmath computes only
+the roots of unity).  A fourth route truncates the Euler product over
+brute-force enumerated positive geodesics.  The classical Ihara zeta comes
+from the Bass determinant.  On simple quotients it is checked against the
+Euler product over primitive backtrackless tailless cycles, which the traces
+of the non-backtracking edge operator give in time polynomial in the depth;
+the explicit cycle enumerator stays as the reference for small depths.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .errors import MultigraphError, ResourceCapError, ToleranceError
 from .exactdet import polymatrix_det
@@ -36,9 +38,74 @@ LFUNCTION_MIN_PRECISION_BITS = 150
 
 
 def _lfunction_precision_bits(degree: int) -> int:
-    # intermediate partial products can grow to ~2^degree before cancelling,
-    # so keep that many guard bits on top of the base precision
+    # the error bound of lfunction_error_bound grows like 2^degree, so keep
+    # that many fractional bits on top of the base precision
     return LFUNCTION_MIN_PRECISION_BITS + degree
+
+
+def lfunction_error_bound(degree: int, bits: int) -> Fraction:
+    """(K + 4) 2^(K - 1 - P), for K = degree and P = bits: the a-priori
+    bound on every coefficient error of :func:`fixed_point_product` over K
+    factors; see there for the proof."""
+    return Fraction(degree + 4, 2) * Fraction(2) ** (degree - bits)
+
+
+def _unit_root(turn: Fraction, bits: int) -> Tuple[int, int]:
+    """exp(2 pi i turn) times 2^bits, each part rounded to the nearest
+    integer.
+
+    At bits + 20 bits the argument 2 turn in [0, 2) is within 2^(-bits-19)
+    of exact, which moves cos(pi x) and sin(pi x) by at most
+    pi 2^(-bits-19), and mpmath's cospi/sinpi add a few units of
+    2^(-bits-20); so each part is within 2^(-bits-16) of exact before the
+    final rounding.
+    """
+    with mp.workprec(bits + 20):
+        x = mpf(2 * turn.numerator) / turn.denominator
+        return (int(mp.nint(mp.ldexp(mp.cospi(x), bits))),
+                int(mp.nint(mp.ldexp(mp.sinpi(x), bits))))
+
+
+def fixed_point_product(turns: Sequence[Fraction], bits: int
+                        ) -> Tuple[List[int], List[int]]:
+    """prod_t (1 - rho_t u), rho_t = exp(2 pi i t), in fixed point.
+
+    Returns the real and the imaginary parts of the K + 1 coefficients
+    (K = len(turns)) as Python ints scaled by 2^P, P = bits.  Each root is
+    rounded to P bits once per distinct turn (components off by at most
+    2^(-P-1) + 2^(-P-16), so |r - rho| < 2^-P and |r| < 1 + 2^-P), and each
+    factor is applied to the running coefficients in place,
+    c_i -= round(r c_{i-1}), with both parts of the product rounded to the
+    nearest multiple of 2^-P (off by less than 2^-P in modulus).
+
+    Error bound.  Let c_k(i) be the exact coefficients after k factors,
+    so |c_k(i)| <= binom(k, i) <= 2^k, and E_k the largest modulus of the
+    error of a computed one.  Subtracting the two recurrences,
+
+        e_k(i) = e_{k-1}(i) - r e_{k-1}(i-1) - (r - rho) c_{k-1}(i-1) + delta,
+
+    so E_k <= (2 + 2^-P) E_{k-1} + 2^-P (2^(k-1) + 1) with E_0 = 0, and
+
+        E_K <= 2^-P (1 + 2^(-P-1))^K sum_k 2^(K-k) (2^(k-1) + 1)
+            <  2^(K-1-P) (K + 2) (1 + K 2^-P)  <=  (K + 4) 2^(K-1-P),
+
+    using (1 + x)^K <= 1 + 2Kx for Kx <= 1 and K (K + 2) <= 2^(P+1); both
+    hold whenever this bound, :func:`lfunction_error_bound`, is below 1/2.
+    """
+    roots: Dict[Fraction, Tuple[int, int]] = {}
+    half = 1 << (bits - 1)
+    re = [1 << bits] + [0] * len(turns)
+    im = [0] * (len(turns) + 1)
+    for k, turn in enumerate(turns, start=1):
+        rho = roots.get(turn)
+        if rho is None:
+            rho = roots[turn] = _unit_root(turn, bits)
+        a, b = rho
+        for i in range(k, 0, -1):
+            x, y = re[i - 1], im[i - 1]
+            re[i] -= (a * x - b * y + half) >> bits
+            im[i] -= (a * y + b * x + half) >> bits
+    return re, im
 
 
 def zeta_positive_det(g: QuotientGraph) -> IntPolynomial:
@@ -79,37 +146,41 @@ def lfunction_with_deviation(gamma: TranslationSubgroup,
                              ) -> Tuple[IntPolynomial, float]:
     """Character-product L-function, rounded to integers.
 
-    Each character contributes prod_j (1 - rho_j u) over its n Satake
-    parameters; the product over all characters of the quotient is computed
-    in complex arithmetic with enough guard bits for the degree and rounded
-    coefficientwise.  Returns the polynomial and the worst rounding
-    deviation; raises if the deviation exceeds the tolerance.
+    Each character chi contributes prod_j (1 - chi(e_j) u) over the
+    projections of the n standard directions e_j, its Satake parameters;
+    the K = nN factors of all characters go one by one through
+    :func:`fixed_point_product` at P = _lfunction_precision_bits(K)
+    fractional bits.  Every coefficient is then within
+    ``lfunction_error_bound(K, P)`` of the exact one, which must be below
+    1/2 (or ArithmeticError), so rounding to the nearest integer recovers
+    the integer coefficients.  Returns the polynomial and the worst rounding
+    deviation; raises ToleranceError if the deviation exceeds the tolerance
+    and ArithmeticError if it exceeds the proven bound.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     q = quotient_group(gamma)
-    with mp.workprec(_lfunction_precision_bits(gamma.n * gamma.index)):
-        total = [mpc(1)]
-        two_pi = 2 * mp.pi
-        for chi in characters(q):
-            factor = [mpc(1)]
-            for turn in chi.satake_turns(q):
-                angle = two_pi * mpf(turn.numerator) / turn.denominator
-                rho = mp.exp(1j * angle)
-                factor = [factor[0]] + [factor[i] - rho * factor[i - 1]
-                                        for i in range(1, len(factor))] + [-rho * factor[-1]]
-            new = [mpc(0)] * (len(total) + len(factor) - 1)
-            for i, a in enumerate(total):
-                for j, b in enumerate(factor):
-                    new[i + j] += a * b
-            total = new
-        coeffs = []
-        deviation = 0.0
-        for c in total:
-            nearest = int(mp.nint(c.real))
-            dev = float(max(abs(c.real - nearest), abs(c.imag)))
-            deviation = max(deviation, dev)
-            coeffs.append(nearest)
+    degree = gamma.n * gamma.index
+    bits = _lfunction_precision_bits(degree)
+    bound = lfunction_error_bound(degree, bits)
+    if bound >= Fraction(1, 2):
+        raise ArithmeticError(
+            f"L-function error bound {float(bound):g} at {bits} bits for "
+            f"degree {degree} is not below 1/2")
+    directions = [q.project_vector(LatticeVector.basis_vector(gamma.n, i))
+                  for i in range(1, gamma.n + 1)]
+    turns = [chi.turn(d) for chi in characters(q) for d in directions]
+    re, im = fixed_point_product(turns, bits)
+    half = 1 << (bits - 1)
+    coeffs = [(x + half) >> bits for x in re]
+    worst = max(max(abs(x - (c << bits)), abs(y))
+                for x, y, c in zip(re, im, coeffs))
+    exact_deviation = Fraction(worst, 1 << bits)
+    deviation = float(exact_deviation)
+    if exact_deviation > bound:
+        raise ArithmeticError(
+            f"L-function rounding deviation {deviation:g} exceeds the proven "
+            f"error bound {float(bound):g}")
     if deviation > tolerance:
         raise ToleranceError(
             f"L-function rounding deviation {deviation:g} exceeds {tolerance:g}")
@@ -153,13 +224,8 @@ class GeodesicClass:
     """A rotation class of closed positive geodesics in one direction."""
 
     length: int
-    primitive_length: int
     direction: int
     representative: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.length % self.primitive_length != 0:
-            raise ValueError("primitive length must divide length")
 
 
 def enumerate_positive_geodesics(g: QuotientGraph, max_len: int
@@ -187,7 +253,6 @@ def enumerate_positive_geodesics(g: QuotientGraph, max_len: int
             if len(cycle) <= max_len:
                 out.append(GeodesicClass(
                     length=len(cycle),
-                    primitive_length=len(cycle),
                     direction=i,
                     representative=min(cycle),
                 ))

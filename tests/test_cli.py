@@ -72,8 +72,20 @@ def _config_with(basis=([3, 0], [0, 3]), **fields):
     ({"caps": {"maxVertices": "10"}}, "caps.maxVertices"),
     ({"perturb": {"type": 1, "row": 99, "col": 0}}, "perturb.row"),
     ({"perturb": {"type": 1, "row": -1, "col": 0}}, "perturb.row"),
+    ({"tolerance": float("nan")}, "tolerance"),
+    ({"tolerance": float("inf")}, "tolerance"),
+    ({"tolerance": True}, "tolerance"),
+    ({"tolerance": 10 ** 400}, "tolerance"),
+    ({"perturb": {"type": 1, "row": 0, "col": 0, "delta": 10 ** 30}},
+     "perturb.delta"),
+    # 9 vertices, entries of at most binom(3, 1) = 3: 9 * (10^9 + 3)^2 < 2^63
+    ({"perturb": {"type": 1, "row": 0, "col": 0, "delta": -2 * 10 ** 9}},
+     "perturb.delta"),
 ], ids=["basis_float", "basis_string", "caps_list", "max_vertices_string",
-        "perturb_row_too_large", "perturb_row_negative"])
+        "perturb_row_too_large", "perturb_row_negative", "tolerance_nan",
+        "tolerance_infinite", "tolerance_bool", "tolerance_above_float",
+        "perturb_delta_huge",
+        "perturb_delta_overflows_int64"])
 def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, changes,
                                                 field):
     path = write_config(tmp_path, _config_with(**changes))
@@ -103,6 +115,32 @@ def test_bad_affine_config_field_exits_2_and_names_it(tmp_path, capsys,
 def test_perturb_in_range_is_accepted(tmp_path):
     obj = _config_with(perturb={"type": 2, "row": 8, "col": 0})
     assert main(["run", "--config", write_config(tmp_path, obj)]) == 1
+    obj = _config_with(perturb={"type": 1, "row": 0, "col": 0,
+                                "delta": 10 ** 9},
+                       checks=["invariants"])
+    assert main(["run", "--config", write_config(tmp_path, obj)]) == 1
+
+
+def test_disagreeing_routes_report_the_first_differing_coefficient():
+    # the benchmark's negative control: +1 on a diagonal type-1 entry moves
+    # the u^1 coefficient of the determinant and nothing below it
+    cfg = {"n": 4, "gamma": {"kind": "translation",
+                             "basis": [[4, 0, 1], [-4, 2, 1], [0, -2, 2]]},
+           "maxDegree": 6, "checks": ["positive_zeta", "lfunction"],
+           "perturb": {"type": 1, "row": 5, "col": 5, "delta": 1}}
+    code, report = run_config(RunConfig.from_json_obj(cfg))
+    assert code == 1
+    zeta_diff = report["results"]["positive_zeta"]["first_difference"]
+    lfun_diff = report["results"]["lfunction"]["first_difference"]
+    assert zeta_diff["index"] == lfun_diff["index"] == 1
+    # determinant against orders, L-function against determinant
+    assert zeta_diff["left"] == lfun_diff["right"]
+    assert zeta_diff["right"] == lfun_diff["left"] != zeta_diff["left"]
+    del cfg["perturb"]
+    code, report = run_config(RunConfig.from_json_obj(cfg))
+    assert code == 0
+    assert report["results"]["positive_zeta"]["first_difference"] is None
+    assert report["results"]["lfunction"]["first_difference"] is None
 
 
 def test_affine_config_restricted_checks(tmp_path):

@@ -2,16 +2,18 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp, mpc, mpf
 
 from latzeta import exactdet, zeta
 from latzeta.errors import MultigraphError, ResourceCapError, ToleranceError
 from latzeta.cayley import build_graph, perturb_adjacency
 from latzeta.exactdet import coefficient_bound, naive_polymatrix_det, polymatrix_det
 from latzeta.polynomials import IntPolynomial
-from latzeta.quotient import TranslationSubgroup
+from latzeta.quotient import TranslationSubgroup, characters, quotient_group
 from latzeta.zeta import (
     HASHIMOTO_BLOCK,
     backtrackless_cycle_product,
@@ -20,10 +22,12 @@ from latzeta.zeta import (
     enumerate_backtrackless_cycles,
     enumerate_positive_geodesics,
     euler_product_truncation,
+    fixed_point_product,
     hashimoto_traces,
     ihara_bass,
     ihara_zeta_series,
     lfunction,
+    lfunction_error_bound,
     lfunction_with_deviation,
     verify_theorems,
     zeta_positive_det,
@@ -172,6 +176,113 @@ def test_lfunction_examples():
         lfunction(TranslationSubgroup(3, [[3, 0], [0, 6]]), tolerance=1e-80)
 
 
+def _satake_turns(gamma):
+    q = quotient_group(gamma)
+    return [t for chi in characters(q) for t in chi.satake_turns(q)]
+
+
+def _mpmath_product(turns, bits):
+    """prod (1 - exp(2 pi i t) u), one factor at a time in mpmath complex
+    arithmetic at the given precision."""
+    with mp.workprec(bits):
+        coeffs = [mpc(1)]
+        for t in turns:
+            rho = mp.expjpi(2 * mpf(t.numerator) / t.denominator)
+            coeffs = ([coeffs[0]]
+                      + [c - rho * prev for c, prev in zip(coeffs[1:], coeffs)]
+                      + [-rho * coeffs[-1]])
+    return coeffs
+
+
+# (n, basis): small cases of n = 2..4, all checked against mpmath
+SMALL_LFUNCTION_CASES = [
+    (2, [[6]]),
+    (3, [[1, 0], [-1, 3]]),
+    (3, [[3, 0], [0, 6]]),
+    (4, [[1, 0, 1], [-1, 1, 1], [0, -1, 2]]),
+    (4, [[4, 0, 1], [-4, 2, 1], [0, -2, 2]]),
+]
+
+
+@pytest.mark.parametrize("n, basis", SMALL_LFUNCTION_CASES)
+def test_fixed_point_lfunction_matches_orders_and_mpmath(n, basis):
+    gamma = TranslationSubgroup(n, basis)
+    poly, dev = lfunction_with_deviation(gamma)
+    assert poly == zeta_positive_orders(gamma)
+    bits = zeta._lfunction_precision_bits(n * gamma.index)
+    reference = _mpmath_product(_satake_turns(gamma), 2 * bits)
+    assert poly.coeffs == [int(mp.nint(c.real)) for c in reference]
+    assert 0 <= dev <= lfunction_error_bound(n * gamma.index, bits)
+
+
+def test_fixed_point_lfunction_is_exact_on_exact_roots():
+    # every Satake parameter of 4Z^3 is a power of i, exact at any precision
+    gamma = TranslationSubgroup(4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]])
+    poly, dev = lfunction_with_deviation(gamma)
+    assert dev == 0.0
+    assert poly == zeta_positive_orders(gamma)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, basis", [(3, [[12, 0], [0, 12]]), (2, [[400]])])
+def test_fixed_point_lfunction_on_large_quotients(n, basis):
+    gamma = TranslationSubgroup(n, basis)
+    poly, _ = lfunction_with_deviation(gamma, tolerance=1e-30)
+    assert poly == zeta_positive_orders(gamma)
+
+
+@pytest.mark.parametrize("n, basis", SMALL_LFUNCTION_CASES)
+@pytest.mark.parametrize("spare_bits", [None, 3])
+def test_fixed_point_error_stays_within_the_proven_bound(n, basis,
+                                                         spare_bits):
+    """The gap to an mpmath product at twice the precision never exceeds
+    (K + 4) 2^(K-1-P), at the route's own precision and at one where the
+    bound lies between 1/32 and 1/16."""
+    gamma = TranslationSubgroup(n, basis)
+    turns = _satake_turns(gamma)
+    degree = len(turns)
+    bits = (zeta._lfunction_precision_bits(degree) if spare_bits is None
+            else degree + (degree + 4).bit_length() + spare_bits)
+    bound = lfunction_error_bound(degree, bits)
+    assert bound < 0.5
+    re, im = fixed_point_product(turns, bits)
+    reference = _mpmath_product(turns, 2 * bits)
+    with mp.workprec(2 * bits):
+        gap = max(abs(mpc(mp.ldexp(x, -bits), mp.ldexp(y, -bits)) - c)
+                  for x, y, c in zip(re, im, reference))
+        # plus the reference's own floating-point error: each of its steps
+        # rounds a few times relative to values below 2^K, so it stays
+        # below 8K 2^(K-2P)
+        limit = bound + Fraction(8 * degree, 2 ** (2 * bits - degree))
+        assert gap <= mpf(limit.numerator) / limit.denominator
+        # powers of i are exact; any other root leaves a visible error
+        assert (gap > 0) == any(4 % t.denominator for t in turns)
+
+
+def test_lfunction_refuses_a_precision_the_bound_does_not_cover(monkeypatch):
+    gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
+    # K = 27: (K + 4) 2^(K-1-P) is 31/64 at P = K + 5 and 31/32 at P = K + 4
+    monkeypatch.setattr(zeta, "_lfunction_precision_bits", lambda k: k + 5)
+    assert lfunction(gamma, tolerance=0.5) == zeta_positive_orders(gamma)
+    monkeypatch.setattr(zeta, "_lfunction_precision_bits", lambda k: k + 4)
+    with pytest.raises(ArithmeticError, match="not below 1/2"):
+        lfunction(gamma)
+
+
+def test_lfunction_deviation_above_the_bound_raises(monkeypatch):
+    gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
+    original = zeta.fixed_point_product
+
+    def off_by_a_third(turns, bits):
+        re, im = original(turns, bits)
+        re[4] += (1 << bits) // 3
+        return re, im
+
+    monkeypatch.setattr(zeta, "fixed_point_product", off_by_a_third)
+    with pytest.raises(ArithmeticError, match="proven error bound"):
+        lfunction_with_deviation(gamma, tolerance=1.0)
+
+
 def test_ihara_bass_examples():
     g2 = build_graph(TranslationSubgroup(2, [[6]]))
     num, chi = ihara_bass(g2)
@@ -194,7 +305,7 @@ def test_positive_geodesic_enumeration():
     g3 = build_graph(TranslationSubgroup(3, [[1, 0], [-1, 3]]))
     classes3 = enumerate_positive_geodesics(g3, 12)
     assert len(classes3) == 3
-    assert all(c.length == 3 and c.primitive_length == 3 for c in classes3)
+    assert all(c.length == 3 for c in classes3)
 
     # counts per direction equal N / m_i
     gam = TranslationSubgroup(3, [[3, 0], [0, 6]])
