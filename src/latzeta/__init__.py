@@ -54,7 +54,6 @@ from .cayley import (
 )
 from .zeta import (
     GeodesicClass,
-    ZetaReport,
     backtrackless_cycle_product,
     enumerate_backtrackless_cycles,
     enumerate_positive_geodesics,
@@ -62,7 +61,6 @@ from .zeta import (
     ihara_bass,
     ihara_zeta_series,
     lfunction,
-    verify_theorems,
     zeta_positive_det,
     zeta_positive_orders,
 )
@@ -77,5 +75,6 @@ from .selberg import (
     selberg_series_affine,
     selberg_series_translation,
 )
+from .cli import RunConfig, run_config
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ pairwise and satisfy A_i^T = A_{n-i}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -28,9 +28,6 @@ class GeneratorSet:
     n: int
     elements: Tuple[LatticeVector, ...]
     types: Tuple[int, ...]
-
-    def of_type(self, i: int) -> List[LatticeVector]:
-        return [s for s, t in zip(self.elements, self.types) if t == i]
 
 
 def generator_set(n: int) -> GeneratorSet:
@@ -62,15 +59,6 @@ class QuotientGraph:
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
-
-    def vertex_index(self, cls: Sequence[int]) -> int:
-        return self._index_map()[tuple(cls)]
-
-    def _index_map(self):
-        if not hasattr(self, "_idx"):
-            object.__setattr__(self, "_idx",
-                               {v: i for i, v in enumerate(self.vertices)})
-        return self._idx
 
     def adjacency(self) -> np.ndarray:
         return sum(self.mats)

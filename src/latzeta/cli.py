@@ -17,11 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ResourceCapError,
-    SingularMatrixError,
-    TypeZeroViolationError,
-)
+from .errors import ResourceCapError
 from .cayley import (
     QuotientGraph,
     build_graph,
@@ -41,9 +37,9 @@ from .lattice import (
 from .polynomials import IntPolynomial, MultiSeries
 from .quotient import AffineSubgroup, TranslationSubgroup, characters, quotient_group
 from .selberg import (
+    affine_conjugacy_classes,
     comparison_check,
     selberg_rational_translation,
-    selberg_series_affine,
     selberg_series_translation,
 )
 from .zeta import (
@@ -162,11 +158,10 @@ class RunConfig:
                     raise ConfigError("gamma.perms", f"{p!r} is not a list "
                                       f"of the integers 0..{n-1} in some order")
             perms = tuple(tuple(p) for p in raw)
-            try:
-                AffineSubgroup(TranslationSubgroup(n, basis, check_types=False),
-                               [Permutation(p) for p in perms])
-            except ValueError as exc:   # singular, or not stable under perms
-                raise ConfigError("gamma.lattice", str(exc)) from None
+        try:
+            _subgroup(n, kind, basis, perms)
+        except ValueError as exc:
+            raise ConfigError(f"gamma.{basis_key}", str(exc)) from None
         max_degree = obj.get("maxDegree", 12)
         if not _is_int(max_degree) or max_degree < 0:
             raise ConfigError("maxDegree", "must be an integer >= 0")
@@ -180,7 +175,7 @@ class RunConfig:
                 or not isinstance(tolerance, (int, float))
                 or not 0 < tolerance <= sys.float_info.max):
             raise ConfigError("tolerance", "must be a finite positive number")
-        allowed = TRANSLATION_CHECKS if kind == "translation" else AFFINE_CHECKS
+        allowed = tuple(_CHECKS[kind])
         checks = obj.get("checks", "all")
         if checks == "all":
             checks = list(allowed)
@@ -238,12 +233,23 @@ class RunConfig:
         return out
 
 
+def _subgroup(n: int, kind: str, basis, perms):
+    """The config's subgroup, a TranslationSubgroup or an AffineSubgroup;
+    raises a ValueError on a singular basis, a generator of nonzero type, or
+    a lattice not stable under the perms."""
+    lattice = TranslationSubgroup(n, basis)
+    if kind == "translation":
+        return lattice
+    return AffineSubgroup(lattice, [Permutation(p) for p in perms])
+
+
 class _Lazy:
-    """Shared per-run computations so checks do not repeat the heavy parts."""
+    """Shared per-run computations so checks do not repeat the heavy parts;
+    ``gamma`` is the config's subgroup, of either kind."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.gamma = TranslationSubgroup(cfg.n, cfg.basis)
+        self.gamma = _subgroup(cfg.n, cfg.gamma_kind, cfg.basis, cfg.perms)
         self._graph = None
         self._det = None
         self._series = {}
@@ -462,71 +468,59 @@ def _check_invariants(lazy: _Lazy, cfg: RunConfig):
     return ok, results
 
 
+def _check_affine_selberg_series(lazy: _Lazy, cfg: RunConfig):
+    gamma = lazy.gamma
+    classes = affine_conjugacy_classes(gamma, cfg.max_degree, cfg.scale)
+    series = MultiSeries(cfg.n - 1, cfg.max_degree)
+    for cls in classes:
+        series.add_term(cls.lengths.exponent_tuple(), cls.weight)
+    identity = AffineElement.identity(cfg.n)
+    id_weight = next(
+        (c.weight for c in classes if c.representative == identity), None)
+    ok = id_weight == gamma.index_in_affine_group
+    return ok, {
+        "series": series.to_json_obj(),
+        "identity_class_weight": id_weight,
+        "group_index": gamma.index_in_affine_group,
+    }
+
+
+# subgroup kind -> check name -> check; TRANSLATION_CHECKS and AFFINE_CHECKS
+# list the same names in the same order
 _CHECKS = {
-    "positive_zeta": _check_positive_zeta,
-    "lfunction": _check_lfunction,
-    "ihara": _check_ihara,
-    "geodesic_oracle": _check_geodesic_oracle,
-    "selberg_series": _check_selberg_series,
-    "selberg_rational": _check_selberg_rational,
-    "comparison": _check_comparison,
-    "invariants": _check_invariants,
+    "translation": {
+        "positive_zeta": _check_positive_zeta,
+        "lfunction": _check_lfunction,
+        "ihara": _check_ihara,
+        "geodesic_oracle": _check_geodesic_oracle,
+        "selberg_series": _check_selberg_series,
+        "selberg_rational": _check_selberg_rational,
+        "comparison": _check_comparison,
+        "invariants": _check_invariants,
+    },
+    "affine": {
+        "selberg_series": _check_affine_selberg_series,
+    },
 }
-
-
-def _run_affine(cfg: RunConfig):
-    from .selberg import affine_conjugacy_classes
-
-    lattice = TranslationSubgroup(cfg.n, cfg.basis)
-    gamma = AffineSubgroup(lattice, [Permutation(p) for p in cfg.perms])
-    results = {}
-    ok_all = True
-    for name in cfg.checks:
-        t0 = time.monotonic()
-        if name == "selberg_series":
-            classes = affine_conjugacy_classes(gamma, cfg.max_degree, cfg.scale)
-            series = MultiSeries(cfg.n - 1, cfg.max_degree)
-            for cls in classes:
-                series.add_term(cls.lengths.exponent_tuple(), cls.weight)
-            identity = AffineElement.identity(cfg.n)
-            id_weight = next(
-                (c.weight for c in classes
-                 if c.representative == identity), None)
-            ok = id_weight == gamma.index_in_affine_group
-            results[name] = {
-                "pass": ok,
-                "series": series.to_json_obj(),
-                "identity_class_weight": id_weight,
-                "group_index": gamma.index_in_affine_group,
-                "timing_s": time.monotonic() - t0,
-            }
-            ok_all = ok_all and ok
-    return ok_all, results
 
 
 def run_config(cfg: RunConfig) -> Tuple[int, dict]:
     """Execute a parsed configuration; returns (exit_code, report)."""
     report = {"config": cfg.to_json_obj(), "results": {}, "pass": True}
+    checks = _CHECKS[cfg.gamma_kind]
     try:
-        if cfg.gamma_kind == "affine":
-            ok_all, results = _run_affine(cfg)
-            report["results"] = dict(sorted(results.items()))
-            report["pass"] = ok_all
-            return (0 if ok_all else 1), report
         lazy = _Lazy(cfg)
-        ok_all = True
         for name in sorted(cfg.checks):
             t0 = time.monotonic()
-            ok, result = _CHECKS[name](lazy, cfg)
+            ok, result = checks[name](lazy, cfg)
             result = {"pass": ok, **result, "timing_s": time.monotonic() - t0}
             report["results"][name] = result
-            ok_all = ok_all and ok
-        report["pass"] = ok_all
-        return (0 if ok_all else 1), report
+            report["pass"] = report["pass"] and ok
     except ResourceCapError as exc:
         report["pass"] = False
         report["error"] = str(exc)
         return 3, report
+    return (0 if report["pass"] else 1), report
 
 
 def _format_text(report: dict) -> str:
@@ -626,14 +620,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 2
-        except (ConfigError, TypeZeroViolationError, SingularMatrixError) as exc:
+        except ConfigError as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return 2
-        try:
-            code, report = run_config(cfg)
-        except (TypeZeroViolationError, SingularMatrixError) as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
+        code, report = run_config(cfg)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(dumps_report(report))
@@ -664,8 +654,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = RunConfig.from_json_obj(obj)
             gamma = TranslationSubgroup(cfg.n, cfg.basis)
             graph = build_graph(gamma, max_vertices=cfg.max_vertices)
-        except (OSError, json.JSONDecodeError, ConfigError,
-                TypeZeroViolationError, SingularMatrixError) as exc:
+        except (OSError, json.JSONDecodeError, ConfigError) as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return 2
         except ResourceCapError as exc:

@@ -42,10 +42,6 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     return [sum(int(c) * int(x) for c, x in zip(row, v)) for row in a]
 
 
-def transpose(m: Sequence[Sequence[int]]) -> Matrix:
-    return [list(col) for col in zip(*m)]
-
-
 def det_bareiss(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     a = mat_copy(m)
@@ -228,23 +224,41 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> List[List[int]]:
 
 
 class ImageLattice:
-    """Membership tests for the lattice {m x : x integer vector}."""
+    """Membership tests and solutions for the lattice {m x : x integer
+    vector}.
+
+    With U m V = D, y = m x has the solution x = V z exactly when
+    w = U y satisfies D z = w: each w_i divisible by the i-th diagonal entry,
+    and w_i = 0 where that entry is zero or missing.
+    """
 
     def __init__(self, m: Sequence[Sequence[int]]):
         self.m = mat_copy(m)
         self.u, d, self.v = snf_with_transforms(self.m)
         self.diag = snf_diagonal(d)
         self.rows = len(self.m)
+        # one diagonal entry per row of U y, zero past the diagonal
+        self.moduli = self.diag + [0] * (self.rows - len(self.diag))
+
+    def _member_coords(self, y: Sequence[int]) -> Optional[List[int]]:
+        """U y when y lies in the lattice, otherwise None."""
+        w = mat_vec(self.u, y)
+        for x, d in zip(w, self.moduli):
+            if (x % d if d else x) != 0:
+                return None
+        return w
 
     def contains(self, y: Sequence[int]) -> bool:
-        w = mat_vec(self.u, y)
-        for i, x in enumerate(w):
-            if i < len(self.diag) and self.diag[i] != 0:
-                if x % self.diag[i] != 0:
-                    return False
-            elif x != 0:
-                return False
-        return True
+        return self._member_coords(y) is not None
+
+    def solve(self, y: Sequence[int]) -> Optional[List[int]]:
+        """An integer x with m x = y, or None when y is not in the lattice."""
+        w = self._member_coords(y)
+        if w is None:
+            return None
+        cols = len(self.v)
+        z = [x // d if d else 0 for x, d in zip(w, self.moduli)][:cols]
+        return mat_vec(self.v, z + [0] * (cols - len(z)))
 
 
 def hnf_columns(m: Sequence[Sequence[int]]) -> Matrix:

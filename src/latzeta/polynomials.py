@@ -66,12 +66,6 @@ class IntPolynomial:
         return cls([1])
 
     @classmethod
-    def monomial(cls, coeff: int, degree: int) -> "IntPolynomial":
-        if coeff == 0:
-            return cls()
-        return cls([0] * degree + [coeff])
-
-    @classmethod
     def one_minus_power(cls, m: int, k: int) -> "IntPolynomial":
         """(1 - u^m)^k expanded by the binomial theorem."""
         if m <= 0 or k < 0:

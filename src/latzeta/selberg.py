@@ -21,7 +21,8 @@ Class weights are centralizer indices computed from fixed sublattices and
 finite permutation counts.
 
 Every int64 kernel checks a proven bound on its entries before it
-allocates, and otherwise raises :class:`ResourceCapError`.
+allocates, and the translation sub-grid a cap on its cell count; otherwise
+they raise :class:`ResourceCapError`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import BoxExhaustionError, ResourceCapError
 from .intmat import (
     ImageLattice,
-    adjugate_and_det,
     det_bareiss,
     fraction_inverse,
     hnf_columns,
@@ -104,6 +104,11 @@ def _check_int64(context: str, what: str, bound: int) -> None:
             f"{context}: {what} can reach {bound}, above the int64 bound 2^63")
 
 
+# cells of the (span+1)^(n-1) sub-grid a translation series may allocate;
+# each int64 column over the sub-grid takes 32 MB at this cap
+SERIES_GRID_CELLS = 1 << 22
+
+
 def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
                                scale: str = GEODESIC) -> MultiSeries:
     """Truncated Selberg series of a translation subgroup.
@@ -131,6 +136,10 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
                  f"{n - 1}*{max(span, 1)}*{adj_max}",
                  (n - 1) * max(span, 1) * adj_max)
     _check_int64(context, "the residue modulus |det|", abs(det))
+    if base ** (n - 1) > SERIES_GRID_CELLS:
+        raise ResourceCapError(
+            f"{context}: the sub-grid of (span+1)^(n-1) = {base}^{n - 1} "
+            f"cells is above the cap of {SERIES_GRID_CELLS} cells")
     adj = np.array(gamma.adjugate, dtype=np.int64)
     axes = np.meshgrid(*([np.arange(base, dtype=np.int64)] * (n - 1)),
                        indexing="ij")
@@ -258,7 +267,7 @@ class _PermCosetData:
                        for i in range(n - 1)]
         self.one_minus_p = one_minus_p
         self.one_minus_p_m = mat_mul(one_minus_p, m_basis)
-        adj, det = adjugate_and_det(m_basis)
+        adj, det = gamma.lattice.adjugate, gamma.lattice.adjugate_det
         prod = mat_mul(adj, self.one_minus_p_m)
         self.x_mat = [[x // det for x in row] for row in prod]
         if any(x % det for row in prod for x in row):
@@ -287,22 +296,26 @@ class _PermCosetData:
 
     @functools.cached_property
     def fixed_index(self) -> int:
-        """Index of the fixed sublattice M^p in the fixed lattice of p."""
+        """Index of the fixed sublattice M^p in the fixed lattice of p.
+
+        With L the basis of the fixed lattice and U L V = D its Smith form,
+        the basis M^p = L W has U M^p = D (V^-1 W): the rows of U M^p below
+        the rank must vanish, row i above it is d_i times an integer row,
+        and the index |det W| is |det (top rows of U M^p)| / prod d_i.
+        """
         lam_fixed = kernel_basis(self.one_minus_p)
         if not lam_fixed:
             return 1
-        m_fixed_z = kernel_basis(self.one_minus_p_m)
-        m_fixed = [mat_vec(self.m_basis, z) for z in m_fixed_z]
-        # coordinates of M^p in the basis of the full fixed lattice
         dim = len(lam_fixed)
-        a = [[Fraction(lam_fixed[c][r]) for c in range(dim)]
-             for r in range(len(lam_fixed[0]))]
-        w_cols = [_solve_full_column_rank(a, vec) for vec in m_fixed]
-        w = [[w_cols[j][i] for j in range(dim)] for i in range(dim)]
-        if any(x.denominator != 1 for row in w for x in row):
+        u, d, _ = snf_with_transforms([list(r) for r in zip(*lam_fixed)])
+        divisors = snf_diagonal(d)
+        m_fixed_z = [list(r) for r in zip(*kernel_basis(self.one_minus_p_m))]
+        y = mat_mul(u, mat_mul(self.m_basis, m_fixed_z))
+        if (any(x for row in y[dim:] for x in row)
+                or any(x % di for row, di in zip(y, divisors) for x in row)):
             raise ArithmeticError("fixed sublattice is not contained in the "
                                   "fixed lattice")
-        return abs(det_bareiss([[int(x) for x in row] for row in w]))
+        return abs(det_bareiss(y[:dim])) // math.prod(divisors)
 
     @functools.cached_property
     def centralizer_mats(self) -> Tuple[List[List[List[int]]], ...]:
@@ -445,34 +458,6 @@ def _class_weight(data: _PermCosetData, e_coords: Sequence[int]) -> int:
     return data.fixed_index * (qg // qgamma)
 
 
-def _solve_full_column_rank(a_rows: List[List[Fraction]], b: Sequence[int]
-                            ) -> List[Fraction]:
-    """Solve A x = b for A with full column rank (unique solution)."""
-    rows = [list(row) + [Fraction(x)] for row, x in zip(a_rows, b)]
-    nrows = len(rows)
-    ncols = len(a_rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            raise ArithmeticError("matrix does not have full column rank")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        d = rows[r][c]
-        rows[r] = [x / d for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if rows[i][-1] != 0:
-            raise ArithmeticError("inconsistent linear system")
-    return [rows[pivots.index(c)][-1] if c in pivots else Fraction(0)
-            for c in range(ncols)]
-
-
 def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
                              scale: str = GEODESIC, *,
                              verify_box: bool = True) -> List[ConjugacyClass]:
@@ -564,31 +549,12 @@ def find_conjugator(g1: AffineElement, g2: AffineElement
         target = [a - b for a, b in zip(
             g2.v.to_basis_coords(),
             mat_vec(q.basis_matrix(), g1.v.to_basis_coords()))]
-        x = _solve_integer(one_minus, target)
+        x = ImageLattice(one_minus).solve(target)
         if x is not None:
             h = AffineElement(LatticeVector.from_basis_coords(n, x), q)
             if h * g1 * h.inverse() == g2:
                 return h
     return None
-
-
-def _solve_integer(a, b) -> Optional[List[int]]:
-    u, d, v = snf_with_transforms(a)
-    diag = snf_diagonal(d)
-    w = mat_vec(u, b)
-    y = []
-    for i, x in enumerate(w):
-        if i < len(diag) and diag[i] != 0:
-            if x % diag[i]:
-                return None
-            y.append(x // diag[i])
-        else:
-            if x != 0:
-                return None
-            y.append(0)
-    y = y[: len(v[0])]
-    y += [0] * (len(v[0]) - len(y))
-    return mat_vec(v, y)
 
 
 def rational_geodesic_pattern(g: AffineElement) -> Optional[int]:

@@ -15,10 +15,9 @@ the explicit cycle enumerator stays as the reference for small depths.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -472,91 +471,3 @@ def backtrackless_cycle_product(g: QuotientGraph, max_len: int
         count += q
     return IntPolynomial(coeffs), count
 
-
-@dataclass
-class ZetaReport:
-    """All four positive-zeta routes on one subgroup, with verdicts."""
-
-    n: int
-    basis: Tuple[Tuple[int, ...], ...]
-    num_vertices: int
-    max_degree: int
-    tolerance: float
-    det_poly: IntPolynomial = field(default=None)
-    orders_poly: IntPolynomial = field(default=None)
-    lfunction_poly: IntPolynomial = field(default=None)
-    lfunction_deviation: float = 0.0
-    euler_truncated: IntPolynomial = field(default=None)
-    det_equals_orders: bool = False
-    det_equals_lfunction: bool = False
-    det_matches_euler: bool = False
-    timings: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.det_equals_orders and self.det_equals_lfunction
-                and self.det_matches_euler)
-
-    def to_json_obj(self):
-        return {
-            "config": {
-                "n": self.n,
-                "basis": [list(r) for r in self.basis],
-                "vertices": self.num_vertices,
-                "maxDegree": self.max_degree,
-                "tolerance": self.tolerance,
-            },
-            "polynomials": {
-                "determinant": self.det_poly.to_json_coeffs(),
-                "orders_product": self.orders_poly.to_json_coeffs(),
-                "lfunction": self.lfunction_poly.to_json_coeffs(),
-                "euler_truncated": self.euler_truncated.to_json_coeffs(),
-            },
-            "lfunction_deviation": self.lfunction_deviation,
-            "verdicts": {
-                "det_equals_orders": self.det_equals_orders,
-                "det_equals_lfunction": self.det_equals_lfunction,
-                "det_matches_euler_truncation": self.det_matches_euler,
-            },
-            "timings_s": dict(sorted(self.timings.items())),
-        }
-
-
-def verify_theorems(gamma: TranslationSubgroup, max_deg: int = 12,
-                    tolerance: float = 1e-9,
-                    graph: Optional[QuotientGraph] = None) -> ZetaReport:
-    """Run all four positive-zeta routes and compare them pairwise.
-
-    An explicit pre-built (possibly perturbed) graph can be supplied; the
-    orders, character, and geodesic routes always come from the subgroup
-    itself, which is what makes a perturbation detectable.
-    """
-    if graph is None:
-        graph = build_graph(gamma)
-    report = ZetaReport(
-        n=gamma.n, basis=gamma.basis, num_vertices=graph.num_vertices,
-        max_degree=max_deg, tolerance=tolerance,
-    )
-    t0 = time.monotonic()
-    report.det_poly = zeta_positive_det(graph)
-    report.timings["determinant"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    report.orders_poly = zeta_positive_orders(gamma)
-    report.timings["orders_product"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    report.lfunction_poly, report.lfunction_deviation = \
-        lfunction_with_deviation(gamma, tolerance)
-    report.timings["lfunction"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    classes = enumerate_positive_geodesics(graph, max_deg)
-    report.euler_truncated = euler_product_truncation(classes, max_deg)
-    report.timings["euler_product"] = time.monotonic() - t0
-
-    report.det_equals_orders = report.det_poly == report.orders_poly
-    report.det_equals_lfunction = report.det_poly == report.lfunction_poly
-    report.det_matches_euler = (report.det_poly.truncate(max_deg)
-                                == report.euler_truncated)
-    return report

@@ -1,8 +1,13 @@
 import json
+import tracemalloc
 
 import pytest
 
 from latzeta.cli import (
+    AFFINE_CHECKS,
+    TRANSLATION_CHECKS,
+    _CHECKS,
+    ConfigError,
     RunConfig,
     demo_suite,
     dumps_report,
@@ -110,6 +115,45 @@ def test_bad_affine_config_field_exits_2_and_names_it(tmp_path, capsys,
     path = write_config(tmp_path, _affine_config_with(**changes))
     assert main(["run", "--config", path]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj, field, message", [
+    ({"n": 2, "gamma": {"kind": "translation", "basis": [[1]]}},
+     "gamma.basis", "type 1"),
+    ({"n": 2, "gamma": {"kind": "translation", "basis": [[0]]}},
+     "gamma.basis", "singular"),
+    (_affine_config_with(lattice=[[1, 0], [0, 1]]), "gamma.lattice",
+     "type 1"),
+], ids=["translation_type_violation", "translation_singular",
+        "affine_type_violation"])
+def test_invalid_subgroup_is_refused_at_parse_time(tmp_path, capsys, obj,
+                                                    field, message):
+    with pytest.raises(ConfigError, match=message) as info:
+        RunConfig.from_json_obj(obj)
+    assert info.value.field_name == field
+    assert main(["run", "--config", write_config(tmp_path, obj)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and message in err
+
+
+def test_check_tuples_list_the_registry():
+    assert TRANSLATION_CHECKS == tuple(_CHECKS["translation"])
+    assert AFFINE_CHECKS == tuple(_CHECKS["affine"])
+
+
+def test_translation_series_grid_cap_exits_3_before_allocating():
+    # maxDegree 100000 would need a 100001 x 100001 int64 sub-grid
+    cfg = RunConfig.from_json_obj(
+        _config_with(maxDegree=100000, checks=["selberg_series"]))
+    tracemalloc.start()
+    try:
+        code, report = run_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and not report["pass"]
+    assert "sub-grid" in report["error"]
+    assert peak < 1 << 20
 
 
 def test_perturb_in_range_is_accepted(tmp_path):

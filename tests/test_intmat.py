@@ -5,6 +5,7 @@ import random
 import pytest
 
 from latzeta.errors import SingularMatrixError
+from latzeta.lattice import all_permutations
 from latzeta.intmat import (
     ImageLattice,
     adjugate_and_det,
@@ -142,6 +143,34 @@ def test_image_lattice_membership_brute_force():
     for _ in range(200):
         y = [rng.randint(-6, 6), rng.randint(-6, 6)]
         assert lat.contains(y) == (tuple(y) in points)
+
+
+def _one_minus(p):
+    k = p.n - 1
+    p_mat = p.basis_matrix()
+    return [[int(i == j) - p_mat[i][j] for j in range(k)] for i in range(k)]
+
+
+def test_image_lattice_solve_matches_contains():
+    rng = random.Random(606)
+    mats = [_one_minus(p) for n in (3, 4) for p in all_permutations(n)]
+    for _ in range(20):
+        # rank at most r < k, some of them rectangular
+        k, r, cols = rng.randint(2, 4), rng.randint(1, 2), rng.randint(2, 4)
+        mats.append(mat_mul(_random_matrix(rng, k, r, 3),
+                            _random_matrix(rng, r, cols, 3)))
+    for m in mats:
+        lat = ImageLattice(m)
+        cols = len(m[0])
+        members = [mat_vec(m, [rng.randint(-3, 3) for _ in range(cols)])
+                   for _ in range(10)]
+        others = [[rng.randint(-4, 4) for _ in m] for _ in range(30)]
+        for y in members + others:
+            x = lat.solve(y)
+            assert (x is None) == (not lat.contains(y))
+            if x is not None:
+                assert len(x) == cols and mat_vec(m, x) == y
+        assert all(lat.solve(y) is not None for y in members)
 
 
 def test_hnf_is_lattice_invariant():

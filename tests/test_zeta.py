@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
-from latzeta import exactdet, zeta
+from latzeta import RunConfig, exactdet, run_config, zeta
 from latzeta.errors import MultigraphError, ResourceCapError, ToleranceError
 from latzeta.cayley import build_graph, perturb_adjacency
 from latzeta.exactdet import coefficient_bound, naive_polymatrix_det, polymatrix_det
@@ -29,7 +29,6 @@ from latzeta.zeta import (
     lfunction,
     lfunction_error_bound,
     lfunction_with_deviation,
-    verify_theorems,
     zeta_positive_det,
     zeta_positive_orders,
 )
@@ -462,21 +461,27 @@ def test_inexact_trace_division_raises(monkeypatch):
         backtrackless_cycle_product(g, 3)
 
 
+ZETA_ROUTES = ["positive_zeta", "lfunction", "geodesic_oracle"]
+
+
+def _run_zeta_routes(n, basis, max_degree, **fields):
+    cfg = RunConfig.from_json_obj({
+        "n": n, "gamma": {"kind": "translation", "basis": basis},
+        "maxDegree": max_degree, "checks": ZETA_ROUTES, **fields})
+    return run_config(cfg)
+
+
 def test_verify_theorems_examples():
-    for gam in [TranslationSubgroup(2, [[2]]),
-                TranslationSubgroup(3, [[1, 0], [-1, 3]]),
-                TranslationSubgroup(3, [[3, 0], [0, 3]])]:
-        report = verify_theorems(gam, max_deg=12)
-        assert report.all_pass
-        obj = report.to_json_obj()
-        json.dumps(obj)
-        assert obj["verdicts"]["det_equals_orders"]
+    for n, basis in [(2, [[2]]), (3, [[1, 0], [-1, 3]]),
+                     (3, [[3, 0], [0, 3]])]:
+        code, report = _run_zeta_routes(n, basis, 12)
+        assert code == 0 and report["pass"]
+        json.dumps(report)
+        assert all(report["results"][name]["pass"] for name in ZETA_ROUTES)
 
 
 def test_verify_theorems_detects_perturbation():
-    gam = TranslationSubgroup(2, [[4]])
-    g = perturb_adjacency(build_graph(gam), 1, 0, 1, 1)
-    report = verify_theorems(gam, max_deg=8, graph=g)
-    assert not report.det_equals_orders
-    assert not report.det_equals_lfunction
-    assert not report.det_matches_euler
+    code, report = _run_zeta_routes(
+        2, [[4]], 8, perturb={"type": 1, "row": 0, "col": 1, "delta": 1})
+    assert code == 1 and not report["pass"]
+    assert not any(report["results"][name]["pass"] for name in ZETA_ROUTES)
