@@ -79,8 +79,8 @@ def _is_int(x) -> bool:
 
 
 def _parse_perturb(p, n: int, basis) -> Tuple[int, int, int, int]:
-    """(type, row, col, delta), range-checked against n and, for a
-    translation subgroup, its number of vertices |det basis|."""
+    """(type, row, col, delta), range-checked against n and the number of
+    vertices |det basis| of the translation subgroup."""
     if not isinstance(p, dict):
         raise ConfigError("perturb", "must be an object with integer "
                           "type/row/col")
@@ -94,20 +94,19 @@ def _parse_perturb(p, n: int, basis) -> Tuple[int, int, int, int]:
     t, row, col, delta = values
     if not 1 <= t <= n - 1:
         raise ConfigError("perturb.type", f"must be in 1..{n - 1}")
-    size = abs(det_bareiss(basis)) if basis is not None else 0
-    if size:
-        for key, x in (("row", row), ("col", col)):
-            if not 0 <= x < size:
-                raise ConfigError(f"perturb.{key}", f"must be in 0..{size - 1}"
-                                  f" (the quotient has {size} vertices)")
-        # the typed adjacency matrices are int64, and their entries are at
-        # most binom(n, n//2) before the perturbation; the invariants check
-        # multiplies two of them and sums rows, which stays below
-        # N * (|delta| + binom(n, n//2))^2
-        if size * (abs(delta) + math.comb(n, n // 2)) ** 2 >= 2 ** 63:
-            raise ConfigError("perturb.delta", f"|delta| = {abs(delta)} "
-                              f"overflows the int64 adjacency products on "
-                              f"{size} vertices")
+    size = abs(det_bareiss(basis))
+    for key, x in (("row", row), ("col", col)):
+        if not 0 <= x < size:
+            raise ConfigError(f"perturb.{key}", f"must be in 0..{size - 1}"
+                              f" (the quotient has {size} vertices)")
+    # the typed adjacency matrices are int64, and their entries are at most
+    # binom(n, n//2) before the perturbation; the invariants check
+    # multiplies two of them and sums rows, which stays below
+    # N * (|delta| + binom(n, n//2))^2
+    if size * (abs(delta) + math.comb(n, n // 2)) ** 2 >= 2 ** 63:
+        raise ConfigError("perturb.delta", f"|delta| = {abs(delta)} "
+                          f"overflows the int64 adjacency products on "
+                          f"{size} vertices")
     return tuple(values)
 
 
@@ -200,8 +199,10 @@ class RunConfig:
                               "raising the cap requires acknowledgeLarge=true")
         perturb = None
         if "perturb" in obj:
-            perturb = _parse_perturb(obj["perturb"], n,
-                                     basis if kind == "translation" else None)
+            if kind != "translation":
+                raise ConfigError("perturb", "the adjacency perturbation "
+                                  "applies only to translation subgroups")
+            perturb = _parse_perturb(obj["perturb"], n, basis)
         return cls(
             n=n, gamma_kind=kind,
             basis=tuple(tuple(r) for r in basis),

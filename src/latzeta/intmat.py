@@ -88,13 +88,33 @@ def fraction_inverse(m: Sequence[Sequence[int]]) -> List[List[Fraction]]:
 
 
 def adjugate_and_det(m: Sequence[Sequence[int]]) -> Tuple[Matrix, int]:
-    """(adj, det) with adj * m = det * I, both exact integers."""
-    d = det_bareiss(m)
-    if d == 0:
-        raise SingularMatrixError("adjugate of a singular matrix")
-    inv = fraction_inverse(m)
-    adj = [[int(x * d) for x in row] for row in inv]
-    return adj, d
+    """(adj, det) with adj * m = det * I, both exact integers.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [m | I]: after step k every
+    diagonal entry of the left block is the k-th pivot, every division is
+    exact, and at the end the left block is d * I and the right block is
+    d * m^-1, where d is det m up to the sign of the row swaps.
+    """
+    n = len(m)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("adjugate of a singular matrix")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        ak = a[k]
+        p = ak[k]
+        for i in range(n):
+            if i != k:
+                ai = a[i]
+                c = ai[k]
+                a[i] = [(p * x - c * y) // prev for x, y in zip(ai, ak)]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
 def _swap_rows(a, u, i, j):

@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DivergentSeriesError, SingularMatrixError
-from .intmat import fraction_inverse, mat_vec
+from .intmat import (adjugate_and_det, identity_matrix, mat_mul,
+                     snf_diagonal, snf_with_transforms, unimodular_inverse)
 from .polynomials import MultiRational, norm_exponent
 
 GEODESIC = "geodesic"
@@ -376,96 +377,71 @@ class ConeDecomposition:
     generators: Tuple[Tuple[int, ...], ...]
 
 
-def _face_alphas(k: int):
-    """Linear forms cutting out t1 > t2 > ... > tk > 0 on t-coordinates."""
-    def alpha(i, t):
-        return t[i] - t[i + 1] if i + 1 < k else t[i]
-    return [lambda t, i=i: alpha(i, t) for i in range(k)]
-
-
 def cone_decompose(face: FaceDescriptor,
                    lattice_basis: Optional[Sequence[Sequence[int]]] = None
                    ) -> ConeDecomposition:
     """Decompose (open face cone) ∩ lattice into shifted free monoids.
 
-    The lattice is given by a square integer basis matrix in t-coordinates
-    (columns are generators); by default it is Z^{r-1}, the t-coordinate
-    image of the full translation lattice.  Generator a_j is the minimal
-    lattice vector on the j-th edge of the cone; base points are the unique
-    coset representatives of the generator span that lie in the cone but
-    leave it when any single generator is subtracted.
+    The lattice L is given by a square integer basis matrix B in
+    t-coordinates (columns are generators); by default it is Z^{r-1}, the
+    t-coordinate image of the full translation lattice.  The cone is
+    simplicial: generator a_j = mult_j (1^j, 0^(k-j)) is the minimal lattice
+    vector on its j-th edge, mult_j = |det B| / gcd(det B, adj(B) (1^j, 0)),
+    and the edge forms alpha_i(t) = t_i - t_{i+1} (alpha_k = t_k) satisfy
+    alpha_i(a_j) = mult_j delta_ij.  The base points are the lattice points
+    of the half-open parallelepiped {sum_j lambda_j a_j : 0 < lambda_j <= 1},
+    the points with 1 <= alpha_j(t) <= mult_j (Stanley, Enumerative
+    Combinatorics I, Sec. 4.6; Beck and Robins, Computing the Continuous
+    Discretely, Thm 3.5): one per coset of the generator span, so
+    prod(mult_j) / |det B| of them.  From any coset representative y it is
+    y - sum_j c_j a_j with c_j = floor((alpha_j(y) - 1) / mult_j).
     """
     k = face.dim
     if k == 0:
         return ConeDecomposition(((),), ())
     if lattice_basis is None:
-        basis = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        basis = identity_matrix(k)
     else:
         basis = [[int(x) for x in row] for row in lattice_basis]
         if len(basis) != k or any(len(row) != k for row in basis):
             raise ValueError(f"lattice basis must be {k}x{k} for this face")
     try:
-        binv = fraction_inverse(basis)
+        adj, det = adjugate_and_det(basis)
     except SingularMatrixError:
         raise SingularMatrixError("degenerate lattice: basis is rank deficient")
 
-    alphas = _face_alphas(k)
-
-    def in_cone(t):
-        return all(a(t) >= 1 for a in alphas)
-
-    # minimal lattice vector on each edge ray (1,..,1,0,..,0)
-    generators = []
-    for j in range(1, k + 1):
-        d = [1] * j + [0] * (k - j)
-        x = [sum(row[i] * d[i] for i in range(k)) for row in binv]
-        mult = 1
-        for val in x:
-            mult = mult * val.denominator // math.gcd(mult, val.denominator)
-        generators.append(tuple(mult * di for di in d))
+    # minimal lattice vector on each edge ray (1,..,1,0,..,0); column j of
+    # x_mat holds its lattice coordinates adj(B) a_j / det
+    mults, x_cols = [], []
+    prefix = [0] * k
+    for j in range(k):
+        prefix = [x + row[j] for x, row in zip(prefix, adj)]  # adj (1^j, 0)
+        mult = abs(det) // math.gcd(det, *prefix)
+        if any(mult * x % det for x in prefix):
+            raise SingularMatrixError("generators do not lie in the lattice")
+        mults.append(mult)
+        x_cols.append([mult * x // det for x in prefix])
+    generators = [(m,) * (j + 1) + (0,) * (k - j - 1)
+                  for j, m in enumerate(mults)]
 
     # coset representatives of the generator span inside the lattice
-    from .intmat import snf_with_transforms, snf_diagonal, unimodular_inverse
-
-    gen_cols = [[generators[j][i] for j in range(k)] for i in range(k)]
-    x_mat = [[None] * k for _ in range(k)]
-    for j in range(k):
-        col = [sum(binv[i][r] * gen_cols[r][j] for r in range(k)) for i in range(k)]
-        for i in range(k):
-            if col[i].denominator != 1:
-                raise SingularMatrixError("generators do not lie in the lattice")
-            x_mat[i][j] = int(col[i])
-    u, d, v = snf_with_transforms(x_mat)
+    u, d, _ = snf_with_transforms([list(r) for r in zip(*x_cols)])
     diag = snf_diagonal(d)
     if any(x == 0 for x in diag):
         raise SingularMatrixError("degenerate lattice: generator span is rank deficient")
-    uinv = unimodular_inverse(u)
-
-    total_gen = tuple(sum(g[i] for g in generators) for i in range(k))
-    gen_alpha = [alphas[i](generators[i]) for i in range(k)]
+    to_t = mat_mul(basis, unimodular_inverse(u))
 
     base_points = []
     for combo in itertools.product(*(range(x) for x in diag)):
-        y = mat_vec(uinv, list(combo))
-        t = tuple(sum(basis[i][r] * y[r] for r in range(k)) for i in range(k))
-        # push into the open cone along the sum of the generators
-        shift = 0
-        for i in range(k):
-            need = 1 - alphas[i](t)
-            if need > 0:
-                shift = max(shift, -(-need // gen_alpha[i]))
-        t = tuple(x + shift * s for x, s in zip(t, total_gen))
-        # greedy minimal point of the coset inside the cone
-        moved = True
-        while moved:
-            moved = False
-            for g in generators:
-                cand = tuple(x - y for x, y in zip(t, g))
-                if in_cone(cand):
-                    t = cand
-                    moved = True
-                    break
-        base_points.append(t)
+        y = [sum(a * c for a, c in zip(row, combo)) for row in to_t]
+        # c_j from the edge forms alpha_j(y) = y_j - y_{j+1} (alpha_k = y_k)
+        shifts = [(a - b - 1) // m for a, b, m in zip(y, y[1:] + [0], mults)]
+        # t = y - sum_j c_j a_j, where a_j is mults[j] on coordinates <= j
+        acc = 0
+        for i in reversed(range(k)):
+            acc += shifts[i] * mults[i]
+            y[i] -= acc
+        base_points.append(tuple(y))
     return ConeDecomposition(tuple(sorted(base_points)), tuple(generators))
 
 

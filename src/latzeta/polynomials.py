@@ -326,12 +326,6 @@ class MultiRational:
             self.add_piece(num, den)
         return self
 
-    def scaled(self, k: int) -> "MultiRational":
-        out = MultiRational(self.nvars)
-        for den, num in self.pieces.items():
-            out.add_piece({e: k * c for e, c in num.items()}, den)
-        return out
-
     def denominator_factors(self) -> List[Tuple[int, ...]]:
         """Distinct (1 - u^a) factors appearing in any piece."""
         seen = set()

@@ -90,11 +90,6 @@ class TranslationSubgroup:
     def contains_vector(self, v: LatticeVector) -> bool:
         return self.contains(v.to_basis_coords())
 
-    def permuted(self, p: Permutation) -> "TranslationSubgroup":
-        """The image subgroup after permuting coordinates."""
-        new_basis = mat_mul(p.basis_matrix(), [list(r) for r in self.basis])
-        return TranslationSubgroup(self.n, new_basis, check_types=False)
-
     def __repr__(self):
         return f"TranslationSubgroup(n={self.n}, basis={self.basis}, N={self.index})"
 
@@ -112,7 +107,8 @@ class AffineSubgroup:
                 raise ValueError("permutation rank mismatch")
         self.perms = self._close(perm_generators)
         for p in self.perms:
-            for col in lattice.permuted(p).generators():
+            # the columns of p @ basis generate the permuted lattice
+            for col in zip(*mat_mul(p.basis_matrix(), lattice.basis)):
                 if not lattice.contains(col):
                     raise ValueError(
                         f"lattice is not stable under permutation {p.images}")

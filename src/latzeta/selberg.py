@@ -226,12 +226,12 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
     groups: Dict[Tuple[frozenset, Tuple], int] = {}
     face_list = list(all_faces(n))
     for q in all_permutations(n):
-        image = gamma.permuted(q)
+        image = mat_mul(q.basis_matrix(), gamma.basis)
         for face in face_list:
             if face.dim == 0:
                 key = (face.zero_set, ())
             else:
-                basis_t = _face_sublattice_t_basis(image.basis, face)
+                basis_t = _face_sublattice_t_basis(image, face)
                 key = (face.zero_set,
                        tuple(tuple(r) for r in hnf_columns(basis_t)))
             groups[key] = groups.get(key, 0) + 1
@@ -243,7 +243,9 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
         dec = cone_decompose(face, basis)
         weight = face_length_exponents(face, scale)
         piece = rational_cone_sum(dec, weight, nvars=n - 1)
-        out += piece.scaled(gamma.index * count)
+        factor = gamma.index * count
+        for den, num in piece.pieces.items():
+            out.add_piece({e: factor * c for e, c in num.items()}, den)
     return out
 
 
@@ -388,10 +390,11 @@ _BOX_BLOCK = 1 << 16   # box points filtered per numpy block
 
 def _short_box_points(data: _PermCosetData, torsion: Sequence[int],
                       los: Sequence[int], his: Sequence[int], factor: int,
-                      max_deg: int) -> Iterator[List[int]]:
+                      max_deg: int, extra: int = 0) -> Iterator[List[int]]:
     """U-coordinates, in lexicographic order, of the points with the given
-    torsion coordinates and free coordinates in [los, his] whose element has
-    total length at most max_deg.
+    torsion coordinates and free coordinates in [los - extra, his + extra],
+    but not in [los, his] when extra > 0, whose element has total length at
+    most max_deg.
 
     The total length is factor * (max - min) of the cycle averages; times
     the lcm L of the cycle lengths it is an integer, so the test
@@ -399,6 +402,7 @@ def _short_box_points(data: _PermCosetData, torsion: Sequence[int],
     exact in int64.
     """
     n1 = len(data.divisors)
+    los, his = [lo - extra for lo in los], [hi + extra for hi in his]
     shape = [hi - lo + 1 for lo, hi in zip(los, his)]
     total = math.prod(max(w, 0) for w in shape)
     coord_max = max([abs(x) for x in (*los, *his)] + list(torsion), default=0)
@@ -417,11 +421,13 @@ def _short_box_points(data: _PermCosetData, torsion: Sequence[int],
         coords = np.empty((len(flat), n1), dtype=np.int64)
         for pos, idx in enumerate(data.torsion_idx):
             coords[:, idx] = torsion[pos]
+        inner = np.full(len(flat), extra > 0)
         for pos in reversed(range(len(shape))):
             flat, digit = np.divmod(flat, shape[pos])
             coords[:, data.free_idx[pos]] = digit + los[pos]
+            inner &= (digit >= extra) & (digit < shape[pos] - extra)
         t = coords @ weights
-        keep = factor * (t.max(axis=1) - t.min(axis=1)) <= limit
+        keep = (factor * (t.max(axis=1) - t.min(axis=1)) <= limit) & ~inner
         yield from coords[keep].tolist()
 
 
@@ -476,16 +482,16 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     max_spread = Fraction(max_deg, f)
     data_by_perm = {p.images: _PermCosetData(gamma, p) for p in gamma.perms}
 
-    def collect(extra: int) -> Dict:
-        classes = {}
+    classes: Dict = {}
+
+    def collect(extra: int) -> None:
         for p in gamma.perms:
             data = data_by_perm[p.images]
             torsion_ranges = [range(data.divisors[i]) for i in data.torsion_idx]
             for torsion in itertools.product(*torsion_ranges):
                 los, his = _free_coordinate_bounds(data, torsion, max_spread)
-                for coords in _short_box_points(
-                        data, torsion, [lo - extra for lo in los],
-                        [hi + extra for hi in his], f, max_deg):
+                for coords in _short_box_points(data, torsion, los, his, f,
+                                                max_deg, extra):
                     e_coords = data.element_from_coords(coords)
                     elem = AffineElement(
                         LatticeVector.from_basis_coords(n, e_coords), p)
@@ -493,22 +499,23 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
                     if lengths.total > max_deg:
                         continue
                     key, rep = _conjugate_key(gamma, data_by_perm, p, e_coords)
-                    if key not in classes:
-                        classes[key] = rep
-        return classes
+                    if key in classes:
+                        continue
+                    if extra:
+                        raise BoxExhaustionError(
+                            "doubling the enumeration box changed the class list")
+                    classes[key] = rep
 
-    classes = collect(0)
+    collect(0)
     if verify_box:
+        # the doubled box re-scan keys only the points outside the plain box
         widths = [0]
         for p in gamma.perms:
             data = data_by_perm[p.images]
             los, his = _free_coordinate_bounds(
                 data, [0] * len(data.torsion_idx), max_spread)
             widths.extend(h - l for l, h in zip(los, his))
-        doubled = collect(max(widths) // 2 + 1)
-        if set(doubled) != set(classes):
-            raise BoxExhaustionError(
-                "doubling the enumeration box changed the class list")
+        collect(max(widths) // 2 + 1)
 
     out = []
     for key in sorted(classes):

@@ -98,9 +98,10 @@ def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, changes,
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
-def _affine_config_with(lattice=([3, 0], [0, 3]), perms=([1, 2, 0],)):
+def _affine_config_with(lattice=([3, 0], [0, 3]), perms=([1, 2, 0],),
+                        **fields):
     return {"n": 3, "gamma": {"kind": "affine", "lattice": list(lattice),
-                              "perms": list(perms)}, "maxDegree": 4}
+                              "perms": list(perms)}, "maxDegree": 4, **fields}
 
 
 @pytest.mark.parametrize("changes, field", [
@@ -108,8 +109,11 @@ def _affine_config_with(lattice=([3, 0], [0, 3]), perms=([1, 2, 0],)):
     ({"perms": [[1.0, 2, 0]]}, "gamma.perms"),
     ({"perms": [[True, 2, 0]]}, "gamma.perms"),
     ({"lattice": [[3, 0], [0, 6]]}, "gamma.lattice"),
+    # the perturbation acts on a translation quotient's graph; an affine
+    # run has none, so it is refused rather than ignored
+    ({"perturb": {"type": 1, "row": 99, "col": 0, "delta": 5}}, "perturb"),
 ], ids=["perm_not_a_list", "perm_float_entry", "perm_bool_entry",
-        "lattice_not_perm_stable"])
+        "lattice_not_perm_stable", "perturb_on_affine"])
 def test_bad_affine_config_field_exits_2_and_names_it(tmp_path, capsys,
                                                        changes, field):
     path = write_config(tmp_path, _affine_config_with(**changes))

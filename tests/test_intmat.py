@@ -127,6 +127,36 @@ def test_fraction_inverse_and_adjugate():
         fraction_inverse([[1, 2], [2, 4]])
 
 
+def test_fraction_free_adjugate_against_fraction_inverse():
+    rng = random.Random(717)
+    # leading 1x1 and then 2x2 minors vanish: both force a row swap
+    cases = [[[0, 1], [1, 0]], [[1, 2, 3], [2, 4, 5], [1, 0, 1]],
+             [[0, 0, 1], [0, 1, 0], [1, 0, 0]]]
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        m = _random_matrix(rng, k, k)
+        if rng.random() < 0.4:
+            m[0][0] = 0
+        cases.append(m)
+    swapped = negative = 0
+    for m in cases:
+        k = len(m)
+        det = _det_minor_oracle(m)
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                adjugate_and_det(m)
+            continue
+        adj, d = adjugate_and_det(m)
+        assert d == det
+        assert mat_mul(adj, m) == [[det * (i == j) for j in range(k)]
+                                   for i in range(k)]
+        assert adj == [[x * det for x in row] for row in fraction_inverse(m)]
+        swapped += m[0][0] == 0
+        negative += det < 0
+    assert swapped > 20 and negative > 20
+    assert adjugate_and_det([]) == ([], 1)
+
+
 def test_unimodular_inverse():
     u = [[1, 3], [0, 1]]
     assert mat_mul(u, unimodular_inverse(u)) == [[1, 0], [0, 1]]

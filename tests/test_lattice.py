@@ -1,12 +1,22 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from latzeta.errors import DivergentSeriesError, SingularMatrixError
+from latzeta.intmat import (
+    det_bareiss,
+    fraction_inverse,
+    mat_vec,
+    snf_diagonal,
+    snf_with_transforms,
+    unimodular_inverse,
+)
 from latzeta.lattice import (
     AffineElement,
+    ConeDecomposition,
     FaceDescriptor,
     GEODESIC,
     FACTORIAL,
@@ -140,6 +150,120 @@ def test_cone_decompose_examples():
 def test_cone_decompose_rejects_degenerate_lattice():
     with pytest.raises(SingularMatrixError):
         cone_decompose(FaceDescriptor(3, frozenset()), [[1, 1], [1, 1]])
+
+
+class _WalkTooLong(Exception):
+    pass
+
+
+def _walk_cone_decompose(face, lattice_basis=None, max_steps=20000):
+    """Reference decomposition on small cones, by search: push each SNF coset
+    representative into the open cone along the sum of the generators, then
+    subtract single generators while the point stays in the cone.  The
+    number of steps grows with the lattice entries, without bound on skewed
+    lattices, so past max_steps it gives up with _WalkTooLong."""
+    k = face.dim
+    if k == 0:
+        return ConeDecomposition(((),), ())
+    basis = lattice_basis or [[int(i == j) for j in range(k)]
+                              for i in range(k)]
+    binv = fraction_inverse(basis)
+
+    def alphas(t):
+        return [t[i] - t[i + 1] for i in range(k - 1)] + [t[k - 1]]
+
+    def in_cone(t):
+        return min(alphas(t)) >= 1
+
+    generators = []
+    for j in range(1, k + 1):
+        d = [1] * j + [0] * (k - j)
+        mult = math.lcm(*(sum(r[i] * d[i] for i in range(k)).denominator
+                          for r in binv))
+        generators.append(tuple(mult * x for x in d))
+    x_mat = [[int(sum(binv[i][r] * g[r] for r in range(k)))
+              for g in generators] for i in range(k)]
+    u, d, _ = snf_with_transforms(x_mat)
+    uinv = unimodular_inverse(u)
+    total_gen = [sum(g[i] for g in generators) for i in range(k)]
+    gen_alpha = [alphas(g)[i] for i, g in enumerate(generators)]
+    base_points = []
+    steps = 0
+    for combo in itertools.product(*(range(x) for x in snf_diagonal(d))):
+        t = mat_vec(basis, mat_vec(uinv, combo))
+        shift = max([0] + [-((a - 1) // ga)
+                           for a, ga in zip(alphas(t), gen_alpha)])
+        t = tuple(x + shift * s for x, s in zip(t, total_gen))
+        moved = True
+        while moved:
+            moved = False
+            for g in generators:
+                steps += 1
+                if steps > max_steps:
+                    raise _WalkTooLong
+                cand = tuple(x - y for x, y in zip(t, g))
+                if in_cone(cand):
+                    t, moved = cand, True
+                    break
+        base_points.append(t)
+    return ConeDecomposition(tuple(sorted(base_points)), tuple(generators))
+
+
+def _skewed_basis(rng, k):
+    """Lower triangular with diagonal 1..3 and entries below it up to 40 in
+    size, then one unimodular column operation, so the basis is neither
+    triangular nor reduced."""
+    b = [[rng.randint(1, 3) if i == j else rng.randint(-40, 40) if i > j
+          else 0 for j in range(k)] for i in range(k)]
+    if k > 1:
+        i, j = rng.sample(range(k), 2)
+        sign = rng.choice((-1, 1))
+        for row in b:
+            row[j] += sign * row[i]
+    return b
+
+
+def _assert_half_open_parallelepiped(dec, basis):
+    """Generators on the edges; base points in the lattice, with
+    1 <= alpha_j <= mult_j, and prod(mult_j) / |det B| of them."""
+    k = len(dec.generators)
+    mults = [g[0] for g in dec.generators]
+    assert dec.generators == tuple(
+        (m,) * (j + 1) + (0,) * (k - j - 1) for j, m in enumerate(mults))
+    assert len(dec.base_points) * abs(det_bareiss(basis)) == math.prod(mults)
+    assert len(set(dec.base_points)) == len(dec.base_points)
+    binv = fraction_inverse(basis)
+    for t in dec.base_points:
+        alphas = [t[i] - t[i + 1] for i in range(k - 1)] + [t[-1]]
+        assert all(1 <= a <= m for a, m in zip(alphas, mults))
+        assert all(sum(r[i] * t[i] for i in range(k)).denominator == 1
+                   for r in binv)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_base_points_match_the_greedy_walk(n):
+    rng = random.Random(f"cone-walk-{n}")
+    for face in all_faces(n):
+        k = face.dim
+        assert cone_decompose(face) == _walk_cone_decompose(face)
+        if k == 0:
+            continue
+        # draw skewed bases until three are small enough for the walk; the
+        # closed form's own invariants are checked on every draw
+        compared = 0
+        for _ in range(40):
+            basis = _skewed_basis(rng, k)
+            dec = cone_decompose(face, basis)
+            _assert_half_open_parallelepiped(dec, basis)
+            try:
+                walked = _walk_cone_decompose(face, basis)
+            except _WalkTooLong:
+                continue
+            assert dec == walked
+            compared += 1
+            if compared == 3:
+                break
+        assert compared == 3
 
 
 def _cone_points_box(k, box):

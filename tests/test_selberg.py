@@ -186,6 +186,20 @@ def test_rational_translation_expansion_matches_series():
         assert r.expand(12) == s
 
 
+@pytest.mark.parametrize("n, basis", [
+    (3, [[1, 0], [2, 576]]),
+    (4, [[1, 0, 0], [0, 1, 0], [3, 3, 24]]),
+    # thousands of cone base points on one face; minutes with a greedy walk
+    pytest.param(4, [[1, 0, 0], [0, 1, 0], [3, 3, 64]],
+                 marks=pytest.mark.slow),
+    pytest.param(3, [[1, 0], [2, 2304]], marks=pytest.mark.slow),
+])
+def test_rational_translation_matches_series_on_skewed_lattices(n, basis):
+    gam = TranslationSubgroup(n, basis)
+    r = selberg_rational_translation(gam)
+    assert r.expand(8) == selberg_series_translation(gam, 8)
+
+
 def test_rational_translation_factorial_scale():
     gam = TranslationSubgroup(2, [[2]])
     r = selberg_rational_translation(gam, FACTORIAL)
