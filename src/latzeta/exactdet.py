@@ -2,12 +2,15 @@
 
 For M(u) = sum_k C_k u^k with d+1 square integer coefficients of size N,
 det M(u) has degree at most dN.  It is computed modulo a battery of 29-bit
-primes, one pass per prime:
+primes, a batch of them per elimination pass: every array carries a leading
+prime axis, with the moduli broadcast along it.
 
-* shift u = t + v with t = 0, 1, 2, ... until M(t) is invertible mod p
-  (``det_mod``); if no t in 0..dN is, det M vanishes identically mod p;
-* with D_k the Taylor coefficients of M(t + v) and E_k = D_0^{-1} D_k,
-  det M(t + v) = det D_0 * det(I - v L), where L is the dN x dN block
+* shift u = t + v with t = 0, 1, 2, ... until D_0 = M(t) is invertible mod
+  p, where D_k are the Taylor coefficients of M(t + v).  The Gauss-Jordan
+  solve for E_k = D_0^{-1} D_k finds det D_0 from its own pivots and swaps,
+  and only the primes with det D_0 = 0 go on to the next t; if no t in
+  0..dN works, det M vanishes identically mod p;
+* det M(t + v) = det D_0 * det(I - v L), where L is the dN x dN block
   companion matrix with first block row -E_1 .. -E_d and identity blocks
   below it (Gohberg, Lancaster and Rodman, *Matrix Polynomials*, ch. 1);
 * L is reduced to upper Hessenberg form by similarity and the Hessenberg
@@ -15,6 +18,12 @@ primes, one pass per prime:
   Computational Algebraic Number Theory*, Alg. 2.2.9).  det(I - v L) is
   the reversed characteristic polynomial, and a Taylor shift by -t returns
   from v to u.
+
+Each prime takes its own pivot rows; a prime with no pivot gets the pivot
+0, whose inverse 0 makes its update an exact no-op.  L and the recurrence
+table are int32 (residues are below 2^29), with products in int64.  A batch
+holds at most 2^17 entries of L, P (dN)^2, and at least one prime, so from
+dN = 363 on each prime runs alone.
 
 The coefficients are lifted by CRT to the symmetric range, which is wide
 enough by a proven bound: on |u| = 1 entry (i, j) of M(u) has modulus at
@@ -28,16 +37,19 @@ certifies the result.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .polynomials import IntPolynomial
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# products of two residues below 2^29 fit int64; a dot product splits one
-# operand at this bit so that sums of up to 2^19 such products fit as well
-_SPLIT_BITS = 15
+# residues are below 2^29, so a product of two fits int64, and so does a
+# residue plus a sum of this many products
+_CHUNK = 31
+# a batch of primes stacks at most this many companion entries, P (dN)^2,
+# and at least one prime
+_BATCH_ENTRIES = 2 ** 17
 
 
 def _is_prime(n: int) -> bool:
@@ -93,17 +105,26 @@ def det_mod(matrix: np.ndarray, p: int) -> int:
     return det % p
 
 
-def _dot_mod(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """a @ x mod p for residues in [0, p), without int64 overflow."""
-    hi = x >> _SPLIT_BITS
-    lo = x & ((1 << _SPLIT_BITS) - 1)
-    return ((a @ hi) % p * (1 << _SPLIT_BITS) + a @ lo) % p
+def _inverses(x: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """x^{-1} mod p for each prime of the stack, and 0 where x is 0."""
+    return np.array([pow(a, p - 2, p) for a, p in zip(x.tolist(), ps.tolist())],
+                    dtype=np.int64)
 
 
-def _taylor_shift(coeffs: list, t: int, p: int) -> list:
-    """Coefficients of f(v + t) mod p from those of f(u), lowest first.
+def _add_dot_mod(acc: np.ndarray, a: np.ndarray, cols: np.ndarray,
+                 x: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """acc + a[:, :, cols] @ x mod p per prime, for stacks acc (P, m), a
+    (P, m, .) and x (P, r) of residues or their negatives, _CHUNK columns at
+    a time so that no sum overflows."""
+    for j in range(0, len(cols), _CHUNK):
+        acc = (acc + (a[:, :, cols[j:j + _CHUNK]]
+                      @ x[:, j:j + _CHUNK, None])[:, :, 0]) % ps[:, None]
+    return acc
 
-    The coefficients may be integers or integer matrices."""
+
+def _taylor_shift(coeffs: list, t: int, p) -> list:
+    """Coefficients of f(v + t) mod p from those of f(u), lowest first; they
+    may be integers, or integer arrays with p broadcast."""
     c = list(coeffs)
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
@@ -111,86 +132,122 @@ def _taylor_shift(coeffs: list, t: int, p: int) -> list:
     return c
 
 
-def _solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a^{-1} b mod p for a matrix a invertible mod p (Gauss-Jordan)."""
-    n = a.shape[0]
-    m = np.concatenate([a, b], axis=1) % p
+def _solve_mod(m: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """det a mod p for each prime of a (P, n, n + r) stack m = [a | b],
+    which is reduced in place mod p to [I | a^{-1} b] (Gauss-Jordan); where
+    det a = 0 the right half is meaningless."""
+    count, n = m.shape[:2]
+    m %= ps[:, None, None]
+    det = np.ones(count, dtype=np.int64)
     for k in range(n):
-        r = k + int(np.flatnonzero(m[k:, k])[0])
-        if r != k:
-            m[[k, r]] = m[[r, k]]
-        m[k, k:] = m[k, k:] * pow(int(m[k, k]), p - 2, p) % p
-        rows = np.flatnonzero(m[:, k])
+        r = k + np.argmax(m[:, k:, k] != 0, axis=1)
+        swap = (r != k).nonzero()[0]
+        if swap.size:
+            m[swap, k], m[swap, r[swap]] = m[swap, r[swap]], m[swap, k]
+            det[swap] = ps[swap] - det[swap]
+        piv = m[:, k, k]
+        det = det * piv % ps
+        m[:, k, k:] = m[:, k, k:] * _inverses(piv, ps)[:, None] % ps[:, None]
+        rows = (m[:, :, k] != 0).any(axis=0).nonzero()[0]
         rows = rows[rows != k]
         if rows.size:
-            m[rows, k:] = (m[rows, k:] - np.outer(m[rows, k], m[k, k:])) % p
-    return m[:, n:]
+            m[:, rows, k:] = (m[:, rows, k:] - m[:, rows, k][:, :, None]
+                              * m[:, k, None, k:]) % ps[:, None, None]
+    return det
 
 
-def _charpoly_mod(h: np.ndarray, p: int) -> np.ndarray:
-    """Characteristic polynomial det(xI - h) mod p, lowest coefficient first.
-
-    Reduces h in place to upper Hessenberg form by similarity, then runs
-    the Hessenberg recurrence."""
-    m = h.shape[0]
+def _charpoly_mod(h: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """det(xI - h) mod p, lowest coefficient first, for each prime of an
+    int32 (P, m, m) stack h, which is reduced in place to upper Hessenberg
+    form by similarity before the Hessenberg recurrence runs."""
+    count, m = h.shape[:2]
+    p1, p3 = ps[:, None], ps[:, None, None]
     for k in range(m - 2):
-        nz = np.flatnonzero(h[k + 1:, k])
-        if nz.size == 0:
-            continue
-        r = k + 1 + int(nz[0])
-        if r != k + 1:
-            h[[k + 1, r]] = h[[r, k + 1]]
-            h[:, [k + 1, r]] = h[:, [r, k + 1]]
+        below = h[:, k + 1:, k] != 0
         # rows below k+1 minus f times row k+1, then column k+1 plus the
-        # same combination of their columns, which undoes it as a
-        # similarity; the rows untouched are those already zero in column k,
-        # and linearised graphs keep most of them zero
-        rows = k + 2 + np.flatnonzero(h[k + 2:, k])
+        # same combination of their columns, which undoes it as a similarity;
+        # rows is the union over primes of those nonzero in column k (if it
+        # is empty, no prime swaps), and linearised graphs keep most of them
+        # zero, and most columns of row k+1
+        rows = k + 2 + below[:, 1:].any(axis=0).nonzero()[0]
         if rows.size == 0:
             continue
-        f = h[rows, k] * pow(int(h[k + 1, k]), p - 2, p) % p
-        h[rows, k:] = (h[rows, k:] - np.outer(f, h[k + 1, k:])) % p
-        h[:, k + 1] = (h[:, k + 1] + _dot_mod(h[:, rows], f, p)) % p
+        swap = (~below[:, 0]).nonzero()[0]
+        if swap.size:
+            r = k + 1 + np.argmax(below[swap], axis=1)
+            h[swap, k + 1], h[swap, r] = h[swap, r], h[swap, k + 1]
+            h[swap, :, k + 1], h[swap, :, r] = h[swap, :, r], h[swap, :, k + 1]
+        f = h[:, rows, k] * _inverses(h[:, k + 1, k], ps)[:, None] % p1
+        cols = k + h[:, k + 1, k:].any(axis=0).nonzero()[0]
+        block = (slice(None), rows[:, None], cols)
+        h[block] = (h[block] - f[:, :, None] * h[:, k + 1, cols][:, None]) % p3
+        h[:, :, k + 1] = _add_dot_mod(h[:, :, k + 1], h, rows, f, ps)
     # column j of polys is the characteristic polynomial of the leading
-    # j x j block; sub[i - 1] = h[i, i-1] h[i+1, i] .. h[j-1, j-2]
-    polys = np.zeros((m + 1, m + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    sub = np.zeros(m, dtype=np.int64)
+    # j x j block; sub[:, i - 1] = h[i, i-1] h[i+1, i] .. h[j-1, j-2]
+    polys = np.zeros((count, m + 1, m + 1), dtype=np.int32)
+    polys[:, 0, 0] = 1
+    sub = np.zeros((count, m), dtype=np.int64)
+    diag, subdiag = (h.diagonal(i, 1, 2).astype(np.int64) for i in (0, -1))
     for j in range(1, m + 1):
-        prev = polys[:j, j - 1]
-        new = polys[:j + 1, j]
-        new[1:] = prev
-        new[:j] = (new[:j] - int(h[j - 1, j - 1]) * prev) % p
+        prev = polys[:, :j, j - 1]
+        new = polys[:, :j + 1, j]
+        new[:, 1:] = prev
+        new[:, :j] = (new[:, :j] - diag[:, j - 1, None] * prev) % p1
         if j > 1:
-            sub[:j - 2] = sub[:j - 2] * int(h[j - 1, j - 2]) % p
-            sub[j - 2] = h[j - 1, j - 2]
-            w = h[:j - 1, j - 1] * sub[:j - 1] % p
-            nz = np.flatnonzero(w)
-            new[:j - 1] = (new[:j - 1]
-                           - _dot_mod(polys[:j - 1, nz], w[nz], p)) % p
-    return polys[:, m]
+            sub[:, :j - 2] = sub[:, :j - 2] * subdiag[:, j - 2, None] % p1
+            sub[:, j - 2] = subdiag[:, j - 2]
+            w = h[:, :j - 1, j - 1] * sub[:, :j - 1] % p1
+            nz = w.any(axis=0).nonzero()[0]
+            new[:, :j - 1] = _add_dot_mod(new[:, :j - 1], polys[:, :j - 1], nz,
+                                          -w[:, nz], ps)
+    return polys[:, :, m]
 
 
-def _residues_mod(mats: Sequence[np.ndarray], p: int) -> List[int]:
-    """Coefficients of det(sum_k mats[k] u^k) mod p, lowest first."""
+def _linearise(mats: Sequence[np.ndarray], ps: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, det D_0, t) for each prime of a batch: t is the least shift in
+    0..dN with M(t) invertible mod p, L (int32) the block companion matrix
+    of M(t + v).  With no such t, det M = 0 identically and det D_0 = 0."""
     size = mats[0].shape[0]
     degree = (len(mats) - 1) * size
-    reduced = [c % p for c in mats]
+    stacked = np.concatenate(mats, axis=1)
+    companion = np.zeros((len(ps), degree, degree), dtype=np.int32)
+    companion[:] = np.eye(degree, k=-size, dtype=np.int32)
+    det0, shift = np.zeros((2, len(ps)), dtype=np.int64)
+    pending = np.arange(len(ps))
     for t in range(degree + 1):
-        shifted = _taylor_shift(reduced, t, p) if t else reduced
-        det0 = det_mod(shifted[0], p)
-        if det0:
+        p3 = ps[pending, None, None]
+        m = stacked % p3
+        if t:
+            m = np.concatenate(_taylor_shift(np.split(m, len(mats), axis=2),
+                                             t, p3), axis=2)
+        m[:, :, size:] *= -1   # [D_0 | -D_1 | .. | -D_d]
+        det = _solve_mod(m, ps[pending])
+        for i in det.nonzero()[0]:
+            # a constant M (degree 0) has an empty companion
+            companion[pending[i], :size] = m[i, :degree, size:]
+            det0[pending[i]], shift[pending[i]] = det[i], t
+        pending = pending[det == 0]
+        if not pending.size:
             break
-    else:
-        # a nonzero polynomial of this degree has at most `degree` roots
-        return [0] * (degree + 1)
-    companion = np.eye(degree, k=-size, dtype=np.int64)
-    if degree:
-        companion[:size] = -_solve_mod(shifted[0], np.hstack(shifted[1:]),
-                                       p) % p
-    charpoly = _charpoly_mod(companion, p)
-    coeffs = [det0 * int(c) % p for c in charpoly[::-1]]
-    return _taylor_shift(coeffs, p - t, p) if t else coeffs
+    return companion, det0, shift
+
+
+def _residues_mod(mats: Sequence[np.ndarray], primes: Sequence[int]
+                  ) -> List[List[int]]:
+    """Coefficients of det(sum_k mats[k] u^k) mod each prime, lowest first,
+    in batches of at most _BATCH_ENTRIES companion entries."""
+    degree = (len(mats) - 1) * mats[0].shape[0]
+    per = max(1, _BATCH_ENTRIES // max(degree, 1) ** 2)
+    out = []
+    for i in range(0, len(primes), per):
+        ps = np.array(primes[i:i + per], dtype=np.int64)
+        companion, det0, shift = _linearise(mats, ps)
+        coeffs = det0[:, None] * _charpoly_mod(companion, ps)[:, ::-1] % ps[:, None]
+        del companion   # before the next batch allocates its own
+        for row, p, t in zip(coeffs.tolist(), primes[i:i + per], shift.tolist()):
+            out.append(_taylor_shift(row, p - t, p) if t else row)
+    return out
 
 
 def coefficient_bound(coeff_mats: Sequence[np.ndarray]) -> int:
@@ -215,74 +272,22 @@ def polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
     degree = (len(mats) - 1) * size
 
     bound = coefficient_bound(mats)
-    primes = []
-    prod = 1
     gen = _primes_desc(2 ** 29)
+    primes, prod = [], 1
     while prod <= 2 * bound + 1:
-        p = next(gen)
-        primes.append(p)
-        prod *= p
-    certificate_prime = next(gen)
-
-    def eval_mats_mod(t: int, p: int) -> np.ndarray:
-        acc = np.zeros_like(mats[0])
-        tk = 1
-        for c in mats:
-            acc = (acc + c * tk) % p
-            tk = tk * t % p
-        return acc
-
-    residue_coeffs = [_residues_mod(mats, p) for p in primes]
+        primes.append(next(gen))
+        prod *= primes[-1]
 
     # CRT lift to the symmetric range
-    coeffs = []
-    half = prod // 2
-    inv_cache = [pow(prod // p % p, p - 2, p) * (prod // p) for p in primes]
-    for k in range(degree + 1):
-        x = 0
-        for pi, res in enumerate(residue_coeffs):
-            x += res[k] * inv_cache[pi]
-        x %= prod
-        if x > half:
-            x -= prod
-        coeffs.append(x)
-    poly = IntPolynomial(coeffs)
+    weights = [pow(prod // p % p, p - 2, p) * (prod // p) for p in primes]
+    lifted = [sum(w * r for w, r in zip(weights, column)) % prod
+              for column in zip(*_residues_mod(mats, primes))]
+    poly = IntPolynomial([x - prod if x > prod // 2 else x for x in lifted])
 
     # certify on a fresh prime at a point no shift above uses
-    q = certificate_prime
-    t_star = degree + 1
-    expected = det_mod(eval_mats_mod(t_star % q, q), q)
-    if poly(t_star) % q != expected:
+    q, t_star = next(gen), degree + 1
+    point = sum(c % q * pow(t_star, k, q) % q for k, c in enumerate(mats)) % q
+    if poly(t_star) % q != det_mod(point, q):
         raise ArithmeticError("determinant reconstruction failed certification")
     return poly
 
-
-def naive_polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
-    """Leibniz-formula determinant over the polynomial ring; test oracle for
-    small matrices."""
-    import itertools
-
-    mats = [np.asarray(c) for c in coeff_mats]
-    size = mats[0].shape[0]
-    entries = [[IntPolynomial([int(c[i, j]) for c in mats])
-                for j in range(size)] for i in range(size)]
-    total = IntPolynomial.zero()
-    for perm in itertools.permutations(range(size)):
-        sign = 1
-        seen = [False] * size
-        for start in range(size):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = perm[i]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = IntPolynomial.one()
-        for i in range(size):
-            term = term * entries[i][perm[i]]
-        total = total + sign * term
-    return total

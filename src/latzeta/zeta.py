@@ -114,11 +114,8 @@ def zeta_positive_det(g: QuotientGraph) -> IntPolynomial:
     """
     size = g.num_vertices
     eye = np.eye(size, dtype=np.int64)
-    mats = [eye]
-    for i, a in enumerate(g.mats, start=1):
-        mats.append((-1) ** i * a)
-    mats.append((-1) ** g.n * eye)
-    poly = polymatrix_det(mats)
+    signed = [(-1) ** i * a for i, a in enumerate(g.mats, start=1)]
+    poly = polymatrix_det([eye] + signed + [(-1) ** g.n * eye])
     if poly.coefficient(0) != 1 or poly.degree != g.n * size:
         raise ArithmeticError("positive zeta determinant has unexpected shape")
     return poly
@@ -202,10 +199,8 @@ def ihara_bass(g: QuotientGraph) -> Tuple[IntPolynomial, int]:
     The sign of the exponent varies between conventions, so the pair is
     returned and callers expand whichever form they need.
     """
-    size = g.num_vertices
-    eye = np.eye(size, dtype=np.int64)
-    q = 2 ** g.n - 3
-    numerator = polymatrix_det([eye, -g.adjacency(), q * eye])
+    eye = np.eye(g.num_vertices, dtype=np.int64)
+    numerator = polymatrix_det([eye, -g.adjacency(), (2 ** g.n - 3) * eye])
     return numerator, euler_characteristic(g)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -11,7 +12,7 @@ from mpmath import mp, mpc, mpf
 from latzeta import RunConfig, exactdet, run_config, zeta
 from latzeta.errors import MultigraphError, ResourceCapError, ToleranceError
 from latzeta.cayley import build_graph, perturb_adjacency
-from latzeta.exactdet import coefficient_bound, naive_polymatrix_det, polymatrix_det
+from latzeta.exactdet import coefficient_bound, polymatrix_det
 from latzeta.polynomials import IntPolynomial
 from latzeta.quotient import TranslationSubgroup, characters, quotient_group
 from latzeta.zeta import (
@@ -32,6 +33,8 @@ from latzeta.zeta import (
     zeta_positive_det,
     zeta_positive_orders,
 )
+
+from _oracles import naive_polymatrix_det
 
 
 def test_polymatrix_det_against_leibniz_oracle():
@@ -72,13 +75,12 @@ def _zeta_and_bass_matrices(g):
 
 def test_corrupted_residue_fails_certificate(monkeypatch):
     real = exactdet._residues_mod
-    primes = []
+    batches = []
 
-    def corrupt_first(mats, p):
-        out = real(mats, p)
-        if not primes:
-            out[1] = (out[1] + 1) % p
-        primes.append(p)
+    def corrupt_first(mats, primes):
+        out = real(mats, primes)
+        out[0][1] = (out[0][1] + 1) % primes[0]
+        batches.append(list(primes))
         return out
 
     monkeypatch.setattr(exactdet, "_residues_mod", corrupt_first)
@@ -86,7 +88,112 @@ def test_corrupted_residue_fails_certificate(monkeypatch):
         build_graph(TranslationSubgroup(3, [[6, 0], [0, 6]])))
     with pytest.raises(ArithmeticError, match="certification"):
         polymatrix_det(positive)
-    assert len(primes) > 1
+    assert len(batches) == 1 and len(batches[0]) > 1
+
+
+def _first_primes(count):
+    return list(itertools.islice(exactdet._primes_desc(2 ** 29), count))
+
+
+def _naive_residues(mats, primes):
+    poly = naive_polymatrix_det(mats)
+    degree = (len(mats) - 1) * mats[0].shape[0]
+    return [[poly.coefficient(k) % p for k in range(degree + 1)]
+            for p in primes]
+
+
+def _assert_batch_matches_oracle(mats, primes):
+    assert exactdet._residues_mod(mats, primes) == _naive_residues(mats, primes)
+    assert polymatrix_det(mats) == naive_polymatrix_det(mats)
+
+
+def test_batched_pivots_diverge_between_primes():
+    """An entry equal to the first prime is a zero pivot for that prime
+    alone, so its pivot row differs from the rest of its batch: in the
+    solve (first case) and in the Hessenberg reduction (second case).
+    Random entries equal to the first or last prime of the batch make the
+    nonzero rows differ between primes as well."""
+    primes = _first_primes(5)
+    p = primes[0]
+    solve_case = [np.array([[p, 1, 0], [1, 0, 2], [0, 3, 1]]),
+                  np.array([[1, 0, -1], [2, 1, 0], [0, 1, 1]]),
+                  np.eye(3, dtype=np.int64)]
+    # det C_0 = -6p - 1: invertible mod every prime, so no prime shifts
+    _, det0, shift = exactdet._linearise(solve_case, np.array(primes))
+    assert shift.tolist() == [0] * 5
+    assert det0.tolist() == [(-6 * p - 1) % q for q in primes]
+    hessenberg_case = [np.eye(3, dtype=np.int64),
+                       np.array([[0, 1, 0], [p, 0, 2], [1, 3, 0]]),
+                       np.array([[1, 0, 2], [0, -1, 0], [3, 0, 1]])]
+    rng = random.Random(34)
+    entries = (0, 0, 1, -2, p, primes[-1])
+    random_cases = [[np.array([[rng.choice(entries) for _ in range(4)]
+                               for _ in range(4)]) for _ in range(3)]
+                    for _ in range(6)]
+    for mats in [solve_case, hessenberg_case] + random_cases:
+        _assert_batch_matches_oracle(mats, primes)
+
+
+def test_add_dot_mod_sums_past_one_chunk_without_overflow():
+    """Four chunks of the largest residues, added and subtracted: each sum
+    of a whole row would overflow int64."""
+    primes = _first_primes(2)
+    ps = np.array(primes)
+    width = 4 * exactdet._CHUNK
+    a = np.repeat(ps - 1, 3 * width).reshape(2, 3, width).astype(np.int32)
+    x = np.repeat(ps - 1, width).reshape(2, width)
+    acc = np.repeat(ps - 1, 3).reshape(2, 3)
+    for sign in (1, -1):
+        got = exactdet._add_dot_mod(acc, a, np.arange(width), sign * x, ps)
+        assert got.tolist() == [[(q - 1 + sign * width * (q - 1) ** 2) % q] * 3
+                                for q in primes]
+
+
+def test_batched_shift_for_one_prime_alone():
+    """det D_0 = the first prime: that prime alone moves to the shift t = 1,
+    and the rest of its batch stays at t = 0."""
+    primes = _first_primes(5)
+    p = primes[0]
+    a = math.isqrt(p) + 1
+    mats = [np.array([[a, a * a - p], [1, a]]), np.eye(2, dtype=np.int64),
+            np.array([[0, 1], [-1, 2]])]
+    _, det0, shift = exactdet._linearise(mats, np.array(primes))
+    assert shift.tolist() == [1, 0, 0, 0, 0]
+    assert det0.tolist()[1:] == [p % q for q in primes[1:]]
+    _assert_batch_matches_oracle(mats, primes)
+
+
+def test_batched_identically_zero_determinant():
+    primes = _first_primes(5)
+    # the last row is the first plus twice the second in every coefficient
+    base = np.array([[1, -2, 3], [0, 1, 1], [2, 0, -1]])
+    mats = [np.vstack([c[:2], c[:1] + 2 * c[1:2]]) for c in
+            (base, 3 * base - 1, np.eye(3, dtype=np.int64)[[0, 2, 1]])]
+    assert naive_polymatrix_det(mats) == IntPolynomial.zero()
+    _assert_batch_matches_oracle(mats, primes)
+
+
+def test_batch_cap_splits_the_primes(monkeypatch):
+    """At dN = 60 a batch holds 36 primes, so 40 primes run in two batches;
+    they must agree with the same primes run one per batch."""
+    rng = random.Random(33)
+    mats = [np.array([[rng.randint(-2, 2) for _ in range(6)]
+                      for _ in range(6)], dtype=np.int64) for _ in range(11)]
+    primes = _first_primes(40)
+    degree = 10 * 6
+    assert len(primes) * degree ** 2 > exactdet._BATCH_ENTRIES
+    real = exactdet._linearise
+    batches = []
+
+    def spy(m, ps):
+        batches.append(len(ps))
+        return real(m, ps)
+
+    monkeypatch.setattr(exactdet, "_linearise", spy)
+    batched = exactdet._residues_mod(mats, primes)
+    assert batches == [36, 4]
+    assert batched == [exactdet._residues_mod(mats, [p])[0] for p in primes]
+    assert batched == _naive_residues(mats, primes)
 
 
 def test_coefficient_bound_dominates():
@@ -123,6 +230,14 @@ def test_determinant_routes_match_orders_on_larger_quotients():
     assert ihara_bass(build_graph(gam2))[0] == zeta_positive_orders(gam2)
     gam3 = TranslationSubgroup(3, [[9, 0], [0, 9]])
     assert zeta_positive_det(build_graph(gam3)) == zeta_positive_orders(gam3)
+
+
+@pytest.mark.slow
+def test_determinant_route_with_one_prime_per_batch():
+    # dN = 3 * 144 = 432 is past the batch cap, so every batch is one prime
+    gamma = TranslationSubgroup(3, [[12, 0], [0, 12]])
+    assert (3 * gamma.index) ** 2 > exactdet._BATCH_ENTRIES
+    assert zeta_positive_det(build_graph(gamma)) == zeta_positive_orders(gamma)
 
 
 def test_zeta_degree_and_constant_term():
