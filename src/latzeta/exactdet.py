@@ -75,12 +75,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes_desc(start: int):
-    n = start if start % 2 else start - 1
-    while n > 2:
+# the primes below 2^29, largest first, found on first need and kept
+_PRIMES: List[int] = []
+
+
+def _prime_desc(i: int) -> int:
+    """The i-th prime below 2^29 in descending order, counting from 0."""
+    n = _PRIMES[-1] - 2 if _PRIMES else 2 ** 29 - 1
+    while len(_PRIMES) <= i:
         if _is_prime(n):
-            yield n
+            _PRIMES.append(n)
         n -= 2
+    return _PRIMES[i]
 
 
 def det_mod(matrix: np.ndarray, p: int) -> int:
@@ -272,10 +278,9 @@ def polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
     degree = (len(mats) - 1) * size
 
     bound = coefficient_bound(mats)
-    gen = _primes_desc(2 ** 29)
     primes, prod = [], 1
     while prod <= 2 * bound + 1:
-        primes.append(next(gen))
+        primes.append(_prime_desc(len(primes)))
         prod *= primes[-1]
 
     # CRT lift to the symmetric range
@@ -285,7 +290,7 @@ def polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
     poly = IntPolynomial([x - prod if x > prod // 2 else x for x in lifted])
 
     # certify on a fresh prime at a point no shift above uses
-    q, t_star = next(gen), degree + 1
+    q, t_star = _prime_desc(len(primes)), degree + 1
     point = sum(c % q * pow(t_star, k, q) % q for k, c in enumerate(mats)) % q
     if poly(t_star) % q != det_mod(point, q):
         raise ArithmeticError("determinant reconstruction failed certification")

@@ -1,19 +1,21 @@
 """Exact polynomial arithmetic.
 
 Univariate integer polynomials are dense coefficient lists over Python ints.
-Multivariate objects are sparse dicts keyed by exponent tuples; exponents are
-ints where possible and Fractions otherwise (half-integer lengths coming from
-cycle averages of affine elements stay exact).
+Multivariate objects are sparse dicts keyed by exponent tuples.  Series
+exponents are ints, or Fractions for the half-integer lengths of affine
+elements; a tuple's total degree is its plain sum.
 
-Rational functions are held as sums of pieces ``numerator / prod(1 - u^a)``
-with the denominator kept in factored form.  Pieces with identical factor
-multisets are merged on addition; :meth:`MultiRational.combine` produces a
-single quotient over the common denominator when one is wanted.
+Rational functions are sums of pieces ``numerator / prod(1 - u^a)`` with
+nonnegative int exponents and the denominator kept in factored form; pieces
+with equal factor multisets merge on addition.  Expansion divides by one
+factor at a time by the recurrence ``s[e] += s[e - a]`` in increasing total
+degree.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -31,8 +33,8 @@ def norm_exponent(exps) -> Exponent:
     return tuple(_norm_num(e) for e in exps)
 
 
-def exponent_degree(exps) -> Fraction:
-    return sum(exps, Fraction(0))
+def exponent_degree(exps):
+    return sum(exps)
 
 
 def _exp_to_json(e):
@@ -198,17 +200,48 @@ def _dict_add_term(d: Dict[Exponent, int], exp: Exponent, coeff: int):
         d.pop(exp, None)
 
 
-def _dict_mul(a: Dict[Exponent, int], b: Dict[Exponent, int],
-              max_deg=None) -> Dict[Exponent, int]:
+def _dict_mul(a: Dict[Exponent, int], b: Dict[Exponent, int]
+              ) -> Dict[Exponent, int]:
     out: Dict[Exponent, int] = {}
     for ea, ca in a.items():
-        da = exponent_degree(ea)
         for eb, cb in b.items():
-            if max_deg is not None and da + exponent_degree(eb) > max_deg:
-                continue
             e = norm_exponent(x + y for x, y in zip(ea, eb))
             _dict_add_term(out, e, ca * cb)
     return out
+
+
+def _divide_one_minus(series: Dict[Tuple[int, ...], int], a: Tuple[int, ...],
+                      max_deg: int) -> Dict[Tuple[int, ...], int]:
+    """series / (1 - u^a) to total degree max_deg, for a nonzero a >= 0:
+    s[e] = series[e] + s[e - a], where s[e - a] is final because the degree
+    buckets go up.  Zero coefficients are dropped."""
+    step = sum(a)
+    out = dict(series)
+    buckets: Dict[int, List[Tuple[int, ...]]] = {}
+    for e in series:
+        buckets.setdefault(sum(e), []).append(e)
+    for deg in range(min(buckets, default=max_deg), max_deg - step + 1):
+        for e in buckets.pop(deg, ()):
+            c = out[e]
+            if not c:
+                continue
+            e2 = tuple(map(operator.add, e, a))
+            old = out.get(e2)
+            if old is None:
+                out[e2] = c
+                buckets.setdefault(deg + step, []).append(e2)
+            else:
+                out[e2] = old + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _int_exponent(x) -> int:
+    """x as a nonnegative int; anything else raises ValueError."""
+    i = int(x)
+    if i != x or i < 0:
+        raise ValueError(f"rational exponents must be nonnegative integers, "
+                         f"got {x!r}")
+    return i
 
 
 def _sorted_terms(d: Dict[Exponent, int]):
@@ -291,15 +324,18 @@ class MultiRational:
     """Sum of rational pieces num / prod_j (1 - u^{a_j}), all exact.
 
     Each piece is (numerator dict, sorted tuple of denominator exponent
-    vectors); an empty factor tuple means the piece is a polynomial.  Pieces
-    with equal denominators merge on addition, so simple closed forms like
-    4/(1-x^2) come out of :meth:`combine` without any gcd machinery.
+    vectors); an empty factor tuple means the piece is a polynomial.  Every
+    exponent is a nonnegative int and every factor is nonzero, checked once
+    in :meth:`add_piece`.  Pieces with equal denominators merge on addition,
+    so simple closed forms like 4/(1-x^2) come out of :meth:`combine`
+    without any gcd machinery.
     """
 
     def __init__(self, nvars: int, pieces=None):
         self.nvars = int(nvars)
         # dict: denominator factor multiset -> numerator dict
-        self.pieces: Dict[Tuple[Tuple[int, ...], ...], Dict[Exponent, int]] = {}
+        self.pieces: Dict[Tuple[Tuple[int, ...], ...],
+                          Dict[Tuple[int, ...], int]] = {}
         if pieces:
             for num, den in pieces:
                 self.add_piece(num, den)
@@ -308,23 +344,35 @@ class MultiRational:
     def zero(cls, nvars: int) -> "MultiRational":
         return cls(nvars)
 
+    def _exponents(self, exps) -> Tuple[int, ...]:
+        out = tuple(_int_exponent(x) for x in exps)
+        if len(out) != self.nvars:
+            raise ValueError(f"expected {self.nvars} exponents, got {len(out)}")
+        return out
+
     def add_piece(self, numerator: Dict[Exponent, int], factors):
-        den = tuple(sorted(tuple(int(x) for x in f) for f in factors))
-        for f in den:
-            if len(f) != self.nvars:
-                raise ValueError("factor arity mismatch")
-            if all(x == 0 for x in f):
-                raise ValueError("denominator factor (1 - 1) is zero")
+        den = tuple(sorted(self._exponents(f) for f in factors))
+        if any(not any(f) for f in den):
+            raise ValueError("denominator factor (1 - 1) is zero")
+        self._merge(den, {self._exponents(e): int(c)
+                          for e, c in numerator.items()})
+
+    def _merge(self, den, numerator: Dict[Tuple[int, ...], int], k: int = 1):
+        """Add k * numerator / den for an already validated piece."""
         cur = self.pieces.setdefault(den, {})
         for e, c in numerator.items():
-            _dict_add_term(cur, norm_exponent(e), int(c))
+            _dict_add_term(cur, e, k * c)
         if not cur:
             del self.pieces[den]
 
-    def __iadd__(self, other: "MultiRational") -> "MultiRational":
+    def add_scaled(self, other: "MultiRational", k: int) -> "MultiRational":
+        """self += k * other, without validating other's pieces again."""
         for den, num in other.pieces.items():
-            self.add_piece(num, den)
+            self._merge(den, num, k)
         return self
+
+    def __iadd__(self, other: "MultiRational") -> "MultiRational":
+        return self.add_scaled(other, 1)
 
     def denominator_factors(self) -> List[Tuple[int, ...]]:
         """Distinct (1 - u^a) factors appearing in any piece."""
@@ -334,21 +382,17 @@ class MultiRational:
         return sorted(seen)
 
     def expand(self, max_deg: int) -> MultiSeries:
-        """Power-series expansion to total degree max_deg."""
-        out = MultiSeries(self.nvars, max_deg)
+        """Power-series expansion to total degree max_deg, one geometric
+        division per denominator factor."""
+        terms: Dict[Tuple[int, ...], int] = {}
         for den, num in self.pieces.items():
-            series = {e: c for e, c in num.items()
-                      if exponent_degree(e) <= max_deg}
+            series = {e: c for e, c in num.items() if sum(e) <= max_deg}
             for a in den:
-                ta = sum(a)
-                geom = {}
-                k = 0
-                while k * ta <= max_deg:
-                    geom[tuple(k * x for x in a)] = 1
-                    k += 1
-                series = _dict_mul(series, geom, max_deg)
+                series = _divide_one_minus(series, a, max_deg)
             for e, c in series.items():
-                out.add_term(e, c)
+                _dict_add_term(terms, e, c)
+        out = MultiSeries(self.nvars, max_deg)
+        out.terms = terms
         return out
 
     def combine(self) -> Tuple[Dict[Exponent, int], Tuple[Tuple[int, ...], ...]]:

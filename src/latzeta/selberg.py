@@ -219,14 +219,21 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
     Summing pattern stabilizers over subgroup elements equals summing, over
     all n! coordinate permutations q, the lattice points of q(subgroup) in
     each open face of the dominant cone; every such face sum is a cone
-    decomposition turned geometric series.  The result's power series
-    expansion matches :func:`selberg_series_translation` to any degree.
+    decomposition turned geometric series.  The faces are cut once per
+    distinct image lattice (the HNF of q·basis), and each face sublattice is
+    weighted by N times the number of permutations giving it.  The result's
+    power series expansion matches :func:`selberg_series_translation` to
+    any degree.
     """
     n = gamma.n
+    images: Dict[Tuple, int] = {}
+    for q in all_permutations(n):
+        key = tuple(map(tuple, hnf_columns(mat_mul(q.basis_matrix(),
+                                                   gamma.basis))))
+        images[key] = images.get(key, 0) + 1
     groups: Dict[Tuple[frozenset, Tuple], int] = {}
     face_list = list(all_faces(n))
-    for q in all_permutations(n):
-        image = mat_mul(q.basis_matrix(), gamma.basis)
+    for image, count in images.items():
         for face in face_list:
             if face.dim == 0:
                 key = (face.zero_set, ())
@@ -234,7 +241,7 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
                 basis_t = _face_sublattice_t_basis(image, face)
                 key = (face.zero_set,
                        tuple(tuple(r) for r in hnf_columns(basis_t)))
-            groups[key] = groups.get(key, 0) + 1
+            groups[key] = groups.get(key, 0) + count
     out = MultiRational(n - 1)
     for (zero_set, basis_key), count in sorted(
             groups.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])):
@@ -243,9 +250,7 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
         dec = cone_decompose(face, basis)
         weight = face_length_exponents(face, scale)
         piece = rational_cone_sum(dec, weight, nvars=n - 1)
-        factor = gamma.index * count
-        for den, num in piece.pieces.items():
-            out.add_piece({e: factor * c for e, c in num.items()}, den)
+        out.add_scaled(piece, gamma.index * count)
     return out
 
 

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from latzeta.polynomials import IntPolynomial
+from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
 
 
 def naive_polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
@@ -36,3 +36,26 @@ def naive_polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
             term = term * entries[i][perm[i]]
         total = total + sign * term
     return total
+
+
+def product_expand(rational: MultiRational, max_deg: int) -> MultiSeries:
+    """Power series of a rational by explicit products: every factor
+    1/(1 - u^a) is written out as the geometric sum of the u^(k a) of total
+    degree at most max_deg and multiplied in term by term; test oracle for
+    :meth:`MultiRational.expand`."""
+    out = MultiSeries(rational.nvars, max_deg)
+    for den, num in rational.pieces.items():
+        series = {e: c for e, c in num.items() if sum(e) <= max_deg}
+        for a in den:
+            geom = [tuple(k * x for x in a)
+                    for k in range(max_deg // sum(a) + 1)]
+            product = {}
+            for e1, c in series.items():
+                for e2 in geom:
+                    if sum(e1) + sum(e2) <= max_deg:
+                        e = tuple(x + y for x, y in zip(e1, e2))
+                        product[e] = product.get(e, 0) + c
+            series = product
+        for e, c in series.items():
+            out.add_term(e, c)
+    return out

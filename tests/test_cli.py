@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from latzeta import cli
 from latzeta.cli import (
     AFFINE_CHECKS,
     TRANSLATION_CHECKS,
@@ -158,6 +159,20 @@ def test_translation_series_grid_cap_exits_3_before_allocating():
     assert code == 3 and not report["pass"]
     assert "sub-grid" in report["error"]
     assert peak < 1 << 20
+
+
+def test_rational_check_exits_3_before_building_the_cone_form(monkeypatch):
+    # the series grid cap must fire before the cone sums start, so a
+    # maxDegree that can never finish exits at once
+    def never(*args, **kwargs):
+        raise AssertionError("the cone form was built")
+
+    monkeypatch.setattr(cli, "selberg_rational_translation", never)
+    cfg = RunConfig.from_json_obj(
+        _config_with(maxDegree=100000, checks=["selberg_rational"]))
+    code, report = run_config(cfg)
+    assert code == 3 and not report["pass"]
+    assert "sub-grid" in report["error"]
 
 
 def test_perturb_in_range_is_accepted(tmp_path):

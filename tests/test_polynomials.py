@@ -1,9 +1,13 @@
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
+
+from _oracles import product_expand
 
 
 def test_int_polynomial_basic_arithmetic():
@@ -113,3 +117,105 @@ def test_multi_rational_rejects_zero_factor():
     r = MultiRational(2)
     with pytest.raises(ValueError):
         r.add_piece({(0, 0): 1}, [(0, 0)])
+
+
+def test_multi_rational_rejects_non_integer_exponents():
+    r = MultiRational(2)
+    for num, den in [({(Fraction(1, 2), 0): 1}, []),
+                     ({(1.5, 0): 1}, []),
+                     ({(0, 0): 1}, [(Fraction(3, 2), 1)]),
+                     ({(0, 0): 1}, [(0.5, 1)]),
+                     ({(-1, 0): 1}, []),
+                     ({(0, 0): 1}, [(2, -1)]),
+                     ({(0, 0, 0): 1}, []),
+                     ({(0, 0): 1}, [(1,)])]:
+        with pytest.raises(ValueError):
+            r.add_piece(num, den)
+    assert r.pieces == {}
+    obj = {"variables": 1,
+           "pieces": [{"numerator": [[["1/2"], "1"]],
+                       "denominator_factors": [[1]]}]}
+    with pytest.raises(ValueError):
+        MultiRational.from_json_obj(obj)
+    # integral values of other types are taken as ints
+    r.add_piece({(Fraction(4, 2), 2.0): 3}, [(Fraction(1), 1)])
+    [(den, num)] = r.pieces.items()
+    assert den == ((1, 1),) and num == {(2, 2): 3}
+    assert all(type(x) is int for x in (*den[0], *next(iter(num))))
+
+
+def test_add_scaled_merges_and_cancels():
+    r = MultiRational(1)
+    r.add_piece({(0,): 2, (3,): 1}, [(2,)])
+    s = MultiRational(1)
+    s.add_piece({(0,): 1}, [(2,)])
+    s.add_piece({(1,): 5}, [])
+    r.add_scaled(s, -2)
+    assert r.pieces == {((2,),): {(3,): 1}, (): {(1,): -10}}
+    r += s
+    assert r.pieces == {((2,),): {(0,): 1, (3,): 1}, (): {(1,): -5}}
+
+
+def _random_vector(rng, nvars, total):
+    """A nonnegative int vector of the given total degree."""
+    cuts = sorted(rng.randint(0, total) for _ in range(nvars - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+def _random_rational(rng, nvars, max_deg, scale):
+    r = MultiRational(nvars)
+    for _ in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(0, 3)):
+            # up to twice max_deg, so some factors are above the cutoff
+            factors.append(_random_vector(
+                rng, nvars, scale * rng.randint(1, 2 * max(max_deg, 1))))
+        if factors and rng.random() < 0.4:
+            factors.append(factors[0])                        # repeated
+        if factors and rng.random() < 0.4:
+            factors.append(tuple(2 * x for x in factors[-1]))  # parallel
+        num = {}
+        for _ in range(rng.randint(1, 5)):
+            e = _random_vector(rng, nvars,
+                               scale * rng.randint(0, max_deg + 3))
+            num[e] = num.get(e, 0) + rng.choice([-3, -1, 1, 2, 10 ** 30])
+        r.add_piece(num, factors)
+        if rng.random() < 0.3:
+            # the same piece with a coefficient of opposite sign: cancels
+            r.add_piece({e: -c for e, c in num.items()}, factors)
+    return r
+
+
+def test_expand_matches_the_product_oracle():
+    rng = random.Random(2024)
+    for trial in range(300):
+        nvars = 1 + trial % 4
+        scale = math.factorial(nvars + 1) if trial % 5 == 0 else 1
+        max_deg = scale * rng.choice([0, 1, 3, 6, 9])
+        r = _random_rational(rng, nvars, max_deg // scale, scale)
+        for deg in {0, max_deg, max_deg + 1}:
+            assert r.expand(deg) == product_expand(r, deg), (trial, deg)
+
+
+def test_expand_cancels_across_pieces():
+    # 1/(1-x) - (1+x)/(1-x^2) = 0; adding x/(1-x^2) leaves the odd powers
+    r = MultiRational(1)
+    r.add_piece({(0,): 1}, [(1,)])
+    r.add_piece({(0,): -1, (1,): -1}, [(2,)])
+    assert r.expand(9).terms == {}
+    r.add_piece({(1,): 1}, [(2,)])
+    assert r.expand(9).terms == {(k,): 1 for k in range(1, 10, 2)}
+    # a vanishing coefficient inside one piece stops its carry:
+    # (x - x^2)/(1 - x) = x
+    r = MultiRational(1)
+    r.add_piece({(1,): 1, (2,): -1}, [(1,)])
+    assert r.expand(7).terms == {(1,): 1}
+
+
+def test_expand_at_degree_zero_and_above_every_term():
+    r = MultiRational(2)
+    r.add_piece({(0, 0): 5, (1, 0): 1}, [(1, 1), (0, 3)])
+    r.add_piece({(4, 4): 1}, [(1, 0)])
+    assert r.expand(0).terms == {(0, 0): 5}
+    assert r.expand(0) == product_expand(r, 0)
+    assert r.expand(7) == product_expand(r, 7)

@@ -8,17 +8,23 @@ import pytest
 
 from latzeta import selberg
 from latzeta.errors import BoxExhaustionError, ResourceCapError
+from latzeta.intmat import hnf_columns, mat_mul
 from latzeta.lattice import (
     AffineElement,
     FACTORIAL,
+    FaceDescriptor,
     GEODESIC,
     LatticeVector,
     Permutation,
+    all_faces,
     all_permutations,
     canonicalize,
+    cone_decompose,
+    face_length_exponents,
     length_vector,
+    rational_cone_sum,
 )
-from latzeta.polynomials import MultiSeries
+from latzeta.polynomials import MultiRational, MultiSeries
 from latzeta.quotient import AffineSubgroup, TranslationSubgroup
 from latzeta.selberg import (
     affine_conjugacy_classes,
@@ -29,7 +35,12 @@ from latzeta.selberg import (
     selberg_series_affine,
     selberg_series_translation,
 )
-from perfbench.workloads import PANELS, transform_columns, unimodular
+from perfbench.workloads import (
+    PANELS,
+    _N4_N32,
+    transform_columns,
+    unimodular,
+)
 
 
 def brute_force_translation_series(gamma, max_deg, scale=GEODESIC):
@@ -198,6 +209,50 @@ def test_rational_translation_matches_series_on_skewed_lattices(n, basis):
     gam = TranslationSubgroup(n, basis)
     r = selberg_rational_translation(gam)
     assert r.expand(8) == selberg_series_translation(gam, 8)
+
+
+def per_permutation_rational(gam, scale=GEODESIC):
+    """The rational form with one face pass per coordinate permutation: the
+    reference for the pass per distinct image lattice."""
+    n = gam.n
+    groups = {}
+    for q in all_permutations(n):
+        image = mat_mul(q.basis_matrix(), gam.basis)
+        for face in all_faces(n):
+            basis_key = () if face.dim == 0 else tuple(map(tuple, hnf_columns(
+                selberg._face_sublattice_t_basis(image, face))))
+            key = (face.zero_set, basis_key)
+            groups[key] = groups.get(key, 0) + 1
+    out = MultiRational(n - 1)
+    for (zero_set, basis_key), count in groups.items():
+        face = FaceDescriptor(n, zero_set)
+        dec = cone_decompose(face, [list(r) for r in basis_key] or None)
+        piece = rational_cone_sum(dec, face_length_exponents(face, scale),
+                                  nvars=n - 1)
+        for den, num in piece.pieces.items():
+            out.add_piece({e: gam.index * count * c for e, c in num.items()},
+                          den)
+    return out
+
+
+@pytest.mark.parametrize("n, basis, images", [
+    (5, [[1, 0, 0, 1], [-1, 1, 0, 1], [0, -1, 1, 1], [0, 0, -1, 2]], 1),
+    (4, _N4_N32, 12),
+    (3, [[1, 0], [2, 576]], 3),
+])
+def test_rational_grouped_by_image_lattice_matches_per_permutation(
+        n, basis, images):
+    rng = random.Random(47)
+    for _ in range(3):
+        gam = TranslationSubgroup(
+            n, transform_columns(basis, unimodular(n - 1, rng)))
+        distinct = {tuple(map(tuple, hnf_columns(
+            mat_mul(q.basis_matrix(), gam.basis)))) for q in all_permutations(n)}
+        assert len(distinct) == images
+        expected = per_permutation_rational(gam).to_json_obj()
+        assert selberg_rational_translation(gam).to_json_obj() == expected
+    assert (selberg_rational_translation(gam, FACTORIAL).to_json_obj()
+            == per_permutation_rational(gam, FACTORIAL).to_json_obj())
 
 
 def test_rational_translation_factorial_scale():

@@ -1,9 +1,12 @@
-import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,7 +95,60 @@ def test_corrupted_residue_fails_certificate(monkeypatch):
 
 
 def _first_primes(count):
-    return list(itertools.islice(exactdet._primes_desc(2 ** 29), count))
+    return [exactdet._prime_desc(i) for i in range(count)]
+
+
+def _scan_primes(count):
+    """The descending Miller-Rabin scan from 2^29, run afresh."""
+    out, n = [], 2 ** 29 - 1
+    while len(out) < count:
+        if exactdet._is_prime(n):
+            out.append(n)
+        n -= 2
+    return out
+
+
+def test_descending_primes_match_a_fresh_scan(monkeypatch):
+    expected = _scan_primes(40)
+    assert _first_primes(40) == expected
+    # asking again reads the kept list and runs no Miller-Rabin test
+    monkeypatch.setattr(exactdet, "_is_prime", None)
+    assert _first_primes(40) == expected
+
+
+def test_prime_list_is_empty_after_import():
+    code = ("import latzeta, latzeta.cli, latzeta.exactdet as e; "
+            "print(len(e._PRIMES))")
+    package_root = str(Path(exactdet.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": package_root})
+    assert out.stdout.strip() == "0"
+
+
+def test_each_determinant_gets_the_leading_primes_and_the_next_as_certificate(
+        monkeypatch):
+    real_residues, real_det_mod = exactdet._residues_mod, exactdet.det_mod
+    used, certified = [], []
+
+    def residues(mats, primes):
+        used.append(list(primes))
+        return real_residues(mats, primes)
+
+    def det_mod(matrix, p):
+        certified.append(p)
+        return real_det_mod(matrix, p)
+
+    monkeypatch.setattr(exactdet, "_residues_mod", residues)
+    monkeypatch.setattr(exactdet, "det_mod", det_mod)
+    g = build_graph(TranslationSubgroup(3, [[6, 0], [0, 6]]))
+    positive, bass = _zeta_and_bass_matrices(g)
+    for mats in (positive, bass, positive):
+        polymatrix_det(mats)
+    for primes, q in zip(used, certified):
+        expected = _scan_primes(len(primes) + 1)
+        assert primes == expected[:-1] and q == expected[-1]
+    assert len(used) == len(certified) == 3
 
 
 def _naive_residues(mats, primes):
