@@ -8,7 +8,6 @@ reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import SingularMatrixError
@@ -66,25 +65,6 @@ def det_bareiss(m: Sequence[Sequence[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def fraction_inverse(m: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    """Exact inverse over the rationals via Gauss-Jordan elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular over the rationals")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def adjugate_and_det(m: Sequence[Sequence[int]]) -> Tuple[Matrix, int]:

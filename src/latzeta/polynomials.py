@@ -263,12 +263,14 @@ class MultiSeries:
                 self.add_term(e, c)
 
     def add_term(self, exp, coeff: int):
-        exp = norm_exponent(exp)
+        # a tuple of plain ints is already a normalised key
+        if type(exp) is not tuple or {*map(type, exp)} - {int}:
+            exp = norm_exponent(exp)
         if len(exp) != self.nvars:
             raise ValueError(f"expected {self.nvars} exponents, got {len(exp)}")
-        if any(e < 0 for e in exp):
+        if exp and min(exp) < 0:
             raise ValueError(f"negative exponent in {exp}")
-        if exponent_degree(exp) > self.cutoff or coeff == 0:
+        if sum(exp) > self.cutoff or coeff == 0:
             return
         _dict_add_term(self.terms, exp, int(coeff))
 

@@ -14,15 +14,14 @@ than one per member.
 For a split affine subgroup M x| P, conjugacy classes are enumerated
 exactly: for fixed permutation part p, translation parts live in the cosets
 of (1-p)M inside M, and the finite group P folds those cosets together.
-Each coset box is first filtered in int64 by the spread of its cycle sums
-(scaled by the lcm of the cycle lengths, so the test is exact), and only
-the survivors are built as elements and reduced to a canonical class key.
-Class weights are centralizer indices computed from fixed sublattices and
-finite permutation counts.
+Each coset box is filtered in int64 by the spread of its cycle sums
+(scaled by the lcm of the cycle lengths, so the test is exact), and the
+survivors are keyed in int64 by integer conjugation maps.  Class weights
+are centralizer indices from fixed sublattices and membership counts.
 
 Every int64 kernel checks a proven bound on its entries before it
-allocates, and the translation sub-grid a cap on its cell count; otherwise
-they raise :class:`ResourceCapError`.
+allocates, and the box scans a cap on their cell count; otherwise they
+raise :class:`ResourceCapError`.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ import numpy as np
 from .errors import BoxExhaustionError, ResourceCapError
 from .intmat import (
     ImageLattice,
+    adjugate_and_det,
     det_bareiss,
-    fraction_inverse,
     hnf_columns,
     kernel_basis,
     mat_mul,
@@ -104,8 +103,9 @@ def _check_int64(context: str, what: str, bound: int) -> None:
             f"{context}: {what} can reach {bound}, above the int64 bound 2^63")
 
 
-# cells of the (span+1)^(n-1) sub-grid a translation series may allocate;
-# each int64 column over the sub-grid takes 32 MB at this cap
+# cells of the (span+1)^(n-1) sub-grid a translation series may allocate
+# (each int64 column over it takes 32 MB at this cap), and of all the coset
+# boxes an affine class scan may search
 SERIES_GRID_CELLS = 1 << 22
 
 
@@ -259,36 +259,28 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
 
 
 class _PermCosetData:
-    """Per-permutation-part data: cosets of (1-p)M in M and both membership
-    lattices, plus the class-weight data that depends on p alone, filled on
-    first use."""
+    """Per-permutation-part data: cosets of (1-p)M in M, both membership
+    lattices, and the fixed-lattice index, filled on first use."""
 
     def __init__(self, gamma: AffineSubgroup, p: Permutation):
-        self.p = p
-        self.n = n = gamma.n
-        self.perms = gamma.perms
-        m_basis = [list(r) for r in gamma.lattice.basis]
-        p_mat = p.basis_matrix()
-        eye = [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
-        one_minus_p = [[eye[i][j] - p_mat[i][j] for j in range(n - 1)]
-                       for i in range(n - 1)]
-        self.one_minus_p = one_minus_p
-        self.one_minus_p_m = mat_mul(one_minus_p, m_basis)
-        adj, det = gamma.lattice.adjugate, gamma.lattice.adjugate_det
-        prod = mat_mul(adj, self.one_minus_p_m)
-        self.x_mat = [[x // det for x in row] for row in prod]
-        if any(x % det for row in prod for x in row):
+        self.p, self.n, self.perms = p, gamma.n, gamma.perms
+        n = gamma.n
+        self.m_basis = m_basis = [list(r) for r in gamma.lattice.basis]
+        self.one_minus_p = [[int(i == j) - x for j, x in enumerate(row)]
+                            for i, row in enumerate(p.basis_matrix())]
+        self.one_minus_p_m = mat_mul(self.one_minus_p, m_basis)
+        self.m_adj, self.m_det = (gamma.lattice.adjugate,
+                                  gamma.lattice.adjugate_det)
+        prod = mat_mul(self.m_adj, self.one_minus_p_m)
+        if any(x % self.m_det for row in prod for x in row):
             raise ArithmeticError("lattice is not stable under the permutation")
-        u, d, v = snf_with_transforms(self.x_mat)
+        self.u, d, _ = snf_with_transforms(
+            [[x // self.m_det for x in row] for row in prod])
         self.divisors = snf_diagonal(d)
-        self.u = u
-        self.uinv = unimodular_inverse(u)
-        self.m_basis = m_basis
-        self.m_adj = adj
-        self.m_det = det
-        self.torsion_idx = [i for i, di in enumerate(self.divisors) if di != 0]
-        self.free_idx = [i for i, di in enumerate(self.divisors) if di == 0]
-        self.image_lambda = ImageLattice(one_minus_p)
+        self.uinv = unimodular_inverse(self.u)
+        self.torsion_idx = [i for i, di in enumerate(self.divisors) if di]
+        self.free_idx = [i for i, di in enumerate(self.divisors) if not di]
+        self.image_lambda = ImageLattice(self.one_minus_p)
         self.image_m = ImageLattice(self.one_minus_p_m)
         # row j maps U-coordinate j to the cycle sums S_c of
         # e = m_basis uinv coords, each times lcm/|c|: the cycle averages
@@ -324,69 +316,37 @@ class _PermCosetData:
                                   "fixed lattice")
         return abs(det_bareiss(y[:dim])) // math.prod(divisors)
 
-    @functools.cached_property
-    def centralizer_mats(self) -> Tuple[List[List[List[int]]], ...]:
-        """Basis matrices of the permutations that commute with p: all of
-        them in S_n, then those in the permutation part of the subgroup."""
-        p = self.p
-
-        def commuting(perms):
-            return [q.basis_matrix() for q in perms
-                    if q.compose(p).images == p.compose(q).images]
-
-        return commuting(all_permutations(self.n)), commuting(self.perms)
-
     def element_from_coords(self, coords: Sequence[int]) -> List[int]:
         """e-coordinates of the representative with the given U-coordinates."""
         z = mat_vec(self.uinv, coords)
         return mat_vec(self.m_basis, z)
 
-    def reduce_coords(self, e_coords: Sequence[int]) -> Tuple[int, ...]:
-        """Canonical U-coordinates of the coset of an element of M."""
-        w = mat_vec(self.m_adj, e_coords)
-        if any(x % self.m_det for x in w):
-            raise ArithmeticError("element is not in the translation part")
-        z = [x // self.m_det for x in w]
-        c = mat_vec(self.u, z)
-        return tuple(x % d if d else x for x, d in zip(c, self.divisors))
-
-
-def _cycle_average_diffs(p: Permutation, e_coords: Sequence[Fraction]
-                         ) -> List[Fraction]:
-    """Differences of the cycle averages against the last cycle's average."""
-    n = p.n
-    vec = list(e_coords) + [Fraction(0)]
-    cycles = p.cycles()
-    avgs = [sum((Fraction(vec[i]) for i in cyc), Fraction(0)) / len(cyc)
-            for cyc in cycles]
-    return [a - avgs[-1] for a in avgs[:-1]]
-
 
 def _free_coordinate_bounds(data: _PermCosetData, torsion_coords, max_spread):
     """Integer box in the free coordinates that provably contains every coset
-    with cycle-average spread at most max_spread."""
-    p = data.p
+    with cycle-average spread at most max_spread.
+
+    The cycle-average differences against the last cycle are (A x + b) / L
+    in the free coordinates x, with A and b from ``scaled_averages``; the box
+    is -A^-1 b +- L |A^-1| max_spread, rounded outward exactly.
+    """
     dim = len(data.free_idx)
     if dim == 0:
         return [], []
-    n1 = len(data.m_basis)
-    base_coords = [0] * n1
-    for pos, idx in enumerate(data.torsion_idx):
-        base_coords[idx] = torsion_coords[pos]
-    offset = _cycle_average_diffs(p, data.element_from_coords(base_coords))
-    cols_free = []
-    for idx in data.free_idx:
-        unit = [0] * n1
-        unit[idx] = 1
-        cols_free.append(_cycle_average_diffs(p, data.element_from_coords(unit)))
-    a_free = [[cols_free[j][i] for j in range(dim)] for i in range(dim)]
-    inv = fraction_inverse(a_free)
-    center = [-sum(row[j] * offset[j] for j in range(dim)) for row in inv]
+    diffs = [[x - row[-1] for x in row[:-1]] for row in data.scaled_averages]
+    a = [[diffs[j][i] for j in data.free_idx] for i in range(dim)]
+    b = [sum(t * diffs[j][i] for t, j in zip(torsion_coords, data.torsion_idx))
+         for i in range(dim)]
+    adj, det = adjugate_and_det(a)
+    if det < 0:
+        adj, det = [[-x for x in row] for row in adj], -det
+    den = det * max_spread.denominator
     los, his = [], []
-    for i in range(dim):
-        radius = sum(abs(x) for x in inv[i]) * max_spread
-        los.append(math.floor(center[i] - radius))
-        his.append(math.ceil(center[i] + radius))
+    for row in adj:
+        centre = -sum(x * y for x, y in zip(row, b)) * max_spread.denominator
+        radius = sum(map(abs, row)) * data.lcm * max_spread.numerator
+        los.append((centre - radius) // den)
+        his.append(-((-centre - radius) // den))
     return los, his
 
 
@@ -395,11 +355,11 @@ _BOX_BLOCK = 1 << 16   # box points filtered per numpy block
 
 def _short_box_points(data: _PermCosetData, torsion: Sequence[int],
                       los: Sequence[int], his: Sequence[int], factor: int,
-                      max_deg: int, extra: int = 0) -> Iterator[List[int]]:
-    """U-coordinates, in lexicographic order, of the points with the given
-    torsion coordinates and free coordinates in [los - extra, his + extra],
-    but not in [los, his] when extra > 0, whose element has total length at
-    most max_deg.
+                      max_deg: int, extra: int = 0) -> Iterator[np.ndarray]:
+    """Blocks of U-coordinates, in lexicographic order, of the points with
+    the given torsion coordinates and free coordinates in
+    [los - extra, his + extra], but not in [los, his] when extra > 0, whose
+    element has total length at most max_deg.
 
     The total length is factor * (max - min) of the cycle averages; times
     the lcm L of the cycle lengths it is an integer, so the test
@@ -433,40 +393,77 @@ def _short_box_points(data: _PermCosetData, torsion: Sequence[int],
             inner &= (digit >= extra) & (digit < shape[pos] - extra)
         t = coords @ weights
         keep = (factor * (t.max(axis=1) - t.min(axis=1)) <= limit) & ~inner
-        yield from coords[keep].tolist()
+        if keep.any():
+            yield coords[keep]
 
 
-def _conjugate_key(gamma: AffineSubgroup, data_by_perm, p: Permutation,
-                   e_coords: Sequence[int]):
-    """Minimal (permutation, coset) key over the finite conjugation orbit."""
+def _conjugate_key_maps(data: _PermCosetData, data_by_perm):
+    """Data of the least conjugate p' = q p q^-1 over q in P, and for each
+    q giving it the integer map K = U_p' (M^-1 Q M) U_p^-1 of U-coordinates.
+    """
+    conj = {q: q.compose(data.p).compose(q.inverse()).images
+            for q in data.perms}
+    data2 = data_by_perm[min(conj.values())]
+    left = mat_mul(data2.u, data.m_adj)
+    right = mat_mul(data.m_basis, data.uinv)
+    maps = []
+    for q, images in conj.items():
+        if images == data2.p.images:
+            k = mat_mul(left, mat_mul(q.basis_matrix(), right))
+            if any(x % data.m_det for row in k for x in row):
+                raise ArithmeticError("element is not in the translation part")
+            maps.append([[x // data.m_det for x in row] for row in k])
+    return data2, maps
+
+
+def _least_keys(coords: np.ndarray, maps, divisors: Sequence[int],
+                context: str) -> set:
+    """Distinct keys of a block: per row the lexicographically least
+    coords @ K^T over the maps, reduced modulo the nonzero divisors."""
+    _check_int64(context, "a conjugate key (n-1)*max|K|*coord_max",
+                 len(divisors) * max(abs(x) for k in maps for r in k for x in r)
+                 * max(-int(coords.min()), int(coords.max()), 1))
+    tors = [i for i, d in enumerate(divisors) if d]
+    rows = np.arange(len(coords))
     best = None
-    best_elem = None
-    for q in gamma.perms:
-        p2 = q.compose(p).compose(q.inverse())
-        v2 = mat_vec(q.basis_matrix(), e_coords)
-        data2 = data_by_perm[p2.images]
-        coords = data2.reduce_coords(v2)
-        key = (p2.images, coords)
-        if best is None or key < best:
-            best = key
-            best_elem = (p2, data2.element_from_coords(coords))
-    return best, best_elem
+    for k in maps:
+        keys = coords @ np.array(k, dtype=np.int64).T
+        keys[:, tors] %= np.array(divisors, dtype=np.int64)[tors]
+        if best is not None:
+            first = (keys != best).argmax(axis=1)
+            keep = best[rows, first] <= keys[rows, first]
+            keys[keep] = best[keep]
+        best = keys
+    return {tuple(row) for row in best.tolist()}
 
 
-def _class_weight(data: _PermCosetData, e_coords: Sequence[int]) -> int:
-    """Centralizer index: fixed-lattice index times the permutation count
-    ratio."""
-    in_lambda, in_m = data.centralizer_mats
+def _class_weights(data: _PermCosetData, reps: List[List[int]],
+                   context: str) -> List[int]:
+    """Centralizer indices of the classes of p with these e-coordinates:
+    the fixed-lattice index times the ratio of the counts of commuting q
+    with (1 - q) e in (1-p)Lambda and in (1-p)M."""
+    p = data.p
+    _check_int64(context, "a membership residue n*(n-1)*max|U|*max|e|",
+                 data.n * (data.n - 1)
+                 * max(1, *map(abs, itertools.chain(*reps)))
+                 * max(map(abs, sum(data.image_lambda.u + data.image_m.u, []))))
+    e = np.array(reps, dtype=np.int64)
 
-    def fixing(mats, image) -> int:
-        return sum(1 for q_mat in mats if image.contains(
-            [a - b for a, b in zip(e_coords, mat_vec(q_mat, e_coords))]))
+    def fixing(perms, image: ImageLattice) -> np.ndarray:
+        mods = np.array(image.moduli, dtype=np.int64)
+        count = 0
+        for q in perms:
+            if q.compose(p) == p.compose(q):
+                w = (e - e @ np.array(q.basis_matrix()).T) @ np.array(image.u).T
+                count += (np.where(mods > 0, w % np.maximum(mods, 1), w)
+                          == 0).all(axis=1)
+        return count
 
-    qg = fixing(in_lambda, data.image_lambda)
-    qgamma = fixing(in_m, data.image_m)
-    if qg % qgamma:
+    qg = fixing(all_permutations(data.n), data.image_lambda)
+    qgamma = fixing(data.perms, data.image_m)
+    if (qg % qgamma).any():
         raise ArithmeticError("permutation centralizer counts are inconsistent")
-    return data.fixed_index * (qg // qgamma)
+    return [data.fixed_index * r for r in (qg // qgamma).tolist()]
 
 
 def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
@@ -477,62 +474,60 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     For each permutation part p the translation parts are enumerated coset
     by coset modulo (1-p)M; the free coset coordinates are scanned over a box
     derived from the exact inverse of the cycle-average map, and a doubled
-    box re-scan guards against any box sizing error.  Each box is filtered
-    in int64 by the integer spread test of :func:`_short_box_points`; only
-    its survivors are built as elements, measured exactly and reduced to
-    their canonical class key.
+    box re-scan guards against any box sizing error.  The box cells are
+    capped before any scan; each block of short points is keyed by
+    :func:`_least_keys`, and only new keys build an element.
     """
     n = gamma.n
     f = scale_factor(n, scale)
     max_spread = Fraction(max_deg, f)
+    context = f"affine class scan to degree {max_deg}"
     data_by_perm = {p.images: _PermCosetData(gamma, p) for p in gamma.perms}
-
+    boxes = [(data, torsion,
+              *_free_coordinate_bounds(data, torsion, max_spread))
+             for data in data_by_perm.values()
+             for torsion in itertools.product(
+                 *[range(data.divisors[i]) for i in data.torsion_idx])]
+    # the doubled box widens every box by half the widest zero-torsion box
+    pad = max([0] + [h - l for _, torsion, los, his in boxes
+                     if not any(torsion) for l, h in zip(los, his)]) // 2 + 1
+    cells = sum(math.prod(max(h - l + 1 + 2 * x, 0) for l, h in zip(los, his))
+                for _, _, los, his in boxes
+                for x in ((0, pad) if verify_box else (0,)))
+    if cells > SERIES_GRID_CELLS:
+        raise ResourceCapError(
+            f"{context}: the coset boxes hold {cells} cells, above the cap "
+            f"of {SERIES_GRID_CELLS} cells")
+    key_maps = {p: _conjugate_key_maps(data, data_by_perm)
+                for p, data in data_by_perm.items()}
     classes: Dict = {}
 
     def collect(extra: int) -> None:
-        for p in gamma.perms:
-            data = data_by_perm[p.images]
-            torsion_ranges = [range(data.divisors[i]) for i in data.torsion_idx]
-            for torsion in itertools.product(*torsion_ranges):
-                los, his = _free_coordinate_bounds(data, torsion, max_spread)
-                for coords in _short_box_points(data, torsion, los, his, f,
-                                                max_deg, extra):
-                    e_coords = data.element_from_coords(coords)
-                    elem = AffineElement(
-                        LatticeVector.from_basis_coords(n, e_coords), p)
-                    lengths = length_vector(elem, scale)
-                    if lengths.total > max_deg:
-                        continue
-                    key, rep = _conjugate_key(gamma, data_by_perm, p, e_coords)
+        for data, torsion, los, his in boxes:
+            data2, maps = key_maps[data.p.images]
+            for coords in _short_box_points(data, torsion, los, his, f,
+                                            max_deg, extra):
+                for row in _least_keys(coords, maps, data2.divisors, context):
+                    key = (data2.p.images, row)
                     if key in classes:
                         continue
                     if extra:
                         raise BoxExhaustionError(
                             "doubling the enumeration box changed the class list")
-                    classes[key] = rep
+                    classes[key] = data2.element_from_coords(row)
 
     collect(0)
     if verify_box:
         # the doubled box re-scan keys only the points outside the plain box
-        widths = [0]
-        for p in gamma.perms:
-            data = data_by_perm[p.images]
-            los, his = _free_coordinate_bounds(
-                data, [0] * len(data.torsion_idx), max_spread)
-            widths.extend(h - l for l, h in zip(los, his))
-        collect(max(widths) // 2 + 1)
-
+        collect(pad)
     out = []
-    for key in sorted(classes):
-        p2, e_coords = classes[key]
-        elem = AffineElement(LatticeVector.from_basis_coords(n, e_coords), p2)
-        data = data_by_perm[p2.images]
-        weight = _class_weight(data, e_coords)
-        out.append(ConjugacyClass(
-            representative=elem,
-            weight=weight,
-            lengths=length_vector(elem, scale),
-        ))
+    for p, keys in itertools.groupby(sorted(classes), key=lambda k: k[0]):
+        data = data_by_perm[p]
+        reps = [classes[key] for key in keys]
+        for e_coords, weight in zip(reps, _class_weights(data, reps, context)):
+            elem = AffineElement(LatticeVector.from_basis_coords(n, e_coords),
+                                 data.p)
+            out.append(ConjugacyClass(elem, weight, length_vector(elem, scale)))
     return out
 
 

@@ -2,10 +2,17 @@
 ``src/``."""
 
 import itertools
-from typing import Sequence
+import math
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from latzeta import selberg
+from latzeta.errors import BoxExhaustionError, SingularMatrixError
+from latzeta.intmat import mat_vec
+from latzeta.lattice import (GEODESIC, AffineElement, LatticeVector,
+                             all_permutations, length_vector, scale_factor)
 from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
 
 
@@ -58,4 +65,158 @@ def product_expand(rational: MultiRational, max_deg: int) -> MultiSeries:
             series = product
         for e, c in series.items():
             out.add_term(e, c)
+    return out
+
+
+def fraction_inverse(m: Sequence[Sequence[int]]) -> List[List[Fraction]]:
+    """Exact inverse over the rationals via Gauss-Jordan elimination."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular over the rationals")
+        a[col], a[piv] = a[piv], a[col]
+        d = a[col][col]
+        a[col] = [x / d for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def _cycle_average_diffs(p, e_coords) -> List[Fraction]:
+    """Differences of the cycle averages against the last cycle's average."""
+    vec = list(e_coords) + [0]
+    avgs = [Fraction(sum(vec[i] for i in cyc), len(cyc)) for cyc in p.cycles()]
+    return [a - avgs[-1] for a in avgs[:-1]]
+
+
+def fraction_free_coordinate_bounds(data, torsion_coords, max_spread):
+    """The free-coordinate box from Fraction cycle-average differences and
+    their Fraction inverse; reference for the integer
+    ``selberg._free_coordinate_bounds``."""
+    dim = len(data.free_idx)
+    if dim == 0:
+        return [], []
+    n1 = len(data.m_basis)
+
+    def diffs(torsion, free_idx=None):
+        coords = [0] * n1
+        for pos, idx in enumerate(data.torsion_idx):
+            coords[idx] = torsion[pos]
+        if free_idx is not None:
+            coords[free_idx] = 1
+        return _cycle_average_diffs(data.p, data.element_from_coords(coords))
+
+    offset = diffs(torsion_coords)
+    cols = [diffs([0] * len(data.torsion_idx), idx) for idx in data.free_idx]
+    inv = fraction_inverse([[cols[j][i] for j in range(dim)]
+                            for i in range(dim)])
+    center = [-sum(row[j] * offset[j] for j in range(dim)) for row in inv]
+    radius = [sum(abs(x) for x in row) * max_spread for row in inv]
+    return ([math.floor(c - r) for c, r in zip(center, radius)],
+            [math.ceil(c + r) for c, r in zip(center, radius)])
+
+
+def reduce_coords(data, e_coords: Sequence[int]) -> Tuple[int, ...]:
+    """Canonical U-coordinates of the coset of an element of M."""
+    w = mat_vec(data.m_adj, e_coords)
+    if any(x % data.m_det for x in w):
+        raise ArithmeticError("element is not in the translation part")
+    c = mat_vec(data.u, [x // data.m_det for x in w])
+    return tuple(x % d if d else x for x, d in zip(c, data.divisors))
+
+
+def conjugate_key(gamma, data_by_perm, p, e_coords):
+    """Minimal (permutation, coset) key over the finite conjugation orbit,
+    one conjugate at a time."""
+    best = best_elem = None
+    for q in gamma.perms:
+        p2 = q.compose(p).compose(q.inverse())
+        data2 = data_by_perm[p2.images]
+        coords = reduce_coords(data2, mat_vec(q.basis_matrix(), e_coords))
+        key = (p2.images, coords)
+        if best is None or key < best:
+            best = key
+            best_elem = (p2, data2.element_from_coords(coords))
+    return best, best_elem
+
+
+def class_weight(data, e_coords: Sequence[int]) -> int:
+    """Centralizer index by one lattice membership test per commuting
+    permutation."""
+    p = data.p
+
+    def fixing(perms, image) -> int:
+        return sum(1 for q in perms
+                   if q.compose(p).images == p.compose(q).images
+                   and image.contains([a - b for a, b in zip(
+                       e_coords, mat_vec(q.basis_matrix(), e_coords))]))
+
+    qg = fixing(all_permutations(data.n), data.image_lambda)
+    qgamma = fixing(data.perms, data.image_m)
+    if qg % qgamma:
+        raise ArithmeticError("permutation centralizer counts are inconsistent")
+    return data.fixed_index * (qg // qgamma)
+
+
+def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC, *,
+                         verify_box: bool = True):
+    """The affine class scan point by point: every survivor of the spread
+    filter is built as an element, measured in Fractions and keyed one
+    conjugate at a time, and every class weighed on its own; test oracle for
+    :func:`selberg.affine_conjugacy_classes`."""
+    n = gamma.n
+    f = scale_factor(n, scale)
+    max_spread = Fraction(max_deg, f)
+    data_by_perm = {p.images: selberg._PermCosetData(gamma, p)
+                    for p in gamma.perms}
+    classes = {}
+
+    def collect(extra: int) -> None:
+        for p in gamma.perms:
+            data = data_by_perm[p.images]
+            torsion_ranges = [range(data.divisors[i]) for i in data.torsion_idx]
+            for torsion in itertools.product(*torsion_ranges):
+                los, his = fraction_free_coordinate_bounds(data, torsion,
+                                                           max_spread)
+                for block in selberg._short_box_points(
+                        data, torsion, los, his, f, max_deg, extra):
+                    for coords in block.tolist():
+                        e_coords = data.element_from_coords(coords)
+                        elem = AffineElement(
+                            LatticeVector.from_basis_coords(n, e_coords), p)
+                        if length_vector(elem, scale).total > max_deg:
+                            continue
+                        key, rep = conjugate_key(gamma, data_by_perm, p,
+                                                 e_coords)
+                        if key in classes:
+                            continue
+                        if extra:
+                            raise BoxExhaustionError(
+                                "doubling the enumeration box changed the "
+                                "class list")
+                        classes[key] = rep
+
+    collect(0)
+    if verify_box:
+        widths = [0]
+        for p in gamma.perms:
+            data = data_by_perm[p.images]
+            los, his = fraction_free_coordinate_bounds(
+                data, [0] * len(data.torsion_idx), max_spread)
+            widths.extend(h - l for l, h in zip(los, his))
+        collect(max(widths) // 2 + 1)
+
+    out = []
+    for key in sorted(classes):
+        p2, e_coords = classes[key]
+        elem = AffineElement(LatticeVector.from_basis_coords(n, e_coords), p2)
+        out.append(selberg.ConjugacyClass(
+            representative=elem,
+            weight=class_weight(data_by_perm[p2.images], e_coords),
+            lengths=length_vector(elem, scale)))
     return out

@@ -161,6 +161,21 @@ def test_translation_series_grid_cap_exits_3_before_allocating():
     assert peak < 1 << 20
 
 
+def test_affine_scan_cell_cap_exits_3_before_allocating():
+    # the identity coset box alone has about (2 * 10^6 / 3)^2 cells
+    cfg = RunConfig.from_json_obj(_affine_config_with(maxDegree=10 ** 6))
+    tracemalloc.start()
+    try:
+        code, report = run_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and not report["pass"]
+    assert "affine class scan" in report["error"]
+    assert "cells" in report["error"]
+    assert peak < 1 << 20
+
+
 def test_rational_check_exits_3_before_building_the_cone_form(monkeypatch):
     # the series grid cap must fire before the cone sums start, so a
     # maxDegree that can never finish exits at once

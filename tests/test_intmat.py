@@ -10,7 +10,6 @@ from latzeta.intmat import (
     ImageLattice,
     adjugate_and_det,
     det_bareiss,
-    fraction_inverse,
     hnf_columns,
     kernel_basis,
     mat_mul,
@@ -19,6 +18,8 @@ from latzeta.intmat import (
     snf_with_transforms,
     unimodular_inverse,
 )
+
+from _oracles import fraction_inverse
 
 
 def _random_matrix(rng, rows, cols, bound=9):

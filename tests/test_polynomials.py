@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
@@ -68,6 +69,31 @@ def test_multi_series_fraction_exponents_and_json():
     obj = s.to_json_obj()
     assert ["1/2", 0] in [t[0] for t in obj["terms"]]
     assert MultiSeries.from_json_obj(obj) == s
+
+
+def test_add_term_keys_normalised_and_checked():
+    s = MultiSeries(2, 10)
+    key = (1, 2)
+    s.add_term(key, 3)
+    # a tuple of plain ints is stored as it is
+    assert next(iter(s.terms)) is key
+    # Fractions with denominator 1, bools and numpy ints become int keys
+    for exp in [(Fraction(2, 2), np.int64(2)), (True, 2), [1, 2]]:
+        t = MultiSeries(2, 10)
+        t.add_term(exp, 4)
+        s.add_term(exp, 4)
+        assert [type(x) for x in next(iter(t.terms))] == [int, int]
+    assert s.terms == {(1, 2): 15}
+    s.add_term((Fraction(1, 2), 0), 5)
+    assert s.get((Fraction(1, 2), 0)) == 5
+    with pytest.raises(ValueError, match="negative"):
+        s.add_term((1, -1), 1)
+    with pytest.raises(ValueError, match="negative"):
+        s.add_term((Fraction(-1, 2), 0), 1)
+    with pytest.raises(ValueError, match="expected 2 exponents"):
+        s.add_term((1, 2, 3), 1)
+    with pytest.raises(ValueError, match="expected 2 exponents"):
+        s.add_term([Fraction(1)], 1)
 
 
 def test_multi_series_specialize_first():

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latzeta import selberg
@@ -35,6 +36,7 @@ from latzeta.selberg import (
     selberg_series_affine,
     selberg_series_translation,
 )
+from _oracles import fraction_free_coordinate_bounds, naive_affine_classes
 from perfbench.workloads import (
     PANELS,
     _N4_N32,
@@ -421,8 +423,8 @@ def test_affine_integer_filter_keeps_exactly_the_short_points(
                     n, data.element_from_coords(coords)), p)
                 if length_vector(elem, scale).total <= max_deg:
                     expected.append(coords)
-            kept = list(selberg._short_box_points(data, torsion, los, his, f,
-                                                  max_deg))
+            kept = [c for block in selberg._short_box_points(
+                data, torsion, los, his, f, max_deg) for c in block.tolist()]
             assert kept == expected
 
 
@@ -450,6 +452,97 @@ def test_affine_scan_guards_raise_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(ResourceCapError, match=r"affine class scan"):
         affine_conjugacy_classes(aff, 2 ** 40)
+
+
+@pytest.mark.parametrize("n, lattice, images", AFFINE_FILTER_CASES)
+@pytest.mark.parametrize("scale, max_deg", [(GEODESIC, 5), (FACTORIAL, 57)])
+def test_integer_box_bounds_match_the_fraction_reference(n, lattice, images,
+                                                          scale, max_deg):
+    aff = AffineSubgroup(TranslationSubgroup(n, lattice),
+                         [Permutation(images)])
+    max_spread = Fraction(max_deg, math.factorial(n) if scale == FACTORIAL
+                          else 1)
+    for p in aff.perms:
+        data = selberg._PermCosetData(aff, p)
+        torsion_ranges = [range(data.divisors[i]) for i in data.torsion_idx]
+        for torsion in itertools.product(*torsion_ranges):
+            assert (selberg._free_coordinate_bounds(data, torsion, max_spread)
+                    == fraction_free_coordinate_bounds(data, torsion,
+                                                       max_spread))
+
+
+# two generators each: Klein four-groups (on the second lattice the
+# membership tests in (1-p)Lambda and (1-p)M count differently), and two
+# non-abelian groups (S_3, the dihedral group of the square), where the
+# conjugates q p q^-1 differ
+_TWO_GENERATORS = [
+    (4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]], [(1, 0, 2, 3), (0, 1, 3, 2)]),
+    (4, [[1, 0, 1], [-1, 1, 1], [0, -1, 2]], [(1, 0, 2, 3), (0, 1, 3, 2)]),
+    (3, [[3, 0], [0, 3]], [(1, 0, 2), (1, 2, 0)]),
+    (4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]], [(1, 2, 3, 0), (3, 2, 1, 0)]),
+]
+
+
+@pytest.mark.parametrize(
+    "n, lattice, gens",
+    [(n, lattice, [images]) for n, lattice, images in AFFINE_FILTER_CASES]
+    + _TWO_GENERATORS)
+@pytest.mark.parametrize("scale, max_deg", [(GEODESIC, 6), (FACTORIAL, 60)])
+def test_affine_classes_match_the_naive_scan(n, lattice, gens, scale,
+                                             max_deg):
+    aff = AffineSubgroup(TranslationSubgroup(n, lattice),
+                         [Permutation(images) for images in gens])
+    classes = affine_conjugacy_classes(aff, max_deg, scale, verify_box=True)
+    naive = naive_affine_classes(aff, max_deg, scale, verify_box=True)
+    assert len(classes) == len(naive) > 1
+    for cls, ref in zip(classes, naive):
+        assert cls.representative == ref.representative
+        assert cls.weight == ref.weight
+        assert cls.lengths == ref.lengths
+
+
+@pytest.mark.parametrize("name", ["n3_affine_rot_D36", "n4_affine_rot_D12",
+                                  "n4_affine_swap_D12"])
+def test_affine_benchmark_members_match_the_naive_scan(name):
+    cfg, = [m["config"] for m in PANELS["selberg_deep"] if m["name"] == name]
+    gamma = cfg["gamma"]
+    aff = AffineSubgroup(TranslationSubgroup(cfg["n"], gamma["lattice"]),
+                         [Permutation(tuple(p)) for p in gamma["perms"]])
+    classes = affine_conjugacy_classes(aff, cfg["maxDegree"])
+    assert classes == naive_affine_classes(aff, cfg["maxDegree"])
+
+
+def test_affine_key_and_weight_guards_raise_before_allocating():
+    aff = AffineSubgroup(TranslationSubgroup(3, [[3, 0], [0, 3]]),
+                         [Permutation((1, 2, 0))])
+    data_by_perm = {p.images: selberg._PermCosetData(aff, p)
+                    for p in aff.perms}
+    identity = data_by_perm[(0, 1, 2)]
+    data2, maps = selberg._conjugate_key_maps(identity, data_by_perm)
+    assert max(abs(x) for k in maps for row in k for x in row) == 1
+    coords = np.array([[2 ** 62, 0]], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=r"conjugate key.*2\^63"):
+            selberg._least_keys(coords, maps, data2.divisors, "affine")
+        with pytest.raises(ResourceCapError, match=r"membership.*2\^63"):
+            selberg._class_weights(identity, [[2 ** 61, 0]], "affine")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_conjugate_key_maps_refuse_an_inexact_division():
+    aff = AffineSubgroup(TranslationSubgroup(3, [[3, 0], [0, 3]]),
+                         [Permutation((1, 2, 0))])
+    data_by_perm = {p.images: selberg._PermCosetData(aff, p)
+                    for p in aff.perms}
+    identity = data_by_perm[(0, 1, 2)]
+    # a translation lattice that M^-1 Q M would not keep integral
+    identity.m_det *= 2
+    with pytest.raises(ArithmeticError, match="translation part"):
+        selberg._conjugate_key_maps(identity, data_by_perm)
 
 
 def test_affine_transposition_half_integer_lengths():
