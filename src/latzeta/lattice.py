@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DivergentSeriesError, SingularMatrixError
 from .intmat import (adjugate_and_det, identity_matrix, mat_mul,
@@ -96,12 +96,6 @@ class LatticeVector:
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         return self + (-other)
 
-    def scaled(self, k: int) -> "LatticeVector":
-        return LatticeVector.from_raw(tuple(k * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
 
 def canonicalize(raw: Sequence[int], n: Optional[int] = None) -> LatticeVector:
     """Canonical representative of a raw integer vector modulo the diagonal."""
@@ -135,14 +129,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(n))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)(cyc[:1])):
-                images[a] = b
-        return cls(tuple(images))
-
     def __call__(self, i: int) -> int:
         return self.images[i]
 
@@ -156,9 +142,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def act_raw(self, vec: Sequence) -> tuple:
         """Permute coordinates: entry i of vec moves to position images[i]."""
         out = [None] * self.n
@@ -170,9 +153,10 @@ class Permutation:
         return LatticeVector.from_raw(self.act_raw(v.coords))
 
     def cycles(self) -> List[Tuple[int, ...]]:
-        seen = [False] * self.n
+        images = self.images
+        seen = [False] * len(images)
         out = []
-        for start in range(self.n):
+        for start in range(len(images)):
             if seen[start]:
                 continue
             cyc = []
@@ -180,7 +164,7 @@ class Permutation:
             while not seen[i]:
                 seen[i] = True
                 cyc.append(i)
-                i = self.images[i]
+                i = images[i]
             out.append(tuple(cyc))
         return out
 
@@ -234,7 +218,20 @@ class AffineElement:
         return AffineElement(pinv.act(-self.v), pinv)
 
     def conjugate_by(self, h: "AffineElement") -> "AffineElement":
-        return h * self * h.inverse()
+        """h * self * h^-1, in one pass over the raw coordinates: the
+        permutation part c has c[hp[i]] = hp[gp[i]], the translation part
+        is h.v + hp(self.v) - c(h.v)."""
+        hp, gp, hv = h.p.images, self.p.images, h.v.coords
+        c = [0] * len(hp)
+        t = list(hv)
+        for i, x in enumerate(self.v.coords):
+            c[hp[i]] = hp[gp[i]]
+            t[hp[i]] += x
+        for i, x in enumerate(hv):
+            t[c[i]] -= x
+        m = min(t)
+        return AffineElement(LatticeVector(len(t), tuple(x - m for x in t)),
+                             Permutation(tuple(c)))
 
 
 @dataclass(frozen=True)
@@ -248,9 +245,18 @@ class LengthVector:
         if any(x < 0 for x in self.values):
             raise ValueError("length values must be nonnegative")
 
-    @property
-    def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+    @classmethod
+    def from_ratios(cls, numerators: Sequence[int], denominator: int,
+                    scale: str) -> "LengthVector":
+        """Values numerators[j] / denominator; signs are checked on the ints,
+        before any Fraction is made, in place of ``__post_init__``."""
+        if denominator <= 0 or min(numerators) < 0:
+            raise ValueError("length values must be nonnegative")
+        out = object.__new__(cls)
+        object.__setattr__(out, "values",
+                           tuple([Fraction(x, denominator) for x in numerators]))
+        object.__setattr__(out, "scale", scale)
+        return out
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.values)
@@ -266,18 +272,19 @@ def length_vector(g: AffineElement, scale: str = GEODESIC) -> LengthVector:
     """Lengths of g: cycle-average the translation part, sort, take gaps.
 
     Conjugation-invariant, and integer-valued on the whole group at the
-    factorial scale.
+    factorial scale.  The cycle averages are kept as ints scaled by the lcm
+    L of the cycle lengths, so each length is one division by L.
     """
-    n = g.n
-    f = scale_factor(n, scale)
-    avg = [Fraction(0)] * n
-    for cyc in g.p.cycles():
-        s = Fraction(sum(g.v.coords[i] for i in cyc), len(cyc))
-        for i in cyc:
-            avg[i] = s
+    f = scale_factor(g.n, scale)
+    coords = g.v.coords
+    cycles = g.p.cycles()
+    lcm = math.lcm(*map(len, cycles))
+    avg = []
+    for cyc in cycles:
+        avg += [sum([coords[i] for i in cyc]) * (lcm // len(cyc))] * len(cyc)
     avg.sort(reverse=True)
-    values = tuple(f * (avg[j] - avg[j + 1]) for j in range(n - 1))
-    return LengthVector(values, scale)
+    return LengthVector.from_ratios(
+        [f * (a - b) for a, b in zip(avg, avg[1:])], lcm, scale)
 
 
 def is_face(vertices: Sequence[LatticeVector]) -> bool:

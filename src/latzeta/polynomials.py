@@ -168,10 +168,6 @@ class IntPolynomial:
         """Decimal-string coefficients, lowest degree first."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json_coeffs(cls, data: Sequence[str]) -> "IntPolynomial":
-        return cls([int(c) for c in data])
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "IntPolynomial(0)"

@@ -9,6 +9,7 @@ evaluate to fractions of a full turn rather than floating complex numbers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,9 +88,6 @@ class TranslationSubgroup:
         w = mat_vec(self.adjugate, e_coords)
         return all(x % self.adjugate_det == 0 for x in w)
 
-    def contains_vector(self, v: LatticeVector) -> bool:
-        return self.contains(v.to_basis_coords())
-
     def __repr__(self):
         return f"TranslationSubgroup(n={self.n}, basis={self.basis}, N={self.index})"
 
@@ -161,6 +159,12 @@ class FiniteAbelianGroup:
     def project_vector(self, v: LatticeVector) -> Tuple[int, ...]:
         return self.project(v.to_basis_coords())
 
+    @functools.cached_property
+    def directions(self) -> Tuple[Tuple[int, ...], ...]:
+        """Projections of the n standard directions e_1, .., e_n."""
+        return tuple(self.project_vector(LatticeVector.basis_vector(self.n, i))
+                     for i in range(1, self.n + 1))
+
     def add(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.divisors))
 
@@ -199,7 +203,8 @@ class Character:
 
     Values are exact fractions of a full turn; the Satake parameters are the
     turns of the n standard directions and always sum to a whole number of
-    turns.
+    turns.  The divisors form a chain d_1 | d_2 | ..., so a turn is one
+    integer over the last divisor D.
     """
 
     exponents: Tuple[int, ...]
@@ -207,18 +212,15 @@ class Character:
     n: int
 
     def turn(self, cls: Sequence[int]) -> Fraction:
-        """Value on a quotient element, as a turn fraction in [0, 1)."""
-        t = Fraction(0)
-        for k, x, d in zip(self.exponents, cls, self.divisors):
-            t += Fraction(k * x, d)
-        return t % 1
+        """Value on a quotient element, as a turn fraction in [0, 1):
+        sum_i k_i x_i (D / d_i) mod D, over D."""
+        big = self.divisors[-1]
+        t = sum(k * x * (big // d)
+                for k, x, d in zip(self.exponents, cls, self.divisors))
+        return Fraction(t % big, big)
 
     def satake_turns(self, q: FiniteAbelianGroup) -> Tuple[Fraction, ...]:
-        out = []
-        for i in range(1, self.n + 1):
-            e = LatticeVector.basis_vector(self.n, i)
-            out.append(self.turn(q.project_vector(e)))
-        return tuple(out)
+        return tuple(self.turn(d) for d in q.directions)
 
 
 def characters(q: FiniteAbelianGroup) -> List[Character]:

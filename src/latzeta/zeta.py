@@ -25,7 +25,6 @@ from mpmath import mp, mpf
 from .errors import MultigraphError, ResourceCapError, ToleranceError
 from .exactdet import polymatrix_det
 from .cayley import QuotientGraph, build_graph
-from .lattice import LatticeVector
 from .polynomials import IntPolynomial
 from .quotient import (
     TranslationSubgroup,
@@ -124,8 +123,7 @@ def zeta_positive_det(g: QuotientGraph) -> IntPolynomial:
 def direction_orders(gamma: TranslationSubgroup) -> List[int]:
     """Orders m_1, .., m_n of the n standard directions in the quotient."""
     q = quotient_group(gamma)
-    return [q.element_order(q.project_vector(LatticeVector.basis_vector(gamma.n, i)))
-            for i in range(1, gamma.n + 1)]
+    return [q.element_order(d) for d in q.directions]
 
 
 def zeta_positive_orders(gamma: TranslationSubgroup) -> IntPolynomial:
@@ -163,9 +161,7 @@ def lfunction_with_deviation(gamma: TranslationSubgroup,
         raise ArithmeticError(
             f"L-function error bound {float(bound):g} at {bits} bits for "
             f"degree {degree} is not below 1/2")
-    directions = [q.project_vector(LatticeVector.basis_vector(gamma.n, i))
-                  for i in range(1, gamma.n + 1)]
-    turns = [chi.turn(d) for chi in characters(q) for d in directions]
+    turns = [t for chi in characters(q) for t in chi.satake_turns(q)]
     re, im = fixed_point_product(turns, bits)
     half = 1 << (bits - 1)
     coeffs = [(x + half) >> bits for x in re]
@@ -232,8 +228,7 @@ def enumerate_positive_geodesics(g: QuotientGraph, max_len: int
     """
     out: List[GeodesicClass] = []
     q = g.group
-    for i in range(1, g.n + 1):
-        step = q.project_vector(LatticeVector.basis_vector(g.n, i))
+    for i, step in enumerate(q.directions, start=1):
         visited = set()
         for start in g.vertices:
             if start in visited:

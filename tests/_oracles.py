@@ -12,8 +12,43 @@ from latzeta import selberg
 from latzeta.errors import BoxExhaustionError, SingularMatrixError
 from latzeta.intmat import mat_vec
 from latzeta.lattice import (GEODESIC, AffineElement, LatticeVector,
-                             all_permutations, length_vector, scale_factor)
+                             LengthVector, Permutation, all_permutations,
+                             scale_factor)
 from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
+
+
+def perm_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Permutation:
+    """The permutation of {0, .., n-1} with the given cycles."""
+    images = list(range(n))
+    for cyc in cycles:
+        for a, b in zip(cyc, tuple(cyc[1:]) + tuple(cyc[:1])):
+            images[a] = b
+    return Permutation(tuple(images))
+
+
+def fraction_length_vector(g: AffineElement, scale: str = GEODESIC
+                           ) -> LengthVector:
+    """Lengths of g with every cycle average a Fraction; test oracle for
+    :func:`lattice.length_vector`."""
+    n = g.n
+    f = scale_factor(n, scale)
+    avg = [Fraction(0)] * n
+    for cyc in g.p.cycles():
+        s = Fraction(sum(g.v.coords[i] for i in cyc), len(cyc))
+        for i in cyc:
+            avg[i] = s
+    avg.sort(reverse=True)
+    return LengthVector(tuple(f * (avg[j] - avg[j + 1]) for j in range(n - 1)),
+                        scale)
+
+
+def fraction_turn(chi, cls: Sequence[int]) -> Fraction:
+    """A character's turn on a quotient element, one Fraction per divisor;
+    test oracle for :meth:`quotient.Character.turn`."""
+    t = Fraction(0)
+    for k, x, d in zip(chi.exponents, cls, chi.divisors):
+        t += Fraction(k * x, d)
+    return t % 1
 
 
 def naive_polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
@@ -189,7 +224,8 @@ def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC, *,
                         e_coords = data.element_from_coords(coords)
                         elem = AffineElement(
                             LatticeVector.from_basis_coords(n, e_coords), p)
-                        if length_vector(elem, scale).total > max_deg:
+                        lengths = fraction_length_vector(elem, scale)
+                        if sum(lengths.values) > max_deg:
                             continue
                         key, rep = conjugate_key(gamma, data_by_perm, p,
                                                  e_coords)
@@ -218,5 +254,5 @@ def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC, *,
         out.append(selberg.ConjugacyClass(
             representative=elem,
             weight=class_weight(data_by_perm[p2.images], e_coords),
-            lengths=length_vector(elem, scale)))
+            lengths=fraction_length_vector(elem, scale)))
     return out

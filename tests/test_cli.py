@@ -271,6 +271,29 @@ def test_perturbation_fails_run(tmp_path):
     assert not report["results"]["geodesic_oracle"]["pass"]
 
 
+def test_off_diagonal_perturbation_breaks_the_adjacency_identities():
+    # +1 on one off-diagonal type-1 entry at n = 3: A_1^T no longer equals
+    # A_2 and A_1 no longer commutes with A_2
+    cfg = {"n": 3, "gamma": {"kind": "translation",
+                             "basis": [[3, 0], [0, 3]]},
+           "maxDegree": 4, "checks": ["invariants"],
+           "perturb": {"type": 1, "row": 0, "col": 1, "delta": 1}}
+    code, report = run_config(RunConfig.from_json_obj(cfg))
+    assert code == 1
+    flags = report["results"]["invariants"]
+    assert flags["pass"] is False
+    assert flags["typed_adjacency_transpose"] is False
+    assert flags["typed_adjacency_commute"] is False
+    # the lengths and the characters do not see the graph
+    assert flags["length_conjugation_invariance"] is True
+    assert flags["satake_product_is_one"] is True
+    del cfg["perturb"]
+    code, report = run_config(RunConfig.from_json_obj(cfg))
+    assert code == 0
+    assert report["results"]["invariants"]["typed_adjacency_transpose"] is True
+    assert report["results"]["invariants"]["typed_adjacency_commute"] is True
+
+
 def test_clean_run_builds_graph_and_determinant_once(monkeypatch):
     import latzeta.cli
     import latzeta.selberg

@@ -20,6 +20,7 @@ from latzeta.lattice import (
     GEODESIC,
     FACTORIAL,
     LatticeVector,
+    LengthVector,
     Permutation,
     all_faces,
     canonicalize,
@@ -31,7 +32,7 @@ from latzeta.lattice import (
     type_of,
 )
 
-from _oracles import fraction_inverse
+from _oracles import fraction_inverse, fraction_length_vector, perm_from_cycles
 
 
 def rand_affine(rng, n, bound=10):
@@ -86,7 +87,7 @@ def test_length_vector_examples():
     assert length_vector(AffineElement.identity(4)).values == (0, 0, 0)
     g = AffineElement.translation(canonicalize((5, 2, 2)))
     assert length_vector(g, GEODESIC).values == (3, 0)
-    swap = AffineElement(canonicalize((1, 0, 0)), Permutation.from_cycles(3, [(0, 1)]))
+    swap = AffineElement(canonicalize((1, 0, 0)), perm_from_cycles(3, [(0, 1)]))
     assert length_vector(swap, FACTORIAL).values == (0, 3)
     assert length_vector(swap, GEODESIC).values == (0, Fraction(1, 2))
 
@@ -98,6 +99,39 @@ def test_length_conjugation_invariance_and_integrality():
         g, h = rand_affine(rng, n), rand_affine(rng, n)
         assert length_vector(g.conjugate_by(h), GEODESIC) == length_vector(g, GEODESIC)
         assert length_vector(g, FACTORIAL).is_integral()
+
+
+def test_integer_length_vector_matches_the_fraction_oracle():
+    rng = random.Random(1111)
+    for n in range(2, 7):
+        for _ in range(500):
+            g = rand_affine(rng, n, bound=rng.choice((3, 10, 10 ** 12)))
+            for scale in (GEODESIC, FACTORIAL):
+                got, want = length_vector(g, scale), fraction_length_vector(g, scale)
+                assert got == want and hash(got) == hash(want)
+                assert all(type(x) is Fraction for x in got.values)
+                exps, want_exps = got.exponent_tuple(), want.exponent_tuple()
+                assert exps == want_exps
+                assert [type(x) for x in exps] == [type(x) for x in want_exps]
+
+
+def test_length_vector_refuses_negative_values():
+    with pytest.raises(ValueError):
+        LengthVector.from_ratios([1, -1], 2, GEODESIC)
+    with pytest.raises(ValueError):
+        LengthVector.from_ratios([1, 1], 0, GEODESIC)
+    with pytest.raises(ValueError):
+        LengthVector((Fraction(-1, 2),), GEODESIC)
+    assert (LengthVector.from_ratios([3, 0], 6, GEODESIC)
+            == LengthVector((Fraction(1, 2), Fraction(0)), GEODESIC))
+
+
+def test_conjugate_by_matches_the_group_product():
+    rng = random.Random(1112)
+    for n in range(2, 7):
+        for _ in range(200):
+            g, h = rand_affine(rng, n), rand_affine(rng, n)
+            assert g.conjugate_by(h) == h * g * h.inverse()
 
 
 def test_is_face_examples():

@@ -15,6 +15,8 @@ from latzeta.quotient import (
     quotient_group,
     smith_normal_form,
 )
+from _oracles import fraction_turn, perm_from_cycles
+from perfbench.workloads import _N4_N32
 
 
 def random_type_zero_subgroup(rng, n, bound=9):
@@ -138,12 +140,36 @@ def test_index3_character_satake_values():
         assert turns.pop() in (Fraction(1, 3), Fraction(2, 3))
 
 
+@pytest.mark.parametrize("n,basis,divisors", [
+    (2, [[64]], (64,)),
+    (3, [[6, 0], [0, 9]], (3, 18)),
+    (4, _N4_N32, (1, 2, 16)),
+    (3, [[3, 0], [0, 6]], (3, 6)),
+    (4, [[4, 0, 0], [0, 8, 0], [0, 0, 4]], (4, 4, 8)),
+], ids=["n2_N64", "n3_N54", "n4_N32", "n3_chain_3_6", "n4_chain_4_4_8"])
+def test_turns_match_the_fraction_oracle(n, basis, divisors):
+    q = quotient_group(TranslationSubgroup(n, basis))
+    assert q.divisors == divisors
+    rng = random.Random(1113)
+    elements = list(q.elements())
+    sample = elements if len(elements) <= 64 else rng.sample(elements, 64)
+    directions = [q.project_vector(LatticeVector.basis_vector(n, i))
+                  for i in range(1, n + 1)]
+    for chi in characters(q):
+        for x in sample:
+            got = chi.turn(x)
+            assert type(got) is Fraction and got == fraction_turn(chi, x)
+        turns = chi.satake_turns(q)
+        assert turns == tuple(fraction_turn(chi, d) for d in directions)
+        assert sum(turns).denominator == 1
+
+
 def test_affine_subgroup_stability():
     gam = TranslationSubgroup(3, [[3, 0], [0, 3]])
-    aff = AffineSubgroup(gam, [Permutation.from_cycles(3, [(0, 1, 2)])])
+    aff = AffineSubgroup(gam, [perm_from_cycles(3, [(0, 1, 2)])])
     assert len(aff.perms) == 3
     assert aff.index_in_affine_group == 18
     # a lattice not stable under the requested permutation
     skew = TranslationSubgroup(3, [[3, 0], [0, 6]])
     with pytest.raises(ValueError):
-        AffineSubgroup(skew, [Permutation.from_cycles(3, [(0, 1)])])
+        AffineSubgroup(skew, [perm_from_cycles(3, [(0, 1)])])
