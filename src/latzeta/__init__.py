@@ -41,7 +41,6 @@ from .quotient import (
     characters,
     order_of,
     quotient_group,
-    smith_normal_form,
 )
 from .cayley import (
     GeneratorSet,

@@ -8,6 +8,7 @@ Exit codes: 0 all requested verifications pass, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -25,7 +26,6 @@ from .cayley import (
     perturb_adjacency,
     typed_adjacency,
 )
-from .intmat import det_bareiss
 from .lattice import (
     AffineElement,
     GEODESIC,
@@ -78,9 +78,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_perturb(p, n: int, basis) -> Tuple[int, int, int, int]:
+def _parse_perturb(p, n: int, size: int) -> Tuple[int, int, int, int]:
     """(type, row, col, delta), range-checked against n and the number of
-    vertices |det basis| of the translation subgroup."""
+    vertices (the index) of the translation subgroup."""
     if not isinstance(p, dict):
         raise ConfigError("perturb", "must be an object with integer "
                           "type/row/col")
@@ -94,7 +94,6 @@ def _parse_perturb(p, n: int, basis) -> Tuple[int, int, int, int]:
     t, row, col, delta = values
     if not 1 <= t <= n - 1:
         raise ConfigError("perturb.type", f"must be in 1..{n - 1}")
-    size = abs(det_bareiss(basis))
     for key, x in (("row", row), ("col", col)):
         if not 0 <= x < size:
             raise ConfigError(f"perturb.{key}", f"must be in 0..{size - 1}"
@@ -158,7 +157,7 @@ class RunConfig:
                                       f"of the integers 0..{n-1} in some order")
             perms = tuple(tuple(p) for p in raw)
         try:
-            _subgroup(n, kind, basis, perms)
+            subgroup = _subgroup(n, kind, basis, perms)
         except ValueError as exc:
             raise ConfigError(f"gamma.{basis_key}", str(exc)) from None
         max_degree = obj.get("maxDegree", 12)
@@ -202,7 +201,7 @@ class RunConfig:
             if kind != "translation":
                 raise ConfigError("perturb", "the adjacency perturbation "
                                   "applies only to translation subgroups")
-            perturb = _parse_perturb(obj["perturb"], n, basis)
+            perturb = _parse_perturb(obj["perturb"], n, subgroup.index)
         return cls(
             n=n, gamma_kind=kind,
             basis=tuple(tuple(r) for r in basis),
@@ -320,15 +319,11 @@ def _check_ihara(lazy: _Lazy, cfg: RunConfig):
         "euler_characteristic": chi,
         "zeta_series_positive_exponent":
             ihara_zeta_series(numerator, chi, cfg.max_degree).to_json_coeffs(),
-        "zeta_series_negative_exponent": None,
+        # the opposite exponent-sign convention, for the record
+        "zeta_series_negative_exponent": ihara_zeta_series(
+            numerator, -chi, cfg.max_degree).to_json_coeffs(),
         "oracle": "skipped",
     }
-    if chi <= 0:
-        # the opposite exponent-sign convention, for the record
-        alt = numerator.mul_truncated(
-            IntPolynomial.one_minus_power(2, -chi).series_inverse(cfg.max_degree)
-            if chi < 0 else IntPolynomial.one(), cfg.max_degree)
-        result["zeta_series_negative_exponent"] = alt.to_json_coeffs()
     ok = True
     # the Hashimoto traces cost O(depth * edges * degree); the depth stays
     # at 8, where the acceptance checks run, because every entry of W^depth
@@ -589,6 +584,47 @@ def demo_suite(*, perturb: Optional[Tuple[int, int, int, int]] = None,
     return worst, overall
 
 
+class _Unusable(Exception):
+    """A command-line input that cannot be used; main exits 2 with the
+    message."""
+
+
+def _load_config(path: str) -> RunConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    # ValueError covers undecodable bytes and malformed JSON, RecursionError
+    # deeply nested JSON
+    except (OSError, ValueError, RecursionError) as exc:
+        raise _Unusable(f"cannot read config {path}: {exc}") from None
+    try:
+        return RunConfig.from_json_obj(obj)
+    except ConfigError as exc:
+        raise _Unusable(f"invalid config: {exc}") from None
+
+
+def _open_out(path: Optional[str]):
+    """The --out file opened for writing, before any work, or None."""
+    if path is None:
+        return None
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise _Unusable(f"cannot write --out {path}: {reason}") from None
+
+
+def _emit(out, payload: str, summary: Optional[str] = None) -> None:
+    """Write the payload to the --out file, or print it when there is none;
+    a summary, when given, is printed in its place."""
+    if out is not None:
+        out.write(payload)
+    if summary is not None:
+        print(summary)
+    elif out is None:
+        print(payload, end="")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="latzeta",
@@ -613,64 +649,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_export.add_argument("--out")
 
     args = parser.parse_args(argv)
+    try:
+        cfg = None if args.command == "demo" else _load_config(args.config)
+        if args.command == "export-graph" and cfg.gamma_kind != "translation":
+            raise _Unusable("invalid config: config field 'gamma.kind': "
+                            "export-graph writes the graph of a translation "
+                            "subgroup only")
+        out = _open_out(args.out)
+    except _Unusable as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
-    if args.command == "run":
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            cfg = RunConfig.from_json_obj(obj)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return 2
-        except ConfigError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
-        code, report = run_config(cfg)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dumps_report(report))
-        if args.format == "json" and not args.out:
-            print(dumps_report(report), end="")
+    with out if out is not None else contextlib.nullcontext():
+        if args.command == "export-graph":
+            try:
+                text = export_edge_list(_Lazy(cfg).graph)
+            except ResourceCapError as exc:
+                print(f"resource cap: {exc}", file=sys.stderr)
+                return 3
+            _emit(out, text)
+            return 0
+        if args.command == "run":
+            code, report = run_config(cfg)
+            summary = _format_text(report)
         else:
-            print(_format_text(report))
+            code, report = demo_suite(
+                perturb=(1, 0, 0, 1) if args.negative_control else None)
+            verdict = "PASS" if report["pass"] else "FAIL"
+            summary = "\n".join([*map(_format_text, report["panel"]),
+                                 f"panel: {verdict}"])
+        json_only = args.format == "json" and out is None
+        _emit(out, dumps_report(report), None if json_only else summary)
         return code
-
-    if args.command == "demo":
-        perturb = (1, 0, 0, 1) if args.negative_control else None
-        code, report = demo_suite(perturb=perturb)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dumps_report(report))
-        if args.format == "json" and not args.out:
-            print(dumps_report(report), end="")
-        else:
-            for member in report["panel"]:
-                print(_format_text(member))
-            print(f"panel: {'PASS' if report['pass'] else 'FAIL'}")
-        return code
-
-    if args.command == "export-graph":
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            cfg = RunConfig.from_json_obj(obj)
-            gamma = TranslationSubgroup(cfg.n, cfg.basis)
-            graph = build_graph(gamma, max_vertices=cfg.max_vertices)
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
-        except ResourceCapError as exc:
-            print(f"resource cap: {exc}", file=sys.stderr)
-            return 3
-        text = export_edge_list(graph)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
-        return 0
-
-    return 2
 
 
 if __name__ == "__main__":

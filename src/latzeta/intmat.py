@@ -41,32 +41,6 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     return [sum(int(c) * int(x) for c, x in zip(row, v)) for row in a]
 
 
-def det_bareiss(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    a = mat_copy(m)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def adjugate_and_det(m: Sequence[Sequence[int]]) -> Tuple[Matrix, int]:
     """(adj, det) with adj * m = det * I, both exact integers.
 

@@ -14,33 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import SingularMatrixError, TypeZeroViolationError
-from .intmat import (
-    adjugate_and_det,
-    det_bareiss,
-    mat_copy,
-    mat_mul,
-    mat_vec,
-    snf_diagonal,
-    snf_with_transforms,
-)
+from .intmat import ImageLattice, mat_mul, mat_vec
 from .lattice import LatticeVector, Permutation
-
-
-def smith_normal_form(m: Sequence[Sequence[int]]):
-    """Smith normal form of a nonsingular square integer matrix.
-
-    Returns (U, D, V) with U m V = D diagonal, d1 | d2 | ..., and U, V
-    unimodular.  Raises on singular input.
-    """
-    a = mat_copy(m)
-    if not a or any(len(row) != len(a) for row in a):
-        raise ValueError("matrix must be square")
-    if det_bareiss(a) == 0:
-        raise SingularMatrixError("matrix is singular")
-    return snf_with_transforms(a)
 
 
 class TranslationSubgroup:
@@ -62,17 +40,15 @@ class TranslationSubgroup:
         k = self.n - 1
         if len(self.basis) != k or any(len(row) != k for row in self.basis):
             raise ValueError(f"basis must be {k}x{k}")
-        self.det = det_bareiss(self.basis)
-        if self.det == 0:
+        # one Smith form U basis V = diag(d) serves membership, solving and
+        # the quotient
+        self.image = ImageLattice(self.basis)
+        if 0 in self.image.diag:
             raise SingularMatrixError("subgroup basis is singular")
-        self.index = abs(self.det)
-        self.type_checked = bool(check_types)
+        self.index = math.prod(self.image.diag)
         if check_types:
             for col, tau in self.type_violations():
                 raise TypeZeroViolationError(col, tau, self.n)
-        # adjugate gives exact membership: x is in the subgroup iff
-        # adjugate @ x vanishes mod det
-        self.adjugate, self.adjugate_det = adjugate_and_det(self.basis)
 
     def generators(self) -> List[Tuple[int, ...]]:
         k = self.n - 1
@@ -85,8 +61,18 @@ class TranslationSubgroup:
                 yield col, tau
 
     def contains(self, e_coords: Sequence[int]) -> bool:
-        w = mat_vec(self.adjugate, e_coords)
-        return all(x % self.adjugate_det == 0 for x in w)
+        return self.image.contains(e_coords)
+
+    def solve(self, e_coords: Sequence[int]) -> Optional[List[int]]:
+        """Coefficients x with basis x = e_coords, or None when the point is
+        not in the subgroup."""
+        return self.image.solve(e_coords)
+
+    @functools.cached_property
+    def quotient(self) -> "FiniteAbelianGroup":
+        return FiniteAbelianGroup(n=self.n, divisors=tuple(self.image.diag),
+                                  u_matrix=tuple(map(tuple, self.image.u)),
+                                  gamma=self)
 
     def __repr__(self):
         return f"TranslationSubgroup(n={self.n}, basis={self.basis}, N={self.index})"
@@ -181,15 +167,9 @@ class FiniteAbelianGroup:
 
 def quotient_group(gamma: TranslationSubgroup) -> FiniteAbelianGroup:
     """Quotient of the lattice by the subgroup, as elementary divisors plus
-    the projection transform."""
-    u, d, _ = snf_with_transforms([list(r) for r in gamma.basis])
-    divisors = snf_diagonal(d)
-    return FiniteAbelianGroup(
-        n=gamma.n,
-        divisors=tuple(divisors),
-        u_matrix=tuple(tuple(row) for row in u),
-        gamma=gamma,
-    )
+    the projection transform; one object per subgroup, read from the Smith
+    form its membership test uses."""
+    return gamma.quotient
 
 
 def order_of(a: LatticeVector, q: FiniteAbelianGroup) -> int:

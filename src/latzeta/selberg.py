@@ -7,7 +7,7 @@ the same as summing, over all coordinate permutations q, the points of
 q(subgroup) that land in the dominant cone, face by face.  Each face
 contributes an exact geometric-series rational function.  The scan streams
 the box in slabs of its first coordinate over one reused sub-grid, tests
-membership by adjugate residues in int64, and counts the members of each
+membership by Smith residues in int64, and counts the members of each
 sorted coordinate pattern, so the series gets one term per pattern rather
 than one per member.
 
@@ -39,7 +39,6 @@ from .errors import BoxExhaustionError, ResourceCapError
 from .intmat import (
     ImageLattice,
     adjugate_and_det,
-    det_bareiss,
     hnf_columns,
     kernel_basis,
     mat_mul,
@@ -118,7 +117,8 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     most max_deg have canonical coordinates inside [0, span]^n, where
     span = max_deg // scale factor.  The box is scanned in slabs of its
     first coordinate over one reused (span+1)^(n-1) sub-grid.  Members are
-    found by the adjugate residue test, each member's sorted coordinates are
+    found by the Smith residue test, (U x)_i = 0 mod d_i for every
+    elementary divisor d_i > 1, each member's sorted coordinates are
     encoded as one base-(span+1) integer, and every distinct pattern adds
     one term of weight N * stabilizer * (members with that pattern).
     """
@@ -126,21 +126,25 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     f = scale_factor(n, scale)
     span = max_deg // f
     base = span + 1
-    det = gamma.adjugate_det
-    adj_max = max(abs(x) for row in gamma.adjugate for x in row)
+    # the rows of U with d_i > 1, as residues of least absolute value
+    tests = [([(x + d // 2) % d - d // 2 for x in row], d)
+             for row, d in zip(gamma.image.u, gamma.image.diag) if d > 1]
+    row_max = max((abs(x) for row, _ in tests for x in row), default=0)
     context = f"translation Selberg series to degree {max_deg}"
     _check_int64(context, f"the pattern code (span+1)^n = {base}^{n}",
                  base ** n)
-    # span counted as at least 1, so that the adjugate itself fits
-    _check_int64(context, f"an adjugate residue (n-1)*span*max|adj| = "
-                 f"{n - 1}*{max(span, 1)}*{adj_max}",
-                 (n - 1) * max(span, 1) * adj_max)
-    _check_int64(context, "the residue modulus |det|", abs(det))
+    _check_int64(context, "the largest elementary divisor",
+                 gamma.image.diag[-1])
+    # span counted as at least 1, so that the rows themselves fit
+    _check_int64(context, f"a Smith residue (n-1)*span*max|row| = "
+                 f"{n - 1}*{max(span, 1)}*{row_max}",
+                 (n - 1) * max(span, 1) * row_max)
     if base ** (n - 1) > SERIES_GRID_CELLS:
         raise ResourceCapError(
             f"{context}: the sub-grid of (span+1)^(n-1) = {base}^{n - 1} "
             f"cells is above the cap of {SERIES_GRID_CELLS} cells")
-    adj = np.array(gamma.adjugate, dtype=np.int64)
+    u = np.array([row for row, _ in tests], dtype=np.int64).reshape(-1, n - 1)
+    mods = np.array([d for _, d in tests], dtype=np.int64)
     axes = np.meshgrid(*([np.arange(base, dtype=np.int64)] * (n - 1)),
                        indexing="ij")
     sub = np.stack([a.ravel() for a in axes], axis=1)   # coordinates 2..n
@@ -148,7 +152,7 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     # coordinate x adds x to the first of them
     sub_coords = np.concatenate([np.zeros_like(sub[:, :1]), sub[:, :-1]],
                                 axis=1) - sub[:, -1:]
-    sub_res = sub_coords @ adj.T
+    sub_res = sub_coords @ u.T
     # with a positive first coordinate the minimum 0 must lie in the sub-grid
     on_floor = sub.min(axis=1) == 0
     floor_sub, floor_res = sub[on_floor], sub_res[on_floor]
@@ -156,8 +160,8 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     counts: Dict[int, int] = {}
     for x in range(base):
         rows, res = ((sub, sub_res) if x == 0
-                     else (floor_sub, floor_res + x * adj[:, 0]))
-        members = rows[(res % det == 0).all(axis=1)]
+                     else (floor_sub, floor_res + x * u[:, 0]))
+        members = rows[(res % mods == 0).all(axis=1)]
         patterns = np.sort(np.concatenate(
             [np.full((len(members), 1), x, dtype=np.int64), members], axis=1),
             axis=1)
@@ -258,6 +262,16 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
 # affine subgroups
 
 
+def _solve_columns(lattice: TranslationSubgroup, m, message: str
+                   ) -> List[List[int]]:
+    """The integer matrix x with basis x = m, column by column; raises
+    ArithmeticError(message) when a column of m is not in the subgroup."""
+    cols = [lattice.solve(col) for col in zip(*m)]
+    if None in cols:
+        raise ArithmeticError(message)
+    return [list(row) for row in zip(*cols)]
+
+
 class _PermCosetData:
     """Per-permutation-part data: cosets of (1-p)M in M, both membership
     lattices, and the fixed-lattice index, filled on first use."""
@@ -269,13 +283,10 @@ class _PermCosetData:
         self.one_minus_p = [[int(i == j) - x for j, x in enumerate(row)]
                             for i, row in enumerate(p.basis_matrix())]
         self.one_minus_p_m = mat_mul(self.one_minus_p, m_basis)
-        self.m_adj, self.m_det = (gamma.lattice.adjugate,
-                                  gamma.lattice.adjugate_det)
-        prod = mat_mul(self.m_adj, self.one_minus_p_m)
-        if any(x % self.m_det for row in prod for x in row):
-            raise ArithmeticError("lattice is not stable under the permutation")
-        self.u, d, _ = snf_with_transforms(
-            [[x // self.m_det for x in row] for row in prod])
+        self.lattice = gamma.lattice
+        self.u, d, _ = snf_with_transforms(_solve_columns(
+            self.lattice, self.one_minus_p_m,
+            "lattice is not stable under the permutation"))
         self.divisors = snf_diagonal(d)
         self.uinv = unimodular_inverse(self.u)
         self.torsion_idx = [i for i, di in enumerate(self.divisors) if di]
@@ -314,7 +325,7 @@ class _PermCosetData:
                 or any(x % di for row, di in zip(y, divisors) for x in row)):
             raise ArithmeticError("fixed sublattice is not contained in the "
                                   "fixed lattice")
-        return abs(det_bareiss(y[:dim])) // math.prod(divisors)
+        return abs(adjugate_and_det(y[:dim])[1]) // math.prod(divisors)
 
     def element_from_coords(self, coords: Sequence[int]) -> List[int]:
         """e-coordinates of the representative with the given U-coordinates."""
@@ -404,15 +415,13 @@ def _conjugate_key_maps(data: _PermCosetData, data_by_perm):
     conj = {q: q.compose(data.p).compose(q.inverse()).images
             for q in data.perms}
     data2 = data_by_perm[min(conj.values())]
-    left = mat_mul(data2.u, data.m_adj)
     right = mat_mul(data.m_basis, data.uinv)
     maps = []
     for q, images in conj.items():
         if images == data2.p.images:
-            k = mat_mul(left, mat_mul(q.basis_matrix(), right))
-            if any(x % data.m_det for row in k for x in row):
-                raise ArithmeticError("element is not in the translation part")
-            maps.append([[x // data.m_det for x in row] for row in k])
+            x = _solve_columns(data.lattice, mat_mul(q.basis_matrix(), right),
+                               "element is not in the translation part")
+            maps.append(mat_mul(data2.u, x))
     return data2, maps
 
 

@@ -10,10 +10,10 @@ import numpy as np
 
 from latzeta import selberg
 from latzeta.errors import BoxExhaustionError, SingularMatrixError
-from latzeta.intmat import mat_vec
-from latzeta.lattice import (GEODESIC, AffineElement, LatticeVector,
-                             LengthVector, Permutation, all_permutations,
-                             scale_factor)
+from latzeta.intmat import adjugate_and_det, mat_vec
+from latzeta.lattice import (FACTORIAL, GEODESIC, AffineElement,
+                             LatticeVector, LengthVector, Permutation,
+                             all_permutations, scale_factor)
 from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
 
 
@@ -24,6 +24,49 @@ def perm_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Permutation:
         for a, b in zip(cyc, tuple(cyc[1:]) + tuple(cyc[:1])):
             images[a] = b
     return Permutation(tuple(images))
+
+
+def laplace_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant by Laplace expansion along the first row; test oracle
+    independent of any elimination."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def adjugate_membership(gamma):
+    """Subgroup membership by adjugate residues, as a predicate: x is in the
+    lattice of the basis M iff adj(M) x vanishes mod det M; test oracle for
+    :meth:`quotient.TranslationSubgroup.contains`, independent of its Smith
+    form."""
+    adj, det = adjugate_and_det(gamma.basis)
+    return lambda x: all(v % det == 0 for v in mat_vec(adj, x))
+
+
+def brute_force_translation_series(gamma, max_deg, scale=GEODESIC):
+    """Definition-level oracle: scan the box point by point, with membership
+    by adjugate residues."""
+    n = gamma.n
+    factor = math.factorial(n) if scale == FACTORIAL else 1
+    span = max_deg // factor
+    contains = adjugate_membership(gamma)
+    series = MultiSeries(n - 1, max_deg)
+    for point in itertools.product(range(span + 1), repeat=n):
+        if min(point) != 0:
+            continue
+        coords = tuple(point[i] - point[-1] for i in range(n - 1))
+        if not contains(coords):
+            continue
+        sorted_pt = sorted(point, reverse=True)
+        exps = tuple(factor * (sorted_pt[j] - sorted_pt[j + 1])
+                     for j in range(n - 1))
+        stab = 1
+        for value in set(point):
+            stab *= math.factorial(point.count(value))
+        series.add_term(exps, gamma.index * stab)
+    return series
 
 
 def fraction_length_vector(g: AffineElement, scale: str = GEODESIC
@@ -157,11 +200,13 @@ def fraction_free_coordinate_bounds(data, torsion_coords, max_spread):
 
 
 def reduce_coords(data, e_coords: Sequence[int]) -> Tuple[int, ...]:
-    """Canonical U-coordinates of the coset of an element of M."""
-    w = mat_vec(data.m_adj, e_coords)
-    if any(x % data.m_det for x in w):
+    """Canonical U-coordinates of the coset of an element of M, through
+    the adjugate of M rather than its Smith form."""
+    adj, det = adjugate_and_det(data.m_basis)
+    w = mat_vec(adj, e_coords)
+    if any(x % det for x in w):
         raise ArithmeticError("element is not in the translation part")
-    c = mat_vec(data.u, [x // data.m_det for x in w])
+    c = mat_vec(data.u, [x // det for x in w])
     return tuple(x % d if d else x for x, d in zip(c, data.divisors))
 
 

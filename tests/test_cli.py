@@ -15,7 +15,9 @@ from latzeta.cli import (
     main,
     run_config,
 )
+from latzeta.cayley import build_graph, export_edge_list, perturb_adjacency
 from latzeta.polynomials import IntPolynomial
+from latzeta.quotient import TranslationSubgroup
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -359,6 +361,60 @@ def test_export_graph_cli(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines == sorted(lines)
     assert all(len(line.split(" ")) == 4 for line in lines)
+
+
+def test_export_graph_applies_the_perturbation(tmp_path, capsys):
+    obj = dict(BASIC, perturb={"type": 1, "row": 0, "col": 1, "delta": 5})
+    assert main(["export-graph", "--config", write_config(tmp_path, obj)]) == 0
+    perturbed = capsys.readouterr().out
+    graph = build_graph(TranslationSubgroup(2, [[2]]))
+    assert perturbed == export_edge_list(perturb_adjacency(graph, 1, 0, 1, 5))
+    assert perturbed != export_edge_list(graph)
+
+
+def test_export_graph_refuses_an_affine_config(tmp_path, capsys):
+    path = write_config(tmp_path, _affine_config_with())
+    assert main(["export-graph", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert "config field 'gamma.kind'" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "demo", "export-graph"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys,
+                                                monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("run_config", "demo_suite", "export_edge_list"):
+        monkeypatch.setattr(cli, name, never)
+    out = str(tmp_path / "missing" / "report.json")
+    argv = [command, "--out", out]
+    if command != "demo":
+        argv += ["--config", write_config(tmp_path, BASIC)]
+    assert main(argv) == 2
+    assert out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, command", [
+    (b'{"n": 2, "gamma": "\xff"}', "run"),
+    (b"[" * 100000, "run"),
+    (b'{"n": 2, "gamma": "\xff"}', "export-graph"),
+    (b"[" * 100000, "export-graph"),
+], ids=["non_utf8_run", "deeply_nested_run", "non_utf8_export",
+        "deeply_nested_export"])
+def test_unreadable_config_exits_2(tmp_path, capsys, data, command):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert main([command, "--config", str(path)]) == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err
+
+
+def test_series_divisor_above_int64_exits_3(tmp_path, capsys):
+    # Z / 2^64: the one Smith row is (1), but the modulus leaves int64
+    obj = {"n": 2, "gamma": {"kind": "translation", "basis": [[2 ** 64]]},
+           "maxDegree": 4, "checks": ["selberg_series"]}
+    assert main(["run", "--config", write_config(tmp_path, obj)]) == 3
+    assert "largest elementary divisor" in capsys.readouterr().out
 
 
 def test_demo_suite_passes():

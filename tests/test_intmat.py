@@ -9,7 +9,6 @@ from latzeta.lattice import all_permutations
 from latzeta.intmat import (
     ImageLattice,
     adjugate_and_det,
-    det_bareiss,
     hnf_columns,
     kernel_basis,
     mat_mul,
@@ -19,23 +18,11 @@ from latzeta.intmat import (
     unimodular_inverse,
 )
 
-from _oracles import fraction_inverse
+from _oracles import fraction_inverse, laplace_det
 
 
 def _random_matrix(rng, rows, cols, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-
-
-def _det_minor_oracle(m):
-    """Laplace expansion; independent of Bareiss."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det_minor_oracle(minor)
-    return total
 
 
 def _divisors_minor_gcd_oracle(m):
@@ -47,21 +34,27 @@ def _divisors_minor_gcd_oracle(m):
         for rows in itertools.combinations(range(n), k):
             for cols in itertools.combinations(range(n), k):
                 sub = [[m[r][c] for c in cols] for r in rows]
-                g = math.gcd(g, abs(_det_minor_oracle(sub)))
+                g = math.gcd(g, abs(laplace_det(sub)))
         gcds.append(g)
     return [gcds[k] // gcds[k - 1] for k in range(1, n + 1)]
 
 
-def test_det_bareiss_against_laplace():
+def test_adjugate_det_against_laplace():
     rng = random.Random(101)
     for _ in range(30):
         n = rng.randint(1, 5)
         m = _random_matrix(rng, n, n)
-        assert det_bareiss(m) == _det_minor_oracle(m)
+        det = laplace_det(m)
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                adjugate_and_det(m)
+        else:
+            assert adjugate_and_det(m)[1] == det
 
 
-def test_det_bareiss_singular():
-    assert det_bareiss([[1, 2], [2, 4]]) == 0
+def test_adjugate_det_singular():
+    with pytest.raises(SingularMatrixError):
+        adjugate_and_det([[1, 2], [2, 4]])
 
 
 def test_snf_examples():
@@ -82,16 +75,16 @@ def test_snf_random_properties():
         m = _random_matrix(rng, n, n)
         u, d, v = snf_with_transforms(m)
         assert mat_mul(mat_mul(u, m), v) == d
-        assert abs(det_bareiss(u)) == 1
-        assert abs(det_bareiss(v)) == 1
+        assert abs(laplace_det(u)) == 1
+        assert abs(laplace_det(v)) == 1
         diag = snf_diagonal(d)
         for a, b in zip(diag, diag[1:]):
             if a != 0:
                 assert b % a == 0
             else:
                 assert b == 0
-        if det_bareiss(m) != 0:
-            assert math.prod(diag) == abs(det_bareiss(m))
+        if laplace_det(m) != 0:
+            assert math.prod(diag) == abs(laplace_det(m))
             assert diag == _divisors_minor_gcd_oracle(m)
 
 
@@ -142,7 +135,7 @@ def test_fraction_free_adjugate_against_fraction_inverse():
     swapped = negative = 0
     for m in cases:
         k = len(m)
-        det = _det_minor_oracle(m)
+        det = laplace_det(m)
         if det == 0:
             with pytest.raises(SingularMatrixError):
                 adjugate_and_det(m)
@@ -210,7 +203,7 @@ def test_hnf_is_lattice_invariant():
         n = rng.randint(1, 3)
         while True:
             m = _random_matrix(rng, n, n, 5)
-            if det_bareiss(m) != 0:
+            if laplace_det(m) != 0:
                 break
         # multiply by a random unimodular matrix: same column lattice
         u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -220,5 +213,5 @@ def test_hnf_is_lattice_invariant():
             if i != j:
                 for r in range(n):
                     u[r][i] += c * u[r][j]
-        assert det_bareiss(u) in (1, -1)
+        assert laplace_det(u) in (1, -1)
         assert hnf_columns(m) == hnf_columns(mat_mul(m, u))

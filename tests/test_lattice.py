@@ -7,7 +7,6 @@ import pytest
 
 from latzeta.errors import DivergentSeriesError, SingularMatrixError
 from latzeta.intmat import (
-    det_bareiss,
     mat_vec,
     snf_diagonal,
     snf_with_transforms,
@@ -32,7 +31,8 @@ from latzeta.lattice import (
     type_of,
 )
 
-from _oracles import fraction_inverse, fraction_length_vector, perm_from_cycles
+from _oracles import (fraction_inverse, fraction_length_vector, laplace_det,
+                      perm_from_cycles)
 
 
 def rand_affine(rng, n, bound=10):
@@ -265,7 +265,7 @@ def _assert_half_open_parallelepiped(dec, basis):
     mults = [g[0] for g in dec.generators]
     assert dec.generators == tuple(
         (m,) * (j + 1) + (0,) * (k - j - 1) for j, m in enumerate(mults))
-    assert len(dec.base_points) * abs(det_bareiss(basis)) == math.prod(mults)
+    assert len(dec.base_points) * abs(laplace_det(basis)) == math.prod(mults)
     assert len(set(dec.base_points)) == len(dec.base_points)
     binv = fraction_inverse(basis)
     for t in dec.base_points:

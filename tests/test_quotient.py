@@ -5,18 +5,20 @@ from fractions import Fraction
 import pytest
 
 from latzeta.errors import SingularMatrixError, TypeZeroViolationError
-from latzeta.intmat import mat_mul, det_bareiss
-from latzeta.lattice import LatticeVector, Permutation
+from latzeta import intmat
+from latzeta.intmat import adjugate_and_det, mat_vec
+from latzeta.lattice import LatticeVector
 from latzeta.quotient import (
     AffineSubgroup,
     TranslationSubgroup,
     characters,
     order_of,
     quotient_group,
-    smith_normal_form,
 )
-from _oracles import fraction_turn, perm_from_cycles
-from perfbench.workloads import _N4_N32
+from latzeta.selberg import selberg_series_translation
+from _oracles import (adjugate_membership, brute_force_translation_series,
+                      fraction_turn, laplace_det, perm_from_cycles)
+from perfbench.workloads import _N4_N32, transform_columns, unimodular
 
 
 def random_type_zero_subgroup(rng, n, bound=9):
@@ -27,23 +29,8 @@ def random_type_zero_subgroup(rng, n, bound=9):
         for j in range(k):
             s = sum(m[i][j] for i in range(k)) % n
             m[0][j] -= s if s <= n - s else s - n
-        if det_bareiss(m) != 0:
+        if laplace_det(m) != 0:
             return TranslationSubgroup(n, m)
-
-
-def test_smith_normal_form_examples():
-    u, d, v = smith_normal_form([[1, 0], [0, 1]])
-    assert d == [[1, 0], [0, 1]]
-    u, d, v = smith_normal_form([[2, 0], [0, 2]])
-    assert [d[0][0], d[1][1]] == [2, 2]
-    u, d, v = smith_normal_form([[3, 1], [0, 3]])
-    assert [d[0][0], d[1][1]] == [1, 9]
-    assert mat_mul(mat_mul(u, [[3, 1], [0, 3]]), v) == d
-
-
-def test_smith_normal_form_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        smith_normal_form([[1, 2], [2, 4]])
 
 
 def test_translation_subgroup_validation():
@@ -54,6 +41,8 @@ def test_translation_subgroup_validation():
     assert "(1, 0)" in str(exc.value)
     with pytest.raises(SingularMatrixError):
         TranslationSubgroup(3, [[3, 3], [3, 3]])
+    with pytest.raises(SingularMatrixError):
+        TranslationSubgroup(3, [[1, 2], [2, 4]])
     # untyped escape hatch
     gam = TranslationSubgroup(3, [[5, 0], [0, 5]], check_types=False)
     assert gam.index == 25
@@ -73,14 +62,77 @@ def test_projection_kernel_is_membership():
     for _ in range(30):
         n = rng.randint(2, 5)
         gam = random_type_zero_subgroup(rng, n)
+        contains = adjugate_membership(gam)
         q = quotient_group(gam)
         assert q.order == gam.index
-        assert math.prod(q.divisors) == abs(gam.det)
+        assert math.prod(q.divisors) == abs(laplace_det(gam.basis))
         for _ in range(20):
             x = [rng.randint(-15, 15) for _ in range(n - 1)]
-            in_gamma = gam.contains(x)
+            in_gamma = contains(x)
             projected_zero = all(c == 0 for c in q.project(x))
             assert in_gamma == projected_zero
+
+
+# the degree of the series comparison per rank: about 4000 box points
+_SERIES_DEGREE = {2: 12, 3: 8, 4: 6, 5: 4, 6: 3}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_smith_form_agrees_with_the_adjugate_oracle(n):
+    rng = random.Random(1200 + n)
+    k = n - 1
+
+    def sheared(scale):
+        # scale * I sheared by c in its first row, then mixed by unimodular
+        # column transforms: for k > 1 an adjugate entry reaches about
+        # c * scale^(k-1), above the determinant scale^k
+        c = rng.randint(10 * n, 50 * n)
+        basis = [[scale * ((i == j) + c * (i == 0 and j == 1))
+                  for j in range(k)] for i in range(k)]
+        return transform_columns(basis, unimodular(k, rng))
+
+    # index 1 (untyped), random type-zero bases, and skewed bases of n Z^k
+    bases = [(sheared(1), False)]
+    bases += [(random_type_zero_subgroup(rng, n, bound=4).basis, True)
+              for _ in range(2)]
+    bases += [(sheared(n), True) for _ in range(3)]
+    skewed = 0
+    for basis, typed in bases:
+        gam = TranslationSubgroup(n, basis, check_types=typed)
+        adj, det = adjugate_and_det(gam.basis)
+        skewed += max(abs(x) for row in adj for x in row) > abs(det)
+        contains = adjugate_membership(gam)
+        q = quotient_group(gam)
+        members = [mat_vec(gam.basis, [rng.randint(-3, 3) for _ in range(k)])
+                   for _ in range(20)]
+        others = [[rng.randint(-15, 15) for _ in range(k)] for _ in range(60)]
+        for x in members + others:
+            expected = contains(x)
+            assert gam.contains(x) == expected
+            assert (q.project(x) == (0,) * k) == expected
+            solution = gam.solve(x)
+            assert (solution is not None) == expected
+            if expected:
+                assert mat_vec(gam.basis, solution) == x
+        assert all(contains(x) for x in members)
+        deg = _SERIES_DEGREE[n]
+        assert selberg_series_translation(gam, deg) \
+            == brute_force_translation_series(gam, deg)
+    # a 1 x 1 adjugate is 1
+    assert skewed >= 4 or n == 2
+
+
+def test_one_smith_form_per_subgroup(monkeypatch):
+    calls = []
+    original = intmat.snf_with_transforms
+    monkeypatch.setattr(intmat, "snf_with_transforms",
+                        lambda m: calls.append(m) or original(m))
+    gam = TranslationSubgroup(3, [[3, 0], [0, 6]])
+    q = quotient_group(gam)
+    assert quotient_group(gam) is q
+    assert gam.contains([3, 6]) and q.project([3, 6]) == (0, 0)
+    assert gam.solve([3, 6]) == [1, 1] and gam.index == q.order == 18
+    assert len(calls) == 1
 
 
 def test_order_of_examples():

@@ -36,7 +36,8 @@ from latzeta.selberg import (
     selberg_series_affine,
     selberg_series_translation,
 )
-from _oracles import (fraction_free_coordinate_bounds, naive_affine_classes,
+from _oracles import (adjugate_membership, brute_force_translation_series,
+                      fraction_free_coordinate_bounds, naive_affine_classes,
                       perm_from_cycles)
 from perfbench.workloads import (
     PANELS,
@@ -44,28 +45,6 @@ from perfbench.workloads import (
     transform_columns,
     unimodular,
 )
-
-
-def brute_force_translation_series(gamma, max_deg, scale=GEODESIC):
-    """Definition-level oracle: scan subgroup elements in a wide box."""
-    n = gamma.n
-    factor = math.factorial(n) if scale == FACTORIAL else 1
-    span = max_deg // factor
-    series = MultiSeries(n - 1, max_deg)
-    for point in itertools.product(range(span + 1), repeat=n):
-        if min(point) != 0:
-            continue
-        coords = tuple(point[i] - point[-1] for i in range(n - 1))
-        if not gamma.contains(coords):
-            continue
-        sorted_pt = sorted(point, reverse=True)
-        exps = tuple(factor * (sorted_pt[j] - sorted_pt[j + 1])
-                     for j in range(n - 1))
-        stab = 1
-        for value in set(point):
-            stab *= math.factorial(point.count(value))
-        series.add_term(exps, gamma.index * stab)
-    return series
 
 
 def test_series_translation_constant_term():
@@ -131,9 +110,9 @@ def test_series_translation_matches_brute_force_on_transformed_bases():
 def test_series_translation_adds_one_term_per_sorted_pattern(monkeypatch):
     gam = TranslationSubgroup(4, [[1, 0, 1], [-1, 1, 1], [0, -1, 2]])
     max_deg = 9
+    contains = adjugate_membership(gam)
     members = [p for p in itertools.product(range(max_deg + 1), repeat=4)
-               if min(p) == 0
-               and gam.contains([p[i] - p[-1] for i in range(3)])]
+               if min(p) == 0 and contains([p[i] - p[-1] for i in range(3)])]
     patterns = {tuple(sorted(p)) for p in members}
     calls = []
     original = MultiSeries.add_term
@@ -157,14 +136,17 @@ def _translation_guard_peak(gam, max_deg, match):
 
 
 def test_series_translation_residue_guard_raises_before_allocating():
-    # adjugate entries near 3^38 times span 1000: each residue could leave
-    # int64, while one slab of the sub-grid would hold 1001^2 points
-    gam = TranslationSubgroup(3, [[3, 0], [-3, 3 ** 38]])
+    # the cyclic lattice x_1 + k x_2 = 0 mod N, N = 3^39, k = (N - 1) / 2:
+    # its one Smith row (1, k) is already reduced, so at span 1000 each
+    # residue could leave int64, while one slab of the sub-grid would hold
+    # 1001^2 points
+    big = 3 ** 39
+    gam = TranslationSubgroup(3, [[big, -(big - 1) // 2], [0, 1]])
     slab_bytes = 1001 ** 2 * 2 * 8
     peak = _translation_guard_peak(gam, 1000, r"residue.*2\^63")
     assert peak < slab_bytes // 100
     # the same subgroup is fine while the residues stay below 2^63
-    assert selberg_series_translation(gam, 3).get((0, 0)) == 3 ** 39 * 6
+    assert selberg_series_translation(gam, 2).get((0, 0)) == big * 6
 
 
 def test_series_translation_pattern_code_guard_raises_before_allocating():
@@ -543,8 +525,9 @@ def test_conjugate_key_maps_refuse_an_inexact_division():
     data_by_perm = {p.images: selberg._PermCosetData(aff, p)
                     for p in aff.perms}
     identity = data_by_perm[(0, 1, 2)]
-    # a translation lattice that M^-1 Q M would not keep integral
-    identity.m_det *= 2
+    # a translation lattice that M^-1 Q M would not keep integral: the
+    # solve runs in the index-4 sublattice 6 Z^2 of M = 3 Z^2
+    identity.lattice = TranslationSubgroup(3, [[6, 0], [0, 6]])
     with pytest.raises(ArithmeticError, match="translation part"):
         selberg._conjugate_key_maps(identity, data_by_perm)
 
