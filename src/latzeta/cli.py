@@ -13,12 +13,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, ToleranceError
 from .cayley import (
     QuotientGraph,
     build_graph,
@@ -122,6 +122,15 @@ class RunConfig:
     max_vertices: int = 4096
     acknowledge_large: bool = False
     perturb: Optional[Tuple[int, int, int, int]] = None
+    # the subgroup of n, gamma_kind, basis and perms, built once; the parser
+    # passes the one it validated with
+    subgroup: Union[TranslationSubgroup, AffineSubgroup, None] = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.subgroup is None:
+            self.subgroup = _subgroup(self.n, self.gamma_kind, self.basis,
+                                      self.perms)
 
     @classmethod
     def from_json_obj(cls, obj) -> "RunConfig":
@@ -208,7 +217,7 @@ class RunConfig:
             perms=perms, max_degree=max_degree, scale=scale,
             tolerance=float(tolerance), checks=tuple(checks),
             max_vertices=max_vertices, acknowledge_large=acknowledge,
-            perturb=perturb,
+            perturb=perturb, subgroup=subgroup,
         )
 
     def to_json_obj(self):
@@ -249,7 +258,7 @@ class _Lazy:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.gamma = _subgroup(cfg.n, cfg.gamma_kind, cfg.basis, cfg.perms)
+        self.gamma = cfg.subgroup
         self._graph = None
         self._det = None
         self._series = {}
@@ -302,7 +311,11 @@ def _check_positive_zeta(lazy: _Lazy, cfg: RunConfig):
 
 
 def _check_lfunction(lazy: _Lazy, cfg: RunConfig):
-    poly, dev = lfunction_with_deviation(lazy.gamma, cfg.tolerance)
+    try:
+        poly, dev = lfunction_with_deviation(lazy.gamma, cfg.tolerance)
+    except ToleranceError as exc:
+        return False, {"rounding_deviation": exc.deviation,
+                       "tolerance": exc.tolerance, "error": str(exc)}
     ok = poly == lazy.det_poly
     return ok, {
         "lfunction": poly.to_json_coeffs(),

@@ -36,3 +36,9 @@ class BoxExhaustionError(RuntimeError):
 
 class ToleranceError(ArithmeticError):
     """Floating-point rounding deviated by more than the allowed tolerance."""
+
+    def __init__(self, deviation: float, tolerance: float):
+        self.deviation = deviation
+        self.tolerance = tolerance
+        super().__init__(f"L-function rounding deviation {deviation:g} "
+                         f"exceeds {tolerance:g}")

@@ -3,14 +3,15 @@
 The positive-geodesic zeta is computed three ways: as an exact determinant of
 the typed adjacency polynomial, as the product of (1 - u^{m_i})^{N/m_i} over
 the orders of the standard directions, and as a character (L-function)
-product in fixed-point Gaussian-integer arithmetic, whose proven error bound
-stays below 1/2 so that rounding recovers the integers (mpmath computes only
-the roots of unity).  A fourth route truncates the Euler product over
-brute-force enumerated positive geodesics.  The classical Ihara zeta comes
-from the Bass determinant.  On simple quotients it is checked against the
-Euler product over primitive backtrackless tailless cycles, which the traces
-of the non-backtracking edge operator give in time polynomial in the depth;
-the explicit cycle enumerator stays as the reference for small depths.
+product in fixed-point Gaussian-integer arithmetic, a product tree whose
+certified error bound stays below 1/2 so that rounding recovers the integers
+(mpmath computes only the roots of unity).  A fourth route truncates the
+Euler product over brute-force enumerated positive geodesics.  The classical
+Ihara zeta comes from the Bass determinant.  On simple quotients it is
+checked against the Euler product over primitive backtrackless tailless
+cycles, which the traces of the non-backtracking edge operator give in time
+polynomial in the depth; the explicit cycle enumerator stays as the
+reference for small depths.
 """
 
 from __future__ import annotations
@@ -33,19 +34,23 @@ from .quotient import (
 )
 
 LFUNCTION_MIN_PRECISION_BITS = 150
+# bits added to a failed certified bound for the next attempt; the bound in
+# units of 2^-P hardly depends on P, so one retry usually certifies
+LFUNCTION_SPARE_BITS = 16
+# most linear factors a leaf of the product tree applies one at a time
+LFUNCTION_LEAF_FACTORS = 16
 
 
-def _lfunction_precision_bits(degree: int) -> int:
-    # the error bound of lfunction_error_bound grows like 2^degree, so keep
-    # that many fractional bits on top of the base precision
-    return LFUNCTION_MIN_PRECISION_BITS + degree
-
-
-def lfunction_error_bound(degree: int, bits: int) -> Fraction:
-    """(K + 4) 2^(K - 1 - P), for K = degree and P = bits: the a-priori
-    bound on every coefficient error of :func:`fixed_point_product` over K
-    factors; see there for the proof."""
-    return Fraction(degree + 4, 2) * Fraction(2) ** (degree - bits)
+def _lfunction_precision_bits(failed: Sequence[Tuple[int, int]] = ()) -> int:
+    """The fractional bits P of the next product-tree attempt, given the
+    (P, certified bound in units of 2^-P) of the attempts that failed: the
+    base precision first, then the failed bound's bit length plus
+    LFUNCTION_SPARE_BITS, and from the third attempt on twice the last P."""
+    if not failed:
+        return LFUNCTION_MIN_PRECISION_BITS
+    bits, bound = failed[-1]
+    raised = bound.bit_length() + LFUNCTION_SPARE_BITS
+    return raised if len(failed) == 1 else max(raised, 2 * bits)
 
 
 def _unit_root(turn: Fraction, bits: int) -> Tuple[int, int]:
@@ -64,46 +69,132 @@ def _unit_root(turn: Fraction, bits: int) -> Tuple[int, int]:
                 int(mp.nint(mp.ldexp(mp.sinpi(x), bits))))
 
 
-def fixed_point_product(turns: Sequence[Fraction], bits: int
-                        ) -> Tuple[List[int], List[int]]:
-    """prod_t (1 - rho_t u), rho_t = exp(2 pi i t), in fixed point.
+# a node of the product tree: the real and the imaginary parts of its
+# coefficients scaled by 2^P, and a bound on the modulus of every
+# coefficient error in units of 2^-P
+_Node = Tuple[List[int], List[int], int]
 
-    Returns the real and the imaginary parts of the K + 1 coefficients
-    (K = len(turns)) as Python ints scaled by 2^P, P = bits.  Each root is
-    rounded to P bits once per distinct turn (components off by at most
-    2^(-P-1) + 2^(-P-16), so |r - rho| < 2^-P and |r| < 1 + 2^-P), and each
-    factor is applied to the running coefficients in place,
-    c_i -= round(r c_{i-1}), with both parts of the product rounded to the
-    nearest multiple of 2^-P (off by less than 2^-P in modulus).
 
-    Error bound.  Let c_k(i) be the exact coefficients after k factors,
-    so |c_k(i)| <= binom(k, i) <= 2^k, and E_k the largest modulus of the
+def _leaf(roots: Sequence[Tuple[int, int]], bits: int) -> _Node:
+    """prod (1 - r u) over the k rounded roots r, one factor at a time in
+    place, c_i -= round(r c_{i-1}), each part of the product rounded to the
+    nearest multiple of 2^-P.
+
+    Error bound.  Each part of a root is off by at most 2^(-P-1) +
+    2^(-P-16) (see :func:`_unit_root`), so |r - rho| < 2^-P and
+    |r| < 1 + 2^-P, and each rounded product is off by less than 2^-P in
+    modulus.  Let c_j(i) be the exact coefficients after j factors, so
+    |c_j(i)| <= binom(j, i) <= 2^j, and E_j the largest modulus of the
     error of a computed one.  Subtracting the two recurrences,
 
-        e_k(i) = e_{k-1}(i) - r e_{k-1}(i-1) - (r - rho) c_{k-1}(i-1) + delta,
+        e_j(i) = e_{j-1}(i) - r e_{j-1}(i-1) - (r - rho) c_{j-1}(i-1) + delta,
 
-    so E_k <= (2 + 2^-P) E_{k-1} + 2^-P (2^(k-1) + 1) with E_0 = 0, and
+    so E_j <= (2 + 2^-P) E_{j-1} + 2^-P (2^(j-1) + 1) with E_0 = 0, and
 
-        E_K <= 2^-P (1 + 2^(-P-1))^K sum_k 2^(K-k) (2^(k-1) + 1)
-            <  2^(K-1-P) (K + 2) (1 + K 2^-P)  <=  (K + 4) 2^(K-1-P),
+        E_k <= 2^-P (1 + 2^(-P-1))^k sum_j 2^(k-j) (2^(j-1) + 1)
+            <  2^(k-1-P) (k + 2) (1 + k 2^-P)  <=  (k + 4) 2^(k-1-P),
 
-    using (1 + x)^K <= 1 + 2Kx for Kx <= 1 and K (K + 2) <= 2^(P+1); both
-    hold whenever this bound, :func:`lfunction_error_bound`, is below 1/2.
+    using (1 + x)^k <= 1 + 2kx for kx <= 1 and k (k + 2) <= 2^(P+1).  Both
+    hold whenever (k + 4) 2^(k-1-P) < 1/2, and the root of the tree is
+    certified only then, since no node's bound is below a child's.
     """
-    roots: Dict[Fraction, Tuple[int, int]] = {}
     half = 1 << (bits - 1)
-    re = [1 << bits] + [0] * len(turns)
-    im = [0] * (len(turns) + 1)
-    for k, turn in enumerate(turns, start=1):
-        rho = roots.get(turn)
-        if rho is None:
-            rho = roots[turn] = _unit_root(turn, bits)
-        a, b = rho
-        for i in range(k, 0, -1):
+    k = len(roots)
+    re = [1 << bits] + [0] * k
+    im = [0] * (k + 1)
+    for j, (a, b) in enumerate(roots, start=1):
+        for i in range(j, 0, -1):
             x, y = re[i - 1], im[i - 1]
             re[i] -= (a * x - b * y + half) >> bits
             im[i] -= (a * y + b * x + half) >> bits
-    return re, im
+    return re, im, (k + 4) << (k - 1)
+
+
+def _kronecker(ar: List[int], ai: List[int], br: List[int], bi: List[int]
+               ) -> Tuple[List[int], List[int]]:
+    """The exact product of two Gaussian-integer polynomials by Kronecker
+    substitution: each coefficient list becomes one int, the list evaluated
+    at 2^w, and the complex product takes three int products.
+
+    Every part of a product coefficient is below 2 t |a| |b| in modulus, t
+    the shorter length and |a|, |b| the largest parts of each side, so a
+    slot of w bits, a whole number of bytes with 2^(w-1) above that, holds
+    it with the balanced offset 2^(w-1) and no carry between slots.  Lists
+    go in and out through ``to_bytes``/``from_bytes``, one slot per
+    coefficient.
+    """
+    top = max(map(abs, ar + ai)) * max(map(abs, br + bi))
+    width = (2 * min(len(ar), len(br)) * top).bit_length() // 8 + 1
+    slot = b"\0" * (width - 1) + b"\x80"     # 2^(w-1), little-endian
+    offset = 1 << (8 * width - 1)
+
+    def pack(xs: List[int]) -> int:
+        return (int.from_bytes(b"".join([(x + offset).to_bytes(width, "little")
+                                         for x in xs]), "little")
+                - int.from_bytes(slot * len(xs), "little"))
+
+    length = len(ar) + len(br) - 1
+    bias = int.from_bytes(slot * length, "little")
+
+    def unpack(z: int) -> List[int]:
+        raw = (z + bias).to_bytes(width * length, "little")
+        return [int.from_bytes(raw[i:i + width], "little") - offset
+                for i in range(0, width * length, width)]
+
+    xr, xi, yr, yi = pack(ar), pack(ai), pack(br), pack(bi)
+    real, imag = xr * yr, xi * yi
+    cross = (xr + xi) * (yr + yi) - real - imag
+    return unpack(real - imag), unpack(cross)
+
+
+def _node(left: _Node, right: _Node, bits: int) -> _Node:
+    """The product of two subproducts, computed exactly and rounded once to
+    a multiple of 2^-P, with its certified bound.
+
+    With A^ = A + e_A and B^ = B + e_B the children and their errors,
+    A^ B^ - A B = A^ e_B + e_A B^ - e_A e_B, so in units of 2^-P each
+    coefficient is off by at most (|A^|_1 b + |B^|_1 a + t a b) / 2^P,
+    with |.|_1 the sum of |re| + |im| of the scaled coefficients, a and b
+    the children's bounds and t the shorter length; the final rounding
+    adds less than one unit.
+    """
+    ar, ai, ea = left
+    br, bi, eb = right
+    norm_a = sum(map(abs, ar)) + sum(map(abs, ai))
+    norm_b = sum(map(abs, br)) + sum(map(abs, bi))
+    terms = min(len(ar), len(br))
+    bound = -(-(norm_a * eb + norm_b * ea + terms * ea * eb) >> bits) + 1
+    cr, ci = _kronecker(ar, ai, br, bi)
+    half = 1 << (bits - 1)
+    return ([(c + half) >> bits for c in cr],
+            [(c + half) >> bits for c in ci], bound)
+
+
+def _product_tree(roots: Sequence[Tuple[int, int]], bits: int) -> _Node:
+    """prod (1 - r u) over the rounded roots, in their order: leaves of at
+    most LFUNCTION_LEAF_FACTORS consecutive factors, multiplied pairwise
+    by halves."""
+    if len(roots) <= LFUNCTION_LEAF_FACTORS:
+        return _leaf(roots, bits)
+    mid = len(roots) // 2
+    return _node(_product_tree(roots[:mid], bits),
+                 _product_tree(roots[mid:], bits), bits)
+
+
+def certified_product(turns: Sequence[Fraction], bits: int) -> _Node:
+    """prod_t (1 - rho_t u), rho_t = exp(2 pi i t), in fixed point at P =
+    bits: the real and the imaginary parts of the K + 1 coefficients
+    (K = len(turns)) as ints scaled by 2^P, and a certified bound on the
+    modulus of every coefficient error in units of 2^-P.  Each root is
+    rounded to P bits once per distinct turn."""
+    cache: Dict[Fraction, Tuple[int, int]] = {}
+    roots = []
+    for turn in turns:
+        rho = cache.get(turn)
+        if rho is None:
+            rho = cache[turn] = _unit_root(turn, bits)
+        roots.append(rho)
+    return _product_tree(roots, bits)
 
 
 def zeta_positive_det(g: QuotientGraph) -> IntPolynomial:
@@ -142,40 +233,36 @@ def lfunction_with_deviation(gamma: TranslationSubgroup,
 
     Each character chi contributes prod_j (1 - chi(e_j) u) over the
     projections of the n standard directions e_j, its Satake parameters;
-    the K = nN factors of all characters go one by one through
-    :func:`fixed_point_product` at P = _lfunction_precision_bits(K)
-    fractional bits.  Every coefficient is then within
-    ``lfunction_error_bound(K, P)`` of the exact one, which must be below
-    1/2 (or ArithmeticError), so rounding to the nearest integer recovers
-    the integer coefficients.  Returns the polynomial and the worst rounding
-    deviation; raises ToleranceError if the deviation exceeds the tolerance
-    and ArithmeticError if it exceeds the proven bound.
+    the K = nN factors of all characters go, in that order, through
+    :func:`certified_product` at P = _lfunction_precision_bits(..)
+    fractional bits, raised until the certified bound is below 1/2, so that
+    rounding to the nearest integer recovers the integer coefficients.
+    Returns the polynomial and the worst rounding deviation; raises
+    ToleranceError if the deviation exceeds the tolerance and
+    ArithmeticError if it exceeds the certified bound.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     q = quotient_group(gamma)
-    degree = gamma.n * gamma.index
-    bits = _lfunction_precision_bits(degree)
-    bound = lfunction_error_bound(degree, bits)
-    if bound >= Fraction(1, 2):
-        raise ArithmeticError(
-            f"L-function error bound {float(bound):g} at {bits} bits for "
-            f"degree {degree} is not below 1/2")
     turns = [t for chi in characters(q) for t in chi.satake_turns(q)]
-    re, im = fixed_point_product(turns, bits)
+    failed: List[Tuple[int, int]] = []
+    while True:
+        bits = _lfunction_precision_bits(failed)
+        re, im, bound = certified_product(turns, bits)
+        if 2 * bound < 1 << bits:
+            break
+        failed.append((bits, bound))
     half = 1 << (bits - 1)
     coeffs = [(x + half) >> bits for x in re]
     worst = max(max(abs(x - (c << bits)), abs(y))
                 for x, y, c in zip(re, im, coeffs))
-    exact_deviation = Fraction(worst, 1 << bits)
-    deviation = float(exact_deviation)
-    if exact_deviation > bound:
+    deviation = worst / (1 << bits)
+    if worst > bound:
         raise ArithmeticError(
             f"L-function rounding deviation {deviation:g} exceeds the proven "
-            f"error bound {float(bound):g}")
+            f"error bound {bound / (1 << bits):g}")
     if deviation > tolerance:
-        raise ToleranceError(
-            f"L-function rounding deviation {deviation:g} exceeds {tolerance:g}")
+        raise ToleranceError(deviation, tolerance)
     return IntPolynomial(coeffs), deviation
 
 
@@ -204,7 +291,8 @@ def ihara_zeta_series(numerator: IntPolynomial, chi: int, max_deg: int
                       ) -> IntPolynomial:
     """numerator / (1 - u^2)^chi as a truncated series (exact when chi <= 0)."""
     if chi <= 0:
-        return (numerator * IntPolynomial.one_minus_power(2, -chi)).truncate(max_deg)
+        return numerator.mul_truncated(
+            IntPolynomial.one_minus_power(2, -chi), max_deg)
     inv = IntPolynomial.one_minus_power(2, chi).series_inverse(max_deg)
     return numerator.mul_truncated(inv, max_deg)
 

@@ -4,7 +4,7 @@
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from latzeta.lattice import (FACTORIAL, GEODESIC, AffineElement,
                              LatticeVector, LengthVector, Permutation,
                              all_permutations, scale_factor)
 from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
+from latzeta.zeta import _unit_root
 
 
 def perm_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Permutation:
@@ -301,3 +302,37 @@ def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC, *,
             weight=class_weight(data_by_perm[p2.images], e_coords),
             lengths=fraction_length_vector(elem, scale)))
     return out
+
+
+def lfunction_error_bound(degree: int, bits: int) -> Fraction:
+    """(K + 4) 2^(K - 1 - P), for K = degree and P = bits: the a-priori
+    bound on every coefficient error of :func:`fixed_point_product` over K
+    factors, the leaf bound of :func:`latzeta.zeta._leaf` at any K."""
+    return Fraction(degree + 4, 2) * Fraction(2) ** (degree - bits)
+
+
+def fixed_point_product(turns: Sequence[Fraction], bits: int
+                        ) -> Tuple[List[int], List[int]]:
+    """prod_t (1 - rho_t u), rho_t = exp(2 pi i t), in fixed point, one
+    factor at a time: the linear oracle for the certified product tree.
+
+    Returns the real and the imaginary parts of the K + 1 coefficients as
+    ints scaled by 2^P, P = bits, each root rounded to P bits once per
+    distinct turn and each factor applied to the running coefficients in
+    place, c_i -= round(r c_{i-1}).  Every coefficient is within
+    :func:`lfunction_error_bound` of exact (the proof is the leaf bound's).
+    """
+    roots: Dict[Fraction, Tuple[int, int]] = {}
+    half = 1 << (bits - 1)
+    re = [1 << bits] + [0] * len(turns)
+    im = [0] * (len(turns) + 1)
+    for k, turn in enumerate(turns, start=1):
+        rho = roots.get(turn)
+        if rho is None:
+            rho = roots[turn] = _unit_root(turn, bits)
+        a, b = rho
+        for i in range(k, 0, -1):
+            x, y = re[i - 1], im[i - 1]
+            re[i] -= (a * x - b * y + half) >> bits
+            im[i] -= (a * y + b * x + half) >> bits
+    return re, im

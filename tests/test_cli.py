@@ -318,6 +318,39 @@ def test_clean_run_builds_graph_and_determinant_once(monkeypatch):
     assert calls == {"build_graph": 1, "zeta_positive_det": 1}
 
 
+def test_parse_and_run_build_the_subgroup_once(monkeypatch):
+    from latzeta import intmat
+
+    calls = []
+    original = intmat.snf_with_transforms
+    monkeypatch.setattr(intmat, "snf_with_transforms",
+                        lambda m: calls.append(m) or original(m))
+    cfg = RunConfig.from_json_obj(
+        _config_with(checks=["positive_zeta", "lfunction", "invariants"]))
+    code, report = run_config(cfg)
+    assert code == 0 and report["pass"]
+    assert len(calls) == 1
+
+
+def test_unreachable_tolerance_fails_the_check_without_a_traceback(
+        tmp_path, capsys):
+    cfg = {"n": 3, "gamma": {"kind": "translation", "basis": [[3, 0], [0, 6]]},
+           "tolerance": 1e-80, "checks": ["positive_zeta", "lfunction"]}
+    out = tmp_path / "report.json"
+    code = main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert report["results"]["positive_zeta"]["pass"] is True
+    result = report["results"]["lfunction"]
+    assert result["pass"] is False
+    assert result["tolerance"] == 1e-80
+    assert 1e-80 < result["rounding_deviation"] < 1e-30
+    assert "exceeds" in result["error"]
+
+
 def test_run_never_lists_backtrackless_cycles(monkeypatch):
     import latzeta.zeta
 

@@ -25,19 +25,19 @@ from latzeta.zeta import (
     direction_orders,
     enumerate_backtrackless_cycles,
     enumerate_positive_geodesics,
+    certified_product,
     euler_product_truncation,
-    fixed_point_product,
     hashimoto_traces,
     ihara_bass,
     ihara_zeta_series,
     lfunction,
-    lfunction_error_bound,
     lfunction_with_deviation,
     zeta_positive_det,
     zeta_positive_orders,
 )
 
-from _oracles import naive_polymatrix_det
+from _oracles import (fixed_point_product, lfunction_error_bound,
+                      naive_polymatrix_det)
 
 
 def test_polymatrix_det_against_leibniz_oracle():
@@ -374,15 +374,41 @@ SMALL_LFUNCTION_CASES = [
 ]
 
 
+def _spy_precision(monkeypatch):
+    """The list of every P that lfunction_with_deviation tries."""
+    tried = []
+    original = zeta._lfunction_precision_bits
+
+    def spy(failed=()):
+        tried.append(original(failed))
+        return tried[-1]
+
+    monkeypatch.setattr(zeta, "_lfunction_precision_bits", spy)
+    return tried
+
+
+def _limit(bound_ulps, bits, degree, reference_bits):
+    """bound_ulps 2^-bits, plus the error of an mpmath product at
+    reference_bits: each of its steps rounds a few times relative to values
+    below 2^K, so that stays below 8K 2^(K - reference_bits)."""
+    limit = (Fraction(bound_ulps, 1 << bits)
+             + Fraction(8 * degree, 2 ** (reference_bits - degree)))
+    return mpf(limit.numerator) / limit.denominator
+
+
 @pytest.mark.parametrize("n, basis", SMALL_LFUNCTION_CASES)
-def test_fixed_point_lfunction_matches_orders_and_mpmath(n, basis):
+def test_fixed_point_lfunction_matches_orders_and_mpmath(n, basis,
+                                                         monkeypatch):
+    tried = _spy_precision(monkeypatch)
     gamma = TranslationSubgroup(n, basis)
     poly, dev = lfunction_with_deviation(gamma)
     assert poly == zeta_positive_orders(gamma)
-    bits = zeta._lfunction_precision_bits(n * gamma.index)
-    reference = _mpmath_product(_satake_turns(gamma), 2 * bits)
+    bits = tried[-1]
+    turns = _satake_turns(gamma)
+    reference = _mpmath_product(turns, 2 * bits)
     assert poly.coeffs == [int(mp.nint(c.real)) for c in reference]
-    assert 0 <= dev <= lfunction_error_bound(n * gamma.index, bits)
+    _, _, bound = certified_product(turns, bits)
+    assert 0 <= dev <= bound / 2 ** bits < 0.5
 
 
 def test_fixed_point_lfunction_is_exact_on_exact_roots():
@@ -393,25 +419,93 @@ def test_fixed_point_lfunction_is_exact_on_exact_roots():
     assert poly == zeta_positive_orders(gamma)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("n, basis", [(3, [[12, 0], [0, 12]]), (2, [[400]])])
+@pytest.mark.parametrize("n, basis", [
+    (3, [[12, 0], [0, 12]]),
+    (2, [[400]]),
+    pytest.param(3, [[18, 0], [0, 18]], marks=pytest.mark.slow),
+])
 def test_fixed_point_lfunction_on_large_quotients(n, basis):
+    # K = 432, 800 and 972; the certified tree raises P above 150 on the
+    # last two
     gamma = TranslationSubgroup(n, basis)
     poly, _ = lfunction_with_deviation(gamma, tolerance=1e-30)
     assert poly == zeta_positive_orders(gamma)
+
+
+def _rounded(re, bits):
+    half = 1 << (bits - 1)
+    return [(x + half) >> bits for x in re]
+
+
+def _seeded_subgroups(count, seed):
+    """Type-zero subgroups of n = 2..5 with at most 40 vertices, from a
+    seeded generator; the first row fixes each column's type."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 2 + len(out) % 4
+        k = n - 1
+        cols = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        for col in cols:
+            col[0] -= sum(col) % n
+        try:
+            gamma = TranslationSubgroup(
+                n, [[cols[j][i] for j in range(k)] for i in range(k)])
+        except ValueError:
+            continue
+        if gamma.index <= 40:
+            out.append(gamma)
+    return out
+
+
+def test_product_tree_equals_the_linear_oracle():
+    """The tree's rounded coefficients equal those of the one-factor-at-a-
+    time oracle at its own proven precision P = 150 + K, on the small
+    cases, on 4 Z^3 and on 50 seeded subgroups."""
+    cases = [TranslationSubgroup(n, b) for n, b in SMALL_LFUNCTION_CASES]
+    cases.append(TranslationSubgroup(4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]]))
+    cases += _seeded_subgroups(50, seed=1313)
+    assert {g.n for g in cases} == {2, 3, 4, 5}
+    assert max(g.n * g.index for g in cases) > 4 * zeta.LFUNCTION_LEAF_FACTORS
+    for gamma in cases:
+        turns = _satake_turns(gamma)
+        bits = 150 + len(turns)
+        assert lfunction_error_bound(len(turns), bits) < Fraction(1, 2)
+        expected = _rounded(fixed_point_product(turns, bits)[0], bits)
+        poly, _ = lfunction_with_deviation(gamma)
+        assert poly.coeffs == expected, gamma
+
+
+@pytest.mark.parametrize("bits", [150, 40])
+@pytest.mark.parametrize("n, basis", SMALL_LFUNCTION_CASES)
+def test_certified_bound_dominates_the_gap_to_mpmath(n, basis, bits):
+    """The tree's certified bound is at least the gap to an mpmath product
+    at 2P + K bits, at the route's base precision and at one far too low to
+    certify, where the bound must still hold."""
+    turns = _satake_turns(TranslationSubgroup(n, basis))
+    degree = len(turns)
+    re, im, bound = certified_product(turns, bits)
+    reference_bits = 2 * bits + degree
+    reference = _mpmath_product(turns, reference_bits)
+    with mp.workprec(reference_bits):
+        gap = max(abs(mpc(mp.ldexp(x, -bits), mp.ldexp(y, -bits)) - c)
+                  for x, y, c in zip(re, im, reference))
+        assert gap <= _limit(bound, bits, degree, reference_bits)
+    if degree <= zeta.LFUNCTION_LEAF_FACTORS:
+        assert bound == (degree + 4) << (degree - 1)
 
 
 @pytest.mark.parametrize("n, basis", SMALL_LFUNCTION_CASES)
 @pytest.mark.parametrize("spare_bits", [None, 3])
 def test_fixed_point_error_stays_within_the_proven_bound(n, basis,
                                                          spare_bits):
-    """The gap to an mpmath product at twice the precision never exceeds
-    (K + 4) 2^(K-1-P), at the route's own precision and at one where the
-    bound lies between 1/32 and 1/16."""
+    """The linear oracle's gap to an mpmath product at twice the precision
+    never exceeds (K + 4) 2^(K-1-P), the leaf bound of the product tree, at
+    P = 150 + K and at one where the bound lies between 1/32 and 1/16."""
     gamma = TranslationSubgroup(n, basis)
     turns = _satake_turns(gamma)
     degree = len(turns)
-    bits = (zeta._lfunction_precision_bits(degree) if spare_bits is None
+    bits = (150 + degree if spare_bits is None
             else degree + (degree + 4).bit_length() + spare_bits)
     bound = lfunction_error_bound(degree, bits)
     assert bound < 0.5
@@ -430,25 +524,36 @@ def test_fixed_point_error_stays_within_the_proven_bound(n, basis,
 
 
 def test_lfunction_refuses_a_precision_the_bound_does_not_cover(monkeypatch):
+    # K = 27: at a starting P of 24 the certified bound is not below 1/2,
+    # so the route retries at the bound's bit length plus the spare bits
     gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
-    # K = 27: (K + 4) 2^(K-1-P) is 31/64 at P = K + 5 and 31/32 at P = K + 4
-    monkeypatch.setattr(zeta, "_lfunction_precision_bits", lambda k: k + 5)
-    assert lfunction(gamma, tolerance=0.5) == zeta_positive_orders(gamma)
-    monkeypatch.setattr(zeta, "_lfunction_precision_bits", lambda k: k + 4)
-    with pytest.raises(ArithmeticError, match="not below 1/2"):
-        lfunction(gamma)
+    turns = _satake_turns(gamma)
+    _, _, bound = certified_product(turns, 24)
+    assert 2 * bound >= 1 << 24
+    monkeypatch.setattr(zeta, "LFUNCTION_MIN_PRECISION_BITS", 24)
+    tried = _spy_precision(monkeypatch)
+    poly, dev = lfunction_with_deviation(gamma, tolerance=0.5)
+    assert poly == zeta_positive_orders(gamma)
+    assert tried == [24, bound.bit_length() + zeta.LFUNCTION_SPARE_BITS]
+    _, _, final = certified_product(turns, tried[-1])
+    assert dev <= final / 2 ** tried[-1] < 0.5
+    # a second failure doubles P
+    assert zeta._lfunction_precision_bits([(24, bound), (60, 1 << 70)]) == 120
+    assert zeta._lfunction_precision_bits([(24, bound), (60, 1 << 110)]) \
+        == 111 + zeta.LFUNCTION_SPARE_BITS
 
 
 def test_lfunction_deviation_above_the_bound_raises(monkeypatch):
     gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
-    original = zeta.fixed_point_product
+    original = zeta._node
 
-    def off_by_a_third(turns, bits):
-        re, im = original(turns, bits)
-        re[4] += (1 << bits) // 3
-        return re, im
+    def off_by_a_third(left, right, bits):
+        re, im, bound = original(left, right, bits)
+        if len(re) == 28:           # the root, K = 27
+            re[4] += (1 << bits) // 3
+        return re, im, bound
 
-    monkeypatch.setattr(zeta, "fixed_point_product", off_by_a_third)
+    monkeypatch.setattr(zeta, "_node", off_by_a_third)
     with pytest.raises(ArithmeticError, match="proven error bound"):
         lfunction_with_deviation(gamma, tolerance=1.0)
 
@@ -464,6 +569,21 @@ def test_ihara_bass_examples():
     g3 = build_graph(TranslationSubgroup(3, [[1, 0], [-1, 3]]))
     _, chi3 = ihara_bass(g3)
     assert chi3 == 3 * (2 - 4) == -6
+
+
+def test_ihara_series_truncates_before_it_multiplies():
+    """For chi <= 0 the series is numerator (1 - u^2)^(-chi) truncated; the
+    truncated product equals the full product truncated afterwards."""
+    rng = random.Random(1717)
+    for _ in range(60):
+        numerator = IntPolynomial([rng.randint(-10 ** 6, 10 ** 6)
+                                   for _ in range(rng.randint(1, 40))])
+        chi = -rng.randint(0, 30)
+        max_deg = rng.randint(0, 90)
+        full = numerator * IntPolynomial.one_minus_power(2, -chi)
+        assert ihara_zeta_series(numerator, chi, max_deg) \
+            == full.truncate(max_deg)
+    assert ihara_zeta_series(IntPolynomial(), -3, 5) == IntPolynomial()
 
 
 def test_positive_geodesic_enumeration():
