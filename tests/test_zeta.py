@@ -425,8 +425,7 @@ def test_fixed_point_lfunction_is_exact_on_exact_roots():
     pytest.param(3, [[18, 0], [0, 18]], marks=pytest.mark.slow),
 ])
 def test_fixed_point_lfunction_on_large_quotients(n, basis):
-    # K = 432, 800 and 972; the certified tree raises P above 150 on the
-    # last two
+    # K = 432, 800 and 972; on each the certified tree raises P above 150
     gamma = TranslationSubgroup(n, basis)
     poly, _ = lfunction_with_deviation(gamma, tolerance=1e-30)
     assert poly == zeta_positive_orders(gamma)
