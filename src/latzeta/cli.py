@@ -78,12 +78,31 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# the keys a config may hold, at its root and in each object
+_ROOT_KEYS = ("n", "gamma", "maxDegree", "scale", "tolerance", "checks",
+              "caps", "perturb")
+_GAMMA_KEYS = {"translation": ("kind", "basis"),
+               "affine": ("kind", "lattice", "perms")}
+_CAPS_KEYS = ("maxVertices", "acknowledgeLarge")
+_PERTURB_KEYS = ("type", "row", "col", "delta")
+
+
+def _reject_unknown(obj: dict, prefix: str, known: Sequence[str]) -> None:
+    """Refuse the first key of obj outside known, named with its prefix;
+    a misspelt key would otherwise leave its field at the default."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", "unknown key (expected one "
+                              f"of: {', '.join(known)})")
+
+
 def _parse_perturb(p, n: int, size: int) -> Tuple[int, int, int, int]:
     """(type, row, col, delta), range-checked against n and the number of
     vertices (the index) of the translation subgroup."""
     if not isinstance(p, dict):
         raise ConfigError("perturb", "must be an object with integer "
                           "type/row/col")
+    _reject_unknown(p, "perturb.", _PERTURB_KEYS)
     values = []
     for key, default in (("type", None), ("row", None), ("col", None),
                          ("delta", 1)):
@@ -136,6 +155,7 @@ class RunConfig:
     def from_json_obj(cls, obj) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ConfigError("<root>", "config must be a JSON object")
+        _reject_unknown(obj, "", _ROOT_KEYS)
         n = obj.get("n")
         if not isinstance(n, int) or n < 2:
             raise ConfigError("n", "must be an integer >= 2")
@@ -146,6 +166,7 @@ class RunConfig:
         if kind not in ("translation", "affine"):
             raise ConfigError("gamma.kind", "must be 'translation' or 'affine'")
         basis_key = "basis" if kind == "translation" else "lattice"
+        _reject_unknown(gamma, "gamma.", _GAMMA_KEYS[kind])
         basis = gamma.get(basis_key)
         k = n - 1
         if (not isinstance(basis, list) or len(basis) != k
@@ -196,6 +217,7 @@ class RunConfig:
         caps = obj.get("caps", {})
         if not isinstance(caps, dict):
             raise ConfigError("caps", "must be an object")
+        _reject_unknown(caps, "caps.", _CAPS_KEYS)
         max_vertices = caps.get("maxVertices", 4096)
         if not _is_int(max_vertices) or max_vertices < 1:
             raise ConfigError("caps.maxVertices", "must be an integer >= 1")

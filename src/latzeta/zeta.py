@@ -275,15 +275,41 @@ def euler_characteristic(g: QuotientGraph) -> int:
     return g.num_vertices * (2 - 2 ** (g.n - 1))
 
 
+def bass_determinant(a: np.ndarray, q: int) -> IntPolynomial:
+    """det(I - A u + q u^2 I) for a square integer A, exactly.
+
+    q I commutes with A, so the determinant is the homogenisation of
+    r(t) = det(I - t A) = sum_k a_k t^k: over the eigenvalues of A it is
+    prod (1 + q u^2 - lambda u) = sum_k a_k u^k (1 + q u^2)^(N - k), for every
+    square integer A, symmetric or not.  r comes from
+    :func:`polymatrix_det` on [I, -A], whose companion is A itself (size N,
+    not the 2N of the quadratic), with its bound, CRT lift and fresh-prime
+    certificate; the substitution is Horner's rule in Python ints,
+    acc <- acc (1 + q u^2) + a_k u^k for k = 1 .. N from acc = a_0.
+    """
+    size = a.shape[0]
+    r = polymatrix_det([np.eye(size, dtype=np.int64), -a])
+    acc = [r.coefficient(0)]
+    for k in range(1, size + 1):
+        acc = [x + q * y for x, y in zip(acc + [0, 0], [0, 0] + acc)]
+        acc[k] += r.coefficient(k)
+    return IntPolynomial(acc)
+
+
 def ihara_bass(g: QuotientGraph) -> Tuple[IntPolynomial, int]:
     """(det(I - A u + (2^n - 3) u^2 I), Euler characteristic).
 
-    In the product convention the Ihara zeta equals numerator / (1-u^2)^chi.
-    The sign of the exponent varies between conventions, so the pair is
-    returned and callers expand whichever form they need.
+    The numerator is :func:`bass_determinant` of the adjacency A with
+    q = 2^n - 3 (Bass 1992; Kotani and Sunada 2000): det(I - t A), of
+    linearised dimension N, then the substitution into
+    sum_k a_k u^k (1 + q u^2)^(N - k).  The bound, CRT lift and fresh-prime
+    certificate cover det(I - t A); the substitution is exact integer
+    algebra, so the numerator rests on a proof.  In the product convention the Ihara zeta
+    equals numerator / (1-u^2)^chi.  The sign of the exponent varies
+    between conventions, so the pair is returned and callers expand
+    whichever form they need.
     """
-    eye = np.eye(g.num_vertices, dtype=np.int64)
-    numerator = polymatrix_det([eye, -g.adjacency(), (2 ** g.n - 3) * eye])
+    numerator = bass_determinant(g.adjacency(), 2 ** g.n - 3)
     return numerator, euler_characteristic(g)
 
 

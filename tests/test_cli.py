@@ -1,5 +1,7 @@
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from latzeta.cli import (
 from latzeta.cayley import build_graph, export_edge_list, perturb_adjacency
 from latzeta.polynomials import IntPolynomial
 from latzeta.quotient import TranslationSubgroup
+from perfbench import workloads
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -89,14 +92,37 @@ def _config_with(basis=([3, 0], [0, 3]), **fields):
     # 9 vertices, entries of at most binom(3, 1) = 3: 9 * (10^9 + 3)^2 < 2^63
     ({"perturb": {"type": 1, "row": 0, "col": 0, "delta": -2 * 10 ** 9}},
      "perturb.delta"),
+    # keys no field names: refused rather than left at the default
+    ({"maxVertices": 4}, "maxVertices"),
+    ({"maxdegree": 4}, "maxdegree"),
+    ({"caps": {"maxVertices": 9, "acknowledgelarge": True}},
+     "caps.acknowledgelarge"),
+    ({"perturb": {"type": 1, "row": 0, "col": 1, "Delta": 5}},
+     "perturb.Delta"),
 ], ids=["basis_float", "basis_string", "caps_list", "max_vertices_string",
         "perturb_row_too_large", "perturb_row_negative", "tolerance_nan",
         "tolerance_infinite", "tolerance_bool", "tolerance_above_float",
         "perturb_delta_huge",
-        "perturb_delta_overflows_int64"])
+        "perturb_delta_overflows_int64", "unknown_root_max_vertices",
+        "unknown_root_misspelt", "unknown_caps_key", "unknown_perturb_key"])
 def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, changes,
                                                 field):
     path = write_config(tmp_path, _config_with(**changes))
+    assert main(["run", "--config", path]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma, field", [
+    ({"kind": "translation", "basis": [[3, 0], [0, 3]], "perms": [[1, 2, 0]]},
+     "gamma.perms"),
+    ({"kind": "translation", "basis": [[3, 0], [0, 3]],
+      "lattice": [[3, 0], [0, 3]]}, "gamma.lattice"),
+    ({"kind": "affine", "lattice": [[3, 0], [0, 3]], "perms": [],
+      "basis": [[3, 0], [0, 3]]}, "gamma.basis"),
+], ids=["perms_on_translation", "lattice_on_translation", "basis_on_affine"])
+def test_unknown_gamma_key_exits_2_and_names_it(tmp_path, capsys, gamma,
+                                                 field):
+    path = write_config(tmp_path, {"n": 3, "gamma": gamma})
     assert main(["run", "--config", path]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
 
@@ -466,3 +492,23 @@ def test_config_json_round_trip():
     cfg = RunConfig.from_json_obj(BASIC)
     again = RunConfig.from_json_obj(cfg.to_json_obj())
     assert again == cfg
+
+
+def test_every_written_config_parses():
+    """The configs the package and its benchmark write, and the README's
+    example, carry only known keys."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme[readme.index("### Config format"):]
+    written = [json.loads(re.search(r"```json\n(.*?)```", block, re.S)
+                          .group(1))]
+    for base in cli.DEMO_PANEL:
+        written.append(dict(base))
+        if base["gamma"]["kind"] == "translation":
+            written.append({**base, "perturb": {"type": 1, "row": 0,
+                                                "col": 0, "delta": 1}})
+    for workload in workloads.PANELS:
+        written += [m["config"] for m in workloads.members(workload, 1)]
+    for obj in written:
+        cfg = RunConfig.from_json_obj(obj)
+        assert RunConfig.from_json_obj(cfg.to_json_obj()) == cfg

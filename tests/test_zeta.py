@@ -22,6 +22,7 @@ from latzeta.zeta import (
     HASHIMOTO_BLOCK,
     backtrackless_cycle_product,
     backtrackless_euler_truncation,
+    bass_determinant,
     direction_orders,
     enumerate_backtrackless_cycles,
     enumerate_positive_geodesics,
@@ -261,11 +262,16 @@ def test_coefficient_bound_dominates():
                           for _ in range(size)], dtype=np.int64)
                 for _ in range(3)]
         cases.append((mats, naive_polymatrix_det(mats)))
+        linear = [np.eye(size, dtype=np.int64), mats[1]]
+        cases.append((linear, naive_polymatrix_det(linear)))
     g = build_graph(TranslationSubgroup(3, [[3, 0], [0, 3]]))
     for graph in (g, perturb_adjacency(g, 1, 0, 1, 1)):
         positive, bass = _zeta_and_bass_matrices(graph)
         cases.append((positive, zeta_positive_det(graph)))
         cases.append((bass, ihara_bass(graph)[0]))
+        # degree 1: det(I - t A), the determinant the Bass numerator is
+        # substituted from
+        cases.append((bass[:2], polymatrix_det(bass[:2])))
     for mats, poly in cases:
         bound = coefficient_bound(mats)
         assert all(abs(c) <= bound for c in poly.coeffs)
@@ -281,11 +287,63 @@ def test_zeta_positive_det_examples():
 
 
 def test_determinant_routes_match_orders_on_larger_quotients():
-    # at n = 2 the Bass numerator det(I - A u + u^2 I) is Z+ itself
+    # at n = 2 the Bass numerator det(I - A u + u^2 I) is Z+ itself, but the
+    # two come from different linearisations: Z+ from the 2N x 2N block
+    # companion, the Bass numerator from det(I - t A) of size N
     gam2 = TranslationSubgroup(2, [[64]])
-    assert ihara_bass(build_graph(gam2))[0] == zeta_positive_orders(gam2)
+    g2 = build_graph(gam2)
+    assert ihara_bass(g2)[0] == zeta_positive_orders(gam2)
+    assert ihara_bass(g2)[0] == zeta_positive_det(g2)
+    # a perturbed graph has no orders product to agree with
+    for perturbed in (perturb_adjacency(g2, 1, 0, 5, 1),
+                      perturb_adjacency(g2, 1, 7, 7, -2)):
+        numerator = ihara_bass(perturbed)[0]
+        assert numerator == zeta_positive_det(perturbed)
+        assert numerator != zeta_positive_orders(gam2)
     gam3 = TranslationSubgroup(3, [[9, 0], [0, 9]])
     assert zeta_positive_det(build_graph(gam3)) == zeta_positive_orders(gam3)
+
+
+def test_bass_determinant_against_leibniz_oracle():
+    """The homogenised det(I - t A) equals det(I - A u + q u^2 I) on
+    random non-symmetric integer A, for q of either sign and q = 0."""
+    rng = random.Random(1414)
+    for _ in range(40):
+        size = rng.randint(1, 4)
+        a = np.array([[rng.randint(-3, 3) for _ in range(size)]
+                      for _ in range(size)], dtype=np.int64)
+        q = rng.randint(-3, 5)
+        eye = np.eye(size, dtype=np.int64)
+        assert bass_determinant(a, q) == naive_polymatrix_det([eye, -a, q * eye])
+    for q in range(-3, 6):
+        eye = np.eye(3, dtype=np.int64)
+        # nilpotent: det(I - t A) = 1, so the result is (1 + q u^2)^3
+        nil = np.array([[0, 2, -1], [0, 0, 3], [0, 0, 0]], dtype=np.int64)
+        assert bass_determinant(nil, q) \
+            == naive_polymatrix_det([eye, -nil, q * eye])
+    assert bass_determinant(np.zeros((0, 0), dtype=np.int64), 5) \
+        == IntPolynomial.one()
+
+
+@pytest.mark.parametrize("n, basis", [
+    (2, [[6]]),
+    (2, [[2]]),
+    (3, [[1, 0], [-1, 3]]),
+    (3, [[3, 0], [0, 6]]),
+    (4, [[4, 0, 1], [-4, 2, 1], [0, -2, 2]]),
+    (5, [[1, 0, 0, 1], [-1, 1, 0, 1], [0, -1, 1, 1], [0, 0, -1, 2]]),
+], ids=["n2_N6", "n2_N2_multigraph", "n3_N3_multigraph", "n3_N18", "n4_N32",
+        "n5_N5"])
+def test_bass_homogenisation_matches_quadratic_companion(n, basis):
+    g = build_graph(TranslationSubgroup(n, basis))
+    last = g.num_vertices - 1
+    graphs = [g,
+              perturb_adjacency(g, 1, 0, 0, 1),                 # diagonal
+              perturb_adjacency(g, n - 1, 0, last, 2),          # off-diagonal
+              perturb_adjacency(g, 1, last, 0, -3)]             # negative
+    for graph in graphs:
+        _, bass = _zeta_and_bass_matrices(graph)
+        assert ihara_bass(graph)[0] == polymatrix_det(bass)
 
 
 @pytest.mark.slow
@@ -294,6 +352,14 @@ def test_determinant_route_with_one_prime_per_batch():
     gamma = TranslationSubgroup(3, [[12, 0], [0, 12]])
     assert (3 * gamma.index) ** 2 > exactdet._BATCH_ENTRIES
     assert zeta_positive_det(build_graph(gamma)) == zeta_positive_orders(gamma)
+
+
+@pytest.mark.slow
+def test_bass_homogenisation_on_a_large_quotient():
+    # N = 144: the quadratic route linearises at 288, the new one at 144
+    g = build_graph(TranslationSubgroup(3, [[12, 0], [0, 12]]))
+    _, bass = _zeta_and_bass_matrices(g)
+    assert ihara_bass(g)[0] == polymatrix_det(bass)
 
 
 def test_zeta_degree_and_constant_term():
