@@ -207,13 +207,15 @@ class RunConfig:
         checks = obj.get("checks", "all")
         if checks == "all":
             checks = list(allowed)
-        if not isinstance(checks, list):
-            raise ConfigError("checks", "must be a list or 'all'")
-        for c in checks:
+        if not isinstance(checks, list) or not checks:
+            raise ConfigError("checks", "must be a nonempty list or 'all'")
+        for i, c in enumerate(checks):
             if c not in allowed:
                 raise ConfigError(
                     "checks", f"{c!r} is not valid for a {kind} subgroup "
                     f"(allowed: {', '.join(allowed)})")
+            if c in checks[:i]:
+                raise ConfigError("checks", f"{c!r} is listed twice")
         caps = obj.get("caps", {})
         if not isinstance(caps, dict):
             raise ConfigError("caps", "must be an object")
@@ -434,8 +436,13 @@ def _check_selberg_rational(lazy: _Lazy, cfg: RunConfig):
 
 def _check_comparison(lazy: _Lazy, cfg: RunConfig):
     # the identity concerns the subgroup, so a perturbed graph's determinant
-    # is not the one to compare against; comparison_check then builds its own
-    zeta = lazy.det_poly if cfg.perturb is None else None
+    # is not the one to compare against: the unperturbed graph is built
+    # under the same vertex cap
+    if cfg.perturb is None:
+        zeta = lazy.det_poly
+    else:
+        zeta = zeta_positive_det(
+            build_graph(lazy.gamma, max_vertices=cfg.max_vertices))
     max_deg = max(cfg.max_degree, 1)
     report = comparison_check(lazy.gamma, max_deg, zeta=zeta,
                               series=lazy.selberg_series(max_deg, GEODESIC))

@@ -1,23 +1,15 @@
-"""Exact determinants of integer matrix polynomials.
+"""Exact determinants of integer matrix polynomials with constant term I.
 
-For M(u) = sum_k C_k u^k with d+1 square integer coefficients of size N,
-det M(u) has degree at most dN.  It is computed modulo a battery of 29-bit
-primes, a batch of them per elimination pass: every array carries a leading
-prime axis, with the moduli broadcast along it.
-
-* shift u = t + v with t = 0, 1, 2, ... until D_0 = M(t) is invertible mod
-  p, where D_k are the Taylor coefficients of M(t + v).  The Gauss-Jordan
-  solve for E_k = D_0^{-1} D_k finds det D_0 from its own pivots and swaps,
-  and only the primes with det D_0 = 0 go on to the next t; if no t in
-  0..dN works, det M vanishes identically mod p;
-* det M(t + v) = det D_0 * det(I - v L), where L is the dN x dN block
-  companion matrix with first block row -E_1 .. -E_d and identity blocks
-  below it (Gohberg, Lancaster and Rodman, *Matrix Polynomials*, ch. 1);
-* L is reduced to upper Hessenberg form by similarity and the Hessenberg
-  characteristic-polynomial recurrence runs on it (Cohen, *A Course in
-  Computational Algebraic Number Theory*, Alg. 2.2.9).  det(I - v L) is
-  the reversed characteristic polynomial, and a Taylor shift by -t returns
-  from v to u.
+For M(u) = I + C_1 u + .. + C_d u^d with square integer coefficients of
+size N, det M(u) = det(I - uL), where L is the dN x dN block companion
+matrix with first block row -C_1 .. -C_d and identity blocks below it
+(Gohberg, Lancaster and Rodman, *Matrix Polynomials*, ch. 1): the
+reversed characteristic polynomial of L.  It is computed modulo a battery
+of 29-bit primes, a batch of them per elimination pass: every array
+carries a leading prime axis, with the moduli broadcast along it.  L is
+reduced to upper Hessenberg form by similarity and the Hessenberg
+characteristic-polynomial recurrence runs on it (Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.2.9).
 
 Each prime takes its own pivot rows; a prime with no pivot gets the pivot
 0, whose inverse 0 makes its update an exact no-op.  L and the recurrence
@@ -37,7 +29,7 @@ certifies the result.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -128,40 +120,6 @@ def _add_dot_mod(acc: np.ndarray, a: np.ndarray, cols: np.ndarray,
     return acc
 
 
-def _taylor_shift(coeffs: list, t: int, p) -> list:
-    """Coefficients of f(v + t) mod p from those of f(u), lowest first; they
-    may be integers, or integer arrays with p broadcast."""
-    c = list(coeffs)
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] = (c[j] + t * c[j + 1]) % p
-    return c
-
-
-def _solve_mod(m: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """det a mod p for each prime of a (P, n, n + r) stack m = [a | b],
-    which is reduced in place mod p to [I | a^{-1} b] (Gauss-Jordan); where
-    det a = 0 the right half is meaningless."""
-    count, n = m.shape[:2]
-    m %= ps[:, None, None]
-    det = np.ones(count, dtype=np.int64)
-    for k in range(n):
-        r = k + np.argmax(m[:, k:, k] != 0, axis=1)
-        swap = (r != k).nonzero()[0]
-        if swap.size:
-            m[swap, k], m[swap, r[swap]] = m[swap, r[swap]], m[swap, k]
-            det[swap] = ps[swap] - det[swap]
-        piv = m[:, k, k]
-        det = det * piv % ps
-        m[:, k, k:] = m[:, k, k:] * _inverses(piv, ps)[:, None] % ps[:, None]
-        rows = (m[:, :, k] != 0).any(axis=0).nonzero()[0]
-        rows = rows[rows != k]
-        if rows.size:
-            m[:, rows, k:] = (m[:, rows, k:] - m[:, rows, k][:, :, None]
-                              * m[:, k, None, k:]) % ps[:, None, None]
-    return det
-
-
 def _charpoly_mod(h: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """det(xI - h) mod p, lowest coefficient first, for each prime of an
     int32 (P, m, m) stack h, which is reduced in place to upper Hessenberg
@@ -209,50 +167,31 @@ def _charpoly_mod(h: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return polys[:, :, m]
 
 
-def _linearise(mats: Sequence[np.ndarray], ps: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, det D_0, t) for each prime of a batch: t is the least shift in
-    0..dN with M(t) invertible mod p, L (int32) the block companion matrix
-    of M(t + v).  With no such t, det M = 0 identically and det D_0 = 0."""
+def _companion(mats: Sequence[np.ndarray], ps: np.ndarray) -> np.ndarray:
+    """The int32 block companion matrix of sum_k mats[k] u^k, mats[0] = I,
+    mod each prime of a batch: first block row -mats[1] .. -mats[d] and
+    identity blocks below it."""
     size = mats[0].shape[0]
     degree = (len(mats) - 1) * size
-    stacked = np.concatenate(mats, axis=1)
     companion = np.zeros((len(ps), degree, degree), dtype=np.int32)
     companion[:] = np.eye(degree, k=-size, dtype=np.int32)
-    det0, shift = np.zeros((2, len(ps)), dtype=np.int64)
-    pending = np.arange(len(ps))
-    for t in range(degree + 1):
-        p3 = ps[pending, None, None]
-        m = stacked % p3
-        if t:
-            m = np.concatenate(_taylor_shift(np.split(m, len(mats), axis=2),
-                                             t, p3), axis=2)
-        m[:, :, size:] *= -1   # [D_0 | -D_1 | .. | -D_d]
-        det = _solve_mod(m, ps[pending])
-        for i in det.nonzero()[0]:
-            # a constant M (degree 0) has an empty companion
-            companion[pending[i], :size] = m[i, :degree, size:]
-            det0[pending[i]], shift[pending[i]] = det[i], t
-        pending = pending[det == 0]
-        if not pending.size:
-            break
-    return companion, det0, shift
+    # a constant M (degree 0) has an empty companion
+    if degree:
+        companion[:, :size] = (-np.concatenate(mats[1:], axis=1)
+                               % ps[:, None, None])
+    return companion
 
 
 def _residues_mod(mats: Sequence[np.ndarray], primes: Sequence[int]
                   ) -> List[List[int]]:
-    """Coefficients of det(sum_k mats[k] u^k) mod each prime, lowest first,
-    in batches of at most _BATCH_ENTRIES companion entries."""
+    """Coefficients of det(sum_k mats[k] u^k), mats[0] = I, mod each prime,
+    lowest first, in batches of at most _BATCH_ENTRIES companion entries."""
     degree = (len(mats) - 1) * mats[0].shape[0]
     per = max(1, _BATCH_ENTRIES // max(degree, 1) ** 2)
     out = []
     for i in range(0, len(primes), per):
         ps = np.array(primes[i:i + per], dtype=np.int64)
-        companion, det0, shift = _linearise(mats, ps)
-        coeffs = det0[:, None] * _charpoly_mod(companion, ps)[:, ::-1] % ps[:, None]
-        del companion   # before the next batch allocates its own
-        for row, p, t in zip(coeffs.tolist(), primes[i:i + per], shift.tolist()):
-            out.append(_taylor_shift(row, p - t, p) if t else row)
+        out.extend(_charpoly_mod(_companion(mats, ps), ps)[:, ::-1].tolist())
     return out
 
 
@@ -270,9 +209,12 @@ def coefficient_bound(coeff_mats: Sequence[np.ndarray]) -> int:
 
 
 def polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
-    """Exact determinant of the matrix polynomial sum_k coeff_mats[k] u^k."""
+    """Exact determinant of the matrix polynomial sum_k coeff_mats[k] u^k,
+    whose constant coefficient coeff_mats[0] must be the identity."""
     mats = [np.asarray(c, dtype=np.int64) for c in coeff_mats]
     size = mats[0].shape[0]
+    if not np.array_equal(mats[0], np.eye(size, dtype=np.int64)):
+        raise ValueError("the constant coefficient must be the identity")
     if size == 0:
         return IntPolynomial.one()
     degree = (len(mats) - 1) * size
@@ -289,7 +231,7 @@ def polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
               for column in zip(*_residues_mod(mats, primes))]
     poly = IntPolynomial([x - prod if x > prod // 2 else x for x in lifted])
 
-    # certify on a fresh prime at a point no shift above uses
+    # certify on a fresh prime at a point past the degree
     q, t_star = _prime_desc(len(primes)), degree + 1
     point = sum(c % q * pow(t_star, k, q) % q for k, c in enumerate(mats)) % q
     if poly(t_star) % q != det_mod(point, q):

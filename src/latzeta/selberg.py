@@ -64,8 +64,6 @@ from .lattice import (
 )
 from .polynomials import IntPolynomial, MultiRational, MultiSeries
 from .quotient import AffineSubgroup, TranslationSubgroup
-from .zeta import zeta_positive_det
-from .cayley import build_graph
 
 
 @dataclass(frozen=True)
@@ -611,16 +609,16 @@ class ComparisonReport:
 
 
 def comparison_check(gamma: TranslationSubgroup, max_deg: int,
-                     zeta: Optional[IntPolynomial] = None,
+                     zeta: IntPolynomial,
                      series: Optional[MultiSeries] = None) -> ComparisonReport:
     """Check S(x, 0, .., 0), identity class removed, against the corrected
-    form -(n-1)! * x * Z'/Z; the literal form (n-1)! * Z'/Z is evaluated and
-    reported alongside.
+    form -(n-1)! * x * Z'/Z, for the positive zeta Z of the subgroup; the
+    literal form (n-1)! * Z'/Z is evaluated and reported alongside.
 
     Lengths are taken at the geodesic scale, which is what measures vertex
-    counts along closed straight paths.  A precomputed positive zeta may be
-    supplied; otherwise the determinant route is used.  Likewise a
-    precomputed ``selberg_series_translation(gamma, max_deg, GEODESIC)``.
+    counts along closed straight paths.  A precomputed
+    ``selberg_series_translation(gamma, max_deg, GEODESIC)`` may be
+    supplied.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
@@ -631,12 +629,11 @@ def comparison_check(gamma: TranslationSubgroup, max_deg: int,
     for k, c in series.specialize_first().items():
         if k > 0:
             lhs[int(k)] = c
-    z = zeta_positive_det(build_graph(gamma)) if zeta is None else zeta
-    z_inv = z.series_inverse(max_deg)
-    x_zprime = IntPolynomial([0] + z.derivative().coeffs)
+    z_inv = zeta.series_inverse(max_deg)
+    x_zprime = IntPolynomial([0] + zeta.derivative().coeffs)
     factor = math.factorial(n - 1)
     corrected = (x_zprime.mul_truncated(z_inv, max_deg) * (-factor))
-    literal = (z.derivative().mul_truncated(z_inv, max_deg) * factor)
+    literal = (zeta.derivative().mul_truncated(z_inv, max_deg) * factor)
     rhs_corrected = [corrected.coefficient(k) for k in range(max_deg + 1)]
     rhs_literal = [literal.coefficient(k) for k in range(max_deg + 1)]
     corrected_equal = lhs == rhs_corrected

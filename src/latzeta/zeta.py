@@ -315,12 +315,17 @@ def ihara_bass(g: QuotientGraph) -> Tuple[IntPolynomial, int]:
 
 def ihara_zeta_series(numerator: IntPolynomial, chi: int, max_deg: int
                       ) -> IntPolynomial:
-    """numerator / (1 - u^2)^chi as a truncated series (exact when chi <= 0)."""
-    if chi <= 0:
-        return numerator.mul_truncated(
-            IntPolynomial.one_minus_power(2, -chi), max_deg)
-    inv = IntPolynomial.one_minus_power(2, chi).series_inverse(max_deg)
-    return numerator.mul_truncated(inv, max_deg)
+    """numerator / (1 - u^2)^chi as a series truncated at max_deg, for chi
+    of either sign: (1 - u^2)^(-chi) = sum_j c_j u^(2j) with c_0 = 1 and
+    c_(j+1) = c_j (chi + j) / (j + 1), an exact division (c_j is the
+    binomial coefficient binom(chi + j - 1, j), 0 for j > -chi when
+    chi <= 0)."""
+    series, c, j = [], 1, 0
+    while c and 2 * j <= max_deg:
+        series += [c, 0]
+        c = c * (chi + j) // (j + 1)
+        j += 1
+    return numerator.mul_truncated(IntPolynomial(series), max_deg)
 
 
 @dataclass(frozen=True)

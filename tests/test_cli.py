@@ -99,12 +99,16 @@ def _config_with(basis=([3, 0], [0, 3]), **fields):
      "caps.acknowledgelarge"),
     ({"perturb": {"type": 1, "row": 0, "col": 1, "Delta": 5}},
      "perturb.Delta"),
+    # a run that verifies nothing, or one check twice
+    ({"checks": []}, "checks"),
+    ({"checks": ["ihara", "positive_zeta", "ihara"]}, "checks"),
 ], ids=["basis_float", "basis_string", "caps_list", "max_vertices_string",
         "perturb_row_too_large", "perturb_row_negative", "tolerance_nan",
         "tolerance_infinite", "tolerance_bool", "tolerance_above_float",
         "perturb_delta_huge",
         "perturb_delta_overflows_int64", "unknown_root_max_vertices",
-        "unknown_root_misspelt", "unknown_caps_key", "unknown_perturb_key"])
+        "unknown_root_misspelt", "unknown_caps_key", "unknown_perturb_key",
+        "checks_empty", "checks_duplicate"])
 def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, changes,
                                                 field):
     path = write_config(tmp_path, _config_with(**changes))
@@ -204,6 +208,23 @@ def test_affine_scan_cell_cap_exits_3_before_allocating():
     assert peak < 1 << 20
 
 
+def test_perturbed_comparison_keeps_the_vertex_cap():
+    # the comparison builds the unperturbed determinant itself, and must
+    # build it under the config's cap, not the library default
+    cfg = RunConfig.from_json_obj(
+        {"n": 2, "gamma": {"kind": "translation", "basis": [[200]]},
+         "checks": ["comparison"], "caps": {"maxVertices": 100},
+         "perturb": {"type": 1, "row": 0, "col": 1, "delta": 1}})
+    tracemalloc.start()
+    try:
+        code, report = run_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and not report["pass"]
+    assert peak < 1 << 20
+
+
 def test_rational_check_exits_3_before_building_the_cone_form(monkeypatch):
     # the series grid cap must fire before the cone sums start, so a
     # maxDegree that can never finish exits at once
@@ -267,21 +288,10 @@ def test_resource_cap_exit_code(tmp_path):
 
 def test_raising_cap_needs_acknowledgement(tmp_path):
     cfg = {"n": 2, "gamma": {"kind": "translation", "basis": [[2]]},
-           "checks": [], "caps": {"maxVertices": 10000}}
+           "checks": ["positive_zeta"], "caps": {"maxVertices": 10000}}
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     cfg["caps"]["acknowledgeLarge"] = True
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
-
-
-def test_empty_checks_exit_zero(tmp_path):
-    cfg = {"n": 2, "gamma": {"kind": "translation", "basis": [[2]]},
-           "checks": []}
-    out = tmp_path / "r.json"
-    assert main(["run", "--config", write_config(tmp_path, cfg),
-                 "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["results"] == {}
-    assert report["pass"] is True
 
 
 def test_perturbation_fails_run(tmp_path):

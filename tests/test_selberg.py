@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from latzeta import selberg
+from latzeta.cayley import build_graph
 from latzeta.errors import BoxExhaustionError, ResourceCapError
 from latzeta.intmat import hnf_columns, mat_mul
 from latzeta.lattice import (
@@ -36,6 +37,7 @@ from latzeta.selberg import (
     selberg_series_affine,
     selberg_series_translation,
 )
+from latzeta.zeta import zeta_positive_det
 from _oracles import (adjugate_membership, brute_force_translation_series,
                       fraction_free_coordinate_bounds, naive_affine_classes,
                       perm_from_cycles)
@@ -616,21 +618,26 @@ def test_find_conjugator_rejects_nonconjugate():
     assert find_conjugator(g1, g2) is None
 
 
+def _comparison(gamma, max_deg):
+    return comparison_check(gamma, max_deg,
+                            zeta_positive_det(build_graph(gamma)))
+
+
 def test_comparison_check_n2():
-    report = comparison_check(TranslationSubgroup(2, [[2]]), 10)
+    report = _comparison(TranslationSubgroup(2, [[2]]), 10)
     assert report.corrected_equal
     assert not report.literal_equal
     assert report.lhs_coeffs == [0, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4]
 
 
 def test_comparison_check_index3_coefficient():
-    report = comparison_check(TranslationSubgroup(3, [[1, 0], [-1, 3]]), 9)
+    report = _comparison(TranslationSubgroup(3, [[1, 0], [-1, 3]]), 9)
     assert report.corrected_equal
     assert report.lhs_coeffs[3] == 18
 
 
 def test_comparison_below_girth_is_zero():
-    report = comparison_check(TranslationSubgroup(3, [[3, 0], [0, 3]]), 2)
+    report = _comparison(TranslationSubgroup(3, [[3, 0], [0, 3]]), 2)
     assert report.corrected_equal
     assert report.lhs_coeffs == [0, 0, 0]
     assert report.rhs_corrected == [0, 0, 0]

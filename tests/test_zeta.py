@@ -47,26 +47,24 @@ def test_polymatrix_det_against_leibniz_oracle():
     for _ in range(25):
         size = rng.randint(1, 4)
         terms = rng.randint(1, 4)
-        cases.append([np.array([[rng.randint(-3, 3) for _ in range(size)]
-                                for _ in range(size)], dtype=np.int64)
-                      for _ in range(terms)])
-    # C_0 singular: the shift moves off u = 0 (to u = 2 for diag(u, u - 1))
-    cases.append([np.diag([0, -1]), np.eye(2, dtype=np.int64)])
-    cases.append([np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
-                  np.array([[1, 0, 2], [0, -1, 0], [3, 0, 1]]),
-                  np.eye(3, dtype=np.int64)])
-    # identically zero: the rows are proportional in every coefficient
-    cases.append([np.array([[1, 2], [2, 4]]), np.array([[-1, 3], [-2, 6]])])
+        cases.append([np.eye(size, dtype=np.int64)]
+                     + [np.array([[rng.randint(-3, 3) for _ in range(size)]
+                                  for _ in range(size)], dtype=np.int64)
+                        for _ in range(terms - 1)])
     # leading coefficient zero, and nilpotent
     cases.append([np.eye(2, dtype=np.int64), np.array([[2, -1], [1, 1]]),
                   np.zeros((2, 2), dtype=np.int64)])
-    cases.append([np.array([[1, 1, 0], [0, 2, 0], [1, 0, 1]]),
+    cases.append([np.eye(3, dtype=np.int64),
                   np.array([[0, 1, -2], [1, 0, 1], [0, 3, 0]]),
                   np.array([[0, 1, 5], [0, 0, 1], [0, 0, 0]])])
     for mats in cases:
         expected = naive_polymatrix_det(mats)
         got = polymatrix_det(mats)
         assert got == expected
+    # a constant coefficient other than I is refused, invertible or not
+    for c0 in (2 * np.eye(2, dtype=np.int64), np.diag([0, -1])):
+        with pytest.raises(ValueError, match="identity"):
+            polymatrix_det([c0, np.eye(2, dtype=np.int64)])
 
 
 def _zeta_and_bass_matrices(g):
@@ -166,28 +164,21 @@ def _assert_batch_matches_oracle(mats, primes):
 
 def test_batched_pivots_diverge_between_primes():
     """An entry equal to the first prime is a zero pivot for that prime
-    alone, so its pivot row differs from the rest of its batch: in the
-    solve (first case) and in the Hessenberg reduction (second case).
-    Random entries equal to the first or last prime of the batch make the
-    nonzero rows differ between primes as well."""
+    alone, so its pivot row in the Hessenberg reduction differs from the
+    rest of its batch.  Random entries equal to the first or last prime of
+    the batch make the nonzero rows differ between primes as well."""
     primes = _first_primes(5)
     p = primes[0]
-    solve_case = [np.array([[p, 1, 0], [1, 0, 2], [0, 3, 1]]),
-                  np.array([[1, 0, -1], [2, 1, 0], [0, 1, 1]]),
-                  np.eye(3, dtype=np.int64)]
-    # det C_0 = -6p - 1: invertible mod every prime, so no prime shifts
-    _, det0, shift = exactdet._linearise(solve_case, np.array(primes))
-    assert shift.tolist() == [0] * 5
-    assert det0.tolist() == [(-6 * p - 1) % q for q in primes]
     hessenberg_case = [np.eye(3, dtype=np.int64),
                        np.array([[0, 1, 0], [p, 0, 2], [1, 3, 0]]),
                        np.array([[1, 0, 2], [0, -1, 0], [3, 0, 1]])]
     rng = random.Random(34)
     entries = (0, 0, 1, -2, p, primes[-1])
-    random_cases = [[np.array([[rng.choice(entries) for _ in range(4)]
-                               for _ in range(4)]) for _ in range(3)]
+    random_cases = [[np.eye(4, dtype=np.int64)]
+                    + [np.array([[rng.choice(entries) for _ in range(4)]
+                                 for _ in range(4)]) for _ in range(2)]
                     for _ in range(6)]
-    for mats in [solve_case, hessenberg_case] + random_cases:
+    for mats in [hessenberg_case] + random_cases:
         _assert_batch_matches_oracle(mats, primes)
 
 
@@ -206,47 +197,24 @@ def test_add_dot_mod_sums_past_one_chunk_without_overflow():
                                 for q in primes]
 
 
-def test_batched_shift_for_one_prime_alone():
-    """det D_0 = the first prime: that prime alone moves to the shift t = 1,
-    and the rest of its batch stays at t = 0."""
-    primes = _first_primes(5)
-    p = primes[0]
-    a = math.isqrt(p) + 1
-    mats = [np.array([[a, a * a - p], [1, a]]), np.eye(2, dtype=np.int64),
-            np.array([[0, 1], [-1, 2]])]
-    _, det0, shift = exactdet._linearise(mats, np.array(primes))
-    assert shift.tolist() == [1, 0, 0, 0, 0]
-    assert det0.tolist()[1:] == [p % q for q in primes[1:]]
-    _assert_batch_matches_oracle(mats, primes)
-
-
-def test_batched_identically_zero_determinant():
-    primes = _first_primes(5)
-    # the last row is the first plus twice the second in every coefficient
-    base = np.array([[1, -2, 3], [0, 1, 1], [2, 0, -1]])
-    mats = [np.vstack([c[:2], c[:1] + 2 * c[1:2]]) for c in
-            (base, 3 * base - 1, np.eye(3, dtype=np.int64)[[0, 2, 1]])]
-    assert naive_polymatrix_det(mats) == IntPolynomial.zero()
-    _assert_batch_matches_oracle(mats, primes)
-
-
 def test_batch_cap_splits_the_primes(monkeypatch):
     """At dN = 60 a batch holds 36 primes, so 40 primes run in two batches;
     they must agree with the same primes run one per batch."""
     rng = random.Random(33)
-    mats = [np.array([[rng.randint(-2, 2) for _ in range(6)]
-                      for _ in range(6)], dtype=np.int64) for _ in range(11)]
+    mats = [np.eye(6, dtype=np.int64)]
+    mats += [np.array([[rng.randint(-2, 2) for _ in range(6)]
+                       for _ in range(6)], dtype=np.int64) for _ in range(10)]
     primes = _first_primes(40)
     degree = 10 * 6
     assert len(primes) * degree ** 2 > exactdet._BATCH_ENTRIES
-    real = exactdet._linearise
+    real = exactdet._charpoly_mod
     batches = []
 
-    def spy(m, ps):
+    def spy(h, ps):
         batches.append(len(ps))
-        return real(m, ps)
+        return real(h, ps)
 
-    monkeypatch.setattr(exactdet, "_linearise", spy)
+    monkeypatch.setattr(exactdet, "_charpoly_mod", spy)
     batched = exactdet._residues_mod(mats, primes)
     assert batches == [36, 4]
     assert batched == [exactdet._residues_mod(mats, [p])[0] for p in primes]
@@ -637,18 +605,43 @@ def test_ihara_bass_examples():
 
 
 def test_ihara_series_truncates_before_it_multiplies():
-    """For chi <= 0 the series is numerator (1 - u^2)^(-chi) truncated; the
-    truncated product equals the full product truncated afterwards."""
+    """The series is built to max_deg only, for chi of either sign: it
+    equals numerator (1 - u^2)^(-chi) expanded in full and truncated
+    afterwards for chi <= 0, and numerator times the series inverse of
+    (1 - u^2)^chi for chi > 0."""
     rng = random.Random(1717)
-    for _ in range(60):
+    for _ in range(200):
         numerator = IntPolynomial([rng.randint(-10 ** 6, 10 ** 6)
                                    for _ in range(rng.randint(1, 40))])
-        chi = -rng.randint(0, 30)
+        chi = rng.randint(-40, 40)
         max_deg = rng.randint(0, 90)
-        full = numerator * IntPolynomial.one_minus_power(2, -chi)
-        assert ihara_zeta_series(numerator, chi, max_deg) \
-            == full.truncate(max_deg)
+        if chi <= 0:
+            full = numerator * IntPolynomial.one_minus_power(2, -chi)
+            expected = full.truncate(max_deg)
+        else:
+            expected = numerator.mul_truncated(
+                IntPolynomial.one_minus_power(2, chi).series_inverse(max_deg),
+                max_deg)
+        assert ihara_zeta_series(numerator, chi, max_deg) == expected
     assert ihara_zeta_series(IntPolynomial(), -3, 5) == IntPolynomial()
+    assert ihara_zeta_series(IntPolynomial(), 3, 5) == IntPolynomial()
+
+
+def test_ihara_series_at_large_chi_builds_only_the_truncation():
+    # n = 5, N = 625 has chi = -8,750: (1 - u^2)^8750 expanded in full
+    # holds binomial coefficients of up to 8,750 bits each
+    numerator = IntPolynomial([1, -3, 0, 2])
+    for chi, c6 in ((-8750, math.comb(8750, 6)), (8750, math.comb(8755, 6))):
+        tracemalloc.start()
+        try:
+            series = ihara_zeta_series(numerator, chi, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert series.coefficient(2) == chi
+        assert series.coefficient(3) == 2 - 3 * chi
+        assert series.coefficient(12) == c6
 
 
 def test_positive_geodesic_enumeration():
