@@ -24,10 +24,8 @@ from .lattice import (
     Permutation,
     all_faces,
     all_permutations,
-    canonicalize,
     cone_decompose,
     face_length_exponents,
-    is_face,
     length_vector,
     rational_cone_sum,
     type_of,
@@ -39,7 +37,6 @@ from .quotient import (
     FiniteAbelianGroup,
     TranslationSubgroup,
     characters,
-    order_of,
     quotient_group,
 )
 from .cayley import (
@@ -59,7 +56,6 @@ from .zeta import (
     euler_product_truncation,
     ihara_bass,
     ihara_zeta_series,
-    lfunction,
     zeta_positive_det,
     zeta_positive_orders,
 )
@@ -68,10 +64,7 @@ from .selberg import (
     ConjugacyClass,
     affine_conjugacy_classes,
     comparison_check,
-    find_conjugator,
-    rational_geodesic_pattern,
     selberg_rational_translation,
-    selberg_series_affine,
     selberg_series_translation,
 )
 from .cli import RunConfig, run_config

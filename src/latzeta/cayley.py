@@ -63,9 +63,6 @@ class QuotientGraph:
     def adjacency(self) -> np.ndarray:
         return sum(self.mats)
 
-    def degree(self) -> int:
-        return 2 ** self.n - 2
-
     def is_simple(self) -> bool:
         a = self.adjacency()
         return bool((a <= 1).all() and (np.diag(a) == 0).all())

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ResourceCapError, ToleranceError
 from .cayley import (
+    MAX_VERTICES,
     QuotientGraph,
     build_graph,
     export_edge_list,
@@ -53,19 +54,6 @@ from .zeta import (
     zeta_positive_det,
     zeta_positive_orders,
 )
-
-TRANSLATION_CHECKS = (
-    "positive_zeta",
-    "lfunction",
-    "ihara",
-    "geodesic_oracle",
-    "selberg_series",
-    "selberg_rational",
-    "comparison",
-    "invariants",
-)
-AFFINE_CHECKS = ("selberg_series",)
-
 
 class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
@@ -137,8 +125,8 @@ class RunConfig:
     max_degree: int = 12
     scale: str = GEODESIC
     tolerance: float = 1e-9
-    checks: Tuple[str, ...] = TRANSLATION_CHECKS
-    max_vertices: int = 4096
+    checks: Tuple[str, ...] = field(default_factory=lambda: TRANSLATION_CHECKS)
+    max_vertices: int = MAX_VERTICES
     acknowledge_large: bool = False
     perturb: Optional[Tuple[int, int, int, int]] = None
     # the subgroup of n, gamma_kind, basis and perms, built once; the parser
@@ -220,13 +208,13 @@ class RunConfig:
         if not isinstance(caps, dict):
             raise ConfigError("caps", "must be an object")
         _reject_unknown(caps, "caps.", _CAPS_KEYS)
-        max_vertices = caps.get("maxVertices", 4096)
+        max_vertices = caps.get("maxVertices", MAX_VERTICES)
         if not _is_int(max_vertices) or max_vertices < 1:
             raise ConfigError("caps.maxVertices", "must be an integer >= 1")
         acknowledge = caps.get("acknowledgeLarge", False)
         if not isinstance(acknowledge, bool):
             raise ConfigError("caps.acknowledgeLarge", "must be true or false")
-        if max_vertices > 4096 and not acknowledge:
+        if max_vertices > MAX_VERTICES and not acknowledge:
             raise ConfigError("caps.maxVertices",
                               "raising the cap requires acknowledgeLarge=true")
         perturb = None
@@ -524,8 +512,7 @@ def _check_affine_selberg_series(lazy: _Lazy, cfg: RunConfig):
     }
 
 
-# subgroup kind -> check name -> check; TRANSLATION_CHECKS and AFFINE_CHECKS
-# list the same names in the same order
+# subgroup kind -> check name -> check
 _CHECKS = {
     "translation": {
         "positive_zeta": _check_positive_zeta,
@@ -541,6 +528,8 @@ _CHECKS = {
         "selberg_series": _check_affine_selberg_series,
     },
 }
+TRANSLATION_CHECKS = tuple(_CHECKS["translation"])
+AFFINE_CHECKS = tuple(_CHECKS["affine"])
 
 
 def run_config(cfg: RunConfig) -> Tuple[int, dict]:

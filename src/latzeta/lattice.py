@@ -97,15 +97,6 @@ class LatticeVector:
         return self + (-other)
 
 
-def canonicalize(raw: Sequence[int], n: Optional[int] = None) -> LatticeVector:
-    """Canonical representative of a raw integer vector modulo the diagonal."""
-    if n is not None and len(raw) != n:
-        raise ValueError(f"expected length {n}, got {len(raw)}")
-    if len(raw) < 2:
-        raise ValueError("rank must be at least 2")
-    return LatticeVector.from_raw(raw)
-
-
 def type_of(a: LatticeVector) -> int:
     """Coordinate sum mod n; invariant under the choice of representative."""
     return sum(a.coords) % a.n
@@ -264,9 +255,6 @@ class LengthVector:
     def exponent_tuple(self):
         return norm_exponent(self.values)
 
-    def nonzero_positions(self) -> List[int]:
-        return [j for j, x in enumerate(self.values, start=1) if x != 0]
-
 
 def length_vector(g: AffineElement, scale: str = GEODESIC) -> LengthVector:
     """Lengths of g: cycle-average the translation part, sort, take gaps.
@@ -285,45 +273,6 @@ def length_vector(g: AffineElement, scale: str = GEODESIC) -> LengthVector:
     avg.sort(reverse=True)
     return LengthVector.from_ratios(
         [f * (a - b) for a, b in zip(avg, avg[1:])], lcm, scale)
-
-
-def is_face(vertices: Sequence[LatticeVector]) -> bool:
-    """Whether the classes span a face of the building's simplicial structure.
-
-    True iff the classes admit representatives forming a chain
-    w0 <= w1 <= ... <= wk <= w0 + 1 componentwise (all distinct, in some
-    order).  Invariant under permuting the input and under a common
-    translation.
-    """
-    if not vertices:
-        raise ValueError("need at least one vertex")
-    n = vertices[0].n
-    if any(v.n != n for v in vertices):
-        raise ValueError("mixed ranks")
-    if len(set(vertices)) != len(vertices):
-        raise ValueError("duplicate vertices")
-    if len(vertices) > n:
-        return False
-    if len(vertices) == 1:
-        return True
-    # a chain rotates, so the first class may be fixed as the bottom w0
-    base = vertices[0].coords
-    lift_choices: List[List[Tuple[int, ...]]] = []
-    for v in vertices[1:]:
-        lo = max(b - c for b, c in zip(base, v.coords))
-        hi = min(b + 1 - c for b, c in zip(base, v.coords))
-        lifts = [tuple(c + m for c in v.coords) for m in range(lo, hi + 1)]
-        if not lifts:
-            return False
-        lift_choices.append(lifts)
-
-    def comparable(a, b):
-        return all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b))
-
-    for combo in itertools.product(*lift_choices):
-        if all(comparable(a, b) for a, b in itertools.combinations(combo, 2)):
-            return True
-    return False
 
 
 @dataclass(frozen=True)

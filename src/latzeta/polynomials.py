@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 Exponent = Tuple  # tuple of int | Fraction, one entry per variable
 
@@ -108,15 +108,7 @@ class IntPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
+        return self.mul_truncated(other, self.degree + other.degree)
 
     __rmul__ = __mul__
 
@@ -124,13 +116,13 @@ class IntPolynomial:
         return IntPolynomial(self.coeffs[: max_deg + 1])
 
     def mul_truncated(self, other: "IntPolynomial", max_deg: int) -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
+        """The product to degree max_deg, over the nonzero entries of each
+        factor only; the second factor's are listed once."""
         out = [0] * (max_deg + 1)
-        for i, ca in enumerate(a):
-            if i > max_deg:
-                break
+        b = [(j, cb) for j, cb in enumerate(other.coeffs[: max_deg + 1]) if cb]
+        for i, ca in enumerate(self.coeffs[: max_deg + 1]):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in b:
                     if i + j > max_deg:
                         break
                     out[i + j] += ca * cb
@@ -194,16 +186,6 @@ def _dict_add_term(d: Dict[Exponent, int], exp: Exponent, coeff: int):
         d[exp] = cur
     else:
         d.pop(exp, None)
-
-
-def _dict_mul(a: Dict[Exponent, int], b: Dict[Exponent, int]
-              ) -> Dict[Exponent, int]:
-    out: Dict[Exponent, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = norm_exponent(x + y for x, y in zip(ea, eb))
-            _dict_add_term(out, e, ca * cb)
-    return out
 
 
 def _divide_one_minus(series: Dict[Tuple[int, ...], int], a: Tuple[int, ...],
@@ -277,15 +259,6 @@ class MultiSeries:
         return (isinstance(other, MultiSeries) and self.nvars == other.nvars
                 and self.cutoff == other.cutoff and self.terms == other.terms)
 
-    def __iadd__(self, other: "MultiSeries") -> "MultiSeries":
-        for e, c in other.terms.items():
-            self.add_term(e, c)
-        return self
-
-    def scaled(self, k: int) -> "MultiSeries":
-        return MultiSeries(self.nvars, self.cutoff,
-                           {e: k * c for e, c in self.terms.items()})
-
     def specialize_first(self) -> Dict:
         """Coefficients of x^k after setting every variable but the first to 0.
 
@@ -324,9 +297,7 @@ class MultiRational:
     Each piece is (numerator dict, sorted tuple of denominator exponent
     vectors); an empty factor tuple means the piece is a polynomial.  Every
     exponent is a nonnegative int and every factor is nonzero, checked once
-    in :meth:`add_piece`.  Pieces with equal denominators merge on addition,
-    so simple closed forms like 4/(1-x^2) come out of :meth:`combine`
-    without any gcd machinery.
+    in :meth:`add_piece`.  Pieces with equal denominators merge on addition.
     """
 
     def __init__(self, nvars: int, pieces=None):
@@ -337,10 +308,6 @@ class MultiRational:
         if pieces:
             for num, den in pieces:
                 self.add_piece(num, den)
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiRational":
-        return cls(nvars)
 
     def _exponents(self, exps) -> Tuple[int, ...]:
         out = tuple(_int_exponent(x) for x in exps)
@@ -392,31 +359,6 @@ class MultiRational:
         out = MultiSeries(self.nvars, max_deg)
         out.terms = terms
         return out
-
-    def combine(self) -> Tuple[Dict[Exponent, int], Tuple[Tuple[int, ...], ...]]:
-        """Single quotient (numerator, factors) over the common denominator.
-
-        The common denominator is the multiset max of the piece denominators.
-        Exact but potentially large; meant for small closed forms.
-        """
-        from collections import Counter
-
-        common = Counter()
-        for den in self.pieces:
-            cnt = Counter(den)
-            for f, k in cnt.items():
-                common[f] = max(common[f], k)
-        numerator: Dict[Exponent, int] = {}
-        for den, num in self.pieces.items():
-            missing = common - Counter(den)
-            piece = dict(num)
-            for f, k in missing.items():
-                factor_poly = {tuple([0] * self.nvars): 1, tuple(f): -1}
-                for _ in range(k):
-                    piece = _dict_mul(piece, factor_poly)
-            for e, c in piece.items():
-                _dict_add_term(numerator, e, c)
-        return numerator, tuple(sorted(common.elements()))
 
     def to_json_obj(self):
         return {

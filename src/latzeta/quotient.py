@@ -172,11 +172,6 @@ def quotient_group(gamma: TranslationSubgroup) -> FiniteAbelianGroup:
     return gamma.quotient
 
 
-def order_of(a: LatticeVector, q: FiniteAbelianGroup) -> int:
-    """Order of the class of a in the quotient; divides the group order."""
-    return q.element_order(q.project_vector(a))
-
-
 @dataclass(frozen=True)
 class Character:
     """A character of the quotient, stored by its exponent tuple.

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -474,8 +474,7 @@ def _class_weights(data: _PermCosetData, reps: List[List[int]],
 
 
 def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
-                             scale: str = GEODESIC, *,
-                             verify_box: bool = True) -> List[ConjugacyClass]:
+                             scale: str = GEODESIC) -> List[ConjugacyClass]:
     """Conjugacy classes of the affine subgroup with length degree <= max_deg.
 
     For each permutation part p the translation parts are enumerated coset
@@ -500,7 +499,7 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
                      if not any(torsion) for l, h in zip(los, his)]) // 2 + 1
     cells = sum(math.prod(max(h - l + 1 + 2 * x, 0) for l, h in zip(los, his))
                 for _, _, los, his in boxes
-                for x in ((0, pad) if verify_box else (0,)))
+                for x in (0, pad))
     if cells > SERIES_GRID_CELLS:
         raise ResourceCapError(
             f"{context}: the coset boxes hold {cells} cells, above the cap "
@@ -524,9 +523,8 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
                     classes[key] = data2.element_from_coords(row)
 
     collect(0)
-    if verify_box:
-        # the doubled box re-scan keys only the points outside the plain box
-        collect(pad)
+    # the doubled box re-scan keys only the points outside the plain box
+    collect(pad)
     out = []
     for p, keys in itertools.groupby(sorted(classes), key=lambda k: k[0]):
         data = data_by_perm[p]
@@ -536,49 +534,6 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
                                  data.p)
             out.append(ConjugacyClass(elem, weight, length_vector(elem, scale)))
     return out
-
-
-def selberg_series_affine(gamma: AffineSubgroup, max_deg: int,
-                          scale: str = GEODESIC, *,
-                          verify_box: bool = True) -> MultiSeries:
-    """Truncated Selberg series of a split affine subgroup."""
-    series = MultiSeries(gamma.n - 1, max_deg)
-    for cls in affine_conjugacy_classes(gamma, max_deg, scale,
-                                        verify_box=verify_box):
-        series.add_term(cls.lengths.exponent_tuple(), cls.weight)
-    return series
-
-
-def find_conjugator(g1: AffineElement, g2: AffineElement
-                    ) -> Optional[AffineElement]:
-    """An explicit group element h with h g1 h^{-1} = g2, if one exists."""
-    n = g1.n
-    for q in all_permutations(n):
-        if q.compose(g1.p).compose(q.inverse()).images != g2.p.images:
-            continue
-        # need (1 - p2) x = v2 - q(v1) with x integral
-        p2_mat = g2.p.basis_matrix()
-        one_minus = [[int(i == j) - p2_mat[i][j] for j in range(n - 1)]
-                     for i in range(n - 1)]
-        target = [a - b for a, b in zip(
-            g2.v.to_basis_coords(),
-            mat_vec(q.basis_matrix(), g1.v.to_basis_coords()))]
-        x = ImageLattice(one_minus).solve(target)
-        if x is not None:
-            h = AffineElement(LatticeVector.from_basis_coords(n, x), q)
-            if h * g1 * h.inverse() == g2:
-                return h
-    return None
-
-
-def rational_geodesic_pattern(g: AffineElement) -> Optional[int]:
-    """The unique 1-based index j with l_j != 0, when exactly one exists.
-
-    Such an element closes a straight path in the 1-skeleton (after a power
-    at most n in the affine case; translations close it directly).
-    """
-    nz = length_vector(g, GEODESIC).nonzero_positions()
-    return nz[0] if len(nz) == 1 else None
 
 
 @dataclass
@@ -610,21 +565,18 @@ class ComparisonReport:
 
 def comparison_check(gamma: TranslationSubgroup, max_deg: int,
                      zeta: IntPolynomial,
-                     series: Optional[MultiSeries] = None) -> ComparisonReport:
+                     series: MultiSeries) -> ComparisonReport:
     """Check S(x, 0, .., 0), identity class removed, against the corrected
     form -(n-1)! * x * Z'/Z, for the positive zeta Z of the subgroup; the
     literal form (n-1)! * Z'/Z is evaluated and reported alongside.
 
     Lengths are taken at the geodesic scale, which is what measures vertex
-    counts along closed straight paths.  A precomputed
-    ``selberg_series_translation(gamma, max_deg, GEODESIC)`` may be
-    supplied.
+    counts along closed straight paths; ``series`` is
+    ``selberg_series_translation(gamma, max_deg, GEODESIC)``.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     n = gamma.n
-    if series is None:
-        series = selberg_series_translation(gamma, max_deg, GEODESIC)
     lhs = [0] * (max_deg + 1)
     for k, c in series.specialize_first().items():
         if k > 0:

@@ -266,10 +266,6 @@ def lfunction_with_deviation(gamma: TranslationSubgroup,
     return IntPolynomial(coeffs), deviation
 
 
-def lfunction(gamma: TranslationSubgroup, tolerance: float = 1e-9) -> IntPolynomial:
-    return lfunction_with_deviation(gamma, tolerance)[0]
-
-
 def euler_characteristic(g: QuotientGraph) -> int:
     """Vertices minus edges: N * (2 - 2^{n-1})."""
     return g.num_vertices * (2 - 2 ** (g.n - 1))

@@ -3,18 +3,20 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from latzeta import selberg
 from latzeta.errors import BoxExhaustionError, SingularMatrixError
-from latzeta.intmat import adjugate_and_det, mat_vec
+from latzeta.intmat import ImageLattice, adjugate_and_det, mat_vec
 from latzeta.lattice import (FACTORIAL, GEODESIC, AffineElement,
                              LatticeVector, LengthVector, Permutation,
                              all_permutations, scale_factor)
-from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
+from latzeta.polynomials import (Exponent, IntPolynomial, MultiRational,
+                                 MultiSeries, _dict_add_term, norm_exponent)
 from latzeta.zeta import _unit_root
 
 
@@ -147,6 +149,41 @@ def product_expand(rational: MultiRational, max_deg: int) -> MultiSeries:
     return out
 
 
+def _dict_mul(a: Dict[Exponent, int], b: Dict[Exponent, int]
+              ) -> Dict[Exponent, int]:
+    out: Dict[Exponent, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = norm_exponent(x + y for x, y in zip(ea, eb))
+            _dict_add_term(out, e, ca * cb)
+    return out
+
+
+def combine(rational: MultiRational
+            ) -> Tuple[Dict[Exponent, int], Tuple[Tuple[int, ...], ...]]:
+    """Single quotient (numerator, factors) over the common denominator.
+
+    The common denominator is the multiset max of the piece denominators.
+    Exact but potentially large; meant for small closed forms.
+    """
+    common = Counter()
+    for den in rational.pieces:
+        cnt = Counter(den)
+        for f, k in cnt.items():
+            common[f] = max(common[f], k)
+    numerator: Dict[Exponent, int] = {}
+    for den, num in rational.pieces.items():
+        missing = common - Counter(den)
+        piece = dict(num)
+        for f, k in missing.items():
+            factor_poly = {tuple([0] * rational.nvars): 1, tuple(f): -1}
+            for _ in range(k):
+                piece = _dict_mul(piece, factor_poly)
+        for e, c in piece.items():
+            _dict_add_term(numerator, e, c)
+    return numerator, tuple(sorted(common.elements()))
+
+
 def fraction_inverse(m: Sequence[Sequence[int]]) -> List[List[Fraction]]:
     """Exact inverse over the rationals via Gauss-Jordan elimination."""
     n = len(m)
@@ -244,8 +281,7 @@ def class_weight(data, e_coords: Sequence[int]) -> int:
     return data.fixed_index * (qg // qgamma)
 
 
-def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC, *,
-                         verify_box: bool = True):
+def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC):
     """The affine class scan point by point: every survivor of the spread
     filter is built as an element, measured in Fractions and keyed one
     conjugate at a time, and every class weighed on its own; test oracle for
@@ -284,14 +320,13 @@ def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC, *,
                         classes[key] = rep
 
     collect(0)
-    if verify_box:
-        widths = [0]
-        for p in gamma.perms:
-            data = data_by_perm[p.images]
-            los, his = fraction_free_coordinate_bounds(
-                data, [0] * len(data.torsion_idx), max_spread)
-            widths.extend(h - l for l, h in zip(los, his))
-        collect(max(widths) // 2 + 1)
+    widths = [0]
+    for p in gamma.perms:
+        data = data_by_perm[p.images]
+        los, his = fraction_free_coordinate_bounds(
+            data, [0] * len(data.torsion_idx), max_spread)
+        widths.extend(h - l for l, h in zip(los, his))
+    collect(max(widths) // 2 + 1)
 
     out = []
     for key in sorted(classes):
@@ -302,6 +337,28 @@ def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC, *,
             weight=class_weight(data_by_perm[p2.images], e_coords),
             lengths=fraction_length_vector(elem, scale)))
     return out
+
+
+def find_conjugator(g1: AffineElement, g2: AffineElement
+                    ) -> Optional[AffineElement]:
+    """An explicit group element h with h g1 h^{-1} = g2, if one exists."""
+    n = g1.n
+    for q in all_permutations(n):
+        if q.compose(g1.p).compose(q.inverse()).images != g2.p.images:
+            continue
+        # need (1 - p2) x = v2 - q(v1) with x integral
+        p2_mat = g2.p.basis_matrix()
+        one_minus = [[int(i == j) - p2_mat[i][j] for j in range(n - 1)]
+                     for i in range(n - 1)]
+        target = [a - b for a, b in zip(
+            g2.v.to_basis_coords(),
+            mat_vec(q.basis_matrix(), g1.v.to_basis_coords()))]
+        x = ImageLattice(one_minus).solve(target)
+        if x is not None:
+            h = AffineElement(LatticeVector.from_basis_coords(n, x), q)
+            if h * g1 * h.inverse() == g2:
+                return h
+    return None
 
 
 def lfunction_error_bound(degree: int, bits: int) -> Fraction:

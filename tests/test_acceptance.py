@@ -171,7 +171,9 @@ def test_criterion_6_comparison_identity(panel):
     ok = True
     literal_discrepancies = 0
     for e in panel["entries"]:
-        report = comparison_check(e["gamma"], 24, zeta=e["det"])
+        report = comparison_check(
+            e["gamma"], 24, zeta=e["det"],
+            series=selberg_series_translation(e["gamma"], 24, GEODESIC))
         ok = ok and report.corrected_equal
         # the literal form is evaluated and its discrepancy recorded
         assert report.rhs_literal is not None

@@ -8,7 +8,7 @@ import pytest
 
 from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
 
-from _oracles import product_expand
+from _oracles import combine, product_expand
 
 
 def test_int_polynomial_basic_arithmetic():
@@ -35,6 +35,40 @@ def test_series_inverse_left_inverse():
     assert p.mul_truncated(inv, 12) == IntPolynomial.one()
     with pytest.raises(ValueError):
         IntPolynomial([2, 1]).series_inverse(4)
+
+
+def _naive_product(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return IntPolynomial(out)
+
+
+def _random_polynomial(rng, sparse):
+    deg = rng.randint(-1, 12)
+    share = 0.25 if sparse else 1.0
+    return IntPolynomial([rng.randint(-9, 9) if rng.random() < share else 0
+                          for _ in range(deg + 1)])
+
+
+def test_products_match_a_naive_double_loop():
+    rng = random.Random(1616)
+    zero = IntPolynomial.zero()
+    pairs = [(zero, zero), (zero, IntPolynomial([1, 0, 2])),
+             (IntPolynomial([0, 3]), zero)]
+    pairs += [(_random_polynomial(rng, sparse_a),
+               _random_polynomial(rng, sparse_b))
+              for sparse_a in (True, False) for sparse_b in (True, False)
+              for _ in range(60)]
+    for p, q in pairs:
+        full = _naive_product(p.coeffs, q.coeffs)
+        assert p * q == full, (p, q)
+        edges = {p.degree, q.degree, full.degree}
+        for max_deg in {d + k for d in edges for k in (-1, 0, 1)}:
+            if max_deg >= 0:
+                assert p.mul_truncated(q, max_deg) == full.truncate(max_deg), \
+                    (p, q, max_deg)
 
 
 def test_derivative_and_eval():
@@ -123,7 +157,7 @@ def test_multi_rational_combine_cancels_without_gcd():
     r = MultiRational(1)
     r.add_piece({(0,): 4}, [])
     r.add_piece({(2,): 4}, [(2,)])
-    num, den = r.combine()
+    num, den = combine(r)
     assert num == {(0,): 4}
     assert den == ((2,),)
 

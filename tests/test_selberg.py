@@ -9,6 +9,7 @@ import pytest
 
 from latzeta import selberg
 from latzeta.cayley import build_graph
+from latzeta.cli import RunConfig, run_config
 from latzeta.errors import BoxExhaustionError, ResourceCapError
 from latzeta.intmat import hnf_columns, mat_mul
 from latzeta.lattice import (
@@ -20,7 +21,6 @@ from latzeta.lattice import (
     Permutation,
     all_faces,
     all_permutations,
-    canonicalize,
     cone_decompose,
     face_length_exponents,
     length_vector,
@@ -31,14 +31,12 @@ from latzeta.quotient import AffineSubgroup, TranslationSubgroup
 from latzeta.selberg import (
     affine_conjugacy_classes,
     comparison_check,
-    find_conjugator,
-    rational_geodesic_pattern,
     selberg_rational_translation,
-    selberg_series_affine,
     selberg_series_translation,
 )
 from latzeta.zeta import zeta_positive_det
 from _oracles import (adjugate_membership, brute_force_translation_series,
+                      combine, find_conjugator,
                       fraction_free_coordinate_bounds, naive_affine_classes,
                       perm_from_cycles)
 from perfbench.workloads import (
@@ -166,7 +164,7 @@ def test_series_factorial_scale_rescales_exponents():
 
 def test_rational_translation_n2_closed_form():
     r = selberg_rational_translation(TranslationSubgroup(2, [[2]]))
-    num, den = r.combine()
+    num, den = combine(r)
     assert num == {(0,): 4}
     assert den == ((2,),)
 
@@ -256,10 +254,25 @@ def test_rational_denominator_factors_are_monomial():
         assert all(e >= 0 for e in factor)
 
 
+def affine_series(aff, max_deg, scale=GEODESIC):
+    """The series of the affine selberg_series check, run through
+    run_config and read back from its report."""
+    cfg = RunConfig.from_json_obj({
+        "n": aff.n,
+        "gamma": {"kind": "affine",
+                  "lattice": [list(r) for r in aff.lattice.basis],
+                  "perms": [list(p.images) for p in aff.perms]},
+        "maxDegree": max_deg, "scale": scale, "checks": ["selberg_series"]})
+    code, report = run_config(cfg)
+    assert code == 0
+    return MultiSeries.from_json_obj(
+        report["results"]["selberg_series"]["series"])
+
+
 def test_affine_trivial_permutation_part_reduces_to_translation():
     gam = TranslationSubgroup(3, [[1, 0], [-1, 3]])
     aff = AffineSubgroup(gam, [])
-    assert selberg_series_affine(aff, 6) == selberg_series_translation(gam, 6)
+    assert affine_series(aff, 6) == selberg_series_translation(gam, 6)
 
 
 def test_affine_n2_swap_classes():
@@ -294,7 +307,7 @@ def test_affine_n3_cycle_example():
                if c.representative.p != Permutation.identity(3)]
     assert len(torsion) == 6
     assert all(c.weight == 1 for c in torsion)
-    series = selberg_series_affine(aff, 0)
+    series = affine_series(aff, 0)
     assert series.get((0, 0)) == 18 + 6
 
 
@@ -349,7 +362,7 @@ def test_affine_weights_against_brute_force_full_s3():
 def test_affine_box_doubling_self_check_runs():
     gam = TranslationSubgroup(2, [[4]])
     aff = AffineSubgroup(gam, [Permutation((1, 0))])
-    selberg_series_affine(aff, 6, verify_box=True)
+    affine_conjugacy_classes(aff, 6)
 
 
 def test_affine_box_doubling_catches_a_short_box(monkeypatch):
@@ -363,7 +376,6 @@ def test_affine_box_doubling_catches_a_short_box(monkeypatch):
         return mids, mids
 
     monkeypatch.setattr(selberg, "_free_coordinate_bounds", centre_only)
-    affine_conjugacy_classes(aff, 6, verify_box=False)
     with pytest.raises(BoxExhaustionError, match="doubling"):
         affine_conjugacy_classes(aff, 6)
 
@@ -480,8 +492,8 @@ def test_affine_classes_match_the_naive_scan(n, lattice, gens, scale,
                                              max_deg):
     aff = AffineSubgroup(TranslationSubgroup(n, lattice),
                          [Permutation(images) for images in gens])
-    classes = affine_conjugacy_classes(aff, max_deg, scale, verify_box=True)
-    naive = naive_affine_classes(aff, max_deg, scale, verify_box=True)
+    classes = affine_conjugacy_classes(aff, max_deg, scale)
+    naive = naive_affine_classes(aff, max_deg, scale)
     assert len(classes) == len(naive) > 1
     for cls, ref in zip(classes, naive):
         assert cls.representative == ref.representative
@@ -540,13 +552,13 @@ def test_affine_transposition_half_integer_lengths():
     gam = TranslationSubgroup(3, [[3, 0], [0, 3]])
     aff = AffineSubgroup(gam, [perm_from_cycles(3, [(0, 1)])])
     assert aff.index_in_affine_group == 27
-    s = selberg_series_affine(aff, 2)
+    s = affine_series(aff, 2)
     assert dict(s.terms) == {
         (0, 0): 30,  # identity class 27 plus the torsion class (0, swap)
         (Fraction(3, 2), 0): 3,
         (0, Fraction(3, 2)): 3,
     }
-    s_fact = selberg_series_affine(aff, 12, FACTORIAL)
+    s_fact = affine_series(aff, 12, FACTORIAL)
     assert all(isinstance(x, int) for e in s_fact.terms for x in e)
     assert s_fact.get((9, 0)) == 3 and s_fact.get((0, 9)) == 3
 
@@ -613,14 +625,15 @@ def test_boxed_subgroup_elements_with_equal_pattern_are_conjugate():
 
 
 def test_find_conjugator_rejects_nonconjugate():
-    g1 = AffineElement.translation(canonicalize((1, 0, 0)))
-    g2 = AffineElement.translation(canonicalize((2, 0, 0)))
+    g1 = AffineElement.translation(LatticeVector.from_raw((1, 0, 0)))
+    g2 = AffineElement.translation(LatticeVector.from_raw((2, 0, 0)))
     assert find_conjugator(g1, g2) is None
 
 
 def _comparison(gamma, max_deg):
-    return comparison_check(gamma, max_deg,
-                            zeta_positive_det(build_graph(gamma)))
+    return comparison_check(
+        gamma, max_deg, zeta_positive_det(build_graph(gamma)),
+        selberg_series_translation(gamma, max_deg, GEODESIC))
 
 
 def test_comparison_check_n2():
@@ -641,19 +654,3 @@ def test_comparison_below_girth_is_zero():
     assert report.corrected_equal
     assert report.lhs_coeffs == [0, 0, 0]
     assert report.rhs_corrected == [0, 0, 0]
-
-
-def test_rational_geodesic_pattern_examples():
-    g = AffineElement.translation(canonicalize((3, 0, 0)))
-    assert rational_geodesic_pattern(g) == 1
-    g2 = AffineElement.translation(canonicalize((1, 1, 0)))
-    assert rational_geodesic_pattern(g2) == 2
-    g3 = AffineElement.translation(canonicalize((3, 1, 0)))
-    assert rational_geodesic_pattern(g3) is None
-    assert rational_geodesic_pattern(AffineElement.identity(3)) is None
-    # translations with one nonzero length close a straight path directly
-    gam = TranslationSubgroup(3, [[1, 0], [-1, 3]])
-    for coords in [(3, 0), (0, 3), (-3, -3)]:
-        v = LatticeVector.from_basis_coords(3, coords)
-        assert gam.contains(coords)
-        assert rational_geodesic_pattern(AffineElement.translation(v)) is not None
