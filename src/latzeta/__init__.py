@@ -1,9 +1,9 @@
 """Zeta functions of abelian quotients of the affine-Weyl Cayley graph.
 
 Exact computation and cross-verification of the positive-geodesic zeta (by
-determinant, direction orders, character product, and geodesic enumeration),
-the classical Ihara zeta via the Bass determinant, and the several-variable
-Selberg-type zeta with its cone-sum rational closed form.
+determinant, direction orders, character product modulo primes, and geodesic
+enumeration), the classical Ihara zeta via the Bass determinant, and the
+several-variable Selberg-type zeta with its cone-sum rational closed form.
 """
 
 from .errors import (
@@ -12,7 +12,6 @@ from .errors import (
     MultigraphError,
     ResourceCapError,
     SingularMatrixError,
-    ToleranceError,
     TypeZeroViolationError,
 )
 from .lattice import (

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ResourceCapError, ToleranceError
+from .errors import ResourceCapError
 from .cayley import (
     MAX_VERTICES,
     QuotientGraph,
@@ -67,8 +67,8 @@ def _is_int(x) -> bool:
 
 
 # the keys a config may hold, at its root and in each object
-_ROOT_KEYS = ("n", "gamma", "maxDegree", "scale", "tolerance", "checks",
-              "caps", "perturb")
+_ROOT_KEYS = ("n", "gamma", "maxDegree", "scale", "checks", "caps",
+              "perturb")
 _GAMMA_KEYS = {"translation": ("kind", "basis"),
                "affine": ("kind", "lattice", "perms")}
 _CAPS_KEYS = ("maxVertices", "acknowledgeLarge")
@@ -124,7 +124,6 @@ class RunConfig:
     perms: Tuple[Tuple[int, ...], ...] = ()
     max_degree: int = 12
     scale: str = GEODESIC
-    tolerance: float = 1e-9
     checks: Tuple[str, ...] = field(default_factory=lambda: TRANSLATION_CHECKS)
     max_vertices: int = MAX_VERTICES
     acknowledge_large: bool = False
@@ -184,13 +183,6 @@ class RunConfig:
         scale = obj.get("scale", GEODESIC)
         if scale not in (GEODESIC, FACTORIAL):
             raise ConfigError("scale", "must be 'geodesic' or 'factorial'")
-        tolerance = obj.get("tolerance", 1e-9)
-        # NaN would pass every deviation test, true would read as 1.0, and
-        # an integer above the largest float would not convert
-        if (isinstance(tolerance, bool)
-                or not isinstance(tolerance, (int, float))
-                or not 0 < tolerance <= sys.float_info.max):
-            raise ConfigError("tolerance", "must be a finite positive number")
         allowed = tuple(_CHECKS[kind])
         checks = obj.get("checks", "all")
         if checks == "all":
@@ -227,8 +219,8 @@ class RunConfig:
             n=n, gamma_kind=kind,
             basis=tuple(tuple(r) for r in basis),
             perms=perms, max_degree=max_degree, scale=scale,
-            tolerance=float(tolerance), checks=tuple(checks),
-            max_vertices=max_vertices, acknowledge_large=acknowledge,
+            checks=tuple(checks), max_vertices=max_vertices,
+            acknowledge_large=acknowledge,
             perturb=perturb, subgroup=subgroup,
         )
 
@@ -243,7 +235,6 @@ class RunConfig:
             "gamma": gamma,
             "maxDegree": self.max_degree,
             "scale": self.scale,
-            "tolerance": self.tolerance,
             "checks": list(self.checks),
             "caps": {"maxVertices": self.max_vertices,
                      "acknowledgeLarge": self.acknowledge_large},
@@ -323,15 +314,10 @@ def _check_positive_zeta(lazy: _Lazy, cfg: RunConfig):
 
 
 def _check_lfunction(lazy: _Lazy, cfg: RunConfig):
-    try:
-        poly, dev = lfunction_with_deviation(lazy.gamma, cfg.tolerance)
-    except ToleranceError as exc:
-        return False, {"rounding_deviation": exc.deviation,
-                       "tolerance": exc.tolerance, "error": str(exc)}
+    poly = lfunction_with_deviation(lazy.gamma)
     ok = poly == lazy.det_poly
     return ok, {
         "lfunction": poly.to_json_coeffs(),
-        "rounding_deviation": dev,
         "equals_determinant": ok,
         "first_difference": _first_difference(poly, lazy.det_poly),
     }

@@ -33,12 +33,3 @@ class ResourceCapError(RuntimeError):
 class BoxExhaustionError(RuntimeError):
     """An enumeration box failed its completeness self-check."""
 
-
-class ToleranceError(ArithmeticError):
-    """Floating-point rounding deviated by more than the allowed tolerance."""
-
-    def __init__(self, deviation: float, tolerance: float):
-        self.deviation = deviation
-        self.tolerance = tolerance
-        super().__init__(f"L-function rounding deviation {deviation:g} "
-                         f"exceeds {tolerance:g}")

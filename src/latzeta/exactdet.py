@@ -195,6 +195,17 @@ def _residues_mod(mats: Sequence[np.ndarray], primes: Sequence[int]
     return out
 
 
+def crt_lift(residues: Sequence[Sequence[int]], primes: Sequence[int]
+             ) -> List[int]:
+    """The integers in the symmetric range of the product of the primes with
+    the given residues, one list of coefficient residues per prime."""
+    prod = math.prod(primes)
+    weights = [pow(prod // p % p, p - 2, p) * (prod // p) for p in primes]
+    lifted = [sum(w * r for w, r in zip(weights, column)) % prod
+              for column in zip(*residues)]
+    return [x - prod if x > prod // 2 else x for x in lifted]
+
+
 def coefficient_bound(coeff_mats: Sequence[np.ndarray]) -> int:
     """Bound on every coefficient of det(sum_k C_k u^k).
 
@@ -225,11 +236,7 @@ def polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
         primes.append(_prime_desc(len(primes)))
         prod *= primes[-1]
 
-    # CRT lift to the symmetric range
-    weights = [pow(prod // p % p, p - 2, p) * (prod // p) for p in primes]
-    lifted = [sum(w * r for w, r in zip(weights, column)) % prod
-              for column in zip(*_residues_mod(mats, primes))]
-    poly = IntPolynomial([x - prod if x > prod // 2 else x for x in lifted])
+    poly = IntPolynomial(crt_lift(_residues_mod(mats, primes), primes))
 
     # certify on a fresh prime at a point past the degree
     q, t_star = _prime_desc(len(primes)), degree + 1

@@ -3,9 +3,10 @@
 The positive-geodesic zeta is computed three ways: as an exact determinant of
 the typed adjacency polynomial, as the product of (1 - u^{m_i})^{N/m_i} over
 the orders of the standard directions, and as a character (L-function)
-product in fixed-point Gaussian-integer arithmetic, a product tree whose
-certified error bound stays below 1/2 so that rounding recovers the integers
-(mpmath computes only the roots of unity).  A fourth route truncates the
+product, exactly: every character value is a root of unity of order dividing
+the last elementary divisor D, so the product is taken modulo primes
+p = 1 (mod D), lifted by CRT past a proven bound and certified at one more
+prime.  A fourth route truncates the
 Euler product over brute-force enumerated positive geodesics.  The classical
 Ihara zeta comes from the Bass determinant.  On simple quotients it is
 checked against the Euler product over primitive backtrackless tailless
@@ -16,16 +17,15 @@ reference for small depths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from mpmath import mp, mpf
 
-from .errors import MultigraphError, ResourceCapError, ToleranceError
-from .exactdet import polymatrix_det
-from .cayley import QuotientGraph, build_graph
+from .errors import MultigraphError, ResourceCapError
+from .exactdet import _is_prime, crt_lift, polymatrix_det
+from .cayley import QuotientGraph
 from .polynomials import IntPolynomial
 from .quotient import (
     TranslationSubgroup,
@@ -33,168 +33,58 @@ from .quotient import (
     quotient_group,
 )
 
-LFUNCTION_MIN_PRECISION_BITS = 150
-# bits added to a failed certified bound for the next attempt; the bound in
-# units of 2^-P hardly depends on P, so one retry usually certifies
-LFUNCTION_SPARE_BITS = 16
-# most linear factors a leaf of the product tree applies one at a time
-LFUNCTION_LEAF_FACTORS = 16
+
+def _lfunction_precision_bits(degree: int) -> int:
+    """The bits that the CRT modulus of the L-function must exceed: those of
+    2 binom(K, K // 2) + 1 for K = degree.  Every root of unity has modulus
+    1, so the coefficient of u^k in a product of K factors (1 - rho u) is at
+    most binom(K, k) in modulus."""
+    return (2 * math.comb(degree, degree // 2) + 1).bit_length()
 
 
-def _lfunction_precision_bits(failed: Sequence[Tuple[int, int]] = ()) -> int:
-    """The fractional bits P of the next product-tree attempt, given the
-    (P, certified bound in units of 2^-P) of the attempts that failed: the
-    base precision first, then the failed bound's bit length plus
-    LFUNCTION_SPARE_BITS, and from the third attempt on twice the last P."""
-    if not failed:
-        return LFUNCTION_MIN_PRECISION_BITS
-    bits, bound = failed[-1]
-    raised = bound.bit_length() + LFUNCTION_SPARE_BITS
-    return raised if len(failed) == 1 else max(raised, 2 * bits)
+def _primes_one_mod(d: int, bits: int) -> Tuple[List[int], int]:
+    """Primes p = 1 (mod d) below 2^31, largest first, until their product
+    exceeds 2^bits, and the next one, for the certificate.  Each holds a
+    primitive d-th root of unity, and a product of two residues is below
+    2^62."""
+    candidates = (p for p in range((2 ** 31 - 2) // d * d + 1, 1, -d)
+                  if _is_prime(p))
+    primes, prod = [], 1
+    while prod >> bits == 0:
+        primes.append(next(candidates))
+        prod *= primes[-1]
+    return primes, next(candidates)
 
 
-def _unit_root(turn: Fraction, bits: int) -> Tuple[int, int]:
-    """exp(2 pi i turn) times 2^bits, each part rounded to the nearest
-    integer.
-
-    At bits + 20 bits the argument 2 turn in [0, 2) is within 2^(-bits-19)
-    of exact, which moves cos(pi x) and sin(pi x) by at most
-    pi 2^(-bits-19), and mpmath's cospi/sinpi add a few units of
-    2^(-bits-20); so each part is within 2^(-bits-16) of exact before the
-    final rounding.
-    """
-    with mp.workprec(bits + 20):
-        x = mpf(2 * turn.numerator) / turn.denominator
-        return (int(mp.nint(mp.ldexp(mp.cospi(x), bits))),
-                int(mp.nint(mp.ldexp(mp.sinpi(x), bits))))
-
-
-# a node of the product tree: the real and the imaginary parts of its
-# coefficients scaled by 2^P, and a bound on the modulus of every
-# coefficient error in units of 2^-P
-_Node = Tuple[List[int], List[int], int]
+def _unit_powers(d: int, p: int) -> List[int]:
+    """g^0, .., g^(d-1) mod p for a primitive d-th root of unity g mod a
+    prime p = 1 (mod d): g = h^((p-1)/d) for the least h >= 2 whose powers
+    below d leave out 1."""
+    h = 2
+    while True:
+        g = pow(h, (p - 1) // d, p)
+        powers = [1]
+        for _ in range(d - 1):
+            powers.append(powers[-1] * g % p)
+        if 1 not in powers[1:]:
+            return powers
+        h += 1
 
 
-def _leaf(roots: Sequence[Tuple[int, int]], bits: int) -> _Node:
-    """prod (1 - r u) over the k rounded roots r, one factor at a time in
-    place, c_i -= round(r c_{i-1}), each part of the product rounded to the
-    nearest multiple of 2^-P.
-
-    Error bound.  Each part of a root is off by at most 2^(-P-1) +
-    2^(-P-16) (see :func:`_unit_root`), so |r - rho| < 2^-P and
-    |r| < 1 + 2^-P, and each rounded product is off by less than 2^-P in
-    modulus.  Let c_j(i) be the exact coefficients after j factors, so
-    |c_j(i)| <= binom(j, i) <= 2^j, and E_j the largest modulus of the
-    error of a computed one.  Subtracting the two recurrences,
-
-        e_j(i) = e_{j-1}(i) - r e_{j-1}(i-1) - (r - rho) c_{j-1}(i-1) + delta,
-
-    so E_j <= (2 + 2^-P) E_{j-1} + 2^-P (2^(j-1) + 1) with E_0 = 0, and
-
-        E_k <= 2^-P (1 + 2^(-P-1))^k sum_j 2^(k-j) (2^(j-1) + 1)
-            <  2^(k-1-P) (k + 2) (1 + k 2^-P)  <=  (k + 4) 2^(k-1-P),
-
-    using (1 + x)^k <= 1 + 2kx for kx <= 1 and k (k + 2) <= 2^(P+1).  Both
-    hold whenever (k + 4) 2^(k-1-P) < 1/2, and the root of the tree is
-    certified only then, since no node's bound is below a child's.
-    """
-    half = 1 << (bits - 1)
-    k = len(roots)
-    re = [1 << bits] + [0] * k
-    im = [0] * (k + 1)
-    for j, (a, b) in enumerate(roots, start=1):
-        for i in range(j, 0, -1):
-            x, y = re[i - 1], im[i - 1]
-            re[i] -= (a * x - b * y + half) >> bits
-            im[i] -= (a * y + b * x + half) >> bits
-    return re, im, (k + 4) << (k - 1)
-
-
-def _kronecker(ar: List[int], ai: List[int], br: List[int], bi: List[int]
-               ) -> Tuple[List[int], List[int]]:
-    """The exact product of two Gaussian-integer polynomials by Kronecker
-    substitution: each coefficient list becomes one int, the list evaluated
-    at 2^w, and the complex product takes three int products.
-
-    Every part of a product coefficient is below 2 t |a| |b| in modulus, t
-    the shorter length and |a|, |b| the largest parts of each side, so a
-    slot of w bits, a whole number of bytes with 2^(w-1) above that, holds
-    it with the balanced offset 2^(w-1) and no carry between slots.  Lists
-    go in and out through ``to_bytes``/``from_bytes``, one slot per
-    coefficient.
-    """
-    top = max(map(abs, ar + ai)) * max(map(abs, br + bi))
-    width = (2 * min(len(ar), len(br)) * top).bit_length() // 8 + 1
-    slot = b"\0" * (width - 1) + b"\x80"     # 2^(w-1), little-endian
-    offset = 1 << (8 * width - 1)
-
-    def pack(xs: List[int]) -> int:
-        return (int.from_bytes(b"".join([(x + offset).to_bytes(width, "little")
-                                         for x in xs]), "little")
-                - int.from_bytes(slot * len(xs), "little"))
-
-    length = len(ar) + len(br) - 1
-    bias = int.from_bytes(slot * length, "little")
-
-    def unpack(z: int) -> List[int]:
-        raw = (z + bias).to_bytes(width * length, "little")
-        return [int.from_bytes(raw[i:i + width], "little") - offset
-                for i in range(0, width * length, width)]
-
-    xr, xi, yr, yi = pack(ar), pack(ai), pack(br), pack(bi)
-    real, imag = xr * yr, xi * yi
-    cross = (xr + xi) * (yr + yi) - real - imag
-    return unpack(real - imag), unpack(cross)
-
-
-def _node(left: _Node, right: _Node, bits: int) -> _Node:
-    """The product of two subproducts, computed exactly and rounded once to
-    a multiple of 2^-P, with its certified bound.
-
-    With A^ = A + e_A and B^ = B + e_B the children and their errors,
-    A^ B^ - A B = A^ e_B + e_A B^ - e_A e_B, so in units of 2^-P each
-    coefficient is off by at most (|A^|_1 b + |B^|_1 a + t a b) / 2^P,
-    with |.|_1 the sum of |re| + |im| of the scaled coefficients, a and b
-    the children's bounds and t the shorter length; the final rounding
-    adds less than one unit.
-    """
-    ar, ai, ea = left
-    br, bi, eb = right
-    norm_a = sum(map(abs, ar)) + sum(map(abs, ai))
-    norm_b = sum(map(abs, br)) + sum(map(abs, bi))
-    terms = min(len(ar), len(br))
-    bound = -(-(norm_a * eb + norm_b * ea + terms * ea * eb) >> bits) + 1
-    cr, ci = _kronecker(ar, ai, br, bi)
-    half = 1 << (bits - 1)
-    return ([(c + half) >> bits for c in cr],
-            [(c + half) >> bits for c in ci], bound)
-
-
-def _product_tree(roots: Sequence[Tuple[int, int]], bits: int) -> _Node:
-    """prod (1 - r u) over the rounded roots, in their order: leaves of at
-    most LFUNCTION_LEAF_FACTORS consecutive factors, multiplied pairwise
-    by halves."""
-    if len(roots) <= LFUNCTION_LEAF_FACTORS:
-        return _leaf(roots, bits)
-    mid = len(roots) // 2
-    return _node(_product_tree(roots[:mid], bits),
-                 _product_tree(roots[mid:], bits), bits)
-
-
-def certified_product(turns: Sequence[Fraction], bits: int) -> _Node:
-    """prod_t (1 - rho_t u), rho_t = exp(2 pi i t), in fixed point at P =
-    bits: the real and the imaginary parts of the K + 1 coefficients
-    (K = len(turns)) as ints scaled by 2^P, and a certified bound on the
-    modulus of every coefficient error in units of 2^-P.  Each root is
-    rounded to P bits once per distinct turn."""
-    cache: Dict[Fraction, Tuple[int, int]] = {}
-    roots = []
-    for turn in turns:
-        rho = cache.get(turn)
-        if rho is None:
-            rho = cache[turn] = _unit_root(turn, bits)
-        roots.append(rho)
-    return _product_tree(roots, bits)
+def _product_mod(exponents: Sequence[int], d: int, primes: Sequence[int]
+                 ) -> np.ndarray:
+    """prod_j (1 - g^(a_j) u) mod each prime, g a primitive d-th root of
+    unity there and a_j the exponents: one row of K + 1 coefficients per
+    prime, lowest first, the K factors applied one at a time to all primes
+    at once."""
+    ps = np.array(primes, dtype=np.int64)[:, None]
+    roots = np.array([_unit_powers(d, p) for p in primes],
+                     dtype=np.int64)[:, exponents]
+    c = np.zeros((len(primes), len(exponents) + 1), dtype=np.int64)
+    c[:, 0] = 1
+    for i in range(len(exponents)):
+        c[:, 1:i + 2] = (c[:, 1:i + 2] - roots[:, i:i + 1] * c[:, :i + 1]) % ps
+    return c
 
 
 def zeta_positive_det(g: QuotientGraph) -> IntPolynomial:
@@ -226,44 +116,32 @@ def zeta_positive_orders(gamma: TranslationSubgroup) -> IntPolynomial:
     return out
 
 
-def lfunction_with_deviation(gamma: TranslationSubgroup,
-                             tolerance: float = 1e-9
-                             ) -> Tuple[IntPolynomial, float]:
-    """Character-product L-function, rounded to integers.
+def lfunction_with_deviation(gamma: TranslationSubgroup) -> IntPolynomial:
+    """Character-product L-function, exactly.
 
     Each character chi contributes prod_j (1 - chi(e_j) u) over the
-    projections of the n standard directions e_j, its Satake parameters;
-    the K = nN factors of all characters go, in that order, through
-    :func:`certified_product` at P = _lfunction_precision_bits(..)
-    fractional bits, raised until the certified bound is below 1/2, so that
-    rounding to the nearest integer recovers the integer coefficients.
-    Returns the polynomial and the worst rounding deviation; raises
-    ToleranceError if the deviation exceeds the tolerance and
-    ArithmeticError if it exceeds the certified bound.
+    projections of the n standard directions e_j, its Satake parameters.
+    Every value is a D-th root of unity, D the last elementary divisor, so a
+    turn t is g^(tD) for a primitive D-th root g, and the product of the
+    K = nN factors of all characters, in that order, has integer
+    coefficients.  It is computed modulo primes p = 1 (mod D) and lifted by
+    CRT once their product exceeds 2 binom(K, K // 2) + 1.  Any primitive
+    root gives the same product, because the characters are closed under
+    chi -> chi^k for k prime to D.  The product at one further prime
+    certifies the lift; a mismatch raises ArithmeticError.  The name is
+    kept because perfbench traces it.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     q = quotient_group(gamma)
-    turns = [t for chi in characters(q) for t in chi.satake_turns(q)]
-    failed: List[Tuple[int, int]] = []
-    while True:
-        bits = _lfunction_precision_bits(failed)
-        re, im, bound = certified_product(turns, bits)
-        if 2 * bound < 1 << bits:
-            break
-        failed.append((bits, bound))
-    half = 1 << (bits - 1)
-    coeffs = [(x + half) >> bits for x in re]
-    worst = max(max(abs(x - (c << bits)), abs(y))
-                for x, y, c in zip(re, im, coeffs))
-    deviation = worst / (1 << bits)
-    if worst > bound:
-        raise ArithmeticError(
-            f"L-function rounding deviation {deviation:g} exceeds the proven "
-            f"error bound {bound / (1 << bits):g}")
-    if deviation > tolerance:
-        raise ToleranceError(deviation, tolerance)
-    return IntPolynomial(coeffs), deviation
+    d = q.divisors[-1]
+    exponents = [int(t * d) for chi in characters(q)
+                 for t in chi.satake_turns(q)]
+    bits = _lfunction_precision_bits(len(exponents))
+    primes, check = _primes_one_mod(d, bits)
+    residues = _product_mod(exponents, d, primes + [check]).tolist()
+    coeffs = crt_lift(residues[:-1], primes)
+    if [c % check for c in coeffs] != residues[-1]:
+        raise ArithmeticError("L-function reconstruction failed certification")
+    return IntPolynomial(coeffs)
 
 
 def euler_characteristic(g: QuotientGraph) -> int:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from mpmath import mp, mpf
 
 from latzeta import selberg
 from latzeta.errors import BoxExhaustionError, SingularMatrixError
@@ -17,7 +18,6 @@ from latzeta.lattice import (FACTORIAL, GEODESIC, AffineElement,
                              all_permutations, scale_factor)
 from latzeta.polynomials import (Exponent, IntPolynomial, MultiRational,
                                  MultiSeries, _dict_add_term, norm_exponent)
-from latzeta.zeta import _unit_root
 
 
 def perm_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Permutation:
@@ -361,23 +361,58 @@ def find_conjugator(g1: AffineElement, g2: AffineElement
     return None
 
 
+def _unit_root(turn: Fraction, bits: int) -> Tuple[int, int]:
+    """exp(2 pi i turn) times 2^bits, each part rounded to the nearest
+    integer.
+
+    At bits + 20 bits the argument 2 turn in [0, 2) is within 2^(-bits-19)
+    of exact, which moves cos(pi x) and sin(pi x) by at most
+    pi 2^(-bits-19), and mpmath's cospi/sinpi add a few units of
+    2^(-bits-20); so each part is within 2^(-bits-16) of exact before the
+    final rounding.
+    """
+    with mp.workprec(bits + 20):
+        x = mpf(2 * turn.numerator) / turn.denominator
+        return (int(mp.nint(mp.ldexp(mp.cospi(x), bits))),
+                int(mp.nint(mp.ldexp(mp.sinpi(x), bits))))
+
+
 def lfunction_error_bound(degree: int, bits: int) -> Fraction:
     """(K + 4) 2^(K - 1 - P), for K = degree and P = bits: the a-priori
     bound on every coefficient error of :func:`fixed_point_product` over K
-    factors, the leaf bound of :func:`latzeta.zeta._leaf` at any K."""
+    factors.
+
+    Each part of a root is off by at most 2^(-P-1) + 2^(-P-16) (see
+    :func:`_unit_root`), so |r - rho| < 2^-P and |r| < 1 + 2^-P, and each
+    rounded product is off by less than 2^-P in modulus.  Let c_j(i) be the
+    exact coefficients after j factors, so |c_j(i)| <= binom(j, i) <= 2^j,
+    and E_j the largest modulus of the error of a computed one.
+    Subtracting the two recurrences,
+
+        e_j(i) = e_{j-1}(i) - r e_{j-1}(i-1) - (r - rho) c_{j-1}(i-1) + delta,
+
+    so E_j <= (2 + 2^-P) E_{j-1} + 2^-P (2^(j-1) + 1) with E_0 = 0, and
+
+        E_K <= 2^-P (1 + 2^(-P-1))^K sum_j 2^(K-j) (2^(j-1) + 1)
+            <  2^(K-1-P) (K + 2) (1 + K 2^-P)  <=  (K + 4) 2^(K-1-P),
+
+    using (1 + x)^K <= 1 + 2Kx for Kx <= 1 and K (K + 2) <= 2^(P+1).  Both
+    hold whenever (K + 4) 2^(K-1-P) < 1/2.
+    """
     return Fraction(degree + 4, 2) * Fraction(2) ** (degree - bits)
 
 
 def fixed_point_product(turns: Sequence[Fraction], bits: int
                         ) -> Tuple[List[int], List[int]]:
     """prod_t (1 - rho_t u), rho_t = exp(2 pi i t), in fixed point, one
-    factor at a time: the linear oracle for the certified product tree.
+    factor at a time: the fixed-point linear oracle for the exact L-function
+    of :func:`latzeta.zeta.lfunction_with_deviation`.
 
     Returns the real and the imaginary parts of the K + 1 coefficients as
     ints scaled by 2^P, P = bits, each root rounded to P bits once per
     distinct turn and each factor applied to the running coefficients in
     place, c_i -= round(r c_{i-1}).  Every coefficient is within
-    :func:`lfunction_error_bound` of exact (the proof is the leaf bound's).
+    :func:`lfunction_error_bound` of exact.
     """
     roots: Dict[Fraction, Tuple[int, int]] = {}
     half = 1 << (bits - 1)

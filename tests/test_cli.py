@@ -83,10 +83,6 @@ def _config_with(basis=([3, 0], [0, 3]), **fields):
     ({"caps": {"maxVertices": "10"}}, "caps.maxVertices"),
     ({"perturb": {"type": 1, "row": 99, "col": 0}}, "perturb.row"),
     ({"perturb": {"type": 1, "row": -1, "col": 0}}, "perturb.row"),
-    ({"tolerance": float("nan")}, "tolerance"),
-    ({"tolerance": float("inf")}, "tolerance"),
-    ({"tolerance": True}, "tolerance"),
-    ({"tolerance": 10 ** 400}, "tolerance"),
     ({"perturb": {"type": 1, "row": 0, "col": 0, "delta": 10 ** 30}},
      "perturb.delta"),
     # 9 vertices, entries of at most binom(3, 1) = 3: 9 * (10^9 + 3)^2 < 2^63
@@ -95,6 +91,11 @@ def _config_with(basis=([3, 0], [0, 3]), **fields):
     # keys no field names: refused rather than left at the default
     ({"maxVertices": 4}, "maxVertices"),
     ({"maxdegree": 4}, "maxdegree"),
+    # the former L-function rounding tolerance, whatever its value
+    ({"tolerance": float("nan")}, "tolerance"),
+    ({"tolerance": float("inf")}, "tolerance"),
+    ({"tolerance": True}, "tolerance"),
+    ({"tolerance": 10 ** 400}, "tolerance"),
     ({"caps": {"maxVertices": 9, "acknowledgelarge": True}},
      "caps.acknowledgelarge"),
     ({"perturb": {"type": 1, "row": 0, "col": 1, "Delta": 5}},
@@ -103,11 +104,11 @@ def _config_with(basis=([3, 0], [0, 3]), **fields):
     ({"checks": []}, "checks"),
     ({"checks": ["ihara", "positive_zeta", "ihara"]}, "checks"),
 ], ids=["basis_float", "basis_string", "caps_list", "max_vertices_string",
-        "perturb_row_too_large", "perturb_row_negative", "tolerance_nan",
-        "tolerance_infinite", "tolerance_bool", "tolerance_above_float",
-        "perturb_delta_huge",
+        "perturb_row_too_large", "perturb_row_negative", "perturb_delta_huge",
         "perturb_delta_overflows_int64", "unknown_root_max_vertices",
-        "unknown_root_misspelt", "unknown_caps_key", "unknown_perturb_key",
+        "unknown_root_misspelt", "tolerance_nan", "tolerance_infinite",
+        "tolerance_bool", "tolerance_above_float", "unknown_caps_key",
+        "unknown_perturb_key",
         "checks_empty", "checks_duplicate"])
 def test_bad_config_field_exits_2_and_names_it(tmp_path, capsys, changes,
                                                 field):
@@ -333,13 +334,16 @@ def test_off_diagonal_perturbation_breaks_the_adjacency_identities():
 
 
 def test_clean_run_builds_graph_and_determinant_once(monkeypatch):
+    import latzeta.cayley
     import latzeta.cli
     import latzeta.selberg
     import latzeta.zeta
 
-    calls = {"build_graph": 0, "zeta_positive_det": 0}
-    for name in calls:
-        original = getattr(latzeta.zeta, name)
+    homes = {"build_graph": latzeta.cayley,
+             "zeta_positive_det": latzeta.zeta}
+    calls = dict.fromkeys(homes, 0)
+    for name, home in homes.items():
+        original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
@@ -368,23 +372,17 @@ def test_parse_and_run_build_the_subgroup_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_unreachable_tolerance_fails_the_check_without_a_traceback(
-        tmp_path, capsys):
+def test_tolerance_key_exits_2_without_a_traceback(tmp_path, capsys):
+    # the L-function is exact, so there is no rounding left to tolerate
     cfg = {"n": 3, "gamma": {"kind": "translation", "basis": [[3, 0], [0, 6]]},
            "tolerance": 1e-80, "checks": ["positive_zeta", "lfunction"]}
     out = tmp_path / "report.json"
     code = main(["run", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)])
-    assert code == 1
-    assert "Traceback" not in capsys.readouterr().err
-    report = json.loads(out.read_text())
-    assert report["pass"] is False
-    assert report["results"]["positive_zeta"]["pass"] is True
-    result = report["results"]["lfunction"]
-    assert result["pass"] is False
-    assert result["tolerance"] == 1e-80
-    assert 1e-80 < result["rounding_deviation"] < 1e-30
-    assert "exceeds" in result["error"]
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "tolerance" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_never_lists_backtrackless_cycles(monkeypatch):

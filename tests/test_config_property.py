@@ -20,7 +20,6 @@ TRANSLATION = {
     "gamma": {"kind": "translation", "basis": [[3, 0], [0, 3]]},
     "maxDegree": 4,
     "scale": "geodesic",
-    "tolerance": 1e-9,
     "checks": list(TRANSLATION_CHECKS),
     "caps": {"maxVertices": 64, "acknowledgeLarge": False},
     "perturb": {"type": 1, "row": 0, "col": 1, "delta": 1},

@@ -13,7 +13,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from latzeta import RunConfig, exactdet, run_config, zeta
-from latzeta.errors import MultigraphError, ResourceCapError, ToleranceError
+from latzeta.errors import MultigraphError, ResourceCapError
 from latzeta.cayley import build_graph, perturb_adjacency
 from latzeta.exactdet import coefficient_bound, polymatrix_det
 from latzeta.polynomials import IntPolynomial
@@ -26,7 +26,6 @@ from latzeta.zeta import (
     direction_orders,
     enumerate_backtrackless_cycles,
     enumerate_positive_geodesics,
-    certified_product,
     euler_product_truncation,
     hashimoto_traces,
     ihara_bass,
@@ -367,17 +366,20 @@ def test_zeta_roots_on_unit_circle():
 
 
 def test_lfunction_examples():
-    assert lfunction_with_deviation(TranslationSubgroup(2, [[2]]))[0] \
+    assert lfunction_with_deviation(TranslationSubgroup(2, [[2]])) \
         == IntPolynomial.one_minus_power(2, 2)
-    poly, dev = lfunction_with_deviation(TranslationSubgroup(3, [[1, 0], [-1, 3]]))
-    assert poly == IntPolynomial.one_minus_power(3, 3)
-    assert dev < 1e-20
-    with pytest.raises(ValueError):
-        lfunction_with_deviation(TranslationSubgroup(2, [[2]]), tolerance=0)
-    # an unreachable tolerance must be reported, not silently rounded over
-    with pytest.raises(ToleranceError):
-        lfunction_with_deviation(TranslationSubgroup(3, [[3, 0], [0, 6]]),
-                                 tolerance=1e-80)
+    assert lfunction_with_deviation(TranslationSubgroup(3, [[1, 0], [-1, 3]])) \
+        == IntPolynomial.one_minus_power(3, 3)
+
+
+def test_lfunction_of_an_index_one_subgroup():
+    # D = 1: the one character is trivial, and every prime takes g = 1
+    for n in (2, 3, 4):
+        eye = [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
+        gamma = TranslationSubgroup(n, eye, check_types=False)
+        assert quotient_group(gamma).divisors[-1] == 1
+        assert lfunction_with_deviation(gamma) \
+            == IntPolynomial.one_minus_power(1, n)
 
 
 def _satake_turns(gamma):
@@ -408,66 +410,52 @@ SMALL_LFUNCTION_CASES = [
 ]
 
 
-def _spy_precision(monkeypatch):
-    """The list of every P that lfunction_with_deviation tries."""
-    tried = []
-    original = zeta._lfunction_precision_bits
-
-    def spy(failed=()):
-        tried.append(original(failed))
-        return tried[-1]
-
-    monkeypatch.setattr(zeta, "_lfunction_precision_bits", spy)
-    return tried
-
-
-def _limit(bound_ulps, bits, degree, reference_bits):
-    """bound_ulps 2^-bits, plus the error of an mpmath product at
-    reference_bits: each of its steps rounds a few times relative to values
-    below 2^K, so that stays below 8K 2^(K - reference_bits)."""
-    limit = (Fraction(bound_ulps, 1 << bits)
-             + Fraction(8 * degree, 2 ** (reference_bits - degree)))
-    return mpf(limit.numerator) / limit.denominator
+def _rounded(re, bits):
+    half = 1 << (bits - 1)
+    return [(x + half) >> bits for x in re]
 
 
 @pytest.mark.parametrize("n, basis", SMALL_LFUNCTION_CASES)
-def test_fixed_point_lfunction_matches_orders_and_mpmath(n, basis,
-                                                         monkeypatch):
-    tried = _spy_precision(monkeypatch)
+def test_fixed_point_lfunction_matches_orders_and_mpmath(n, basis):
+    """The exact route equals the orders product, and the real parts of an
+    mpmath product and of the fixed-point oracle, both at P = 150 + K bits
+    and rounded; the imaginary parts round to 0."""
     gamma = TranslationSubgroup(n, basis)
-    poly, dev = lfunction_with_deviation(gamma)
+    poly = lfunction_with_deviation(gamma)
     assert poly == zeta_positive_orders(gamma)
-    bits = tried[-1]
     turns = _satake_turns(gamma)
-    reference = _mpmath_product(turns, 2 * bits)
+    bits = 150 + len(turns)
+    reference = _mpmath_product(turns, bits)
     assert poly.coeffs == [int(mp.nint(c.real)) for c in reference]
-    _, _, bound = certified_product(turns, bits)
-    assert 0 <= dev <= bound / 2 ** bits < 0.5
+    assert all(mp.nint(c.imag) == 0 for c in reference)
+    re, im = fixed_point_product(turns, bits)
+    assert poly.coeffs == _rounded(re, bits)
+    assert _rounded(im, bits) == [0] * len(im)
 
 
 def test_fixed_point_lfunction_is_exact_on_exact_roots():
-    # every Satake parameter of 4Z^3 is a power of i, exact at any precision
+    # every Satake parameter of 4Z^3 is a power of i, so the fixed-point
+    # oracle rounds nothing and equals the exact route scaled by 2^P
     gamma = TranslationSubgroup(4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]])
-    poly, dev = lfunction_with_deviation(gamma)
-    assert dev == 0.0
+    poly = lfunction_with_deviation(gamma)
     assert poly == zeta_positive_orders(gamma)
+    turns = _satake_turns(gamma)
+    bits = 150 + len(turns)
+    re, im = fixed_point_product(turns, bits)
+    assert re == [c << bits for c in poly.coeffs]
+    assert not any(im)
 
 
 @pytest.mark.parametrize("n, basis", [
     (3, [[12, 0], [0, 12]]),
     (2, [[400]]),
     pytest.param(3, [[18, 0], [0, 18]], marks=pytest.mark.slow),
+    pytest.param(2, [[1600]], marks=pytest.mark.slow),
 ])
 def test_fixed_point_lfunction_on_large_quotients(n, basis):
-    # K = 432, 800 and 972; on each the certified tree raises P above 150
+    # K = 432, 800, 972 and 3200: 14, 26, 32 and 104 primes
     gamma = TranslationSubgroup(n, basis)
-    poly, _ = lfunction_with_deviation(gamma, tolerance=1e-30)
-    assert poly == zeta_positive_orders(gamma)
-
-
-def _rounded(re, bits):
-    half = 1 << (bits - 1)
-    return [(x + half) >> bits for x in re]
+    assert lfunction_with_deviation(gamma) == zeta_positive_orders(gamma)
 
 
 def _seeded_subgroups(count, seed):
@@ -491,41 +479,20 @@ def _seeded_subgroups(count, seed):
     return out
 
 
-def test_product_tree_equals_the_linear_oracle():
-    """The tree's rounded coefficients equal those of the one-factor-at-a-
-    time oracle at its own proven precision P = 150 + K, on the small
-    cases, on 4 Z^3 and on 50 seeded subgroups."""
+def test_modular_product_equals_the_linear_oracle():
+    """The exact coefficients equal the rounded ones of the one-factor-at-a-
+    time fixed-point oracle at its own proven precision P = 150 + K, on the
+    small cases, on 4 Z^3 and on 50 seeded subgroups."""
     cases = [TranslationSubgroup(n, b) for n, b in SMALL_LFUNCTION_CASES]
     cases.append(TranslationSubgroup(4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]]))
     cases += _seeded_subgroups(50, seed=1313)
     assert {g.n for g in cases} == {2, 3, 4, 5}
-    assert max(g.n * g.index for g in cases) > 4 * zeta.LFUNCTION_LEAF_FACTORS
     for gamma in cases:
         turns = _satake_turns(gamma)
         bits = 150 + len(turns)
         assert lfunction_error_bound(len(turns), bits) < Fraction(1, 2)
         expected = _rounded(fixed_point_product(turns, bits)[0], bits)
-        poly, _ = lfunction_with_deviation(gamma)
-        assert poly.coeffs == expected, gamma
-
-
-@pytest.mark.parametrize("bits", [150, 40])
-@pytest.mark.parametrize("n, basis", SMALL_LFUNCTION_CASES)
-def test_certified_bound_dominates_the_gap_to_mpmath(n, basis, bits):
-    """The tree's certified bound is at least the gap to an mpmath product
-    at 2P + K bits, at the route's base precision and at one far too low to
-    certify, where the bound must still hold."""
-    turns = _satake_turns(TranslationSubgroup(n, basis))
-    degree = len(turns)
-    re, im, bound = certified_product(turns, bits)
-    reference_bits = 2 * bits + degree
-    reference = _mpmath_product(turns, reference_bits)
-    with mp.workprec(reference_bits):
-        gap = max(abs(mpc(mp.ldexp(x, -bits), mp.ldexp(y, -bits)) - c)
-                  for x, y, c in zip(re, im, reference))
-        assert gap <= _limit(bound, bits, degree, reference_bits)
-    if degree <= zeta.LFUNCTION_LEAF_FACTORS:
-        assert bound == (degree + 4) << (degree - 1)
+        assert lfunction_with_deviation(gamma).coeffs == expected, gamma
 
 
 @pytest.mark.parametrize("n, basis", SMALL_LFUNCTION_CASES)
@@ -533,8 +500,8 @@ def test_certified_bound_dominates_the_gap_to_mpmath(n, basis, bits):
 def test_fixed_point_error_stays_within_the_proven_bound(n, basis,
                                                          spare_bits):
     """The linear oracle's gap to an mpmath product at twice the precision
-    never exceeds (K + 4) 2^(K-1-P), the leaf bound of the product tree, at
-    P = 150 + K and at one where the bound lies between 1/32 and 1/16."""
+    never exceeds its a-priori bound (K + 4) 2^(K-1-P), at P = 150 + K and
+    at one where the bound lies between 1/32 and 1/16."""
     gamma = TranslationSubgroup(n, basis)
     turns = _satake_turns(gamma)
     degree = len(turns)
@@ -556,39 +523,57 @@ def test_fixed_point_error_stays_within_the_proven_bound(n, basis,
         assert (gap > 0) == any(4 % t.denominator for t in turns)
 
 
-def test_lfunction_refuses_a_precision_the_bound_does_not_cover(monkeypatch):
-    # K = 27: at a starting P of 24 the certified bound is not below 1/2,
-    # so the route retries at the bound's bit length plus the spare bits
+def _spy(monkeypatch, name):
+    """The results of every call the route makes to zeta.<name>."""
+    seen = []
+    original = getattr(zeta, name)
+
+    def spy(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(zeta, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("n, basis", SMALL_LFUNCTION_CASES + [
+    (3, [[12, 0], [0, 12]]), (2, [[400]])])
+def test_lfunction_primes_and_certificate(n, basis, monkeypatch):
+    """One call sizes the CRT modulus by 2 binom(K, K // 2) + 1, the bound
+    on every coefficient.  The CRT primes are distinct, below 2^31 and
+    1 (mod D), and their product exceeds that bound; each holds a primitive
+    D-th root of unity; and the certificate prime is a further such
+    prime."""
+    gamma = TranslationSubgroup(n, basis)
+    d = quotient_group(gamma).divisors[-1]
+    k = n * gamma.index
+    bound = 2 * math.comb(k, k // 2) + 1
+    bits = _spy(monkeypatch, "_lfunction_precision_bits")
+    chosen = _spy(monkeypatch, "_primes_one_mod")
+    lfunction_with_deviation(gamma)
+    assert bits == [bound.bit_length()]
+    [(primes, check)] = chosen
+    assert len(set(primes)) == len(primes)
+    assert math.prod(primes) > bound
+    assert check not in primes
+    for p in primes + [check]:
+        assert exactdet._is_prime(p) and p % d == 1 and p < 2 ** 31
+        powers = zeta._unit_powers(d, p)
+        assert len(set(powers)) == d and pow(powers[1], d, p) == 1
+
+
+def test_lfunction_tampered_residue_raises(monkeypatch):
     gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
-    turns = _satake_turns(gamma)
-    _, _, bound = certified_product(turns, 24)
-    assert 2 * bound >= 1 << 24
-    monkeypatch.setattr(zeta, "LFUNCTION_MIN_PRECISION_BITS", 24)
-    tried = _spy_precision(monkeypatch)
-    poly, dev = lfunction_with_deviation(gamma, tolerance=0.5)
-    assert poly == zeta_positive_orders(gamma)
-    assert tried == [24, bound.bit_length() + zeta.LFUNCTION_SPARE_BITS]
-    _, _, final = certified_product(turns, tried[-1])
-    assert dev <= final / 2 ** tried[-1] < 0.5
-    # a second failure doubles P
-    assert zeta._lfunction_precision_bits([(24, bound), (60, 1 << 70)]) == 120
-    assert zeta._lfunction_precision_bits([(24, bound), (60, 1 << 110)]) \
-        == 111 + zeta.LFUNCTION_SPARE_BITS
+    original = zeta._product_mod
 
+    def tampered(exponents, d, primes):
+        residues = original(exponents, d, primes)
+        residues[0, 4] = (residues[0, 4] + 1) % primes[0]
+        return residues
 
-def test_lfunction_deviation_above_the_bound_raises(monkeypatch):
-    gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
-    original = zeta._node
-
-    def off_by_a_third(left, right, bits):
-        re, im, bound = original(left, right, bits)
-        if len(re) == 28:           # the root, K = 27
-            re[4] += (1 << bits) // 3
-        return re, im, bound
-
-    monkeypatch.setattr(zeta, "_node", off_by_a_third)
-    with pytest.raises(ArithmeticError, match="proven error bound"):
-        lfunction_with_deviation(gamma, tolerance=1.0)
+    monkeypatch.setattr(zeta, "_product_mod", tampered)
+    with pytest.raises(ArithmeticError, match="certification"):
+        lfunction_with_deviation(gamma)
 
 
 def test_ihara_bass_examples():
