@@ -19,6 +19,8 @@ from .lattice import LatticeVector, type_of
 from .quotient import FiniteAbelianGroup, TranslationSubgroup, quotient_group
 
 MAX_VERTICES = 4096
+# directed edges, (2^n - 2) N, that build_graph will add up one at a time
+MAX_EDGES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class QuotientGraph:
 
     def is_simple(self) -> bool:
         a = self.adjacency()
-        return bool((a <= 1).all() and (np.diag(a) == 0).all())
+        return bool(((a == 0) | (a == 1)).all() and not np.diag(a).any())
 
 
 def build_graph(gamma: TranslationSubgroup, *,
@@ -76,6 +78,11 @@ def build_graph(gamma: TranslationSubgroup, *,
     if q.order > max_vertices:
         raise ResourceCapError(
             f"quotient has {q.order} vertices, above the cap {max_vertices}")
+    edges = (2 ** n - 2) * q.order
+    if edges > MAX_EDGES:
+        raise ResourceCapError(
+            f"rank {n} gives 2^{n} - 2 generators on {q.order} vertices, "
+            f"{edges} edges, above the cap {MAX_EDGES}")
     vertices = tuple(sorted(q.elements()))
     index = {v: i for i, v in enumerate(vertices)}
     mats = [np.zeros((len(vertices), len(vertices)), dtype=np.int64)

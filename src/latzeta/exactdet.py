@@ -24,15 +24,20 @@ of those rows (Hadamard), and every coefficient is at most the maximum of
 |det M| on the unit circle (Cauchy).  A plain elimination of M at a fresh
 point modulo a fresh prime, which shares nothing with the linearisation,
 certifies the result.
+
+:func:`crt_primes` picks the primes of every modular route, p = 1 (mod 1)
+for a determinant and p = 1 (mod D) for the character L-function, all below
+2^29: every residue fits int32 and a sum of 31 products of residues int64.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import ResourceCapError
 from .polynomials import IntPolynomial
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -67,18 +72,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# the primes below 2^29, largest first, found on first need and kept
-_PRIMES: List[int] = []
+# per modulus d, the primes p = 1 (mod d) below 2^29, largest first, found
+# on first need and kept
+_PRIMES: Dict[int, List[int]] = {}
 
 
-def _prime_desc(i: int) -> int:
-    """The i-th prime below 2^29 in descending order, counting from 0."""
-    n = _PRIMES[-1] - 2 if _PRIMES else 2 ** 29 - 1
-    while len(_PRIMES) <= i:
-        if _is_prime(n):
-            _PRIMES.append(n)
-        n -= 2
-    return _PRIMES[i]
+def crt_primes(bits: int, d: int = 1) -> Tuple[List[int], int]:
+    """The largest primes p = 1 (mod d) below 2^29 whose product is at least
+    2^bits, largest first, and the next one, for the certificate.  Raises
+    ResourceCapError when the primes below 2^29 run out first."""
+    kept = _PRIMES.setdefault(d, [])
+    # a prime above 2 is odd, so p = 1 (mod d) means p = 1 (mod lcm(2, d))
+    step = d if d % 2 == 0 else 2 * d
+    n = kept[-1] - step if kept else (2 ** 29 - 2) // step * step + 1
+    count, prod = 0, 1
+    while True:
+        while len(kept) <= count:
+            if n < 2:
+                raise ResourceCapError(
+                    f"a CRT modulus of 2^{bits} needs more primes p = 1 "
+                    f"(mod {d}) than there are below 2^29")
+            if _is_prime(n):
+                kept.append(n)
+            n -= step
+        if prod >> bits:
+            return kept[:count], kept[count]
+        prod *= kept[count]
+        count += 1
 
 
 def det_mod(matrix: np.ndarray, p: int) -> int:
@@ -230,16 +250,11 @@ def polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
         return IntPolynomial.one()
     degree = (len(mats) - 1) * size
 
-    bound = coefficient_bound(mats)
-    primes, prod = [], 1
-    while prod <= 2 * bound + 1:
-        primes.append(_prime_desc(len(primes)))
-        prod *= primes[-1]
-
+    primes, q = crt_primes((2 * coefficient_bound(mats) + 1).bit_length())
     poly = IntPolynomial(crt_lift(_residues_mod(mats, primes), primes))
 
     # certify on a fresh prime at a point past the degree
-    q, t_star = _prime_desc(len(primes)), degree + 1
+    t_star = degree + 1
     point = sum(c % q * pow(t_star, k, q) % q for k, c in enumerate(mats)) % q
     if poly(t_star) % q != det_mod(point, q):
         raise ArithmeticError("determinant reconstruction failed certification")

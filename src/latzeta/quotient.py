@@ -3,8 +3,9 @@
 The lattice is identified with Z^{n-1} through the basis e_1, .., e_{n-1}
 (with e_n = -(e_1 + ... + e_{n-1})), so a finite-index subgroup is a square
 integer matrix whose columns are its generators.  The quotient group, its
-characters and their Satake parameters are all computed exactly; characters
-evaluate to fractions of a full turn rather than floating complex numbers.
+characters and their Satake parameters are all computed exactly; a character
+value is the integer exponent of a root of unity rather than a floating
+complex number.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import SingularMatrixError, TypeZeroViolationError
@@ -176,29 +176,27 @@ def quotient_group(gamma: TranslationSubgroup) -> FiniteAbelianGroup:
 class Character:
     """A character of the quotient, stored by its exponent tuple.
 
-    Values are exact fractions of a full turn; the Satake parameters are the
-    turns of the n standard directions and always sum to a whole number of
-    turns.  The divisors form a chain d_1 | d_2 | ..., so a turn is one
-    integer over the last divisor D.
+    The divisors form a chain d_1 | d_2 | ..., so every value is a D-th root
+    of unity, D the last divisor, and is held as its exponent a in [0, D):
+    the value exp(2 pi i a / D).  The Satake parameters are the values on
+    the n standard directions; their exponents sum to 0 mod D.
     """
 
     exponents: Tuple[int, ...]
     divisors: Tuple[int, ...]
-    n: int
 
-    def turn(self, cls: Sequence[int]) -> Fraction:
-        """Value on a quotient element, as a turn fraction in [0, 1):
-        sum_i k_i x_i (D / d_i) mod D, over D."""
+    def turn(self, cls: Sequence[int]) -> int:
+        """Value on a quotient element, as its exponent in [0, D):
+        sum_i k_i x_i (D / d_i) mod D."""
         big = self.divisors[-1]
-        t = sum(k * x * (big // d)
-                for k, x, d in zip(self.exponents, cls, self.divisors))
-        return Fraction(t % big, big)
+        return sum(k * x * (big // d)
+                   for k, x, d in zip(self.exponents, cls, self.divisors)) % big
 
-    def satake_turns(self, q: FiniteAbelianGroup) -> Tuple[Fraction, ...]:
+    def satake_turns(self, q: FiniteAbelianGroup) -> Tuple[int, ...]:
         return tuple(self.turn(d) for d in q.directions)
 
 
 def characters(q: FiniteAbelianGroup) -> List[Character]:
     """All characters of the quotient, in lexicographic exponent order."""
-    return [Character(exps, q.divisors, q.n)
+    return [Character(exps, q.divisors)
             for exps in itertools.product(*(range(d) for d in q.divisors))]

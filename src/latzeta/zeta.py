@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import MultigraphError, ResourceCapError
-from .exactdet import _is_prime, crt_lift, polymatrix_det
+from .exactdet import crt_lift, crt_primes, polymatrix_det
 from .cayley import QuotientGraph
 from .polynomials import IntPolynomial
 from .quotient import (
@@ -40,20 +40,6 @@ def _lfunction_precision_bits(degree: int) -> int:
     1, so the coefficient of u^k in a product of K factors (1 - rho u) is at
     most binom(K, k) in modulus."""
     return (2 * math.comb(degree, degree // 2) + 1).bit_length()
-
-
-def _primes_one_mod(d: int, bits: int) -> Tuple[List[int], int]:
-    """Primes p = 1 (mod d) below 2^31, largest first, until their product
-    exceeds 2^bits, and the next one, for the certificate.  Each holds a
-    primitive d-th root of unity, and a product of two residues is below
-    2^62."""
-    candidates = (p for p in range((2 ** 31 - 2) // d * d + 1, 1, -d)
-                  if _is_prime(p))
-    primes, prod = [], 1
-    while prod >> bits == 0:
-        primes.append(next(candidates))
-        prod *= primes[-1]
-    return primes, next(candidates)
 
 
 def _unit_powers(d: int, p: int) -> List[int]:
@@ -121,11 +107,12 @@ def lfunction_with_deviation(gamma: TranslationSubgroup) -> IntPolynomial:
 
     Each character chi contributes prod_j (1 - chi(e_j) u) over the
     projections of the n standard directions e_j, its Satake parameters.
-    Every value is a D-th root of unity, D the last elementary divisor, so a
-    turn t is g^(tD) for a primitive D-th root g, and the product of the
-    K = nN factors of all characters, in that order, has integer
-    coefficients.  It is computed modulo primes p = 1 (mod D) and lifted by
-    CRT once their product exceeds 2 binom(K, K // 2) + 1.  Any primitive
+    Every value is a D-th root of unity, D the last elementary divisor, held
+    as its exponent a, so it is g^a for a primitive D-th root g, and the
+    product of the K = nN factors of all characters, in that order, has
+    integer coefficients.  It is computed modulo the primes p = 1 (mod D) of
+    :func:`crt_primes`, chosen before the characters are listed, and lifted
+    by CRT once their product exceeds 2 binom(K, K // 2) + 1.  Any primitive
     root gives the same product, because the characters are closed under
     chi -> chi^k for k prime to D.  The product at one further prime
     certifies the lift; a mismatch raises ArithmeticError.  The name is
@@ -133,10 +120,8 @@ def lfunction_with_deviation(gamma: TranslationSubgroup) -> IntPolynomial:
     """
     q = quotient_group(gamma)
     d = q.divisors[-1]
-    exponents = [int(t * d) for chi in characters(q)
-                 for t in chi.satake_turns(q)]
-    bits = _lfunction_precision_bits(len(exponents))
-    primes, check = _primes_one_mod(d, bits)
+    primes, check = crt_primes(_lfunction_precision_bits(gamma.n * q.order), d)
+    exponents = [a for chi in characters(q) for a in chi.satake_turns(q)]
     residues = _product_mod(exponents, d, primes + [check]).tolist()
     coeffs = crt_lift(residues[:-1], primes)
     if [c % check for c in coeffs] != residues[-1]:

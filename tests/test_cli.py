@@ -209,6 +209,26 @@ def test_affine_scan_cell_cap_exits_3_before_allocating():
     assert peak < 1 << 20
 
 
+def test_graph_edge_cap_exits_3_before_building_the_generators(tmp_path,
+                                                               capsys):
+    # the index-30 type-zero subgroup of rank 30, with columns
+    # e_1 - e_2, .., e_28 - e_29 and 30 e_29, would need 2^30 - 2 generators
+    n = 30
+    basis = [[n if i == j == n - 2 else (i == j) - (i == j + 1)
+              for j in range(n - 1)] for i in range(n - 1)]
+    path = write_config(tmp_path, {"n": n, "gamma": {"kind": "translation",
+                                                     "basis": basis}})
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "rank 30" in capsys.readouterr().out
+    assert peak < 1 << 20
+
+
 def test_perturbed_comparison_keeps_the_vertex_cap():
     # the comparison builds the unperturbed determinant itself, and must
     # build it under the config's cap, not the library default

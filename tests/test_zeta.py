@@ -15,7 +15,7 @@ from mpmath import mp, mpc, mpf
 from latzeta import RunConfig, exactdet, run_config, zeta
 from latzeta.errors import MultigraphError, ResourceCapError
 from latzeta.cayley import build_graph, perturb_adjacency
-from latzeta.exactdet import coefficient_bound, polymatrix_det
+from latzeta.exactdet import coefficient_bound, crt_primes, polymatrix_det
 from latzeta.polynomials import IntPolynomial
 from latzeta.quotient import TranslationSubgroup, characters, quotient_group
 from latzeta.zeta import (
@@ -91,26 +91,53 @@ def test_corrupted_residue_fails_certificate(monkeypatch):
     assert len(batches) == 1 and len(batches[0]) > 1
 
 
-def _first_primes(count):
-    return [exactdet._prime_desc(i) for i in range(count)]
-
-
-def _scan_primes(count):
-    """The descending Miller-Rabin scan from 2^29, run afresh."""
-    out, n = [], 2 ** 29 - 1
+def _scan_primes(count, d=1):
+    """The first count primes p = 1 (mod d) below 2^29, largest first, by a
+    descending Miller-Rabin scan run afresh."""
+    out, n = [], (2 ** 29 - 2) // d * d + 1
     while len(out) < count:
         if exactdet._is_prime(n):
             out.append(n)
-        n -= 2
+        n -= d
     return out
 
 
 def test_descending_primes_match_a_fresh_scan(monkeypatch):
-    expected = _scan_primes(40)
-    assert _first_primes(40) == expected
+    # each prime is just below 2^29, so 40 * 29 - 1 bits take 40 of them,
+    # and the 41st is the certificate
+    expected = _scan_primes(41)
+    assert crt_primes(40 * 29 - 1) == (expected[:-1], expected[-1])
     # asking again reads the kept list and runs no Miller-Rabin test
     monkeypatch.setattr(exactdet, "_is_prime", None)
-    assert _first_primes(40) == expected
+    assert crt_primes(40 * 29 - 1) == (expected[:-1], expected[-1])
+
+
+@pytest.mark.parametrize("d", [1, 3, 18, 1600])
+def test_crt_primes_are_the_largest_primes_one_mod_d(d, monkeypatch):
+    """The primes are distinct, prime, 1 (mod d), below 2^29 and
+    descending, the fewest whose product is at least 2^bits, and the
+    certificate prime is not among them: all of them are the fresh scan.  A
+    second call runs no Miller-Rabin test."""
+    chosen = {}
+    for bits in (1, 29, 30, 100, 1000):
+        primes, check = chosen[bits] = crt_primes(bits, d)
+        chain = primes + [check]
+        assert chain == sorted(set(chain), reverse=True)
+        for p in chain:
+            assert exactdet._is_prime(p) and p % d == 1 % d and p < 2 ** 29
+        assert math.prod(primes) >> bits
+        assert math.prod(primes[:-1]) >> bits == 0
+        assert chain == _scan_primes(len(chain), d)
+    monkeypatch.setattr(exactdet, "_is_prime", None)
+    for bits, expected in chosen.items():
+        assert crt_primes(bits, d) == expected
+
+
+def test_crt_primes_run_out_with_a_resource_cap():
+    # at most 54 numbers below 2^29 are 1 (mod 10^7), and 10^6 bits need
+    # more than 10^6 / 29 primes
+    with pytest.raises(ResourceCapError, match="below 2\\^29"):
+        crt_primes(10 ** 6, 10 ** 7)
 
 
 def test_prime_list_is_empty_after_import():
@@ -165,7 +192,7 @@ def test_batched_pivots_diverge_between_primes():
     alone, so its pivot row in the Hessenberg reduction differs from the
     rest of its batch.  Random entries equal to the first or last prime of
     the batch make the nonzero rows differ between primes as well."""
-    primes = _first_primes(5)
+    primes = _scan_primes(5)
     p = primes[0]
     hessenberg_case = [np.eye(3, dtype=np.int64),
                        np.array([[0, 1, 0], [p, 0, 2], [1, 3, 0]]),
@@ -183,7 +210,7 @@ def test_batched_pivots_diverge_between_primes():
 def test_add_dot_mod_sums_past_one_chunk_without_overflow():
     """Four chunks of the largest residues, added and subtracted: each sum
     of a whole row would overflow int64."""
-    primes = _first_primes(2)
+    primes = _scan_primes(2)
     ps = np.array(primes)
     width = 4 * exactdet._CHUNK
     a = np.repeat(ps - 1, 3 * width).reshape(2, 3, width).astype(np.int32)
@@ -202,7 +229,7 @@ def test_batch_cap_splits_the_primes(monkeypatch):
     mats = [np.eye(6, dtype=np.int64)]
     mats += [np.array([[rng.randint(-2, 2) for _ in range(6)]
                        for _ in range(6)], dtype=np.int64) for _ in range(10)]
-    primes = _first_primes(40)
+    primes = _scan_primes(40)
     degree = 10 * 6
     assert len(primes) * degree ** 2 > exactdet._BATCH_ENTRIES
     real = exactdet._charpoly_mod
@@ -383,8 +410,11 @@ def test_lfunction_of_an_index_one_subgroup():
 
 
 def _satake_turns(gamma):
+    """The Satake parameters of every character, as turns a / D."""
     q = quotient_group(gamma)
-    return [t for chi in characters(q) for t in chi.satake_turns(q)]
+    d = q.divisors[-1]
+    return [Fraction(a, d) for chi in characters(q)
+            for a in chi.satake_turns(q)]
 
 
 def _mpmath_product(turns, bits):
@@ -453,7 +483,7 @@ def test_fixed_point_lfunction_is_exact_on_exact_roots():
     pytest.param(2, [[1600]], marks=pytest.mark.slow),
 ])
 def test_fixed_point_lfunction_on_large_quotients(n, basis):
-    # K = 432, 800, 972 and 3200: 14, 26, 32 and 104 primes
+    # K = 432, 800, 972 and 3200: 15, 28, 34 and 111 primes
     gamma = TranslationSubgroup(n, basis)
     assert lfunction_with_deviation(gamma) == zeta_positive_orders(gamma)
 
@@ -540,24 +570,25 @@ def _spy(monkeypatch, name):
     (3, [[12, 0], [0, 12]]), (2, [[400]])])
 def test_lfunction_primes_and_certificate(n, basis, monkeypatch):
     """One call sizes the CRT modulus by 2 binom(K, K // 2) + 1, the bound
-    on every coefficient.  The CRT primes are distinct, below 2^31 and
-    1 (mod D), and their product exceeds that bound; each holds a primitive
-    D-th root of unity; and the certificate prime is a further such
-    prime."""
+    on every coefficient, and asks crt_primes for primes 1 (mod D).  They
+    are distinct, below 2^29 and 1 (mod D), and their product exceeds that
+    bound; each holds a primitive D-th root of unity; and the certificate
+    prime is a further such prime."""
     gamma = TranslationSubgroup(n, basis)
     d = quotient_group(gamma).divisors[-1]
     k = n * gamma.index
     bound = 2 * math.comb(k, k // 2) + 1
     bits = _spy(monkeypatch, "_lfunction_precision_bits")
-    chosen = _spy(monkeypatch, "_primes_one_mod")
+    chosen = _spy(monkeypatch, "crt_primes")
     lfunction_with_deviation(gamma)
     assert bits == [bound.bit_length()]
     [(primes, check)] = chosen
+    assert chosen == [crt_primes(bound.bit_length(), d)]
     assert len(set(primes)) == len(primes)
     assert math.prod(primes) > bound
     assert check not in primes
     for p in primes + [check]:
-        assert exactdet._is_prime(p) and p % d == 1 and p < 2 ** 31
+        assert exactdet._is_prime(p) and p % d == 1 and p < 2 ** 29
         powers = zeta._unit_powers(d, p)
         assert len(set(powers)) == d and pow(powers[1], d, p) == 1
 
@@ -679,6 +710,23 @@ def test_backtrackless_rejects_multigraph():
     g = build_graph(TranslationSubgroup(2, [[2]]))
     with pytest.raises(MultigraphError):
         enumerate_backtrackless_cycles(g, 4)
+
+
+def test_negative_entry_is_no_edge_of_a_simple_graph():
+    # -1 on an off-diagonal type-1 entry of 3Z^2 is no edge: the cycle
+    # oracle refuses the graph, and the ihara check skips its oracle
+    perturb = {"type": 1, "row": 0, "col": 5, "delta": -1}
+    g = perturb_adjacency(build_graph(TranslationSubgroup(3, [[3, 0], [0, 3]])),
+                          *perturb.values())
+    assert g.adjacency().min() == -1 and not g.is_simple()
+    with pytest.raises(MultigraphError):
+        hashimoto_traces(g, 8)
+    with pytest.raises(MultigraphError):
+        enumerate_backtrackless_cycles(g, 4)
+    code, report = run_config(RunConfig.from_json_obj({
+        "n": 3, "gamma": {"kind": "translation", "basis": [[3, 0], [0, 3]]},
+        "checks": ["ihara"], "perturb": perturb}))
+    assert code == 0 and report["results"]["ihara"]["oracle"] == "skipped"
 
 
 def test_backtrackless_counts_match_hashimoto_traces():
