@@ -66,6 +66,13 @@ from .selberg import (
     selberg_rational_translation,
     selberg_series_translation,
 )
-from .cli import RunConfig, run_config
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # loaded on first use, so that python -m latzeta.cli runs it only once
+    if name in ("RunConfig", "run_config"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

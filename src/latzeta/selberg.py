@@ -5,11 +5,11 @@ elements, so the series is a box scan and the closed form is a finite sum
 of cone sums: summing the stabilizer size over a class's sorted pattern is
 the same as summing, over all coordinate permutations q, the points of
 q(subgroup) that land in the dominant cone, face by face.  Each face
-contributes an exact geometric-series rational function.  The scan streams
-the box in slabs of its first coordinate over one reused sub-grid, tests
-membership by Smith residues in int64, and counts the members of each
-sorted coordinate pattern, so the series gets one term per pattern rather
-than one per member.
+contributes an exact geometric-series rational function.  The scan keeps
+one int64 Smith residue per cell of the sub-grid of the last n-1
+coordinates, an outer sum of per-axis terms, tests each slab of the first
+coordinate against it, and counts the members of each sorted coordinate
+pattern, so the series gets one term per pattern rather than one per member.
 
 For a split affine subgroup M x| P, conjugacy classes are enumerated
 exactly: for fixed permutation part p, translation parts live in the cosets
@@ -76,23 +76,6 @@ class ConjugacyClass:
     lengths: LengthVector
 
 
-def _pattern_stabilizer_size(coords: Sequence[int]) -> int:
-    """Number of permutations fixing the vector: product of multiplicity
-    factorials."""
-    counts: Dict[int, int] = {}
-    for x in coords:
-        counts[x] = counts.get(x, 0) + 1
-    out = 1
-    for c in counts.values():
-        out *= math.factorial(c)
-    return out
-
-
-def _sorted_gap_exponents(coords: Sequence[int], factor: int) -> Tuple[int, ...]:
-    s = sorted(coords, reverse=True)
-    return tuple(factor * (s[j] - s[j + 1]) for j in range(len(s) - 1))
-
-
 def _check_int64(context: str, what: str, bound: int) -> None:
     """Raise before allocating unless the proven bound fits in int64."""
     if bound >= 2 ** 63:
@@ -101,8 +84,8 @@ def _check_int64(context: str, what: str, bound: int) -> None:
 
 
 # cells of the (span+1)^(n-1) sub-grid a translation series may allocate
-# (each int64 column over it takes 32 MB at this cap), and of all the coset
-# boxes an affine class scan may search
+# (8 bytes a cell per Smith row for its residues: 32 MB a row at this cap),
+# and of all the coset boxes an affine class scan may search
 SERIES_GRID_CELLS = 1 << 22
 
 
@@ -113,12 +96,12 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     Every subgroup element is its own conjugacy class with weight
     N * (stabilizer of its coordinate pattern); elements of length degree at
     most max_deg have canonical coordinates inside [0, span]^n, where
-    span = max_deg // scale factor.  The box is scanned in slabs of its
-    first coordinate over one reused (span+1)^(n-1) sub-grid.  Members are
-    found by the Smith residue test, (U x)_i = 0 mod d_i for every
-    elementary divisor d_i > 1, each member's sorted coordinates are
-    encoded as one base-(span+1) integer, and every distinct pattern adds
-    one term of weight N * stabilizer * (members with that pattern).
+    span = max_deg // scale factor.  A point is a member when
+    u . (x_1 - x_n, .., x_{n-1} - x_n) = 0 mod d for every Smith row u with
+    divisor d > 1, that is when the residue of (x_2, .., x_n) under the
+    weights (u_2, .., u_{n-1}, -sum u), kept per sub-grid cell, is
+    -u_1 x_1 mod d; slabs x_1 > 0 test only the cells with a coordinate 0.
+    Each sorted pattern adds one term, N * stabilizer * (its members).
     """
     n = gamma.n
     f = scale_factor(n, scale)
@@ -131,46 +114,56 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     context = f"translation Selberg series to degree {max_deg}"
     _check_int64(context, f"the pattern code (span+1)^n = {base}^{n}",
                  base ** n)
+    # residues lie in [0, d), and sums of two are formed in (-d, d)
     _check_int64(context, "the largest elementary divisor",
                  gamma.image.diag[-1])
-    # span counted as at least 1, so that the rows themselves fit
+    # bounds each per-axis term w x, as |sum u| <= (n-1) max|row|; span
+    # counted as at least 1, so that the rows themselves fit
     _check_int64(context, f"a Smith residue (n-1)*span*max|row| = "
                  f"{n - 1}*{max(span, 1)}*{row_max}",
                  (n - 1) * max(span, 1) * row_max)
-    if base ** (n - 1) > SERIES_GRID_CELLS:
+    cells = base ** (n - 1)
+    if cells > SERIES_GRID_CELLS:
         raise ResourceCapError(
             f"{context}: the sub-grid of (span+1)^(n-1) = {base}^{n - 1} "
             f"cells is above the cap of {SERIES_GRID_CELLS} cells")
-    u = np.array([row for row, _ in tests], dtype=np.int64).reshape(-1, n - 1)
-    mods = np.array([d for _, d in tests], dtype=np.int64)
-    axes = np.meshgrid(*([np.arange(base, dtype=np.int64)] * (n - 1)),
-                       indexing="ij")
-    sub = np.stack([a.ravel() for a in axes], axis=1)   # coordinates 2..n
-    # basis coordinates x_i - x_n of the point (0, sub); a slab with first
-    # coordinate x adds x to the first of them
-    sub_coords = np.concatenate([np.zeros_like(sub[:, :1]), sub[:, :-1]],
-                                axis=1) - sub[:, -1:]
-    sub_res = sub_coords @ u.T
+    axis = np.arange(base, dtype=np.int64)
+    residues = []
+    for row, d in tests:
+        res = np.zeros((), dtype=np.int64)
+        for w in (*row[1:], -sum(row)):
+            res = res[..., None] - (d - w * axis % d)
+            res[res < 0] += d
+        residues.append(res.ravel())
     # with a positive first coordinate the minimum 0 must lie in the sub-grid
-    on_floor = sub.min(axis=1) == 0
-    floor_sub, floor_res = sub[on_floor], sub_res[on_floor]
+    floor = np.flatnonzero(
+        functools.reduce(np.minimum, np.ix_(*[axis] * (n - 1))) == 0)
+    floor_res = [res[floor] for res in residues]
     place = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    counts: Dict[int, int] = {}
+    codes = []
     for x in range(base):
-        rows, res = ((sub, sub_res) if x == 0
-                     else (floor_sub, floor_res + x * u[:, 0]))
-        members = rows[(res % mods == 0).all(axis=1)]
-        patterns = np.sort(np.concatenate(
-            [np.full((len(members), 1), x, dtype=np.int64), members], axis=1),
-            axis=1)
-        codes, mult = np.unique(patterns @ place, return_counts=True)
-        for code, m in zip(codes.tolist(), mult.tolist()):
-            counts[code] = counts.get(code, 0) + m
+        keep = np.ones(len(floor) if x else cells, dtype=bool)
+        for res, (row, d) in zip(floor_res if x else residues, tests):
+            keep &= res == -x * row[0] % d
+        idx = floor[keep] if x else np.flatnonzero(keep)
+        points = np.empty((len(idx), n), dtype=np.int64)
+        points[:, 0] = x
+        for a in range(n - 1, 0, -1):
+            idx, points[:, a] = np.divmod(idx, base)
+        points.sort(axis=1)
+        codes.append(points @ place)
+    codes, mult = np.unique(np.concatenate(codes), return_counts=True)
+    patterns = np.empty((len(codes), n), dtype=np.int64)
+    for a in range(n - 1, -1, -1):
+        codes, patterns[:, a] = np.divmod(codes, base)
+    # descending gaps; the stabilizer, a product of multiplicity factorials,
+    # is the product over positions of the equal entries up to there
+    gaps = np.diff(patterns, axis=1)[:, ::-1]
+    runs = np.tril(patterns[:, :, None] == patterns[:, None, :]).sum(axis=2)
     series = MultiSeries(n - 1, max_deg)
-    for code in sorted(counts):
-        row = [code // base ** i % base for i in range(n)]
-        weight = gamma.index * _pattern_stabilizer_size(row) * counts[code]
-        series.add_term(_sorted_gap_exponents(row, f), weight)
+    for gap, run, m in zip(gaps.tolist(), runs.tolist(), mult.tolist()):
+        series.add_term(tuple(f * g for g in gap),
+                        gamma.index * math.prod(run) * m)
     return series
 
 

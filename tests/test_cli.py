@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -508,6 +511,19 @@ def test_demo_suite_passes():
     code, report = demo_suite(max_degree=8)
     assert code == 0
     assert report["pass"] is True
+
+
+def test_module_demo_imports_the_cli_once(tmp_path):
+    # the package exports run_config lazily, so running latzeta.cli as a
+    # module does not import it a second time (a RuntimeWarning, here an
+    # error)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "latzeta.cli",
+         "demo"], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": package_root})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.rstrip().endswith("panel: PASS")
 
 
 def test_demo_negative_control_fails():

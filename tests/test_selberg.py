@@ -91,20 +91,24 @@ def test_series_translation_matches_brute_force():
 
 def test_series_translation_matches_brute_force_on_transformed_bases():
     # the benchmark's translation bases, rewritten by unimodular column
-    # transforms: the subgroup, and so the series, must not change
+    # transforms: the subgroup, and so the series, must not change; at the
+    # panel degree (too deep for brute force) the series is checked against
+    # the expansion of the cone-sum rational form
     degree = {3: 24, 4: 10, 5: 6}
     rng = random.Random(43)
     bases = [m["config"] for m in PANELS["selberg_deep"]
              if m["config"]["gamma"]["kind"] == "translation"]
     for cfg in bases:
-        n = cfg["n"]
-        expected = brute_force_translation_series(
-            TranslationSubgroup(n, cfg["gamma"]["basis"]), degree[n])
+        n, deep = cfg["n"], cfg["maxDegree"]
+        written = TranslationSubgroup(n, cfg["gamma"]["basis"])
+        expected = brute_force_translation_series(written, degree[n])
+        expected_deep = selberg_rational_translation(written).expand(deep)
         for _ in range(3):
             basis = transform_columns(cfg["gamma"]["basis"],
                                       unimodular(n - 1, rng))
             gam = TranslationSubgroup(n, basis)
             assert selberg_series_translation(gam, degree[n]) == expected
+            assert selberg_series_translation(gam, deep) == expected_deep
 
 
 def test_series_translation_adds_one_term_per_sorted_pattern(monkeypatch):
@@ -122,6 +126,23 @@ def test_series_translation_adds_one_term_per_sorted_pattern(monkeypatch):
     series = selberg_series_translation(gam, max_deg)
     assert len(calls) == len(patterns) == len(series.terms) < len(members)
     assert series == brute_force_translation_series(gam, max_deg)
+
+
+def test_series_translation_memory_on_the_n5_benchmark_subgroup():
+    # the n = 5 selberg_deep subgroup at D = 30: a sub-grid of 31^4 = 923,521
+    # cells, one int64 residue array over it (7.4 MB) and the members decoded
+    # slab by slab
+    cfg, = [m["config"] for m in PANELS["selberg_deep"]
+            if m["name"] == "n5_N5_D16"]
+    gam = TranslationSubgroup(5, cfg["gamma"]["basis"])
+    tracemalloc.start()
+    try:
+        series = selberg_series_translation(gam, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 10 ** 6
+    assert series == selberg_rational_translation(gam).expand(30)
 
 
 def _translation_guard_peak(gam, max_deg, match):
