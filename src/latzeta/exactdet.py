@@ -4,18 +4,24 @@ For M(u) = I + C_1 u + .. + C_d u^d with square integer coefficients of
 size N, det M(u) = det(I - uL), where L is the dN x dN block companion
 matrix with first block row -C_1 .. -C_d and identity blocks below it
 (Gohberg, Lancaster and Rodman, *Matrix Polynomials*, ch. 1): the
-reversed characteristic polynomial of L.  It is computed modulo a battery
-of 29-bit primes, a batch of them per elimination pass: every array
-carries a leading prime axis, with the moduli broadcast along it.  L is
-reduced to upper Hessenberg form by similarity and the Hessenberg
-characteristic-polynomial recurrence runs on it (Cohen, *A Course in
-Computational Algebraic Number Theory*, Alg. 2.2.9).
+reversed characteristic polynomial of L.  L is stored vertex by vertex,
+index r d + i for block i of vertex r: a fixed permutation similarity that
+puts the (d - 1) N identity entries on the subdiagonal and keeps the pivot
+rows of a linearised graph sparser than the block order does.  It is
+computed modulo a battery of 29-bit primes, a batch of them per
+elimination pass: every array carries a leading prime axis, with the
+moduli broadcast along it.  L is reduced to upper Hessenberg form by
+similarity and the Hessenberg characteristic-polynomial recurrence runs on
+it (Cohen, *A Course in Computational Algebraic Number Theory*,
+Alg. 2.2.9).
 
-Each prime takes its own pivot rows; a prime with no pivot gets the pivot
-0, whose inverse 0 makes its update an exact no-op.  L and the recurrence
-table are int32 (residues are below 2^29), with products in int64.  A batch
-holds at most 2^17 entries of L, P (dN)^2, and at least one prime, so from
-dN = 363 on each prime runs alone.
+Every prime of a batch takes the same pivot row at column k, the first row
+from k + 1 on that is nonzero modulo all of them, so a swap is one for the
+whole stack.  When no row is nonzero modulo every prime, the batch splits
+there and each prime finishes alone.  L and the recurrence table are int32
+(residues are below 2^29), with products in int64.  A batch holds at most
+2^17 entries of L, P (dN)^2, and at least one prime, so from dN = 363 on
+each prime runs alone.
 
 The coefficients are lifted by CRT to the symmetric range, which is wide
 enough by a proven bound: on |u| = 1 entry (i, j) of M(u) has modulus at
@@ -123,12 +129,6 @@ def det_mod(matrix: np.ndarray, p: int) -> int:
     return det % p
 
 
-def _inverses(x: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """x^{-1} mod p for each prime of the stack, and 0 where x is 0."""
-    return np.array([pow(a, p - 2, p) for a, p in zip(x.tolist(), ps.tolist())],
-                    dtype=np.int64)
-
-
 def _add_dot_mod(acc: np.ndarray, a: np.ndarray, cols: np.ndarray,
                  x: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """acc + a[:, :, cols] @ x mod p per prime, for stacks acc (P, m), a
@@ -140,28 +140,38 @@ def _add_dot_mod(acc: np.ndarray, a: np.ndarray, cols: np.ndarray,
     return acc
 
 
-def _charpoly_mod(h: np.ndarray, ps: np.ndarray) -> np.ndarray:
+def _charpoly_mod(h: np.ndarray, ps: np.ndarray, start: int = 0
+                  ) -> np.ndarray:
     """det(xI - h) mod p, lowest coefficient first, for each prime of an
     int32 (P, m, m) stack h, which is reduced in place to upper Hessenberg
-    form by similarity before the Hessenberg recurrence runs."""
+    form by similarity, from column start on (the columns before it must
+    already be reduced), before the Hessenberg recurrence runs."""
     count, m = h.shape[:2]
     p1, p3 = ps[:, None], ps[:, None, None]
-    for k in range(m - 2):
+    for k in range(start, m - 2):
         below = h[:, k + 1:, k] != 0
         # rows below k+1 minus f times row k+1, then column k+1 plus the
         # same combination of their columns, which undoes it as a similarity;
-        # rows is the union over primes of those nonzero in column k (if it
-        # is empty, no prime swaps), and linearised graphs keep most of them
-        # zero, and most columns of row k+1
+        # rows is the union over primes of those nonzero in column k, a
+        # superset of them after the swap, and linearised graphs keep most
+        # of them zero
         rows = k + 2 + below[:, 1:].any(axis=0).nonzero()[0]
         if rows.size == 0:
             continue
-        swap = (~below[:, 0]).nonzero()[0]
-        if swap.size:
-            r = k + 1 + np.argmax(below[swap], axis=1)
-            h[swap, k + 1], h[swap, r] = h[swap, r], h[swap, k + 1]
-            h[swap, :, k + 1], h[swap, :, r] = h[swap, :, r], h[swap, :, k + 1]
-        f = h[:, rows, k] * _inverses(h[:, k + 1, k], ps)[:, None] % p1
+        if not below[:, 0].all():
+            common = below.all(axis=0).nonzero()[0]
+            if common.size == 0:
+                return np.concatenate([
+                    _charpoly_mod(h[i:i + 1], ps[i:i + 1], k)
+                    for i in range(count)])
+            r = k + 1 + int(common[0])
+            row = h[:, k + 1].copy()
+            h[:, k + 1], h[:, r] = h[:, r], row
+            col = h[:, :, k + 1].copy()
+            h[:, :, k + 1], h[:, :, r] = h[:, :, r], col
+        inv = [pow(a, -1, p) for a, p in zip(h[:, k + 1, k].tolist(),
+                                             ps.tolist())]
+        f = h[:, rows, k] * np.array(inv, dtype=np.int64)[:, None] % p1
         cols = k + h[:, k + 1, k:].any(axis=0).nonzero()[0]
         block = (slice(None), rows[:, None], cols)
         h[block] = (h[block] - f[:, :, None] * h[:, k + 1, cols][:, None]) % p3
@@ -189,16 +199,19 @@ def _charpoly_mod(h: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 def _companion(mats: Sequence[np.ndarray], ps: np.ndarray) -> np.ndarray:
     """The int32 block companion matrix of sum_k mats[k] u^k, mats[0] = I,
-    mod each prime of a batch: first block row -mats[1] .. -mats[d] and
-    identity blocks below it."""
-    size = mats[0].shape[0]
-    degree = (len(mats) - 1) * size
+    of degree d, mod each prime of a batch, in vertex order: entry
+    (r d, s d + i) is -mats[i + 1][r, s] and entry (r d + i + 1, r d + i) is
+    1 for i < d - 1, so the identity blocks lie on the subdiagonal."""
+    size, d = mats[0].shape[0], len(mats) - 1
+    degree = d * size
     companion = np.zeros((len(ps), degree, degree), dtype=np.int32)
-    companion[:] = np.eye(degree, k=-size, dtype=np.int32)
     # a constant M (degree 0) has an empty companion
     if degree:
-        companion[:, :size] = (-np.concatenate(mats[1:], axis=1)
-                               % ps[:, None, None])
+        sub = np.arange(degree - 1)
+        sub = sub[(sub + 1) % d != 0]
+        companion[:, sub + 1, sub] = 1
+        top = np.stack(mats[1:], axis=2).reshape(size, degree)
+        companion[:, ::d] = -top % ps[:, None, None]
     return companion
 
 

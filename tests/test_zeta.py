@@ -187,22 +187,63 @@ def _assert_batch_matches_oracle(mats, primes):
     assert polymatrix_det(mats) == naive_polymatrix_det(mats)
 
 
-def test_batched_pivots_diverge_between_primes():
-    """An entry equal to the first prime is a zero pivot for that prime
-    alone, so its pivot row in the Hessenberg reduction differs from the
-    rest of its batch.  Random entries equal to the first or last prime of
-    the batch make the nonzero rows differ between primes as well."""
+def test_companion_is_ordered_vertex_by_vertex():
+    """Block i of vertex r is index r d + i: each identity entry lies on
+    the subdiagonal at (r d + i + 1, r d + i), -C_(i+1)[r, s] mod p at
+    (r d, s d + i), and every other entry is zero."""
+    rng = random.Random(35)
+    primes = _scan_primes(3)
+    size = 3
+    for d in (2, 3, 4):
+        mats = [np.eye(size, dtype=np.int64)]
+        mats += [np.array([[rng.randint(-3, 3) for _ in range(size)]
+                           for _ in range(size)], dtype=np.int64)
+                 for _ in range(d)]
+        companion = exactdet._companion(mats, np.array(primes))
+        for h, p in zip(companion.tolist(), primes):
+            expected = [[0] * (d * size) for _ in range(d * size)]
+            for r in range(size):
+                for i in range(d - 1):
+                    expected[r * d + i + 1][r * d + i] = 1
+                for s in range(size):
+                    for i in range(d):
+                        expected[r * d][s * d + i] = -mats[i + 1][r, s] % p
+            assert h == expected
+        assert exactdet._residues_mod(mats, primes) \
+            == _naive_residues(mats, primes)
+
+
+def test_batched_pivots_diverge_between_primes(monkeypatch):
+    """In the split case column 1 has, below the subdiagonal, one entry
+    equal to the first prime and one equal to the last, so no row is a
+    pivot for the whole batch: it splits there into one-prime passes that
+    finish from column 1.  An entry equal to the first prime elsewhere, and
+    random entries equal to the first or last prime of the batch, make the
+    pivots and nonzero rows differ between primes as well."""
+    real = exactdet._charpoly_mod
+    passes = []
+
+    def spy(h, ps, start=0):
+        passes.append((len(ps), start))
+        return real(h, ps, start)
+
+    monkeypatch.setattr(exactdet, "_charpoly_mod", spy)
     primes = _scan_primes(5)
-    p = primes[0]
+    p, last = primes[0], primes[-1]
+    split_case = [np.eye(4, dtype=np.int64),
+                  np.array([[0, 2, 1, 0], [1, 0, 0, 3], [0, p, 0, 1],
+                            [0, last, 2, 0]])]
     hessenberg_case = [np.eye(3, dtype=np.int64),
                        np.array([[0, 1, 0], [p, 0, 2], [1, 3, 0]]),
                        np.array([[1, 0, 2], [0, -1, 0], [3, 0, 1]])]
     rng = random.Random(34)
-    entries = (0, 0, 1, -2, p, primes[-1])
+    entries = (0, 0, 1, -2, p, last)
     random_cases = [[np.eye(4, dtype=np.int64)]
                     + [np.array([[rng.choice(entries) for _ in range(4)]
                                  for _ in range(4)]) for _ in range(2)]
                     for _ in range(6)]
+    _assert_batch_matches_oracle(split_case, primes)
+    assert passes[:6] == [(5, 0)] + [(1, 1)] * 5
     for mats in [hessenberg_case] + random_cases:
         _assert_batch_matches_oracle(mats, primes)
 
@@ -344,6 +385,13 @@ def test_determinant_route_with_one_prime_per_batch():
     # dN = 3 * 144 = 432 is past the batch cap, so every batch is one prime
     gamma = TranslationSubgroup(3, [[12, 0], [0, 12]])
     assert (3 * gamma.index) ** 2 > exactdet._BATCH_ENTRIES
+    assert zeta_positive_det(build_graph(gamma)) == zeta_positive_orders(gamma)
+
+
+@pytest.mark.slow
+def test_determinant_route_at_linearised_dimension_972():
+    # the largest Z+ of the walls table: dN = 3 * 324, one prime per batch
+    gamma = TranslationSubgroup(3, [[18, 0], [0, 18]])
     assert zeta_positive_det(build_graph(gamma)) == zeta_positive_orders(gamma)
 
 
