@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .errors import ResourceCapError
 from .cayley import (
     MAX_VERTICES,
@@ -27,14 +25,7 @@ from .cayley import (
     perturb_adjacency,
     typed_adjacency,
 )
-from .lattice import (
-    AffineElement,
-    GEODESIC,
-    FACTORIAL,
-    LatticeVector,
-    Permutation,
-    length_vector,
-)
+from .lattice import AffineElement, GEODESIC, FACTORIAL, Permutation
 from .polynomials import IntPolynomial, MultiSeries
 from .quotient import AffineSubgroup, TranslationSubgroup, characters, quotient_group
 from .selberg import (
@@ -388,23 +379,10 @@ def _check_selberg_rational(lazy: _Lazy, cfg: RunConfig):
     series = lazy.selberg_series(cfg.max_degree, cfg.scale)
     rational = selberg_rational_translation(lazy.gamma, cfg.scale)
     expansion = rational.expand(cfg.max_degree)
-    series_ok = expansion == series
-    poles_ok = True
-    worst = 0.0
-    for factor in rational.denominator_factors():
-        j0 = next(i for i, x in enumerate(factor) if x)
-        for k in range(1, factor[j0] + 1):
-            point = [1.0 + 0j] * (cfg.n - 1)
-            point[j0] = np.exp(2j * np.pi * k / factor[j0])
-            value = 1 - np.prod([p ** e for p, e in zip(point, factor)])
-            worst = max(worst, abs(value),
-                        max(abs(abs(p) - 1.0) for p in point))
-    poles_ok = bool(worst <= 1e-9)
-    ok = series_ok and poles_ok
+    ok = expansion == series
     return ok, {
         "rational": rational.to_json_obj(),
-        "expansion_matches_series": series_ok,
-        "pole_modulus_deviation": float(worst),
+        "expansion_matches_series": ok,
     }
 
 
@@ -424,6 +402,8 @@ def _check_comparison(lazy: _Lazy, cfg: RunConfig):
 
 
 def _check_invariants(lazy: _Lazy, cfg: RunConfig):
+    # only what reads the subgroup: the length function's own invariance
+    # and integrality depend on n and the scale alone and are unit-tested
     import random
 
     rng = random.Random(20260809)
@@ -444,22 +424,6 @@ def _check_invariants(lazy: _Lazy, cfg: RunConfig):
     results["typed_adjacency_commute"] = bool(commute)
     results["typed_adjacency_transpose"] = bool(transpose_ok)
     results["typed_adjacency_row_sums"] = bool(row_sums_ok)
-    # length invariance and integrality
-    conj_ok = True
-    integral_ok = True
-    for _ in range(100):
-        raw = [rng.randint(-10, 10) for _ in range(n)]
-        v = LatticeVector.from_raw(raw)
-        p = Permutation(tuple(rng.sample(range(n), n)))
-        elem = AffineElement(v, p)
-        hraw = [rng.randint(-10, 10) for _ in range(n)]
-        h = AffineElement(LatticeVector.from_raw(hraw),
-                          Permutation(tuple(rng.sample(range(n), n))))
-        conj_ok = conj_ok and (length_vector(elem.conjugate_by(h), cfg.scale)
-                               == length_vector(elem, cfg.scale))
-        integral_ok = integral_ok and length_vector(elem, FACTORIAL).is_integral()
-    results["length_conjugation_invariance"] = conj_ok
-    results["length_factorial_integrality"] = integral_ok
     # character identities, on the exponents of D-th roots of unity
     q = quotient_group(lazy.gamma)
     big = q.divisors[-1]

@@ -197,34 +197,43 @@ def _charpoly_mod(h: np.ndarray, ps: np.ndarray, start: int = 0
     return polys[:, :, m]
 
 
-def _companion(mats: Sequence[np.ndarray], ps: np.ndarray) -> np.ndarray:
-    """The int32 block companion matrix of sum_k mats[k] u^k, mats[0] = I,
-    of degree d, mod each prime of a batch, in vertex order: entry
-    (r d, s d + i) is -mats[i + 1][r, s] and entry (r d + i + 1, r d + i) is
-    1 for i < d - 1, so the identity blocks lie on the subdiagonal."""
+def _companion_top(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows r d of the block companion matrix of sum_k mats[k] u^k,
+    mats[0] = I, of degree d, in vertex order and before any reduction:
+    entry (r, s d + i) is -mats[i + 1][r, s]."""
     size, d = mats[0].shape[0], len(mats) - 1
-    degree = d * size
+    # stacking mats[0] too keeps a constant M (d = 0) valid
+    return -np.stack(mats, axis=2)[:, :, 1:].reshape(size, d * size)
+
+
+def _companion(top: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """The int32 block companion matrix with rows r d from top (see
+    _companion_top) mod each prime of a batch: entry (r d, s d + i) is
+    top[r, s d + i] mod p and entry (r d + i + 1, r d + i) is 1 for
+    i < d - 1, so the identity blocks lie on the subdiagonal."""
+    size, degree = top.shape
     companion = np.zeros((len(ps), degree, degree), dtype=np.int32)
     # a constant M (degree 0) has an empty companion
     if degree:
+        d = degree // size
         sub = np.arange(degree - 1)
         sub = sub[(sub + 1) % d != 0]
         companion[:, sub + 1, sub] = 1
-        top = np.stack(mats[1:], axis=2).reshape(size, degree)
-        companion[:, ::d] = -top % ps[:, None, None]
+        companion[:, ::d] = top % ps[:, None, None]
     return companion
 
 
 def _residues_mod(mats: Sequence[np.ndarray], primes: Sequence[int]
                   ) -> List[List[int]]:
     """Coefficients of det(sum_k mats[k] u^k), mats[0] = I, mod each prime,
-    lowest first, in batches of at most _BATCH_ENTRIES companion entries."""
-    degree = (len(mats) - 1) * mats[0].shape[0]
-    per = max(1, _BATCH_ENTRIES // max(degree, 1) ** 2)
+    lowest first, in batches of at most _BATCH_ENTRIES companion entries;
+    the companion's top rows are formed once and reduced per batch."""
+    top = _companion_top(mats)
+    per = max(1, _BATCH_ENTRIES // max(top.shape[1], 1) ** 2)
     out = []
     for i in range(0, len(primes), per):
         ps = np.array(primes[i:i + per], dtype=np.int64)
-        out.extend(_charpoly_mod(_companion(mats, ps), ps)[:, ::-1].tolist())
+        out.extend(_charpoly_mod(_companion(top, ps), ps)[:, ::-1].tolist())
     return out
 
 

@@ -41,13 +41,6 @@ def _exp_to_json(e):
     return int(e) if isinstance(e, int) else f"{e.numerator}/{e.denominator}"
 
 
-def _exp_from_json(e):
-    if isinstance(e, str):
-        num, den = e.split("/")
-        return _norm_num(Fraction(int(num), int(den)))
-    return int(e)
-
-
 class IntPolynomial:
     """Univariate polynomial with arbitrary-precision integer coefficients."""
 
@@ -279,13 +272,6 @@ class MultiSeries:
                       for e, c in _sorted_terms(self.terms)],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "MultiSeries":
-        s = cls(obj["variables"], _exp_from_json(obj["cutoff"]))
-        for e, c in obj["terms"]:
-            s.add_term(tuple(_exp_from_json(x) for x in e), int(c))
-        return s
-
     def __repr__(self):
         items = _sorted_terms(self.terms)
         return f"MultiSeries({self.nvars} vars, cutoff {self.cutoff}, {items!r})"
@@ -336,9 +322,6 @@ class MultiRational:
             self._merge(den, num, k)
         return self
 
-    def __iadd__(self, other: "MultiRational") -> "MultiRational":
-        return self.add_scaled(other, 1)
-
     def denominator_factors(self) -> List[Tuple[int, ...]]:
         """Distinct (1 - u^a) factors appearing in any piece."""
         seen = set()
@@ -372,15 +355,6 @@ class MultiRational:
                 for den, num in sorted(self.pieces.items())
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "MultiRational":
-        out = cls(obj["variables"])
-        for piece in obj["pieces"]:
-            num = {tuple(_exp_from_json(x) for x in e): int(c)
-                   for e, c in piece["numerator"]}
-            out.add_piece(num, [tuple(f) for f in piece["denominator_factors"]])
-        return out
 
     def __repr__(self):
         return f"MultiRational({self.nvars} vars, {len(self.pieces)} pieces)"

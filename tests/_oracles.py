@@ -149,6 +149,33 @@ def product_expand(rational: MultiRational, max_deg: int) -> MultiSeries:
     return out
 
 
+def _exp_from_json(e):
+    """An exponent as ``to_json_obj`` writes it: an int or "num/den"."""
+    if isinstance(e, str):
+        num, den = e.split("/")
+        return Fraction(int(num), int(den))
+    return int(e)
+
+
+def series_from_json(obj) -> MultiSeries:
+    """The MultiSeries that ``MultiSeries.to_json_obj`` wrote as obj."""
+    s = MultiSeries(obj["variables"], _exp_from_json(obj["cutoff"]))
+    for e, c in obj["terms"]:
+        s.add_term(tuple(_exp_from_json(x) for x in e), int(c))
+    return s
+
+
+def rational_from_json(obj) -> MultiRational:
+    """The MultiRational that ``MultiRational.to_json_obj`` wrote as obj;
+    its exponents pass the checks of ``add_piece``."""
+    out = MultiRational(obj["variables"])
+    for piece in obj["pieces"]:
+        num = {tuple(_exp_from_json(x) for x in e): int(c)
+               for e, c in piece["numerator"]}
+        out.add_piece(num, [tuple(f) for f in piece["denominator_factors"]])
+    return out
+
+
 def _dict_mul(a: Dict[Exponent, int], b: Dict[Exponent, int]
               ) -> Dict[Exponent, int]:
     out: Dict[Exponent, int] = {}

@@ -100,6 +100,19 @@ def test_length_conjugation_invariance_and_integrality():
         assert length_vector(g, FACTORIAL).is_integral()
 
 
+@pytest.mark.parametrize("scale", [GEODESIC, FACTORIAL])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_invariants_self_test_on_the_former_run_elements(n, scale):
+    # the 100 elements that the invariants check drew on every translation
+    # run, in the same order: the length is conjugation invariant at the
+    # run's scale and integral at the factorial scale, whatever the subgroup
+    rng = random.Random(20260809)
+    for _ in range(100):
+        g, h = rand_affine(rng, n), rand_affine(rng, n)
+        assert length_vector(g.conjugate_by(h), scale) == length_vector(g, scale)
+        assert length_vector(g, FACTORIAL).is_integral()
+
+
 def test_integer_length_vector_matches_the_fraction_oracle():
     rng = random.Random(1111)
     for n in range(2, 7):

@@ -38,7 +38,7 @@ from latzeta.zeta import zeta_positive_det
 from _oracles import (adjugate_membership, brute_force_translation_series,
                       combine, find_conjugator,
                       fraction_free_coordinate_bounds, naive_affine_classes,
-                      perm_from_cycles)
+                      perm_from_cycles, series_from_json)
 from perfbench.workloads import (
     PANELS,
     _N4_N32,
@@ -286,8 +286,7 @@ def affine_series(aff, max_deg, scale=GEODESIC):
         "maxDegree": max_deg, "scale": scale, "checks": ["selberg_series"]})
     code, report = run_config(cfg)
     assert code == 0
-    return MultiSeries.from_json_obj(
-        report["results"]["selberg_series"]["series"])
+    return series_from_json(report["results"]["selberg_series"]["series"])
 
 
 def test_affine_trivial_permutation_part_reduces_to_translation():

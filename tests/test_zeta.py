@@ -199,7 +199,8 @@ def test_companion_is_ordered_vertex_by_vertex():
         mats += [np.array([[rng.randint(-3, 3) for _ in range(size)]
                            for _ in range(size)], dtype=np.int64)
                  for _ in range(d)]
-        companion = exactdet._companion(mats, np.array(primes))
+        companion = exactdet._companion(exactdet._companion_top(mats),
+                                        np.array(primes))
         for h, p in zip(companion.tolist(), primes):
             expected = [[0] * (d * size) for _ in range(d * size)]
             for r in range(size):
