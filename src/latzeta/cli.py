@@ -7,7 +7,6 @@ Exit codes: 0 all requested verifications pass, 1 a verification failed,
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -597,6 +596,10 @@ def _emit(out, payload: str, summary: Optional[str] = None) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # imported here, so that importing latzeta.cli for run_config does not
+    # pay for it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="latzeta",
         description="zeta functions of abelian quotient Cayley graphs")

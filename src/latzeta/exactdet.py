@@ -18,10 +18,21 @@ Alg. 2.2.9).
 Every prime of a batch takes the same pivot row at column k, the first row
 from k + 1 on that is nonzero modulo all of them, so a swap is one for the
 whole stack.  When no row is nonzero modulo every prime, the batch splits
-there and each prime finishes alone.  L and the recurrence table are int32
-(residues are below 2^29), with products in int64.  A batch holds at most
-2^17 entries of L, P (dN)^2, and at least one prime, so from dN = 363 on
-each prime runs alone.
+there and each prime finishes alone.  Each prime's L is column-major, so
+the column half of a similarity step gathers contiguous columns, and so is
+the recurrence table.  Both are int32 (residues are below 2^29), with
+products in int64.  A batch holds at most 2^17 entries of L, P (dN)^2, and
+at least one prime, so from dN = 363 on each prime runs alone.
+
+The recurrence reads the characteristic polynomial of the leading j x j
+block off those of the smaller ones: x times the (j - 1)-th minus, for
+each i < j, h[i, j - 1] h[i + 1, i] .. h[j - 1, j - 2] times the i-th.
+Those terms are formed once from the reduced matrix, from prefix products
+of the subdiagonal and their inverses (one inverse per run between zero
+subdiagonal entries), and a term is kept only where it is nonzero modulo
+some prime.  A new polynomial then costs one gather of the polynomials its
+terms name, one product with the terms and one reduction mod p, per _CHUNK
+terms.
 
 The coefficients are lifted by CRT to the symmetric range, which is wide
 enough by a proven bound: on |u| = 1 entry (i, j) of M(u) has modulus at
@@ -133,10 +144,12 @@ def _add_dot_mod(acc: np.ndarray, a: np.ndarray, cols: np.ndarray,
                  x: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """acc + a[:, :, cols] @ x mod p per prime, for stacks acc (P, m), a
     (P, m, .) and x (P, r) of residues or their negatives, _CHUNK columns at
-    a time so that no sum overflows."""
+    a time so that no sum overflows.  The columns are gathered as rows of
+    the transpose, contiguous when each prime's a is column-major."""
+    rows = a.transpose(0, 2, 1)
     for j in range(0, len(cols), _CHUNK):
-        acc = (acc + (a[:, :, cols[j:j + _CHUNK]]
-                      @ x[:, j:j + _CHUNK, None])[:, :, 0]) % ps[:, None]
+        acc = (acc + (x[:, None, j:j + _CHUNK]
+                      @ rows[:, cols[j:j + _CHUNK]])[:, 0]) % ps[:, None]
     return acc
 
 
@@ -176,25 +189,65 @@ def _charpoly_mod(h: np.ndarray, ps: np.ndarray, start: int = 0
         block = (slice(None), rows[:, None], cols)
         h[block] = (h[block] - f[:, :, None] * h[:, k + 1, cols][:, None]) % p3
         h[:, :, k + 1] = _add_dot_mod(h[:, :, k + 1], h, rows, f, ps)
-    # column j of polys is the characteristic polynomial of the leading
-    # j x j block; sub[:, i - 1] = h[i, i-1] h[i+1, i] .. h[j-1, j-2]
-    polys = np.zeros((count, m + 1, m + 1), dtype=np.int32)
-    polys[:, 0, 0] = 1
-    sub = np.zeros((count, m), dtype=np.int64)
-    diag, subdiag = (h.diagonal(i, 1, 2).astype(np.int64) for i in (0, -1))
+    cols, rows, coef = _hessenberg_coefficients(h, ps)
+    ends = np.searchsorted(cols, np.arange(m + 1)).tolist()
+    coef = -coef
+    # column j < m of polys is the characteristic polynomial of the leading
+    # j x j block, coefficient e in row e + 1, column-major like h: row 0
+    # stays zero, so column j - 1 read from row 0 is x times that
+    # polynomial; the last one, j = m, is returned rather than stored
+    polys = np.zeros((count, m, m + 2), dtype=np.int32).transpose(0, 2, 1)
+    polys[:, 1, :1] = 1
+    new = np.ones((count, 1), dtype=np.int32)
     for j in range(1, m + 1):
-        prev = polys[:, :j, j - 1]
-        new = polys[:, :j + 1, j]
-        new[:, 1:] = prev
-        new[:, :j] = (new[:, :j] - diag[:, j - 1, None] * prev) % p1
-        if j > 1:
-            sub[:, :j - 2] = sub[:, :j - 2] * subdiag[:, j - 2, None] % p1
-            sub[:, j - 2] = subdiag[:, j - 2]
-            w = h[:, :j - 1, j - 1] * sub[:, :j - 1] % p1
-            nz = w.any(axis=0).nonzero()[0]
-            new[:, :j - 1] = _add_dot_mod(new[:, :j - 1], polys[:, :j - 1], nz,
-                                          -w[:, nz], ps)
-    return polys[:, :, m]
+        lo, hi = ends[j - 1], ends[j]
+        new = _add_dot_mod(polys[:, :j + 1, j - 1], polys[:, 1:j + 2],
+                           rows[lo:hi], coef[:, lo:hi], ps)
+        if j < m:
+            polys[:, 1:j + 2, j] = new
+    return new
+
+
+def _hessenberg_coefficients(h: np.ndarray, ps: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of the Hessenberg recurrence of an upper Hessenberg stack h
+    mod ps: the characteristic polynomial of its leading j x j block is x
+    times that of the leading j - 1 block minus, for each pair (i, j - 1)
+    of rows and cols, coef[:, pair] times that of the leading i x i block.
+    coef is h[i, j - 1] h[i + 1, i] .. h[j - 1, j - 2] mod p.  The pairs
+    are in column order, and every pair whose term is nonzero modulo some
+    prime is among them."""
+    count, m = h.shape[:2]
+    p1 = ps[:, None]
+    # per prime, prefix products of the subdiagonal restarting after each
+    # zero (pre), their inverses (one pow per run of nonzeros) and the
+    # number of zeros so far (run), so that the product over i < l <= c of
+    # h[l, l - 1] is pre[c] inv[i] when run[i] == run[c] and 0 otherwise
+    pre = np.ones((count, m), dtype=np.int64)
+    inv = np.ones((count, m), dtype=np.int64)
+    run = np.zeros((count, m), dtype=np.int64)
+    for q, (sub, p) in enumerate(zip(h.diagonal(-1, 1, 2).tolist(),
+                                     ps.tolist())):
+        a, r, b, zeros = [], [], 1, 0
+        for x in sub:
+            b, zeros = (b * x % p, zeros) if x else (1, zeros + 1)
+            a.append(b)
+            r.append(zeros)
+        pre[q, 1:], run[q, 1:] = a, r
+        a.insert(0, 1)
+        back = [0] * m
+        for t in range(m - 1, -1, -1):
+            b = b * sub[t] % p if t < m - 1 and sub[t] else pow(a[t], -1, p)
+            back[t] = b
+        inv[q] = back
+    cols, rows = np.nonzero(h.any(axis=0).T)
+    upper = rows <= cols
+    cols, rows = cols[upper], rows[upper]
+    same = run[:, rows] == run[:, cols]
+    keep = same.any(axis=0)
+    cols, rows, same = cols[keep], rows[keep], same[:, keep]
+    coef = h[:, rows, cols] * pre[:, cols] % p1 * inv[:, rows] % p1 * same
+    return cols, rows, coef
 
 
 def _companion_top(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -210,9 +263,12 @@ def _companion(top: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """The int32 block companion matrix with rows r d from top (see
     _companion_top) mod each prime of a batch: entry (r d, s d + i) is
     top[r, s d + i] mod p and entry (r d + i + 1, r d + i) is 1 for
-    i < d - 1, so the identity blocks lie on the subdiagonal."""
+    i < d - 1, so the identity blocks lie on the subdiagonal.  Each prime's
+    matrix is column-major, so that the column update of the reduction
+    gathers contiguous columns."""
     size, degree = top.shape
-    companion = np.zeros((len(ps), degree, degree), dtype=np.int32)
+    companion = np.zeros((len(ps), degree, degree),
+                         dtype=np.int32).transpose(0, 2, 1)
     # a constant M (degree 0) has an empty companion
     if degree:
         d = degree // size
@@ -253,10 +309,27 @@ def coefficient_bound(coeff_mats: Sequence[np.ndarray]) -> int:
 
     The ceiling of the product of the 2-norms of the rows of sum_k |C_k|:
     Hadamard's bound on |det| over the unit circle, which dominates every
-    coefficient by Cauchy's estimate.  Exact, in Python integers.
+    coefficient by Cauchy's estimate.  sum_k |C_k| and its row sums of
+    squares are int64, the product and its root Python integers, so it is
+    exact.  Raises ResourceCapError when the square of a row sum of
+    sum_k |C_k|, which bounds that row's sum of squares, reaches 2^63.
     """
-    total = sum(np.abs(np.asarray(c, dtype=object)) for c in coeff_mats)
-    square = math.prod(int(s) for s in (total * total).sum(axis=1))
+    mats = [np.asarray(c, dtype=np.int64) for c in coeff_mats]
+    # the largest row sum of sum_k |C_k| lies between peak / len(mats) and
+    # size * peak: below 2^63 every int64 sum here is exact, and past it
+    # that row sum is past 2^31.5 too, size * len(mats) being far smaller
+    peak = sum(max(int(c.max(initial=0)), -int(c.min(initial=0)))
+               for c in mats)
+    largest = mats[0].shape[0] * peak
+    if largest < 2 ** 63:
+        total = sum(np.abs(c) for c in mats)
+        largest = int(total.sum(axis=1).max(initial=0))
+    if largest ** 2 >= 2 ** 63:
+        raise ResourceCapError(
+            f"row sums of sum_k |C_k| up to {largest} overflow the int64 "
+            f"sums of squares of the coefficient bound, which need them "
+            f"below 2^31.5")
+    square = math.prod((total * total).sum(axis=1).tolist())
     root = math.isqrt(square)
     return root if root * root == square else root + 1
 

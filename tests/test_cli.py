@@ -304,6 +304,17 @@ def test_affine_config_restricted_checks(tmp_path):
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
 
 
+def test_importing_the_cli_leaves_argparse_out():
+    # run_config callers, the benchmark's set-up among them, import the
+    # module; only main builds a parser
+    code = "import sys, latzeta.cli; print('argparse' in sys.modules)"
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": package_root})
+    assert out.stdout.strip() == "False"
+
+
 def test_resource_cap_exit_code(tmp_path):
     cfg = {"n": 3, "gamma": {"kind": "translation", "basis": [[3, 0], [0, 3]]},
            "checks": ["positive_zeta"], "caps": {"maxVertices": 4}}

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latzeta import selberg
+from latzeta import cli, selberg
 from latzeta.cayley import build_graph
 from latzeta.cli import RunConfig, run_config
 from latzeta.errors import BoxExhaustionError, ResourceCapError
@@ -201,6 +201,36 @@ def test_rational_translation_expansion_matches_series():
         r = selberg_rational_translation(gam)
         s = selberg_series_translation(gam, 12)
         assert r.expand(12) == s
+
+
+def test_selberg_rational_misses_a_wrong_exponent_above_max_degree(
+        monkeypatch):
+    """A blind spot of the selberg_rational check, pinned: it compares the
+    expansion of the rational with the series only to maxDegree.  The piece
+    600 u^(0,0,0,5) / (1 - u^(0,0,0,5)) of the n = 5 rational has terms at
+    total degree 5, 10, 15, ..; with the factor tampered to (1, 0, 0, 5)
+    they fall at 5, 11, 17, .., so every term the tampering changes lies
+    above degree 8.  A check that closes the blind spot must flip the
+    degree-8 assertions here."""
+    basis = [[1, 0, 0, 1], [-1, 1, 0, 1], [0, -1, 1, 1], [0, 0, -1, 2]]
+    gamma = TranslationSubgroup(5, basis)
+    rational = selberg_rational_translation(gamma)
+    factor = ((0, 0, 0, 5),)
+    assert rational.pieces[factor] == {(0, 0, 0, 5): 600}
+    tampered = MultiRational(rational.nvars)
+    for den, num in rational.pieces.items():
+        tampered.add_piece(num, ((1, 0, 0, 5),) if den == factor else den)
+    assert tampered.expand(8) == selberg_series_translation(gamma, 8)
+    assert tampered.expand(16) != selberg_series_translation(gamma, 16)
+    monkeypatch.setattr(cli, "selberg_rational_translation",
+                        lambda gamma, scale: tampered)
+    cfg = {"n": 5, "gamma": {"kind": "translation", "basis": basis},
+           "maxDegree": 8, "checks": ["selberg_rational"]}
+    code, report = run_config(RunConfig.from_json_obj(cfg))
+    assert code == 0 and report["results"]["selberg_rational"]["pass"]
+    cfg["maxDegree"] = 16
+    code, report = run_config(RunConfig.from_json_obj(cfg))
+    assert code == 1 and not report["results"]["selberg_rational"]["pass"]
 
 
 @pytest.mark.parametrize("n, basis", [

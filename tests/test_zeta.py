@@ -249,6 +249,120 @@ def test_batched_pivots_diverge_between_primes(monkeypatch):
         _assert_batch_matches_oracle(mats, primes)
 
 
+def _naive_charpoly_mod(a, p):
+    """det(xI - a) mod p, lowest coefficient first: plain elimination at
+    x = 0..m and Lagrange interpolation through those m + 1 values."""
+    m = len(a)
+    coeffs = [0] * (m + 1)
+    for i in range(m + 1):
+        value = exactdet.det_mod(i * np.eye(m, dtype=np.int64) - a, p)
+        basis, denom = [1], 1
+        for k in range(m + 1):
+            if k != i:
+                basis = [((basis[t - 1] if t else 0)
+                          - k * (basis[t] if t < len(basis) else 0)) % p
+                         for t in range(len(basis) + 1)]
+                denom = denom * (i - k) % p
+        scale = value * pow(denom, -1, p) % p
+        coeffs = [(c + scale * b) % p for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def _assert_charpoly_matches_oracle(h, primes, start=0):
+    expected = [_naive_charpoly_mod(a, p) for a, p in zip(h.tolist(), primes)]
+    got = exactdet._charpoly_mod(h.copy(), np.array(primes), start)
+    assert [[int(c) for c in row] for row in got] == expected
+
+
+def test_hessenberg_recurrence_against_naive_charpoly():
+    """Random upper Hessenberg stacks, whose residues differ between the
+    primes: m = 0..3, subdiagonal zeros modulo some primes but not others
+    and modulo all of them (split blocks), and dense stacks whose columns
+    have more terms than one _CHUNK."""
+    rng = random.Random(36)
+    primes = _scan_primes(3)
+
+    def stack(m, zero_for=()):
+        h = np.zeros((len(primes), m, m), dtype=np.int32)
+        for q, p in enumerate(primes):
+            for i in range(m):
+                for j in range(max(i - 1, 0), m):
+                    h[q, i, j] = rng.randrange(1, p)
+        for at, qs in zero_for:
+            h[list(qs), at, at - 1] = 0
+        return h
+
+    for m in (0, 1, 2, 3):
+        _assert_charpoly_matches_oracle(stack(m), primes)
+    # at 3 for the first prime only, at 5 for the last two, at 7 for all
+    split = stack(9, [(3, (0,)), (5, (1, 2)), (7, (0, 1, 2))])
+    assert (split.diagonal(-1, 1, 2) == 0).sum(axis=1).tolist() == [2, 2, 2]
+    _assert_charpoly_matches_oracle(split, primes)
+    # a banded stack: at most three terms in a column
+    band = stack(12, [(4, (0, 1, 2))])
+    band[:, np.triu(np.ones((12, 12), dtype=bool), 3)] = 0
+    _assert_charpoly_matches_oracle(band, primes)
+    dense = stack(40)
+    assert exactdet._CHUNK < 40
+    _assert_charpoly_matches_oracle(dense, primes)
+    # ones on the subdiagonal and p - 1 on and above the diagonal: every
+    # term of column j is p - 1 times a residue, and summed in one product
+    # the terms of the last columns overflow int64
+    p = primes[0]
+    largest = np.triu(np.full((1, 80, 80), p - 1, dtype=np.int32))
+    largest[0, np.arange(1, 80), np.arange(79)] = 1
+    _assert_charpoly_matches_oracle(largest, [p])
+
+
+def test_batch_splits_through_the_start_path(monkeypatch):
+    """Columns 0 and 1 are already reduced, and below the subdiagonal
+    column 2 is nonzero only in row 4 modulo the first prime and only in
+    row 5 modulo the others, with a zero subdiagonal entry for the last
+    prime: the batch, started at column 2, splits there at once, and each
+    prime finishes alone from it."""
+    real = exactdet._charpoly_mod
+    passes = []
+
+    def spy(h, ps, start=0):
+        passes.append((len(ps), start))
+        return real(h, ps, start)
+
+    monkeypatch.setattr(exactdet, "_charpoly_mod", spy)
+    rng = random.Random(37)
+    primes = _scan_primes(3)
+    m = 7
+    h = np.zeros((3, m, m), dtype=np.int32)
+    for q, p in enumerate(primes):
+        for i in range(m):
+            for j in range(max(i - 1, 0), m):
+                h[q, i, j] = rng.randrange(1, p)
+        for j in range(3, m):
+            h[q, j + 2:, j] = [rng.randrange(1, p) for _ in range(m - j - 2)]
+    h[0, 4, 2], h[1:, 5, 2], h[2, 3, 2] = 1, 2, 0
+    _assert_charpoly_matches_oracle(h, primes, start=2)
+    assert passes == [(3, 2)] + [(1, 2)] * 3
+
+
+def test_companion_is_column_major_and_the_layout_changes_no_residue():
+    """Each prime's companion is column-major, and the same companion in
+    row-major order gives identical residues: Z+ and Bass of n = 3 3I, the
+    perturbed graph too, at the batch of primes each determinant takes."""
+    g = build_graph(TranslationSubgroup(3, [[3, 0], [0, 3]]))
+    for graph in (g, perturb_adjacency(g, 1, 0, 1, 1)):
+        for mats in _zeta_and_bass_matrices(graph):
+            primes, _ = crt_primes(
+                (2 * coefficient_bound(mats) + 1).bit_length())
+            ps = np.array(primes)
+            companion = exactdet._companion(exactdet._companion_top(mats), ps)
+            assert companion.dtype == np.int32
+            assert all(h.flags.f_contiguous for h in companion)
+            assert companion.strides[1] == companion.itemsize
+            row_major = np.ascontiguousarray(companion)
+            assert row_major.flags.c_contiguous
+            assert np.array_equal(exactdet._charpoly_mod(companion, ps),
+                                  exactdet._charpoly_mod(row_major, ps))
+
+
 def test_add_dot_mod_sums_past_one_chunk_without_overflow():
     """Four chunks of the largest residues, added and subtracted: each sum
     of a whole row would overflow int64."""
@@ -310,6 +424,30 @@ def test_coefficient_bound_dominates():
     for mats, poly in cases:
         bound = coefficient_bound(mats)
         assert all(abs(c) <= bound for c in poly.coeffs)
+
+
+def test_coefficient_bound_is_exact_and_caps_the_row_sums():
+    """The bound equals Hadamard's product taken in Python integers, and a
+    row sum of sum_k |C_k| whose square reaches 2^63 raises before any int64
+    sum of squares could overflow, including one past int64 itself."""
+    rng = random.Random(38)
+    for size in (1, 3, 5):
+        mats = [np.eye(size, dtype=np.int64)]
+        mats += [np.array([[rng.randint(-9, 9) for _ in range(size)]
+                           for _ in range(size)], dtype=np.int64)
+                 for _ in range(3)]
+        square = math.prod(
+            sum(sum(abs(int(c[i, j])) for c in mats) ** 2
+                for j in range(size)) for i in range(size))
+        root = math.isqrt(square)
+        assert coefficient_bound(mats) == root + (root * root != square)
+    largest = math.isqrt(2 ** 63 - 1)
+    eye = np.eye(2, dtype=np.int64)
+    assert coefficient_bound([eye, np.diag([largest - 1, 0])]) == largest
+    for mats in ([eye, np.diag([largest, 0])],
+                 [eye, np.diag([2 ** 62, 0]), np.diag([2 ** 62, 0])]):
+        with pytest.raises(ResourceCapError, match=r"2\^31\.5"):
+            coefficient_bound(mats)
 
 
 def test_zeta_positive_det_examples():
