@@ -342,14 +342,19 @@ def _check_ihara(lazy: _Lazy, cfg: RunConfig):
 
 
 def _check_geodesic_oracle(lazy: _Lazy, cfg: RunConfig):
-    classes = enumerate_positive_geodesics(lazy.graph, cfg.max_degree)
-    product = euler_product_truncation(classes, cfg.max_degree)
-    expected = lazy.det_poly.truncate(cfg.max_degree)
-    orders = direction_orders(lazy.gamma)
     n_vertices = lazy.graph.num_vertices
+    # Z+ and the Euler product both have degree n N; degrees above it are
+    # not checked, since there the check would only confirm that the
+    # product of the enumerated classes cancels, and the classes of those
+    # lengths are neither enumerated nor counted
+    max_deg = min(cfg.max_degree, cfg.n * n_vertices)
+    classes = enumerate_positive_geodesics(lazy.graph, max_deg)
+    product = euler_product_truncation(classes, max_deg)
+    expected = lazy.det_poly.truncate(max_deg)
+    orders = direction_orders(lazy.gamma)
     counts_ok = True
     for i, m in enumerate(orders, start=1):
-        if m <= cfg.max_degree:
+        if m <= max_deg:
             found = sum(1 for c in classes if c.direction == i)
             counts_ok = counts_ok and found == n_vertices // m
     ok = product == expected and counts_ok
@@ -386,15 +391,12 @@ def _check_selberg_rational(lazy: _Lazy, cfg: RunConfig):
 
 
 def _check_comparison(lazy: _Lazy, cfg: RunConfig):
-    # the identity concerns the subgroup, so a perturbed graph's determinant
-    # is not the one to compare against: the unperturbed graph is built
-    # under the same vertex cap
-    if cfg.perturb is None:
-        zeta = lazy.det_poly
-    else:
-        zeta = zeta_positive_det(
-            build_graph(lazy.gamma, max_vertices=cfg.max_vertices))
+    # the identity concerns the subgroup alone, so its Z+ is the orders
+    # product, which positive_zeta checks against the graph determinant;
+    # the check reads Z' to degree max_deg, so Z to max_deg + 1, and the
+    # truncated product stays small however large the index
     max_deg = max(cfg.max_degree, 1)
+    zeta = zeta_positive_orders(lazy.gamma, max_deg + 1)
     report = comparison_check(lazy.gamma, max_deg, zeta=zeta,
                               series=lazy.selberg_series(max_deg, GEODESIC))
     return report.corrected_equal, report.to_json_obj()

@@ -61,12 +61,15 @@ class IntPolynomial:
         return cls([1])
 
     @classmethod
-    def one_minus_power(cls, m: int, k: int) -> "IntPolynomial":
-        """(1 - u^m)^k expanded by the binomial theorem."""
+    def one_minus_power(cls, m: int, k: int,
+                        max_deg: int = None) -> "IntPolynomial":
+        """(1 - u^m)^k expanded by the binomial theorem, to degree max_deg
+        when it is given."""
         if m <= 0 or k < 0:
             raise ValueError("need m >= 1 and k >= 0")
-        cs = [0] * (m * k + 1)
-        for j in range(k + 1):
+        top = k if max_deg is None else min(k, max_deg // m)
+        cs = [0] * (m * top + 1)
+        for j in range(top + 1):
             cs[m * j] = (-1) ** j * math.comb(k, j)
         return cls(cs)
 
@@ -321,13 +324,6 @@ class MultiRational:
         for den, num in other.pieces.items():
             self._merge(den, num, k)
         return self
-
-    def denominator_factors(self) -> List[Tuple[int, ...]]:
-        """Distinct (1 - u^a) factors appearing in any piece."""
-        seen = set()
-        for den in self.pieces:
-            seen.update(den)
-        return sorted(seen)
 
     def expand(self, max_deg: int) -> MultiSeries:
         """Power-series expansion to total degree max_deg, one geometric

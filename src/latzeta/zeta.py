@@ -93,12 +93,17 @@ def direction_orders(gamma: TranslationSubgroup) -> List[int]:
     return [q.element_order(d) for d in q.directions]
 
 
-def zeta_positive_orders(gamma: TranslationSubgroup) -> IntPolynomial:
-    """prod_i (1 - u^{m_i})^{N/m_i} over the direction orders."""
+def zeta_positive_orders(gamma: TranslationSubgroup,
+                         max_deg: int = None) -> IntPolynomial:
+    """prod_i (1 - u^{m_i})^{N/m_i} over the direction orders, to degree
+    max_deg when it is given; the truncated product costs O(n max_deg^2)
+    whatever the index N."""
     n_vertices = gamma.index
     out = IntPolynomial.one()
     for m in direction_orders(gamma):
-        out = out * IntPolynomial.one_minus_power(m, n_vertices // m)
+        factor = IntPolynomial.one_minus_power(m, n_vertices // m, max_deg)
+        out = (out * factor if max_deg is None
+               else out.mul_truncated(factor, max_deg))
     return out
 
 

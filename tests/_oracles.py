@@ -176,6 +176,14 @@ def rational_from_json(obj) -> MultiRational:
     return out
 
 
+def denominator_factors(rational: MultiRational) -> List[Tuple[int, ...]]:
+    """The distinct (1 - u^a) factors of any piece of the rational."""
+    seen = set()
+    for den in rational.pieces:
+        seen.update(den)
+    return sorted(seen)
+
+
 def _dict_mul(a: Dict[Exponent, int], b: Dict[Exponent, int]
               ) -> Dict[Exponent, int]:
     out: Dict[Exponent, int] = {}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -21,8 +22,11 @@ from latzeta.cli import (
     run_config,
 )
 from latzeta.cayley import build_graph, export_edge_list, perturb_adjacency
+from latzeta.lattice import GEODESIC, AffineElement
 from latzeta.polynomials import IntPolynomial
 from latzeta.quotient import TranslationSubgroup
+from latzeta.selberg import comparison_check, selberg_series_translation
+from latzeta.zeta import zeta_positive_orders
 from perfbench import workloads
 
 
@@ -215,38 +219,91 @@ def test_affine_scan_cell_cap_exits_3_before_allocating():
 def test_graph_edge_cap_exits_3_before_building_the_generators(tmp_path,
                                                                capsys):
     # the index-30 type-zero subgroup of rank 30, with columns
-    # e_1 - e_2, .., e_28 - e_29 and 30 e_29, would need 2^30 - 2 generators
+    # e_1 - e_2, .., e_28 - e_29 and 30 e_29, would need 2^30 - 2 generators;
+    # with every check, comparison runs first and the series' int64 guard
+    # exits 3 before any graph is built
     n = 30
     basis = [[n if i == j == n - 2 else (i == j) - (i == j + 1)
               for j in range(n - 1)] for i in range(n - 1)]
-    path = write_config(tmp_path, {"n": n, "gamma": {"kind": "translation",
-                                                     "basis": basis}})
-    tracemalloc.start()
-    try:
-        code = main(["run", "--config", path])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 3
-    assert "rank 30" in capsys.readouterr().out
-    assert peak < 1 << 20
+    for checks in (["positive_zeta"], "all"):
+        path = write_config(tmp_path, {"n": n, "checks": checks,
+                                       "gamma": {"kind": "translation",
+                                                 "basis": basis}})
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        captured = capsys.readouterr()
+        assert ("rank 30" in captured.out) == (checks != "all")
+        assert "Traceback" not in captured.out + captured.err
+        assert peak < 1 << 20
 
 
-def test_perturbed_comparison_keeps_the_vertex_cap():
-    # the comparison builds the unperturbed determinant itself, and must
-    # build it under the config's cap, not the library default
+def test_perturbed_comparison_reads_the_subgroup_only(monkeypatch):
+    # the comparison identity concerns the subgroup, so a perturbed config
+    # builds no graph and no determinant for it, and the vertex cap, which
+    # guards the graph, does not apply
+    def never(*args, **kwargs):
+        raise AssertionError("the comparison read the graph")
+
+    obj = {"n": 2, "gamma": {"kind": "translation", "basis": [[200]]},
+           "checks": ["comparison"], "caps": {"maxVertices": 100}}
+    plain_code, plain = run_config(RunConfig.from_json_obj(obj))
+    monkeypatch.setattr(cli, "build_graph", never)
+    monkeypatch.setattr(cli, "zeta_positive_det", never)
+    code, report = run_config(RunConfig.from_json_obj(
+        {**obj, "perturb": {"type": 1, "row": 0, "col": 1, "delta": 1}}))
+    assert code == plain_code == 0 and report["pass"]
+    result, expected = (dict(r["results"]["comparison"])
+                        for r in (report, plain))
+    del result["timing_s"], expected["timing_s"]
+    assert result == expected
+
+
+@pytest.mark.parametrize("checks, code", [("all", 3), (["comparison"], 0)])
+def test_comparison_reads_a_truncated_orders_product_above_the_vertex_cap(
+        checks, code):
+    # the orders product of N = 10^9 has N + 1 coefficients, but the
+    # comparison reads it only to maxDegree + 1; with all checks it runs
+    # first and passes, and the next check exits 3 on the vertex cap
     cfg = RunConfig.from_json_obj(
-        {"n": 2, "gamma": {"kind": "translation", "basis": [[200]]},
-         "checks": ["comparison"], "caps": {"maxVertices": 100},
-         "perturb": {"type": 1, "row": 0, "col": 1, "delta": 1}})
+        {"n": 2, "gamma": {"kind": "translation", "basis": [[10 ** 9]]},
+         "checks": checks})
     tracemalloc.start()
     try:
-        code, report = run_config(cfg)
+        got, report = run_config(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 3 and not report["pass"]
-    assert peak < 1 << 20
+    assert got == code and peak < 1 << 20
+    assert report["results"]["comparison"]["pass"]
+    if code == 3:
+        assert report["error"] == ("quotient has 1000000000 vertices, "
+                                   "above the cap 4096")
+
+
+@pytest.mark.parametrize("n, basis, max_degree", [
+    (2, [[2]], 1), (2, [[4]], 3), (3, [[1, 0], [-1, 3]], 2),
+    (3, [[3, 0], [0, 3]], 5),
+])
+def test_comparison_report_equals_the_full_orders_product(n, basis,
+                                                          max_degree):
+    # the literal form reads Z' to maxDegree, so Z to maxDegree + 1, and
+    # here the coefficient of Z+ at maxDegree + 1 is nonzero
+    gamma = TranslationSubgroup(n, basis)
+    code, report = run_config(RunConfig.from_json_obj(
+        {"n": n, "gamma": {"kind": "translation", "basis": basis},
+         "maxDegree": max_degree, "checks": ["comparison"]}))
+    result = report["results"]["comparison"]
+    del result["timing_s"], result["pass"]
+    expected = comparison_check(
+        gamma, max_degree, zeta=zeta_positive_orders(gamma),
+        series=selberg_series_translation(gamma, max_degree, GEODESIC))
+    assert zeta_positive_orders(gamma).coefficient(max_degree + 1) != 0
+    assert code == 0 and result == expected.to_json_obj()
 
 
 def test_rational_check_exits_3_before_building_the_cone_form(monkeypatch):
@@ -569,3 +626,136 @@ def test_every_written_config_parses():
     for obj in written:
         cfg = RunConfig.from_json_obj(obj)
         assert RunConfig.from_json_obj(cfg.to_json_obj()) == cfg
+
+
+def test_geodesic_oracle_stops_at_the_degree_of_the_zeta():
+    # Z+ and the Euler product have degree n N = 27 here, so a maxDegree of
+    # 10^12 gives the result of 27 without allocating a list that long
+    def geodesic_result(max_degree):
+        cfg = RunConfig.from_json_obj(_config_with(
+            maxDegree=max_degree, checks=["geodesic_oracle"]))
+        code, report = run_config(cfg)
+        result = report["results"]["geodesic_oracle"]
+        del result["timing_s"]
+        return code, result
+
+    expected = geodesic_result(27)
+    tracemalloc.start()
+    try:
+        huge = geodesic_result(10 ** 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert huge == expected and expected[0] == 0
+    assert peak < 1 << 20
+
+
+def _faulty(route, fault):
+    """The route of latzeta.cli with one fault: +1 on the coefficient
+    ``fault`` of the polynomial or series it returns, or for a class list
+    one class dropped or, for the affine classes, one weight + 1."""
+    original = getattr(cli, route)
+
+    def bump(poly):
+        coeffs = poly.coeffs + [0] * (fault + 1 - len(poly.coeffs))
+        coeffs[fault] += 1
+        return IntPolynomial(coeffs)
+
+    def faulty(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if route in ("ihara_bass", "backtrackless_cycle_product"):
+            return (bump(out[0]), *out[1:])
+        if route == "enumerate_positive_geodesics":
+            return out[1:]
+        if route == "selberg_series_translation":
+            out.add_term(fault, 1)
+            return out
+        if route == "affine_conjugacy_classes":
+            identity = AffineElement.identity(args[0].n)
+            i = next(i for i, c in enumerate(out)
+                     if c.representative != identity)
+            if fault == "drop":
+                return out[:i] + out[i + 1:]
+            return [*out[:i], dataclasses.replace(out[i],
+                                                  weight=out[i].weight + 1),
+                    *out[i + 1:]]
+        return bump(out)
+
+    return faulty
+
+
+_FAULT_CONFIGS = {
+    "simple": {"n": 3, "gamma": {"kind": "translation",
+                                 "basis": [[3, 0], [0, 3]]}, "maxDegree": 6},
+    "multigraph": {"n": 3, "gamma": {"kind": "translation",
+                                     "basis": [[1, 0], [-1, 3]]},
+                   "maxDegree": 6},
+    "affine": {"n": 3, "gamma": {"kind": "affine",
+                                 "lattice": [[3, 0], [0, 3]],
+                                 "perms": [[1, 2, 0]]}, "maxDegree": 12},
+}
+_ZETA_ROUTES = {"zeta_positive_det", "zeta_positive_orders",
+                "lfunction_with_deviation"}
+_READS_DET = {"geodesic_oracle", "lfunction", "positive_zeta"}
+_SHARED_ROWS = [
+    ("zeta_positive_det", 1, _READS_DET),
+    ("zeta_positive_det", 5, _READS_DET),
+    ("zeta_positive_det", 20, {"lfunction", "positive_zeta"}),
+    ("zeta_positive_det", 27, {"lfunction", "positive_zeta"}),
+    ("zeta_positive_orders", 1, {"comparison", "positive_zeta"}),
+    ("zeta_positive_orders", 20, {"positive_zeta"}),
+    ("zeta_positive_orders", 27, {"positive_zeta"}),
+    ("lfunction_with_deviation", 1, {"lfunction"}),
+    ("lfunction_with_deviation", 20, {"lfunction"}),
+    ("lfunction_with_deviation", 27, {"lfunction"}),
+    ("enumerate_positive_geodesics", "drop", {"geodesic_oracle"}),
+    ("selberg_series_translation", (0, 0),
+     {"selberg_rational", "selberg_series"}),
+    ("selberg_series_translation", (1, 0),
+     {"comparison", "selberg_rational"}),
+    ("selberg_series_translation", (0, 2), {"selberg_rational"}),
+]
+FAULT_MATRIX = [
+    *[("simple", *row) for row in _SHARED_ROWS],
+    *[("multigraph", *row) for row in _SHARED_ROWS],
+    ("simple", "ihara_bass", 1, {"ihara"}),
+    ("simple", "backtrackless_cycle_product", 2, {"ihara"}),
+    ("simple", "backtrackless_cycle_product", 6, {"ihara"}),
+    # blind spots: the Bass numerator is checked only by the Hashimoto
+    # oracle, to depth min(maxDegree, 8) and on simple graphs, and an affine
+    # subgroup only by its identity weight; ROADMAP items 2 and 5 flip these
+    # rows to failing checks
+    ("simple", "ihara_bass", 12, set()),
+    ("simple", "ihara_bass", 18, set()),
+    ("multigraph", "ihara_bass", 1, set()),
+    ("multigraph", "ihara_bass", 12, set()),
+    ("multigraph", "ihara_bass", 18, set()),
+    ("multigraph", "backtrackless_cycle_product", 2, set()),
+    ("multigraph", "backtrackless_cycle_product", 6, set()),
+    ("affine", "affine_conjugacy_classes", "weight", set()),
+    ("affine", "affine_conjugacy_classes", "drop", set()),
+    # no fault
+    ("simple", None, None, set()),
+    ("multigraph", None, None, set()),
+    ("affine", None, None, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "config, route, fault, fails", FAULT_MATRIX,
+    ids=[f"{c}-{r or 'clean'}-{f}" for c, r, f, _ in FAULT_MATRIX])
+def test_single_fault_fails_exactly_these_checks(monkeypatch, config, route,
+                                                fault, fails):
+    if route is not None:
+        monkeypatch.setattr(cli, route, _faulty(route, fault))
+    code, report = run_config(RunConfig.from_json_obj(
+        {**_FAULT_CONFIGS[config], "checks": "all"}))
+    failed = {name for name, r in report["results"].items()
+              if not r["pass"]}
+    assert failed == fails
+    assert code == (1 if fails else 0)
+    # the polynomial checks name the coefficient that the fault moved
+    if route in _ZETA_ROUTES:
+        for name in fails & {"positive_zeta", "lfunction"}:
+            assert report["results"][name]["first_difference"]["index"] \
+                == fault

@@ -562,6 +562,20 @@ def test_zeta_positive_orders_examples():
         == IntPolynomial.one_minus_power(3, 9)
 
 
+@pytest.mark.parametrize("n, basis", [
+    (2, [[6]]), (3, [[1, 0], [-1, 3]]), (3, [[3, 0], [0, 6]]),
+    (4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]]),
+])
+def test_truncated_orders_product(n, basis):
+    gam = TranslationSubgroup(n, basis)
+    full = zeta_positive_orders(gam)
+    for max_deg in range(full.degree + 2):
+        assert zeta_positive_orders(gam, max_deg) == full.truncate(max_deg)
+    for m, k, max_deg in [(3, 5, 7), (2, 4, 0), (5, 2, 4), (1, 6, 20)]:
+        assert IntPolynomial.one_minus_power(m, k, max_deg) \
+            == IntPolynomial.one_minus_power(m, k).truncate(max_deg)
+
+
 def test_zeta_roots_on_unit_circle():
     # via the orders factorization: the roots are exactly roots of unity,
     # so every root of each factor has modulus 1 and annihilates the factor
