@@ -516,8 +516,75 @@ def _format_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# exact type -> text of a JSON scalar, as json.dumps writes it
+_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(obj, pad: str, out: list) -> None:
+    """Append the text of obj, indented 2 per level below pad, to out."""
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(obj))
+        return
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                        f"serializable")
+    if not obj:
+        out.append("{}" if kind is dict else "[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        out.append("{\n" + inner)
+        for i, key in enumerate(sorted(obj)):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not "
+                                f"{type(key).__name__}")
+            if i:
+                out.append(sep)
+            out.append(_SCALARS[str](key) + ": ")
+            _write_json(obj[key], inner, out)
+        out.append("\n" + pad + "}")
+        return
+    out.append("[\n" + inner)
+    kinds = set(map(type, obj))
+    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is not None:
+        out.append(sep.join(map(scalar, obj)))
+    else:
+        for i, item in enumerate(obj):
+            if i:
+                out.append(sep)
+            _write_json(item, inner, out)
+    out.append("\n" + pad + "]")
+
+
 def dumps_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
+    for a tree of exact built-in types with str keys; any other type raises
+    TypeError.  json's indent runs its pure-Python encoder, and this writer
+    joins each list of one scalar type in a single call."""
+    out: list = []
+    _write_json(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 DEMO_PANEL = (

@@ -14,6 +14,7 @@ degree.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -268,11 +269,16 @@ class MultiSeries:
         return out
 
     def to_json_obj(self):
+        items = _sorted_terms(self.terms)
+        # int exponents are their own JSON; Fractions are written "p/q"
+        if {*map(type, itertools.chain.from_iterable(self.terms))} <= {int}:
+            terms = [[list(e), str(c)] for e, c in items]
+        else:
+            terms = [[[_exp_to_json(x) for x in e], str(c)] for e, c in items]
         return {
             "variables": self.nvars,
             "cutoff": _exp_to_json(self.cutoff),
-            "terms": [[[_exp_to_json(x) for x in e], str(c)]
-                      for e, c in _sorted_terms(self.terms)],
+            "terms": terms,
         }
 
     def __repr__(self):

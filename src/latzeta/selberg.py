@@ -7,9 +7,10 @@ the same as summing, over all coordinate permutations q, the points of
 q(subgroup) that land in the dominant cone, face by face.  Each face
 contributes an exact geometric-series rational function.  The scan keeps
 one int64 Smith residue per cell of the sub-grid of the last n-1
-coordinates, an outer sum of per-axis terms, tests each slab of the first
-coordinate against it, and counts the members of each sorted coordinate
-pattern, so the series gets one term per pattern rather than one per member.
+coordinates, an outer sum of per-axis terms, tests the slabs of the first
+coordinate against it in blocks of slabs, and counts the members of each
+sorted coordinate pattern, so the series gets one term per pattern rather
+than one per member, all set at once.
 
 For a split affine subgroup M x| P, conjugacy classes are enumerated
 exactly: for fixed permutation part p, translation parts live in the cosets
@@ -87,6 +88,10 @@ def _check_int64(context: str, what: str, bound: int) -> None:
 # (8 bytes a cell per Smith row for its residues: 32 MB a row at this cap),
 # and of all the coset boxes an affine class scan may search
 SERIES_GRID_CELLS = 1 << 22
+# floor cells times slabs a translation series tests per numpy block (one
+# slab at least), and box points an affine class scan filters per block
+_SLAB_BLOCK = 1 << 14
+_BOX_BLOCK = 1 << 16
 
 
 def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
@@ -100,8 +105,10 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     u . (x_1 - x_n, .., x_{n-1} - x_n) = 0 mod d for every Smith row u with
     divisor d > 1, that is when the residue of (x_2, .., x_n) under the
     weights (u_2, .., u_{n-1}, -sum u), kept per sub-grid cell, is
-    -u_1 x_1 mod d; slabs x_1 > 0 test only the cells with a coordinate 0.
-    Each sorted pattern adds one term, N * stabilizer * (its members).
+    -u_1 x_1 mod d; slabs x_1 > 0 test only the cells with a coordinate 0
+    (the floor), many slabs to a block, and insert x_1 into the floor
+    cells' coordinates, sorted once.  Each sorted pattern is one term,
+    N * stabilizer * (its members).
     """
     n = gamma.n
     f = scale_factor(n, scale)
@@ -139,19 +146,46 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     floor = np.flatnonzero(
         functools.reduce(np.minimum, np.ix_(*[axis] * (n - 1))) == 0)
     floor_res = [res[floor] for res in residues]
-    place = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = []
-    for x in range(base):
-        keep = np.ones(len(floor) if x else cells, dtype=bool)
-        for res, (row, d) in zip(floor_res if x else residues, tests):
-            keep &= res == -x * row[0] % d
-        idx = floor[keep] if x else np.flatnonzero(keep)
-        points = np.empty((len(idx), n), dtype=np.int64)
-        points[:, 0] = x
-        for a in range(n - 1, 0, -1):
-            idx, points[:, a] = np.divmod(idx, base)
-        points.sort(axis=1)
-        codes.append(points @ place)
+
+    def sorted_columns(idx):
+        """The sub-grid coordinates of the cells idx, sorted per cell by a
+        bubble network of min/max pairs, as n - 1 columns."""
+        cols = []
+        for _ in range(n - 1):
+            idx, digit = np.divmod(idx, base)
+            cols.append(digit)
+        for top in range(n - 2, 0, -1):
+            for j in range(top):
+                cols[j], cols[j + 1] = (np.minimum(cols[j], cols[j + 1]),
+                                        np.maximum(cols[j], cols[j + 1]))
+        return cols
+
+    def pattern_codes(x, cols):
+        """Codes of the sorted patterns of (x, c) for sorted rows c, in base
+        span + 1: inserted among c_1 <= .. <= c_{n-1}, entry j of the
+        pattern is x clamped to [c_{j-1}, c_j]."""
+        code = np.minimum(x, cols[0])
+        for lo, hi in zip(cols, cols[1:]):
+            code = code * base + np.maximum(lo, np.minimum(x, hi))
+        return code * base + np.maximum(x, cols[-1])
+
+    keep = np.ones(cells, dtype=bool)
+    for res in residues:
+        keep &= res == 0
+    del residues
+    codes = [pattern_codes(0, sorted_columns(np.flatnonzero(keep)))]
+    # the slabs x_1 > 0 in blocks: one (slabs x floor cells) comparison per
+    # Smith row, and the members read off its nonzero entries, with the
+    # floor cells' coordinates sorted once
+    floor_cols = sorted_columns(floor)
+    step = max(1, _SLAB_BLOCK // len(floor))
+    for start in range(1, base, step):
+        xs = np.arange(start, min(start + step, base), dtype=np.int64)
+        keep = np.ones((len(xs), len(floor)), dtype=bool)
+        for res, (row, d) in zip(floor_res, tests):
+            keep &= res == (-xs * row[0] % d)[:, None]
+        slab, cell = np.nonzero(keep)
+        codes.append(pattern_codes(xs[slab], [c[cell] for c in floor_cols]))
     codes, mult = np.unique(np.concatenate(codes), return_counts=True)
     patterns = np.empty((len(codes), n), dtype=np.int64)
     for a in range(n - 1, -1, -1):
@@ -160,10 +194,16 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     # is the product over positions of the equal entries up to there
     gaps = np.diff(patterns, axis=1)[:, ::-1]
     runs = np.tril(patterns[:, :, None] == patterns[:, None, :]).sum(axis=2)
+    # the patterns are distinct with minimum 0 and maximum at most span, so
+    # every key is new and of total degree at most max_deg, and every
+    # coefficient is positive: the terms need none of add_term's checks.
+    # Object arrays keep the keys f * gaps and the coefficients
+    # N * stabilizer * members exact Python ints however large f and N are.
+    exps = (gaps.astype(object) * f).tolist()
+    coeffs = (runs.astype(object).prod(axis=1) * mult.astype(object)
+              * gamma.index).tolist()
     series = MultiSeries(n - 1, max_deg)
-    for gap, run, m in zip(gaps.tolist(), runs.tolist(), mult.tolist()):
-        series.add_term(tuple(f * g for g in gap),
-                        gamma.index * math.prod(run) * m)
+    series.terms = dict(zip(map(tuple, exps), coeffs))
     return series
 
 
@@ -350,9 +390,6 @@ def _free_coordinate_bounds(data: _PermCosetData, torsion_coords, max_spread):
         los.append((centre - radius) // den)
         his.append(-((-centre - radius) // den))
     return los, his
-
-
-_BOX_BLOCK = 1 << 16   # box points filtered per numpy block
 
 
 def _short_box_points(data: _PermCosetData, torsion: Sequence[int],

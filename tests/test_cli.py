@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latzeta import cli
 from latzeta.cli import (
@@ -513,6 +516,55 @@ def test_report_round_trip_and_determinism(tmp_path):
         return out
 
     assert strip_timings(report1) == strip_timings(report2)
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_STRINGS = st.text(st.characters(max_codepoint=0x1F)
+                   | st.characters(min_codepoint=0x80)) | st.text()
+_SCALARS = st.one_of(
+    _STRINGS,
+    st.integers() | st.sampled_from([2 ** 64, -(10 ** 300)]),
+    st.booleans(),
+    st.none(),
+    st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                   1e300]),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_STRINGS, kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(obj=_TREES)
+def test_dumps_report_writes_the_bytes_of_json_dumps(obj):
+    assert dumps_report(obj) == _json_dumps(obj)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "int key"}, [1, b"bytes"], {"a": {1.5}}, [IntPolynomial([1])]])
+def test_dumps_report_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        dumps_report(value)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.PANELS))
+def test_dumps_report_matches_json_dumps_on_the_panels(workload):
+    for seed in (1, 2, 7):
+        for member in workloads.members(workload, seed):
+            _, report = run_config(RunConfig.from_json_obj(member["config"]))
+            assert dumps_report(report) == _json_dumps(report)
+
+
+@pytest.mark.parametrize("perturb", [None, (1, 0, 0, 1)])
+def test_dumps_report_matches_json_dumps_on_the_demo(perturb):
+    _, report = demo_suite(perturb=perturb)
+    assert dumps_report(report) == _json_dumps(report)
 
 
 def test_export_graph_cli(tmp_path, capsys):

@@ -124,8 +124,35 @@ def test_series_translation_adds_one_term_per_sorted_pattern(monkeypatch):
                         lambda self, exp, coeff: (calls.append(exp),
                                                   original(self, exp, coeff)))
     series = selberg_series_translation(gam, max_deg)
-    assert len(calls) == len(patterns) == len(series.terms) < len(members)
+    # the terms are built in bulk, one per pattern, with no add_term call
+    assert calls == []
+    assert len(series.terms) == len(patterns) < len(members)
     assert series == brute_force_translation_series(gam, max_deg)
+
+
+def test_series_translation_n2_deep_slab_blocks():
+    # at n = 2 every slab x_1 > 0 has one floor cell, so the slabs run in
+    # blocks of many slabs; 100,000 slabs against the closed form
+    gam = TranslationSubgroup(2, [[2]])
+    series = selberg_series_translation(gam, 100000)
+    assert len(series.terms) == 50001
+    assert series == selberg_rational_translation(gam).expand(100000)
+
+
+def test_series_translation_slab_blocks_do_not_change_the_series(
+        monkeypatch):
+    # one slab a block, and blocks that split the slabs unevenly, give the
+    # series of the default blocks
+    cases = [(TranslationSubgroup(2, [[6]]), 40),
+             (TranslationSubgroup(3, [[1, 0], [-1, 3]]), 30),
+             (TranslationSubgroup(4, [[1, 0, 1], [-1, 1, 1], [0, -1, 2]]), 9)]
+    for gam, max_deg in cases:
+        expected = selberg_series_translation(gam, max_deg)
+        for block in (1, 7, 500):
+            monkeypatch.setattr(selberg, "_SLAB_BLOCK", block)
+            assert selberg_series_translation(gam, max_deg) == expected
+        monkeypatch.undo()
+        assert expected == selberg_rational_translation(gam).expand(max_deg)
 
 
 def test_series_translation_memory_on_the_n5_benchmark_subgroup():
