@@ -24,9 +24,7 @@ from .lattice import (
     all_faces,
     all_permutations,
     cone_decompose,
-    face_length_exponents,
     length_vector,
-    rational_cone_sum,
     type_of,
 )
 from .polynomials import IntPolynomial, MultiRational, MultiSeries

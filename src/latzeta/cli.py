@@ -320,9 +320,6 @@ def _check_ihara(lazy: _Lazy, cfg: RunConfig):
         "euler_characteristic": chi,
         "zeta_series_positive_exponent":
             ihara_zeta_series(numerator, chi, cfg.max_degree).to_json_coeffs(),
-        # the opposite exponent-sign convention, for the record
-        "zeta_series_negative_exponent": ihara_zeta_series(
-            numerator, -chi, cfg.max_degree).to_json_coeffs(),
         "oracle": "skipped",
     }
     ok = True

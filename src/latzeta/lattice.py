@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import DivergentSeriesError, SingularMatrixError
+from .errors import SingularMatrixError
 from .intmat import (adjugate_and_det, identity_matrix, mat_mul,
                      snf_diagonal, snf_with_transforms, unimodular_inverse)
-from .polynomials import MultiRational, norm_exponent
+from .polynomials import norm_exponent
 
 GEODESIC = "geodesic"
 FACTORIAL = "factorial"
@@ -208,22 +209,6 @@ class AffineElement:
         pinv = self.p.inverse()
         return AffineElement(pinv.act(-self.v), pinv)
 
-    def conjugate_by(self, h: "AffineElement") -> "AffineElement":
-        """h * self * h^-1, in one pass over the raw coordinates: the
-        permutation part c has c[hp[i]] = hp[gp[i]], the translation part
-        is h.v + hp(self.v) - c(h.v)."""
-        hp, gp, hv = h.p.images, self.p.images, h.v.coords
-        c = [0] * len(hp)
-        t = list(hv)
-        for i, x in enumerate(self.v.coords):
-            c[hp[i]] = hp[gp[i]]
-            t[hp[i]] += x
-        for i, x in enumerate(hv):
-            t[c[i]] -= x
-        m = min(t)
-        return AffineElement(LatticeVector(len(t), tuple(x - m for x in t)),
-                             Permutation(tuple(c)))
-
 
 @dataclass(frozen=True)
 class LengthVector:
@@ -248,9 +233,6 @@ class LengthVector:
                            tuple([Fraction(x, denominator) for x in numerators]))
         object.__setattr__(out, "scale", scale)
         return out
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.values)
 
     def exponent_tuple(self):
         return norm_exponent(self.values)
@@ -349,8 +331,11 @@ def cone_decompose(face: FaceDescriptor,
     the points with 1 <= alpha_j(t) <= mult_j (Stanley, Enumerative
     Combinatorics I, Sec. 4.6; Beck and Robins, Computing the Continuous
     Discretely, Thm 3.5): one per coset of the generator span, so
-    prod(mult_j) / |det B| of them.  From any coset representative y it is
-    y - sum_j c_j a_j with c_j = floor((alpha_j(y) - 1) / mult_j).
+    prod(mult_j) / |det B| of them.  The base point of the coset of y has
+    edge forms a_j = 1 + (alpha_j(y) - 1) mod mult_j, and t_i is the sum of
+    the a_j with j >= i.  Raises ArithmeticError unless the Smith cosets
+    give that many distinct base points, each with its edge forms in
+    [1, mult_j].
     """
     k = face.dim
     if k == 0:
@@ -386,70 +371,32 @@ def cone_decompose(face: FaceDescriptor,
     if any(x == 0 for x in diag):
         raise SingularMatrixError("degenerate lattice: generator span is rank deficient")
     to_t = mat_mul(basis, unimodular_inverse(u))
+    # the edge forms of the columns of to_t modulo mult_j, on the Smith
+    # axes with d > 1 (the coset coordinate is 0 on the others)
+    live = [i for i, x in enumerate(diag) if x > 1]
+    alphas = [[(row[i] - nxt[i]) % m for i in live]
+              for row, nxt, m in zip(to_t, to_t[1:] + [[0] * k], mults)]
 
     base_points = []
-    for combo in itertools.product(*(range(x) for x in diag)):
-        y = [sum(a * c for a, c in zip(row, combo)) for row in to_t]
-        # c_j from the edge forms alpha_j(y) = y_j - y_{j+1} (alpha_k = y_k)
-        shifts = [(a - b - 1) // m for a, b, m in zip(y, y[1:] + [0], mults)]
-        # t = y - sum_j c_j a_j, where a_j is mults[j] on coordinates <= j
-        acc = 0
-        for i in reversed(range(k)):
-            acc += shifts[i] * mults[i]
-            y[i] -= acc
-        base_points.append(tuple(y))
-    return ConeDecomposition(tuple(sorted(base_points)), tuple(generators))
-
-
-def face_length_exponents(face: FaceDescriptor, scale: str = GEODESIC
-                          ) -> Callable[[Sequence[int]], Tuple[int, ...]]:
-    """The linear map t-coordinates -> length exponents (l_1, .., l_{n-1}).
-
-    On the face, l is supported on the block boundaries: the boundary after
-    block i carries t_i - t_{i+1} (with t_r = 0).
-    """
-    n = face.n
-    f = scale_factor(n, scale)
-    positions = face.boundary_positions()
-    k = face.dim
-
-    def weight(t: Sequence[int]) -> Tuple[int, ...]:
-        exps = [0] * (n - 1)
-        for idx, pos in enumerate(positions):
-            nxt = t[idx + 1] if idx + 1 < k else 0
-            exps[pos - 1] = f * (t[idx] - nxt)
-        return tuple(exps)
-
-    return weight
-
-
-def rational_cone_sum(dec: ConeDecomposition,
-                      weight: Callable[[Sequence[int]], Sequence[int]],
-                      nvars: Optional[int] = None) -> MultiRational:
-    """Sum of u^{weight(x)} over the decomposed cone, as an exact rational.
-
-    ``weight`` must be linear on the cone's span with nonnegative integer
-    values on the lattice.  Each generator contributes a geometric factor
-    1/(1 - u^{weight(a_j)}); a generator of weight zero makes the series
-    diverge and raises.
-    """
-    if nvars is None:
-        probe = dec.base_points[0] if dec.base_points else ()
-        nvars = len(weight(probe))
-    factors = []
-    for g in dec.generators:
-        w = tuple(int(x) for x in weight(g))
-        if any(x < 0 for x in w):
-            raise ValueError(f"negative weight exponent {w} on generator {g}")
-        if all(x == 0 for x in w):
-            raise DivergentSeriesError(f"generator {g} has zero weight")
-        factors.append(w)
-    numerator = {}
-    for b in dec.base_points:
-        w = tuple(int(x) for x in weight(b))
-        if any(x < 0 for x in w):
-            raise ValueError(f"negative weight exponent {w} on base point {b}")
-        numerator[w] = numerator.get(w, 0) + 1
-    out = MultiRational(nvars)
-    out.add_piece(numerator, factors)
-    return out
+    for combo in itertools.product(*(range(diag[i]) for i in live)):
+        t, acc = [0] * k, 0
+        for i in range(k - 1, -1, -1):
+            acc += (sum(map(operator.mul, alphas[i], combo)) - 1) % mults[i] + 1
+            t[i] = acc
+        base_points.append(tuple(t))
+    base_points.sort()
+    # certificate: prod(mult_j) / |det B| distinct points of the half-open
+    # parallelepiped, so one in each coset of the generator span
+    cols = [*zip(*base_points), (0,) * len(base_points)]
+    inside = all(1 <= min(d) and max(d) <= m for d, m in zip(
+        (list(map(operator.sub, a, b)) for a, b in zip(cols, cols[1:])),
+        mults))
+    distinct = len(set(base_points)) == len(base_points)
+    if (not inside or not distinct
+            or len(base_points) * abs(det) != math.prod(mults)):
+        raise ArithmeticError(
+            f"cone decomposition: {len(base_points)} base points "
+            f"({'distinct' if distinct else 'not distinct'}) for "
+            f"prod(mult_j) = {math.prod(mults)} and |det B| = {abs(det)}"
+            + ("" if inside else ", an edge form outside [1, mult_j]"))
+    return ConeDecomposition(tuple(base_points), tuple(generators))

@@ -292,7 +292,8 @@ class MultiRational:
     Each piece is (numerator dict, sorted tuple of denominator exponent
     vectors); an empty factor tuple means the piece is a polynomial.  Every
     exponent is a nonnegative int and every factor is nonzero, checked once
-    in :meth:`add_piece`.  Pieces with equal denominators merge on addition.
+    in :meth:`add_piece`; a caller of :meth:`_merge` builds them so.  Pieces
+    with equal denominators merge on addition.
     """
 
     def __init__(self, nvars: int, pieces=None):

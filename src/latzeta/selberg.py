@@ -58,9 +58,7 @@ from .lattice import (
     all_faces,
     all_permutations,
     cone_decompose,
-    face_length_exponents,
     length_vector,
-    rational_cone_sum,
     scale_factor,
 )
 from .polynomials import IntPolynomial, MultiRational, MultiSeries
@@ -207,46 +205,6 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     return series
 
 
-def _face_condition_rows(n: int, zero_set) -> List[List[int]]:
-    rows = []
-    for j in sorted(zero_set):
-        row = [0] * (n - 1)
-        if j <= n - 2:
-            row[j - 1] = 1
-            row[j] = -1
-        else:
-            row[n - 2] = 1
-        rows.append(row)
-    return rows
-
-
-def _face_sublattice_t_basis(lattice_basis: Sequence[Sequence[int]],
-                             face: FaceDescriptor) -> List[List[int]]:
-    """Basis, in t-coordinates, of (lattice ∩ face span)."""
-    n = face.n
-    k = face.dim
-    rows = _face_condition_rows(n, face.zero_set)
-    basis = [list(r) for r in lattice_basis]
-    if rows:
-        conditions = mat_mul(rows, basis)
-        kernel = kernel_basis(conditions)
-    else:
-        kernel = [[1 if i == j else 0 for i in range(n - 1)]
-                  for j in range(n - 1)]
-    if len(kernel) != k:
-        raise ArithmeticError("face sublattice has unexpected rank")
-    starts = []
-    acc = 1
-    for size in face.blocks[:-1]:
-        starts.append(acc)
-        acc += size
-    cols = []
-    for z in kernel:
-        vec = mat_vec(basis, z)
-        cols.append([vec[s - 1] for s in starts])
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
-
-
 def selberg_rational_translation(gamma: TranslationSubgroup,
                                  scale: str = GEODESIC) -> MultiRational:
     """Exact rational closed form of the translation Selberg series.
@@ -256,36 +214,58 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
     each open face of the dominant cone; every such face sum is a cone
     decomposition turned geometric series.  The faces are cut once per
     distinct image lattice (the HNF of q·basis), and each face sublattice is
-    weighted by N times the number of permutations giving it.  The result's
-    power series expansion matches :func:`selberg_series_translation` to
-    any degree.
+    weighted by N times the number of permutations giving it.
+
+    An image is written in gap coordinates g_j = t_j - t_{j+1}
+    (g_{n-1} = t_{n-1}), where a face is g_j = 0 on its zero set.  The
+    column HNF of the gap rows, zero-set rows first, ends in the k x k HNF
+    of the face sublattice in the face's edge forms; its suffix sums are the
+    face's t-basis.  A base point with edge forms alpha_j is the monomial
+    f alpha_j at the face's boundary positions, and generator j the factor
+    1 - u_pos^(f mult_j).  The result's power series expansion matches
+    :func:`selberg_series_translation` to any degree.
     """
     n = gamma.n
+    f = scale_factor(n, scale)
     images: Dict[Tuple, int] = {}
     for q in all_permutations(n):
         key = tuple(map(tuple, hnf_columns(mat_mul(q.basis_matrix(),
                                                    gamma.basis))))
         images[key] = images.get(key, 0) + 1
-    groups: Dict[Tuple[frozenset, Tuple], int] = {}
-    face_list = list(all_faces(n))
+    faces = [(face, [j - 1 for j in sorted(face.zero_set)]
+              + [j - 1 for j in face.boundary_positions()])
+             for face in all_faces(n)]
+    groups: Dict[Tuple[FaceDescriptor, Tuple], int] = {}
     for image, count in images.items():
-        for face in face_list:
-            if face.dim == 0:
-                key = (face.zero_set, ())
-            else:
-                basis_t = _face_sublattice_t_basis(image, face)
-                key = (face.zero_set,
-                       tuple(tuple(r) for r in hnf_columns(basis_t)))
-            groups[key] = groups.get(key, 0) + count
+        gaps = [[a - b for a, b in zip(row, nxt)]
+                for row, nxt in zip(image, image[1:] + ((0,) * (n - 1),))]
+        for face, order in faces:
+            skip = n - 1 - face.dim
+            block = () if skip == n - 1 else tuple(
+                tuple(row[skip:]) for row in
+                hnf_columns([gaps[j] for j in order])[skip:])
+            groups[face, block] = groups.get((face, block), 0) + count
     out = MultiRational(n - 1)
-    for (zero_set, basis_key), count in sorted(
-            groups.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])):
-        face = FaceDescriptor(n, zero_set)
-        basis = [list(r) for r in basis_key] if basis_key else None
-        dec = cone_decompose(face, basis)
-        weight = face_length_exponents(face, scale)
-        piece = rational_cone_sum(dec, weight, nvars=n - 1)
-        out.add_scaled(piece, gamma.index * count)
+    for (face, block), count in groups.items():
+        k = face.dim
+        dec = cone_decompose(face, [list(map(sum, zip(*block[i:])))
+                                    for i in range(k)] or None)
+        positions = [p - 1 for p in face.boundary_positions()]
+        # generator j has edge forms mult_j e_j
+        den = []
+        for pos, g in zip(positions, dec.generators):
+            exps = [0] * (n - 1)
+            exps[pos] = f * g[0]
+            den.append(tuple(exps))
+        # the numerator's exponents column by column: f alpha_j at the
+        # boundary positions, 0 elsewhere
+        zero = (0,) * len(dec.base_points)
+        cols = [*zip(*dec.base_points), zero]
+        exps = [zero] * (n - 1)
+        for pos, a, b in zip(positions, cols, cols[1:]):
+            exps[pos] = [f * (x - y) for x, y in zip(a, b)]
+        numerator = dict.fromkeys(zip(*exps), 1)
+        out._merge(tuple(sorted(den)), numerator, gamma.index * count)
     return out
 
 

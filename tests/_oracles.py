@@ -5,19 +5,25 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpf
 
 from latzeta import selberg
-from latzeta.errors import BoxExhaustionError, SingularMatrixError
-from latzeta.intmat import ImageLattice, adjugate_and_det, mat_vec
+from latzeta.errors import (BoxExhaustionError, DivergentSeriesError,
+                            SingularMatrixError)
+from latzeta.intmat import (ImageLattice, adjugate_and_det, hnf_columns,
+                            identity_matrix, kernel_basis, mat_mul, mat_vec,
+                            snf_diagonal, snf_with_transforms,
+                            unimodular_inverse)
 from latzeta.lattice import (FACTORIAL, GEODESIC, AffineElement,
+                             ConeDecomposition, FaceDescriptor,
                              LatticeVector, LengthVector, Permutation,
-                             all_permutations, scale_factor)
+                             all_faces, all_permutations, scale_factor)
 from latzeta.polynomials import (Exponent, IntPolynomial, MultiRational,
                                  MultiSeries, _dict_add_term, norm_exponent)
+from latzeta.quotient import TranslationSubgroup
 
 
 def perm_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Permutation:
@@ -37,6 +43,18 @@ def laplace_det(m: Sequence[Sequence[int]]) -> int:
     return sum((-1) ** j * m[0][j]
                * laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)) if m[0][j])
+
+
+def random_type_zero_subgroup(rng, n, bound=9):
+    """Random nonsingular basis whose column sums vanish mod n."""
+    k = n - 1
+    while True:
+        m = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(k)]
+        for j in range(k):
+            s = sum(m[i][j] for i in range(k)) % n
+            m[0][j] -= s if s <= n - s else s - n
+        if laplace_det(m) != 0:
+            return TranslationSubgroup(n, m)
 
 
 def adjugate_membership(gamma):
@@ -463,3 +481,196 @@ def fixed_point_product(turns: Sequence[Fraction], bits: int
             re[i] -= (a * x - b * y + half) >> bits
             im[i] -= (a * y + b * x + half) >> bits
     return re, im
+
+
+def conjugate_by(g: AffineElement, h: AffineElement) -> AffineElement:
+    """h * g * h^-1, in one pass over the raw coordinates: the permutation
+    part c has c[hp[i]] = hp[gp[i]], the translation part is
+    h.v + hp(g.v) - c(h.v)."""
+    hp, gp, hv = h.p.images, g.p.images, h.v.coords
+    c = [0] * len(hp)
+    t = list(hv)
+    for i, x in enumerate(g.v.coords):
+        c[hp[i]] = hp[gp[i]]
+        t[hp[i]] += x
+    for i, x in enumerate(hv):
+        t[c[i]] -= x
+    m = min(t)
+    return AffineElement(LatticeVector(len(t), tuple(x - m for x in t)),
+                         Permutation(tuple(c)))
+
+
+def is_integral(lengths: LengthVector) -> bool:
+    return all(x.denominator == 1 for x in lengths.values)
+
+
+# ---------------------------------------------------------------------------
+# the cone route by other means: face sublattices by integer kernels of the
+# face conditions, base points by a floor shift of each coset
+# representative, and pieces through a weight map; the reference for
+# selberg_rational_translation
+
+
+def face_condition_rows(n: int, zero_set) -> List[List[int]]:
+    rows = []
+    for j in sorted(zero_set):
+        row = [0] * (n - 1)
+        if j <= n - 2:
+            row[j - 1] = 1
+            row[j] = -1
+        else:
+            row[n - 2] = 1
+        rows.append(row)
+    return rows
+
+
+def face_sublattice_t_basis(lattice_basis: Sequence[Sequence[int]],
+                            face: FaceDescriptor) -> List[List[int]]:
+    """Basis, in t-coordinates, of (lattice ∩ face span)."""
+    n = face.n
+    k = face.dim
+    rows = face_condition_rows(n, face.zero_set)
+    basis = [list(r) for r in lattice_basis]
+    if rows:
+        kernel = kernel_basis(mat_mul(rows, basis))
+    else:
+        kernel = [[1 if i == j else 0 for i in range(n - 1)]
+                  for j in range(n - 1)]
+    if len(kernel) != k:
+        raise ArithmeticError("face sublattice has unexpected rank")
+    starts = []
+    acc = 1
+    for size in face.blocks[:-1]:
+        starts.append(acc)
+        acc += size
+    cols = []
+    for z in kernel:
+        vec = mat_vec(basis, z)
+        cols.append([vec[s - 1] for s in starts])
+    return [[cols[j][i] for j in range(k)] for i in range(k)]
+
+
+def floor_shift_cone_decompose(face: FaceDescriptor,
+                               lattice_basis=None) -> ConeDecomposition:
+    """lattice.cone_decompose with each base point found from its Smith
+    coset representative y as y - sum_j c_j a_j, with
+    c_j = floor((alpha_j(y) - 1) / mult_j)."""
+    k = face.dim
+    if k == 0:
+        return ConeDecomposition(((),), ())
+    basis = ([[int(x) for x in row] for row in lattice_basis]
+             if lattice_basis is not None else identity_matrix(k))
+    adj, det = adjugate_and_det(basis)
+    mults, x_cols = [], []
+    prefix = [0] * k
+    for j in range(k):
+        prefix = [x + row[j] for x, row in zip(prefix, adj)]
+        mult = abs(det) // math.gcd(det, *prefix)
+        if any(mult * x % det for x in prefix):
+            raise SingularMatrixError("generators do not lie in the lattice")
+        mults.append(mult)
+        x_cols.append([mult * x // det for x in prefix])
+    generators = [(m,) * (j + 1) + (0,) * (k - j - 1)
+                  for j, m in enumerate(mults)]
+    u, d, _ = snf_with_transforms([list(r) for r in zip(*x_cols)])
+    to_t = mat_mul(basis, unimodular_inverse(u))
+    base_points = []
+    for combo in itertools.product(*(range(x) for x in snf_diagonal(d))):
+        y = [sum(a * c for a, c in zip(row, combo)) for row in to_t]
+        shifts = [(a - b - 1) // m for a, b, m in zip(y, y[1:] + [0], mults)]
+        acc = 0
+        for i in reversed(range(k)):
+            acc += shifts[i] * mults[i]
+            y[i] -= acc
+        base_points.append(tuple(y))
+    return ConeDecomposition(tuple(sorted(base_points)), tuple(generators))
+
+
+def face_length_exponents(face: FaceDescriptor, scale: str = GEODESIC
+                          ) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """The linear map t-coordinates -> length exponents (l_1, .., l_{n-1}).
+
+    On the face, l is supported on the block boundaries: the boundary after
+    block i carries t_i - t_{i+1} (with t_r = 0).
+    """
+    n = face.n
+    f = scale_factor(n, scale)
+    positions = face.boundary_positions()
+    k = face.dim
+
+    def weight(t: Sequence[int]) -> Tuple[int, ...]:
+        exps = [0] * (n - 1)
+        for idx, pos in enumerate(positions):
+            nxt = t[idx + 1] if idx + 1 < k else 0
+            exps[pos - 1] = f * (t[idx] - nxt)
+        return tuple(exps)
+
+    return weight
+
+
+def rational_cone_sum(dec: ConeDecomposition,
+                      weight: Callable[[Sequence[int]], Sequence[int]],
+                      nvars: Optional[int] = None) -> MultiRational:
+    """Sum of u^{weight(x)} over the decomposed cone, as an exact rational.
+
+    ``weight`` must be linear on the cone's span with nonnegative integer
+    values on the lattice.  Each generator contributes a geometric factor
+    1/(1 - u^{weight(a_j)}); a generator of weight zero makes the series
+    diverge and raises.
+    """
+    if nvars is None:
+        probe = dec.base_points[0] if dec.base_points else ()
+        nvars = len(weight(probe))
+    factors = []
+    for g in dec.generators:
+        w = tuple(int(x) for x in weight(g))
+        if any(x < 0 for x in w):
+            raise ValueError(f"negative weight exponent {w} on generator {g}")
+        if all(x == 0 for x in w):
+            raise DivergentSeriesError(f"generator {g} has zero weight")
+        factors.append(w)
+    numerator = {}
+    for b in dec.base_points:
+        w = tuple(int(x) for x in weight(b))
+        if any(x < 0 for x in w):
+            raise ValueError(f"negative weight exponent {w} on base point {b}")
+        numerator[w] = numerator.get(w, 0) + 1
+    out = MultiRational(nvars)
+    out.add_piece(numerator, factors)
+    return out
+
+
+def face_groups(gamma) -> Dict[Tuple[frozenset, Tuple], int]:
+    """(zero set, t-HNF of the face sublattice) -> the number of coordinate
+    permutations q whose image q(subgroup) cuts that face sublattice, by one
+    integer kernel per permutation and face."""
+    n = gamma.n
+    groups = {}
+    for q in all_permutations(n):
+        image = mat_mul(q.basis_matrix(), gamma.basis)
+        for face in all_faces(n):
+            basis_key = () if face.dim == 0 else tuple(map(tuple, hnf_columns(
+                face_sublattice_t_basis(image, face))))
+            key = (face.zero_set, basis_key)
+            groups[key] = groups.get(key, 0) + 1
+    return groups
+
+
+def per_permutation_rational(gamma, scale: str = GEODESIC,
+                             groups=None) -> MultiRational:
+    """The rational form with one face pass per coordinate permutation and
+    the floor-shift decomposition: the reference for the pass per distinct
+    image lattice in gap coordinates.  ``groups`` is ``face_groups(gamma)``,
+    computed when not given."""
+    n = gamma.n
+    out = MultiRational(n - 1)
+    for (zero_set, basis_key), count in (groups or face_groups(gamma)).items():
+        face = FaceDescriptor(n, zero_set)
+        dec = floor_shift_cone_decompose(
+            face, [list(r) for r in basis_key] or None)
+        piece = rational_cone_sum(dec, face_length_exponents(face, scale),
+                                  nvars=n - 1)
+        for den, num in piece.pieces.items():
+            out.add_piece({e: gamma.index * count * c
+                           for e, c in num.items()}, den)
+    return out

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from latzeta import lattice
 from latzeta.errors import DivergentSeriesError, SingularMatrixError
 from latzeta.intmat import (
     mat_vec,
@@ -23,14 +24,15 @@ from latzeta.lattice import (
     Permutation,
     all_faces,
     cone_decompose,
-    face_length_exponents,
     length_vector,
-    rational_cone_sum,
     type_of,
 )
 
-from _oracles import (combine, fraction_inverse, fraction_length_vector,
-                      laplace_det, perm_from_cycles)
+from perfbench.workloads import transform_columns, unimodular
+from _oracles import (combine, conjugate_by, face_length_exponents,
+                      floor_shift_cone_decompose, fraction_inverse,
+                      fraction_length_vector, is_integral, laplace_det,
+                      perm_from_cycles, rational_cone_sum)
 
 
 def rand_affine(rng, n, bound=10):
@@ -96,8 +98,8 @@ def test_length_conjugation_invariance_and_integrality():
     for _ in range(300):
         n = rng.randint(2, 5)
         g, h = rand_affine(rng, n), rand_affine(rng, n)
-        assert length_vector(g.conjugate_by(h), GEODESIC) == length_vector(g, GEODESIC)
-        assert length_vector(g, FACTORIAL).is_integral()
+        assert length_vector(conjugate_by(g, h), GEODESIC) == length_vector(g, GEODESIC)
+        assert is_integral(length_vector(g, FACTORIAL))
 
 
 @pytest.mark.parametrize("scale", [GEODESIC, FACTORIAL])
@@ -109,8 +111,8 @@ def test_invariants_self_test_on_the_former_run_elements(n, scale):
     rng = random.Random(20260809)
     for _ in range(100):
         g, h = rand_affine(rng, n), rand_affine(rng, n)
-        assert length_vector(g.conjugate_by(h), scale) == length_vector(g, scale)
-        assert length_vector(g, FACTORIAL).is_integral()
+        assert length_vector(conjugate_by(g, h), scale) == length_vector(g, scale)
+        assert is_integral(length_vector(g, FACTORIAL))
 
 
 def test_integer_length_vector_matches_the_fraction_oracle():
@@ -143,7 +145,7 @@ def test_conjugate_by_matches_the_group_product():
     for n in range(2, 7):
         for _ in range(200):
             g, h = rand_affine(rng, n), rand_affine(rng, n)
-            assert g.conjugate_by(h) == h * g * h.inverse()
+            assert conjugate_by(g, h) == h * g * h.inverse()
 
 
 def test_face_descriptor_blocks():
@@ -285,6 +287,49 @@ def test_closed_form_base_points_match_the_greedy_walk(n):
             if compared == 3:
                 break
         assert compared == 3
+
+
+def _small_det_basis(rng, k, max_det=40):
+    """A random k x k integer basis with 1 <= |det| <= max_det: lower
+    triangular with diagonal product at most max_det and entries below it up
+    to 9 in size, then a random unimodular column transform."""
+    diag = []
+    for _ in range(k):
+        diag.append(rng.randint(1, max(1, max_det // math.prod(diag))))
+    b = [[diag[i] if i == j else rng.randint(-9, 9) if i > j else 0
+          for j in range(k)] for i in range(k)]
+    return transform_columns(b, unimodular(k, rng))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_edge_form_base_points_match_the_floor_shift(n):
+    # base points read off their edge forms, against the floor-shift
+    # correction of each Smith coset representative (up to 64,000 points on
+    # the n = 5 open face)
+    rng = random.Random(f"cone-floor-shift-{n}")
+    for face in all_faces(n):
+        assert cone_decompose(face) == floor_shift_cone_decompose(face)
+        for _ in range(6 if face.dim else 0):
+            basis = _small_det_basis(rng, face.dim)
+            assert (cone_decompose(face, basis)
+                    == floor_shift_cone_decompose(face, basis))
+
+
+@pytest.mark.parametrize("fault", ["double_last", "all_ones"])
+def test_cone_decompose_certificate_trips_on_a_wrong_smith_diagonal(
+        monkeypatch, fault):
+    face, basis = FaceDescriptor(3, frozenset()), [[3, 0], [1, 3]]
+    assert len(cone_decompose(face, basis).base_points) == 9
+    true_diagonal = lattice.snf_diagonal
+
+    def wrong(d):
+        out = true_diagonal(d)
+        # twice the cosets (so repeated points), or one coset only
+        return out[:-1] + [2 * out[-1]] if fault == "double_last" else [1] * len(out)
+
+    monkeypatch.setattr(lattice, "snf_diagonal", wrong)
+    with pytest.raises(ArithmeticError, match="base points"):
+        cone_decompose(face, basis)
 
 
 def _cone_points_box(k, box):

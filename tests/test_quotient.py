@@ -16,20 +16,9 @@ from latzeta.quotient import (
 )
 from latzeta.selberg import selberg_series_translation
 from _oracles import (adjugate_membership, brute_force_translation_series,
-                      fraction_turn, laplace_det, perm_from_cycles)
+                      fraction_turn, laplace_det, perm_from_cycles,
+                      random_type_zero_subgroup)
 from perfbench.workloads import _N4_N32, transform_columns, unimodular
-
-
-def random_type_zero_subgroup(rng, n, bound=9):
-    """Random nonsingular basis whose column sums vanish mod n."""
-    k = n - 1
-    while True:
-        m = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(k)]
-        for j in range(k):
-            s = sum(m[i][j] for i in range(k)) % n
-            m[0][j] -= s if s <= n - s else s - n
-        if laplace_det(m) != 0:
-            return TranslationSubgroup(n, m)
 
 
 def test_translation_subgroup_validation():

@@ -15,16 +15,12 @@ from latzeta.intmat import hnf_columns, mat_mul
 from latzeta.lattice import (
     AffineElement,
     FACTORIAL,
-    FaceDescriptor,
     GEODESIC,
     LatticeVector,
     Permutation,
-    all_faces,
     all_permutations,
     cone_decompose,
-    face_length_exponents,
     length_vector,
-    rational_cone_sum,
 )
 from latzeta.polynomials import MultiRational, MultiSeries
 from latzeta.quotient import AffineSubgroup, TranslationSubgroup
@@ -36,9 +32,11 @@ from latzeta.selberg import (
 )
 from latzeta.zeta import zeta_positive_det
 from _oracles import (adjugate_membership, brute_force_translation_series,
-                      combine, denominator_factors, find_conjugator,
-                      fraction_free_coordinate_bounds, naive_affine_classes,
-                      perm_from_cycles, series_from_json)
+                      combine, denominator_factors, face_groups,
+                      find_conjugator, fraction_free_coordinate_bounds,
+                      naive_affine_classes, per_permutation_rational,
+                      perm_from_cycles, random_type_zero_subgroup,
+                      series_from_json)
 from perfbench.workloads import (
     PANELS,
     _N4_N32,
@@ -274,30 +272,6 @@ def test_rational_translation_matches_series_on_skewed_lattices(n, basis):
     assert r.expand(8) == selberg_series_translation(gam, 8)
 
 
-def per_permutation_rational(gam, scale=GEODESIC):
-    """The rational form with one face pass per coordinate permutation: the
-    reference for the pass per distinct image lattice."""
-    n = gam.n
-    groups = {}
-    for q in all_permutations(n):
-        image = mat_mul(q.basis_matrix(), gam.basis)
-        for face in all_faces(n):
-            basis_key = () if face.dim == 0 else tuple(map(tuple, hnf_columns(
-                selberg._face_sublattice_t_basis(image, face))))
-            key = (face.zero_set, basis_key)
-            groups[key] = groups.get(key, 0) + 1
-    out = MultiRational(n - 1)
-    for (zero_set, basis_key), count in groups.items():
-        face = FaceDescriptor(n, zero_set)
-        dec = cone_decompose(face, [list(r) for r in basis_key] or None)
-        piece = rational_cone_sum(dec, face_length_exponents(face, scale),
-                                  nvars=n - 1)
-        for den, num in piece.pieces.items():
-            out.add_piece({e: gam.index * count * c for e, c in num.items()},
-                          den)
-    return out
-
-
 @pytest.mark.parametrize("n, basis, images", [
     (5, [[1, 0, 0, 1], [-1, 1, 0, 1], [0, -1, 1, 1], [0, 0, -1, 2]], 1),
     (4, _N4_N32, 12),
@@ -316,6 +290,72 @@ def test_rational_grouped_by_image_lattice_matches_per_permutation(
         assert selberg_rational_translation(gam).to_json_obj() == expected
     assert (selberg_rational_translation(gam, FACTORIAL).to_json_obj()
             == per_permutation_rational(gam, FACTORIAL).to_json_obj())
+
+
+def _seeded_subgroups():
+    """30 type-zero subgroups with n = 2..5, each basis rewritten by a
+    seeded unimodular column transform.  The index is capped by n, because
+    the cone route's numerators grow fast with it at n = 5: index 25 gave
+    90,360 terms and index 60 gave 2,084,689."""
+    rng = random.Random(2026)
+    max_index = {2: 200, 3: 200, 4: 40, 5: 12}
+    out = []
+    while len(out) < 30:
+        n = 2 + len(out) % 4
+        gam = random_type_zero_subgroup(rng, n, bound=3)
+        if gam.index <= max_index[n]:
+            out.append(TranslationSubgroup(n, transform_columns(
+                gam.basis, unimodular(n - 1, rng))))
+    return out
+
+
+def _panel_subgroups():
+    """The distinct translation subgroups of the three benchmark panels."""
+    bases = {(base["config"]["n"], tuple(map(tuple,
+                                             base["config"]["gamma"]["basis"])))
+             for panel in PANELS.values() for base in panel
+             if base["config"]["gamma"]["kind"] == "translation"}
+    return [TranslationSubgroup(n, basis) for n, basis in sorted(bases)]
+
+
+def _assert_matches_per_permutation(gam):
+    groups = face_groups(gam)
+    for scale in (GEODESIC, FACTORIAL):
+        assert (selberg_rational_translation(gam, scale).to_json_obj()
+                == per_permutation_rational(gam, scale, groups).to_json_obj()
+                ), (gam.basis, scale)
+
+
+def test_rational_matches_per_permutation_on_seeded_subgroups():
+    for gam in _seeded_subgroups():
+        _assert_matches_per_permutation(gam)
+
+
+def test_rational_matches_per_permutation_on_the_panels():
+    gammas = _panel_subgroups()
+    assert len(gammas) == 10
+    for gam in gammas:
+        _assert_matches_per_permutation(gam)
+
+
+def test_one_cone_decomposition_per_face_group(monkeypatch):
+    calls = []
+
+    def spy(face, basis=None):
+        calls.append(face.zero_set)
+        return cone_decompose(face, basis)
+
+    monkeypatch.setattr(selberg, "cone_decompose", spy)
+    counts = {}
+    for gam in _panel_subgroups():
+        calls.clear()
+        selberg_rational_translation(gam)
+        groups = face_groups(gam)
+        assert sorted(map(sorted, calls)) == sorted(
+            sorted(zero_set) for zero_set, _ in groups)
+        counts[gam.basis] = len(calls)
+    # det_ladder's n4_N32 member
+    assert counts[tuple(map(tuple, _N4_N32))] == 31
 
 
 def test_rational_translation_factorial_scale():
