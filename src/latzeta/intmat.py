@@ -1,14 +1,18 @@
 """Exact integer matrix routines.
 
 Everything here works on plain lists of lists of Python ints, so results are
-exact at any size.  The Smith normal form uses smallest-absolute-value
-pivoting with a fixed row-major scan, which makes the transform matrices
-reproducible.
+exact at any size; the one stacked test, :func:`triangular_members`, runs in
+int64 behind a proven bound and on exact object arrays above it.  The Smith
+normal form uses smallest-absolute-value pivoting with a fixed row-major
+scan, which makes the transform matrices reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import SingularMatrixError
 
@@ -273,3 +277,34 @@ def hnf_columns(m: Sequence[Sequence[int]]) -> Matrix:
         pivot_row += 1
     rows = [row for row in a[:pivot_row]]
     return [list(col) for col in zip(*rows)] if rows else []
+
+
+def _int_stack(values, bound: int) -> np.ndarray:
+    """A fresh integer array of values: int64 when bound, a proven bound on
+    every entry the caller will form from it, is below 2^63, and an exact
+    object array of Python ints otherwise."""
+    return np.array(values, dtype=np.int64 if bound < 2 ** 63 else object)
+
+
+def triangular_members(h: Sequence[Sequence[int]], ys) -> np.ndarray:
+    """Which vectors of the stack ys (integers along its last axis) lie in
+    the lattice of the columns of h, a k x k lower triangular matrix with
+    positive diagonal whose entries left of the diagonal lie in [0, h_ii):
+    a full-rank :func:`hnf_columns`.
+
+    Forward substitution over the whole stack at once: x_i is the floor of
+    the residual r_i / h_ii, which leaves r_i mod h_ii in place of r_i, and
+    a vector is a member when every such remainder is 0.  With Y the largest
+    |entry| of ys, |x_i| <= (2^(i+1) - 1)(Y + 1) by induction, so every
+    residual and product stays below det(h) 2^k (Y + 1); the stack is int64
+    when that is below 2^63.
+    """
+    k = len(h)
+    ys = np.asarray(ys)
+    y_max = int(abs(ys).max()) if ys.size else 0
+    r = _int_stack(ys, math.prod(h[i][i] for i in range(k)) * 2 ** k
+                   * (y_max + 1))
+    for i in range(k):
+        r[..., i:] -= (r[..., i] // h[i][i])[..., None] * np.array(
+            [row[i] for row in h[i:]], dtype=r.dtype)
+    return ~r.any(axis=-1)

@@ -12,7 +12,8 @@ Conventions used throughout the package:
   the result in descending order, and take consecutive gaps.  At the
   "geodesic" scale the gaps are returned as they are; at the "factorial"
   scale they are multiplied by n!, which clears every cycle denominator and
-  makes all values integers.
+  makes all values integers.  Lengths are computed for a whole stack of
+  translations with one permutation part at once (:func:`length_vectors`).
 * Faces of the dominant cone x1 >= ... >= xn are indexed by the set S of
   positions where equality is forced.  A face with blocks (n1, ..., nr) is
   coordinatized by the strictly decreasing block values t1 > ... > t_{r-1}
@@ -28,8 +29,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import SingularMatrixError
-from .intmat import (adjugate_and_det, identity_matrix, mat_mul,
+from .intmat import (_int_stack, adjugate_and_det, identity_matrix, mat_mul,
                      snf_diagonal, snf_with_transforms, unimodular_inverse)
 from .polynomials import norm_exponent
 
@@ -179,6 +182,16 @@ def all_permutations(n: int):
         yield Permutation(images)
 
 
+def basis_matrices(perms: Sequence[Permutation]) -> np.ndarray:
+    """The :meth:`Permutation.basis_matrix` of each of perms (all of one
+    rank n), as one int64 stack: entry (s, r, i) is 1 where perms[s] takes
+    i to r and -1 where it takes i to n - 1."""
+    n = perms[0].n
+    images = np.array([p.images[:-1] for p in perms])[:, None, :]
+    rows = np.arange(n - 1)[:, None]
+    return (images == rows).astype(np.int64) - (images == n - 1)
+
+
 @dataclass(frozen=True)
 class AffineElement:
     """Element (v, p) of the affine group: translate by v after permuting by p."""
@@ -228,9 +241,16 @@ class LengthVector:
         before any Fraction is made, in place of ``__post_init__``."""
         if denominator <= 0 or min(numerators) < 0:
             raise ValueError("length values must be nonnegative")
+        return cls._unchecked(
+            tuple([Fraction(x, denominator) for x in numerators]), scale)
+
+    @classmethod
+    def _unchecked(cls, values: Tuple[Fraction, ...], scale: str
+                   ) -> "LengthVector":
+        """The vector of values, known to be nonnegative, with no
+        ``__post_init__`` check."""
         out = object.__new__(cls)
-        object.__setattr__(out, "values",
-                           tuple([Fraction(x, denominator) for x in numerators]))
+        object.__setattr__(out, "values", values)
         object.__setattr__(out, "scale", scale)
         return out
 
@@ -238,23 +258,42 @@ class LengthVector:
         return norm_exponent(self.values)
 
 
-def length_vector(g: AffineElement, scale: str = GEODESIC) -> LengthVector:
-    """Lengths of g: cycle-average the translation part, sort, take gaps.
+def length_vectors(p: Permutation, translations,
+                   scale: str = GEODESIC) -> List[LengthVector]:
+    """Lengths of the elements (v, p), one per row v of translations (n
+    integer coordinates a row, any representative of each class mod the
+    diagonal): cycle-average the translation part, sort, take gaps.
 
     Conjugation-invariant, and integer-valued on the whole group at the
     factorial scale.  The cycle averages are kept as ints scaled by the lcm
-    L of the cycle lengths, so each length is one division by L.
+    L of the cycle lengths (one product with the cycle-sum matrix), sorted
+    per row and differenced as one integer array, and each distinct gap
+    becomes one division by L.  A scaled cycle sum is at most L max|v|, so
+    the array is int64 when f * 2 L max|v| is below 2^63.
     """
-    f = scale_factor(g.n, scale)
-    coords = g.v.coords
-    cycles = g.p.cycles()
+    n = p.n
+    f = scale_factor(n, scale)
+    cycles = p.cycles()
     lcm = math.lcm(*map(len, cycles))
-    avg = []
+    rows = np.asarray(translations)
+    bound = 2 * f * lcm * max(-int(rows.min()), int(rows.max()))
+    weights = [[0] * n for _ in range(n)]
     for cyc in cycles:
-        avg += [sum([coords[i] for i in cyc]) * (lcm // len(cyc))] * len(cyc)
-    avg.sort(reverse=True)
-    return LengthVector.from_ratios(
-        [f * (a - b) for a, b in zip(avg, avg[1:])], lcm, scale)
+        for i in cyc:
+            for j in cyc:
+                weights[i][j] = lcm // len(cyc)
+    avg = _int_stack(rows, bound) @ _int_stack(weights, bound)
+    avg.sort(axis=1)
+    gaps = (np.diff(avg, axis=1)[:, ::-1] * f).tolist()
+    fractions = {x: Fraction(x, lcm)
+                 for x in set(itertools.chain.from_iterable(gaps))}
+    return [LengthVector._unchecked(tuple([fractions[x] for x in row]), scale)
+            for row in gaps]
+
+
+def length_vector(g: AffineElement, scale: str = GEODESIC) -> LengthVector:
+    """Lengths of g, by :func:`length_vectors` on its one translation."""
+    return length_vectors(g.p, [g.v.coords], scale)[0]
 
 
 @dataclass(frozen=True)
@@ -315,6 +354,39 @@ class ConeDecomposition:
     generators: Tuple[Tuple[int, ...], ...]
 
 
+def _edge_multiples(basis: Sequence[Sequence[int]]):
+    """(adj, det, mults, x_cols) of a square lattice basis B in
+    t-coordinates: mult_j = |det B| / gcd(det B, adj(B) (1^j, 0)) is the
+    least multiple of the edge ray (1^j, 0) in the lattice, and column j of
+    x_cols holds its lattice coordinates adj(B) mult_j (1^j, 0) / det B."""
+    try:
+        adj, det = adjugate_and_det(basis)
+    except SingularMatrixError:
+        raise SingularMatrixError("degenerate lattice: basis is rank deficient")
+    mults, x_cols = [], []
+    prefix = [0] * len(basis)
+    for j in range(len(basis)):
+        prefix = [x + row[j] for x, row in zip(prefix, adj)]  # adj (1^j, 0)
+        mult = abs(det) // math.gcd(det, *prefix)
+        if any(mult * x % det for x in prefix):
+            raise SingularMatrixError("generators do not lie in the lattice")
+        mults.append(mult)
+        x_cols.append([mult * x // det for x in prefix])
+    return adj, det, mults, x_cols
+
+
+def cone_base_point_count(lattice_basis: Optional[Sequence[Sequence[int]]]
+                          ) -> int:
+    """The number prod(mult_j) / |det B| of base points that
+    :func:`cone_decompose` gives the lattice of the square basis B on a face
+    of its dimension, found without enumerating them; 1 when there is no
+    basis (a point face, or the default lattice Z^k)."""
+    if not lattice_basis:
+        return 1
+    _, det, mults, _ = _edge_multiples(lattice_basis)
+    return math.prod(mults) // abs(det)
+
+
 def cone_decompose(face: FaceDescriptor,
                    lattice_basis: Optional[Sequence[Sequence[int]]] = None
                    ) -> ConeDecomposition:
@@ -335,7 +407,7 @@ def cone_decompose(face: FaceDescriptor,
     edge forms a_j = 1 + (alpha_j(y) - 1) mod mult_j, and t_i is the sum of
     the a_j with j >= i.  Raises ArithmeticError unless the Smith cosets
     give that many distinct base points, each with its edge forms in
-    [1, mult_j].
+    [1, mult_j] and each in the lattice (adj(B) t = 0 mod det B).
     """
     k = face.dim
     if k == 0:
@@ -346,22 +418,8 @@ def cone_decompose(face: FaceDescriptor,
         basis = [[int(x) for x in row] for row in lattice_basis]
         if len(basis) != k or any(len(row) != k for row in basis):
             raise ValueError(f"lattice basis must be {k}x{k} for this face")
-    try:
-        adj, det = adjugate_and_det(basis)
-    except SingularMatrixError:
-        raise SingularMatrixError("degenerate lattice: basis is rank deficient")
-
-    # minimal lattice vector on each edge ray (1,..,1,0,..,0); column j of
-    # x_mat holds its lattice coordinates adj(B) a_j / det
-    mults, x_cols = [], []
-    prefix = [0] * k
-    for j in range(k):
-        prefix = [x + row[j] for x, row in zip(prefix, adj)]  # adj (1^j, 0)
-        mult = abs(det) // math.gcd(det, *prefix)
-        if any(mult * x % det for x in prefix):
-            raise SingularMatrixError("generators do not lie in the lattice")
-        mults.append(mult)
-        x_cols.append([mult * x // det for x in prefix])
+    # minimal lattice vector on each edge ray (1,..,1,0,..,0)
+    adj, det, mults, x_cols = _edge_multiples(basis)
     generators = [(m,) * (j + 1) + (0,) * (k - j - 1)
                   for j, m in enumerate(mults)]
 
@@ -385,18 +443,25 @@ def cone_decompose(face: FaceDescriptor,
             t[i] = acc
         base_points.append(tuple(t))
     base_points.sort()
-    # certificate: prod(mult_j) / |det B| distinct points of the half-open
-    # parallelepiped, so one in each coset of the generator span
+    # certificate: prod(mult_j) / |det B| distinct lattice points of the
+    # half-open parallelepiped, so one in each coset of the generator span
     cols = [*zip(*base_points), (0,) * len(base_points)]
     inside = all(1 <= min(d) and max(d) <= m for d, m in zip(
         (list(map(operator.sub, a, b)) for a, b in zip(cols, cols[1:])),
         mults))
     distinct = len(set(base_points)) == len(base_points)
-    if (not inside or not distinct
+    # inside the box every |t_i| is at most sum(mult_j)
+    bound = k * max(abs(x) for row in adj for x in row) * sum(mults)
+    in_lattice = inside and not (
+        _int_stack(base_points, bound) @ _int_stack(adj, bound).T
+        % abs(det)).any()
+    if (not in_lattice or not distinct
             or len(base_points) * abs(det) != math.prod(mults)):
         raise ArithmeticError(
             f"cone decomposition: {len(base_points)} base points "
             f"({'distinct' if distinct else 'not distinct'}) for "
             f"prod(mult_j) = {math.prod(mults)} and |det B| = {abs(det)}"
-            + ("" if inside else ", an edge form outside [1, mult_j]"))
+            + ("" if inside else ", an edge form outside [1, mult_j]")
+            + ("" if in_lattice or not inside else ", a point outside the "
+               "lattice"))
     return ConeDecomposition(tuple(base_points), tuple(generators))

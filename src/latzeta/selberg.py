@@ -21,8 +21,9 @@ survivors are keyed in int64 by integer conjugation maps.  Class weights
 are centralizer indices from fixed sublattices and membership counts.
 
 Every int64 kernel checks a proven bound on its entries before it
-allocates, and the box scans a cap on their cell count; otherwise they
-raise :class:`ResourceCapError`.
+allocates, the box scans a cap on their cell count, and the cone route the
+same cap on its base points; otherwise they raise
+:class:`ResourceCapError`.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ import numpy as np
 from .errors import BoxExhaustionError, ResourceCapError
 from .intmat import (
     ImageLattice,
+    _int_stack,
     adjugate_and_det,
     hnf_columns,
     kernel_basis,
     mat_mul,
-    mat_vec,
     snf_diagonal,
     snf_with_transforms,
+    triangular_members,
     unimodular_inverse,
 )
 from .lattice import (
@@ -57,8 +59,10 @@ from .lattice import (
     Permutation,
     all_faces,
     all_permutations,
+    basis_matrices,
+    cone_base_point_count,
     cone_decompose,
-    length_vector,
+    length_vectors,
     scale_factor,
 )
 from .polynomials import IntPolynomial, MultiRational, MultiSeries
@@ -84,7 +88,8 @@ def _check_int64(context: str, what: str, bound: int) -> None:
 
 # cells of the (span+1)^(n-1) sub-grid a translation series may allocate
 # (8 bytes a cell per Smith row for its residues: 32 MB a row at this cap),
-# and of all the coset boxes an affine class scan may search
+# of all the coset boxes an affine class scan may search, and base points
+# of all the cone decompositions of a rational closed form
 SERIES_GRID_CELLS = 1 << 22
 # floor cells times slabs a translation series tests per numpy block (one
 # slab at least), and box points an affine class scan filters per block
@@ -205,6 +210,39 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
     return series
 
 
+def _image_lattices(gamma: TranslationSubgroup) -> Dict[Tuple, int]:
+    """The distinct image lattices q(subgroup) over the n! permutations q,
+    keyed by the column HNF of q·basis in the order of their first q, each
+    with the number of q giving it.
+
+    The stabilizer S = {s : s·basis in the subgroup} comes from one stacked
+    forward substitution of every s·basis against the subgroup's column
+    HNF.  For s in S, s(subgroup) is a sublattice of the same index, so it
+    is the subgroup, and q(subgroup) depends on the coset q S alone: each
+    first q of a coset takes one HNF, with count |S|.
+    """
+    n = gamma.n
+    perms = list(all_permutations(n))
+    # q·basis for every q, with |entries| <= (n-1) max|basis|
+    stack = basis_matrices(perms) @ _int_stack(
+        gamma.basis, (n - 1) * max(map(abs, itertools.chain(*gamma.basis))))
+    members = triangular_members(hnf_columns(gamma.basis),
+                                 stack.transpose(0, 2, 1)).all(axis=1)
+    stabilizer = [s for s, member in zip(perms, members) if member]
+    position = {q.images: i for i, q in enumerate(perms)}
+    covered = [False] * len(perms)
+    images: Dict[Tuple, int] = {}
+    for i, q in enumerate(perms):
+        if not covered[i]:
+            images[tuple(map(tuple, hnf_columns(stack[i].tolist())))] = len(
+                stabilizer)
+            for s in stabilizer:
+                # the position of q s
+                covered[position[tuple(map(q.images.__getitem__,
+                                           s.images))]] = True
+    return images
+
+
 def selberg_rational_translation(gamma: TranslationSubgroup,
                                  scale: str = GEODESIC) -> MultiRational:
     """Exact rational closed form of the translation Selberg series.
@@ -213,8 +251,8 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
     all n! coordinate permutations q, the lattice points of q(subgroup) in
     each open face of the dominant cone; every such face sum is a cone
     decomposition turned geometric series.  The faces are cut once per
-    distinct image lattice (the HNF of q·basis), and each face sublattice is
-    weighted by N times the number of permutations giving it.
+    distinct image lattice, and each face sublattice is weighted by N times
+    the number of permutations giving it (:func:`_image_lattices`).
 
     An image is written in gap coordinates g_j = t_j - t_{j+1}
     (g_{n-1} = t_{n-1}), where a face is g_j = 0 on its zero set.  The
@@ -223,20 +261,18 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
     face's t-basis.  A base point with edge forms alpha_j is the monomial
     f alpha_j at the face's boundary positions, and generator j the factor
     1 - u_pos^(f mult_j).  The result's power series expansion matches
-    :func:`selberg_series_translation` to any degree.
+    :func:`selberg_series_translation` to any degree.  Before any cone is
+    decomposed, the base points of all face groups are counted from their
+    edge multiples; above ``SERIES_GRID_CELLS`` of them it raises
+    :class:`ResourceCapError`.
     """
     n = gamma.n
     f = scale_factor(n, scale)
-    images: Dict[Tuple, int] = {}
-    for q in all_permutations(n):
-        key = tuple(map(tuple, hnf_columns(mat_mul(q.basis_matrix(),
-                                                   gamma.basis))))
-        images[key] = images.get(key, 0) + 1
     faces = [(face, [j - 1 for j in sorted(face.zero_set)]
               + [j - 1 for j in face.boundary_positions()])
              for face in all_faces(n)]
     groups: Dict[Tuple[FaceDescriptor, Tuple], int] = {}
-    for image, count in images.items():
+    for image, count in _image_lattices(gamma).items():
         gaps = [[a - b for a, b in zip(row, nxt)]
                 for row, nxt in zip(image, image[1:] + ((0,) * (n - 1),))]
         for face, order in faces:
@@ -245,11 +281,18 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
                 tuple(row[skip:]) for row in
                 hnf_columns([gaps[j] for j in order])[skip:])
             groups[face, block] = groups.get((face, block), 0) + count
+    # the face's t-basis: suffix sums of the edge-form rows
+    bases = [[list(map(sum, zip(*block[i:]))) for i in range(face.dim)]
+             or None for face, block in groups]
+    points = sum(map(cone_base_point_count, bases))
+    if points > SERIES_GRID_CELLS:
+        raise ResourceCapError(
+            f"cone route of the rational closed form: its cone "
+            f"decompositions hold {points} base points, above the cap of "
+            f"{SERIES_GRID_CELLS}")
     out = MultiRational(n - 1)
-    for (face, block), count in groups.items():
-        k = face.dim
-        dec = cone_decompose(face, [list(map(sum, zip(*block[i:])))
-                                    for i in range(k)] or None)
+    for ((face, block), count), basis in zip(groups.items(), bases):
+        dec = cone_decompose(face, basis)
         positions = [p - 1 for p in face.boundary_positions()]
         # generator j has edge forms mult_j e_j
         den = []
@@ -304,12 +347,13 @@ class _PermCosetData:
         self.free_idx = [i for i, di in enumerate(self.divisors) if not di]
         self.image_lambda = ImageLattice(self.one_minus_p)
         self.image_m = ImageLattice(self.one_minus_p_m)
-        # row j maps U-coordinate j to the cycle sums S_c of
+        # M U^-1 takes U-coordinates to e-coordinates; row j of
+        # scaled_averages maps U-coordinate j to the cycle sums S_c of
         # e = m_basis uinv coords, each times lcm/|c|: the cycle averages
         # scaled by the lcm of the cycle lengths, all integers
+        self.to_e = a = mat_mul(m_basis, self.uinv)
         cycles = p.cycles()
         self.lcm = math.lcm(*map(len, cycles))
-        a = mat_mul(m_basis, self.uinv)
         self.scaled_averages = [
             [sum(a[i][j] for i in cyc if i < n - 1) * (self.lcm // len(cyc))
              for cyc in cycles]
@@ -337,11 +381,6 @@ class _PermCosetData:
             raise ArithmeticError("fixed sublattice is not contained in the "
                                   "fixed lattice")
         return abs(adjugate_and_det(y[:dim])[1]) // math.prod(divisors)
-
-    def element_from_coords(self, coords: Sequence[int]) -> List[int]:
-        """e-coordinates of the representative with the given U-coordinates."""
-        z = mat_vec(self.uinv, coords)
-        return mat_vec(self.m_basis, z)
 
 
 def _free_coordinate_bounds(data: _PermCosetData, torsion_coords, max_spread):
@@ -454,11 +493,21 @@ def _least_keys(coords: np.ndarray, maps, divisors: Sequence[int],
     return {tuple(row) for row in best.tolist()}
 
 
-def _class_weights(data: _PermCosetData, reps: List[List[int]],
-                   context: str) -> List[int]:
-    """Centralizer indices of the classes of p with these e-coordinates:
+def _representatives(data: _PermCosetData, keys: np.ndarray,
+                     context: str) -> np.ndarray:
+    """e-coordinates of the elements with these U-coordinate rows: one
+    product keys (M U^-1)^T."""
+    _check_int64(context, "a representative (n-1)*max|M U^-1|*max|key|",
+                 (data.n - 1) * max(map(abs, itertools.chain(*data.to_e)))
+                 * max(-int(keys.min()), int(keys.max())))
+    return keys @ np.array(data.to_e, dtype=np.int64).T
+
+
+def _class_weights(data: _PermCosetData, reps, context: str) -> List[int]:
+    """Centralizer indices of the classes of p with these e-coordinate rows:
     the fixed-lattice index times the ratio of the counts of commuting q
-    with (1 - q) e in (1-p)Lambda and in (1-p)M."""
+    with (1 - q) e in (1-p)Lambda and in (1-p)M, one stacked product over
+    the commuting q."""
     p = data.p
     _check_int64(context, "a membership residue n*(n-1)*max|U|*max|e|",
                  data.n * (data.n - 1)
@@ -467,14 +516,12 @@ def _class_weights(data: _PermCosetData, reps: List[List[int]],
     e = np.array(reps, dtype=np.int64)
 
     def fixing(perms, image: ImageLattice) -> np.ndarray:
+        q_stack = basis_matrices([q for q in perms
+                                  if q.compose(p) == p.compose(q)])
         mods = np.array(image.moduli, dtype=np.int64)
-        count = 0
-        for q in perms:
-            if q.compose(p) == p.compose(q):
-                w = (e - e @ np.array(q.basis_matrix()).T) @ np.array(image.u).T
-                count += (np.where(mods > 0, w % np.maximum(mods, 1), w)
-                          == 0).all(axis=1)
-        return count
+        w = (e - e @ q_stack.transpose(0, 2, 1)) @ np.array(image.u).T
+        return (np.where(mods > 0, w % np.maximum(mods, 1), w)
+                == 0).all(axis=2).sum(axis=0)
 
     qg = fixing(all_permutations(data.n), data.image_lambda)
     qgamma = fixing(data.perms, data.image_m)
@@ -492,7 +539,8 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     derived from the exact inverse of the cycle-average map, and a doubled
     box re-scan guards against any box sizing error.  The box cells are
     capped before any scan; each block of short points is keyed by
-    :func:`_least_keys`, and only new keys build an element.
+    :func:`_least_keys`, and the new keys of each permutation part become
+    representatives, lengths and weights in one stacked pass.
     """
     n = gamma.n
     f = scale_factor(n, scale)
@@ -516,21 +564,20 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
             f"of {SERIES_GRID_CELLS} cells")
     key_maps = {p: _conjugate_key_maps(data, data_by_perm)
                 for p, data in data_by_perm.items()}
-    classes: Dict = {}
+    # (permutation part, key row) of every class
+    classes = set()
 
     def collect(extra: int) -> None:
         for data, torsion, los, his in boxes:
             data2, maps = key_maps[data.p.images]
             for coords in _short_box_points(data, torsion, los, his, f,
                                             max_deg, extra):
-                for row in _least_keys(coords, maps, data2.divisors, context):
-                    key = (data2.p.images, row)
-                    if key in classes:
-                        continue
-                    if extra:
-                        raise BoxExhaustionError(
-                            "doubling the enumeration box changed the class list")
-                    classes[key] = data2.element_from_coords(row)
+                keys = {(data2.p.images, row) for row in _least_keys(
+                    coords, maps, data2.divisors, context)}
+                if extra and not keys <= classes:
+                    raise BoxExhaustionError(
+                        "doubling the enumeration box changed the class list")
+                classes.update(keys)
 
     collect(0)
     # the doubled box re-scan keys only the points outside the plain box
@@ -538,11 +585,16 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     out = []
     for p, keys in itertools.groupby(sorted(classes), key=lambda k: k[0]):
         data = data_by_perm[p]
-        reps = [classes[key] for key in keys]
-        for e_coords, weight in zip(reps, _class_weights(data, reps, context)):
+        reps = _representatives(
+            data, np.array([row for _, row in keys], dtype=np.int64), context)
+        # the lengths read the translations e with e_n = 0
+        lengths = length_vectors(data.p, np.pad(reps, ((0, 0), (0, 1))),
+                                 scale)
+        for e_coords, weight, length in zip(
+                reps.tolist(), _class_weights(data, reps, context), lengths):
             elem = AffineElement(LatticeVector.from_basis_coords(n, e_coords),
                                  data.p)
-            out.append(ConjugacyClass(elem, weight, length_vector(elem, scale)))
+            out.append(ConjugacyClass(elem, weight, length))
     return out
 
 

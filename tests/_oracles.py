@@ -256,6 +256,13 @@ def fraction_inverse(m: Sequence[Sequence[int]]) -> List[List[Fraction]]:
     return [row[n:] for row in a]
 
 
+def element_from_coords(data, coords: Sequence[int]) -> List[int]:
+    """e-coordinates M U^-1 coords of the element with the given
+    U-coordinates of a permutation part, one matrix-vector product at a
+    time; reference for the stacked ``selberg._representatives``."""
+    return mat_vec(data.m_basis, mat_vec(data.uinv, coords))
+
+
 def _cycle_average_diffs(p, e_coords) -> List[Fraction]:
     """Differences of the cycle averages against the last cycle's average."""
     vec = list(e_coords) + [0]
@@ -278,7 +285,7 @@ def fraction_free_coordinate_bounds(data, torsion_coords, max_spread):
             coords[idx] = torsion[pos]
         if free_idx is not None:
             coords[free_idx] = 1
-        return _cycle_average_diffs(data.p, data.element_from_coords(coords))
+        return _cycle_average_diffs(data.p, element_from_coords(data, coords))
 
     offset = diffs(torsion_coords)
     cols = [diffs([0] * len(data.torsion_idx), idx) for idx in data.free_idx]
@@ -312,7 +319,7 @@ def conjugate_key(gamma, data_by_perm, p, e_coords):
         key = (p2.images, coords)
         if best is None or key < best:
             best = key
-            best_elem = (p2, data2.element_from_coords(coords))
+            best_elem = (p2, element_from_coords(data2, coords))
     return best, best_elem
 
 
@@ -332,6 +339,30 @@ def class_weight(data, e_coords: Sequence[int]) -> int:
     if qg % qgamma:
         raise ArithmeticError("permutation centralizer counts are inconsistent")
     return data.fixed_index * (qg // qgamma)
+
+
+def per_permutation_class_weights(data, reps) -> List[int]:
+    """Centralizer indices of the classes of p with these e-coordinate rows,
+    one int64 pass over all rows per commuting permutation q; the reference
+    for the stacked ``selberg._class_weights``."""
+    p = data.p
+    e = np.array(reps, dtype=np.int64)
+
+    def fixing(perms, image):
+        mods = np.array(image.moduli, dtype=np.int64)
+        count = 0
+        for q in perms:
+            if q.compose(p) == p.compose(q):
+                w = (e - e @ np.array(q.basis_matrix()).T) @ np.array(image.u).T
+                count += (np.where(mods > 0, w % np.maximum(mods, 1), w)
+                          == 0).all(axis=1)
+        return count
+
+    qg = fixing(all_permutations(data.n), data.image_lambda)
+    qgamma = fixing(data.perms, data.image_m)
+    if (qg % qgamma).any():
+        raise ArithmeticError("permutation centralizer counts are inconsistent")
+    return [data.fixed_index * r for r in (qg // qgamma).tolist()]
 
 
 def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC):
@@ -356,7 +387,7 @@ def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC):
                 for block in selberg._short_box_points(
                         data, torsion, los, his, f, max_deg, extra):
                     for coords in block.tolist():
-                        e_coords = data.element_from_coords(coords)
+                        e_coords = element_from_coords(data, coords)
                         elem = AffineElement(
                             LatticeVector.from_basis_coords(n, e_coords), p)
                         lengths = fraction_length_vector(elem, scale)
@@ -638,6 +669,18 @@ def rational_cone_sum(dec: ConeDecomposition,
     out = MultiRational(nvars)
     out.add_piece(numerator, factors)
     return out
+
+
+def per_permutation_images(gamma) -> Dict[Tuple, int]:
+    """HNF of q·basis -> the number of permutations q giving that image
+    lattice, in the order of their first q, by one HNF per permutation; the
+    reference for ``selberg._image_lattices``."""
+    images = {}
+    for q in all_permutations(gamma.n):
+        key = tuple(map(tuple, hnf_columns(mat_mul(q.basis_matrix(),
+                                                   gamma.basis))))
+        images[key] = images.get(key, 0) + 1
+    return images
 
 
 def face_groups(gamma) -> Dict[Tuple[frozenset, Tuple], int]:

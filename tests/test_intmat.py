@@ -15,10 +15,12 @@ from latzeta.intmat import (
     mat_vec,
     snf_diagonal,
     snf_with_transforms,
+    triangular_members,
     unimodular_inverse,
 )
 
-from _oracles import fraction_inverse, laplace_det
+from _oracles import (adjugate_membership, fraction_inverse, laplace_det,
+                      random_type_zero_subgroup)
 
 
 def _random_matrix(rng, rows, cols, bound=9):
@@ -215,3 +217,26 @@ def test_hnf_is_lattice_invariant():
                     u[r][i] += c * u[r][j]
         assert laplace_det(u) in (1, -1)
         assert hnf_columns(m) == hnf_columns(mat_mul(m, u))
+
+
+def test_triangular_members_match_adjugate_membership():
+    # random vectors and members of seeded subgroups, small (an int64
+    # stack) and far above 2^63 (an object stack), one stack of vectors
+    # and the same vectors as a stack of matrices
+    rng = random.Random(2027)
+    for i in range(40):
+        gam = random_type_zero_subgroup(rng, 2 + i % 4)
+        k = gam.n - 1
+        contains = adjugate_membership(gam)
+        h = hnf_columns(gam.basis)
+        for scale in (30, 2 ** 80):
+            ys = [[rng.randint(-scale, scale) for _ in range(k)]
+                  for _ in range(24)]
+            ys += [mat_vec(gam.basis, [rng.randint(-scale, scale)
+                                       for _ in range(k)])
+                   for _ in range(24)]
+            expected = [contains(y) for y in ys]
+            assert any(expected) and not all(expected)
+            assert triangular_members(h, ys).tolist() == expected
+            stacked = triangular_members(h, [ys[:24], ys[24:]])
+            assert stacked.tolist() == [expected[:24], expected[24:]]

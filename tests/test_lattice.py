@@ -23,8 +23,10 @@ from latzeta.lattice import (
     LengthVector,
     Permutation,
     all_faces,
+    all_permutations,
     cone_decompose,
     length_vector,
+    length_vectors,
     type_of,
 )
 
@@ -127,6 +129,32 @@ def test_integer_length_vector_matches_the_fraction_oracle():
                 exps, want_exps = got.exponent_tuple(), want.exponent_tuple()
                 assert exps == want_exps
                 assert [type(x) for x in exps] == [type(x) for x in want_exps]
+
+
+def test_batched_lengths_match_the_per_element_lengths():
+    # every permutation part of n = 2..5 and a sample at n = 6, 7; rows
+    # small (an int64 array) and far above 2^63 (an object array)
+    rng = random.Random("batched-lengths")
+    halves = 0
+    for n in range(2, 8):
+        perms = list(all_permutations(n))
+        if n > 5:
+            perms = rng.sample(perms, 30)
+        for p in perms:
+            for bound in (9, 2 ** 70):
+                rows = [[rng.randint(-bound, bound) for _ in range(n)]
+                        for _ in range(6)]
+                for scale in (GEODESIC, FACTORIAL):
+                    batched = length_vectors(p, rows, scale)
+                    elements = [AffineElement(LatticeVector.from_raw(v), p)
+                                for v in rows]
+                    assert batched == [length_vector(g, scale)
+                                       for g in elements]
+                    assert batched == [fraction_length_vector(g, scale)
+                                       for g in elements]
+                    halves += sum(x.denominator == 2 for lv in batched
+                                  for x in lv.values)
+    assert halves > 0
 
 
 def test_length_vector_refuses_negative_values():
@@ -329,6 +357,30 @@ def test_cone_decompose_certificate_trips_on_a_wrong_smith_diagonal(
 
     monkeypatch.setattr(lattice, "snf_diagonal", wrong)
     with pytest.raises(ArithmeticError, match="base points"):
+        cone_decompose(face, basis)
+
+
+@pytest.mark.parametrize("n, basis", [
+    (3, [[3, 0], [1, 3]]),
+    (4, [[2, 0, 0], [1, 3, 0], [0, 1, 2]]),
+])
+def test_cone_decompose_certificate_trips_on_points_outside_the_lattice(
+        monkeypatch, n, basis):
+    # shifting the coset representatives by a non-lattice vector keeps the
+    # base points distinct, their count and their edge forms in [1, mult_j]:
+    # only the lattice test adj(B) t = 0 (mod det B) sees it
+    face = FaceDescriptor(n, frozenset())
+    cone_decompose(face, basis)
+    true_mul = lattice.mat_mul
+
+    def shifted(a, b):
+        out = true_mul(a, b)
+        out[-1] = [x + 1 for x in out[-1]]
+        return out
+
+    monkeypatch.setattr(lattice, "mat_mul", shifted)
+    with pytest.raises(ArithmeticError,
+                       match=r"\(distinct\).*a point outside the lattice"):
         cone_decompose(face, basis)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -9,9 +10,9 @@ import pytest
 
 from latzeta import cli, selberg
 from latzeta.cayley import build_graph
-from latzeta.cli import RunConfig, run_config
+from latzeta.cli import RunConfig, main, run_config
 from latzeta.errors import BoxExhaustionError, ResourceCapError
-from latzeta.intmat import hnf_columns, mat_mul
+from latzeta.intmat import hnf_columns, mat_mul, mat_vec
 from latzeta.lattice import (
     AffineElement,
     FACTORIAL,
@@ -32,9 +33,11 @@ from latzeta.selberg import (
 )
 from latzeta.zeta import zeta_positive_det
 from _oracles import (adjugate_membership, brute_force_translation_series,
-                      combine, denominator_factors, face_groups,
-                      find_conjugator, fraction_free_coordinate_bounds,
-                      naive_affine_classes, per_permutation_rational,
+                      combine, denominator_factors, element_from_coords,
+                      face_groups, find_conjugator,
+                      fraction_free_coordinate_bounds,
+                      naive_affine_classes, per_permutation_class_weights,
+                      per_permutation_images, per_permutation_rational,
                       perm_from_cycles, random_type_zero_subgroup,
                       series_from_json)
 from perfbench.workloads import (
@@ -292,6 +295,68 @@ def test_rational_grouped_by_image_lattice_matches_per_permutation(
             == per_permutation_rational(gam, FACTORIAL).to_json_obj())
 
 
+def test_stacked_image_walk_matches_the_hnf_loop():
+    # 160 seeded subgroups, n = 2..5: the images, their order and their
+    # counts equal those of one HNF per permutation, over stabilizers of
+    # orders 1 (every image distinct) up to 24
+    rng = random.Random(2027)
+    orders = set()
+    for i in range(160):
+        gam = random_type_zero_subgroup(rng, 2 + i % 4,
+                                        bound=(2, 3, 5)[i % 3])
+        images = selberg._image_lattices(gam)
+        assert (list(images.items())
+                == list(per_permutation_images(gam).items())), gam.basis
+        orders.add(next(iter(images.values())))
+    assert {1, 2, 4, 6, 24} <= orders
+
+
+# n = 5 subgroups whose cone routes hold 2,541,249 (index 60) and
+# 3,101,611,715 (index 295) base points
+_INDEX_60 = [[-2, -3, -3, -3], [2, 3, -2, 0], [2, 5, -3, -1], [-2, -5, 3, 4]]
+_INDEX_295 = [[-1, 5, -1, -4], [3, -1, -2, -1], [-2, -1, -4, 3],
+              [0, 2, -3, 2]]
+
+
+def test_cone_route_counts_its_base_points_before_decomposing(monkeypatch):
+    gam = TranslationSubgroup(5, _INDEX_60)
+    assert gam.index == 60
+
+    def refuse(face, basis=None):
+        raise AssertionError("a cone was decomposed")
+
+    monkeypatch.setattr(selberg, "cone_decompose", refuse)
+    monkeypatch.setattr(selberg, "SERIES_GRID_CELLS", 2541248)
+    with pytest.raises(ResourceCapError,
+                       match=r"cone route.* 2541249 base points"):
+        selberg_rational_translation(gam)
+    # at a cap of exactly the count the route goes on to decompose
+    monkeypatch.setattr(selberg, "SERIES_GRID_CELLS", 2541249)
+    with pytest.raises(AssertionError, match="decomposed"):
+        selberg_rational_translation(gam)
+
+
+def test_cone_route_over_the_cap_exits_3(tmp_path, capsys):
+    # 3.1e9 base points after a series of 9^4 cells: exit 3 from the count,
+    # before any cone is decomposed
+    path = tmp_path / "index295.json"
+    path.write_text(json.dumps({
+        "n": 5, "gamma": {"kind": "translation", "basis": _INDEX_295},
+        "maxDegree": 8, "checks": ["selberg_rational"]}))
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    printed = capsys.readouterr()
+    assert "cone route" in printed.out
+    assert "3101611715 base points" in printed.out
+    assert "Traceback" not in printed.err
+    assert peak < 4 << 20
+
+
 def _seeded_subgroups():
     """30 type-zero subgroups with n = 2..5, each basis rewritten by a
     seeded unimodular column transform.  The index is capped by n, because
@@ -537,7 +602,7 @@ def test_affine_integer_filter_keeps_exactly_the_short_points(
                 for pos, idx in enumerate(data.free_idx):
                     coords[idx] = free[pos]
                 elem = AffineElement(LatticeVector.from_basis_coords(
-                    n, data.element_from_coords(coords)), p)
+                    n, element_from_coords(data, coords)), p)
                 if sum(length_vector(elem, scale).values) <= max_deg:
                     expected.append(coords)
             kept = [c for block in selberg._short_box_points(
@@ -627,6 +692,25 @@ def test_affine_benchmark_members_match_the_naive_scan(name):
                          [Permutation(tuple(p)) for p in gamma["perms"]])
     classes = affine_conjugacy_classes(aff, cfg["maxDegree"])
     assert classes == naive_affine_classes(aff, cfg["maxDegree"])
+
+
+@pytest.mark.parametrize("n, lattice, images", AFFINE_FILTER_CASES)
+def test_stacked_class_weights_match_the_per_permutation_loop(n, lattice,
+                                                              images):
+    aff = AffineSubgroup(TranslationSubgroup(n, lattice),
+                         [Permutation(images)])
+    rng = random.Random(f"weights-{n}-{images}")
+    for p in aff.perms:
+        data = selberg._PermCosetData(aff, p)
+        # 40 points of M, then the class representatives of p
+        reps = [mat_vec(data.m_basis, [rng.randint(-6, 6)
+                                       for _ in range(n - 1)])
+                for _ in range(40)]
+        reps += [list(c.representative.v.to_basis_coords())
+                 for c in affine_conjugacy_classes(aff, 6)
+                 if c.representative.p == p]
+        assert (selberg._class_weights(data, reps, "affine")
+                == per_permutation_class_weights(data, reps))
 
 
 def test_affine_key_and_weight_guards_raise_before_allocating():
