@@ -9,7 +9,6 @@ pairwise and satisfy A_i^T = A_{n-i}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -17,19 +16,21 @@ import numpy as np
 from .errors import ResourceCapError
 from .lattice import LatticeVector, type_of
 from .quotient import FiniteAbelianGroup, TranslationSubgroup, quotient_group
+from .value import Value
 
 MAX_VERTICES = 4096
 # directed edges, (2^n - 2) N, that build_graph will add up one at a time
 MAX_EDGES = 1 << 22
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Value):
     """The 2^n - 2 standard generators, tagged by type."""
 
-    n: int
-    elements: Tuple[LatticeVector, ...]
-    types: Tuple[int, ...]
+    __slots__ = _fields = ("n", "elements", "types")
+
+    def __init__(self, n: int, elements: Tuple[LatticeVector, ...],
+                 types: Tuple[int, ...]):
+        self._assign(n, elements, types)
 
 
 def generator_set(n: int) -> GeneratorSet:
@@ -44,19 +45,20 @@ def generator_set(n: int) -> GeneratorSet:
     return GeneratorSet(n, tuple(elems), tuple(type_of(s) for s in elems))
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
+class QuotientGraph(Value):
     """Cayley graph of the quotient on N vertices, with typed adjacency.
 
     mats[i-1][w, v] counts the generators s of type i with v + s = w, so
     parallel edges coming from small quotients keep their multiplicity.
     """
 
-    n: int
-    gamma: TranslationSubgroup
-    group: FiniteAbelianGroup
-    vertices: Tuple[Tuple[int, ...], ...]
-    mats: Tuple[np.ndarray, ...]
+    __slots__ = _fields = ("n", "gamma", "group", "vertices", "mats")
+
+    def __init__(self, n: int, gamma: TranslationSubgroup,
+                 group: FiniteAbelianGroup,
+                 vertices: Tuple[Tuple[int, ...], ...],
+                 mats: Tuple[np.ndarray, ...]):
+        self._assign(n, gamma, group, vertices, mats)
 
     @property
     def num_vertices(self) -> int:

@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import ResourceCapError
@@ -33,6 +32,7 @@ from .selberg import (
     selberg_rational_translation,
     selberg_series_translation,
 )
+from .value import Value
 from .zeta import (
     backtrackless_cycle_product,
     direction_orders,
@@ -106,27 +106,34 @@ def _parse_perturb(p, n: int, size: int) -> Tuple[int, int, int, int]:
     return tuple(values)
 
 
-@dataclass
-class RunConfig:
-    n: int
-    gamma_kind: str
-    basis: Tuple[Tuple[int, ...], ...]
-    perms: Tuple[Tuple[int, ...], ...] = ()
-    max_degree: int = 12
-    scale: str = GEODESIC
-    checks: Tuple[str, ...] = field(default_factory=lambda: TRANSLATION_CHECKS)
-    max_vertices: int = MAX_VERTICES
-    acknowledge_large: bool = False
-    perturb: Optional[Tuple[int, int, int, int]] = None
-    # the subgroup of n, gamma_kind, basis and perms, built once; the parser
-    # passes the one it validated with
-    subgroup: Union[TranslationSubgroup, AffineSubgroup, None] = field(
-        default=None, repr=False, compare=False)
+class RunConfig(Value):
+    """A parsed configuration.  Unlike the other values it is mutable and
+    unhashable, and ``subgroup`` is not one of its compared fields."""
 
-    def __post_init__(self):
-        if self.subgroup is None:
-            self.subgroup = _subgroup(self.n, self.gamma_kind, self.basis,
-                                      self.perms)
+    _fields = ("n", "gamma_kind", "basis", "perms", "max_degree", "scale",
+               "checks", "max_vertices", "acknowledge_large", "perturb")
+    __slots__ = _fields + ("subgroup",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, n: int, gamma_kind: str,
+                 basis: Tuple[Tuple[int, ...], ...],
+                 perms: Tuple[Tuple[int, ...], ...] = (),
+                 max_degree: int = 12, scale: str = GEODESIC,
+                 checks: Optional[Tuple[str, ...]] = None,
+                 max_vertices: int = MAX_VERTICES,
+                 acknowledge_large: bool = False,
+                 perturb: Optional[Tuple[int, int, int, int]] = None,
+                 subgroup: Union[TranslationSubgroup, AffineSubgroup,
+                                 None] = None):
+        self._assign(n, gamma_kind, basis, perms, max_degree, scale,
+                     TRANSLATION_CHECKS if checks is None else checks,
+                     max_vertices, acknowledge_large, perturb)
+        # the subgroup of n, gamma_kind, basis and perms, built once; the
+        # parser passes the one it validated with
+        self.subgroup = (_subgroup(n, gamma_kind, basis, perms)
+                         if subgroup is None else subgroup)
 
     @classmethod
     def from_json_obj(cls, obj) -> "RunConfig":
@@ -650,15 +657,12 @@ def _open_out(path: Optional[str]):
         raise _Unusable(f"cannot write --out {path}: {reason}") from None
 
 
-def _emit(out, payload: str, summary: Optional[str] = None) -> None:
-    """Write the payload to the --out file, or print it when there is none;
-    a summary, when given, is printed in its place."""
-    if out is not None:
-        out.write(payload)
-    if summary is not None:
-        print(summary)
-    elif out is None:
+def _emit(out, payload: str) -> None:
+    """Write the payload to the --out file, or print it when there is none."""
+    if out is None:
         print(payload, end="")
+    else:
+        out.write(payload)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -718,8 +722,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             verdict = "PASS" if report["pass"] else "FAIL"
             summary = "\n".join([*map(_format_text, report["panel"]),
                                  f"panel: {verdict}"])
-        json_only = args.format == "json" and out is None
-        _emit(out, dumps_report(report), None if json_only else summary)
+        # the report is serialized only when something writes it
+        if out is not None or args.format == "json":
+            _emit(out, dumps_report(report))
+        if out is not None or args.format == "text":
+            print(summary)
         return code
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,6 +34,7 @@ from .errors import SingularMatrixError
 from .intmat import (_int_stack, adjugate_and_det, identity_matrix, mat_mul,
                      snf_diagonal, snf_with_transforms, unimodular_inverse)
 from .polynomials import norm_exponent
+from .value import Value
 
 GEODESIC = "geodesic"
 FACTORIAL = "factorial"
@@ -48,20 +48,19 @@ def scale_factor(n: int, scale: str) -> int:
     raise ValueError(f"unknown scale {scale!r}")
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(Value):
     """A class of Z^n modulo the diagonal, in canonical form (min entry 0)."""
 
-    n: int
-    coords: Tuple[int, ...]
+    __slots__ = _fields = ("n", "coords")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, coords: Tuple[int, ...]):
+        if n < 2:
             raise ValueError("rank must be at least 2")
-        if len(self.coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(self.coords)}")
-        if min(self.coords) != 0:
+        if len(coords) != n:
+            raise ValueError(f"expected {n} coordinates, got {len(coords)}")
+        if min(coords) != 0:
             raise ValueError("not canonical: minimum coordinate must be 0")
+        self._assign(n, coords)
 
     @classmethod
     def from_raw(cls, raw: Sequence[int]) -> "LatticeVector":
@@ -106,15 +105,15 @@ def type_of(a: LatticeVector) -> int:
     return sum(a.coords) % a.n
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """Permutation of {0, .., n-1}; images[i] is the image of i."""
 
-    images: Tuple[int, ...]
+    __slots__ = _fields = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"{self.images!r} is not a permutation")
+    def __init__(self, images: Tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"{images!r} is not a permutation")
+        self._assign(images)
 
     @property
     def n(self) -> int:
@@ -192,16 +191,15 @@ def basis_matrices(perms: Sequence[Permutation]) -> np.ndarray:
     return (images == rows).astype(np.int64) - (images == n - 1)
 
 
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(Value):
     """Element (v, p) of the affine group: translate by v after permuting by p."""
 
-    v: LatticeVector
-    p: Permutation
+    __slots__ = _fields = ("v", "p")
 
-    def __post_init__(self):
-        if self.v.n != self.p.n:
+    def __init__(self, v: LatticeVector, p: Permutation):
+        if v.n != p.n:
             raise ValueError("rank mismatch between translation and permutation")
+        self._assign(v, p)
 
     @property
     def n(self) -> int:
@@ -223,32 +221,21 @@ class AffineElement:
         return AffineElement(pinv.act(-self.v), pinv)
 
 
-@dataclass(frozen=True)
-class LengthVector:
+class LengthVector(Value):
     """The n-1 conjugation-invariant lengths of an affine element."""
 
-    values: Tuple[Fraction, ...]
-    scale: str
+    __slots__ = _fields = ("values", "scale")
 
-    def __post_init__(self):
-        if any(x < 0 for x in self.values):
+    def __init__(self, values: Tuple[Fraction, ...], scale: str):
+        if any(x < 0 for x in values):
             raise ValueError("length values must be nonnegative")
-
-    @classmethod
-    def from_ratios(cls, numerators: Sequence[int], denominator: int,
-                    scale: str) -> "LengthVector":
-        """Values numerators[j] / denominator; signs are checked on the ints,
-        before any Fraction is made, in place of ``__post_init__``."""
-        if denominator <= 0 or min(numerators) < 0:
-            raise ValueError("length values must be nonnegative")
-        return cls._unchecked(
-            tuple([Fraction(x, denominator) for x in numerators]), scale)
+        self._assign(values, scale)
 
     @classmethod
     def _unchecked(cls, values: Tuple[Fraction, ...], scale: str
                    ) -> "LengthVector":
         """The vector of values, known to be nonnegative, with no
-        ``__post_init__`` check."""
+        ``__init__`` check."""
         out = object.__new__(cls)
         object.__setattr__(out, "values", values)
         object.__setattr__(out, "scale", scale)
@@ -296,16 +283,15 @@ def length_vector(g: AffineElement, scale: str = GEODESIC) -> LengthVector:
     return length_vectors(g.p, [g.v.coords], scale)[0]
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(Value):
     """A face of the dominant cone: S is the set of forced equalities."""
 
-    n: int
-    zero_set: frozenset = field(default_factory=frozenset)
+    __slots__ = _fields = ("n", "zero_set")
 
-    def __post_init__(self):
-        if not all(1 <= j <= self.n - 1 for j in self.zero_set):
+    def __init__(self, n: int, zero_set: frozenset = frozenset()):
+        if not all(1 <= j <= n - 1 for j in zero_set):
             raise ValueError("zero_set must be a subset of {1, .., n-1}")
+        self._assign(n, zero_set)
 
     @property
     def blocks(self) -> Tuple[int, ...]:
@@ -341,8 +327,7 @@ def all_faces(n: int):
             yield FaceDescriptor(n, frozenset(combo))
 
 
-@dataclass(frozen=True)
-class ConeDecomposition:
+class ConeDecomposition(Value):
     """cone ∩ lattice = disjoint union of base_point + N0-span of generators.
 
     Points are in the t-coordinates of the face (dimension r-1); the map
@@ -350,11 +335,14 @@ class ConeDecomposition:
     points of the open cone.
     """
 
-    base_points: Tuple[Tuple[int, ...], ...]
-    generators: Tuple[Tuple[int, ...], ...]
+    __slots__ = _fields = ("base_points", "generators")
+
+    def __init__(self, base_points: Tuple[Tuple[int, ...], ...],
+                 generators: Tuple[Tuple[int, ...], ...]):
+        self._assign(base_points, generators)
 
 
-def _edge_multiples(basis: Sequence[Sequence[int]]):
+def edge_multiples(basis: Sequence[Sequence[int]]):
     """(adj, det, mults, x_cols) of a square lattice basis B in
     t-coordinates: mult_j = |det B| / gcd(det B, adj(B) (1^j, 0)) is the
     least multiple of the edge ray (1^j, 0) in the lattice, and column j of
@@ -375,29 +363,31 @@ def _edge_multiples(basis: Sequence[Sequence[int]]):
     return adj, det, mults, x_cols
 
 
-def cone_base_point_count(lattice_basis: Optional[Sequence[Sequence[int]]]
-                          ) -> int:
+def cone_base_point_count(edges) -> int:
     """The number prod(mult_j) / |det B| of base points that
     :func:`cone_decompose` gives the lattice of the square basis B on a face
-    of its dimension, found without enumerating them; 1 when there is no
-    basis (a point face, or the default lattice Z^k)."""
-    if not lattice_basis:
+    of its dimension, from the :func:`edge_multiples` of B, found without
+    enumerating them; 1 for None (no basis: a point face, or the default
+    lattice Z^k)."""
+    if edges is None:
         return 1
-    _, det, mults, _ = _edge_multiples(lattice_basis)
+    _, det, mults, _ = edges
     return math.prod(mults) // abs(det)
 
 
 def cone_decompose(face: FaceDescriptor,
-                   lattice_basis: Optional[Sequence[Sequence[int]]] = None
-                   ) -> ConeDecomposition:
+                   lattice_basis: Optional[Sequence[Sequence[int]]] = None,
+                   edges=None) -> ConeDecomposition:
     """Decompose (open face cone) ∩ lattice into shifted free monoids.
 
     The lattice L is given by a square integer basis matrix B in
     t-coordinates (columns are generators); by default it is Z^{r-1}, the
-    t-coordinate image of the full translation lattice.  The cone is
-    simplicial: generator a_j = mult_j (1^j, 0^(k-j)) is the minimal lattice
-    vector on its j-th edge, mult_j = |det B| / gcd(det B, adj(B) (1^j, 0)),
-    and the edge forms alpha_i(t) = t_i - t_{i+1} (alpha_k = t_k) satisfy
+    t-coordinate image of the full translation lattice; ``edges``, when
+    given, is the :func:`edge_multiples` of B, not computed again here.
+    The cone is simplicial: generator a_j = mult_j (1^j, 0^(k-j)) is the
+    minimal lattice vector on its j-th edge,
+    mult_j = |det B| / gcd(det B, adj(B) (1^j, 0)), and the edge forms
+    alpha_i(t) = t_i - t_{i+1} (alpha_k = t_k) satisfy
     alpha_i(a_j) = mult_j delta_ij.  The base points are the lattice points
     of the half-open parallelepiped {sum_j lambda_j a_j : 0 < lambda_j <= 1},
     the points with 1 <= alpha_j(t) <= mult_j (Stanley, Enumerative
@@ -419,7 +409,7 @@ def cone_decompose(face: FaceDescriptor,
         if len(basis) != k or any(len(row) != k for row in basis):
             raise ValueError(f"lattice basis must be {k}x{k} for this face")
     # minimal lattice vector on each edge ray (1,..,1,0,..,0)
-    adj, det, mults, x_cols = _edge_multiples(basis)
+    adj, det, mults, x_cols = edges or edge_multiples(basis)
     generators = [(m,) * (j + 1) + (0,) * (k - j - 1)
                   for j, m in enumerate(mults)]
 

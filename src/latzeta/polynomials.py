@@ -114,7 +114,13 @@ class IntPolynomial:
 
     def mul_truncated(self, other: "IntPolynomial", max_deg: int) -> "IntPolynomial":
         """The product to degree max_deg, over the nonzero entries of each
-        factor only; the second factor's are listed once."""
+        factor only; the second factor's are listed once.  The output has
+        room for the product's own degree when that is lower, so a large
+        max_deg costs nothing."""
+        max_deg = min(max_deg, self.degree + other.degree)
+        if max_deg < 0:
+            # a zero factor, or a negative max_deg
+            return IntPolynomial()
         out = [0] * (max_deg + 1)
         b = [(j, cb) for j, cb in enumerate(other.coeffs[: max_deg + 1]) if cb]
         for i, ca in enumerate(self.coeffs[: max_deg + 1]):
@@ -325,12 +331,6 @@ class MultiRational:
             _dict_add_term(cur, e, k * c)
         if not cur:
             del self.pieces[den]
-
-    def add_scaled(self, other: "MultiRational", k: int) -> "MultiRational":
-        """self += k * other, without validating other's pieces again."""
-        for den, num in other.pieces.items():
-            self._merge(den, num, k)
-        return self
 
     def expand(self, max_deg: int) -> MultiSeries:
         """Power-series expansion to total degree max_deg, one geometric

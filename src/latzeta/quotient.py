@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import SingularMatrixError, TypeZeroViolationError
 from .intmat import ImageLattice, mat_mul, mat_vec
 from .lattice import LatticeVector, Permutation
+from .value import Value
 
 
 class TranslationSubgroup:
@@ -120,8 +120,7 @@ class AffineSubgroup:
                 f"|P|={len(self.perms)})")
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Value):
     """The quotient lattice / subgroup, via Smith normal form.
 
     Elements are tuples (c_1, .., c_{n-1}) with c_i reduced mod the i-th
@@ -129,10 +128,14 @@ class FiniteAbelianGroup:
     where U basis V = diag(divisors).
     """
 
-    n: int
-    divisors: Tuple[int, ...]
-    u_matrix: Tuple[Tuple[int, ...], ...]
-    gamma: TranslationSubgroup
+    _fields = ("n", "divisors", "u_matrix", "gamma")
+    # the __dict__ holds the cached directions
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(self, n: int, divisors: Tuple[int, ...],
+                 u_matrix: Tuple[Tuple[int, ...], ...],
+                 gamma: TranslationSubgroup):
+        self._assign(n, divisors, u_matrix, gamma)
 
     @property
     def order(self) -> int:
@@ -172,8 +175,7 @@ def quotient_group(gamma: TranslationSubgroup) -> FiniteAbelianGroup:
     return gamma.quotient
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Value):
     """A character of the quotient, stored by its exponent tuple.
 
     The divisors form a chain d_1 | d_2 | ..., so every value is a D-th root
@@ -182,8 +184,10 @@ class Character:
     the n standard directions; their exponents sum to 0 mod D.
     """
 
-    exponents: Tuple[int, ...]
-    divisors: Tuple[int, ...]
+    __slots__ = _fields = ("exponents", "divisors")
+
+    def __init__(self, exponents: Tuple[int, ...], divisors: Tuple[int, ...]):
+        self._assign(exponents, divisors)
 
     def turn(self, cls: Sequence[int]) -> int:
         """Value on a quotient element, as its exponent in [0, D):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -62,21 +61,24 @@ from .lattice import (
     basis_matrices,
     cone_base_point_count,
     cone_decompose,
+    edge_multiples,
     length_vectors,
     scale_factor,
 )
 from .polynomials import IntPolynomial, MultiRational, MultiSeries
 from .quotient import AffineSubgroup, TranslationSubgroup
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(Value):
     """A conjugacy class: canonical representative, centralizer-index weight,
     and the conjugation-invariant lengths."""
 
-    representative: AffineElement
-    weight: int
-    lengths: LengthVector
+    __slots__ = _fields = ("representative", "weight", "lengths")
+
+    def __init__(self, representative: AffineElement, weight: int,
+                 lengths: LengthVector):
+        self._assign(representative, weight, lengths)
 
 
 def _check_int64(context: str, what: str, bound: int) -> None:
@@ -284,15 +286,18 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
     # the face's t-basis: suffix sums of the edge-form rows
     bases = [[list(map(sum, zip(*block[i:]))) for i in range(face.dim)]
              or None for face, block in groups]
-    points = sum(map(cone_base_point_count, bases))
+    # one set of edge multiples per face group, for the count and the cone
+    edges = [basis and edge_multiples(basis) for basis in bases]
+    points = sum(map(cone_base_point_count, edges))
     if points > SERIES_GRID_CELLS:
         raise ResourceCapError(
             f"cone route of the rational closed form: its cone "
             f"decompositions hold {points} base points, above the cap of "
             f"{SERIES_GRID_CELLS}")
     out = MultiRational(n - 1)
-    for ((face, block), count), basis in zip(groups.items(), bases):
-        dec = cone_decompose(face, basis)
+    for ((face, _), count), basis, group_edges in zip(groups.items(),
+                                                      bases, edges):
+        dec = cone_decompose(face, basis, edges=group_edges)
         positions = [p - 1 for p in face.boundary_positions()]
         # generator j has edge forms mult_j e_j
         den = []
@@ -598,19 +603,19 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     return out
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(Value):
     """The specialized Selberg series against the logarithmic derivative of
     the positive zeta."""
 
-    n: int
-    max_degree: int
-    lhs_coeffs: List[int]
-    rhs_corrected: List[int]
-    rhs_literal: List[int]
-    corrected_equal: bool
-    literal_equal: bool
-    note: str
+    __slots__ = _fields = ("n", "max_degree", "lhs_coeffs", "rhs_corrected",
+                           "rhs_literal", "corrected_equal", "literal_equal",
+                           "note")
+
+    def __init__(self, n: int, max_degree: int, lhs_coeffs: List[int],
+                 rhs_corrected: List[int], rhs_literal: List[int],
+                 corrected_equal: bool, literal_equal: bool, note: str):
+        self._assign(n, max_degree, lhs_coeffs, rhs_corrected, rhs_literal,
+                     corrected_equal, literal_equal, note)
 
     def to_json_obj(self):
         return {

@@ -18,7 +18,6 @@ reference for small depths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from .quotient import (
     characters,
     quotient_group,
 )
+from .value import Value
 
 
 def _lfunction_precision_bits(degree: int) -> int:
@@ -192,13 +192,14 @@ def ihara_zeta_series(numerator: IntPolynomial, chi: int, max_deg: int
     return numerator.mul_truncated(IntPolynomial(series), max_deg)
 
 
-@dataclass(frozen=True)
-class GeodesicClass:
+class GeodesicClass(Value):
     """A rotation class of closed positive geodesics in one direction."""
 
-    length: int
-    direction: int
-    representative: Tuple[int, ...]
+    __slots__ = _fields = ("length", "direction", "representative")
+
+    def __init__(self, length: int, direction: int,
+                 representative: Tuple[int, ...]):
+        self._assign(length, direction, representative)
 
 
 def enumerate_positive_geodesics(g: QuotientGraph, max_len: int
@@ -243,12 +244,13 @@ def euler_product_truncation(classes: Sequence[GeodesicClass], max_deg: int
     return out
 
 
-@dataclass(frozen=True)
-class CycleClass:
+class CycleClass(Value):
     """A rotation class of primitive tailless backtrackless closed paths."""
 
-    length: int
-    edge_sequence: Tuple[Tuple[int, int], ...]
+    __slots__ = _fields = ("length", "edge_sequence")
+
+    def __init__(self, length: int, edge_sequence: Tuple[Tuple[int, int], ...]):
+        self._assign(length, edge_sequence)
 
 
 def enumerate_backtrackless_cycles(g: QuotientGraph, max_len: int

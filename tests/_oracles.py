@@ -106,6 +106,16 @@ def fraction_length_vector(g: AffineElement, scale: str = GEODESIC
                         scale)
 
 
+def length_vector_from_ratios(numerators: Sequence[int], denominator: int,
+                              scale: str) -> LengthVector:
+    """The LengthVector of values numerators[j] / denominator; the signs
+    are checked on the ints, before any Fraction is made."""
+    if denominator <= 0 or min(numerators) < 0:
+        raise ValueError("length values must be nonnegative")
+    return LengthVector._unchecked(
+        tuple([Fraction(x, denominator) for x in numerators]), scale)
+
+
 def fraction_turn(chi, cls: Sequence[int]) -> Fraction:
     """A character's turn on a quotient element, one Fraction per divisor;
     test oracle for :meth:`quotient.Character.turn`."""
@@ -192,6 +202,14 @@ def rational_from_json(obj) -> MultiRational:
                for e, c in piece["numerator"]}
         out.add_piece(num, [tuple(f) for f in piece["denominator_factors"]])
     return out
+
+
+def add_scaled(rational: MultiRational, other: MultiRational, k: int
+               ) -> MultiRational:
+    """rational += k * other, without validating other's pieces again."""
+    for den, num in other.pieces.items():
+        rational._merge(den, num, k)
+    return rational
 
 
 def denominator_factors(rational: MultiRational) -> List[Tuple[int, ...]]:

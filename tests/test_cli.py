@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -7,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,8 @@ from latzeta.cayley import build_graph, export_edge_list, perturb_adjacency
 from latzeta.lattice import GEODESIC, AffineElement
 from latzeta.polynomials import IntPolynomial
 from latzeta.quotient import TranslationSubgroup
-from latzeta.selberg import comparison_check, selberg_series_translation
+from latzeta.selberg import (ConjugacyClass, comparison_check,
+                             selberg_series_translation)
 from latzeta.zeta import zeta_positive_orders
 from perfbench import workloads
 
@@ -368,6 +369,17 @@ def test_importing_the_cli_leaves_argparse_out():
     # run_config callers, the benchmark's set-up among them, import the
     # module; only main builds a parser
     code = "import sys, latzeta.cli; print('argparse' in sys.modules)"
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": package_root})
+    assert out.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_dataclasses_out():
+    # the value types are plain slotted classes, so no class is generated
+    # at import
+    code = "import sys, latzeta.cli; print('dataclasses' in sys.modules)"
     package_root = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -728,8 +740,9 @@ def _faulty(route, fault):
                      if c.representative != identity)
             if fault == "drop":
                 return out[:i] + out[i + 1:]
-            return [*out[:i], dataclasses.replace(out[i],
-                                                  weight=out[i].weight + 1),
+            c = out[i]
+            return [*out[:i],
+                    ConjugacyClass(c.representative, c.weight + 1, c.lengths),
                     *out[i + 1:]]
         return bump(out)
 
@@ -811,3 +824,66 @@ def test_single_fault_fails_exactly_these_checks(monkeypatch, config, route,
         for name in fails & {"positive_zeta", "lfunction"}:
             assert report["results"][name]["first_difference"]["index"] \
                 == fault
+
+
+@pytest.mark.parametrize("check, expected", [("ihara", 0), ("comparison", 3)])
+def test_a_huge_max_degree_on_a_small_quotient_allocates_little(check,
+                                                                expected):
+    # maxDegree 10^9 on the 9-vertex quotient: the Ihara series is a
+    # polynomial of degree 54, and the comparison's series exits 3 on its
+    # int64 bound after the truncated orders product, which has degree 27
+    cfg = RunConfig.from_json_obj(
+        _config_with(maxDegree=10 ** 9, checks=[check]))
+    tracemalloc.start()
+    try:
+        code, report = run_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == expected and peak < 1 << 20
+    if check == "ihara":
+        result = report["results"]["ihara"]
+        assert len(result["zeta_series_positive_exponent"]) == 55
+        assert result["oracle"] == "match"
+    else:
+        assert "Selberg series" in report["error"]
+
+
+def test_the_report_is_serialized_only_when_something_writes_it(
+        tmp_path, capsys, monkeypatch):
+    # a still clock, so that the timings, and with them the bytes, repeat
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    _, report = run_config(RunConfig.from_json_obj(BASIC))
+    _, panel = demo_suite()
+    summaries = {"run": cli._format_text(report),
+                 "demo": "\n".join([*map(cli._format_text, panel["panel"]),
+                                    "panel: PASS"])}
+    payloads = {"run": dumps_report(report), "demo": dumps_report(panel)}
+    calls = []
+
+    def spy(obj):
+        calls.append(obj)
+        return dumps_report(obj)
+
+    monkeypatch.setattr(cli, "dumps_report", spy)
+    config = ["--config", write_config(tmp_path, BASIC)]
+    out = tmp_path / "report.json"
+    for command in ("run", "demo"):
+        args = [command, *config] if command == "run" else [command]
+        for extra, serialized in (([], 0), (["--format", "json"], 1),
+                                  (["--out", str(out)], 1),
+                                  (["--format", "json", "--out", str(out)],
+                                   1)):
+            calls.clear()
+            out.unlink(missing_ok=True)
+            assert main([*args, *extra]) == 0
+            assert len(calls) == serialized, (command, extra)
+            printed = capsys.readouterr().out
+            if extra == ["--format", "json"]:
+                assert printed == payloads[command]
+            else:
+                assert printed == summaries[command] + "\n"
+            if "--out" in extra:
+                assert out.read_text(encoding="utf-8") == payloads[command]
+            else:
+                assert not out.exists()

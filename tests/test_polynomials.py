@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
 
-from _oracles import (combine, product_expand, rational_from_json,
-                      series_from_json)
+from _oracles import (add_scaled, combine, product_expand,
+                      rational_from_json, series_from_json)
 
 
 def test_int_polynomial_basic_arithmetic():
@@ -70,6 +71,26 @@ def test_products_match_a_naive_double_loop():
             if max_deg >= 0:
                 assert p.mul_truncated(q, max_deg) == full.truncate(max_deg), \
                     (p, q, max_deg)
+
+
+def test_a_max_degree_above_the_product_sizes_nothing_by_it():
+    # the output is sized by the product's degree: a zero factor or
+    # max_deg = 10^9 allocates nothing like max_deg slots
+    rng = random.Random(1617)
+    zero = IntPolynomial.zero()
+    pairs = [(zero, zero), (zero, IntPolynomial([1, 0, 2])),
+             (IntPolynomial([0, 3]), zero)]
+    pairs += [(_random_polynomial(rng, sparse), _random_polynomial(rng, True))
+              for sparse in (True, False) for _ in range(30)]
+    tracemalloc.start()
+    try:
+        for p, q in pairs:
+            assert (p.mul_truncated(q, 10 ** 9)
+                    == _naive_product(p.coeffs, q.coeffs)), (p, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_derivative_and_eval():
@@ -211,9 +232,9 @@ def test_add_scaled_merges_and_cancels():
     s = MultiRational(1)
     s.add_piece({(0,): 1}, [(2,)])
     s.add_piece({(1,): 5}, [])
-    r.add_scaled(s, -2)
+    add_scaled(r, s, -2)
     assert r.pieces == {((2,),): {(3,): 1}, (): {(1,): -10}}
-    r.add_scaled(s, 1)
+    add_scaled(r, s, 1)
     assert r.pieces == {((2,),): {(0,): 1, (3,): 1}, (): {(1,): -5}}
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latzeta import cli, selberg
+from latzeta import cli, lattice, selberg
 from latzeta.cayley import build_graph
 from latzeta.cli import RunConfig, main, run_config
 from latzeta.errors import BoxExhaustionError, ResourceCapError
@@ -21,6 +21,7 @@ from latzeta.lattice import (
     Permutation,
     all_permutations,
     cone_decompose,
+    edge_multiples,
     length_vector,
 )
 from latzeta.polynomials import MultiRational, MultiSeries
@@ -322,7 +323,7 @@ def test_cone_route_counts_its_base_points_before_decomposing(monkeypatch):
     gam = TranslationSubgroup(5, _INDEX_60)
     assert gam.index == 60
 
-    def refuse(face, basis=None):
+    def refuse(face, basis=None, edges=None):
         raise AssertionError("a cone was decomposed")
 
     monkeypatch.setattr(selberg, "cone_decompose", refuse)
@@ -406,9 +407,9 @@ def test_rational_matches_per_permutation_on_the_panels():
 def test_one_cone_decomposition_per_face_group(monkeypatch):
     calls = []
 
-    def spy(face, basis=None):
+    def spy(face, basis=None, edges=None):
         calls.append(face.zero_set)
-        return cone_decompose(face, basis)
+        return cone_decompose(face, basis, edges)
 
     monkeypatch.setattr(selberg, "cone_decompose", spy)
     counts = {}
@@ -421,6 +422,24 @@ def test_one_cone_decomposition_per_face_group(monkeypatch):
         counts[gam.basis] = len(calls)
     # det_ladder's n4_N32 member
     assert counts[tuple(map(tuple, _N4_N32))] == 31
+
+
+def test_one_set_of_edge_multiples_per_face_group_with_a_basis(monkeypatch):
+    # the base point count and the cone decomposition share them
+    calls = []
+
+    def spy(basis):
+        calls.append(basis)
+        return edge_multiples(basis)
+
+    monkeypatch.setattr(selberg, "edge_multiples", spy)
+    monkeypatch.setattr(lattice, "edge_multiples", spy)
+    for gam in _panel_subgroups():
+        calls.clear()
+        selberg_rational_translation(gam)
+        with_basis = [zero_set for zero_set, _ in face_groups(gam)
+                      if len(zero_set) < gam.n - 1]
+        assert len(calls) == len(with_basis), gam.basis
 
 
 def test_rational_translation_factorial_scale():
