@@ -8,8 +8,10 @@ Exit codes: 0 all requested verifications pass, 1 a verification failed,
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
+import operator
 import sys
 import time
 from typing import Optional, Sequence, Tuple, Union
@@ -553,6 +555,11 @@ def _write_json(obj, pad: str, out: list) -> None:
     if not obj:
         out.append("{}" if kind is dict else "[]")
         return
+    if kind is not dict and type(obj[0]) is list:
+        table = _term_table(obj, pad)
+        if table is not None:
+            out.append(table)
+            return
     inner = pad + "  "
     sep = ",\n" + inner
     if kind is dict:
@@ -580,11 +587,40 @@ def _write_json(obj, pad: str, out: list) -> None:
     out.append("\n" + pad + "]")
 
 
+def _term_table(rows, pad: str) -> Optional[str]:
+    """The text of rows at pad when every row is ``[[int, ...], str]``, the
+    term rows of the series and rationals, formed one string per row by
+    builtins alone, with no Python frame per row; None for any other
+    shape."""
+    if {*map(type, rows)} != {list} or {*map(len, rows)} != {2}:
+        return None
+    exps = [*map(operator.itemgetter(0), rows)]
+    coeffs = [*map(operator.itemgetter(1), rows)]
+    if ({*map(type, exps)} != {list} or {*map(type, coeffs)} != {str}
+            or not all(exps)
+            or {*map(type, itertools.chain.from_iterable(exps))} != {int}):
+        return None
+    inner = pad + "  "
+    item = inner + "  "
+    entry = item + "  "
+    row_open = "[\n" + item + "[\n" + entry
+    row_close = "\n" + inner + "]"
+    exp_texts = map((",\n" + entry).join,
+                    map(map, itertools.repeat(int.__repr__), exps))
+    rows_text = map(("\n" + item + "],\n" + item).join,
+                    zip(exp_texts, map(_SCALARS[str], coeffs)))
+    return ("[\n" + inner + row_open
+            + (row_close + ",\n" + inner + row_open).join(rows_text)
+            + row_close + "\n" + pad + "]")
+
+
 def dumps_report(report: dict) -> str:
     """The bytes of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
     for a tree of exact built-in types with str keys; any other type raises
     TypeError.  json's indent runs its pure-Python encoder, and this writer
-    joins each list of one scalar type in a single call."""
+    joins each list of one scalar type in a single call and writes each
+    list of term rows ``[[int, ...], str]`` without a Python frame per
+    row."""
     out: list = []
     _write_json(report, "", out)
     out.append("\n")

@@ -34,12 +34,12 @@ def norm_exponent(exps) -> Exponent:
     return tuple(_norm_num(e) for e in exps)
 
 
-def exponent_degree(exps):
-    return sum(exps)
-
-
 def _exp_to_json(e):
     return int(e) if isinstance(e, int) else f"{e.numerator}/{e.denominator}"
+
+
+def _exps_to_json(exps) -> list:
+    return [_exp_to_json(x) for x in exps]
 
 
 class IntPolynomial:
@@ -225,8 +225,24 @@ def _int_exponent(x) -> int:
     return i
 
 
+def _sorted_exponents(d: Dict[Exponent, int]) -> List[Exponent]:
+    """The keys of d by total degree, then by exponent: the lexicographic
+    order, stably sorted by the plain sum."""
+    keys = sorted(d)
+    keys.sort(key=sum)
+    return keys
+
+
 def _sorted_terms(d: Dict[Exponent, int]):
-    return sorted(d.items(), key=lambda kv: (exponent_degree(kv[0]), kv[0]))
+    keys = _sorted_exponents(d)
+    return list(zip(keys, map(d.__getitem__, keys)))
+
+
+def _term_rows(d: Dict[Exponent, int], exps_to_json=list) -> list:
+    """The JSON rows ``[exponents, "coefficient"]`` of d in term order."""
+    keys = _sorted_exponents(d)
+    return list(map(list, zip(map(exps_to_json, keys),
+                              map(str, map(d.__getitem__, keys)))))
 
 
 class MultiSeries:
@@ -266,25 +282,18 @@ class MultiSeries:
         """Coefficients of x^k after setting every variable but the first to 0.
 
         Uses the 0^0 = 1 convention: a term survives iff all later exponents
-        vanish.
+        vanish.  Two distinct keys with vanishing tails differ in their first
+        exponent, so no two survivors share an x^k.
         """
-        out = {}
-        for e, c in self.terms.items():
-            if all(x == 0 for x in e[1:]):
-                out[e[0]] = out.get(e[0], 0) + c
-        return out
+        return {e[0]: c for e, c in self.terms.items() if not any(e[1:])}
 
     def to_json_obj(self):
-        items = _sorted_terms(self.terms)
         # int exponents are their own JSON; Fractions are written "p/q"
-        if {*map(type, itertools.chain.from_iterable(self.terms))} <= {int}:
-            terms = [[list(e), str(c)] for e, c in items]
-        else:
-            terms = [[[_exp_to_json(x) for x in e], str(c)] for e, c in items]
+        ints = {*map(type, itertools.chain.from_iterable(self.terms))} <= {int}
         return {
             "variables": self.nvars,
             "cutoff": _exp_to_json(self.cutoff),
-            "terms": terms,
+            "terms": _term_rows(self.terms, list if ints else _exps_to_json),
         }
 
     def __repr__(self):
@@ -351,8 +360,8 @@ class MultiRational:
             "variables": self.nvars,
             "pieces": [
                 {
-                    "numerator": [[[_exp_to_json(x) for x in e], str(c)]
-                                  for e, c in _sorted_terms(num)],
+                    # int exponents, by _exponents
+                    "numerator": _term_rows(num),
                     "denominator_factors": [list(f) for f in den],
                 }
                 for den, num in sorted(self.pieces.items())

@@ -177,6 +177,22 @@ def product_expand(rational: MultiRational, max_deg: int) -> MultiSeries:
     return out
 
 
+def key_sorted_terms(d: Dict[Exponent, int]) -> List[Tuple[Exponent, int]]:
+    """The terms of d by (total degree, exponent), one key call per term;
+    test oracle for ``polynomials._sorted_terms``."""
+    return sorted(d.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+
+def generator_specialize_first(series: MultiSeries) -> Dict:
+    """Coefficients of x^k at x_2 = .. = x_n = 0 with 0^0 = 1, one generator
+    per term; test oracle for :meth:`MultiSeries.specialize_first`."""
+    out = {}
+    for e, c in series.terms.items():
+        if all(x == 0 for x in e[1:]):
+            out[e[0]] = out.get(e[0], 0) + c
+    return out
+
+
 def _exp_from_json(e):
     """An exponent as ``to_json_obj`` writes it: an int or "num/den"."""
     if isinstance(e, str):

@@ -558,8 +558,60 @@ def test_dumps_report_writes_the_bytes_of_json_dumps(obj):
     assert dumps_report(obj) == _json_dumps(obj)
 
 
+# the term rows of the series and rationals, [[int, ...], str], which the
+# writer forms without the recursive path
+_EXPONENT_ROWS = st.lists(
+    st.integers(0, 40) | st.sampled_from([0, -1, 2 ** 64, -(10 ** 300)]),
+    min_size=1, max_size=5)
+_COEFFICIENTS = st.integers(-10 ** 30, 10 ** 30).map(str) | _STRINGS
+_TERM_ROWS = st.tuples(_EXPONENT_ROWS, _COEFFICIENTS).map(list)
+_TERM_TABLES = st.lists(_TERM_ROWS, min_size=1, max_size=8)
+
+
+def _near_miss(row):
+    exps, coeff = row
+    return st.sampled_from([
+        [[*exps[:-1], True], coeff],
+        [[*exps, "1/2"], coeff],
+        [[], coeff],
+        (exps, coeff),
+        [exps, coeff, coeff],
+        [exps],
+        [exps, len(coeff)],
+        [[exps], coeff],
+        [[*exps[:-1], [exps[-1]]], coeff],
+        [tuple(exps), coeff],
+        [exps, None],
+        "odd row",
+    ])
+
+
+# a table with one row of another shape among its term rows, at any place
+_NEAR_MISS_TABLES = st.tuples(_TERM_TABLES, _TERM_ROWS.flatmap(_near_miss),
+                              st.integers(0, 8)).map(
+    lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(table=_TERM_TABLES, key=_STRINGS)
+def test_term_tables_take_the_row_path_with_the_bytes_of_json_dumps(
+        table, key):
+    assert cli._term_table(table, "") is not None
+    for obj in (table, {key: table}, {"a": [{"terms": table}, 1]}):
+        assert dumps_report(obj) == _json_dumps(obj)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(table=_NEAR_MISS_TABLES, key=_STRINGS)
+def test_near_miss_tables_take_the_recursive_path(table, key):
+    assert cli._term_table(table, "") is None
+    for obj in (table, {key: table}, {"a": [{"terms": table}, 1]}):
+        assert dumps_report(obj) == _json_dumps(obj)
+
+
 @pytest.mark.parametrize("value", [
-    {1: "int key"}, [1, b"bytes"], {"a": {1.5}}, [IntPolynomial([1])]])
+    {1: "int key"}, [1, b"bytes"], {"a": {1.5}}, [IntPolynomial([1])],
+    [[[1, 2], "3"], [[1, {2}], "3"]], [[[1, 2], b"3"]]])
 def test_dumps_report_refuses_other_types(value):
     with pytest.raises(TypeError):
         dumps_report(value)

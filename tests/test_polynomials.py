@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
+from latzeta.polynomials import (IntPolynomial, MultiRational, MultiSeries,
+                                 _exp_to_json, _sorted_terms)
 
-from _oracles import (add_scaled, combine, product_expand,
-                      rational_from_json, series_from_json)
+from _oracles import (add_scaled, combine, generator_specialize_first,
+                      key_sorted_terms, product_expand, rational_from_json,
+                      series_from_json)
 
 
 def test_int_polynomial_basic_arithmetic():
@@ -158,6 +162,56 @@ def test_multi_series_specialize_first():
     s.add_term((3, 1, 0), 9)   # killed by 0^1
     s.add_term((0, 0, 0), 1)
     assert s.specialize_first() == {2: 4, 0: 1}
+
+
+# term dicts as the series hold them: int exponents, or Fractions for the
+# affine lengths at the geodesic scale, mixed within a key
+_EXPONENTS = (st.integers(0, 6)
+              | st.builds(Fraction, st.integers(0, 12), st.sampled_from([2, 3])))
+_TERM_DICTS = st.integers(1, 4).flatmap(lambda nvars: st.dictionaries(
+    st.tuples(*[_EXPONENTS] * nvars),
+    st.integers(-10 ** 20, 10 ** 20).filter(bool), max_size=40))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(terms=_TERM_DICTS)
+def test_term_order_matches_the_key_sort(terms):
+    assert _sorted_terms(terms) == key_sorted_terms(terms)
+    # equal degrees and equal keys, so the exponent types too
+    assert [[*map(type, e)] for e, _ in _sorted_terms(terms)] == [
+        [*map(type, e)] for e, _ in key_sorted_terms(terms)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(terms=_TERM_DICTS)
+def test_specialize_first_matches_the_generator_reference(terms):
+    nvars = len(next(iter(terms), (0,)))
+    built = MultiSeries(nvars, 100, terms)
+    assigned = MultiSeries(nvars, 100)
+    assigned.terms = dict(terms)
+    for s in (built, assigned):
+        got = s.specialize_first()
+        assert list(got.items()) == list(
+            generator_specialize_first(s).items())
+        # 0^0 = 1: the constant term survives at x^0
+        if (0,) * nvars in s.terms:
+            assert got[0] == s.terms[(0,) * nvars]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(terms=_TERM_DICTS)
+def test_term_rows_are_the_key_sorted_terms(terms):
+    nvars = len(next(iter(terms), (0,)))
+    s = MultiSeries(nvars, 100, terms)
+    assert s.to_json_obj()["terms"] == [
+        [[_exp_to_json(x) for x in e], str(c)]
+        for e, c in key_sorted_terms(s.terms)]
+    ints = {e: c for e, c in terms.items() if all(type(x) is int for x in e)}
+    r = MultiRational(nvars)
+    r.add_piece(ints, [(1,) * nvars])
+    rows = [[list(e), str(c)] for e, c in key_sorted_terms(ints)]
+    pieces = r.to_json_obj()["pieces"]
+    assert [p["numerator"] for p in pieces] == ([rows] if rows else [])
 
 
 def test_multi_rational_merges_equal_denominators():
