@@ -16,7 +16,6 @@ from .errors import (
 )
 from .lattice import (
     AffineElement,
-    ConeDecomposition,
     FaceDescriptor,
     LatticeVector,
     LengthVector,

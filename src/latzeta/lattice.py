@@ -17,22 +17,23 @@ Conventions used throughout the package:
 * Faces of the dominant cone x1 >= ... >= xn are indexed by the set S of
   positions where equality is forced.  A face with blocks (n1, ..., nr) is
   coordinatized by the strictly decreasing block values t1 > ... > t_{r-1}
-  > t_r = 0, so its lattice points live in Z^{r-1} ("t-coordinates").
+  > t_r = 0, so its lattice points live in Z^{r-1} ("t-coordinates"), or
+  by its edge forms alpha_i = t_i - t_{i+1}, the gaps at its block
+  boundaries, in which its cone is alpha >= 1 and is decomposed
+  (:func:`cone_decompose`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .intmat import (_int_stack, adjugate_and_det, identity_matrix, mat_mul,
-                     snf_diagonal, snf_with_transforms, unimodular_inverse)
+from .errors import ResourceCapError, SingularMatrixError
+from .intmat import _int_stack, adjugate_and_det, identity_matrix
 from .polynomials import norm_exponent
 from .value import Value
 
@@ -327,131 +328,100 @@ def all_faces(n: int):
             yield FaceDescriptor(n, frozenset(combo))
 
 
-class ConeDecomposition(Value):
-    """cone ∩ lattice = disjoint union of base_point + N0-span of generators.
-
-    Points are in the t-coordinates of the face (dimension r-1); the map
-    (base, k1..kr) -> base + sum k_j a_j is a bijection onto the lattice
-    points of the open cone.
-    """
-
-    __slots__ = _fields = ("base_points", "generators")
-
-    def __init__(self, base_points: Tuple[Tuple[int, ...], ...],
-                 generators: Tuple[Tuple[int, ...], ...]):
-        self._assign(base_points, generators)
-
-
 def edge_multiples(basis: Sequence[Sequence[int]]):
-    """(adj, det, mults, x_cols) of a square lattice basis B in
-    t-coordinates: mult_j = |det B| / gcd(det B, adj(B) (1^j, 0)) is the
-    least multiple of the edge ray (1^j, 0) in the lattice, and column j of
-    x_cols holds its lattice coordinates adj(B) mult_j (1^j, 0) / det B."""
+    """(adj, det, mults) of a square lattice basis H in edge-form
+    coordinates: mult_j = |det H| / gcd(det H, adj(H) e_j) is the least
+    multiple of the j-th edge ray e_j in the lattice."""
     try:
         adj, det = adjugate_and_det(basis)
     except SingularMatrixError:
         raise SingularMatrixError("degenerate lattice: basis is rank deficient")
-    mults, x_cols = [], []
-    prefix = [0] * len(basis)
-    for j in range(len(basis)):
-        prefix = [x + row[j] for x, row in zip(prefix, adj)]  # adj (1^j, 0)
-        mult = abs(det) // math.gcd(det, *prefix)
-        if any(mult * x % det for x in prefix):
-            raise SingularMatrixError("generators do not lie in the lattice")
-        mults.append(mult)
-        x_cols.append([mult * x // det for x in prefix])
-    return adj, det, mults, x_cols
+    return adj, det, [abs(det) // math.gcd(det, *col) for col in zip(*adj)]
 
 
-def cone_base_point_count(edges) -> int:
-    """The number prod(mult_j) / |det B| of base points that
-    :func:`cone_decompose` gives the lattice of the square basis B on a face
-    of its dimension, from the :func:`edge_multiples` of B, found without
-    enumerating them; 1 for None (no basis: a point face, or the default
-    lattice Z^k)."""
-    if edges is None:
-        return 1
-    _, det, mults, _ = edges
-    return math.prod(mults) // abs(det)
+def _staircase(h: List[List[int]], steps: Sequence[int]) -> np.ndarray:
+    """Points alpha = H z of the lattice of the lower-triangular H, one
+    coordinate at a time: alpha_j = c_j + h_jj z_j with
+    c_j = sum_{l<j} h_jl z_l fixed by z_1 .. z_{j-1}, so alpha_j takes the
+    steps[j] values 1 + (c_j - 1) mod h_jj + h_jj r, r = 0, 1, ..  The rows
+    (alpha_1, .., alpha_k), in lexicographic order, as one int64 array."""
+    alphas, zs = [], []
+    for j, (row, count) in enumerate(zip(h, steps)):
+        d = row[j]
+        c = sum((x * z for x, z in zip(row, zs) if x),
+                np.zeros(len(zs[0]) if zs else 1, dtype=np.int64))
+        a = ((c - 1) % d + 1)[:, None] + d * np.arange(count, dtype=np.int64)
+        z = (a - c[:, None]) // d
+        alphas = [np.repeat(x, count) for x in alphas] + [a.ravel()]
+        zs = [np.repeat(x, count) for x in zs] + [z.ravel()]
+    return np.stack(alphas, axis=1)
 
 
 def cone_decompose(face: FaceDescriptor,
                    lattice_basis: Optional[Sequence[Sequence[int]]] = None,
-                   edges=None) -> ConeDecomposition:
-    """Decompose (open face cone) ∩ lattice into shifted free monoids.
+                   edges=None) -> np.ndarray:
+    """The base points of (open face cone) ∩ lattice, as one int64 array of
+    rows (alpha_1, .., alpha_k) of edge forms alpha_i = t_i - t_{i+1}
+    (alpha_k = t_k), in which the open cone is alpha >= 1 with edge rays
+    e_j; a point face gives one empty row.
 
-    The lattice L is given by a square integer basis matrix B in
-    t-coordinates (columns are generators); by default it is Z^{r-1}, the
-    t-coordinate image of the full translation lattice; ``edges``, when
-    given, is the :func:`edge_multiples` of B, not computed again here.
-    The cone is simplicial: generator a_j = mult_j (1^j, 0^(k-j)) is the
-    minimal lattice vector on its j-th edge,
-    mult_j = |det B| / gcd(det B, adj(B) (1^j, 0)), and the edge forms
-    alpha_i(t) = t_i - t_{i+1} (alpha_k = t_k) satisfy
-    alpha_i(a_j) = mult_j delta_ij.  The base points are the lattice points
-    of the half-open parallelepiped {sum_j lambda_j a_j : 0 < lambda_j <= 1},
-    the points with 1 <= alpha_j(t) <= mult_j (Stanley, Enumerative
-    Combinatorics I, Sec. 4.6; Beck and Robins, Computing the Continuous
-    Discretely, Thm 3.5): one per coset of the generator span, so
-    prod(mult_j) / |det B| of them.  The base point of the coset of y has
-    edge forms a_j = 1 + (alpha_j(y) - 1) mod mult_j, and t_i is the sum of
-    the a_j with j >= i.  Raises ArithmeticError unless the Smith cosets
-    give that many distinct base points, each with its edge forms in
-    [1, mult_j] and each in the lattice (adj(B) t = 0 mod det B).
+    The lattice has the basis H in these coordinates (columns are
+    generators), lower triangular with a positive diagonal as
+    :func:`~latzeta.intmat.hnf_columns` gives it, by default Z^k;
+    ``edges``, when given, is its :func:`edge_multiples`.  The least
+    lattice vectors a_j = mult_j e_j on the edges generate the cone's
+    lattice points from those of the half-open parallelepiped,
+    1 <= alpha_j <= mult_j (Stanley, Enumerative Combinatorics I,
+    Sec. 4.6; Beck and Robins, Computing the Continuous Discretely,
+    Thm 3.5), which :func:`_staircase` lists: mult_j e_j = H z has z_l = 0
+    for l < j, so h_jj divides mult_j.  Raises ArithmeticError unless there
+    are prod(mult_j) / |det H| of them, inside the box, distinct and in the
+    lattice, adj(H) alpha = 0 (mod det H) (the test adj(B) t = 0 (mod det B)
+    on the face's t-basis B), and ResourceCapError before allocating unless
+    a proven bound on every entry fits in int64.
     """
     k = face.dim
+    h = (identity_matrix(k) if lattice_basis is None
+         else [[int(x) for x in row] for row in lattice_basis])
+    if len(h) != k or any(len(row) != k for row in h):
+        raise ValueError(f"lattice basis must be {k}x{k} for this face")
     if k == 0:
-        return ConeDecomposition(((),), ())
-    if lattice_basis is None:
-        basis = identity_matrix(k)
-    else:
-        basis = [[int(x) for x in row] for row in lattice_basis]
-        if len(basis) != k or any(len(row) != k for row in basis):
-            raise ValueError(f"lattice basis must be {k}x{k} for this face")
-    # minimal lattice vector on each edge ray (1,..,1,0,..,0)
-    adj, det, mults, x_cols = edges or edge_multiples(basis)
-    generators = [(m,) * (j + 1) + (0,) * (k - j - 1)
-                  for j, m in enumerate(mults)]
-
-    # coset representatives of the generator span inside the lattice
-    u, d, _ = snf_with_transforms([list(r) for r in zip(*x_cols)])
-    diag = snf_diagonal(d)
-    if any(x == 0 for x in diag):
-        raise SingularMatrixError("degenerate lattice: generator span is rank deficient")
-    to_t = mat_mul(basis, unimodular_inverse(u))
-    # the edge forms of the columns of to_t modulo mult_j, on the Smith
-    # axes with d > 1 (the coset coordinate is 0 on the others)
-    live = [i for i, x in enumerate(diag) if x > 1]
-    alphas = [[(row[i] - nxt[i]) % m for i in live]
-              for row, nxt, m in zip(to_t, to_t[1:] + [[0] * k], mults)]
-
-    base_points = []
-    for combo in itertools.product(*(range(diag[i]) for i in live)):
-        t, acc = [0] * k, 0
-        for i in range(k - 1, -1, -1):
-            acc += (sum(map(operator.mul, alphas[i], combo)) - 1) % mults[i] + 1
-            t[i] = acc
-        base_points.append(tuple(t))
-    base_points.sort()
-    # certificate: prod(mult_j) / |det B| distinct lattice points of the
+        return np.zeros((1, 0), dtype=np.int64)
+    adj, det, mults = edges or edge_multiples(h)
+    if any(row[j] < 1 or any(row[j + 1:]) for j, row in enumerate(h)):
+        raise ValueError("lattice basis must be lower triangular with a "
+                         "positive diagonal")
+    # |z_j| <= (mult_j + |c_j|) / h_jj with |c_j| <= sum_l |h_jl| |z_l|;
+    # the codes of alpha - 1 lie below prod(mult_j)
+    z_max, bound = [], math.prod(mults)
+    for j, (row, m) in enumerate(zip(h, mults)):
+        c = sum(abs(x) * z for x, z in zip(row, z_max))
+        z_max.append((m + c) // row[j])
+        bound = max(bound, m + c + 1)
+    # adj(H) alpha for alpha in the box
+    bound = max(bound, k * max(map(abs, itertools.chain(*adj))) * max(mults))
+    if bound >= 2 ** 63:
+        raise ResourceCapError(f"cone decomposition: an entry can reach "
+                               f"{bound}, above the int64 bound 2^63")
+    points = _staircase(h, [m // row[j] for j, (row, m) in
+                            enumerate(zip(h, mults))])
+    # certificate: prod(mult_j) / |det H| distinct lattice points of the
     # half-open parallelepiped, so one in each coset of the generator span
-    cols = [*zip(*base_points), (0,) * len(base_points)]
-    inside = all(1 <= min(d) and max(d) <= m for d, m in zip(
-        (list(map(operator.sub, a, b)) for a, b in zip(cols, cols[1:])),
-        mults))
-    distinct = len(set(base_points)) == len(base_points)
-    # inside the box every |t_i| is at most sum(mult_j)
-    bound = k * max(abs(x) for row in adj for x in row) * sum(mults)
+    box = np.array(mults, dtype=np.int64)
+    inside = bool(((points >= 1) & (points <= box)).all())
+    places = np.array([math.prod(mults[j + 1:]) for j in range(k)],
+                      dtype=np.int64)
+    # the codes and the lattice test are bounded inside the box only
+    codes = np.sort((points - 1) @ places) if inside else None
+    distinct = inside and bool((codes[1:] != codes[:-1]).all())
     in_lattice = inside and not (
-        _int_stack(base_points, bound) @ _int_stack(adj, bound).T
-        % abs(det)).any()
-    if (not in_lattice or not distinct
-            or len(base_points) * abs(det) != math.prod(mults)):
+        points @ np.array(adj, dtype=np.int64).T % abs(det)).any()
+    if (not distinct or not in_lattice
+            or len(points) * abs(det) != math.prod(mults)):
         raise ArithmeticError(
-            f"cone decomposition: {len(base_points)} base points "
-            f"({'distinct' if distinct else 'not distinct'}) for "
-            f"prod(mult_j) = {math.prod(mults)} and |det B| = {abs(det)}"
-            + ("" if inside else ", an edge form outside [1, mult_j]")
-            + ("" if in_lattice or not inside else ", a point outside the "
-               "lattice"))
-    return ConeDecomposition(tuple(base_points), tuple(generators))
+            f"cone decomposition: {len(points)} base points for "
+            f"prod(mult_j) = {math.prod(mults)} and |det H| = {abs(det)}"
+            + (", an edge form outside [1, mult_j]" if not inside else
+               ("" if distinct else ", not distinct")
+               + ("" if in_lattice else ", a point outside the lattice")))
+    return points

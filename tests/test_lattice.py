@@ -15,7 +15,6 @@ from latzeta.intmat import (
 )
 from latzeta.lattice import (
     AffineElement,
-    ConeDecomposition,
     FaceDescriptor,
     GEODESIC,
     FACTORIAL,
@@ -31,11 +30,12 @@ from latzeta.lattice import (
 )
 
 from perfbench.workloads import transform_columns, unimodular
-from _oracles import (combine, conjugate_by, face_length_exponents,
+from _oracles import (ConeDecomposition, combine, conjugate_by,
+                      edge_form_basis, face_length_exponents,
                       floor_shift_cone_decompose, fraction_inverse,
                       fraction_length_vector, is_integral, laplace_det,
                       length_vector_from_ratios, perm_from_cycles,
-                      rational_cone_sum)
+                      rational_cone_sum, t_decomposition)
 
 
 def rand_affine(rng, n, bound=10):
@@ -187,16 +187,32 @@ def test_face_descriptor_blocks():
 
 
 def test_cone_decompose_examples():
-    # half line in Z: base {1}, generator (1)
-    dec = cone_decompose(FaceDescriptor(2, frozenset()))
+    # half line in Z: base {1}, generator (1); its edge form is t itself
+    assert cone_decompose(FaceDescriptor(2, frozenset())).tolist() == [[1]]
+    dec = t_decomposition(FaceDescriptor(2, frozenset()))
     assert dec.base_points == ((1,),) and dec.generators == ((1,),)
-    # open dominant cone for n=3
-    dec = cone_decompose(FaceDescriptor(3, frozenset()))
+    # open dominant cone for n=3: edge forms (1, 1), so t = (2, 1)
+    assert cone_decompose(FaceDescriptor(3, frozenset())).tolist() == [[1, 1]]
+    dec = t_decomposition(FaceDescriptor(3, frozenset()))
     assert dec.base_points == ((2, 1),)
     assert dec.generators == ((1, 0), (1, 1))
-    # point face
-    dec = cone_decompose(FaceDescriptor(3, frozenset({1, 2})))
+    # point face: one empty row
+    assert cone_decompose(FaceDescriptor(3, frozenset({1, 2}))).shape == (1, 0)
+    dec = t_decomposition(FaceDescriptor(3, frozenset({1, 2})))
     assert dec.base_points == ((),) and dec.generators == ()
+
+
+def test_cone_decompose_reads_the_staircase():
+    # the lattice (2 z_1, z_1 + 3 z_2): mult = (6, 3), so 6 * 3 / 6 points;
+    # alpha_1 = 2 z_1 takes 3 values, and then alpha_2 = z_1 + 3 z_2 one
+    face = FaceDescriptor(3, frozenset())
+    assert lattice.edge_multiples([[2, 0], [1, 3]])[2] == [6, 3]
+    assert cone_decompose(face, [[2, 0], [1, 3]]).tolist() == [
+        [2, 1], [4, 2], [6, 3]]
+    # a basis that is not lower triangular with a positive diagonal
+    for basis in ([[1, 1], [0, 1]], [[-1, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="lower triangular"):
+            cone_decompose(face, basis)
 
 
 def test_cone_decompose_rejects_degenerate_lattice():
@@ -292,20 +308,27 @@ def _assert_half_open_parallelepiped(dec, basis):
                    for r in binv)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_closed_form_base_points_match_the_greedy_walk(n):
+    # sorted t-points of the staircase against those of the walk
     rng = random.Random(f"cone-walk-{n}")
     for face in all_faces(n):
         k = face.dim
-        assert cone_decompose(face) == _walk_cone_decompose(face)
+        assert t_decomposition(face) == _walk_cone_decompose(face)
         if k == 0:
             continue
         # draw skewed bases until three are small enough for the walk; the
-        # closed form's own invariants are checked on every draw
+        # closed form's own invariants are checked on every draw of at most
+        # 1,000 base points (every draw with n <= 5 has at most 324; at
+        # n = 6 they reach millions)
         compared = 0
         for _ in range(40):
             basis = _skewed_basis(rng, k)
-            dec = cone_decompose(face, basis)
+            h = edge_form_basis(face, basis)
+            _, det, mults = lattice.edge_multiples(h)
+            if math.prod(mults) // abs(det) > 1000:
+                continue
+            dec = t_decomposition(face, basis)
             _assert_half_open_parallelepiped(dec, basis)
             try:
                 walked = _walk_cone_decompose(face, basis)
@@ -330,35 +353,70 @@ def _small_det_basis(rng, k, max_det=40):
     return transform_columns(b, unimodular(k, rng))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_edge_form_base_points_match_the_floor_shift(n):
-    # base points read off their edge forms, against the floor-shift
-    # correction of each Smith coset representative (up to 64,000 points on
-    # the n = 5 open face)
+    # sorted t-points of the staircase, against the floor-shift correction
+    # of each Smith coset representative (up to 64,000 points on the n = 5
+    # open face); |det| is capped lower at n = 6, whose open face would
+    # hold up to 40^4 points
     rng = random.Random(f"cone-floor-shift-{n}")
+    max_det = 12 if n == 6 else 40
     for face in all_faces(n):
-        assert cone_decompose(face) == floor_shift_cone_decompose(face)
+        assert t_decomposition(face) == floor_shift_cone_decompose(face)
         for _ in range(6 if face.dim else 0):
-            basis = _small_det_basis(rng, face.dim)
-            assert (cone_decompose(face, basis)
+            basis = _small_det_basis(rng, face.dim, max_det)
+            assert (t_decomposition(face, basis)
                     == floor_shift_cone_decompose(face, basis))
 
 
 @pytest.mark.parametrize("fault", ["double_last", "all_ones"])
-def test_cone_decompose_certificate_trips_on_a_wrong_smith_diagonal(
+def test_cone_decompose_certificate_trips_on_wrong_staircase_steps(
         monkeypatch, fault):
-    face, basis = FaceDescriptor(3, frozenset()), [[3, 0], [1, 3]]
-    assert len(cone_decompose(face, basis).base_points) == 9
-    true_diagonal = lattice.snf_diagonal
+    face = FaceDescriptor(3, frozenset())
+    h = edge_form_basis(face, [[3, 0], [1, 3]])
+    assert len(cone_decompose(face, h)) == 9
+    true_staircase = lattice._staircase
 
-    def wrong(d):
-        out = true_diagonal(d)
-        # twice the cosets (so repeated points), or one coset only
-        return out[:-1] + [2 * out[-1]] if fault == "double_last" else [1] * len(out)
+    def wrong(h, steps):
+        # twice the values on the last axis (so points outside the box),
+        # or one value on each
+        return true_staircase(h, steps[:-1] + [2 * steps[-1]]
+                              if fault == "double_last" else [1] * len(steps))
 
-    monkeypatch.setattr(lattice, "snf_diagonal", wrong)
+    monkeypatch.setattr(lattice, "_staircase", wrong)
     with pytest.raises(ArithmeticError, match="base points"):
-        cone_decompose(face, basis)
+        cone_decompose(face, h)
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("count", r"base points for prod\(mult_j\) = 1728 and \|det H\| = 12$"),
+    ("box", r"an edge form outside \[1, mult_j\]$"),
+    ("duplicate", r"base points for .*, not distinct$"),
+])
+def test_cone_decompose_certificate_trips_on_a_tampered_staircase(
+        monkeypatch, fault, match):
+    # each fault leaves the certificate's other tests passing: one point
+    # dropped; one point moved by its first generator, so still in the
+    # lattice and distinct; the last point replaced by the first
+    face = FaceDescriptor(4, frozenset())
+    h = edge_form_basis(face, [[2, 0, 0], [1, 3, 0], [0, 1, 2]])
+    mults = lattice.edge_multiples(h)[2]
+    assert len(cone_decompose(face, h)) == 144
+    true_staircase = lattice._staircase
+
+    def tampered(h, steps):
+        out = true_staircase(h, steps)
+        if fault == "count":
+            return out[1:]
+        if fault == "box":
+            out[0, 0] += mults[0]
+        else:
+            out[-1] = out[0]
+        return out
+
+    monkeypatch.setattr(lattice, "_staircase", tampered)
+    with pytest.raises(ArithmeticError, match=match):
+        cone_decompose(face, h)
 
 
 @pytest.mark.parametrize("n, basis", [
@@ -367,22 +425,28 @@ def test_cone_decompose_certificate_trips_on_a_wrong_smith_diagonal(
 ])
 def test_cone_decompose_certificate_trips_on_points_outside_the_lattice(
         monkeypatch, n, basis):
-    # shifting the coset representatives by a non-lattice vector keeps the
-    # base points distinct, their count and their edge forms in [1, mult_j]:
-    # only the lattice test adj(B) t = 0 (mod det B) sees it
+    # moving every base point one step along the last edge, cyclically in
+    # [1, mult_k], keeps the points distinct, their count and their edge
+    # forms in [1, mult_j], but moves each by e_k modulo the lattice, which
+    # is not in it as mult_k > 1: only the lattice test
+    # adj(H) alpha = 0 (mod det H) sees it
     face = FaceDescriptor(n, frozenset())
-    cone_decompose(face, basis)
-    true_mul = lattice.mat_mul
+    h = edge_form_basis(face, basis)
+    last = lattice.edge_multiples(h)[2][-1]
+    assert last > 1
+    cone_decompose(face, h)
+    true_staircase = lattice._staircase
 
-    def shifted(a, b):
-        out = true_mul(a, b)
-        out[-1] = [x + 1 for x in out[-1]]
+    def shifted(h, steps):
+        out = true_staircase(h, steps)
+        out[:, -1] = out[:, -1] % last + 1
         return out
 
-    monkeypatch.setattr(lattice, "mat_mul", shifted)
+    monkeypatch.setattr(lattice, "_staircase", shifted)
     with pytest.raises(ArithmeticError,
-                       match=r"\(distinct\).*a point outside the lattice"):
-        cone_decompose(face, basis)
+                       match=r"base points for .*\d, a point outside the "
+                             r"lattice$"):
+        cone_decompose(face, h)
 
 
 def _cone_points_box(k, box):
@@ -421,7 +485,7 @@ def test_cone_decomposition_bijectivity_small_box(n):
     for face in all_faces(n):
         if face.dim == 0:
             continue
-        dec = cone_decompose(face)
+        dec = t_decomposition(face)
         generated = _decomposition_points_box(dec, box)
         expected = _cone_points_box(face.dim, box)
         inside = {p for p in generated if max(p) <= box}
@@ -430,10 +494,10 @@ def test_cone_decomposition_bijectivity_small_box(n):
 
 def test_cone_decomposition_sublattice():
     # even sublattice of the half line: 2N
-    dec = cone_decompose(FaceDescriptor(2, frozenset()), [[2]])
+    dec = t_decomposition(FaceDescriptor(2, frozenset()), [[2]])
     assert dec.base_points == ((2,),) and dec.generators == ((2,),)
     # sublattice 3Z^2 of the n=3 open cone
-    dec = cone_decompose(FaceDescriptor(3, frozenset()), [[3, 0], [0, 3]])
+    dec = t_decomposition(FaceDescriptor(3, frozenset()), [[3, 0], [0, 3]])
     generated = _decomposition_points_box(dec, 12)
     expected = {t for t in _cone_points_box(2, 12)
                 if t[0] % 3 == 0 and t[1] % 3 == 0}
@@ -442,7 +506,7 @@ def test_cone_decomposition_sublattice():
 
 def test_rational_cone_sum_examples():
     face1 = FaceDescriptor(2, frozenset())
-    dec1 = cone_decompose(face1)
+    dec1 = t_decomposition(face1)
     r1 = rational_cone_sum(dec1, face_length_exponents(face1))
     assert r1.pieces == {(((1,),)): {(1,): 1}} or list(r1.pieces.items()) == [
         (((1,),), {(1,): 1})]
@@ -450,13 +514,13 @@ def test_rational_cone_sum_examples():
     assert all(s1.get((k,)) == 1 for k in range(1, 7)) and s1.get((0,)) == 0
 
     face2 = FaceDescriptor(3, frozenset())
-    dec2 = cone_decompose(face2)
+    dec2 = t_decomposition(face2)
     r2 = rational_cone_sum(dec2, face_length_exponents(face2))
     num, den = combine(r2)
     assert num == {(1, 1): 1}
     assert den == ((0, 1), (1, 0))
 
-    point = cone_decompose(FaceDescriptor(3, frozenset({1, 2})))
+    point = t_decomposition(FaceDescriptor(3, frozenset({1, 2})))
     rp = rational_cone_sum(point, face_length_exponents(FaceDescriptor(3, frozenset({1, 2}))),
                            nvars=2)
     assert rp.expand(3).get((0, 0)) == 1
@@ -467,7 +531,7 @@ def test_rational_cone_sum_matches_brute_force_degree_10():
         for face in all_faces(n):
             if face.dim == 0:
                 continue
-            dec = cone_decompose(face)
+            dec = t_decomposition(face)
             weight = face_length_exponents(face)
             series = rational_cone_sum(dec, weight, nvars=n - 1).expand(10)
             brute = {}
@@ -480,6 +544,6 @@ def test_rational_cone_sum_matches_brute_force_degree_10():
 
 def test_rational_cone_sum_divergence_error():
     face = FaceDescriptor(2, frozenset())
-    dec = cone_decompose(face)
+    dec = t_decomposition(face)
     with pytest.raises(DivergentSeriesError):
         rational_cone_sum(dec, lambda t: (0,))

@@ -359,15 +359,17 @@ def test_cone_route_over_the_cap_exits_3(tmp_path, capsys):
 
 
 def _seeded_subgroups():
-    """30 type-zero subgroups with n = 2..5, each basis rewritten by a
-    seeded unimodular column transform.  The index is capped by n, because
-    the cone route's numerators grow fast with it at n = 5: index 25 gave
-    90,360 terms and index 60 gave 2,084,689."""
+    """30 type-zero subgroups with n = 2..5 and then 2 with n = 6, each
+    basis rewritten by a seeded unimodular column transform.  The index is
+    capped by n, because the cone route's numerators grow fast with it at
+    n = 5: index 25 gave 90,360 terms and index 60 gave 2,084,689.  At
+    n = 6 the per-permutation reference takes about 3 s at index 12 and
+    8-27 s at index 18, so the cap there is 12."""
     rng = random.Random(2026)
-    max_index = {2: 200, 3: 200, 4: 40, 5: 12}
+    max_index = {2: 200, 3: 200, 4: 40, 5: 12, 6: 12}
     out = []
-    while len(out) < 30:
-        n = 2 + len(out) % 4
+    while len(out) < 32:
+        n = 2 + len(out) % 4 if len(out) < 30 else 6
         gam = random_type_zero_subgroup(rng, n, bound=3)
         if gam.index <= max_index[n]:
             out.append(TranslationSubgroup(n, transform_columns(

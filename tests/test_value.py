@@ -9,14 +9,13 @@ import pytest
 from latzeta import cayley, cli, lattice, quotient, selberg, zeta
 from latzeta.cli import RunConfig
 from latzeta.lattice import (GEODESIC, AffineElement, FaceDescriptor,
-                             LatticeVector, Permutation, cone_decompose,
-                             length_vector)
+                             LatticeVector, Permutation, length_vector)
 from latzeta.quotient import TranslationSubgroup
 from latzeta.value import Value
 
 VALUE_TYPES = [
     (lattice, ("LatticeVector", "Permutation", "AffineElement",
-               "LengthVector", "FaceDescriptor", "ConeDecomposition")),
+               "LengthVector", "FaceDescriptor")),
     (quotient, ("FiniteAbelianGroup", "Character")),
     (cayley, ("GeneratorSet", "QuotientGraph")),
     (zeta, ("GeodesicClass", "CycleClass")),
@@ -84,8 +83,6 @@ def test_reprs_name_every_field():
     assert repr(length_vector(g)) == ("LengthVector(values=(Fraction(3, 2), "
                                       "Fraction(0, 1)), scale='geodesic')")
     assert repr(FaceDescriptor(2)) == "FaceDescriptor(n=2, zero_set=frozenset())"
-    assert repr(cone_decompose(FaceDescriptor(3), [[2, 0], [0, 2]])) == (
-        "ConeDecomposition(base_points=((4, 2),), generators=((2, 0), (2, 2)))")
 
 
 def test_copy_and_pickle_rebuild_an_equal_value():
