@@ -29,8 +29,10 @@ from .lattice import AffineElement, GEODESIC, FACTORIAL, Permutation
 from .polynomials import IntPolynomial, MultiSeries
 from .quotient import AffineSubgroup, TranslationSubgroup, characters, quotient_group
 from .selberg import (
+    PeriodTable,
     affine_conjugacy_classes,
     comparison_check,
+    selberg_identity,
     selberg_rational_translation,
     selberg_series_translation,
 )
@@ -281,7 +283,7 @@ class _Lazy:
             self._det = zeta_positive_det(self.graph)
         return self._det
 
-    def selberg_series(self, max_deg: int, scale: str) -> MultiSeries:
+    def selberg_series(self, max_deg: int, scale: str) -> PeriodTable:
         # from the subgroup, never the graph, so a perturbation leaves it be
         key = (max_deg, scale)
         if key not in self._series:
@@ -374,25 +376,28 @@ def _check_geodesic_oracle(lazy: _Lazy, cfg: RunConfig):
 
 
 def _check_selberg_series(lazy: _Lazy, cfg: RunConfig):
-    series = lazy.selberg_series(cfg.max_degree, cfg.scale)
+    table = lazy.selberg_series(cfg.max_degree, cfg.scale)
     expected_constant = lazy.gamma.index * math.factorial(cfg.n)
-    ok = series.get((0,) * (cfg.n - 1)) == expected_constant
+    ok = table.get((0,) * (cfg.n - 1)) == expected_constant
     return ok, {
-        "series": series.to_json_obj(),
+        "series": table.truncated(cfg.max_degree).to_json_obj(),
+        "period": table.period,
         "identity_weight": expected_constant,
         "constant_term_matches_index": ok,
     }
 
 
 def _check_selberg_rational(lazy: _Lazy, cfg: RunConfig):
-    # the series first: its grid cap exits 3 before the cone sums run
-    series = lazy.selberg_series(cfg.max_degree, cfg.scale)
+    # the table first: its cap exits 3 before the cone sums run
+    table = lazy.selberg_series(cfg.max_degree, cfg.scale)
     rational = selberg_rational_translation(lazy.gamma, cfg.scale)
-    expansion = rational.expand(cfg.max_degree)
-    ok = expansion == series
+    ok, first = selberg_identity(lazy.gamma, rational, table)
     return ok, {
         "rational": rational.to_json_obj(),
-        "expansion_matches_series": ok,
+        "period": table.period,
+        "identity_degree_free": table.complete,
+        "identity_holds": ok,
+        "identity_first_difference": first,
     }
 
 

@@ -1,16 +1,15 @@
 """Several-variable Selberg-type zeta of a finite-index subgroup.
 
 For a translation subgroup the conjugacy classes are single lattice
-elements, so the series is a box scan and the closed form is a finite sum
-of cone sums: summing the stabilizer size over a class's sorted pattern is
-the same as summing, over all coordinate permutations q, the points of
-q(subgroup) that land in the dominant cone, face by face.  Each face
-contributes an exact geometric-series rational function.  The scan keeps
-one int64 Smith residue per cell of the sub-grid of the last n-1
-coordinates, an outer sum of per-axis terms, tests the slabs of the first
-coordinate against it in blocks of slabs, and counts the members of each
-sorted coordinate pattern, so the series gets one term per pattern rather
-than one per member, all set at once.
+elements, and the closed form is a finite sum of cone sums: summing the
+stabilizer size over a class's sorted pattern is the same as summing, over
+all coordinate permutations q, the points of q(subgroup) that land in the
+dominant cone, face by face.  Each face contributes an exact
+geometric-series rational function.  The series is periodic, with period
+f D in every variable, so it is one table on a period cell: each cell's
+permutation count comes from one product of its gaps with the permuted
+Smith weights, and the rational is checked against the table by an exact
+identity with no degree bound.
 
 For a split affine subgroup M x| P, conjugacy classes are enumerated
 exactly: for fixed permutation part p, translation parts live in the cosets
@@ -32,7 +31,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,128 +86,204 @@ def _check_int64(context: str, what: str, bound: int) -> None:
             f"{context}: {what} can reach {bound}, above the int64 bound 2^63")
 
 
-# cells of the (span+1)^(n-1) sub-grid a translation series may allocate
-# (8 bytes a cell per Smith row for its residues: 32 MB a row at this cap),
-# of all the coset boxes an affine class scan may search, and base points
-# of all the cone decompositions of a rational closed form
+# cells of the min(D, span+1)^(n-1) period table of a translation series
+# (and coordinate permutations it counts over), of all the coset boxes an
+# affine class scan may search, and base points of all the cone
+# decompositions of a rational closed form
 SERIES_GRID_CELLS = 1 << 22
-# floor cells times slabs a translation series tests per numpy block (one
-# slab at least), and box points an affine class scan filters per block
-_SLAB_BLOCK = 1 << 14
+# cells times permuted weight vectors a period table tests per numpy block,
+# box points an affine class scan filters per block, and terms the rational
+# identity multiplies out before it merges them
+_TABLE_BLOCK = 1 << 16
 _BOX_BLOCK = 1 << 16
+_IDENTITY_BLOCK = 1 << 20
+
+
+class PeriodTable(MultiSeries):
+    """A translation Selberg series on the cells g in [0, size)^nvars, the
+    exponent f g of each nonzero cell keying its coefficient.  The series
+    has period f D in every variable, D = ``divisor``, so a complete table
+    (size = D) is the whole series, P / prod_i (1 - u_i^(f D)); a smaller
+    one holds every term of total degree below f size."""
+
+    def __init__(self, nvars: int, factor: int, divisor: int, size: int,
+                 terms: Dict[Tuple[int, ...], int]):
+        super().__init__(nvars, factor * nvars * (size - 1))
+        self.factor, self.divisor, self.size = factor, divisor, size
+        self.period, self.complete = factor * divisor, size == divisor
+        self.terms = terms
+
+    def truncated(self, max_deg: int) -> MultiSeries:
+        out = MultiSeries(self.nvars, max_deg)
+        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_deg}
+        return out
 
 
 def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
-                               scale: str = GEODESIC) -> MultiSeries:
-    """Truncated Selberg series of a translation subgroup.
+                               scale: str = GEODESIC) -> PeriodTable:
+    """The Selberg series of a translation subgroup as its period table.
 
-    Every subgroup element is its own conjugacy class with weight
-    N * (stabilizer of its coordinate pattern); elements of length degree at
-    most max_deg have canonical coordinates inside [0, span]^n, where
-    span = max_deg // scale factor.  A point is a member when
-    u . (x_1 - x_n, .., x_{n-1} - x_n) = 0 mod d for every Smith row u with
-    divisor d > 1, that is when the residue of (x_2, .., x_n) under the
-    weights (u_2, .., u_{n-1}, -sum u), kept per sub-grid cell, is
-    -u_1 x_1 mod d; slabs x_1 > 0 test only the cells with a coordinate 0
-    (the floor), many slabs to a block, and insert x_1 into the floor
-    cells' coordinates, sorted once.  Each sorted pattern is one term,
-    N * stabilizer * (its members).
+    An element's class weight is N * (the stabilizer of its sorted pattern).
+    D annihilates the quotient, so D Lambda lies in every q(subgroup) and
+    the series has period f D in each variable.  The cells g lie in
+    [0, size)^(n-1), size = min(D, max_deg // f + 1), which holds every
+    exponent of total degree up to max_deg; by orbit-stabilizer the one at
+    g is N * #{q : q P(g) in the subgroup}, P(g) the sorted pattern with
+    descending gaps g.  x is a member when w . x = 0 mod d, w = (u, -sum u)
+    for each Smith row u with d > 1, and w . q P(g) = sum_j g_j W_j, W_j
+    the sum of the last j entries of w permuted by q: one product of the
+    gaps with the distinct W, in blocks of cells.
     """
     n = gamma.n
     f = scale_factor(n, scale)
-    span = max_deg // f
-    base = span + 1
-    # the rows of U with d_i > 1, as residues of least absolute value
-    tests = [([(x + d // 2) % d - d // 2 for x in row], d)
-             for row, d in zip(gamma.image.u, gamma.image.diag) if d > 1]
-    row_max = max((abs(x) for row, _ in tests for x in row), default=0)
+    divisor = gamma.image.diag[-1]
     context = f"translation Selberg series to degree {max_deg}"
-    _check_int64(context, f"the pattern code (span+1)^n = {base}^{n}",
-                 base ** n)
-    # residues lie in [0, d), and sums of two are formed in (-d, d)
-    _check_int64(context, "the largest elementary divisor",
-                 gamma.image.diag[-1])
-    # bounds each per-axis term w x, as |sum u| <= (n-1) max|row|; span
-    # counted as at least 1, so that the rows themselves fit
-    _check_int64(context, f"a Smith residue (n-1)*span*max|row| = "
-                 f"{n - 1}*{max(span, 1)}*{row_max}",
-                 (n - 1) * max(span, 1) * row_max)
-    cells = base ** (n - 1)
-    if cells > SERIES_GRID_CELLS:
+    _check_int64(context, "the largest elementary divisor", divisor)
+    size = min(divisor, max_deg // f + 1)
+    cells = size ** (n - 1)
+    if max(cells, math.factorial(n)) > SERIES_GRID_CELLS:
         raise ResourceCapError(
-            f"{context}: the sub-grid of (span+1)^(n-1) = {base}^{n - 1} "
-            f"cells is above the cap of {SERIES_GRID_CELLS} cells")
-    axis = np.arange(base, dtype=np.int64)
-    residues = []
-    for row, d in tests:
-        res = np.zeros((), dtype=np.int64)
-        for w in (*row[1:], -sum(row)):
-            res = res[..., None] - (d - w * axis % d)
-            res[res < 0] += d
-        residues.append(res.ravel())
-    # with a positive first coordinate the minimum 0 must lie in the sub-grid
-    floor = np.flatnonzero(
-        functools.reduce(np.minimum, np.ix_(*[axis] * (n - 1))) == 0)
-    floor_res = [res[floor] for res in residues]
+            f"{context}: the period table's sub-grid of min(D, span+1)^(n-1)"
+            f" = {size}^{n - 1} cells, or its {n}! permutations, are above "
+            f"the cap of {SERIES_GRID_CELLS}")
+    rows = [(list(row) + [-sum(row)], d)
+            for row, d in zip(gamma.image.u, gamma.image.diag) if d > 1]
+    # the distinct W over q, as residues of least absolute value, each with
+    # the number of q giving it
+    weights: Dict[Tuple[int, ...], int] = {}
+    for q in itertools.permutations(range(n)):
+        key = tuple((s + d // 2) % d - d // 2 for w, d in rows
+                    for s in itertools.accumulate(w[k] for k in q[:0:-1]))
+        weights[key] = weights.get(key, 0) + 1
+    w_max = max(map(abs, itertools.chain(*weights)), default=0)
+    _check_int64(context, f"a Smith residue (n-1)*(size-1)*max|W| = "
+                 f"{n - 1}*{size - 1}*{w_max}", (n - 1) * (size - 1) * w_max)
+    w_mat = np.array(list(weights), dtype=np.int64).reshape(len(weights), -1)
+    mult = np.array(list(weights.values()))
+    step = max(1, _TABLE_BLOCK // len(w_mat))
+    gaps, counts = [], []
+    for start in range(0, cells, step):
+        flat = np.arange(start, min(start + step, cells), dtype=np.int64)
+        g = np.empty((len(flat), n - 1), dtype=np.int64)
+        for j in range(n - 2, -1, -1):
+            flat, g[:, j] = np.divmod(flat, size)
+        ok = np.ones((len(g), len(w_mat)), dtype=bool)
+        for r, (_, d) in enumerate(rows):
+            ok &= g @ w_mat[:, r * (n - 1):(r + 1) * (n - 1)].T % d == 0
+        count = ok @ mult
+        gaps.append(g[count > 0])
+        counts.append(count[count > 0])
+    # object arrays keep the coefficients N * count exact however large N is
+    coeffs = np.concatenate(counts).astype(object) * gamma.index
+    return PeriodTable(n - 1, f, divisor, size, dict(zip(
+        map(tuple, (np.concatenate(gaps) * f).tolist()), coeffs.tolist())))
 
-    def sorted_columns(idx):
-        """The sub-grid coordinates of the cells idx, sorted per cell by a
-        bubble network of min/max pairs, as n - 1 columns."""
-        cols = []
-        for _ in range(n - 1):
-            idx, digit = np.divmod(idx, base)
-            cols.append(digit)
-        for top in range(n - 2, 0, -1):
-            for j in range(top):
-                cols[j], cols[j + 1] = (np.minimum(cols[j], cols[j + 1]),
-                                        np.maximum(cols[j], cols[j + 1]))
-        return cols
 
-    def pattern_codes(x, cols):
-        """Codes of the sorted patterns of (x, c) for sorted rows c, in base
-        span + 1: inserted among c_1 <= .. <= c_{n-1}, entry j of the
-        pattern is x clamped to [c_{j-1}, c_j]."""
-        code = np.minimum(x, cols[0])
-        for lo, hi in zip(cols, cols[1:]):
-            code = code * base + np.maximum(lo, np.minimum(x, hi))
-        return code * base + np.maximum(x, cols[-1])
+def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
+                     table: PeriodTable) -> Tuple[bool, Optional[dict]]:
+    """Whether the sum over pieces of num * prod_i (1 - u_i^(f D)) / den
+    is the table, so that the rational is its periodic extension.  Every
+    factor must be 1 - u_i^a, a dividing f D, at most one per axis, and
+    D e_j must lie in the subgroup, certified by the basis's column HNF.  A
+    complete table is compared in full, with no degree bound, a smaller one
+    on its cube [0, f size)^(n-1).  Terms are int64 codes in base
+    e_max + f D + 1: numerator codes plus the offsets 0, a, .., f D - a of
+    an axis with a factor, or 0, f D (sign -1), merged by one sort and one
+    segment sum.  The second value is the first failure: {"period": D},
+    {"denominator_factor": [..]} or {"exponent": [..]}, in term order.
+    """
+    n1, period = table.nvars, table.period
+    context = "identity of the rational closed form and the period table"
+    if not triangular_members(hnf_columns(gamma.basis), [
+            [table.divisor * (i == j) for i in range(n1)]
+            for j in range(n1)]).all():
+        return False, {"period": table.divisor}
+    # per piece and axis the offset step: a for a factor 1 - u_i^a, and
+    # f D, with alternating signs, on an axis with no factor
+    nums = list(rational.pieces.values())
+    steps = np.full((len(nums), n1), period, dtype=object)
+    factors = np.zeros((len(nums), n1), dtype=bool)
+    for p, den in enumerate(rational.pieces):
+        for factor in den:
+            axes = [i for i, a in enumerate(factor) if a]
+            if (len(axes) != 1 or factors[p, axes[0]]
+                    or period % factor[axes[0]]):
+                return False, {"denominator_factor": list(factor)}
+            steps[p, axes[0]], factors[p, axes[0]] = factor[axes[0]], True
+    # every exponent below top lies in the cube; terms outside it add only
+    # exponents outside it.  The offsets of an axis lie below f D, or are
+    # f D itself, and below top; a step of lim or more gives one offset.
+    top = math.inf if table.complete else table.factor * table.size
+    lim = min(period, top)
+    counts = np.where(factors, -(-lim // steps), 1 + (period < top)).astype(
+        np.int64)
+    combos = counts.prod(axis=1)
+    e_max = max((max(map(max, num)) for num in nums if num), default=0)
+    _check_int64(context, "a numerator exponent", e_max)
+    base = min(e_max, top - 1) + min(period, top - 1) + 1
+    _check_int64(context, f"a term code (e_max + f D + 1)^(n-1) = "
+                 f"{base}^{n1}", base ** n1)
+    _check_int64(context, "a sum of terms", sum(
+        sum(map(abs, num.values())) * int(k) for num, k in zip(nums, combos))
+        + sum(map(abs, table.terms.values())))
+    places = np.array([base ** (n1 - 1 - i) for i in range(n1)])
+    steps = np.minimum(steps, lim).astype(np.int64)
+    sizes = list(map(len, nums))
+    piece = np.repeat(np.arange(len(nums)), sizes)
+    exps = np.fromiter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(nums)), dtype=np.int64,
+        count=sum(sizes) * n1).reshape(-1, n1)
+    coeffs = np.fromiter(itertools.chain.from_iterable(
+        num.values() for num in nums), dtype=np.int64, count=sum(sizes))
+    inside = (exps < top).all(axis=1)
+    codes, coeffs, piece = exps[inside] @ places, coeffs[inside], piece[
+        inside]
+    # the terms in chunks of about _IDENTITY_BLOCK products, one axis at a
+    # time: a term with k offsets on an axis becomes k terms
+    ends = np.cumsum(combos[piece])
+    held, start = [], 0
+    while start < len(codes):
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - combos[piece[start]] + _IDENTITY_BLOCK,
+            side="right")))
+        c, v, p = codes[start:stop], coeffs[start:stop], piece[start:stop]
+        for i, place in enumerate(places):
+            reps = counts[p, i]
+            j = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps,
+                                                  reps)
+            c = np.repeat(c, reps) + j * np.repeat(steps[p, i], reps) * place
+            v = np.repeat(v, reps) * np.where(
+                np.repeat(factors[p, i], reps), 1, 1 - 2 * (j & 1))
+            p = np.repeat(p, reps)
+        held.append((c, v))
+        if sum(len(c) for c, _ in held) >= _IDENTITY_BLOCK:
+            held = [_merge_terms(held)]
+        start = stop
+    # less the table: what is left is where the sides differ
+    codes, _ = _merge_terms([*held, (np.array(
+        list(table.terms), dtype=np.int64).reshape(len(table.terms), n1)
+        @ places, -np.array(list(table.terms.values()), dtype=np.int64))])
+    exps = np.empty((len(codes), n1), dtype=np.int64)
+    for i in range(n1 - 1, -1, -1):
+        codes, exps[:, i] = np.divmod(codes, base)
+    exps = exps[(exps < top).all(axis=1)]
+    if not len(exps):
+        return True, None
+    first = np.lexsort([*exps.T[::-1], exps.sum(axis=1)])[0]
+    return False, {"exponent": exps[first].tolist()}
 
-    keep = np.ones(cells, dtype=bool)
-    for res in residues:
-        keep &= res == 0
-    del residues
-    codes = [pattern_codes(0, sorted_columns(np.flatnonzero(keep)))]
-    # the slabs x_1 > 0 in blocks: one (slabs x floor cells) comparison per
-    # Smith row, and the members read off its nonzero entries, with the
-    # floor cells' coordinates sorted once
-    floor_cols = sorted_columns(floor)
-    step = max(1, _SLAB_BLOCK // len(floor))
-    for start in range(1, base, step):
-        xs = np.arange(start, min(start + step, base), dtype=np.int64)
-        keep = np.ones((len(xs), len(floor)), dtype=bool)
-        for res, (row, d) in zip(floor_res, tests):
-            keep &= res == (-xs * row[0] % d)[:, None]
-        slab, cell = np.nonzero(keep)
-        codes.append(pattern_codes(xs[slab], [c[cell] for c in floor_cols]))
-    codes, mult = np.unique(np.concatenate(codes), return_counts=True)
-    patterns = np.empty((len(codes), n), dtype=np.int64)
-    for a in range(n - 1, -1, -1):
-        codes, patterns[:, a] = np.divmod(codes, base)
-    # descending gaps; the stabilizer, a product of multiplicity factorials,
-    # is the product over positions of the equal entries up to there
-    gaps = np.diff(patterns, axis=1)[:, ::-1]
-    runs = np.tril(patterns[:, :, None] == patterns[:, None, :]).sum(axis=2)
-    # the patterns are distinct with minimum 0 and maximum at most span, so
-    # every key is new and of total degree at most max_deg, and every
-    # coefficient is positive: the terms need none of add_term's checks.
-    # Object arrays keep the keys f * gaps and the coefficients
-    # N * stabilizer * members exact Python ints however large f and N are.
-    exps = (gaps.astype(object) * f).tolist()
-    coeffs = (runs.astype(object).prod(axis=1) * mult.astype(object)
-              * gamma.index).tolist()
-    series = MultiSeries(n - 1, max_deg)
-    series.terms = dict(zip(map(tuple, exps), coeffs))
-    return series
+
+def _merge_terms(held) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct codes of the (codes, values) pairs held, sorted, with
+    their summed values, by one sort and one segment sum; zero sums are
+    dropped."""
+    codes = np.concatenate([c for c, _ in held])
+    order = np.argsort(codes)
+    codes = codes[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    sums = np.add.reduceat(np.concatenate([v for _, v in held])[order],
+                           starts) if len(codes) else codes
+    return codes[starts][sums != 0], sums[sums != 0]
 
 
 def _image_lattices(gamma: TranslationSubgroup) -> Dict[Tuple, int]:
@@ -261,16 +336,16 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
     of the face sublattice in the face's edge forms, which keys the face
     group and is what :func:`cone_decompose` enumerates.  A base point with
     edge forms alpha_j is the monomial f alpha_j at the face's boundary
-    positions, and generator j the factor 1 - u_pos^(f mult_j).  The result's
-    power series expansion matches :func:`selberg_series_translation` to any
-    degree.  Before any cone is decomposed, the base points of all face
-    groups are counted from their edge multiples; above
+    positions, and generator j the factor 1 - u_pos^(f mult_j); the result
+    is the periodic extension of :func:`selberg_series_translation`'s table
+    (:func:`selberg_identity`).  Before any cone is decomposed, the base
+    points of all face groups are counted from their edge multiples; above
     ``SERIES_GRID_CELLS`` of them it raises :class:`ResourceCapError`.
 
     The numerators of the face groups with one denominator merge as int64
-    codes of alpha - 1 in the mixed radix mult_j: one sort, one segment sum
-    of the group weights N * count, and one exponent tuple per distinct
-    term.
+    codes of alpha - 1 in the mixed radix mult_j: one sort and one segment
+    sum of the group weights N * count over all of them, and one exponent
+    tuple per distinct term.
     """
     n = gamma.n
     f = scale_factor(n, scale)
@@ -318,18 +393,11 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
     for den, (face, mults, members) in by_den.items():
         places = np.array([math.prod(mults[j + 1:])
                            for j in range(len(mults))], dtype=np.int64)
-        # the distinct codes so far, sorted, and their coefficients
-        codes = coeffs = np.zeros(0, dtype=np.int64)
+        held = []
         for block, group_edges, weight in members:
             new = (cone_decompose(face, block, group_edges) - 1) @ places
-            codes = np.concatenate([codes, new])
-            order = np.argsort(codes)
-            codes = codes[order]
-            starts = np.flatnonzero(np.diff(codes, prepend=-1))
-            codes = codes[starts]
-            coeffs = np.add.reduceat(np.concatenate(
-                [coeffs, np.full(len(new), weight, dtype=np.int64)])[order],
-                starts)
+            held.append((new, np.full(len(new), weight, dtype=np.int64)))
+        codes, coeffs = _merge_terms(held)
         # the exponents column by column: f alpha_j at the boundary
         # positions, 0 elsewhere
         exps = [[0] * len(codes)] * (n - 1)
@@ -656,22 +724,32 @@ class ComparisonReport(Value):
 
 def comparison_check(gamma: TranslationSubgroup, max_deg: int,
                      zeta: IntPolynomial,
-                     series: MultiSeries) -> ComparisonReport:
+                     series: PeriodTable) -> ComparisonReport:
     """Check S(x, 0, .., 0), identity class removed, against the corrected
     form -(n-1)! * x * Z'/Z, for the positive zeta Z of the subgroup; the
     literal form (n-1)! * Z'/Z is evaluated and reported alongside.
 
     Lengths are taken at the geodesic scale, which is what measures vertex
     counts along closed straight paths; ``series`` is
-    ``selberg_series_translation(gamma, max_deg, GEODESIC)``.
+    ``selberg_series_translation(gamma, max_deg, GEODESIC)``, whose first
+    axis has period D: the coefficient of x^k is its cell (k mod D, 0, ..).
+    The maxDegree + 1 coefficient lists are priced against
+    ``SERIES_GRID_CELLS`` before any is allocated.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
+    if max_deg + 1 > SERIES_GRID_CELLS:
+        raise ResourceCapError(
+            f"comparison of the specialized Selberg series to degree "
+            f"{max_deg}: its coefficient lists of maxDegree + 1 entries are "
+            f"above the cap of {SERIES_GRID_CELLS}")
     n = gamma.n
-    lhs = [0] * (max_deg + 1)
-    for k, c in series.specialize_first().items():
-        if k > 0:
-            lhs[int(k)] = c
+    first = series.specialize_first()
+    # a table smaller than the period holds every degree up to max_deg
+    period = [first.get(k, 0)
+              for k in range(min(series.period, max_deg + 1))]
+    lhs = (period * (max_deg // len(period) + 1))[:max_deg + 1]
+    lhs[0] = 0
     z_inv = zeta.series_inverse(max_deg)
     x_zprime = IntPolynomial([0] + zeta.derivative().coeffs)
     factor = math.factorial(n - 1)

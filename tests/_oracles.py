@@ -1,6 +1,7 @@
 """Test-only oracles: slow, obviously correct references for the engines in
 ``src/``."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -13,7 +14,7 @@ from mpmath import mp, mpf
 
 from latzeta import selberg
 from latzeta.errors import (BoxExhaustionError, DivergentSeriesError,
-                            SingularMatrixError)
+                            ResourceCapError, SingularMatrixError)
 from latzeta.intmat import (ImageLattice, adjugate_and_det, hnf_columns,
                             identity_matrix, kernel_basis, mat_mul, mat_vec,
                             snf_diagonal, snf_with_transforms,
@@ -89,6 +90,141 @@ def brute_force_translation_series(gamma, max_deg, scale=GEODESIC):
         for value in set(point):
             stab *= math.factorial(point.count(value))
         series.add_term(exps, gamma.index * stab)
+    return series
+
+
+# floor cells times slabs the scan tests per numpy block (one slab at least)
+_SLAB_BLOCK = 1 << 14
+
+
+def scan_translation_series(gamma, max_deg: int,
+                            scale: str = GEODESIC) -> MultiSeries:
+    """Truncated Selberg series of a translation subgroup by a box scan; the
+    reference for the period table of ``selberg_series_translation``.
+
+    Every subgroup element is its own conjugacy class with weight
+    N * (stabilizer of its coordinate pattern); elements of length degree at
+    most max_deg have canonical coordinates inside [0, span]^n, where
+    span = max_deg // scale factor.  A point is a member when
+    u . (x_1 - x_n, .., x_{n-1} - x_n) = 0 mod d for every Smith row u with
+    divisor d > 1, that is when the residue of (x_2, .., x_n) under the
+    weights (u_2, .., u_{n-1}, -sum u), kept per sub-grid cell, is
+    -u_1 x_1 mod d; slabs x_1 > 0 test only the cells with a coordinate 0
+    (the floor), many slabs to a block, and insert x_1 into the floor
+    cells' coordinates, sorted once.  Each sorted pattern is one term,
+    N * stabilizer * (its members).
+    """
+    n = gamma.n
+    f = scale_factor(n, scale)
+    span = max_deg // f
+    base = span + 1
+    # the rows of U with d_i > 1, as residues of least absolute value
+    tests = [([(x + d // 2) % d - d // 2 for x in row], d)
+             for row, d in zip(gamma.image.u, gamma.image.diag) if d > 1]
+    row_max = max((abs(x) for row, _ in tests for x in row), default=0)
+    context = f"translation Selberg series to degree {max_deg}"
+    check_int64 = selberg._check_int64
+    check_int64(context, f"the pattern code (span+1)^n = {base}^{n}",
+                base ** n)
+    # residues lie in [0, d), and sums of two are formed in (-d, d)
+    check_int64(context, "the largest elementary divisor",
+                gamma.image.diag[-1])
+    # bounds each per-axis term w x, as |sum u| <= (n-1) max|row|; span
+    # counted as at least 1, so that the rows themselves fit
+    check_int64(context, f"a Smith residue (n-1)*span*max|row| = "
+                f"{n - 1}*{max(span, 1)}*{row_max}",
+                (n - 1) * max(span, 1) * row_max)
+    cells = base ** (n - 1)
+    if cells > selberg.SERIES_GRID_CELLS:
+        raise ResourceCapError(
+            f"{context}: the sub-grid of (span+1)^(n-1) = {base}^{n - 1} "
+            f"cells is above the cap of {selberg.SERIES_GRID_CELLS} cells")
+    axis = np.arange(base, dtype=np.int64)
+    residues = []
+    for row, d in tests:
+        res = np.zeros((), dtype=np.int64)
+        for w in (*row[1:], -sum(row)):
+            res = res[..., None] - (d - w * axis % d)
+            res[res < 0] += d
+        residues.append(res.ravel())
+    # with a positive first coordinate the minimum 0 must lie in the sub-grid
+    floor = np.flatnonzero(
+        functools.reduce(np.minimum, np.ix_(*[axis] * (n - 1))) == 0)
+    floor_res = [res[floor] for res in residues]
+
+    def sorted_columns(idx):
+        """The sub-grid coordinates of the cells idx, sorted per cell by a
+        bubble network of min/max pairs, as n - 1 columns."""
+        cols = []
+        for _ in range(n - 1):
+            idx, digit = np.divmod(idx, base)
+            cols.append(digit)
+        for top in range(n - 2, 0, -1):
+            for j in range(top):
+                cols[j], cols[j + 1] = (np.minimum(cols[j], cols[j + 1]),
+                                        np.maximum(cols[j], cols[j + 1]))
+        return cols
+
+    def pattern_codes(x, cols):
+        """Codes of the sorted patterns of (x, c) for sorted rows c, in base
+        span + 1: inserted among c_1 <= .. <= c_{n-1}, entry j of the
+        pattern is x clamped to [c_{j-1}, c_j]."""
+        code = np.minimum(x, cols[0])
+        for lo, hi in zip(cols, cols[1:]):
+            code = code * base + np.maximum(lo, np.minimum(x, hi))
+        return code * base + np.maximum(x, cols[-1])
+
+    keep = np.ones(cells, dtype=bool)
+    for res in residues:
+        keep &= res == 0
+    del residues
+    codes = [pattern_codes(0, sorted_columns(np.flatnonzero(keep)))]
+    # the slabs x_1 > 0 in blocks: one (slabs x floor cells) comparison per
+    # Smith row, and the members read off its nonzero entries, with the
+    # floor cells' coordinates sorted once
+    floor_cols = sorted_columns(floor)
+    step = max(1, _SLAB_BLOCK // len(floor))
+    for start in range(1, base, step):
+        xs = np.arange(start, min(start + step, base), dtype=np.int64)
+        keep = np.ones((len(xs), len(floor)), dtype=bool)
+        for res, (row, d) in zip(floor_res, tests):
+            keep &= res == (-xs * row[0] % d)[:, None]
+        slab, cell = np.nonzero(keep)
+        codes.append(pattern_codes(xs[slab], [c[cell] for c in floor_cols]))
+    codes, mult = np.unique(np.concatenate(codes), return_counts=True)
+    patterns = np.empty((len(codes), n), dtype=np.int64)
+    for a in range(n - 1, -1, -1):
+        codes, patterns[:, a] = np.divmod(codes, base)
+    # descending gaps; the stabilizer, a product of multiplicity factorials,
+    # is the product over positions of the equal entries up to there
+    gaps = np.diff(patterns, axis=1)[:, ::-1]
+    runs = np.tril(patterns[:, :, None] == patterns[:, None, :]).sum(axis=2)
+    # the patterns are distinct with minimum 0 and maximum at most span, so
+    # every key is new and of total degree at most max_deg, and every
+    # coefficient is positive: the terms need none of add_term's checks.
+    # Object arrays keep the keys f * gaps and the coefficients
+    # N * stabilizer * members exact Python ints however large f and N are.
+    exps = (gaps.astype(object) * f).tolist()
+    coeffs = (runs.astype(object).prod(axis=1) * mult.astype(object)
+              * gamma.index).tolist()
+    series = MultiSeries(n - 1, max_deg)
+    series.terms = dict(zip(map(tuple, exps), coeffs))
+    return series
+
+
+def periodic_extension(table, max_deg: int) -> MultiSeries:
+    """The series of a period table to total degree max_deg: each cell's
+    coefficient at every exponent f (g + D k), k >= 0, of degree at most
+    max_deg; cells beyond the table count only when it is complete."""
+    series = MultiSeries(table.nvars, max_deg)
+    step = table.period if table.complete else max_deg + 1
+    for exp, coeff in table.terms.items():
+        points = [((), 0)]
+        for e in exp:
+            points = [(p + (x,), total + x) for p, total in points
+                      for x in range(e, max_deg + 1 - total, step)]
+        for point, _ in points:
+            series.add_term(point, coeff)
     return series
 
 
@@ -759,16 +895,17 @@ def per_permutation_images(gamma) -> Dict[Tuple, int]:
 def face_groups(gamma) -> Dict[Tuple[frozenset, Tuple], int]:
     """(zero set, t-HNF of the face sublattice) -> the number of coordinate
     permutations q whose image q(subgroup) cuts that face sublattice, by one
-    integer kernel per permutation and face."""
+    integer kernel per distinct image and face; the images and their counts
+    come from :func:`per_permutation_images`, one HNF of q·basis per
+    permutation."""
     n = gamma.n
     groups = {}
-    for q in all_permutations(n):
-        image = mat_mul(q.basis_matrix(), gamma.basis)
+    for image, count in per_permutation_images(gamma).items():
         for face in all_faces(n):
             basis_key = () if face.dim == 0 else tuple(map(tuple, hnf_columns(
-                face_sublattice_t_basis(image, face))))
+                face_sublattice_t_basis([list(r) for r in image], face))))
             key = (face.zero_set, basis_key)
-            groups[key] = groups.get(key, 0) + 1
+            groups[key] = groups.get(key, 0) + count
     return groups
 
 

@@ -24,6 +24,7 @@ from latzeta.lattice import (
 from latzeta.quotient import TranslationSubgroup
 from latzeta.selberg import (
     comparison_check,
+    selberg_identity,
     selberg_rational_translation,
     selberg_series_translation,
 )
@@ -40,7 +41,7 @@ from latzeta.zeta import (
     zeta_positive_orders,
 )
 from _oracles import (conjugate_by, denominator_factors, is_integral,
-                      t_decomposition)
+                      scan_translation_series, t_decomposition)
 
 # translation panel: 15 type-zero subgroups spanning n = 2, 3, 4 with N <= 100
 PANEL = [
@@ -145,8 +146,11 @@ def test_criterion_5_selberg_rationality(panel):
     for e in panel["entries"]:
         gamma = e["gamma"]
         rational = selberg_rational_translation(gamma)
-        series = selberg_series_translation(gamma, 20)
-        ok_series = ok_series and rational.expand(20) == series
+        series = scan_translation_series(gamma, 20)
+        ok_series = (ok_series and rational.expand(20) == series
+                     and selberg_identity(gamma, rational,
+                                          selberg_series_translation(
+                                              gamma, 20))[0])
         for factor in denominator_factors(rational):
             j0 = next(i for i, x in enumerate(factor) if x)
             for k in range(1, factor[j0] + 1):

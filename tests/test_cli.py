@@ -26,7 +26,7 @@ from latzeta.cli import (
 )
 from latzeta.cayley import build_graph, export_edge_list, perturb_adjacency
 from latzeta.lattice import GEODESIC, AffineElement
-from latzeta.polynomials import IntPolynomial
+from latzeta.polynomials import IntPolynomial, MultiRational
 from latzeta.quotient import TranslationSubgroup
 from latzeta.selberg import (ConjugacyClass, comparison_check,
                              selberg_series_translation)
@@ -190,10 +190,15 @@ def test_check_tuples_list_the_registry():
     assert AFFINE_CHECKS == tuple(_CHECKS["affine"])
 
 
+# the cyclic subgroup of index D = 2049: from maxDegree 2048 on, its period
+# table has 2049^2 cells, above the 2^22 cap
+_WIDE_PERIOD = ([1, 0], [-1, 2049])
+
+
 def test_translation_series_grid_cap_exits_3_before_allocating():
-    # maxDegree 100000 would need a 100001 x 100001 int64 sub-grid
-    cfg = RunConfig.from_json_obj(
-        _config_with(maxDegree=100000, checks=["selberg_series"]))
+    # maxDegree 100000 on this subgroup would need a 2049 x 2049 table
+    cfg = RunConfig.from_json_obj(_config_with(
+        basis=_WIDE_PERIOD, maxDegree=100000, checks=["selberg_series"]))
     tracemalloc.start()
     try:
         code, report = run_config(cfg)
@@ -224,8 +229,8 @@ def test_graph_edge_cap_exits_3_before_building_the_generators(tmp_path,
                                                                capsys):
     # the index-30 type-zero subgroup of rank 30, with columns
     # e_1 - e_2, .., e_28 - e_29 and 30 e_29, would need 2^30 - 2 generators;
-    # with every check, comparison runs first and the series' int64 guard
-    # exits 3 before any graph is built
+    # with every check, comparison runs first and the cell cap of the
+    # series' period table exits 3 before any graph is built
     n = 30
     basis = [[n if i == j == n - 2 else (i == j) - (i == j + 1)
               for j in range(n - 1)] for i in range(n - 1)]
@@ -311,14 +316,14 @@ def test_comparison_report_equals_the_full_orders_product(n, basis,
 
 
 def test_rational_check_exits_3_before_building_the_cone_form(monkeypatch):
-    # the series grid cap must fire before the cone sums start, so a
-    # maxDegree that can never finish exits at once
+    # the period table's cap must fire before the cone sums start, so a
+    # table that can never finish exits at once
     def never(*args, **kwargs):
         raise AssertionError("the cone form was built")
 
     monkeypatch.setattr(cli, "selberg_rational_translation", never)
-    cfg = RunConfig.from_json_obj(
-        _config_with(maxDegree=100000, checks=["selberg_rational"]))
+    cfg = RunConfig.from_json_obj(_config_with(
+        basis=_WIDE_PERIOD, maxDegree=2048, checks=["selberg_rational"]))
     code, report = run_config(cfg)
     assert code == 3 and not report["pass"]
     assert "sub-grid" in report["error"]
@@ -786,6 +791,18 @@ def _faulty(route, fault):
         if route == "selberg_series_translation":
             out.add_term(fault, 1)
             return out
+        if route == "selberg_rational_translation":
+            # +1 on a numerator term of the polynomial piece, or one factor
+            # of the two-factor piece with its exponent times arg
+            kind, arg = fault
+            tampered = MultiRational(out.nvars)
+            for den, num in out.pieces.items():
+                if kind == "numerator" and not den:
+                    num = {**num, arg: num.get(arg, 0) + 1}
+                if kind == "denominator" and len(den) == 2:
+                    den = (den[0], tuple(arg * a for a in den[1]))
+                tampered.add_piece(num, den)
+            return tampered
         if route == "affine_conjugacy_classes":
             identity = AffineElement.identity(args[0].n)
             i = next(i for i, c in enumerate(out)
@@ -826,8 +843,10 @@ _SHARED_ROWS = [
     ("lfunction_with_deviation", 20, {"lfunction"}),
     ("lfunction_with_deviation", 27, {"lfunction"}),
     ("enumerate_positive_geodesics", "drop", {"geodesic_oracle"}),
+    # the table's cell (0, 0) is also the coefficient of x^3 and x^6 in
+    # S(x, 0), which comparison reads with period D = 3
     ("selberg_series_translation", (0, 0),
-     {"selberg_rational", "selberg_series"}),
+     {"comparison", "selberg_rational", "selberg_series"}),
     ("selberg_series_translation", (1, 0),
      {"comparison", "selberg_rational"}),
     ("selberg_series_translation", (0, 2), {"selberg_rational"}),
@@ -838,6 +857,13 @@ FAULT_MATRIX = [
     ("simple", "ihara_bass", 1, {"ihara"}),
     ("simple", "backtrackless_cycle_product", 2, {"ihara"}),
     ("simple", "backtrackless_cycle_product", 6, {"ihara"}),
+    # tamperings above maxDegree 6 that leave the rational's expansion to
+    # degree 6 unchanged: +1 on u^(7, 0), and the factor 1 - u^(3, 0) of
+    # u^(3, 3) / ((1 - u^(0, 3)) (1 - u^(3, 0))) made 1 - u^(9, 0)
+    ("simple", "selberg_rational_translation", ("numerator", (7, 0)),
+     {"selberg_rational"}),
+    ("simple", "selberg_rational_translation", ("denominator", 3),
+     {"selberg_rational"}),
     # blind spots: the Bass numerator is checked only by the Hashimoto
     # oracle, to depth min(maxDegree, 8) and on simple graphs, and an affine
     # subgroup only by its identity weight; ROADMAP items 2 and 5 flip these
@@ -882,8 +908,9 @@ def test_single_fault_fails_exactly_these_checks(monkeypatch, config, route,
 def test_a_huge_max_degree_on_a_small_quotient_allocates_little(check,
                                                                 expected):
     # maxDegree 10^9 on the 9-vertex quotient: the Ihara series is a
-    # polynomial of degree 54, and the comparison's series exits 3 on its
-    # int64 bound after the truncated orders product, which has degree 27
+    # polynomial of degree 54, and the comparison exits 3 on the price of
+    # its coefficient lists, after the truncated orders product, which has
+    # degree 27, and the 9-cell period table
     cfg = RunConfig.from_json_obj(
         _config_with(maxDegree=10 ** 9, checks=[check]))
     tracemalloc.start()

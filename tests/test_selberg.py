@@ -27,19 +27,23 @@ from latzeta.lattice import (
 from latzeta.polynomials import MultiRational, MultiSeries
 from latzeta.quotient import AffineSubgroup, TranslationSubgroup
 from latzeta.selberg import (
+    PeriodTable,
     affine_conjugacy_classes,
     comparison_check,
+    selberg_identity,
     selberg_rational_translation,
     selberg_series_translation,
 )
 from latzeta.zeta import zeta_positive_det
+import _oracles
 from _oracles import (adjugate_membership, brute_force_translation_series,
                       combine, denominator_factors, element_from_coords,
                       face_groups, find_conjugator,
                       fraction_free_coordinate_bounds,
                       naive_affine_classes, per_permutation_class_weights,
                       per_permutation_images, per_permutation_rational,
-                      perm_from_cycles, random_type_zero_subgroup,
+                      perm_from_cycles, periodic_extension,
+                      random_type_zero_subgroup, scan_translation_series,
                       series_from_json)
 from perfbench.workloads import (
     PANELS,
@@ -59,13 +63,21 @@ def test_series_translation_constant_term():
 
 
 def test_series_translation_n2_example():
-    s = selberg_series_translation(TranslationSubgroup(2, [[2]]), 8)
+    gam = TranslationSubgroup(2, [[2]])
+    s = scan_translation_series(gam, 8)
     assert dict(s.terms) == {(0,): 4, (2,): 4, (4,): 4, (6,): 4, (8,): 4}
+    # one period cell of two, period 2
+    table = selberg_series_translation(gam, 8)
+    assert table == PeriodTable(1, 1, 2, 2, {(0,): 4})
+    assert table.period == 2 and table.complete
+    assert periodic_extension(table, 8) == s
 
 
 def test_series_translation_index3_example():
-    s = selberg_series_translation(TranslationSubgroup(3, [[1, 0], [-1, 3]]), 6)
-    assert s.get((3, 0)) == 18
+    gam = TranslationSubgroup(3, [[1, 0], [-1, 3]])
+    assert scan_translation_series(gam, 6).get((3, 0)) == 18
+    # (3, 0) is the cell (0, 0) of the period 3
+    assert selberg_series_translation(gam, 6).terms[(0, 0)] == 18
 
 
 def test_series_translation_matches_brute_force():
@@ -87,8 +99,10 @@ def test_series_translation_matches_brute_force():
         # and the factorial scale with span 0 (max_deg < n!)
         for deg, scale in [(max_deg, GEODESIC), (0, GEODESIC),
                            (2 * f + 1, FACTORIAL), (f - 1, FACTORIAL)]:
-            assert selberg_series_translation(gam, deg, scale) \
-                == brute_force_translation_series(gam, deg, scale)
+            expected = brute_force_translation_series(gam, deg, scale)
+            assert scan_translation_series(gam, deg, scale) == expected
+            assert periodic_extension(selberg_series_translation(
+                gam, deg, scale), deg) == expected
 
 
 def test_series_translation_matches_brute_force_on_transformed_bases():
@@ -109,8 +123,92 @@ def test_series_translation_matches_brute_force_on_transformed_bases():
             basis = transform_columns(cfg["gamma"]["basis"],
                                       unimodular(n - 1, rng))
             gam = TranslationSubgroup(n, basis)
-            assert selberg_series_translation(gam, degree[n]) == expected
-            assert selberg_series_translation(gam, deep) == expected_deep
+            assert scan_translation_series(gam, degree[n]) == expected
+            assert scan_translation_series(gam, deep) == expected_deep
+            assert periodic_extension(selberg_series_translation(
+                gam, deep), deep) == expected_deep
+
+
+# the largest (span+1)^(n-1) sub-grid the equivalence tests let the scan
+# allocate
+_SCAN_CELLS = 1 << 17
+
+
+def _equivalence_subgroups():
+    """Six seeded subgroups for each n = 2..6, small enough that the scan
+    reaches past f (n-1)(D-1): of type zero up to n = 5, and of any type
+    at n = 6, where type zero forces D >= 6 and a sub-grid of 27^5."""
+    rng = random.Random(2032)
+    out = []
+    for n in range(2, 7):
+        found = 0
+        while found < 6:
+            if n < 6:
+                gam = random_type_zero_subgroup(
+                    rng, n, bound={2: 12, 3: 6, 4: 3, 5: 2}[n])
+            else:
+                basis = [[rng.randint(-1, 1) for _ in range(n - 1)]
+                         for _ in range(n - 1)]
+                if np.linalg.matrix_rank(np.array(basis)) < n - 1:
+                    continue
+                gam = TranslationSubgroup(n, basis, check_types=False)
+            # the sub-grid at f ((n-1)(D-1) + 1) + 1
+            top = (n - 1) * (gam.image.diag[-1] - 1) + 3
+            if top ** (n - 1) <= _SCAN_CELLS and gam.index > 1:
+                out.append(gam)
+                found += 1
+    return out
+
+
+def _assert_table_extends_to_the_scan(gam, spans, scales=(GEODESIC,
+                                                           FACTORIAL)):
+    """The periodic extension of the table equals the scan at each degree
+    f s - 1, f s and f s + 1 whose sub-grid fits; returns the degrees
+    compared at each scale."""
+    compared = {}
+    for scale in scales:
+        f = lattice.scale_factor(gam.n, scale)
+        compared[scale] = []
+        for deg in sorted({d for s in spans for d in (f * s - 1, f * s,
+                                                      f * s + 1) if d >= 0}):
+            if (deg // f + 1) ** (gam.n - 1) > _SCAN_CELLS:
+                continue
+            table = selberg_series_translation(gam, deg, scale)
+            assert table.size == min(table.divisor, deg // f + 1)
+            assert periodic_extension(table, deg) == scan_translation_series(
+                gam, deg, scale), (gam.basis, deg, scale)
+            compared[scale].append(deg)
+    return compared
+
+
+def test_table_extends_to_the_scan_on_seeded_subgroups():
+    # below, at and above f (D-1), where the table becomes complete, and
+    # f (n-1)(D-1), the degree of the cell's far corner, at both scales
+    gammas = _equivalence_subgroups()
+    assert len(gammas) == 30
+    for gam in gammas:
+        n, d = gam.n, gam.image.diag[-1]
+        compared = _assert_table_extends_to_the_scan(
+            gam, (d - 1, d, (n - 1) * (d - 1), (n - 1) * (d - 1) + 1))
+        for scale, degrees in compared.items():
+            f = lattice.scale_factor(n, scale)
+            assert f * (d - 1) - 1 in degrees
+            assert f * ((n - 1) * (d - 1) + 1) + 1 in degrees
+
+
+def test_table_extends_to_the_scan_on_the_panels():
+    configs = {(m["config"]["n"], tuple(map(tuple,
+                                            m["config"]["gamma"]["basis"])),
+                m["config"]["maxDegree"])
+               for panel in PANELS.values() for m in panel
+               if m["config"]["gamma"]["kind"] == "translation"}
+    assert len(configs) == 11
+    for n, basis, max_degree in sorted(configs):
+        gam = TranslationSubgroup(n, basis)
+        d = gam.image.diag[-1]
+        compared = _assert_table_extends_to_the_scan(
+            gam, (max_degree, d - 1, d), (GEODESIC,))
+        assert max_degree in compared[GEODESIC]
 
 
 def test_series_translation_adds_one_term_per_sorted_pattern(monkeypatch):
@@ -125,7 +223,7 @@ def test_series_translation_adds_one_term_per_sorted_pattern(monkeypatch):
     monkeypatch.setattr(MultiSeries, "add_term",
                         lambda self, exp, coeff: (calls.append(exp),
                                                   original(self, exp, coeff)))
-    series = selberg_series_translation(gam, max_deg)
+    series = scan_translation_series(gam, max_deg)
     # the terms are built in bulk, one per pattern, with no add_term call
     assert calls == []
     assert len(series.terms) == len(patterns) < len(members)
@@ -136,7 +234,7 @@ def test_series_translation_n2_deep_slab_blocks():
     # at n = 2 every slab x_1 > 0 has one floor cell, so the slabs run in
     # blocks of many slabs; 100,000 slabs against the closed form
     gam = TranslationSubgroup(2, [[2]])
-    series = selberg_series_translation(gam, 100000)
+    series = scan_translation_series(gam, 100000)
     assert len(series.terms) == 50001
     assert series == selberg_rational_translation(gam).expand(100000)
 
@@ -149,29 +247,31 @@ def test_series_translation_slab_blocks_do_not_change_the_series(
              (TranslationSubgroup(3, [[1, 0], [-1, 3]]), 30),
              (TranslationSubgroup(4, [[1, 0, 1], [-1, 1, 1], [0, -1, 2]]), 9)]
     for gam, max_deg in cases:
-        expected = selberg_series_translation(gam, max_deg)
+        expected = scan_translation_series(gam, max_deg)
         for block in (1, 7, 500):
-            monkeypatch.setattr(selberg, "_SLAB_BLOCK", block)
-            assert selberg_series_translation(gam, max_deg) == expected
+            monkeypatch.setattr(_oracles, "_SLAB_BLOCK", block)
+            assert scan_translation_series(gam, max_deg) == expected
         monkeypatch.undo()
         assert expected == selberg_rational_translation(gam).expand(max_deg)
 
 
 def test_series_translation_memory_on_the_n5_benchmark_subgroup():
-    # the n = 5 selberg_deep subgroup at D = 30: a sub-grid of 31^4 = 923,521
-    # cells, one int64 residue array over it (7.4 MB) and the members decoded
-    # slab by slab
+    # the n = 5 selberg_deep subgroup at maxDegree 30: its period 5 gives a
+    # table of 5^4 = 625 cells, where the scan held a sub-grid of 31^4
+    # cells in 7.4 MB of residues
     cfg, = [m["config"] for m in PANELS["selberg_deep"]
             if m["name"] == "n5_N5_D16"]
     gam = TranslationSubgroup(5, cfg["gamma"]["basis"])
     tracemalloc.start()
     try:
-        series = selberg_series_translation(gam, 30)
+        table = selberg_series_translation(gam, 30)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 60 * 10 ** 6
-    assert series == selberg_rational_translation(gam).expand(30)
+    assert peak < 1 << 20
+    assert table.size == 5 and table.complete
+    assert periodic_extension(table, 30) == selberg_rational_translation(
+        gam).expand(30)
 
 
 def _translation_guard_peak(gam, max_deg, match):
@@ -196,14 +296,44 @@ def test_series_translation_residue_guard_raises_before_allocating():
     peak = _translation_guard_peak(gam, 1000, r"residue.*2\^63")
     assert peak < slab_bytes // 100
     # the same subgroup is fine while the residues stay below 2^63
-    assert selberg_series_translation(gam, 2).get((0, 0)) == big * 6
+    assert selberg_series_translation(gam, 2).terms[(0, 0)] == big * 6
 
 
 def test_series_translation_pattern_code_guard_raises_before_allocating():
-    # (2^32 + 1)^2 pattern codes overflow int64; the slab would be 32 GB
-    peak = _translation_guard_peak(TranslationSubgroup(2, [[2]]), 2 ** 32,
-                                   r"pattern code.*2\^63")
+    # the scan's (2^32 + 1)^2 pattern codes overflow int64; the slab would be
+    # 32 GB
+    gam = TranslationSubgroup(2, [[2]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=r"pattern code.*2\^63"):
+            scan_translation_series(gam, 2 ** 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 1 << 20
+    # the period table has two cells at any degree
+    assert selberg_series_translation(gam, 2 ** 32).terms == {(0,): 4}
+def test_series_and_rational_at_a_huge_degree_allocate_little():
+    # n = 2 [[2]] at maxDegree 10^9: a 2-cell table, and the identity runs
+    # on the whole cell with no degree bound
+    cfg = RunConfig.from_json_obj({
+        "n": 2, "gamma": {"kind": "translation", "basis": [[2]]},
+        "maxDegree": 10 ** 9,
+        "checks": ["selberg_series", "selberg_rational"]})
+    tracemalloc.start()
+    try:
+        code, report = run_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1 << 20
+    series, rational = (report["results"][k]
+                        for k in ("selberg_series", "selberg_rational"))
+    assert series["period"] == rational["period"] == 2
+    assert series["series"]["terms"] == [[[0], "4"]]
+    assert rational["identity_degree_free"] and rational["identity_holds"]
+
+
 def test_series_factorial_scale_rescales_exponents():
     gam = TranslationSubgroup(3, [[1, 0], [-1, 3]])
     geo = selberg_series_translation(gam, 4, GEODESIC)
@@ -228,19 +358,21 @@ def test_rational_translation_expansion_matches_series():
     ]
     for gam in cases:
         r = selberg_rational_translation(gam)
-        s = selberg_series_translation(gam, 12)
+        s = scan_translation_series(gam, 12)
         assert r.expand(12) == s
+        assert selberg_identity(gam, r, selberg_series_translation(
+            gam, 12)) == (True, None)
 
 
-def test_selberg_rational_misses_a_wrong_exponent_above_max_degree(
+def test_selberg_rational_catches_a_wrong_exponent_above_max_degree(
         monkeypatch):
-    """A blind spot of the selberg_rational check, pinned: it compares the
-    expansion of the rational with the series only to maxDegree.  The piece
-    600 u^(0,0,0,5) / (1 - u^(0,0,0,5)) of the n = 5 rational has terms at
-    total degree 5, 10, 15, ..; with the factor tampered to (1, 0, 0, 5)
-    they fall at 5, 11, 17, .., so every term the tampering changes lies
-    above degree 8.  A check that closes the blind spot must flip the
-    degree-8 assertions here."""
+    """A blind spot of the expansion check, closed by the identity.  The
+    piece 600 u^(0,0,0,5) / (1 - u^(0,0,0,5)) of the n = 5 rational has
+    terms at total degree 5, 10, 15, ..; with the factor tampered to
+    (1, 0, 0, 5) they fall at 5, 11, 17, .., so every term the tampering
+    changes lies above degree 8, and the expansion to degree 8 still
+    equals the series.  The identity needs no degree: the factor lies on
+    two axes, so it fails at maxDegree 8 as at 16."""
     basis = [[1, 0, 0, 1], [-1, 1, 0, 1], [0, -1, 1, 1], [0, 0, -1, 2]]
     gamma = TranslationSubgroup(5, basis)
     rational = selberg_rational_translation(gamma)
@@ -249,17 +381,110 @@ def test_selberg_rational_misses_a_wrong_exponent_above_max_degree(
     tampered = MultiRational(rational.nvars)
     for den, num in rational.pieces.items():
         tampered.add_piece(num, ((1, 0, 0, 5),) if den == factor else den)
-    assert tampered.expand(8) == selberg_series_translation(gamma, 8)
-    assert tampered.expand(16) != selberg_series_translation(gamma, 16)
+    assert tampered.expand(8) == scan_translation_series(gamma, 8)
+    assert tampered.expand(16) != scan_translation_series(gamma, 16)
     monkeypatch.setattr(cli, "selberg_rational_translation",
                         lambda gamma, scale: tampered)
     cfg = {"n": 5, "gamma": {"kind": "translation", "basis": basis},
            "maxDegree": 8, "checks": ["selberg_rational"]}
-    code, report = run_config(RunConfig.from_json_obj(cfg))
-    assert code == 0 and report["results"]["selberg_rational"]["pass"]
-    cfg["maxDegree"] = 16
-    code, report = run_config(RunConfig.from_json_obj(cfg))
-    assert code == 1 and not report["results"]["selberg_rational"]["pass"]
+    for max_degree in (8, 16):
+        cfg["maxDegree"] = max_degree
+        code, report = run_config(RunConfig.from_json_obj(cfg))
+        result = report["results"]["selberg_rational"]
+        assert code == 1 and not result["pass"]
+        assert result["identity_degree_free"] and result["period"] == 5
+        assert result["identity_first_difference"] == {
+            "denominator_factor": [1, 0, 0, 5]}
+
+
+def test_identity_names_the_first_failure():
+    gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
+    rational = selberg_rational_translation(gamma)
+    table = selberg_series_translation(gamma, 6)
+    assert selberg_identity(gamma, rational, table) == (True, None)
+    # a period that does not annihilate the quotient
+    wrong = PeriodTable(2, 1, 2, 2, dict(table.terms))
+    assert selberg_identity(gamma, rational, wrong) == (False, {"period": 2})
+    # a tampered cell, and below it in term order a tampered numerator
+    table.add_term((2, 1), 1)
+    assert selberg_identity(gamma, rational, table) == (
+        False, {"exponent": [2, 1]})
+    rational.pieces[()][(1, 1)] = 1
+    assert selberg_identity(gamma, rational, table) == (
+        False, {"exponent": [1, 1]})
+    # on the cube of an incomplete table, only the terms inside it count
+    small = selberg_series_translation(gamma, 1)
+    assert not small.complete
+    assert selberg_identity(gamma, rational, small) == (
+        False, {"exponent": [1, 1]})
+    del rational.pieces[()][(1, 1)]
+    rational.pieces[()][(2, 0)] = 1
+    assert selberg_identity(gamma, rational, small) == (True, None)
+
+
+def test_table_and_identity_blocks_do_not_change_the_results(monkeypatch):
+    # one cell or term a block, and blocks that split them unevenly
+    for n, basis, max_deg in [(3, [[1, 0], [-1, 3]], 7),
+                              (4, _N4_N32, 6),
+                              (5, [[1, 0, 0, 1], [-1, 1, 0, 1],
+                                   [0, -1, 1, 1], [0, 0, -1, 2]], 8)]:
+        gamma = TranslationSubgroup(n, basis)
+        table = selberg_series_translation(gamma, max_deg)
+        rational = selberg_rational_translation(gamma)
+        tampered = MultiRational(rational.nvars)
+        for den, num in rational.pieces.items():
+            tampered.add_piece({**num, (1,) * (n - 1): 1} if not den else num,
+                               den)
+        expected = selberg_identity(gamma, tampered, table)
+        assert not expected[0]
+        for block in (1, 7, 500):
+            monkeypatch.setattr(selberg, "_TABLE_BLOCK", block)
+            monkeypatch.setattr(selberg, "_IDENTITY_BLOCK", block)
+            assert selberg_series_translation(gamma, max_deg) == table
+            assert selberg_identity(gamma, rational, table) == (True, None)
+            assert selberg_identity(gamma, tampered, table) == expected
+        monkeypatch.undo()
+
+
+def _single_tamperings(rational: MultiRational):
+    """Every rational that differs from this one by +1 or +2 on one exponent
+    of one denominator factor, or by +1 on one of the first five numerator
+    coefficients of a piece in term order."""
+    for den, num in rational.pieces.items():
+        changed = []
+        for j, factor in enumerate(den):
+            for i, k in itertools.product(range(len(factor)), (1, 2)):
+                new = tuple(a + k * (i == m) for m, a in enumerate(factor))
+                changed.append((num, den[:j] + (new,) + den[j + 1:]))
+        for exp in sorted(num, key=lambda e: (sum(e), e))[:5]:
+            changed.append(({**num, exp: num[exp] + 1}, den))
+        for new_num, new_den in changed:
+            out = MultiRational(rational.nvars)
+            for other, other_num in rational.pieces.items():
+                if other != den:
+                    out.add_piece(other_num, other)
+            out.add_piece(new_num, new_den)
+            yield out
+
+
+def test_identity_fails_every_single_tampering_of_the_n5_rational():
+    # the rational of the blind-spot test at maxDegree 8: 166 of its 316
+    # single tamperings still expand to the series to degree 8, but its
+    # period 5 is below the table's span, so the identity runs on the
+    # whole cell and none of them passes
+    gamma = TranslationSubgroup(5, [[1, 0, 0, 1], [-1, 1, 0, 1],
+                                    [0, -1, 1, 1], [0, 0, -1, 2]])
+    rational = selberg_rational_translation(gamma)
+    table = selberg_series_translation(gamma, 8)
+    assert table.complete
+    assert selberg_identity(gamma, rational, table) == (True, None)
+    series = scan_translation_series(gamma, 8)
+    expansion_passes = identity_passes = count = 0
+    for tampered in _single_tamperings(rational):
+        count += 1
+        expansion_passes += tampered.expand(8) == series
+        identity_passes += selberg_identity(gamma, tampered, table)[0]
+    assert (count, expansion_passes, identity_passes) == (316, 166, 0)
 
 
 @pytest.mark.parametrize("n, basis", [
@@ -273,7 +498,9 @@ def test_selberg_rational_misses_a_wrong_exponent_above_max_degree(
 def test_rational_translation_matches_series_on_skewed_lattices(n, basis):
     gam = TranslationSubgroup(n, basis)
     r = selberg_rational_translation(gam)
-    assert r.expand(8) == selberg_series_translation(gam, 8)
+    assert r.expand(8) == scan_translation_series(gam, 8)
+    assert selberg_identity(gam, r, selberg_series_translation(gam, 8)) \
+        == (True, None)
 
 
 @pytest.mark.parametrize("n, basis, images", [
@@ -363,8 +590,9 @@ def _seeded_subgroups():
     basis rewritten by a seeded unimodular column transform.  The index is
     capped by n, because the cone route's numerators grow fast with it at
     n = 5: index 25 gave 90,360 terms and index 60 gave 2,084,689.  At
-    n = 6 the per-permutation reference takes about 3 s at index 12 and
-    8-27 s at index 18, so the cap there is 12."""
+    n = 6 the face groups take one kernel per distinct image (0.06 s at
+    index 12, against 2 s with one per permutation), but the reference's
+    floor shift still takes seconds at index 18, so the cap there is 12."""
     rng = random.Random(2026)
     max_index = {2: 200, 3: 200, 4: 40, 5: 12, 6: 12}
     out = []
@@ -447,8 +675,10 @@ def test_one_set_of_edge_multiples_per_face_group_with_a_basis(monkeypatch):
 def test_rational_translation_factorial_scale():
     gam = TranslationSubgroup(2, [[2]])
     r = selberg_rational_translation(gam, FACTORIAL)
-    s = selberg_series_translation(gam, 12, FACTORIAL)
+    s = scan_translation_series(gam, 12, FACTORIAL)
     assert r.expand(12) == s
+    assert selberg_identity(gam, r, selberg_series_translation(
+        gam, 12, FACTORIAL)) == (True, None)
 
 
 def test_rational_denominator_factors_are_monomial():
@@ -475,7 +705,7 @@ def affine_series(aff, max_deg, scale=GEODESIC):
 def test_affine_trivial_permutation_part_reduces_to_translation():
     gam = TranslationSubgroup(3, [[1, 0], [-1, 3]])
     aff = AffineSubgroup(gam, [])
-    assert affine_series(aff, 6) == selberg_series_translation(gam, 6)
+    assert affine_series(aff, 6) == scan_translation_series(gam, 6)
 
 
 def test_affine_n2_swap_classes():
