@@ -56,7 +56,6 @@ from .zeta import (
     zeta_positive_orders,
 )
 from .selberg import (
-    ComparisonReport,
     ConjugacyClass,
     affine_conjugacy_classes,
     comparison_check,

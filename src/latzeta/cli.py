@@ -8,6 +8,7 @@ Exit codes: 0 all requested verifications pass, 1 a verification failed,
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -263,25 +264,19 @@ class _Lazy:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.gamma = cfg.subgroup
-        self._graph = None
-        self._det = None
         self._series = {}
 
-    @property
+    @functools.cached_property
     def graph(self) -> QuotientGraph:
-        if self._graph is None:
-            g = build_graph(self.gamma, max_vertices=self.cfg.max_vertices)
-            if self.cfg.perturb is not None:
-                t, r, c, d = self.cfg.perturb
-                g = perturb_adjacency(g, t, r, c, d)
-            self._graph = g
-        return self._graph
+        g = build_graph(self.gamma, max_vertices=self.cfg.max_vertices)
+        if self.cfg.perturb is not None:
+            t, r, c, d = self.cfg.perturb
+            g = perturb_adjacency(g, t, r, c, d)
+        return g
 
-    @property
+    @functools.cached_property
     def det_poly(self) -> IntPolynomial:
-        if self._det is None:
-            self._det = zeta_positive_det(self.graph)
-        return self._det
+        return zeta_positive_det(self.graph)
 
     def selberg_series(self, max_deg: int, scale: str) -> PeriodTable:
         # from the subgroup, never the graph, so a perturbation leaves it be
@@ -408,9 +403,8 @@ def _check_comparison(lazy: _Lazy, cfg: RunConfig):
     # truncated product stays small however large the index
     max_deg = max(cfg.max_degree, 1)
     zeta = zeta_positive_orders(lazy.gamma, max_deg + 1)
-    report = comparison_check(lazy.gamma, max_deg, zeta=zeta,
-                              series=lazy.selberg_series(max_deg, GEODESIC))
-    return report.corrected_equal, report.to_json_obj()
+    return comparison_check(lazy.gamma, max_deg, zeta=zeta,
+                            series=lazy.selberg_series(max_deg, GEODESIC))
 
 
 def _check_invariants(lazy: _Lazy, cfg: RunConfig):

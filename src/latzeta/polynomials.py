@@ -131,9 +131,6 @@ class IntPolynomial:
                     out[i + j] += ca * cb
         return IntPolynomial(out)
 
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __call__(self, x: int) -> int:
         out = 0
         for c in reversed(self.coeffs):

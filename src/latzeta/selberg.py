@@ -695,45 +695,22 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     return out
 
 
-class ComparisonReport(Value):
-    """The specialized Selberg series against the logarithmic derivative of
-    the positive zeta."""
-
-    __slots__ = _fields = ("n", "max_degree", "lhs_coeffs", "rhs_corrected",
-                           "rhs_literal", "corrected_equal", "literal_equal",
-                           "note")
-
-    def __init__(self, n: int, max_degree: int, lhs_coeffs: List[int],
-                 rhs_corrected: List[int], rhs_literal: List[int],
-                 corrected_equal: bool, literal_equal: bool, note: str):
-        self._assign(n, max_degree, lhs_coeffs, rhs_corrected, rhs_literal,
-                     corrected_equal, literal_equal, note)
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "maxDegree": self.max_degree,
-            "selberg_specialized": [str(c) for c in self.lhs_coeffs],
-            "rhs_corrected": [str(c) for c in self.rhs_corrected],
-            "rhs_literal": [str(c) for c in self.rhs_literal],
-            "corrected_equal": self.corrected_equal,
-            "literal_equal": self.literal_equal,
-            "note": self.note,
-        }
-
-
 def comparison_check(gamma: TranslationSubgroup, max_deg: int,
                      zeta: IntPolynomial,
-                     series: PeriodTable) -> ComparisonReport:
+                     series: PeriodTable) -> Tuple[bool, Dict]:
     """Check S(x, 0, .., 0), identity class removed, against the corrected
     form -(n-1)! * x * Z'/Z, for the positive zeta Z of the subgroup; the
-    literal form (n-1)! * Z'/Z is evaluated and reported alongside.
+    literal form (n-1)! * Z'/Z, the same list shifted by one, is reported
+    alongside.  Returns the verdict and the report's entries.
 
     Lengths are taken at the geodesic scale, which is what measures vertex
     counts along closed straight paths; ``series`` is
     ``selberg_series_translation(gamma, max_deg, GEODESIC)``, whose first
     axis has period D: the coefficient of x^k is its cell (k mod D, 0, ..).
-    The maxDegree + 1 coefficient lists are priced against
+    Newton's identities (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I.2) give x * Z'/Z for Z(0) = 1 in maxDegree times the
+    nonzero coefficients of Z up to maxDegree + 1, the only ones read.  The
+    maxDegree + 1 coefficient lists are priced against
     ``SERIES_GRID_CELLS`` before any is allocated.
     """
     if max_deg < 1:
@@ -743,30 +720,38 @@ def comparison_check(gamma: TranslationSubgroup, max_deg: int,
             f"comparison of the specialized Selberg series to degree "
             f"{max_deg}: its coefficient lists of maxDegree + 1 entries are "
             f"above the cap of {SERIES_GRID_CELLS}")
-    n = gamma.n
+    if zeta.coefficient(0) != 1:
+        raise ValueError("the comparison needs Z with constant term 1")
     first = series.specialize_first()
     # a table smaller than the period holds every degree up to max_deg
     period = [first.get(k, 0)
               for k in range(min(series.period, max_deg + 1))]
     lhs = (period * (max_deg // len(period) + 1))[:max_deg + 1]
     lhs[0] = 0
-    z_inv = zeta.series_inverse(max_deg)
-    x_zprime = IntPolynomial([0] + zeta.derivative().coeffs)
-    factor = math.factorial(n - 1)
-    corrected = (x_zprime.mul_truncated(z_inv, max_deg) * (-factor))
-    literal = (zeta.derivative().mul_truncated(z_inv, max_deg) * factor)
-    rhs_corrected = [corrected.coefficient(k) for k in range(max_deg + 1)]
-    rhs_literal = [literal.coefficient(k) for k in range(max_deg + 1)]
+    z = zeta.coeffs[:max_deg + 2]
+    z += [0] * (max_deg + 2 - len(z))
+    terms = [(j, c) for j, c in enumerate(z) if j and c]
+    # s_k = k z_k - sum of z_j s_(k-j) over 0 < j < k, s_k of x * Z'/Z
+    s = [0] * (max_deg + 2)
+    for k in range(1, max_deg + 2):
+        acc = k * z[k]
+        for j, c in terms:
+            if j >= k:
+                break
+            acc -= c * s[k - j]
+        s[k] = acc
+    factor = math.factorial(gamma.n - 1)
+    rhs_corrected = [-factor * c for c in s[:-1]]
+    rhs_literal = [factor * c for c in s[1:]]
     corrected_equal = lhs == rhs_corrected
-    literal_equal = lhs == rhs_literal
-    return ComparisonReport(
-        n=n,
-        max_degree=max_deg,
-        lhs_coeffs=lhs,
-        rhs_corrected=rhs_corrected,
-        rhs_literal=rhs_literal,
-        corrected_equal=corrected_equal,
-        literal_equal=literal_equal,
-        note=("corrected form multiplies the logarithmic derivative by -x and "
-              "drops the identity class from the series side"),
-    )
+    return corrected_equal, {
+        "n": gamma.n,
+        "maxDegree": max_deg,
+        "selberg_specialized": [str(c) for c in lhs],
+        "rhs_corrected": [str(c) for c in rhs_corrected],
+        "rhs_literal": [str(c) for c in rhs_literal],
+        "corrected_equal": corrected_equal,
+        "literal_equal": lhs == rhs_literal,
+        "note": ("corrected form multiplies the logarithmic derivative by -x "
+                 "and drops the identity class from the series side"),
+    }

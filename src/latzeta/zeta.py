@@ -18,7 +18,7 @@ reference for small depths.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -233,15 +233,20 @@ def enumerate_positive_geodesics(g: QuotientGraph, max_len: int
     return out
 
 
+def _one_minus_powers(lengths: Iterable[int], max_deg: int) -> IntPolynomial:
+    """prod (1 - u^length) over the lengths, truncated at max_deg."""
+    out = IntPolynomial.one()
+    for length in lengths:
+        if length <= max_deg:
+            out = out.mul_truncated(
+                IntPolynomial([1] + [0] * (length - 1) + [-1]), max_deg)
+    return out
+
+
 def euler_product_truncation(classes: Sequence[GeodesicClass], max_deg: int
                              ) -> IntPolynomial:
     """prod (1 - u^{length}) over primitive classes, truncated at max_deg."""
-    out = IntPolynomial.one()
-    for c in classes:
-        if c.length <= max_deg:
-            out = out.mul_truncated(
-                IntPolynomial([1] + [0] * (c.length - 1) + [-1]), max_deg)
-    return out
+    return _one_minus_powers((c.length for c in classes), max_deg)
 
 
 class CycleClass(Value):
@@ -335,12 +340,7 @@ def enumerate_backtrackless_cycles(g: QuotientGraph, max_len: int
 
 def backtrackless_euler_truncation(classes: Sequence[CycleClass], max_deg: int
                                    ) -> IntPolynomial:
-    out = IntPolynomial.one()
-    for c in classes:
-        if c.length <= max_deg:
-            out = out.mul_truncated(
-                IntPolynomial([1] + [0] * (c.length - 1) + [-1]), max_deg)
-    return out
+    return _one_minus_powers((c.length for c in classes), max_deg)
 
 
 # start-edge columns pushed through the edge operator together

@@ -292,6 +292,20 @@ def naive_polymatrix_det(coeff_mats: Sequence[np.ndarray]) -> IntPolynomial:
     return total
 
 
+def series_log_derivative(zeta: IntPolynomial, max_deg: int
+                          ) -> Tuple[List[int], List[int]]:
+    """The coefficients of x Z'/Z and of Z'/Z to degree max_deg, from the
+    dense series inverse of Z times its derivative; test oracle for the
+    Newton recurrence of :func:`selberg.comparison_check`."""
+    z_inv = zeta.series_inverse(max_deg)
+    zprime = IntPolynomial([i * c for i, c in enumerate(zeta.coeffs)][1:])
+    x_zprime = IntPolynomial([0] + zprime.coeffs)
+    return ([x_zprime.mul_truncated(z_inv, max_deg).coefficient(k)
+             for k in range(max_deg + 1)],
+            [zprime.mul_truncated(z_inv, max_deg).coefficient(k)
+             for k in range(max_deg + 1)])
+
+
 def product_expand(rational: MultiRational, max_deg: int) -> MultiSeries:
     """Power series of a rational by explicit products: every factor
     1/(1 - u^a) is written out as the geometric sum of the u^(k a) of total

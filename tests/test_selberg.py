@@ -24,7 +24,7 @@ from latzeta.lattice import (
     edge_multiples,
     length_vector,
 )
-from latzeta.polynomials import MultiRational, MultiSeries
+from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
 from latzeta.quotient import AffineSubgroup, TranslationSubgroup
 from latzeta.selberg import (
     PeriodTable,
@@ -34,7 +34,7 @@ from latzeta.selberg import (
     selberg_rational_translation,
     selberg_series_translation,
 )
-from latzeta.zeta import zeta_positive_det
+from latzeta.zeta import zeta_positive_det, zeta_positive_orders
 import _oracles
 from _oracles import (adjugate_membership, brute_force_translation_series,
                       combine, denominator_factors, element_from_coords,
@@ -44,7 +44,7 @@ from _oracles import (adjugate_membership, brute_force_translation_series,
                       per_permutation_images, per_permutation_rational,
                       perm_from_cycles, periodic_extension,
                       random_type_zero_subgroup, scan_translation_series,
-                      series_from_json)
+                      series_from_json, series_log_derivative)
 from perfbench.workloads import (
     PANELS,
     _N4_N32,
@@ -1089,20 +1089,76 @@ def _comparison(gamma, max_deg):
 
 
 def test_comparison_check_n2():
-    report = _comparison(TranslationSubgroup(2, [[2]]), 10)
-    assert report.corrected_equal
-    assert not report.literal_equal
-    assert report.lhs_coeffs == [0, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4]
+    ok, result = _comparison(TranslationSubgroup(2, [[2]]), 10)
+    assert ok and result["corrected_equal"]
+    assert not result["literal_equal"]
+    assert result["selberg_specialized"] == [
+        str(c) for c in [0, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4]]
 
 
 def test_comparison_check_index3_coefficient():
-    report = _comparison(TranslationSubgroup(3, [[1, 0], [-1, 3]]), 9)
-    assert report.corrected_equal
-    assert report.lhs_coeffs[3] == 18
+    ok, result = _comparison(TranslationSubgroup(3, [[1, 0], [-1, 3]]), 9)
+    assert ok
+    assert result["selberg_specialized"][3] == "18"
 
 
 def test_comparison_below_girth_is_zero():
-    report = _comparison(TranslationSubgroup(3, [[3, 0], [0, 3]]), 2)
-    assert report.corrected_equal
-    assert report.lhs_coeffs == [0, 0, 0]
-    assert report.rhs_corrected == [0, 0, 0]
+    ok, result = _comparison(TranslationSubgroup(3, [[3, 0], [0, 3]]), 2)
+    assert ok
+    assert result["selberg_specialized"] == ["0", "0", "0"]
+    assert result["rhs_corrected"] == ["0", "0", "0"]
+
+
+def _assert_comparison_matches_the_series_inverse(gamma, max_deg, zeta,
+                                                  series):
+    _, result = comparison_check(gamma, max_deg, zeta, series)
+    x_log, log = series_log_derivative(zeta, max_deg)
+    factor = math.factorial(gamma.n - 1)
+    assert result["rhs_corrected"] == [str(-factor * c) for c in x_log]
+    assert result["rhs_literal"] == [str(factor * c) for c in log]
+
+
+def test_comparison_recurrence_equals_the_series_inverse_on_the_panels():
+    # the benchmark and demo panels, with the orders product to
+    # maxDegree + 1, as the comparison check reads it
+    configs = [m["config"] for members in PANELS.values() for m in members]
+    configs += [{**base, "maxDegree": 12} for base in cli.DEMO_PANEL]
+    for cfg in configs:
+        if cfg["gamma"]["kind"] != "translation":
+            continue
+        gamma = TranslationSubgroup(cfg["n"], cfg["gamma"]["basis"])
+        deg = cfg["maxDegree"]
+        _assert_comparison_matches_the_series_inverse(
+            gamma, deg, zeta_positive_orders(gamma, deg + 1),
+            selberg_series_translation(gamma, deg, GEODESIC))
+
+
+def test_comparison_recurrence_equals_the_series_inverse_on_sparse_zetas():
+    # constant term 1, signed coefficients with gaps, and degrees on both
+    # sides of maxDegree + 1, the last coefficient the check reads
+    rng = random.Random(20261020)
+    gamma = TranslationSubgroup(3, [[1, 0], [-1, 3]])
+    tables = {}
+    above = below = 0
+    for _ in range(200):
+        max_deg = rng.randint(1, 30)
+        degree = rng.randint(1, 2 * max_deg + 4)
+        coeffs = [1] + [rng.choice([0, 0, 0, rng.randint(-9, 9)])
+                        for _ in range(degree)]
+        coeffs[-1] = coeffs[-1] or rng.choice([-1, 1])
+        zeta = IntPolynomial(coeffs)
+        above += zeta.degree > max_deg + 1
+        below += zeta.degree <= max_deg + 1
+        if max_deg not in tables:
+            tables[max_deg] = selberg_series_translation(gamma, max_deg,
+                                                         GEODESIC)
+        _assert_comparison_matches_the_series_inverse(gamma, max_deg, zeta,
+                                                      tables[max_deg])
+    assert above > 50 and below > 50
+
+
+def test_comparison_needs_constant_term_1():
+    gamma = TranslationSubgroup(2, [[2]])
+    with pytest.raises(ValueError, match="constant term"):
+        comparison_check(gamma, 4, IntPolynomial([-1, 0, 1]),
+                         selberg_series_translation(gamma, 4, GEODESIC))

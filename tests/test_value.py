@@ -19,7 +19,7 @@ VALUE_TYPES = [
     (quotient, ("FiniteAbelianGroup", "Character")),
     (cayley, ("GeneratorSet", "QuotientGraph")),
     (zeta, ("GeodesicClass", "CycleClass")),
-    (selberg, ("ConjugacyClass", "ComparisonReport")),
+    (selberg, ("ConjugacyClass",)),
     (cli, ("RunConfig",)),
 ]
 
