@@ -8,7 +8,6 @@ several-variable Selberg-type zeta with its cone-sum rational closed form.
 
 from .errors import (
     BoxExhaustionError,
-    DivergentSeriesError,
     MultigraphError,
     ResourceCapError,
     SingularMatrixError,
@@ -16,11 +15,9 @@ from .errors import (
 )
 from .lattice import (
     AffineElement,
-    FaceDescriptor,
     LatticeVector,
     LengthVector,
     Permutation,
-    all_faces,
     all_permutations,
     cone_decompose,
     length_vector,

@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Optional, Sequence, Tuple, Union
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, TypeZeroViolationError
 from .cayley import (
     MAX_VERTICES,
     QuotientGraph,
@@ -177,6 +177,11 @@ class RunConfig(Value):
             perms = tuple(tuple(p) for p in raw)
         try:
             subgroup = _subgroup(n, kind, basis, perms)
+        except TypeZeroViolationError as exc:
+            raise ConfigError(f"gamma.{basis_key}", (
+                f"generator {exc.generator} has type {exc.tau}: each "
+                f"generator's coordinate sum must be divisible by n = {n}"
+            )) from None
         except ValueError as exc:
             raise ConfigError(f"gamma.{basis_key}", str(exc)) from None
         max_degree = obj.get("maxDegree", 12)

@@ -18,10 +18,6 @@ class TypeZeroViolationError(ValueError):
         )
 
 
-class DivergentSeriesError(ValueError):
-    """A cone generator has zero weight, so its geometric series diverges."""
-
-
 class MultigraphError(ValueError):
     """Operation is restricted to simple quotient graphs."""
 

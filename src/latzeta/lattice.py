@@ -14,13 +14,11 @@ Conventions used throughout the package:
   scale they are multiplied by n!, which clears every cycle denominator and
   makes all values integers.  Lengths are computed for a whole stack of
   translations with one permutation part at once (:func:`length_vectors`).
-* Faces of the dominant cone x1 >= ... >= xn are indexed by the set S of
-  positions where equality is forced.  A face with blocks (n1, ..., nr) is
-  coordinatized by the strictly decreasing block values t1 > ... > t_{r-1}
-  > t_r = 0, so its lattice points live in Z^{r-1} ("t-coordinates"), or
-  by its edge forms alpha_i = t_i - t_{i+1}, the gaps at its block
-  boundaries, in which its cone is alpha >= 1 and is decomposed
-  (:func:`cone_decompose`).
+* The dominant cone x1 >= ... >= xn, in the coordinates t_j = x_j - x_n,
+  is the closed orthant g >= 0 of the gaps g_j = t_j - t_{j+1}
+  (g_{n-1} = t_{n-1}): one simplicial cone whose rays are the axes, whose
+  lattice points :func:`cone_decompose` lists as a box of base points plus
+  multiples of its edge generators.
 """
 
 from __future__ import annotations
@@ -28,12 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ResourceCapError, SingularMatrixError
-from .intmat import _int_stack, adjugate_and_det, identity_matrix
+from .intmat import _int_stack, adjugate_and_det
 from .polynomials import norm_exponent
 from .value import Value
 
@@ -284,50 +282,6 @@ def length_vector(g: AffineElement, scale: str = GEODESIC) -> LengthVector:
     return length_vectors(g.p, [g.v.coords], scale)[0]
 
 
-class FaceDescriptor(Value):
-    """A face of the dominant cone: S is the set of forced equalities."""
-
-    __slots__ = _fields = ("n", "zero_set")
-
-    def __init__(self, n: int, zero_set: frozenset = frozenset()):
-        if not all(1 <= j <= n - 1 for j in zero_set):
-            raise ValueError("zero_set must be a subset of {1, .., n-1}")
-        self._assign(n, zero_set)
-
-    @property
-    def blocks(self) -> Tuple[int, ...]:
-        sizes = []
-        cur = 1
-        for j in range(1, self.n):
-            if j in self.zero_set:
-                cur += 1
-            else:
-                sizes.append(cur)
-                cur = 1
-        sizes.append(cur)
-        return tuple(sizes)
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the face cone in t-coordinates."""
-        return len(self.blocks) - 1
-
-    def boundary_positions(self) -> Tuple[int, ...]:
-        """1-based positions j where the face's length l_j is supported."""
-        out = []
-        acc = 0
-        for size in self.blocks[:-1]:
-            acc += size
-            out.append(acc)
-        return tuple(out)
-
-
-def all_faces(n: int):
-    for r in range(n):
-        for combo in itertools.combinations(range(1, n), r):
-            yield FaceDescriptor(n, frozenset(combo))
-
-
 def edge_multiples(basis: Sequence[Sequence[int]]):
     """(adj, det, mults) of a square lattice basis H in edge-form
     coordinates: mult_j = |det H| / gcd(det H, adj(H) e_j) is the least
@@ -343,56 +297,49 @@ def _staircase(h: List[List[int]], steps: Sequence[int]) -> np.ndarray:
     """Points alpha = H z of the lattice of the lower-triangular H, one
     coordinate at a time: alpha_j = c_j + h_jj z_j with
     c_j = sum_{l<j} h_jl z_l fixed by z_1 .. z_{j-1}, so alpha_j takes the
-    steps[j] values 1 + (c_j - 1) mod h_jj + h_jj r, r = 0, 1, ..  The rows
+    steps[j] values c_j mod h_jj + h_jj r, r = 0, 1, ..  The rows
     (alpha_1, .., alpha_k), in lexicographic order, as one int64 array."""
     alphas, zs = [], []
     for j, (row, count) in enumerate(zip(h, steps)):
         d = row[j]
         c = sum((x * z for x, z in zip(row, zs) if x),
                 np.zeros(len(zs[0]) if zs else 1, dtype=np.int64))
-        a = ((c - 1) % d + 1)[:, None] + d * np.arange(count, dtype=np.int64)
+        a = (c % d)[:, None] + d * np.arange(count, dtype=np.int64)
         z = (a - c[:, None]) // d
         alphas = [np.repeat(x, count) for x in alphas] + [a.ravel()]
         zs = [np.repeat(x, count) for x in zs] + [z.ravel()]
     return np.stack(alphas, axis=1)
 
 
-def cone_decompose(face: FaceDescriptor,
-                   lattice_basis: Optional[Sequence[Sequence[int]]] = None,
+def cone_decompose(lattice_basis: Sequence[Sequence[int]],
                    edges=None) -> np.ndarray:
-    """The base points of (open face cone) ∩ lattice, as one int64 array of
-    rows (alpha_1, .., alpha_k) of edge forms alpha_i = t_i - t_{i+1}
-    (alpha_k = t_k), in which the open cone is alpha >= 1 with edge rays
-    e_j; a point face gives one empty row.
+    """The base points of (closed orthant alpha >= 0) ∩ lattice, as one
+    int64 array of rows (alpha_1, .., alpha_k).
 
-    The lattice has the basis H in these coordinates (columns are
-    generators), lower triangular with a positive diagonal as
-    :func:`~latzeta.intmat.hnf_columns` gives it, by default Z^k;
-    ``edges``, when given, is its :func:`edge_multiples`.  The least
-    lattice vectors a_j = mult_j e_j on the edges generate the cone's
-    lattice points from those of the half-open parallelepiped,
-    1 <= alpha_j <= mult_j (Stanley, Enumerative Combinatorics I,
-    Sec. 4.6; Beck and Robins, Computing the Continuous Discretely,
-    Thm 3.5), which :func:`_staircase` lists: mult_j e_j = H z has z_l = 0
-    for l < j, so h_jj divides mult_j.  Raises ArithmeticError unless there
-    are prod(mult_j) / |det H| of them, inside the box, distinct and in the
-    lattice, adj(H) alpha = 0 (mod det H) (the test adj(B) t = 0 (mod det B)
-    on the face's t-basis B), and ResourceCapError before allocating unless
-    a proven bound on every entry fits in int64.
+    The lattice has the basis H (columns are generators), lower triangular
+    with a positive diagonal as :func:`~latzeta.intmat.hnf_columns` gives
+    it; ``edges``, when given, is its :func:`edge_multiples`.  The orthant
+    is a simplicial cone with the edge rays e_j, and the least lattice
+    vectors a_j = mult_j e_j on them generate its lattice points from those
+    of the half-open parallelepiped 0 <= alpha_j < mult_j (Beck and Robins,
+    Computing the Continuous Discretely, Thm 3.5; Stanley, Enumerative
+    Combinatorics I, Sec. 4.6), which :func:`_staircase` lists:
+    mult_j e_j = H z has z_l = 0 for l < j, so h_jj divides mult_j.  Raises
+    ArithmeticError unless there are prod(mult_j) / |det H| of them, inside
+    the box, distinct and in the lattice, adj(H) alpha = 0 (mod det H), and
+    ResourceCapError before allocating unless a proven bound on every entry
+    fits in int64.
     """
-    k = face.dim
-    h = (identity_matrix(k) if lattice_basis is None
-         else [[int(x) for x in row] for row in lattice_basis])
-    if len(h) != k or any(len(row) != k for row in h):
-        raise ValueError(f"lattice basis must be {k}x{k} for this face")
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
+    h = [[int(x) for x in row] for row in lattice_basis]
+    k = len(h)
+    if any(len(row) != k for row in h):
+        raise ValueError("lattice basis must be square")
     adj, det, mults = edges or edge_multiples(h)
     if any(row[j] < 1 or any(row[j + 1:]) for j, row in enumerate(h)):
         raise ValueError("lattice basis must be lower triangular with a "
                          "positive diagonal")
     # |z_j| <= (mult_j + |c_j|) / h_jj with |c_j| <= sum_l |h_jl| |z_l|;
-    # the codes of alpha - 1 lie below prod(mult_j)
+    # the codes of alpha lie below prod(mult_j)
     z_max, bound = [], math.prod(mults)
     for j, (row, m) in enumerate(zip(h, mults)):
         c = sum(abs(x) * z for x, z in zip(row, z_max))
@@ -407,12 +354,11 @@ def cone_decompose(face: FaceDescriptor,
                             enumerate(zip(h, mults))])
     # certificate: prod(mult_j) / |det H| distinct lattice points of the
     # half-open parallelepiped, so one in each coset of the generator span
-    box = np.array(mults, dtype=np.int64)
-    inside = bool(((points >= 1) & (points <= box)).all())
+    inside = bool(((points >= 0) & (points < np.array(mults))).all())
     places = np.array([math.prod(mults[j + 1:]) for j in range(k)],
                       dtype=np.int64)
     # the codes and the lattice test are bounded inside the box only
-    codes = np.sort((points - 1) @ places) if inside else None
+    codes = np.sort(points @ places) if inside else None
     distinct = inside and bool((codes[1:] != codes[:-1]).all())
     in_lattice = inside and not (
         points @ np.array(adj, dtype=np.int64).T % abs(det)).any()
@@ -421,7 +367,7 @@ def cone_decompose(face: FaceDescriptor,
         raise ArithmeticError(
             f"cone decomposition: {len(points)} base points for "
             f"prod(mult_j) = {math.prod(mults)} and |det H| = {abs(det)}"
-            + (", an edge form outside [1, mult_j]" if not inside else
+            + (", an edge form outside [0, mult_j)" if not inside else
                ("" if distinct else ", not distinct")
                + ("" if in_lattice else ", a point outside the lattice")))
     return points

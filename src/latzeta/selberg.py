@@ -4,8 +4,9 @@ For a translation subgroup the conjugacy classes are single lattice
 elements, and the closed form is a finite sum of cone sums: summing the
 stabilizer size over a class's sorted pattern is the same as summing, over
 all coordinate permutations q, the points of q(subgroup) that land in the
-dominant cone, face by face.  Each face contributes an exact
-geometric-series rational function.  The series is periodic, with period
+closed dominant cone.  In gap coordinates that cone is an orthant, so each
+distinct image lattice contributes one exact geometric-series rational
+function with one factor per variable.  The series is periodic, with period
 f D in every variable, so it is one table on a period cell: each cell's
 permutation count comes from one product of its gaps with the permuted
 Smith weights, and the rational is checked against the table by an exact
@@ -50,12 +51,10 @@ from .intmat import (
 )
 from .lattice import (
     AffineElement,
-    FaceDescriptor,
     GEODESIC,
     LatticeVector,
     LengthVector,
     Permutation,
-    all_faces,
     all_permutations,
     basis_matrices,
     cone_decompose,
@@ -88,8 +87,8 @@ def _check_int64(context: str, what: str, bound: int) -> None:
 
 # cells of the min(D, span+1)^(n-1) period table of a translation series
 # (and coordinate permutations it counts over), of all the coset boxes an
-# affine class scan may search, and base points of all the cone
-# decompositions of a rational closed form
+# affine class scan may search, and entries of the permuted bases and base
+# points of all the cone decompositions of a rational closed form
 SERIES_GRID_CELLS = 1 << 22
 # cells times permuted weight vectors a period table tests per numpy block,
 # box points an affine class scan filters per block, and terms the rational
@@ -295,9 +294,17 @@ def _image_lattices(gamma: TranslationSubgroup) -> Dict[Tuple, int]:
     forward substitution of every s·basis against the subgroup's column
     HNF.  For s in S, s(subgroup) is a sublattice of the same index, so it
     is the subgroup, and q(subgroup) depends on the coset q S alone: each
-    first q of a coset takes one HNF, with count |S|.
+    first q of a coset takes one HNF, with count |S|.  The stack of
+    n! (n-1)^2 entries is priced against ``SERIES_GRID_CELLS`` before any
+    permutation is listed; above it this raises :class:`ResourceCapError`.
     """
     n = gamma.n
+    entries = math.factorial(n) * (n - 1) ** 2
+    if entries > SERIES_GRID_CELLS:
+        raise ResourceCapError(
+            f"cone route of the rational closed form: its {n}! permuted "
+            f"bases hold {entries} entries, above the cap of "
+            f"{SERIES_GRID_CELLS}")
     perms = list(all_permutations(n))
     # q·basis for every q, with |entries| <= (n-1) max|basis|
     stack = basis_matrices(perms) @ _int_stack(
@@ -325,87 +332,64 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
 
     Summing pattern stabilizers over subgroup elements equals summing, over
     all n! coordinate permutations q, the lattice points of q(subgroup) in
-    each open face of the dominant cone; every such face sum is a cone
-    decomposition turned geometric series.  The faces are cut once per
-    distinct image lattice, and each face sublattice is weighted by N times
-    the number of permutations giving it (:func:`_image_lattices`).
+    the closed dominant cone.  In gap coordinates g_j = t_j - t_{j+1}
+    (g_{n-1} = t_{n-1}) that cone is the orthant g >= 0, so each distinct
+    image lattice (:func:`_image_lattices`), weighted by N times the number
+    of permutations giving it, is one :func:`cone_decompose` of the column
+    HNF of its gap rows: a base point g is the monomial u^(f g), and edge j
+    the factor 1 - u_j^(f mult_j).  The result is the periodic extension of
+    :func:`selberg_series_translation`'s table (:func:`selberg_identity`).
+    Before any cone is decomposed, the base points of all images are
+    counted from their edge multiples; above ``SERIES_GRID_CELLS`` of them
+    it raises :class:`ResourceCapError`.
 
-    An image is written in gap coordinates g_j = t_j - t_{j+1}
-    (g_{n-1} = t_{n-1}), where a face is g_j = 0 on its zero set.  The
-    column HNF of the gap rows, zero-set rows first, ends in the k x k HNF
-    of the face sublattice in the face's edge forms, which keys the face
-    group and is what :func:`cone_decompose` enumerates.  A base point with
-    edge forms alpha_j is the monomial f alpha_j at the face's boundary
-    positions, and generator j the factor 1 - u_pos^(f mult_j); the result
-    is the periodic extension of :func:`selberg_series_translation`'s table
-    (:func:`selberg_identity`).  Before any cone is decomposed, the base
-    points of all face groups are counted from their edge multiples; above
-    ``SERIES_GRID_CELLS`` of them it raises :class:`ResourceCapError`.
-
-    The numerators of the face groups with one denominator merge as int64
-    codes of alpha - 1 in the mixed radix mult_j: one sort and one segment
-    sum of the group weights N * count over all of them, and one exponent
-    tuple per distinct term.
+    The numerators of the images with one set of edge multiples merge as
+    int64 codes of g in the mixed radix mult_j: one sort and one segment
+    sum of the weights N * count over all of them, and one exponent tuple
+    per distinct term.
     """
     n = gamma.n
     f = scale_factor(n, scale)
-    faces = [(face, [j - 1 for j in sorted(face.zero_set)]
-              + [j - 1 for j in face.boundary_positions()])
-             for face in all_faces(n)]
-    groups: Dict[Tuple[FaceDescriptor, Tuple], int] = {}
+    cones = []
     for image, count in _image_lattices(gamma).items():
-        gaps = [[a - b for a, b in zip(row, nxt)]
-                for row, nxt in zip(image, image[1:] + ((0,) * (n - 1),))]
-        for face, order in faces:
-            skip = n - 1 - face.dim
-            block = () if skip == n - 1 else tuple(
-                tuple(row[skip:]) for row in
-                hnf_columns([gaps[j] for j in order])[skip:])
-            groups[face, block] = groups.get((face, block), 0) + count
-    # one set of edge multiples per face group with a basis, for the count
-    # and the cone; a point face has one base point and no generator
-    edges = [edge_multiples(block) if block else ([], 1, [])
-             for _, block in groups]
-    points = sum(math.prod(mults) // abs(det) for _, det, mults in edges)
+        h = hnf_columns([[a - b for a, b in zip(row, nxt)] for row, nxt in
+                         zip(image, image[1:] + ((0,) * (n - 1),))])
+        cones.append((h, edge_multiples(h), gamma.index * count))
+    points = sum(math.prod(mults) // abs(det)
+                 for _, (_, det, mults), _ in cones)
     if points > SERIES_GRID_CELLS:
         raise ResourceCapError(
             f"cone route of the rational closed form: its cone "
             f"decompositions hold {points} base points, above the cap of "
             f"{SERIES_GRID_CELLS}")
     context = "cone route of the rational closed form"
-    # a term's coefficient sums N * count over the groups of one face, whose
-    # counts add up to n!
+    # a term's coefficient sums N * count over images, whose counts add up
+    # to n!
     _check_int64(context, f"a numerator coefficient N * n! = "
                  f"{gamma.index} * {n}!", gamma.index * math.factorial(n))
-    # codes lie below prod(mult_j), exponents are at most f max(mult_j)
+    # codes lie below prod(mult_j), exponents below f max(mult_j)
     _check_int64(context, "a numerator code f * prod(mult_j)",
-                 f * max(math.prod(mults) for _, _, mults in edges))
-    # denominator -> (face, mults, [(group key, edges, weight), ..]);
-    # generator j has edge forms mult_j e_j
-    by_den: Dict[Tuple, Tuple[FaceDescriptor, List[int], list]] = {}
-    for ((face, block), count), group_edges in zip(groups.items(), edges):
-        den = tuple(sorted(
-            tuple(f * m if i == pos else 0 for i in range(1, n))
-            for pos, m in zip(face.boundary_positions(), group_edges[2])))
-        by_den.setdefault(den, (face, group_edges[2], []))[2].append(
-            (block, group_edges, gamma.index * count))
+                 f * max(math.prod(edges[2]) for _, edges, _ in cones))
+    by_mults: Dict[Tuple[int, ...], list] = {}
+    for cone in cones:
+        by_mults.setdefault(tuple(cone[1][2]), []).append(cone)
     out = MultiRational(n - 1)
-    for den, (face, mults, members) in by_den.items():
-        places = np.array([math.prod(mults[j + 1:])
-                           for j in range(len(mults))], dtype=np.int64)
+    for mults, members in by_mults.items():
+        places = np.array([math.prod(mults[j + 1:]) for j in range(n - 1)],
+                          dtype=np.int64)
         held = []
-        for block, group_edges, weight in members:
-            new = (cone_decompose(face, block, group_edges) - 1) @ places
+        for h, edges, weight in members:
+            new = cone_decompose(h, edges) @ places
             held.append((new, np.full(len(new), weight, dtype=np.int64)))
         codes, coeffs = _merge_terms(held)
-        # the exponents column by column: f alpha_j at the boundary
-        # positions, 0 elsewhere
-        exps = [[0] * len(codes)] * (n - 1)
-        for pos, m in zip(face.boundary_positions()[::-1], mults[::-1]):
+        exps = []
+        for m in mults[::-1]:
             codes, digit = np.divmod(codes, m)
-            exps[pos - 1] = (f * (digit + 1)).tolist()
+            exps.append((f * digit).tolist())
+        den = tuple(sorted(tuple(f * m * (i == j) for i in range(n - 1))
+                           for j, m in enumerate(mults)))
         # every denominator is new here and every coefficient positive
-        out.pieces[den] = dict(zip(zip(*exps), coeffs.tolist()))
+        out.pieces[den] = dict(zip(zip(*exps[::-1]), coeffs.tolist()))
     return out
 
 

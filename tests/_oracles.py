@@ -13,20 +13,20 @@ import numpy as np
 from mpmath import mp, mpf
 
 from latzeta import selberg
-from latzeta.errors import (BoxExhaustionError, DivergentSeriesError,
-                            ResourceCapError, SingularMatrixError)
+from latzeta.errors import (BoxExhaustionError, ResourceCapError,
+                            SingularMatrixError)
 from latzeta.intmat import (ImageLattice, adjugate_and_det, hnf_columns,
                             identity_matrix, kernel_basis, mat_mul, mat_vec,
                             snf_diagonal, snf_with_transforms,
                             unimodular_inverse)
 from latzeta.lattice import (FACTORIAL, GEODESIC, AffineElement,
-                             FaceDescriptor,
                              LatticeVector, LengthVector, Permutation,
-                             all_faces, all_permutations, cone_decompose,
+                             all_permutations, cone_decompose,
                              edge_multiples, scale_factor)
 from latzeta.polynomials import (Exponent, IntPolynomial, MultiRational,
                                  MultiSeries, _dict_add_term, norm_exponent)
 from latzeta.quotient import TranslationSubgroup
+from latzeta.value import Value
 
 
 def perm_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Permutation:
@@ -722,10 +722,64 @@ def is_integral(lengths: LengthVector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the cone route by other means: face sublattices by integer kernels of the
-# face conditions, base points by a floor shift of each coset
-# representative, and pieces through a weight map; the reference for
-# selberg_rational_translation
+# the cone route by other means: the closed dominant cone cut into its open
+# faces, face sublattices by integer kernels of the face conditions, base
+# points by a floor shift of each coset representative, and pieces through
+# a weight map; the reference for selberg_rational_translation
+
+
+class DivergentSeriesError(ValueError):
+    """A cone generator has zero weight, so its geometric series diverges."""
+
+
+class FaceDescriptor(Value):
+    """A face of the dominant cone x1 >= ... >= xn: S is the set of forced
+    equalities.  A face with blocks (n1, .., nr) is coordinatized by the
+    strictly decreasing block values t1 > ... > t_{r-1} > t_r = 0, so its
+    lattice points live in Z^{r-1} ("t-coordinates"), or by its edge forms
+    alpha_i = t_i - t_{i+1}, the gaps at its block boundaries, in which its
+    cone is alpha >= 1."""
+
+    __slots__ = _fields = ("n", "zero_set")
+
+    def __init__(self, n: int, zero_set: frozenset = frozenset()):
+        if not all(1 <= j <= n - 1 for j in zero_set):
+            raise ValueError("zero_set must be a subset of {1, .., n-1}")
+        self._assign(n, zero_set)
+
+    @property
+    def blocks(self) -> Tuple[int, ...]:
+        sizes = []
+        cur = 1
+        for j in range(1, self.n):
+            if j in self.zero_set:
+                cur += 1
+            else:
+                sizes.append(cur)
+                cur = 1
+        sizes.append(cur)
+        return tuple(sizes)
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the face cone in t-coordinates."""
+        return len(self.blocks) - 1
+
+    def boundary_positions(self) -> Tuple[int, ...]:
+        """1-based positions j where the face's length l_j is supported."""
+        out = []
+        acc = 0
+        for size in self.blocks[:-1]:
+            acc += size
+            out.append(acc)
+        return tuple(out)
+
+
+def all_faces(n: int):
+    """The 2^(n-1) faces of the dominant cone, the open cone first."""
+    for r in range(n):
+        for combo in itertools.combinations(range(1, n), r):
+            yield FaceDescriptor(n, frozenset(combo))
 
 
 def face_condition_rows(n: int, zero_set) -> List[List[int]]:
@@ -777,30 +831,54 @@ class ConeDecomposition(NamedTuple):
     generators: Tuple[Tuple[int, ...], ...]
 
 
-def edge_form_basis(face: FaceDescriptor, t_basis=None) -> List[List[int]]:
-    """The column HNF, in the face's edge forms alpha_i = t_i - t_{i+1}
-    (alpha_k = t_k), of the lattice with the square t-basis t_basis (by
-    default Z^k): the basis that lattice.cone_decompose takes."""
-    k = face.dim
-    b = ([[int(x) for x in row] for row in t_basis] if t_basis is not None
-         else identity_matrix(k))
+def edge_form_basis(t_basis: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The column HNF, in the edge forms alpha_i = t_i - t_{i+1}
+    (alpha_k = t_k), of the lattice with the square t-basis t_basis: the
+    basis that lattice.cone_decompose takes."""
+    b = [[int(x) for x in row] for row in t_basis]
     return hnf_columns([[x - y for x, y in zip(row, nxt)]
-                        for row, nxt in zip(b, b[1:] + [[0] * k])])
+                        for row, nxt in zip(b, b[1:] + [[0] * len(b)])])
 
 
 def t_decomposition(face: FaceDescriptor, t_basis=None) -> ConeDecomposition:
-    """lattice.cone_decompose on the lattice with the t-basis t_basis (by
-    default Z^k), its base points written in t-coordinates,
-    t_i = sum_{j >= i} alpha_j, and sorted, with the generators
-    mult_j (1^j, 0)."""
-    h = edge_form_basis(face, t_basis)
-    alpha = cone_decompose(face, h)
-    t = np.cumsum(alpha[:, ::-1], axis=1)[:, ::-1]
+    """The open face cone's decomposition on the lattice with the t-basis
+    t_basis (by default Z^k), from lattice.cone_decompose on the closed
+    orthant alpha >= 0: each coset's base point in [0, mult_j) becomes the
+    one in [1, mult_j] by adding mult_j e_j wherever alpha_j = 0.  Its base
+    points are written in t-coordinates, t_i = sum_{j >= i} alpha_j, and
+    sorted, with the generators mult_j (1^j, 0)."""
     k = face.dim
+    if k == 0:
+        return ConeDecomposition(((),), ())
+    h = edge_form_basis(t_basis if t_basis is not None
+                        else identity_matrix(k))
+    mults = edge_multiples(h)[2]
+    alpha = cone_decompose(h)
+    alpha = np.where(alpha == 0, mults, alpha)
+    t = np.cumsum(alpha[:, ::-1], axis=1)[:, ::-1]
     return ConeDecomposition(
         tuple(sorted(map(tuple, t.tolist()))),
         tuple((m,) * (j + 1) + (0,) * (k - j - 1)
-              for j, m in enumerate(edge_multiples(h)[2])))
+              for j, m in enumerate(mults)))
+
+
+def triangular_box_walk(h: Sequence[Sequence[int]],
+                        upper: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Every alpha with 0 <= alpha_j < upper_j in the lattice of the lower
+    triangular H, in lexicographic order, by a walk over the whole box:
+    alpha = H z is solved for z by forward substitution, one exact division
+    per coordinate."""
+    out = []
+    for alpha in itertools.product(*map(range, upper)):
+        z = []
+        for j, row in enumerate(h):
+            rest = alpha[j] - sum(x * y for x, y in zip(row, z))
+            if rest % row[j]:
+                break
+            z.append(rest // row[j])
+        else:
+            out.append(alpha)
+    return out
 
 
 def floor_shift_cone_decompose(face: FaceDescriptor,
@@ -940,4 +1018,36 @@ def per_permutation_rational(gamma, scale: str = GEODESIC,
         for den, num in piece.pieces.items():
             out.add_piece({e: gamma.index * count * c
                            for e, c in num.items()}, den)
+    return out
+
+
+def cube_coefficients(rational: MultiRational, f: int, top: int
+                      ) -> np.ndarray:
+    """The coefficients of the rational's series at the exponents f g,
+    g in [0, top]^nvars, as one dense int64 array indexed by g: each
+    piece's numerator placed on the cube, then a running sum with step a
+    along the axis of each factor 1 - u_i^(f a).
+
+    Both the cone route and :func:`per_permutation_rational` are fixed by
+    this cube when D divides top: the route's pieces have period f D on
+    every axis, and each open face's piece has it on every axis where the
+    exponent is positive, so every exponent reduces into the cube
+    [0, f D]^nvars by steps that keep both coefficients."""
+    shape = (top + 1,) * rational.nvars
+    out = np.zeros(shape, dtype=np.int64)
+    for den, num in rational.pieces.items():
+        piece = np.zeros(shape, dtype=np.int64)
+        for e, c in num.items():
+            if any(x % f for x in e):
+                raise ValueError(f"exponent {e} is not a multiple of {f}")
+            if max(e, default=0) <= f * top:
+                piece[tuple(x // f for x in e)] += c
+        for factor in den:
+            (axis, a), = [(i, x) for i, x in enumerate(factor) if x]
+            if a % f:
+                raise ValueError(f"factor {factor} is not a multiple of {f}")
+            view = np.moveaxis(piece, axis, 0)
+            for i in range(a // f, top + 1):
+                view[i] += view[i - a // f]
+        out += piece
     return out

@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import itertools
 import random
 import time
 
@@ -12,13 +11,15 @@ import pytest
 
 from latzeta.cayley import build_graph, perturb_adjacency
 from latzeta.cli import RunConfig, run_config
+from latzeta.intmat import hnf_columns
 from latzeta.lattice import (
     AffineElement,
     FACTORIAL,
     GEODESIC,
     LatticeVector,
     Permutation,
-    all_faces,
+    cone_decompose,
+    edge_multiples,
     length_vector,
 )
 from latzeta.quotient import TranslationSubgroup
@@ -41,7 +42,8 @@ from latzeta.zeta import (
     zeta_positive_orders,
 )
 from _oracles import (conjugate_by, denominator_factors, is_integral,
-                      scan_translation_series, t_decomposition)
+                      per_permutation_images, scan_translation_series,
+                      triangular_box_walk)
 
 # translation panel: 15 type-zero subgroups spanning n = 2, 3, 4 with N <= 100
 PANEL = [
@@ -208,19 +210,10 @@ def test_criterion_7_length_function_suite():
     assert ok
 
 
-def _cone_points_box(k, box):
-    out = set()
-    for t in itertools.product(range(box + 1), repeat=k):
-        if all(t[i] > t[i + 1] for i in range(k - 1)) and t[-1] > 0:
-            out.add(t)
-    return out
-
-
-def _generated_points_box(dec, box):
-    k = len(dec.generators)
+def _generated_points_box(base_points, generators, box):
     seen = {}
     duplicates = 0
-    for base in dec.base_points:
+    for base in base_points:
         frontier = [base]
         visited = {base}
         while frontier:
@@ -228,7 +221,7 @@ def _generated_points_box(dec, box):
             if point in seen:
                 duplicates += 1
             seen[point] = True
-            for g in dec.generators:
+            for g in generators:
                 nxt = tuple(a + b for a, b in zip(point, g))
                 if max(nxt, default=0) <= box and nxt not in visited:
                     visited.add(nxt)
@@ -236,22 +229,28 @@ def _generated_points_box(dec, box):
     return set(seen), duplicates
 
 
-def test_criterion_8_cone_decomposition_bijectivity():
+def test_criterion_8_cone_decomposition_bijectivity(panel):
+    # the closed orthant of every image lattice's gap coordinates, as the
+    # cone route cuts it: base points plus the edge generators mult_j e_j
+    # cover the lattice points of [0, box]^k once each
     box = 12
-    faces_checked = 0
+    cones = set()
+    for e in panel["entries"]:
+        for image in per_permutation_images(e["gamma"]):
+            cones.add(tuple(map(tuple, hnf_columns(
+                [[a - b for a, b in zip(row, nxt)] for row, nxt in
+                 zip(image, image[1:] + ((0,) * len(image),))]))))
     ok = True
-    for n in (2, 3, 4):
-        for face in all_faces(n):
-            if face.dim == 0:
-                continue
-            dec = t_decomposition(face)
-            generated, duplicates = _generated_points_box(dec, box)
-            expected = _cone_points_box(face.dim, box)
-            inside = {p for p in generated if max(p) <= box}
-            ok = ok and duplicates == 0 and inside == expected
-            faces_checked += 1
+    for h in cones:
+        k = len(h)
+        base = [tuple(a) for a in cone_decompose(h).tolist()]
+        generators = [tuple(m * (i == j) for i in range(k))
+                      for j, m in enumerate(edge_multiples(h)[2])]
+        generated, duplicates = _generated_points_box(base, generators, box)
+        ok = ok and duplicates == 0 and generated == set(
+            triangular_box_walk(h, [box + 1] * k))
     report_line(8, f"cone decompositions bijective on [0,{box}]^k boxes", ok,
-                f"{faces_checked} faces, n <= 4")
+                f"{len(cones)} image lattices of the panel")
     assert ok
 
 

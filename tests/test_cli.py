@@ -68,6 +68,23 @@ def test_invalid_config_type_violation_names_generator(tmp_path, capsys):
     assert "(1,)" in err and "type 1" in err
 
 
+@pytest.mark.parametrize("n, basis, generator", [
+    (2, [[1]], "(1,)"),
+    (3, [[1, 0], [-1, 1]], "(0, 1)"),
+])
+def test_type_violation_message_states_the_rule(tmp_path, capsys, n, basis,
+                                                generator):
+    # the rule a config can meet, not the API's check_types argument,
+    # which no config key reaches
+    cfg = {"n": n, "gamma": {"kind": "translation", "basis": basis}}
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'gamma.basis'" in err and generator in err
+    assert (f"each generator's coordinate sum must be divisible by n = {n}"
+            in err)
+    assert "check_types" not in err
+
+
 def test_invalid_config_shapes(tmp_path, capsys):
     bad = [
         {"n": 1, "gamma": {"kind": "translation", "basis": []}},
@@ -792,15 +809,15 @@ def _faulty(route, fault):
             out.add_term(fault, 1)
             return out
         if route == "selberg_rational_translation":
-            # +1 on a numerator term of the polynomial piece, or one factor
-            # of the two-factor piece with its exponent times arg
+            # +1 on the numerator term u^arg of each piece, or the first of
+            # each piece's n - 1 factors with its exponent times arg
             kind, arg = fault
             tampered = MultiRational(out.nvars)
             for den, num in out.pieces.items():
-                if kind == "numerator" and not den:
+                if kind == "numerator":
                     num = {**num, arg: num.get(arg, 0) + 1}
-                if kind == "denominator" and len(den) == 2:
-                    den = (den[0], tuple(arg * a for a in den[1]))
+                else:
+                    den = (tuple(arg * a for a in den[0]), *den[1:])
                 tampered.add_piece(num, den)
             return tampered
         if route == "affine_conjugacy_classes":
@@ -857,9 +874,9 @@ FAULT_MATRIX = [
     ("simple", "ihara_bass", 1, {"ihara"}),
     ("simple", "backtrackless_cycle_product", 2, {"ihara"}),
     ("simple", "backtrackless_cycle_product", 6, {"ihara"}),
-    # tamperings above maxDegree 6 that leave the rational's expansion to
-    # degree 6 unchanged: +1 on u^(7, 0), and the factor 1 - u^(3, 0) of
-    # u^(3, 3) / ((1 - u^(0, 3)) (1 - u^(3, 0))) made 1 - u^(9, 0)
+    # tamperings of the rational 54 / ((1 - u^(0, 3)) (1 - u^(3, 0))): +1
+    # on u^(7, 0), above maxDegree 6, and the factor 1 - u^(0, 3) made
+    # 1 - u^(0, 9), whose exponent does not divide the period 3
     ("simple", "selberg_rational_translation", ("numerator", (7, 0)),
      {"selberg_rational"}),
     ("simple", "selberg_rational_translation", ("denominator", 3),
@@ -902,6 +919,12 @@ def test_single_fault_fails_exactly_these_checks(monkeypatch, config, route,
         for name in fails & {"positive_zeta", "lfunction"}:
             assert report["results"][name]["first_difference"]["index"] \
                 == fault
+    # and the identity names the term or the factor
+    if route == "selberg_rational_translation":
+        assert report["results"]["selberg_rational"][
+            "identity_first_difference"] == (
+                {"exponent": [7, 0]} if fault[0] == "numerator"
+                else {"denominator_factor": [0, 9]})
 
 
 @pytest.mark.parametrize("check, expected", [("ihara", 0), ("comparison", 3)])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latzeta import lattice
-from latzeta.errors import DivergentSeriesError, SingularMatrixError
+from latzeta.errors import SingularMatrixError
 from latzeta.intmat import (
     mat_vec,
     snf_diagonal,
@@ -15,13 +15,11 @@ from latzeta.intmat import (
 )
 from latzeta.lattice import (
     AffineElement,
-    FaceDescriptor,
     GEODESIC,
     FACTORIAL,
     LatticeVector,
     LengthVector,
     Permutation,
-    all_faces,
     all_permutations,
     cone_decompose,
     length_vector,
@@ -30,12 +28,14 @@ from latzeta.lattice import (
 )
 
 from perfbench.workloads import transform_columns, unimodular
-from _oracles import (ConeDecomposition, combine, conjugate_by,
+from _oracles import (ConeDecomposition, DivergentSeriesError,
+                      FaceDescriptor, all_faces, combine, conjugate_by,
                       edge_form_basis, face_length_exponents,
                       floor_shift_cone_decompose, fraction_inverse,
                       fraction_length_vector, is_integral, laplace_det,
                       length_vector_from_ratios, perm_from_cycles,
-                      rational_cone_sum, t_decomposition)
+                      rational_cone_sum, t_decomposition,
+                      triangular_box_walk)
 
 
 def rand_affine(rng, n, bound=10):
@@ -187,17 +187,19 @@ def test_face_descriptor_blocks():
 
 
 def test_cone_decompose_examples():
-    # half line in Z: base {1}, generator (1); its edge form is t itself
-    assert cone_decompose(FaceDescriptor(2, frozenset())).tolist() == [[1]]
+    # the closed half line in Z and the closed orthant in Z^2: base point 0
+    assert cone_decompose([[1]]).tolist() == [[0]]
+    assert cone_decompose([[1, 0], [0, 1]]).tolist() == [[0, 0]]
+    # 2N in N: base point 0, generator 2
+    assert cone_decompose([[2]]).tolist() == [[0]]
+    # the open faces read it shifted into [1, mult_j]: the open half line
+    # has base point 1, the open n = 3 cone edge forms (1, 1), so t = (2, 1)
     dec = t_decomposition(FaceDescriptor(2, frozenset()))
     assert dec.base_points == ((1,),) and dec.generators == ((1,),)
-    # open dominant cone for n=3: edge forms (1, 1), so t = (2, 1)
-    assert cone_decompose(FaceDescriptor(3, frozenset())).tolist() == [[1, 1]]
     dec = t_decomposition(FaceDescriptor(3, frozenset()))
     assert dec.base_points == ((2, 1),)
     assert dec.generators == ((1, 0), (1, 1))
     # point face: one empty row
-    assert cone_decompose(FaceDescriptor(3, frozenset({1, 2}))).shape == (1, 0)
     dec = t_decomposition(FaceDescriptor(3, frozenset({1, 2})))
     assert dec.base_points == ((),) and dec.generators == ()
 
@@ -205,19 +207,45 @@ def test_cone_decompose_examples():
 def test_cone_decompose_reads_the_staircase():
     # the lattice (2 z_1, z_1 + 3 z_2): mult = (6, 3), so 6 * 3 / 6 points;
     # alpha_1 = 2 z_1 takes 3 values, and then alpha_2 = z_1 + 3 z_2 one
-    face = FaceDescriptor(3, frozenset())
     assert lattice.edge_multiples([[2, 0], [1, 3]])[2] == [6, 3]
-    assert cone_decompose(face, [[2, 0], [1, 3]]).tolist() == [
-        [2, 1], [4, 2], [6, 3]]
+    assert cone_decompose([[2, 0], [1, 3]]).tolist() == [
+        [0, 0], [2, 1], [4, 2]]
     # a basis that is not lower triangular with a positive diagonal
     for basis in ([[1, 1], [0, 1]], [[-1, 0], [0, 1]]):
         with pytest.raises(ValueError, match="lower triangular"):
-            cone_decompose(face, basis)
+            cone_decompose(basis)
+    with pytest.raises(ValueError, match="square"):
+        cone_decompose([[1, 0]])
 
 
 def test_cone_decompose_rejects_degenerate_lattice():
     with pytest.raises(SingularMatrixError):
-        cone_decompose(FaceDescriptor(3, frozenset()), [[1, 1], [1, 1]])
+        cone_decompose([[1, 1], [1, 1]])
+
+
+def _random_lower_triangular(rng, k):
+    """Lower triangular with diagonal 1..4 and entries below it up to 6 in
+    size: a lattice of determinant at most 4^k."""
+    return [[rng.randint(1, 4) if i == j else rng.randint(-6, 6) if i > j
+             else 0 for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_closed_cone_decompose_matches_the_box_walk(k):
+    # the staircase's base points are exactly the lattice points of the box
+    # [0, mult_j), found by walking every point of the box; at most 4,096
+    # box points a draw
+    rng = random.Random(f"closed-cone-{k}")
+    walked = 0
+    for _ in range(40):
+        h = _random_lower_triangular(rng, k)
+        mults = lattice.edge_multiples(h)[2]
+        if math.prod(mults) > 4096:
+            continue
+        assert cone_decompose(h).tolist() == list(
+            map(list, triangular_box_walk(h, mults)))
+        walked += 1
+    assert walked >= 10
 
 
 class _WalkTooLong(Exception):
@@ -324,7 +352,7 @@ def test_closed_form_base_points_match_the_greedy_walk(n):
         compared = 0
         for _ in range(40):
             basis = _skewed_basis(rng, k)
-            h = edge_form_basis(face, basis)
+            h = edge_form_basis(basis)
             _, det, mults = lattice.edge_multiples(h)
             if math.prod(mults) // abs(det) > 1000:
                 continue
@@ -372,9 +400,8 @@ def test_edge_form_base_points_match_the_floor_shift(n):
 @pytest.mark.parametrize("fault", ["double_last", "all_ones"])
 def test_cone_decompose_certificate_trips_on_wrong_staircase_steps(
         monkeypatch, fault):
-    face = FaceDescriptor(3, frozenset())
-    h = edge_form_basis(face, [[3, 0], [1, 3]])
-    assert len(cone_decompose(face, h)) == 9
+    h = edge_form_basis([[3, 0], [1, 3]])
+    assert len(cone_decompose(h)) == 9
     true_staircase = lattice._staircase
 
     def wrong(h, steps):
@@ -385,12 +412,12 @@ def test_cone_decompose_certificate_trips_on_wrong_staircase_steps(
 
     monkeypatch.setattr(lattice, "_staircase", wrong)
     with pytest.raises(ArithmeticError, match="base points"):
-        cone_decompose(face, h)
+        cone_decompose(h)
 
 
 @pytest.mark.parametrize("fault, match", [
     ("count", r"base points for prod\(mult_j\) = 1728 and \|det H\| = 12$"),
-    ("box", r"an edge form outside \[1, mult_j\]$"),
+    ("box", r"an edge form outside \[0, mult_j\)$"),
     ("duplicate", r"base points for .*, not distinct$"),
 ])
 def test_cone_decompose_certificate_trips_on_a_tampered_staircase(
@@ -398,10 +425,9 @@ def test_cone_decompose_certificate_trips_on_a_tampered_staircase(
     # each fault leaves the certificate's other tests passing: one point
     # dropped; one point moved by its first generator, so still in the
     # lattice and distinct; the last point replaced by the first
-    face = FaceDescriptor(4, frozenset())
-    h = edge_form_basis(face, [[2, 0, 0], [1, 3, 0], [0, 1, 2]])
+    h = edge_form_basis([[2, 0, 0], [1, 3, 0], [0, 1, 2]])
     mults = lattice.edge_multiples(h)[2]
-    assert len(cone_decompose(face, h)) == 144
+    assert len(cone_decompose(h)) == 144
     true_staircase = lattice._staircase
 
     def tampered(h, steps):
@@ -416,7 +442,7 @@ def test_cone_decompose_certificate_trips_on_a_tampered_staircase(
 
     monkeypatch.setattr(lattice, "_staircase", tampered)
     with pytest.raises(ArithmeticError, match=match):
-        cone_decompose(face, h)
+        cone_decompose(h)
 
 
 @pytest.mark.parametrize("n, basis", [
@@ -426,27 +452,27 @@ def test_cone_decompose_certificate_trips_on_a_tampered_staircase(
 def test_cone_decompose_certificate_trips_on_points_outside_the_lattice(
         monkeypatch, n, basis):
     # moving every base point one step along the last edge, cyclically in
-    # [1, mult_k], keeps the points distinct, their count and their edge
-    # forms in [1, mult_j], but moves each by e_k modulo the lattice, which
+    # [0, mult_k), keeps the points distinct, their count and their edge
+    # forms in [0, mult_j), but moves each by e_k modulo the lattice, which
     # is not in it as mult_k > 1: only the lattice test
     # adj(H) alpha = 0 (mod det H) sees it
-    face = FaceDescriptor(n, frozenset())
-    h = edge_form_basis(face, basis)
+    h = edge_form_basis(basis)
+    assert len(h) == n - 1
     last = lattice.edge_multiples(h)[2][-1]
     assert last > 1
-    cone_decompose(face, h)
+    cone_decompose(h)
     true_staircase = lattice._staircase
 
     def shifted(h, steps):
         out = true_staircase(h, steps)
-        out[:, -1] = out[:, -1] % last + 1
+        out[:, -1] = (out[:, -1] + 1) % last
         return out
 
     monkeypatch.setattr(lattice, "_staircase", shifted)
     with pytest.raises(ArithmeticError,
                        match=r"base points for .*\d, a point outside the "
                              r"lattice$"):
-        cone_decompose(face, h)
+        cone_decompose(h)
 
 
 def _cone_points_box(k, box):

@@ -23,6 +23,7 @@ from latzeta.lattice import (
     cone_decompose,
     edge_multiples,
     length_vector,
+    scale_factor,
 )
 from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
 from latzeta.quotient import AffineSubgroup, TranslationSubgroup
@@ -37,7 +38,8 @@ from latzeta.selberg import (
 from latzeta.zeta import zeta_positive_det, zeta_positive_orders
 import _oracles
 from _oracles import (adjugate_membership, brute_force_translation_series,
-                      combine, denominator_factors, element_from_coords,
+                      combine, cube_coefficients, denominator_factors,
+                      element_from_coords,
                       face_groups, find_conjugator,
                       fraction_free_coordinate_bounds,
                       naive_affine_classes, per_permutation_class_weights,
@@ -367,20 +369,26 @@ def test_rational_translation_expansion_matches_series():
 def test_selberg_rational_catches_a_wrong_exponent_above_max_degree(
         monkeypatch):
     """A blind spot of the expansion check, closed by the identity.  The
-    piece 600 u^(0,0,0,5) / (1 - u^(0,0,0,5)) of the n = 5 rational has
-    terms at total degree 5, 10, 15, ..; with the factor tampered to
-    (1, 0, 0, 5) they fall at 5, 11, 17, .., so every term the tampering
-    changes lies above degree 8, and the expansion to degree 8 still
-    equals the series.  The identity needs no degree: the factor lies on
-    two axes, so it fails at maxDegree 8 as at 16."""
+    n = 5 rational is one piece, 600 times the 125 monomials u^g, g in
+    [0, 5)^4, over one factor 1 - u_i^5 per variable.  With the terms of
+    total degree 4 and more moved to a second piece whose factor
+    1 - u^(0,0,0,5) is tampered to 1 - u^(1,0,0,5), those terms' multiples
+    of u^(0,0,0,5) fall at degree 10, 15, .. instead of 9, 14, .., so
+    every term the tampering changes lies above degree 8, and the
+    expansion to degree 8 still equals the series.  The identity needs no
+    degree: the factor lies on two axes, so it fails at maxDegree 8 as at
+    16."""
     basis = [[1, 0, 0, 1], [-1, 1, 0, 1], [0, -1, 1, 1], [0, 0, -1, 2]]
     gamma = TranslationSubgroup(5, basis)
     rational = selberg_rational_translation(gamma)
-    factor = ((0, 0, 0, 5),)
-    assert rational.pieces[factor] == {(0, 0, 0, 5): 600}
+    (den, num), = rational.pieces.items()
+    assert den == tuple(tuple(5 * (i == j) for i in range(4))
+                        for j in (3, 2, 1, 0))
+    assert len(num) == 125 and set(num.values()) == {600}
     tampered = MultiRational(rational.nvars)
-    for den, num in rational.pieces.items():
-        tampered.add_piece(num, ((1, 0, 0, 5),) if den == factor else den)
+    tampered.add_piece({e: c for e, c in num.items() if sum(e) < 4}, den)
+    tampered.add_piece({e: c for e, c in num.items() if sum(e) >= 4},
+                       ((1, 0, 0, 5),) + den[1:])
     assert tampered.expand(8) == scan_translation_series(gamma, 8)
     assert tampered.expand(16) != scan_translation_series(gamma, 16)
     monkeypatch.setattr(cli, "selberg_rational_translation",
@@ -400,6 +408,9 @@ def test_selberg_rational_catches_a_wrong_exponent_above_max_degree(
 def test_identity_names_the_first_failure():
     gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
     rational = selberg_rational_translation(gamma)
+    # 54 / ((1 - u_1^3)(1 - u_2^3))
+    (den, num), = rational.pieces.items()
+    assert (den, num) == (((0, 3), (3, 0)), {(0, 0): 54})
     table = selberg_series_translation(gamma, 6)
     assert selberg_identity(gamma, rational, table) == (True, None)
     # a period that does not annihilate the quotient
@@ -409,7 +420,7 @@ def test_identity_names_the_first_failure():
     table.add_term((2, 1), 1)
     assert selberg_identity(gamma, rational, table) == (
         False, {"exponent": [2, 1]})
-    rational.pieces[()][(1, 1)] = 1
+    num[(1, 1)] = 1
     assert selberg_identity(gamma, rational, table) == (
         False, {"exponent": [1, 1]})
     # on the cube of an incomplete table, only the terms inside it count
@@ -417,8 +428,8 @@ def test_identity_names_the_first_failure():
     assert not small.complete
     assert selberg_identity(gamma, rational, small) == (
         False, {"exponent": [1, 1]})
-    del rational.pieces[()][(1, 1)]
-    rational.pieces[()][(2, 0)] = 1
+    del num[(1, 1)]
+    num[(2, 0)] = 1
     assert selberg_identity(gamma, rational, small) == (True, None)
 
 
@@ -431,10 +442,12 @@ def test_table_and_identity_blocks_do_not_change_the_results(monkeypatch):
         gamma = TranslationSubgroup(n, basis)
         table = selberg_series_translation(gamma, max_deg)
         rational = selberg_rational_translation(gamma)
+        # +1 at u^(1, .., 1) of the first piece
         tampered = MultiRational(rational.nvars)
-        for den, num in rational.pieces.items():
-            tampered.add_piece({**num, (1,) * (n - 1): 1} if not den else num,
-                               den)
+        for i, (den, num) in enumerate(rational.pieces.items()):
+            one = (1,) * (n - 1)
+            tampered.add_piece({**num, one: num.get(one, 0) + 1} if i == 0
+                               else num, den)
         expected = selberg_identity(gamma, tampered, table)
         assert not expected[0]
         for block in (1, 7, 500):
@@ -448,15 +461,16 @@ def test_table_and_identity_blocks_do_not_change_the_results(monkeypatch):
 
 def _single_tamperings(rational: MultiRational):
     """Every rational that differs from this one by +1 or +2 on one exponent
-    of one denominator factor, or by +1 on one of the first five numerator
-    coefficients of a piece in term order."""
+    of one denominator factor, or by +1 on one of the first five or the
+    last five numerator coefficients of a piece in term order."""
     for den, num in rational.pieces.items():
         changed = []
         for j, factor in enumerate(den):
             for i, k in itertools.product(range(len(factor)), (1, 2)):
                 new = tuple(a + k * (i == m) for m, a in enumerate(factor))
                 changed.append((num, den[:j] + (new,) + den[j + 1:]))
-        for exp in sorted(num, key=lambda e: (sum(e), e))[:5]:
+        order = sorted(num, key=lambda e: (sum(e), e))
+        for exp in order[:5] + order[-5:]:
             changed.append(({**num, exp: num[exp] + 1}, den))
         for new_num, new_den in changed:
             out = MultiRational(rational.nvars)
@@ -468,10 +482,11 @@ def _single_tamperings(rational: MultiRational):
 
 
 def test_identity_fails_every_single_tampering_of_the_n5_rational():
-    # the rational of the blind-spot test at maxDegree 8: 166 of its 316
-    # single tamperings still expand to the series to degree 8, but its
-    # period 5 is below the table's span, so the identity runs on the
-    # whole cell and none of them passes
+    # the rational of the blind-spot test at maxDegree 8, one piece with
+    # four factors: the five numerator tamperings at total degree 15 and
+    # 16 still expand to the series to degree 8, but its period 5 is
+    # below the table's span, so the identity runs on the whole cell and
+    # none of its 42 single tamperings passes
     gamma = TranslationSubgroup(5, [[1, 0, 0, 1], [-1, 1, 0, 1],
                                     [0, -1, 1, 1], [0, 0, -1, 2]])
     rational = selberg_rational_translation(gamma)
@@ -484,7 +499,7 @@ def test_identity_fails_every_single_tampering_of_the_n5_rational():
         count += 1
         expansion_passes += tampered.expand(8) == series
         identity_passes += selberg_identity(gamma, tampered, table)[0]
-    assert (count, expansion_passes, identity_passes) == (316, 166, 0)
+    assert (count, expansion_passes, identity_passes) == (42, 5, 0)
 
 
 @pytest.mark.parametrize("n, basis", [
@@ -517,10 +532,8 @@ def test_rational_grouped_by_image_lattice_matches_per_permutation(
         distinct = {tuple(map(tuple, hnf_columns(
             mat_mul(q.basis_matrix(), gam.basis)))) for q in all_permutations(n)}
         assert len(distinct) == images
-        expected = per_permutation_rational(gam).to_json_obj()
-        assert selberg_rational_translation(gam).to_json_obj() == expected
-    assert (selberg_rational_translation(gam, FACTORIAL).to_json_obj()
-            == per_permutation_rational(gam, FACTORIAL).to_json_obj())
+        _assert_equal_on_the_period_cube(gam, GEODESIC)
+    _assert_equal_on_the_period_cube(gam, FACTORIAL)
 
 
 def test_stacked_image_walk_matches_the_hnf_loop():
@@ -539,8 +552,8 @@ def test_stacked_image_walk_matches_the_hnf_loop():
     assert {1, 2, 4, 6, 24} <= orders
 
 
-# n = 5 subgroups whose cone routes hold 2,541,249 (index 60) and
-# 3,101,611,715 (index 295) base points
+# n = 5 subgroups whose cone routes hold 2,385,000 (index 60) and
+# 3,080,685,000 (index 295) base points
 _INDEX_60 = [[-2, -3, -3, -3], [2, 3, -2, 0], [2, 5, -3, -1], [-2, -5, 3, 4]]
 _INDEX_295 = [[-1, 5, -1, -4], [3, -1, -2, -1], [-2, -1, -4, 3],
               [0, 2, -3, 2]]
@@ -550,16 +563,16 @@ def test_cone_route_counts_its_base_points_before_decomposing(monkeypatch):
     gam = TranslationSubgroup(5, _INDEX_60)
     assert gam.index == 60
 
-    def refuse(face, basis=None, edges=None):
+    def refuse(basis, edges=None):
         raise AssertionError("a cone was decomposed")
 
     monkeypatch.setattr(selberg, "cone_decompose", refuse)
-    monkeypatch.setattr(selberg, "SERIES_GRID_CELLS", 2541248)
+    monkeypatch.setattr(selberg, "SERIES_GRID_CELLS", 2384999)
     with pytest.raises(ResourceCapError,
-                       match=r"cone route.* 2541249 base points"):
+                       match=r"cone route.* 2385000 base points"):
         selberg_rational_translation(gam)
     # at a cap of exactly the count the route goes on to decompose
-    monkeypatch.setattr(selberg, "SERIES_GRID_CELLS", 2541249)
+    monkeypatch.setattr(selberg, "SERIES_GRID_CELLS", 2385000)
     with pytest.raises(AssertionError, match="decomposed"):
         selberg_rational_translation(gam)
 
@@ -580,19 +593,58 @@ def test_cone_route_over_the_cap_exits_3(tmp_path, capsys):
     assert code == 3
     printed = capsys.readouterr()
     assert "cone route" in printed.out
-    assert "3101611715 base points" in printed.out
+    assert "3080685000 base points" in printed.out
     assert "Traceback" not in printed.err
     assert peak < 4 << 20
+
+
+def _cyclic_basis(n):
+    """Columns e_1 - e_2, .., e_(n-2) - e_(n-1) and n e_(n-1): a cyclic
+    subgroup of index n and a period table of 2^(n-1) cells at maxDegree
+    1."""
+    return [[n if i == j == n - 2 else (i == j) - (i == j + 1)
+             for j in range(n - 1)] for i in range(n - 1)]
+
+
+def test_cone_route_prices_its_permuted_bases_before_listing_them(
+        monkeypatch):
+    # at n = 9 the stack of 9! permuted bases would hold 9! * 8^2 =
+    # 23,224,320 entries: the route raises before any permutation is
+    # listed, and the run exits 3 after its table of 2^8 cells
+    gam = TranslationSubgroup(9, _cyclic_basis(9))
+
+    def refuse(n):
+        raise AssertionError("the permutations were listed")
+
+    monkeypatch.setattr(selberg, "all_permutations", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError,
+                           match=r"cone route.* 23224320 entries"):
+            selberg_rational_translation(gam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    code, report = run_config(RunConfig.from_json_obj({
+        "n": 9, "gamma": {"kind": "translation", "basis": _cyclic_basis(9)},
+        "maxDegree": 1, "checks": ["selberg_rational"]}))
+    assert code == 3 and not report["pass"]
+    assert "cone route" in report["error"]
+    # n = 8 is under the cap: 8! * 7^2 = 1,975,680 entries
+    monkeypatch.setattr(selberg, "SERIES_GRID_CELLS", 1975679)
+    with pytest.raises(ResourceCapError, match="1975680 entries"):
+        selberg._image_lattices(TranslationSubgroup(8, _cyclic_basis(8)))
 
 
 def _seeded_subgroups():
     """30 type-zero subgroups with n = 2..5 and then 2 with n = 6, each
     basis rewritten by a seeded unimodular column transform.  The index is
-    capped by n, because the cone route's numerators grow fast with it at
-    n = 5: index 25 gave 90,360 terms and index 60 gave 2,084,689.  At
-    n = 6 the face groups take one kernel per distinct image (0.06 s at
-    index 12, against 2 s with one per permutation), but the reference's
-    floor shift still takes seconds at index 18, so the cap there is 12."""
+    capped by n, because the face reference's numerators grow fast with it
+    at n = 5: index 25 gave 90,360 terms and index 60 gave 2,084,689.  At
+    n = 6 its face groups take one kernel per distinct image (0.06 s at
+    index 12, against 2 s with one per permutation), but its floor shift
+    still takes seconds at index 18, so the cap there is 12."""
     rng = random.Random(2026)
     max_index = {2: 200, 3: 200, 4: 40, 5: 12, 6: 12}
     out = []
@@ -614,12 +666,35 @@ def _panel_subgroups():
     return [TranslationSubgroup(n, basis) for n, basis in sorted(bases)]
 
 
+def _assert_one_factor_per_variable(rational, period):
+    """Every piece has exactly one factor 1 - u_i^a on each variable, a
+    dividing the period, and numerator exponents below a: the periodic form
+    whose coefficients on the period cube fix it."""
+    for den, num in rational.pieces.items():
+        steps = [max(factor) for factor in den[::-1]]
+        assert [tuple(a * (i == j) for i in range(rational.nvars))
+                for j, a in enumerate(steps)] == list(den[::-1])
+        assert all(period % a == 0 for a in steps)
+        assert all(x < a for e in num for x, a in zip(e, steps))
+
+
+def _assert_equal_on_the_period_cube(gam, scale, groups=None):
+    """The route and the face reference have equal coefficients at every
+    exponent f g, g in [0, D]^(n-1), which proves them equal
+    (:func:`_oracles.cube_coefficients`)."""
+    f, divisor = scale_factor(gam.n, scale), gam.image.diag[-1]
+    rational = selberg_rational_translation(gam, scale)
+    _assert_one_factor_per_variable(rational, f * divisor)
+    reference = per_permutation_rational(gam, scale, groups)
+    assert np.array_equal(cube_coefficients(rational, f, divisor),
+                          cube_coefficients(reference, f, divisor)), (
+        gam.basis, scale)
+
+
 def _assert_matches_per_permutation(gam):
     groups = face_groups(gam)
     for scale in (GEODESIC, FACTORIAL):
-        assert (selberg_rational_translation(gam, scale).to_json_obj()
-                == per_permutation_rational(gam, scale, groups).to_json_obj()
-                ), (gam.basis, scale)
+        _assert_equal_on_the_period_cube(gam, scale, groups)
 
 
 def test_rational_matches_per_permutation_on_seeded_subgroups():
@@ -634,27 +709,33 @@ def test_rational_matches_per_permutation_on_the_panels():
         _assert_matches_per_permutation(gam)
 
 
-def test_one_cone_decomposition_per_face_group(monkeypatch):
+def _gap_hnfs(gam):
+    """The column HNF of the gap rows of each image lattice, in the order
+    of :func:`_oracles.per_permutation_images`."""
+    return [hnf_columns([[a - b for a, b in zip(row, nxt)] for row, nxt in
+                         zip(image, image[1:] + ((0,) * (gam.n - 1),))])
+            for image in per_permutation_images(gam)]
+
+
+def test_one_cone_decomposition_per_image_lattice(monkeypatch):
     calls = []
 
-    def spy(face, basis=None, edges=None):
-        calls.append(face.zero_set)
-        return cone_decompose(face, basis, edges)
+    def spy(basis, edges=None):
+        calls.append(basis)
+        return cone_decompose(basis, edges)
 
     monkeypatch.setattr(selberg, "cone_decompose", spy)
     counts = {}
     for gam in _panel_subgroups():
         calls.clear()
         selberg_rational_translation(gam)
-        groups = face_groups(gam)
-        assert sorted(map(sorted, calls)) == sorted(
-            sorted(zero_set) for zero_set, _ in groups)
+        assert sorted(calls) == sorted(_gap_hnfs(gam)), gam.basis
         counts[gam.basis] = len(calls)
     # det_ladder's n4_N32 member
-    assert counts[tuple(map(tuple, _N4_N32))] == 31
+    assert counts[tuple(map(tuple, _N4_N32))] == 12
 
 
-def test_one_set_of_edge_multiples_per_face_group_with_a_basis(monkeypatch):
+def test_one_set_of_edge_multiples_per_image_lattice(monkeypatch):
     # the base point count and the cone decomposition share them
     calls = []
 
@@ -667,9 +748,7 @@ def test_one_set_of_edge_multiples_per_face_group_with_a_basis(monkeypatch):
     for gam in _panel_subgroups():
         calls.clear()
         selberg_rational_translation(gam)
-        with_basis = [zero_set for zero_set, _ in face_groups(gam)
-                      if len(zero_set) < gam.n - 1]
-        assert len(calls) == len(with_basis), gam.basis
+        assert sorted(calls) == sorted(_gap_hnfs(gam)), gam.basis
 
 
 def test_rational_translation_factorial_scale():
@@ -686,6 +765,13 @@ def test_rational_denominator_factors_are_monomial():
     for factor in denominator_factors(r):
         assert any(e > 0 for e in factor)
         assert all(e >= 0 for e in factor)
+    # and each piece has one on every variable, on the panels at both
+    # scales
+    for gam in _panel_subgroups():
+        for scale in (GEODESIC, FACTORIAL):
+            _assert_one_factor_per_variable(
+                selberg_rational_translation(gam, scale),
+                scale_factor(gam.n, scale) * gam.image.diag[-1])
 
 
 def affine_series(aff, max_deg, scale=GEODESIC):

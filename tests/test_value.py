@@ -8,19 +8,23 @@ import pytest
 
 from latzeta import cayley, cli, lattice, quotient, selberg, zeta
 from latzeta.cli import RunConfig
-from latzeta.lattice import (GEODESIC, AffineElement, FaceDescriptor,
-                             LatticeVector, Permutation, length_vector)
+from latzeta.lattice import (GEODESIC, AffineElement, LatticeVector,
+                             Permutation, length_vector)
 from latzeta.quotient import TranslationSubgroup
 from latzeta.value import Value
+import _oracles
+from _oracles import FaceDescriptor
 
 VALUE_TYPES = [
     (lattice, ("LatticeVector", "Permutation", "AffineElement",
-               "LengthVector", "FaceDescriptor")),
+               "LengthVector")),
     (quotient, ("FiniteAbelianGroup", "Character")),
     (cayley, ("GeneratorSet", "QuotientGraph")),
     (zeta, ("GeodesicClass", "CycleClass")),
     (selberg, ("ConjugacyClass",)),
     (cli, ("RunConfig",)),
+    # the face oracle of the cone route
+    (_oracles, ("FaceDescriptor",)),
 ]
 
 
