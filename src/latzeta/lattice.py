@@ -163,16 +163,7 @@ class Permutation(Value):
 
     def basis_matrix(self) -> List[List[int]]:
         """Action on basis coordinates (e_1 .. e_{n-1}, with e_n = -sum)."""
-        n = self.n
-        cols = []
-        for i in range(n - 1):
-            img = self.images[i]
-            if img < n - 1:
-                col = [1 if r == img else 0 for r in range(n - 1)]
-            else:
-                col = [-1] * (n - 1)
-            cols.append(col)
-        return [[cols[j][i] for j in range(n - 1)] for i in range(n - 1)]
+        return basis_matrices([self])[0].tolist()
 
 
 def all_permutations(n: int):
@@ -181,9 +172,9 @@ def all_permutations(n: int):
 
 
 def basis_matrices(perms: Sequence[Permutation]) -> np.ndarray:
-    """The :meth:`Permutation.basis_matrix` of each of perms (all of one
-    rank n), as one int64 stack: entry (s, r, i) is 1 where perms[s] takes
-    i to r and -1 where it takes i to n - 1."""
+    """The action of each of perms (all of one rank n) on basis coordinates
+    (e_1 .. e_{n-1}, with e_n = -sum), as one int64 stack: entry (s, r, i)
+    is 1 where perms[s] takes i to r and -1 where it takes i to n - 1."""
     n = perms[0].n
     images = np.array([p.images[:-1] for p in perms])[:, None, :]
     rows = np.arange(n - 1)[:, None]

@@ -6,11 +6,11 @@ stabilizer size over a class's sorted pattern is the same as summing, over
 all coordinate permutations q, the points of q(subgroup) that land in the
 closed dominant cone.  In gap coordinates that cone is an orthant, so each
 distinct image lattice contributes one exact geometric-series rational
-function with one factor per variable.  The series is periodic, with period
-f D in every variable, so it is one table on a period cell: each cell's
-permutation count comes from one product of its gaps with the permuted
-Smith weights, and the rational is checked against the table by an exact
-identity with no degree bound.
+function with one factor per variable over a box of numerator terms.  The
+series is periodic, with period f D in every variable, so it is one table
+on a period cell: each cell's permutation count comes from one product of
+its gaps with the permuted Smith weights, and the boxes, gathered onto the
+table, check the rational by an exact identity with no degree bound.
 
 For a split affine subgroup M x| P, conjugacy classes are enumerated
 exactly: for fixed permutation part p, translation parts live in the cosets
@@ -21,9 +21,9 @@ survivors are keyed in int64 by integer conjugation maps.  Class weights
 are centralizer indices from fixed sublattices and membership counts.
 
 Every int64 kernel checks a proven bound on its entries before it
-allocates, the box scans a cap on their cell count, and the cone route the
-same cap on its base points; otherwise they raise
-:class:`ResourceCapError`.
+allocates, the box scans a cap on their cell count, the cone route the
+same cap on its base points, and the comparison a cap on the steps of its
+Newton recurrence; otherwise they raise :class:`ResourceCapError`.
 """
 
 from __future__ import annotations
@@ -91,11 +91,11 @@ def _check_int64(context: str, what: str, bound: int) -> None:
 # points of all the cone decompositions of a rational closed form
 SERIES_GRID_CELLS = 1 << 22
 # cells times permuted weight vectors a period table tests per numpy block,
-# box points an affine class scan filters per block, and terms the rational
-# identity multiplies out before it merges them
+# and box points an affine class scan filters per block
 _TABLE_BLOCK = 1 << 16
 _BOX_BLOCK = 1 << 16
-_IDENTITY_BLOCK = 1 << 20
+# steps of the comparison's Newton recurrence, about 60 s at ~56 ns a step
+COMPARISON_STEPS = 1 << 30
 
 
 class PeriodTable(MultiSeries):
@@ -180,96 +180,66 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
 
 def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
                      table: PeriodTable) -> Tuple[bool, Optional[dict]]:
-    """Whether the sum over pieces of num * prod_i (1 - u_i^(f D)) / den
-    is the table, so that the rational is its periodic extension.  Every
-    factor must be 1 - u_i^a, a dividing f D, at most one per axis, and
-    D e_j must lie in the subgroup, certified by the basis's column HNF.  A
-    complete table is compared in full, with no degree bound, a smaller one
-    on its cube [0, f size)^(n-1).  Terms are int64 codes in base
-    e_max + f D + 1: numerator codes plus the offsets 0, a, .., f D - a of
-    an axis with a factor, or 0, f D (sign -1), merged by one sort and one
-    segment sum.  The second value is the first failure: {"period": D},
-    {"denominator_factor": [..]} or {"exponent": [..]}, in term order.
+    """Whether the rational is the periodic extension of the table.  D e_j
+    must lie in the subgroup (certified by the basis's column HNF), and
+    each piece must be num / prod_i (1 - u_i^(f m_i)), one factor per axis,
+    m_i | D, every numerator exponent f alpha in the box 0 <= alpha_i < m_i.
+    Its coefficient at f g is then its numerator at f (g mod m) (Beck and
+    Robins, Thm 3.5), so the boxes, gathered onto the table's cube
+    [0, size)^(n-1), must sum to its cells: a complete table is a whole
+    period, with no degree bound.  The second value is the first failure:
+    {"period": D}, {"denominator_factor": [..]}, {"denominator_factors":
+    [[..], ..]} (a piece short of an axis) or, first in term order among
+    the differing cells and the exponents outside a box, {"exponent": [..]}.
     """
-    n1, period = table.nvars, table.period
+    n1, f, size = table.nvars, table.factor, table.size
     context = "identity of the rational closed form and the period table"
     if not triangular_members(hnf_columns(gamma.basis), [
             [table.divisor * (i == j) for i in range(n1)]
             for j in range(n1)]).all():
         return False, {"period": table.divisor}
-    # per piece and axis the offset step: a for a factor 1 - u_i^a, and
-    # f D, with alternating signs, on an axis with no factor
-    nums = list(rational.pieces.values())
-    steps = np.full((len(nums), n1), period, dtype=object)
-    factors = np.zeros((len(nums), n1), dtype=bool)
-    for p, den in enumerate(rational.pieces):
+    boxes = []
+    for den, num in rational.pieces.items():
+        mults = [0] * n1
         for factor in den:
-            axes = [i for i, a in enumerate(factor) if a]
-            if (len(axes) != 1 or factors[p, axes[0]]
-                    or period % factor[axes[0]]):
+            axes = [(i, a) for i, a in enumerate(factor) if a]
+            i, a = axes[0] if len(axes) == 1 else (0, 0)
+            if a <= 0 or mults[i] or a % f or table.divisor % (a // f):
                 return False, {"denominator_factor": list(factor)}
-            steps[p, axes[0]], factors[p, axes[0]] = factor[axes[0]], True
-    # every exponent below top lies in the cube; terms outside it add only
-    # exponents outside it.  The offsets of an axis lie below f D, or are
-    # f D itself, and below top; a step of lim or more gives one offset.
-    top = math.inf if table.complete else table.factor * table.size
-    lim = min(period, top)
-    counts = np.where(factors, -(-lim // steps), 1 + (period < top)).astype(
-        np.int64)
-    combos = counts.prod(axis=1)
-    e_max = max((max(map(max, num)) for num in nums if num), default=0)
-    _check_int64(context, "a numerator exponent", e_max)
-    base = min(e_max, top - 1) + min(period, top - 1) + 1
-    _check_int64(context, f"a term code (e_max + f D + 1)^(n-1) = "
-                 f"{base}^{n1}", base ** n1)
+            mults[i] = a // f
+        if not all(mults):
+            return False, {"denominator_factors": [list(x) for x in den]}
+        boxes.append((mults, num))
+    e_max = max(itertools.chain.from_iterable(itertools.chain.from_iterable(
+        rational.pieces.values())), default=0)
+    _check_int64(context, "a numerator degree (n-1) e_max", n1 * e_max)
     _check_int64(context, "a sum of terms", sum(
-        sum(map(abs, num.values())) * int(k) for num, k in zip(nums, combos))
+        sum(map(abs, num.values())) for num in rational.pieces.values())
         + sum(map(abs, table.terms.values())))
-    places = np.array([base ** (n1 - 1 - i) for i in range(n1)])
-    steps = np.minimum(steps, lim).astype(np.int64)
-    sizes = list(map(len, nums))
-    piece = np.repeat(np.arange(len(nums)), sizes)
-    exps = np.fromiter(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(nums)), dtype=np.int64,
-        count=sum(sizes) * n1).reshape(-1, n1)
-    coeffs = np.fromiter(itertools.chain.from_iterable(
-        num.values() for num in nums), dtype=np.int64, count=sum(sizes))
-    inside = (exps < top).all(axis=1)
-    codes, coeffs, piece = exps[inside] @ places, coeffs[inside], piece[
-        inside]
-    # the terms in chunks of about _IDENTITY_BLOCK products, one axis at a
-    # time: a term with k offsets on an axis becomes k terms
-    ends = np.cumsum(combos[piece])
-    held, start = [], 0
-    while start < len(codes):
-        stop = max(start + 1, int(np.searchsorted(
-            ends, ends[start] - combos[piece[start]] + _IDENTITY_BLOCK,
-            side="right")))
-        c, v, p = codes[start:stop], coeffs[start:stop], piece[start:stop]
-        for i, place in enumerate(places):
-            reps = counts[p, i]
-            j = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps,
-                                                  reps)
-            c = np.repeat(c, reps) + j * np.repeat(steps[p, i], reps) * place
-            v = np.repeat(v, reps) * np.where(
-                np.repeat(factors[p, i], reps), 1, 1 - 2 * (j & 1))
-            p = np.repeat(p, reps)
-        held.append((c, v))
-        if sum(len(c) for c, _ in held) >= _IDENTITY_BLOCK:
-            held = [_merge_terms(held)]
-        start = stop
+    cube = np.zeros((size,) * n1, dtype=np.int64)
+    outside = []
+    for mults, num in boxes:
+        exps = np.fromiter(itertools.chain.from_iterable(num), dtype=np.int64,
+                           count=len(num) * n1).reshape(-1, n1)
+        coeffs = np.fromiter(num.values(), dtype=np.int64, count=len(num))
+        in_box = ((exps % f == 0) & (exps >= 0)
+                  & (exps < f * np.array(mults))).all(axis=1)
+        outside.append(exps[~in_box])
+        box = np.zeros(np.minimum(mults, size), dtype=np.int64)
+        keep = in_box & (exps < f * size).all(axis=1)
+        box[tuple((exps[keep] // f).T)] = coeffs[keep]
+        cube += box[np.ix_(*[np.arange(size) % m for m in box.shape])]
     # less the table: what is left is where the sides differ
-    codes, _ = _merge_terms([*held, (np.array(
-        list(table.terms), dtype=np.int64).reshape(len(table.terms), n1)
-        @ places, -np.array(list(table.terms.values()), dtype=np.int64))])
-    exps = np.empty((len(codes), n1), dtype=np.int64)
-    for i in range(n1 - 1, -1, -1):
-        codes, exps[:, i] = np.divmod(codes, base)
-    exps = exps[(exps < top).all(axis=1)]
+    cells = np.fromiter(itertools.chain.from_iterable(table.terms),
+                        dtype=np.int64, count=len(table.terms) * n1)
+    cube[tuple(cells.reshape(-1, n1).T // f)] -= np.fromiter(
+        table.terms.values(), dtype=np.int64, count=len(table.terms))
+    exps = np.concatenate([np.transpose(np.unravel_index(
+        np.flatnonzero(cube), cube.shape)) * f, *outside])
     if not len(exps):
         return True, None
-    first = np.lexsort([*exps.T[::-1], exps.sum(axis=1)])[0]
-    return False, {"exponent": exps[first].tolist()}
+    degrees = exps.sum(axis=1)
+    return False, {"exponent": min(exps[degrees == degrees.min()].tolist())}
 
 
 def _merge_terms(held) -> Tuple[np.ndarray, np.ndarray]:
@@ -695,7 +665,8 @@ def comparison_check(gamma: TranslationSubgroup, max_deg: int,
     Polynomials*, I.2) give x * Z'/Z for Z(0) = 1 in maxDegree times the
     nonzero coefficients of Z up to maxDegree + 1, the only ones read.  The
     maxDegree + 1 coefficient lists are priced against
-    ``SERIES_GRID_CELLS`` before any is allocated.
+    ``SERIES_GRID_CELLS`` before any is allocated, and the recurrence's
+    steps against ``COMPARISON_STEPS`` before it runs.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
@@ -706,6 +677,14 @@ def comparison_check(gamma: TranslationSubgroup, max_deg: int,
             f"above the cap of {SERIES_GRID_CELLS}")
     if zeta.coefficient(0) != 1:
         raise ValueError("the comparison needs Z with constant term 1")
+    # s_k reads z_j s_(k-j) for every nonzero z_j with 0 < j < k
+    steps = sum(max_deg + 1 - j for j, c in enumerate(
+        zeta.coeffs[1:max_deg + 2], 1) if c)
+    if steps > COMPARISON_STEPS:
+        raise ResourceCapError(
+            f"comparison of the specialized Selberg series to degree "
+            f"{max_deg}: Newton's recurrence takes {steps} steps, above the "
+            f"cap of {COMPARISON_STEPS}")
     first = series.specialize_first()
     # a table smaller than the period holds every degree up to max_deg
     period = [first.get(k, 0)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latzeta import cli
+from latzeta import cli, selberg
 from latzeta.cli import (
     AFFINE_CHECKS,
     TRANSLATION_CHECKS,
@@ -25,6 +25,7 @@ from latzeta.cli import (
     run_config,
 )
 from latzeta.cayley import build_graph, export_edge_list, perturb_adjacency
+from latzeta.errors import ResourceCapError
 from latzeta.lattice import GEODESIC, AffineElement
 from latzeta.polynomials import IntPolynomial, MultiRational
 from latzeta.quotient import TranslationSubgroup
@@ -309,6 +310,37 @@ def test_comparison_reads_a_truncated_orders_product_above_the_vertex_cap(
     if code == 3:
         assert report["error"] == ("quotient has 1000000000 vertices, "
                                    "above the cap 4096")
+
+
+def test_a_dense_orders_product_prices_the_comparison_before_it_spins():
+    # direction orders 6, 600 and 600 give Z+ 1,801 nonzero coefficients,
+    # so Newton's recurrence to maxDegree 4,000,000 takes 7,190,276,400
+    # steps, several minutes; it exits 3 before the first
+    cfg = RunConfig.from_json_obj(
+        {"n": 3, "gamma": {"kind": "translation", "basis": [[6, 0], [0, 600]]},
+         "maxDegree": 4_000_000, "checks": ["comparison"]})
+    tracemalloc.start()
+    try:
+        code, report = run_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 4 << 20
+    assert report["error"].startswith("comparison of the specialized")
+    assert "takes 7190276400 steps" in report["error"]
+
+
+def test_the_comparison_step_cap_is_exact(monkeypatch):
+    # 3I at maxDegree 12: Z+ = (1 - u^3)^9 is nonzero at 3, 6, 9 and 12 up
+    # to degree 13, so the recurrence takes 10 + 7 + 4 + 1 = 22 steps
+    gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
+    zeta = zeta_positive_orders(gamma, 13)
+    table = selberg_series_translation(gamma, 12, GEODESIC)
+    monkeypatch.setattr(selberg, "COMPARISON_STEPS", 22)
+    assert comparison_check(gamma, 12, zeta, table)[0]
+    monkeypatch.setattr(selberg, "COMPARISON_STEPS", 21)
+    with pytest.raises(ResourceCapError, match="takes 22 steps"):
+        comparison_check(gamma, 12, zeta, table)
 
 
 @pytest.mark.parametrize("n, basis, max_degree", [

@@ -433,8 +433,8 @@ def test_identity_names_the_first_failure():
     assert selberg_identity(gamma, rational, small) == (True, None)
 
 
-def test_table_and_identity_blocks_do_not_change_the_results(monkeypatch):
-    # one cell or term a block, and blocks that split them unevenly
+def test_table_blocks_do_not_change_the_results(monkeypatch):
+    # one cell a block, and blocks that split the cells unevenly
     for n, basis, max_deg in [(3, [[1, 0], [-1, 3]], 7),
                               (4, _N4_N32, 6),
                               (5, [[1, 0, 0, 1], [-1, 1, 0, 1],
@@ -452,33 +452,41 @@ def test_table_and_identity_blocks_do_not_change_the_results(monkeypatch):
         assert not expected[0]
         for block in (1, 7, 500):
             monkeypatch.setattr(selberg, "_TABLE_BLOCK", block)
-            monkeypatch.setattr(selberg, "_IDENTITY_BLOCK", block)
             assert selberg_series_translation(gamma, max_deg) == table
             assert selberg_identity(gamma, rational, table) == (True, None)
             assert selberg_identity(gamma, tampered, table) == expected
         monkeypatch.undo()
 
 
-def _single_tamperings(rational: MultiRational):
-    """Every rational that differs from this one by +1 or +2 on one exponent
-    of one denominator factor, or by +1 on one of the first five or the
-    last five numerator coefficients of a piece in term order."""
+def _piece_tamperings(rational: MultiRational):
+    """(den, new numerator, new den) for every change of one piece by +1 or
+    +2 on one exponent of one denominator factor, or by +1 on one of the
+    first five or the last five numerator coefficients in term order."""
     for den, num in rational.pieces.items():
-        changed = []
         for j, factor in enumerate(den):
             for i, k in itertools.product(range(len(factor)), (1, 2)):
                 new = tuple(a + k * (i == m) for m, a in enumerate(factor))
-                changed.append((num, den[:j] + (new,) + den[j + 1:]))
+                yield den, num, den[:j] + (new,) + den[j + 1:]
         order = sorted(num, key=lambda e: (sum(e), e))
         for exp in order[:5] + order[-5:]:
-            changed.append(({**num, exp: num[exp] + 1}, den))
-        for new_num, new_den in changed:
-            out = MultiRational(rational.nvars)
-            for other, other_num in rational.pieces.items():
-                if other != den:
-                    out.add_piece(other_num, other)
-            out.add_piece(new_num, new_den)
-            yield out
+            yield den, {**num, exp: num[exp] + 1}, den
+
+
+def _replace_piece(rational: MultiRational, den, new_num, new_den
+                   ) -> MultiRational:
+    # the route's pieces are valid, and so is every change of one of them
+    out = MultiRational(rational.nvars)
+    out.pieces = {other: dict(num) for other, num in rational.pieces.items()
+                  if other != den}
+    out._merge(tuple(sorted(new_den)), new_num)
+    return out
+
+
+def _single_tamperings(rational: MultiRational):
+    """Every rational that differs from this one by one
+    :func:`_piece_tamperings` change."""
+    for change in _piece_tamperings(rational):
+        yield _replace_piece(rational, *change)
 
 
 def test_identity_fails_every_single_tampering_of_the_n5_rational():
@@ -500,6 +508,140 @@ def test_identity_fails_every_single_tampering_of_the_n5_rational():
         expansion_passes += tampered.expand(8) == series
         identity_passes += selberg_identity(gamma, tampered, table)[0]
     assert (count, expansion_passes, identity_passes) == (42, 5, 0)
+
+
+def _box_form(nvars: int, den, num, f: int, divisor: int) -> bool:
+    """Whether the piece is num / prod_i (1 - u_i^(f m_i)), one factor on
+    each variable and m_i dividing D, with every numerator exponent f alpha,
+    0 <= alpha_i < m_i."""
+    steps = {}
+    for factor in den:
+        axes = [i for i, a in enumerate(factor) if a]
+        if len(axes) != 1 or axes[0] in steps:
+            return False
+        steps[axes[0]] = factor[axes[0]]
+    if len(steps) < nvars or any(a <= 0 or a % f or divisor % (a // f)
+                                 for a in steps.values()):
+        return False
+    exps = np.array(list(num)).reshape(-1, nvars)
+    return bool(((exps % f == 0) & (exps >= 0)
+                 & (exps < [steps[i] for i in range(nvars)])).all())
+
+
+def _cube(nvars: int, den, num, table: PeriodTable) -> np.ndarray:
+    """The piece's coefficients on the table's cube, by the running sums
+    of :func:`_oracles.cube_coefficients`."""
+    piece = MultiRational(nvars)
+    piece.pieces = {den: num}
+    return cube_coefficients(piece, table.factor, table.size - 1)
+
+
+def _reference_identity(cube: np.ndarray, cells: np.ndarray, f: int):
+    """The identity's verdict for a box-form rational with these
+    coefficients on the table's cube, whose cells are given: the least
+    differing exponent in term order, or none."""
+    diff = np.argwhere(cube != cells).tolist()
+    if not diff:
+        return True, None
+    first = min(diff, key=lambda g: (sum(g), g))
+    return False, {"exponent": [f * x for x in first]}
+
+
+def _assert_identity_matches_the_reference(gam):
+    """For the route's rational and each :func:`_piece_tamperings` change
+    of it, and +1 at u^(f m_i e_i) just outside a box, at both scales and
+    at a complete and an incomplete table: a box-form rational passes
+    exactly when its cube equals the table, and every other one fails.
+    Returns the counts of the two kinds of tamperings."""
+    n1, divisor = gam.n - 1, gam.image.diag[-1]
+    counts = [0, 0]
+    for scale in (GEODESIC, FACTORIAL):
+        f = scale_factor(gam.n, scale)
+        rational = selberg_rational_translation(gam, scale)
+        changes = list(_piece_tamperings(rational)) + [
+            (den, {**num, factor: num.get(factor, 0) + 1}, den)
+            for den, num in rational.pieces.items() for factor in den]
+        tables = [selberg_series_translation(gam, f * (divisor - 1), scale)]
+        if divisor > 1:
+            tables.append(selberg_series_translation(
+                gam, f * (divisor // 2 - 1), scale))
+        for table in tables:
+            assert table.complete == (table is tables[0])
+            cubes = {den: _cube(n1, den, num, table)
+                     for den, num in rational.pieces.items()}
+            whole = sum(cubes.values())
+            cells = np.zeros(whole.shape, dtype=np.int64)
+            for e, c in table.terms.items():
+                cells[tuple(x // f for x in e)] = c
+            assert all(_box_form(n1, den, num, f, divisor)
+                       for den, num in rational.pieces.items())
+            assert _reference_identity(whole, cells, f) == (True, None)
+            assert selberg_identity(gam, rational, table) == (True, None)
+            for den, new_num, new_den in changes:
+                got = selberg_identity(gam, _replace_piece(
+                    rational, den, new_num, new_den), table)
+                if _box_form(n1, new_den, new_num, f, divisor):
+                    assert got == _reference_identity(
+                        whole - cubes[den] + _cube(n1, new_den, new_num,
+                                                   table), cells, f), (
+                        gam.basis, scale, table.size)
+                    counts[0] += 1
+                else:
+                    assert not got[0], (gam.basis, scale, table.size)
+                    counts[1] += 1
+    return counts
+
+
+def test_identity_matches_the_cube_reference_on_the_panels():
+    # every tampering in box form is judged by the running sums, and every
+    # other one fails
+    counts = np.sum([_assert_identity_matches_the_reference(gam)
+                     for gam in _panel_subgroups()], axis=0)
+    assert counts.min() > 100
+
+
+def test_identity_matches_the_cube_reference_on_seeded_subgroups():
+    counts = np.sum([_assert_identity_matches_the_reference(gam)
+                     for gam in _seeded_subgroups()[:30]], axis=0)
+    assert counts.min() > 100
+
+
+def test_identity_fails_wrong_terms_beyond_a_small_cube():
+    # at maxDegree 1 the cube of 3I's table is [0, 2)^2, but a numerator
+    # exponent outside the box [0, 3)^2 and a missing factor are wrong on
+    # the rest of the orthant, and the identity names them
+    gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
+    rational = selberg_rational_translation(gamma)
+    (den, num), = rational.pieces.items()
+    table = selberg_series_translation(gamma, 1)
+    assert table.size == 2 and not table.complete
+    assert selberg_identity(gamma, rational, table) == (True, None)
+    for exp in ((7, 0), (3, 0)):
+        tampered = MultiRational(2, [({**num, exp: 1}, den)])
+        assert selberg_identity(gamma, tampered, table) == (
+            False, {"exponent": list(exp)})
+    short = MultiRational(2, [(num, den[:1])])
+    assert selberg_identity(gamma, short, table) == (
+        False, {"denominator_factors": [[0, 3]]})
+
+
+def test_identity_names_a_piece_short_of_an_axis_and_a_wrong_multiple():
+    gamma = TranslationSubgroup(3, [[1, 0], [-1, 3]])
+    rational = selberg_rational_translation(gamma, FACTORIAL)
+    table = selberg_series_translation(gamma, 24, FACTORIAL)
+    assert selberg_identity(gamma, rational, table) == (True, None)
+    # a second piece with a factor on the first variable only
+    short = MultiRational(2, [*((num, den) for den, num in
+                                rational.pieces.items()),
+                              ({(0, 0): 1}, [(18, 0)])])
+    assert selberg_identity(gamma, short, table) == (
+        False, {"denominator_factors": [[18, 0]]})
+    # 9 divides the period f D = 18 but is not a multiple of f = 6
+    (den, num), = rational.pieces.items()
+    assert den == ((0, 18), (18, 0))
+    wrong = MultiRational(2, [(num, [(0, 9), (18, 0)])])
+    assert selberg_identity(gamma, wrong, table) == (
+        False, {"denominator_factor": [0, 9]})
 
 
 @pytest.mark.parametrize("n, basis", [
