@@ -27,12 +27,13 @@ from .cayley import (
     typed_adjacency,
 )
 from .lattice import AffineElement, GEODESIC, FACTORIAL, Permutation
-from .polynomials import IntPolynomial, MultiSeries
+from .polynomials import IntPolynomial, MultiSeries, first_difference
 from .quotient import AffineSubgroup, TranslationSubgroup, characters, quotient_group
 from .selberg import (
     PeriodTable,
     affine_conjugacy_classes,
     comparison_check,
+    comparison_price,
     selberg_identity,
     selberg_rational_translation,
     selberg_series_translation,
@@ -283,6 +284,10 @@ class _Lazy:
     def det_poly(self) -> IntPolynomial:
         return zeta_positive_det(self.graph)
 
+    @functools.cached_property
+    def orders_product(self) -> IntPolynomial:
+        return zeta_positive_orders(self.gamma)
+
     def selberg_series(self, max_deg: int, scale: str) -> PeriodTable:
         # from the subgroup, never the graph, so a perturbation leaves it be
         key = (max_deg, scale)
@@ -292,25 +297,15 @@ class _Lazy:
         return self._series[key]
 
 
-def _first_difference(left: IntPolynomial, right: IntPolynomial):
-    """None, or the lowest degree where the two polynomials differ with
-    both coefficients there, as decimal strings like the coefficient lists."""
-    for i in range(max(left.degree, right.degree) + 1):
-        a, b = left.coefficient(i), right.coefficient(i)
-        if a != b:
-            return {"index": i, "left": str(a), "right": str(b)}
-    return None
-
-
 def _check_positive_zeta(lazy: _Lazy, cfg: RunConfig):
     det = lazy.det_poly
-    orders = zeta_positive_orders(lazy.gamma)
+    orders = lazy.orders_product
     ok = det == orders
     return ok, {
         "determinant": det.to_json_coeffs(),
         "orders_product": orders.to_json_coeffs(),
         "equal": ok,
-        "first_difference": _first_difference(det, orders),
+        "first_difference": first_difference(det, orders),
     }
 
 
@@ -320,7 +315,7 @@ def _check_lfunction(lazy: _Lazy, cfg: RunConfig):
     return ok, {
         "lfunction": poly.to_json_coeffs(),
         "equals_determinant": ok,
-        "first_difference": _first_difference(poly, lazy.det_poly),
+        "first_difference": first_difference(poly, lazy.det_poly),
     }
 
 
@@ -402,14 +397,15 @@ def _check_selberg_rational(lazy: _Lazy, cfg: RunConfig):
 
 
 def _check_comparison(lazy: _Lazy, cfg: RunConfig):
-    # the identity concerns the subgroup alone, so its Z+ is the orders
-    # product, which positive_zeta checks against the graph determinant;
-    # the check reads Z' to degree max_deg, so Z to max_deg + 1, and the
-    # truncated product stays small however large the index
+    # the identity concerns the subgroup alone: its Z+ is the orders product
+    # that positive_zeta checks, priced before it is built, and read in full
+    # on a complete table, else to max_deg + 1
     max_deg = max(cfg.max_degree, 1)
-    zeta = zeta_positive_orders(lazy.gamma, max_deg + 1)
-    return comparison_check(lazy.gamma, max_deg, zeta=zeta,
-                            series=lazy.selberg_series(max_deg, GEODESIC))
+    table = lazy.selberg_series(max_deg, GEODESIC)
+    comparison_price(lazy.gamma, max_deg, table)
+    zeta = (lazy.orders_product if table.complete
+            else zeta_positive_orders(lazy.gamma, max_deg + 1))
+    return comparison_check(lazy.gamma, max_deg, zeta=zeta, series=table)
 
 
 def _check_invariants(lazy: _Lazy, cfg: RunConfig):

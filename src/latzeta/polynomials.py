@@ -180,6 +180,16 @@ class IntPolynomial:
         return "IntPolynomial(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
+def first_difference(left: IntPolynomial, right: IntPolynomial):
+    """None, or the lowest degree where the two differ, with both
+    coefficients there as decimal strings, like the coefficient lists."""
+    if left == right:
+        return None
+    i, (a, b) = next((i, pair) for i, pair in enumerate(itertools.zip_longest(
+        left.coeffs, right.coeffs, fillvalue=0)) if pair[0] != pair[1])
+    return {"index": i, "left": str(a), "right": str(b)}
+
+
 def _dict_add_term(d: Dict[Exponent, int], exp: Exponent, coeff: int):
     cur = d.get(exp, 0) + coeff
     if cur:

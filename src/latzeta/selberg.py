@@ -22,8 +22,8 @@ are centralizer indices from fixed sublattices and membership counts.
 
 Every int64 kernel checks a proven bound on its entries before it
 allocates, the box scans a cap on their cell count, the cone route the
-same cap on its base points, and the comparison a cap on the steps of its
-Newton recurrence; otherwise they raise :class:`ResourceCapError`.
+same cap on its base points, and the comparison a price on the products of
+its polynomial identity; otherwise they raise :class:`ResourceCapError`.
 """
 
 from __future__ import annotations
@@ -62,9 +62,11 @@ from .lattice import (
     length_vectors,
     scale_factor,
 )
-from .polynomials import IntPolynomial, MultiRational, MultiSeries
+from .polynomials import (IntPolynomial, MultiRational, MultiSeries,
+                          first_difference)
 from .quotient import AffineSubgroup, TranslationSubgroup
 from .value import Value
+from .zeta import direction_orders
 
 
 class ConjugacyClass(Value):
@@ -94,7 +96,8 @@ SERIES_GRID_CELLS = 1 << 22
 # and box points an affine class scan filters per block
 _TABLE_BLOCK = 1 << 16
 _BOX_BLOCK = 1 << 16
-# steps of the comparison's Newton recurrence, about 60 s at ~56 ns a step
+# word-pairs of the comparison's products, a dense slot (0.75 us, 84 bytes)
+# counting 128: at the cap about 6 s and 700 MB, like 2^22-entry lists
 COMPARISON_STEPS = 1 << 30
 
 
@@ -649,72 +652,63 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     return out
 
 
+def comparison_price(gamma: TranslationSubgroup, max_deg: int,
+                     series: PeriodTable) -> int:
+    """The price of :func:`comparison_check` from the direction orders m_i
+    and the table alone, before Z is built.  Z read to degree t has at most
+    t/g + 1 terms (g = gcd m_i) of at most sum N/m_i bits, so the price is
+    the term pairs of the orders product, of Z R and of the products by
+    1 - x^D times those 63-bit words, plus 128 per dense slot; above
+    ``COMPARISON_STEPS`` it raises :class:`ResourceCapError`."""
+    orders, index = direction_orders(gamma), gamma.index
+    top = gamma.n * index if series.complete else max_deg + 1
+    pairs = (top // math.gcd(*orders) + 1) * (
+        sum(min(index, top) // m + 1 for m in orders) + series.size + 4)
+    price = (pairs * -(-sum(index // m for m in orders) // 63)
+             + 128 * (top + series.size))
+    if price > COMPARISON_STEPS:
+        raise ResourceCapError(
+            f"comparison to degree {max_deg}: its products take {price} "
+            f"word-pairs, above the cap of {COMPARISON_STEPS}")
+    return price
+
+
 def comparison_check(gamma: TranslationSubgroup, max_deg: int,
                      zeta: IntPolynomial,
                      series: PeriodTable) -> Tuple[bool, Dict]:
     """Check S(x, 0, .., 0), identity class removed, against the corrected
-    form -(n-1)! * x * Z'/Z, for the positive zeta Z of the subgroup; the
-    literal form (n-1)! * Z'/Z, the same list shifted by one, is reported
-    alongside.  Returns the verdict and the report's entries.
-
-    Lengths are taken at the geodesic scale, which is what measures vertex
-    counts along closed straight paths; ``series`` is
-    ``selberg_series_translation(gamma, max_deg, GEODESIC)``, whose first
-    axis has period D: the coefficient of x^k is its cell (k mod D, 0, ..).
-    Newton's identities (Macdonald, *Symmetric Functions and Hall
-    Polynomials*, I.2) give x * Z'/Z for Z(0) = 1 in maxDegree times the
-    nonzero coefficients of Z up to maxDegree + 1, the only ones read.  The
-    maxDegree + 1 coefficient lists are priced against
-    ``SERIES_GRID_CELLS`` before any is allocated, and the recurrence's
-    steps against ``COMPARISON_STEPS`` before it runs.
-    """
+    form -(n-1)! x Z'/Z for the positive zeta Z of the subgroup, with the
+    literal form (n-1)! Z'/Z alongside; returns the verdict and the report's
+    entries.  The geodesic-scale ``series`` has period D on its first axis,
+    x^k taking the cell s_k = (k mod D, 0, ..), so S = R / (1 - x^D) for
+    R = sum_(k=1..L) s_k x^k (Stanley, *Enumerative Combinatorics* I, ch. 4)
+    and the check is -(n-1)! x Z' (1 - x^D) = Z R: exactly, L = D, on a
+    complete table, else modulo x^(maxDegree+1), where 1 - x^D = 1, with
+    L = maxDegree and Z read to maxDegree + 1.  Its caller prices it first,
+    before Z is built (:func:`comparison_price`)."""
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
-    if max_deg + 1 > SERIES_GRID_CELLS:
-        raise ResourceCapError(
-            f"comparison of the specialized Selberg series to degree "
-            f"{max_deg}: its coefficient lists of maxDegree + 1 entries are "
-            f"above the cap of {SERIES_GRID_CELLS}")
     if zeta.coefficient(0) != 1:
         raise ValueError("the comparison needs Z with constant term 1")
-    # s_k reads z_j s_(k-j) for every nonzero z_j with 0 < j < k
-    steps = sum(max_deg + 1 - j for j, c in enumerate(
-        zeta.coeffs[1:max_deg + 2], 1) if c)
-    if steps > COMPARISON_STEPS:
-        raise ResourceCapError(
-            f"comparison of the specialized Selberg series to degree "
-            f"{max_deg}: Newton's recurrence takes {steps} steps, above the "
-            f"cap of {COMPARISON_STEPS}")
-    first = series.specialize_first()
-    # a table smaller than the period holds every degree up to max_deg
-    period = [first.get(k, 0)
-              for k in range(min(series.period, max_deg + 1))]
-    lhs = (period * (max_deg // len(period) + 1))[:max_deg + 1]
-    lhs[0] = 0
-    z = zeta.coeffs[:max_deg + 2]
-    z += [0] * (max_deg + 2 - len(z))
-    terms = [(j, c) for j, c in enumerate(z) if j and c]
-    # s_k = k z_k - sum of z_j s_(k-j) over 0 < j < k, s_k of x * Z'/Z
-    s = [0] * (max_deg + 2)
-    for k in range(1, max_deg + 2):
-        acc = k * z[k]
-        for j, c in terms:
-            if j >= k:
-                break
-            acc -= c * s[k - j]
-        s[k] = acc
-    factor = math.factorial(gamma.n - 1)
-    rhs_corrected = [-factor * c for c in s[:-1]]
-    rhs_literal = [factor * c for c in s[1:]]
-    corrected_equal = lhs == rhs_corrected
-    return corrected_equal, {
+    period, first = series.period, series.specialize_first()
+    cells = [0] + [first.get(k % period, 0) for k in range(
+        1, (period if series.complete else max_deg) + 1)]
+    top = zeta.degree + period if series.complete else max_deg
+    one_minus = IntPolynomial.one_minus_power(period, 1, top)
+    right = zeta.mul_truncated(IntPolynomial(cells), top)
+    # (n-1)! x Z' (1 - x^D) to top + 1: shifted down by one, the literal side
+    left = IntPolynomial([math.factorial(gamma.n - 1) * k * c for k, c in (
+        enumerate(zeta.coeffs[:top + 2]))]).mul_truncated(one_minus, top + 1)
+    difference = first_difference(-left.truncate(top), right)
+    return difference is None, {
         "n": gamma.n,
         "maxDegree": max_deg,
-        "selberg_specialized": [str(c) for c in lhs],
-        "rhs_corrected": [str(c) for c in rhs_corrected],
-        "rhs_literal": [str(c) for c in rhs_literal],
-        "corrected_equal": corrected_equal,
-        "literal_equal": lhs == rhs_literal,
+        "period": period,
+        "comparison_degree_free": series.complete,
+        "selberg_specialized": [str(c) for c in cells],
+        "corrected_equal": difference is None,
+        "literal_equal": left.coeffs[1:] == right.coeffs,
+        "first_difference": difference,
         "note": ("corrected form multiplies the logarithmic derivative by -x "
                  "and drops the identity class from the series side"),
     }

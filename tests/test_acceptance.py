@@ -177,8 +177,10 @@ def test_criterion_6_comparison_identity(panel):
             e["gamma"], 24, zeta=e["det"],
             series=selberg_series_translation(e["gamma"], 24, GEODESIC))
         ok = ok and corrected_equal and result["corrected_equal"]
-        # the literal form is evaluated and its discrepancy recorded
-        assert len(result["rhs_literal"]) == 25
+        # the literal form is evaluated and its discrepancy recorded, on
+        # one period of a complete table, else on the 25 degrees to 24
+        assert len(result["selberg_specialized"]) == 1 + (
+            result["period"] if result["comparison_degree_free"] else 24)
         if not result["literal_equal"]:
             literal_discrepancies += 1
     report_line(6, "comparison identity to degree 24 (corrected form)", ok,

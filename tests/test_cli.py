@@ -25,7 +25,6 @@ from latzeta.cli import (
     run_config,
 )
 from latzeta.cayley import build_graph, export_edge_list, perturb_adjacency
-from latzeta.errors import ResourceCapError
 from latzeta.lattice import GEODESIC, AffineElement
 from latzeta.polynomials import IntPolynomial, MultiRational
 from latzeta.quotient import TranslationSubgroup
@@ -312,13 +311,69 @@ def test_comparison_reads_a_truncated_orders_product_above_the_vertex_cap(
                                    "above the cap 4096")
 
 
-def test_a_dense_orders_product_prices_the_comparison_before_it_spins():
+def test_a_dense_orders_product_prices_the_comparison_before_it_spins(
+        monkeypatch):
     # direction orders 6, 600 and 600 give Z+ 1,801 nonzero coefficients,
-    # so Newton's recurrence to maxDegree 4,000,000 takes 7,190,276,400
-    # steps, several minutes; it exits 3 before the first
+    # and the period is 600: the table is complete, so the identity reads
+    # Z+ in full and one period whatever the maxDegree, and passes at
+    # 4,000,000; its price comes before Z+ is built, so one word-pair below
+    # it the run exits 3 without calling the orders product
+    obj = {"n": 3, "gamma": {"kind": "translation",
+                             "basis": [[6, 0], [0, 600]]},
+           "maxDegree": 4_000_000, "checks": ["comparison"]}
+    tracemalloc.start()
+    try:
+        code, report = run_config(RunConfig.from_json_obj(obj))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = report["results"]["comparison"]
+    assert code == 0 and peak < 4 << 20
+    assert result["comparison_degree_free"] and result["period"] == 600
+    assert len(result["selberg_specialized"]) == 601
+    gamma = TranslationSubgroup(3, [[6, 0], [0, 600]])
+    price = selberg.comparison_price(gamma, 4_000_000,
+                                     selberg_series_translation(
+                                         gamma, 4_000_000, GEODESIC))
+    monkeypatch.setattr(selberg, "COMPARISON_STEPS", price - 1)
+    monkeypatch.setattr(cli, "zeta_positive_orders", _never)
+    code, report = run_config(RunConfig.from_json_obj(obj))
+    assert code == 3
+    assert report["error"] == (f"comparison to degree 4000000: its products "
+                               f"take {price} word-pairs, above the cap of "
+                               f"{price - 1}")
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("Z+ was built")
+
+
+def test_the_comparison_step_cap_is_exact(monkeypatch):
+    # 3I at maxDegree 12: a complete table of size 3, and Z+ = (1 - u^3)^9,
+    # read to degree t = 27, has at most 27/3 + 1 = 10 terms of one word;
+    # each of its three factors (1 - u^3)^3 has 4 terms, so the pairs are
+    # 10 * (12 + 3 + 4) = 190, and the 27 + 3 dense slots count 128 each
+    gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
+    table = selberg_series_translation(gamma, 12, GEODESIC)
+    assert selberg.comparison_price(gamma, 12, table) == 190 + 128 * 30
+    cfg = RunConfig.from_json_obj(_config_with(maxDegree=12,
+                                               checks=["comparison"]))
+    monkeypatch.setattr(selberg, "COMPARISON_STEPS", 4030)
+    assert run_config(cfg)[0] == 0
+    monkeypatch.setattr(selberg, "COMPARISON_STEPS", 4029)
+    code, report = run_config(cfg)
+    assert code == 3 and "take 4030 word-pairs" in report["error"]
+
+
+def test_a_comparison_over_its_price_exits_3_before_building_z(monkeypatch):
+    # 2046 I at maxDegree 2045: the table is complete (2046^2 cells, under
+    # the cell cap), but Z+ = (1 - u^2046)^6138 has degree 12,558,348 and
+    # 6,139 coefficients of about 6,132 bits
+    monkeypatch.setattr(cli, "zeta_positive_orders", _never)
     cfg = RunConfig.from_json_obj(
-        {"n": 3, "gamma": {"kind": "translation", "basis": [[6, 0], [0, 600]]},
-         "maxDegree": 4_000_000, "checks": ["comparison"]})
+        {"n": 3, "gamma": {"kind": "translation",
+                           "basis": [[2046, 0], [0, 2046]]},
+         "maxDegree": 2045, "checks": ["comparison"]})
     tracemalloc.start()
     try:
         code, report = run_config(cfg)
@@ -326,31 +381,18 @@ def test_a_dense_orders_product_prices_the_comparison_before_it_spins():
     finally:
         tracemalloc.stop()
     assert code == 3 and peak < 4 << 20
-    assert report["error"].startswith("comparison of the specialized")
-    assert "takes 7190276400 steps" in report["error"]
-
-
-def test_the_comparison_step_cap_is_exact(monkeypatch):
-    # 3I at maxDegree 12: Z+ = (1 - u^3)^9 is nonzero at 3, 6, 9 and 12 up
-    # to degree 13, so the recurrence takes 10 + 7 + 4 + 1 = 22 steps
-    gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
-    zeta = zeta_positive_orders(gamma, 13)
-    table = selberg_series_translation(gamma, 12, GEODESIC)
-    monkeypatch.setattr(selberg, "COMPARISON_STEPS", 22)
-    assert comparison_check(gamma, 12, zeta, table)[0]
-    monkeypatch.setattr(selberg, "COMPARISON_STEPS", 21)
-    with pytest.raises(ResourceCapError, match="takes 22 steps"):
-        comparison_check(gamma, 12, zeta, table)
+    assert report["error"].startswith("comparison to degree 2045: ")
 
 
 @pytest.mark.parametrize("n, basis, max_degree", [
     (2, [[2]], 1), (2, [[4]], 3), (3, [[1, 0], [-1, 3]], 2),
-    (3, [[3, 0], [0, 3]], 5),
+    (3, [[3, 0], [0, 3]], 5), (3, [[6, 0], [0, 600]], 5),
 ])
 def test_comparison_report_equals_the_full_orders_product(n, basis,
                                                           max_degree):
-    # the literal form reads Z' to maxDegree, so Z to maxDegree + 1, and
-    # here the coefficient of Z+ at maxDegree + 1 is nonzero
+    # the check reads Z+ in full on a complete table, and to maxDegree + 1
+    # on the incomplete one of period 600, where the literal form reads Z'
+    # to maxDegree and the coefficient of Z+ at maxDegree + 1 is nonzero
     gamma = TranslationSubgroup(n, basis)
     code, report = run_config(RunConfig.from_json_obj(
         {"n": n, "gamma": {"kind": "translation", "basis": basis},
@@ -362,6 +404,7 @@ def test_comparison_report_equals_the_full_orders_product(n, basis,
         series=selberg_series_translation(gamma, max_degree, GEODESIC))
     assert zeta_positive_orders(gamma).coefficient(max_degree + 1) != 0
     assert code == 0 and ok and result == expected
+    assert result["comparison_degree_free"] == (basis != [[6, 0], [0, 600]])
 
 
 def test_rational_check_exits_3_before_building_the_cone_form(monkeypatch):
@@ -886,8 +929,8 @@ _SHARED_ROWS = [
     ("zeta_positive_det", 20, {"lfunction", "positive_zeta"}),
     ("zeta_positive_det", 27, {"lfunction", "positive_zeta"}),
     ("zeta_positive_orders", 1, {"comparison", "positive_zeta"}),
-    ("zeta_positive_orders", 20, {"positive_zeta"}),
-    ("zeta_positive_orders", 27, {"positive_zeta"}),
+    ("zeta_positive_orders", 20, {"comparison", "positive_zeta"}),
+    ("zeta_positive_orders", 27, {"comparison", "positive_zeta"}),
     ("lfunction_with_deviation", 1, {"lfunction"}),
     ("lfunction_with_deviation", 20, {"lfunction"}),
     ("lfunction_with_deviation", 27, {"lfunction"}),
@@ -915,7 +958,7 @@ FAULT_MATRIX = [
      {"selberg_rational"}),
     # blind spots: the Bass numerator is checked only by the Hashimoto
     # oracle, to depth min(maxDegree, 8) and on simple graphs, and an affine
-    # subgroup only by its identity weight; ROADMAP items 2 and 5 flip these
+    # subgroup only by its identity weight; ROADMAP items 1 and 2 flip these
     # rows to failing checks
     ("simple", "ihara_bass", 12, set()),
     ("simple", "ihara_bass", 18, set()),
@@ -946,9 +989,10 @@ def test_single_fault_fails_exactly_these_checks(monkeypatch, config, route,
               if not r["pass"]}
     assert failed == fails
     assert code == (1 if fails else 0)
-    # the polynomial checks name the coefficient that the fault moved
+    # the polynomial checks, and the comparison's identity, name the
+    # coefficient that the fault moved
     if route in _ZETA_ROUTES:
-        for name in fails & {"positive_zeta", "lfunction"}:
+        for name in fails & {"comparison", "positive_zeta", "lfunction"}:
             assert report["results"][name]["first_difference"]["index"] \
                 == fault
     # and the identity names the term or the factor
@@ -959,13 +1003,13 @@ def test_single_fault_fails_exactly_these_checks(monkeypatch, config, route,
                 else {"denominator_factor": [0, 9]})
 
 
-@pytest.mark.parametrize("check, expected", [("ihara", 0), ("comparison", 3)])
+@pytest.mark.parametrize("check, expected", [("ihara", 0), ("comparison", 0)])
 def test_a_huge_max_degree_on_a_small_quotient_allocates_little(check,
                                                                 expected):
     # maxDegree 10^9 on the 9-vertex quotient: the Ihara series is a
-    # polynomial of degree 54, and the comparison exits 3 on the price of
-    # its coefficient lists, after the truncated orders product, which has
-    # degree 27, and the 9-cell period table
+    # polynomial of degree 54, and the comparison's identity reads the
+    # 9-cell period table, one period of 3 and the orders product, which
+    # has degree 27
     cfg = RunConfig.from_json_obj(
         _config_with(maxDegree=10 ** 9, checks=[check]))
     tracemalloc.start()
@@ -980,7 +1024,9 @@ def test_a_huge_max_degree_on_a_small_quotient_allocates_little(check,
         assert len(result["zeta_series_positive_exponent"]) == 55
         assert result["oracle"] == "match"
     else:
-        assert "Selberg series" in report["error"]
+        result = report["results"]["comparison"]
+        assert result["comparison_degree_free"]
+        assert result["selberg_specialized"] == ["0", "0", "0", "54"]
 
 
 def test_the_report_is_serialized_only_when_something_writes_it(

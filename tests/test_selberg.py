@@ -1317,11 +1317,14 @@ def _comparison(gamma, max_deg):
 
 
 def test_comparison_check_n2():
+    # D = 2, so the table at maxDegree 10 is complete and the report holds
+    # one period, s_0 = 0, s_1 and s_2 = the cell 0
     ok, result = _comparison(TranslationSubgroup(2, [[2]]), 10)
     assert ok and result["corrected_equal"]
     assert not result["literal_equal"]
-    assert result["selberg_specialized"] == [
-        str(c) for c in [0, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4]]
+    assert result["period"] == 2 and result["comparison_degree_free"]
+    assert result["first_difference"] is None
+    assert result["selberg_specialized"] == ["0", "0", "4"]
 
 
 def test_comparison_check_index3_coefficient():
@@ -1331,39 +1334,57 @@ def test_comparison_check_index3_coefficient():
 
 
 def test_comparison_below_girth_is_zero():
+    # below the girth 3 the specialized series vanishes; at it the cell
+    # (0, 0) is N n! = 54 = -2! * 3 z_3 for Z+ = (1 - u^3)^9, z_3 = -9
     ok, result = _comparison(TranslationSubgroup(3, [[3, 0], [0, 3]]), 2)
-    assert ok
-    assert result["selberg_specialized"] == ["0", "0", "0"]
-    assert result["rhs_corrected"] == ["0", "0", "0"]
+    assert ok and result["first_difference"] is None
+    assert result["selberg_specialized"] == ["0", "0", "0", "54"]
 
 
-def _assert_comparison_matches_the_series_inverse(gamma, max_deg, zeta,
-                                                  series):
-    _, result = comparison_check(gamma, max_deg, zeta, series)
-    x_log, log = series_log_derivative(zeta, max_deg)
+def _assert_comparison_verdict_is_the_series_inverse(gamma, max_deg, zeta,
+                                                     series):
+    # the periodic table against -(n-1)! x Z'/Z from the dense series
+    # inverse, to deg Z + D on a complete table (the degree of both sides
+    # of the identity) and to maxDegree otherwise: the verdict and the
+    # first differing degree are the identity's
+    ok, result = comparison_check(gamma, max_deg, zeta, series)
+    top = zeta.degree + series.period if series.complete else max_deg
+    x_log, _ = series_log_derivative(zeta, top)
+    first = series.specialize_first()
     factor = math.factorial(gamma.n - 1)
-    assert result["rhs_corrected"] == [str(-factor * c) for c in x_log]
-    assert result["rhs_literal"] == [str(factor * c) for c in log]
+    differ = [k for k in range(1, top + 1)
+              if first.get(k % series.period, 0) != -factor * x_log[k]]
+    assert ok == (not differ) == result["corrected_equal"]
+    assert result["comparison_degree_free"] == series.complete
+    assert (result["first_difference"] or {}).get("index") == (
+        differ[0] if differ else None)
+    return ok
 
 
-def test_comparison_recurrence_equals_the_series_inverse_on_the_panels():
-    # the benchmark and demo panels, with the orders product to
-    # maxDegree + 1, as the comparison check reads it
+def test_comparison_verdict_equals_the_series_inverse_on_the_panels():
+    # the benchmark and demo panels, with the orders product read as the
+    # comparison check reads it: in full on a complete table, else to
+    # maxDegree + 1
     configs = [m["config"] for members in PANELS.values() for m in members]
     configs += [{**base, "maxDegree": 12} for base in cli.DEMO_PANEL]
+    complete = set()
     for cfg in configs:
         if cfg["gamma"]["kind"] != "translation":
             continue
         gamma = TranslationSubgroup(cfg["n"], cfg["gamma"]["basis"])
         deg = cfg["maxDegree"]
-        _assert_comparison_matches_the_series_inverse(
-            gamma, deg, zeta_positive_orders(gamma, deg + 1),
-            selberg_series_translation(gamma, deg, GEODESIC))
+        table = selberg_series_translation(gamma, deg, GEODESIC)
+        complete.add(table.complete)
+        assert _assert_comparison_verdict_is_the_series_inverse(
+            gamma, deg, zeta_positive_orders(
+                gamma, None if table.complete else deg + 1), table)
+    assert complete == {True, False}
 
 
-def test_comparison_recurrence_equals_the_series_inverse_on_sparse_zetas():
+def test_comparison_verdict_equals_the_series_inverse_on_sparse_zetas():
     # constant term 1, signed coefficients with gaps, and degrees on both
-    # sides of maxDegree + 1, the last coefficient the check reads
+    # sides of maxDegree + 1; D = 3, so the table is complete from
+    # maxDegree 2 on
     rng = random.Random(20261020)
     gamma = TranslationSubgroup(3, [[1, 0], [-1, 3]])
     tables = {}
@@ -1380,9 +1401,71 @@ def test_comparison_recurrence_equals_the_series_inverse_on_sparse_zetas():
         if max_deg not in tables:
             tables[max_deg] = selberg_series_translation(gamma, max_deg,
                                                          GEODESIC)
-        _assert_comparison_matches_the_series_inverse(gamma, max_deg, zeta,
-                                                      tables[max_deg])
+        _assert_comparison_verdict_is_the_series_inverse(gamma, max_deg, zeta,
+                                                         tables[max_deg])
     assert above > 50 and below > 50
+    assert {t.complete for t in tables.values()} == {True, False}
+
+
+def _sweep_subgroups():
+    """The translation members of the benchmark and demo panels, and 60
+    seeded subgroups with n = 2..5, each with a period table of at most
+    4,096 cells."""
+    configs = [m["config"] for members in PANELS.values() for m in members]
+    configs += list(cli.DEMO_PANEL)
+    out = {}
+    for cfg in configs:
+        if cfg["gamma"]["kind"] == "translation":
+            out[cfg["n"], str(cfg["gamma"]["basis"])] = TranslationSubgroup(
+                cfg["n"], cfg["gamma"]["basis"])
+    panel = list(out.values())
+    rng = random.Random(20261021)
+    seeded = []
+    for n in (2, 3, 4, 5):
+        while len(seeded) < 15 * (n - 1):
+            gamma = random_type_zero_subgroup(rng, n, bound=9 if n < 4 else 2)
+            if gamma.image.diag[-1] ** (n - 1) <= 4096:
+                seeded.append(gamma)
+    return panel, seeded
+
+
+def _bumped_cell(table, k):
+    terms = dict(table.terms)
+    key = (k,) + (0,) * (table.nvars - 1)
+    terms[key] = terms.get(key, 0) + 1
+    return PeriodTable(table.nvars, table.factor, table.divisor, table.size,
+                       terms)
+
+
+def test_comparison_holds_and_catches_every_single_tampering():
+    # on complete tables the identity reads all of Z+ and all of one
+    # period: it holds on every subgroup, and +1 on any coefficient of Z+,
+    # up to two above its degree, or on any period cell of the first axis
+    # fails it at that degree (a cell k at x^k, the cell 0 at x^D)
+    panel, seeded = _sweep_subgroups()
+    assert len(panel) >= 12 and len(seeded) == 60
+    tamperings = 0
+    for gamma in panel + seeded:
+        max_deg = max(gamma.image.diag[-1] - 1, 1)
+        table = selberg_series_translation(gamma, max_deg, GEODESIC)
+        zeta = zeta_positive_orders(gamma)
+        assert table.complete
+        assert comparison_check(gamma, max_deg, zeta, table)[0]
+        for j in range(1, zeta.degree + 3):
+            coeffs = zeta.coeffs + [0, 0]
+            coeffs[j] += 1
+            ok, result = comparison_check(gamma, max_deg,
+                                          IntPolynomial(coeffs), table)
+            assert not ok and result["first_difference"]["index"] == j
+            tamperings += 1
+        for k in range(table.period):
+            ok, result = comparison_check(gamma, max_deg, zeta,
+                                          _bumped_cell(table, k))
+            assert not ok
+            assert result["first_difference"]["index"] == (
+                k or table.period)
+            tamperings += 1
+    assert tamperings > 2000
 
 
 def test_comparison_needs_constant_term_1():
