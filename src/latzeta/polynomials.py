@@ -1,15 +1,15 @@
 """Exact polynomial arithmetic.
 
 Univariate integer polynomials are dense coefficient lists over Python ints.
-Multivariate objects are sparse dicts keyed by exponent tuples.  Series
+Multivariate series are sparse dicts keyed by exponent tuples.  Their
 exponents are ints, or Fractions for the half-integer lengths of affine
 elements; a tuple's total degree is its plain sum.
 
-Rational functions are sums of pieces ``numerator / prod(1 - u^a)`` with
-nonnegative int exponents and the denominator kept in factored form; pieces
-with equal factor multisets merge on addition.  Expansion divides by one
-factor at a time by the recurrence ``s[e] += s[e - a]`` in increasing total
-degree.
+Rational functions are sums of pieces ``numerator / prod(1 - u^a)``, one
+per denominator, kept in factored form; a numerator is an int64 exponent
+array with one row per term and its coefficient array beside it.  Pieces
+are built whole and never merge.  Expansion divides by one factor at a time
+by the recurrence ``s[e] += s[e - a]`` in increasing total degree.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import math
 import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 Exponent = Tuple  # tuple of int | Fraction, one entry per variable
 
@@ -223,15 +225,6 @@ def _divide_one_minus(series: Dict[Tuple[int, ...], int], a: Tuple[int, ...],
     return {e: c for e, c in out.items() if c}
 
 
-def _int_exponent(x) -> int:
-    """x as a nonnegative int; anything else raises ValueError."""
-    i = int(x)
-    if i != x or i < 0:
-        raise ValueError(f"rational exponents must be nonnegative integers, "
-                         f"got {x!r}")
-    return i
-
-
 def _sorted_exponents(d: Dict[Exponent, int]) -> List[Exponent]:
     """The keys of d by total degree, then by exponent: the lexicographic
     order, stably sorted by the plain sum."""
@@ -311,49 +304,27 @@ class MultiSeries:
 class MultiRational:
     """Sum of rational pieces num / prod_j (1 - u^{a_j}), all exact.
 
-    Each piece is (numerator dict, sorted tuple of denominator exponent
-    vectors); an empty factor tuple means the piece is a polynomial.  Every
-    exponent is a nonnegative int and every factor is nonzero, checked once
-    in :meth:`add_piece`; a caller of :meth:`_merge` builds them so.  Pieces
-    with equal denominators merge on addition.
+    ``pieces`` maps each denominator, a sorted tuple of factor exponent
+    vectors (empty for a polynomial), to its numerator as two arrays: the
+    int64 exponents, shape (terms, nvars), and the coefficients beside
+    them, int64, or an object array for ints beyond it.  A piece's
+    exponent rows are distinct, and pieces are built whole: there is no
+    addition, so nothing merges.
     """
 
     def __init__(self, nvars: int, pieces=None):
         self.nvars = int(nvars)
-        # dict: denominator factor multiset -> numerator dict
         self.pieces: Dict[Tuple[Tuple[int, ...], ...],
-                          Dict[Tuple[int, ...], int]] = {}
-        if pieces:
-            for num, den in pieces:
-                self.add_piece(num, den)
-
-    def _exponents(self, exps) -> Tuple[int, ...]:
-        out = tuple(_int_exponent(x) for x in exps)
-        if len(out) != self.nvars:
-            raise ValueError(f"expected {self.nvars} exponents, got {len(out)}")
-        return out
-
-    def add_piece(self, numerator: Dict[Exponent, int], factors):
-        den = tuple(sorted(self._exponents(f) for f in factors))
-        if any(not any(f) for f in den):
-            raise ValueError("denominator factor (1 - 1) is zero")
-        self._merge(den, {self._exponents(e): int(c)
-                          for e, c in numerator.items()})
-
-    def _merge(self, den, numerator: Dict[Tuple[int, ...], int], k: int = 1):
-        """Add k * numerator / den for an already validated piece."""
-        cur = self.pieces.setdefault(den, {})
-        for e, c in numerator.items():
-            _dict_add_term(cur, e, k * c)
-        if not cur:
-            del self.pieces[den]
+                          Tuple[np.ndarray, np.ndarray]] = dict(pieces or {})
 
     def expand(self, max_deg: int) -> MultiSeries:
         """Power-series expansion to total degree max_deg, one geometric
         division per denominator factor."""
         terms: Dict[Tuple[int, ...], int] = {}
-        for den, num in self.pieces.items():
-            series = {e: c for e, c in num.items() if sum(e) <= max_deg}
+        for den, (exps, coeffs) in self.pieces.items():
+            keep = exps.sum(axis=1) <= max_deg
+            series = dict(zip(map(tuple, exps[keep].tolist()),
+                              coeffs[keep].tolist()))
             for a in den:
                 series = _divide_one_minus(series, a, max_deg)
             for e, c in series.items():
@@ -363,17 +334,21 @@ class MultiRational:
         return out
 
     def to_json_obj(self):
-        return {
-            "variables": self.nvars,
-            "pieces": [
-                {
-                    # int exponents, by _exponents
-                    "numerator": _term_rows(num),
-                    "denominator_factors": [list(f) for f in den],
-                }
-                for den, num in sorted(self.pieces.items())
-            ],
-        }
+        pieces = []
+        for den in sorted(self.pieces):
+            exps, coeffs = self.pieces[den]
+            # by total degree, then by exponent: lexsort's last key leads
+            order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+            # one string per distinct coefficient, shared by its rows, so
+            # that the report holds no string a term
+            values = coeffs[order].tolist()
+            texts = {c: str(c) for c in set(values)}
+            pieces.append({
+                "numerator": list(map(list, zip(
+                    exps[order].tolist(), map(texts.__getitem__, values)))),
+                "denominator_factors": [list(f) for f in den],
+            })
+        return {"variables": self.nvars, "pieces": pieces}
 
     def __repr__(self):
         return f"MultiRational({self.nvars} vars, {len(self.pieces)} pieces)"

@@ -194,6 +194,9 @@ def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
     {"period": D}, {"denominator_factor": [..]}, {"denominator_factors":
     [[..], ..]} (a piece short of an axis) or, first in term order among
     the differing cells and the exponents outside a box, {"exponent": [..]}.
+    The numerator arrays are read as they are: the guards are reductions
+    over them (the sum of |coefficients| in Python ints), and each box is
+    one scatter of its coefficients.
     """
     n1, f, size = table.nvars, table.factor, table.size
     context = "identity of the rational closed form and the period table"
@@ -202,7 +205,7 @@ def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
             for j in range(n1)]).all():
         return False, {"period": table.divisor}
     boxes = []
-    for den, num in rational.pieces.items():
+    for den, (exps, coeffs) in rational.pieces.items():
         mults = [0] * n1
         for factor in den:
             axes = [(i, a) for i, a in enumerate(factor) if a]
@@ -212,19 +215,16 @@ def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
             mults[i] = a // f
         if not all(mults):
             return False, {"denominator_factors": [list(x) for x in den]}
-        boxes.append((mults, num))
-    e_max = max(itertools.chain.from_iterable(itertools.chain.from_iterable(
-        rational.pieces.values())), default=0)
+        boxes.append((mults, exps, coeffs))
+    e_max = max((int(exps.max(initial=0)) for _, exps, _ in boxes), default=0)
     _check_int64(context, "a numerator degree (n-1) e_max", n1 * e_max)
+    # in Python ints, so that neither |c| nor the sum can wrap
     _check_int64(context, "a sum of terms", sum(
-        sum(map(abs, num.values())) for num in rational.pieces.values())
+        sum(map(abs, coeffs.tolist())) for _, _, coeffs in boxes)
         + sum(map(abs, table.terms.values())))
     cube = np.zeros((size,) * n1, dtype=np.int64)
     outside = []
-    for mults, num in boxes:
-        exps = np.fromiter(itertools.chain.from_iterable(num), dtype=np.int64,
-                           count=len(num) * n1).reshape(-1, n1)
-        coeffs = np.fromiter(num.values(), dtype=np.int64, count=len(num))
+    for mults, exps, coeffs in boxes:
         in_box = ((exps % f == 0) & (exps >= 0)
                   & (exps < f * np.array(mults))).all(axis=1)
         outside.append(exps[~in_box])
@@ -318,8 +318,9 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
 
     The numerators of the images with one set of edge multiples merge as
     int64 codes of g in the mixed radix mult_j: one sort and one segment
-    sum of the weights N * count over all of them, and one exponent tuple
-    per distinct term.
+    sum of the weights N * count over all of them.  One divmod per axis
+    decodes the distinct codes into the piece's int64 exponent array f g,
+    beside its int64 coefficient array.
     """
     n = gamma.n
     f = scale_factor(n, scale)
@@ -355,14 +356,13 @@ def selberg_rational_translation(gamma: TranslationSubgroup,
             new = cone_decompose(h, edges) @ places
             held.append((new, np.full(len(new), weight, dtype=np.int64)))
         codes, coeffs = _merge_terms(held)
-        exps = []
-        for m in mults[::-1]:
-            codes, digit = np.divmod(codes, m)
-            exps.append((f * digit).tolist())
+        exps = np.empty((len(codes), n - 1), dtype=np.int64)
+        for j in range(n - 2, -1, -1):
+            codes, exps[:, j] = np.divmod(codes, mults[j])
         den = tuple(sorted(tuple(f * m * (i == j) for i in range(n - 1))
                            for j, m in enumerate(mults)))
         # every denominator is new here and every coefficient positive
-        out.pieces[den] = dict(zip(zip(*exps[::-1]), coeffs.tolist()))
+        out.pieces[den] = (f * exps, coeffs)
     return out
 
 
@@ -684,18 +684,19 @@ def comparison_check(gamma: TranslationSubgroup, max_deg: int,
     R = sum_(k=1..L) s_k x^k (Stanley, *Enumerative Combinatorics* I, ch. 4)
     and the check is -(n-1)! x Z' (1 - x^D) = Z R: exactly, L = D, on a
     complete table, else modulo x^(maxDegree+1), where 1 - x^D = 1, with
-    L = maxDegree and Z read to maxDegree + 1.  Its caller prices it first,
-    before Z is built (:func:`comparison_price`)."""
+    L = maxDegree and Z read to maxDegree + 1; the report lists R without
+    its trailing zeros.  Its caller prices it first, before Z is built
+    (:func:`comparison_price`)."""
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     if zeta.coefficient(0) != 1:
         raise ValueError("the comparison needs Z with constant term 1")
     period, first = series.period, series.specialize_first()
-    cells = [0] + [first.get(k % period, 0) for k in range(
-        1, (period if series.complete else max_deg) + 1)]
+    cells = IntPolynomial([0] + [first.get(k % period, 0) for k in range(
+        1, (period if series.complete else max_deg) + 1)])
     top = zeta.degree + period if series.complete else max_deg
     one_minus = IntPolynomial.one_minus_power(period, 1, top)
-    right = zeta.mul_truncated(IntPolynomial(cells), top)
+    right = zeta.mul_truncated(cells, top)
     # (n-1)! x Z' (1 - x^D) to top + 1: shifted down by one, the literal side
     left = IntPolynomial([math.factorial(gamma.n - 1) * k * c for k, c in (
         enumerate(zeta.coeffs[:top + 2]))]).mul_truncated(one_minus, top + 1)
@@ -705,7 +706,7 @@ def comparison_check(gamma: TranslationSubgroup, max_deg: int,
         "maxDegree": max_deg,
         "period": period,
         "comparison_degree_free": series.complete,
-        "selberg_specialized": [str(c) for c in cells],
+        "selberg_specialized": cells.to_json_coeffs(),
         "corrected_equal": difference is None,
         "literal_equal": left.coeffs[1:] == right.coeffs,
         "first_difference": difference,

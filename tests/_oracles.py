@@ -312,7 +312,7 @@ def product_expand(rational: MultiRational, max_deg: int) -> MultiSeries:
     degree at most max_deg and multiplied in term by term; test oracle for
     :meth:`MultiRational.expand`."""
     out = MultiSeries(rational.nvars, max_deg)
-    for den, num in rational.pieces.items():
+    for den, num in piece_dicts(rational).items():
         series = {e: c for e, c in num.items() if sum(e) <= max_deg}
         for a in den:
             geom = [tuple(k * x for x in a)
@@ -361,23 +361,44 @@ def series_from_json(obj) -> MultiSeries:
     return s
 
 
+def numerator_arrays(nvars: int, num: Dict[Exponent, int]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """The int64 exponent array and the coefficient array of a numerator
+    dict, as a :class:`MultiRational` piece holds them; the coefficients
+    are an object array when one of them leaves int64."""
+    exps = np.array(list(num), dtype=np.int64).reshape(-1, nvars)
+    wide = any(not -2 ** 63 <= c < 2 ** 63 for c in num.values())
+    return exps, np.array(list(num.values()),
+                          dtype=object if wide else np.int64)
+
+
+def rational_from_pieces(nvars: int, pieces) -> MultiRational:
+    """The MultiRational of the (numerator dict, factors) pairs, each
+    denominator the sorted tuple of its factors: the numerators of equal
+    denominators add up, zero terms drop out and so does a piece left with
+    none, and the denominators keep the order they first appear in."""
+    merged: Dict[Tuple, Dict[Exponent, int]] = {}
+    for num, factors in pieces:
+        cur = merged.setdefault(tuple(sorted(map(tuple, factors))), {})
+        for e, c in num.items():
+            _dict_add_term(cur, tuple(e), c)
+    return MultiRational(nvars, {den: numerator_arrays(nvars, num)
+                                 for den, num in merged.items() if num})
+
+
+def piece_dicts(rational: MultiRational
+                ) -> Dict[Tuple, Dict[Tuple[int, ...], int]]:
+    """Denominator -> numerator dict of each piece: the form that
+    :func:`rational_from_pieces` takes."""
+    return {den: dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+            for den, (exps, coeffs) in rational.pieces.items()}
+
+
 def rational_from_json(obj) -> MultiRational:
-    """The MultiRational that ``MultiRational.to_json_obj`` wrote as obj;
-    its exponents pass the checks of ``add_piece``."""
-    out = MultiRational(obj["variables"])
-    for piece in obj["pieces"]:
-        num = {tuple(_exp_from_json(x) for x in e): int(c)
-               for e, c in piece["numerator"]}
-        out.add_piece(num, [tuple(f) for f in piece["denominator_factors"]])
-    return out
-
-
-def add_scaled(rational: MultiRational, other: MultiRational, k: int
-               ) -> MultiRational:
-    """rational += k * other, without validating other's pieces again."""
-    for den, num in other.pieces.items():
-        rational._merge(den, num, k)
-    return rational
+    """The MultiRational that ``MultiRational.to_json_obj`` wrote as obj."""
+    return rational_from_pieces(obj["variables"], [
+        ({tuple(e): int(c) for e, c in piece["numerator"]},
+         piece["denominator_factors"]) for piece in obj["pieces"]])
 
 
 def denominator_factors(rational: MultiRational) -> List[Tuple[int, ...]]:
@@ -411,7 +432,7 @@ def combine(rational: MultiRational
         for f, k in cnt.items():
             common[f] = max(common[f], k)
     numerator: Dict[Exponent, int] = {}
-    for den, num in rational.pieces.items():
+    for den, num in piece_dicts(rational).items():
         missing = common - Counter(den)
         piece = dict(num)
         for f, k in missing.items():
@@ -967,9 +988,7 @@ def rational_cone_sum(dec: ConeDecomposition,
         if any(x < 0 for x in w):
             raise ValueError(f"negative weight exponent {w} on base point {b}")
         numerator[w] = numerator.get(w, 0) + 1
-    out = MultiRational(nvars)
-    out.add_piece(numerator, factors)
-    return out
+    return rational_from_pieces(nvars, [(numerator, factors)])
 
 
 def per_permutation_images(gamma) -> Dict[Tuple, int]:
@@ -1008,17 +1027,17 @@ def per_permutation_rational(gamma, scale: str = GEODESIC,
     image lattice in gap coordinates.  ``groups`` is ``face_groups(gamma)``,
     computed when not given."""
     n = gamma.n
-    out = MultiRational(n - 1)
+    pieces = []
     for (zero_set, basis_key), count in (groups or face_groups(gamma)).items():
         face = FaceDescriptor(n, zero_set)
         dec = floor_shift_cone_decompose(
             face, [list(r) for r in basis_key] or None)
         piece = rational_cone_sum(dec, face_length_exponents(face, scale),
                                   nvars=n - 1)
-        for den, num in piece.pieces.items():
-            out.add_piece({e: gamma.index * count * c
-                           for e, c in num.items()}, den)
-    return out
+        for den, num in piece_dicts(piece).items():
+            pieces.append(({e: gamma.index * count * c
+                            for e, c in num.items()}, den))
+    return rational_from_pieces(n - 1, pieces)
 
 
 def cube_coefficients(rational: MultiRational, f: int, top: int
@@ -1035,7 +1054,7 @@ def cube_coefficients(rational: MultiRational, f: int, top: int
     [0, f D]^nvars by steps that keep both coefficients."""
     shape = (top + 1,) * rational.nvars
     out = np.zeros(shape, dtype=np.int64)
-    for den, num in rational.pieces.items():
+    for den, num in piece_dicts(rational).items():
         piece = np.zeros(shape, dtype=np.int64)
         for e, c in num.items():
             if any(x % f for x in e):

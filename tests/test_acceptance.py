@@ -178,9 +178,12 @@ def test_criterion_6_comparison_identity(panel):
             series=selberg_series_translation(e["gamma"], 24, GEODESIC))
         ok = ok and corrected_equal and result["corrected_equal"]
         # the literal form is evaluated and its discrepancy recorded, on
-        # one period of a complete table, else on the 25 degrees to 24
-        assert len(result["selberg_specialized"]) == 1 + (
-            result["period"] if result["comparison_degree_free"] else 24)
+        # one period of a complete table, which ends in the nonzero cell
+        # s_D, else on the 25 degrees to 24, written without trailing zeros
+        cells = result["selberg_specialized"]
+        assert cells[-1:] != ["0"]
+        assert (len(cells) == 1 + result["period"]
+                if result["comparison_degree_free"] else len(cells) <= 25)
         if not result["literal_equal"]:
             literal_discrepancies += 1
     report_line(6, "comparison identity to degree 24 (corrected form)", ok,

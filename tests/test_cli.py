@@ -26,12 +26,13 @@ from latzeta.cli import (
 )
 from latzeta.cayley import build_graph, export_edge_list, perturb_adjacency
 from latzeta.lattice import GEODESIC, AffineElement
-from latzeta.polynomials import IntPolynomial, MultiRational
+from latzeta.polynomials import IntPolynomial
 from latzeta.quotient import TranslationSubgroup
 from latzeta.selberg import (ConjugacyClass, comparison_check,
                              selberg_series_translation)
 from latzeta.zeta import zeta_positive_orders
 from perfbench import workloads
+from _oracles import piece_dicts, rational_from_pieces
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -887,14 +888,14 @@ def _faulty(route, fault):
             # +1 on the numerator term u^arg of each piece, or the first of
             # each piece's n - 1 factors with its exponent times arg
             kind, arg = fault
-            tampered = MultiRational(out.nvars)
-            for den, num in out.pieces.items():
+            pieces = []
+            for den, num in piece_dicts(out).items():
                 if kind == "numerator":
                     num = {**num, arg: num.get(arg, 0) + 1}
                 else:
                     den = (tuple(arg * a for a in den[0]), *den[1:])
-                tampered.add_piece(num, den)
-            return tampered
+                pieces.append((num, den))
+            return rational_from_pieces(out.nvars, pieces)
         if route == "affine_conjugacy_classes":
             identity = AffineElement.identity(args[0].n)
             i = next(i for i, c in enumerate(out)
@@ -1027,6 +1028,21 @@ def test_a_huge_max_degree_on_a_small_quotient_allocates_little(check,
         result = report["results"]["comparison"]
         assert result["comparison_degree_free"]
         assert result["selberg_specialized"] == ["0", "0", "0", "54"]
+
+
+def test_an_all_zero_period_writes_no_cells():
+    # n = 2 [[10^9]] at maxDegree 400,000: the table is incomplete and its
+    # cells to that degree are all zero, so R = 0 is written as no cells,
+    # not as 400,001 "0" strings (a 5.2 MB report), with the same verdict
+    code, report = run_config(RunConfig.from_json_obj(
+        {"n": 2, "gamma": {"kind": "translation", "basis": [[10 ** 9]]},
+         "maxDegree": 400_000, "checks": ["comparison"]}))
+    result = report["results"]["comparison"]
+    assert code == 0 and result["pass"]
+    assert result["corrected_equal"] and result["literal_equal"]
+    assert not result["comparison_degree_free"]
+    assert result["selberg_specialized"] == []
+    assert len(dumps_report(report)) < 2000
 
 
 def test_the_report_is_serialized_only_when_something_writes_it(

@@ -44,8 +44,9 @@ from _oracles import (adjugate_membership, brute_force_translation_series,
                       fraction_free_coordinate_bounds,
                       naive_affine_classes, per_permutation_class_weights,
                       per_permutation_images, per_permutation_rational,
-                      perm_from_cycles, periodic_extension,
-                      random_type_zero_subgroup, scan_translation_series,
+                      perm_from_cycles, periodic_extension, piece_dicts,
+                      random_type_zero_subgroup, rational_from_pieces,
+                      scan_translation_series,
                       series_from_json, series_log_derivative)
 from perfbench.workloads import (
     PANELS,
@@ -381,14 +382,14 @@ def test_selberg_rational_catches_a_wrong_exponent_above_max_degree(
     basis = [[1, 0, 0, 1], [-1, 1, 0, 1], [0, -1, 1, 1], [0, 0, -1, 2]]
     gamma = TranslationSubgroup(5, basis)
     rational = selberg_rational_translation(gamma)
-    (den, num), = rational.pieces.items()
+    (den, num), = piece_dicts(rational).items()
     assert den == tuple(tuple(5 * (i == j) for i in range(4))
                         for j in (3, 2, 1, 0))
     assert len(num) == 125 and set(num.values()) == {600}
-    tampered = MultiRational(rational.nvars)
-    tampered.add_piece({e: c for e, c in num.items() if sum(e) < 4}, den)
-    tampered.add_piece({e: c for e, c in num.items() if sum(e) >= 4},
-                       ((1, 0, 0, 5),) + den[1:])
+    tampered = rational_from_pieces(rational.nvars, [
+        ({e: c for e, c in num.items() if sum(e) < 4}, den),
+        ({e: c for e, c in num.items() if sum(e) >= 4},
+         ((1, 0, 0, 5),) + den[1:])])
     assert tampered.expand(8) == scan_translation_series(gamma, 8)
     assert tampered.expand(16) != scan_translation_series(gamma, 16)
     monkeypatch.setattr(cli, "selberg_rational_translation",
@@ -405,11 +406,29 @@ def test_selberg_rational_catches_a_wrong_exponent_above_max_degree(
             "denominator_factor": [1, 0, 0, 5]}
 
 
+def test_the_route_holds_under_64_bytes_a_numerator_term():
+    # the n = 4 index-62 cone route, 7,448 numerator terms: int64 exponent
+    # and coefficient arrays hold 32 bytes a term, where a dict of exponent
+    # tuples held about 140
+    gamma = TranslationSubgroup(4, [[1, 0, 1], [-1, 1, 1], [0, -1, 62]])
+    # once first, so that caches filled on the way are not counted
+    selberg_rational_translation(gamma)
+    tracemalloc.start()
+    try:
+        rational = selberg_rational_translation(gamma)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    terms = sum(len(piece["numerator"])
+                for piece in rational.to_json_obj()["pieces"])
+    assert terms == 7448 and held < 64 * terms
+
+
 def test_identity_names_the_first_failure():
     gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
     rational = selberg_rational_translation(gamma)
     # 54 / ((1 - u_1^3)(1 - u_2^3))
-    (den, num), = rational.pieces.items()
+    (den, num), = piece_dicts(rational).items()
     assert (den, num) == (((0, 3), (3, 0)), {(0, 0): 54})
     table = selberg_series_translation(gamma, 6)
     assert selberg_identity(gamma, rational, table) == (True, None)
@@ -420,17 +439,16 @@ def test_identity_names_the_first_failure():
     table.add_term((2, 1), 1)
     assert selberg_identity(gamma, rational, table) == (
         False, {"exponent": [2, 1]})
-    num[(1, 1)] = 1
-    assert selberg_identity(gamma, rational, table) == (
+    tampered = rational_from_pieces(2, [({**num, (1, 1): 1}, den)])
+    assert selberg_identity(gamma, tampered, table) == (
         False, {"exponent": [1, 1]})
     # on the cube of an incomplete table, only the terms inside it count
     small = selberg_series_translation(gamma, 1)
     assert not small.complete
-    assert selberg_identity(gamma, rational, small) == (
+    assert selberg_identity(gamma, tampered, small) == (
         False, {"exponent": [1, 1]})
-    del num[(1, 1)]
-    num[(2, 0)] = 1
-    assert selberg_identity(gamma, rational, small) == (True, None)
+    tampered = rational_from_pieces(2, [({**num, (2, 0): 1}, den)])
+    assert selberg_identity(gamma, tampered, small) == (True, None)
 
 
 def test_table_blocks_do_not_change_the_results(monkeypatch):
@@ -443,11 +461,10 @@ def test_table_blocks_do_not_change_the_results(monkeypatch):
         table = selberg_series_translation(gamma, max_deg)
         rational = selberg_rational_translation(gamma)
         # +1 at u^(1, .., 1) of the first piece
-        tampered = MultiRational(rational.nvars)
-        for i, (den, num) in enumerate(rational.pieces.items()):
-            one = (1,) * (n - 1)
-            tampered.add_piece({**num, one: num.get(one, 0) + 1} if i == 0
-                               else num, den)
+        one = (1,) * (n - 1)
+        tampered = rational_from_pieces(rational.nvars, [
+            ({**num, one: num.get(one, 0) + 1} if i == 0 else num, den)
+            for i, (den, num) in enumerate(piece_dicts(rational).items())])
         expected = selberg_identity(gamma, tampered, table)
         assert not expected[0]
         for block in (1, 7, 500):
@@ -462,7 +479,7 @@ def _piece_tamperings(rational: MultiRational):
     """(den, new numerator, new den) for every change of one piece by +1 or
     +2 on one exponent of one denominator factor, or by +1 on one of the
     first five or the last five numerator coefficients in term order."""
-    for den, num in rational.pieces.items():
+    for den, num in piece_dicts(rational).items():
         for j, factor in enumerate(den):
             for i, k in itertools.product(range(len(factor)), (1, 2)):
                 new = tuple(a + k * (i == m) for m, a in enumerate(factor))
@@ -474,12 +491,19 @@ def _piece_tamperings(rational: MultiRational):
 
 def _replace_piece(rational: MultiRational, den, new_num, new_den
                    ) -> MultiRational:
-    # the route's pieces are valid, and so is every change of one of them
-    out = MultiRational(rational.nvars)
-    out.pieces = {other: dict(num) for other, num in rational.pieces.items()
-                  if other != den}
-    out._merge(tuple(sorted(new_den)), new_num)
-    return out
+    # the other pieces keep their arrays; the changed one merges into the
+    # piece with its new denominator, in that piece's place, else goes last
+    key, nvars = tuple(sorted(new_den)), rational.nvars
+    pieces = {other: piece for other, piece in rational.pieces.items()
+              if other != den}
+    same = piece_dicts(MultiRational(
+        nvars, {key: pieces[key]} if key in pieces else {}))
+    new = rational_from_pieces(nvars, [(num, key) for num in
+                                       (*same.values(), new_num)])
+    pieces.update(new.pieces)
+    if not new.pieces:
+        pieces.pop(key, None)
+    return MultiRational(nvars, pieces)
 
 
 def _single_tamperings(rational: MultiRational):
@@ -531,9 +555,8 @@ def _box_form(nvars: int, den, num, f: int, divisor: int) -> bool:
 def _cube(nvars: int, den, num, table: PeriodTable) -> np.ndarray:
     """The piece's coefficients on the table's cube, by the running sums
     of :func:`_oracles.cube_coefficients`."""
-    piece = MultiRational(nvars)
-    piece.pieces = {den: num}
-    return cube_coefficients(piece, table.factor, table.size - 1)
+    return cube_coefficients(rational_from_pieces(nvars, [(num, den)]),
+                             table.factor, table.size - 1)
 
 
 def _reference_identity(cube: np.ndarray, cells: np.ndarray, f: int):
@@ -560,7 +583,7 @@ def _assert_identity_matches_the_reference(gam):
         rational = selberg_rational_translation(gam, scale)
         changes = list(_piece_tamperings(rational)) + [
             (den, {**num, factor: num.get(factor, 0) + 1}, den)
-            for den, num in rational.pieces.items() for factor in den]
+            for den, num in piece_dicts(rational).items() for factor in den]
         tables = [selberg_series_translation(gam, f * (divisor - 1), scale)]
         if divisor > 1:
             tables.append(selberg_series_translation(
@@ -568,13 +591,13 @@ def _assert_identity_matches_the_reference(gam):
         for table in tables:
             assert table.complete == (table is tables[0])
             cubes = {den: _cube(n1, den, num, table)
-                     for den, num in rational.pieces.items()}
+                     for den, num in piece_dicts(rational).items()}
             whole = sum(cubes.values())
             cells = np.zeros(whole.shape, dtype=np.int64)
             for e, c in table.terms.items():
                 cells[tuple(x // f for x in e)] = c
             assert all(_box_form(n1, den, num, f, divisor)
-                       for den, num in rational.pieces.items())
+                       for den, num in piece_dicts(rational).items())
             assert _reference_identity(whole, cells, f) == (True, None)
             assert selberg_identity(gam, rational, table) == (True, None)
             for den, new_num, new_den in changes:
@@ -612,15 +635,15 @@ def test_identity_fails_wrong_terms_beyond_a_small_cube():
     # the rest of the orthant, and the identity names them
     gamma = TranslationSubgroup(3, [[3, 0], [0, 3]])
     rational = selberg_rational_translation(gamma)
-    (den, num), = rational.pieces.items()
+    (den, num), = piece_dicts(rational).items()
     table = selberg_series_translation(gamma, 1)
     assert table.size == 2 and not table.complete
     assert selberg_identity(gamma, rational, table) == (True, None)
     for exp in ((7, 0), (3, 0)):
-        tampered = MultiRational(2, [({**num, exp: 1}, den)])
+        tampered = rational_from_pieces(2, [({**num, exp: 1}, den)])
         assert selberg_identity(gamma, tampered, table) == (
             False, {"exponent": list(exp)})
-    short = MultiRational(2, [(num, den[:1])])
+    short = rational_from_pieces(2, [(num, den[:1])])
     assert selberg_identity(gamma, short, table) == (
         False, {"denominator_factors": [[0, 3]]})
 
@@ -631,15 +654,15 @@ def test_identity_names_a_piece_short_of_an_axis_and_a_wrong_multiple():
     table = selberg_series_translation(gamma, 24, FACTORIAL)
     assert selberg_identity(gamma, rational, table) == (True, None)
     # a second piece with a factor on the first variable only
-    short = MultiRational(2, [*((num, den) for den, num in
-                                rational.pieces.items()),
-                              ({(0, 0): 1}, [(18, 0)])])
+    short = rational_from_pieces(2, [*((num, den) for den, num in
+                                       piece_dicts(rational).items()),
+                                     ({(0, 0): 1}, [(18, 0)])])
     assert selberg_identity(gamma, short, table) == (
         False, {"denominator_factors": [[18, 0]]})
     # 9 divides the period f D = 18 but is not a multiple of f = 6
-    (den, num), = rational.pieces.items()
+    (den, num), = piece_dicts(rational).items()
     assert den == ((0, 18), (18, 0))
-    wrong = MultiRational(2, [(num, [(0, 9), (18, 0)])])
+    wrong = rational_from_pieces(2, [(num, [(0, 9), (18, 0)])])
     assert selberg_identity(gamma, wrong, table) == (
         False, {"denominator_factor": [0, 9]})
 
@@ -812,7 +835,7 @@ def _assert_one_factor_per_variable(rational, period):
     """Every piece has exactly one factor 1 - u_i^a on each variable, a
     dividing the period, and numerator exponents below a: the periodic form
     whose coefficients on the period cube fix it."""
-    for den, num in rational.pieces.items():
+    for den, num in piece_dicts(rational).items():
         steps = [max(factor) for factor in den[::-1]]
         assert [tuple(a * (i == j) for i in range(rational.nvars))
                 for j, a in enumerate(steps)] == list(den[::-1])
