@@ -1,15 +1,17 @@
 """Exact polynomial arithmetic.
 
 Univariate integer polynomials are dense coefficient lists over Python ints.
-Multivariate series are sparse dicts keyed by exponent tuples.  Their
-exponents are ints, or Fractions for the half-integer lengths of affine
-elements; a tuple's total degree is its plain sum.
+Multivariate series are sparse dicts keyed by exponent tuples; they serve
+the affine series, whose exponents may be Fractions (the half-integer
+lengths of affine elements), and expansions.  A tuple's total degree is its
+plain sum.
 
 Rational functions are sums of pieces ``numerator / prod(1 - u^a)``, one
 per denominator, kept in factored form; a numerator is an int64 exponent
 array with one row per term and its coefficient array beside it.  Pieces
 are built whole and never merge.  Expansion divides by one factor at a time
-by the recurrence ``s[e] += s[e - a]`` in increasing total degree.
+by the recurrence ``s[e] += s[e - a]`` in increasing total degree.  Array
+terms are written by :func:`array_rows`.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ def norm_exponent(exps) -> Exponent:
 
 
 def _exp_to_json(e):
-    return int(e) if isinstance(e, int) else f"{e.numerator}/{e.denominator}"
-
-
-def _exps_to_json(exps) -> list:
-    return [_exp_to_json(x) for x in exps]
+    return e if type(e) is int else f"{e.numerator}/{e.denominator}"
 
 
 class IntPolynomial:
@@ -238,11 +236,23 @@ def _sorted_terms(d: Dict[Exponent, int]):
     return list(zip(keys, map(d.__getitem__, keys)))
 
 
-def _term_rows(d: Dict[Exponent, int], exps_to_json=list) -> list:
+def _term_rows(d: Dict[Exponent, int]) -> list:
     """The JSON rows ``[exponents, "coefficient"]`` of d in term order."""
-    keys = _sorted_exponents(d)
-    return list(map(list, zip(map(exps_to_json, keys),
-                              map(str, map(d.__getitem__, keys)))))
+    return [[[*map(_exp_to_json, e)], str(d[e])] for e in _sorted_exponents(d)]
+
+
+def array_rows(exps: np.ndarray, coeffs: np.ndarray) -> list:
+    """The JSON rows ``[exponents, "coefficient"]`` of the terms held as an
+    int64 exponent array and its coefficient array, by total degree, then
+    by exponent, as :func:`_term_rows` orders a dict."""
+    # lexsort's last key leads
+    order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+    # one string per distinct coefficient, shared by its rows, so that the
+    # report holds no string a term
+    values = coeffs[order].tolist()
+    texts = {c: str(c) for c in set(values)}
+    return list(map(list, zip(exps[order].tolist(),
+                              map(texts.__getitem__, values))))
 
 
 class MultiSeries:
@@ -278,23 +288,9 @@ class MultiSeries:
         return (isinstance(other, MultiSeries) and self.nvars == other.nvars
                 and self.cutoff == other.cutoff and self.terms == other.terms)
 
-    def specialize_first(self) -> Dict:
-        """Coefficients of x^k after setting every variable but the first to 0.
-
-        Uses the 0^0 = 1 convention: a term survives iff all later exponents
-        vanish.  Two distinct keys with vanishing tails differ in their first
-        exponent, so no two survivors share an x^k.
-        """
-        return {e[0]: c for e, c in self.terms.items() if not any(e[1:])}
-
     def to_json_obj(self):
-        # int exponents are their own JSON; Fractions are written "p/q"
-        ints = {*map(type, itertools.chain.from_iterable(self.terms))} <= {int}
-        return {
-            "variables": self.nvars,
-            "cutoff": _exp_to_json(self.cutoff),
-            "terms": _term_rows(self.terms, list if ints else _exps_to_json),
-        }
+        return {"variables": self.nvars, "cutoff": _exp_to_json(self.cutoff),
+                "terms": _term_rows(self.terms)}
 
     def __repr__(self):
         items = _sorted_terms(self.terms)
@@ -334,21 +330,10 @@ class MultiRational:
         return out
 
     def to_json_obj(self):
-        pieces = []
-        for den in sorted(self.pieces):
-            exps, coeffs = self.pieces[den]
-            # by total degree, then by exponent: lexsort's last key leads
-            order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
-            # one string per distinct coefficient, shared by its rows, so
-            # that the report holds no string a term
-            values = coeffs[order].tolist()
-            texts = {c: str(c) for c in set(values)}
-            pieces.append({
-                "numerator": list(map(list, zip(
-                    exps[order].tolist(), map(texts.__getitem__, values)))),
-                "denominator_factors": [list(f) for f in den],
-            })
-        return {"variables": self.nvars, "pieces": pieces}
+        return {"variables": self.nvars, "pieces": [
+            {"numerator": array_rows(*self.pieces[den]),
+             "denominator_factors": [list(f) for f in den]}
+            for den in sorted(self.pieces)]}
 
     def __repr__(self):
         return f"MultiRational({self.nvars} vars, {len(self.pieces)} pieces)"

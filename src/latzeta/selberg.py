@@ -62,7 +62,7 @@ from .lattice import (
     length_vectors,
     scale_factor,
 )
-from .polynomials import (IntPolynomial, MultiRational, MultiSeries,
+from .polynomials import (IntPolynomial, MultiRational, array_rows,
                           first_difference)
 from .quotient import AffineSubgroup, TranslationSubgroup
 from .value import Value
@@ -101,24 +101,31 @@ _BOX_BLOCK = 1 << 16
 COMPARISON_STEPS = 1 << 30
 
 
-class PeriodTable(MultiSeries):
-    """A translation Selberg series on the cells g in [0, size)^nvars, the
-    exponent f g of each nonzero cell keying its coefficient.  The series
-    has period f D in every variable, D = ``divisor``, so a complete table
-    (size = D) is the whole series, P / prod_i (1 - u_i^(f D)); a smaller
-    one holds every term of total degree below f size."""
+class PeriodTable:
+    """A translation Selberg series on the cells g in [0, size)^nvars: each
+    row of the int64 array ``terms`` is the exponent f g of a nonzero cell,
+    beside its coefficient in ``coeffs`` (int64, or an object array of ints
+    beyond it).  The series has period f D in every variable, D =
+    ``divisor``, so a complete table (size = D) is the whole series,
+    P / prod_i (1 - u_i^(f D)); a smaller one holds every term of total
+    degree below f size."""
+
+    __slots__ = ("nvars", "factor", "divisor", "size", "period", "complete",
+                 "terms", "coeffs")
 
     def __init__(self, nvars: int, factor: int, divisor: int, size: int,
-                 terms: Dict[Tuple[int, ...], int]):
-        super().__init__(nvars, factor * nvars * (size - 1))
-        self.factor, self.divisor, self.size = factor, divisor, size
+                 terms: np.ndarray, coeffs: np.ndarray):
+        self.nvars, self.factor, self.divisor, self.size = (
+            nvars, factor, divisor, size)
         self.period, self.complete = factor * divisor, size == divisor
-        self.terms = terms
+        self.terms, self.coeffs = terms, coeffs
 
-    def truncated(self, max_deg: int) -> MultiSeries:
-        out = MultiSeries(self.nvars, max_deg)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_deg}
-        return out
+    def to_json_obj(self, max_deg: int):
+        """The terms of total degree at most max_deg, as a MultiSeries with
+        that cutoff writes them."""
+        keep = self.terms.sum(axis=1) <= max_deg
+        return {"variables": self.nvars, "cutoff": max_deg,
+                "terms": array_rows(self.terms[keep], self.coeffs[keep])}
 
 
 def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
@@ -175,10 +182,12 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
         count = ok @ mult
         gaps.append(g[count > 0])
         counts.append(count[count > 0])
-    # object arrays keep the coefficients N * count exact however large N is
-    coeffs = np.concatenate(counts).astype(object) * gamma.index
-    return PeriodTable(n - 1, f, divisor, size, dict(zip(
-        map(tuple, (np.concatenate(gaps) * f).tolist()), coeffs.tolist())))
+    # a count is at most n!, so N * count is int64 below N * n! and an exact
+    # object array of Python ints above it
+    coeffs = _int_stack(np.concatenate(counts),
+                        gamma.index * math.factorial(n)) * gamma.index
+    return PeriodTable(n - 1, f, divisor, size, np.concatenate(gaps) * f,
+                       coeffs)
 
 
 def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
@@ -194,9 +203,9 @@ def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
     {"period": D}, {"denominator_factor": [..]}, {"denominator_factors":
     [[..], ..]} (a piece short of an axis) or, first in term order among
     the differing cells and the exponents outside a box, {"exponent": [..]}.
-    The numerator arrays are read as they are: the guards are reductions
-    over them (the sum of |coefficients| in Python ints), and each box is
-    one scatter of its coefficients.
+    The numerator and table arrays are read as they are: the guards are
+    reductions over them (the sum of |coefficients| in Python ints), and
+    each box, and the table, is one scatter of its coefficients.
     """
     n1, f, size = table.nvars, table.factor, table.size
     context = "identity of the rational closed form and the period table"
@@ -221,7 +230,7 @@ def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
     # in Python ints, so that neither |c| nor the sum can wrap
     _check_int64(context, "a sum of terms", sum(
         sum(map(abs, coeffs.tolist())) for _, _, coeffs in boxes)
-        + sum(map(abs, table.terms.values())))
+        + sum(map(abs, table.coeffs.tolist())))
     cube = np.zeros((size,) * n1, dtype=np.int64)
     outside = []
     for mults, exps, coeffs in boxes:
@@ -232,11 +241,9 @@ def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
         keep = in_box & (exps < f * size).all(axis=1)
         box[tuple((exps[keep] // f).T)] = coeffs[keep]
         cube += box[np.ix_(*[np.arange(size) % m for m in box.shape])]
-    # less the table: what is left is where the sides differ
-    cells = np.fromiter(itertools.chain.from_iterable(table.terms),
-                        dtype=np.int64, count=len(table.terms) * n1)
-    cube[tuple(cells.reshape(-1, n1).T // f)] -= np.fromiter(
-        table.terms.values(), dtype=np.int64, count=len(table.terms))
+    # less the table, whose coefficients the guard keeps in int64: what is
+    # left is where the sides differ
+    cube[tuple((table.terms // f).T)] -= table.coeffs.astype(np.int64)
     exps = np.concatenate([np.transpose(np.unravel_index(
         np.flatnonzero(cube), cube.shape)) * f, *outside])
     if not len(exps):
@@ -685,15 +692,22 @@ def comparison_check(gamma: TranslationSubgroup, max_deg: int,
     and the check is -(n-1)! x Z' (1 - x^D) = Z R: exactly, L = D, on a
     complete table, else modulo x^(maxDegree+1), where 1 - x^D = 1, with
     L = maxDegree and Z read to maxDegree + 1; the report lists R without
-    its trailing zeros.  Its caller prices it first, before Z is built
-    (:func:`comparison_price`)."""
+    its trailing zeros.  R is one scatter of the table's rows whose later
+    exponents vanish (0^0 = 1).  Its caller prices it first, before Z is
+    built (:func:`comparison_price`)."""
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     if zeta.coefficient(0) != 1:
         raise ValueError("the comparison needs Z with constant term 1")
-    period, first = series.period, series.specialize_first()
-    cells = IntPolynomial([0] + [first.get(k % period, 0) for k in range(
-        1, (period if series.complete else max_deg) + 1)])
+    period = series.period
+    length = period if series.complete else max_deg
+    # S(x, 0, .., 0) takes the rows whose later exponents vanish: the cell
+    # k at x^k, the cell 0 at x^D, which is past L on a partial table
+    at = (series.terms[:, 0] - 1) % period + 1
+    keep = ~series.terms[:, 1:].any(axis=1) & (at <= length)
+    r = np.zeros(length + 1, dtype=series.coeffs.dtype)
+    r[at[keep]] = series.coeffs[keep]
+    cells = IntPolynomial(r.tolist())
     top = zeta.degree + period if series.complete else max_deg
     one_minus = IntPolynomial.one_minus_power(period, 1, top)
     right = zeta.mul_truncated(cells, top)

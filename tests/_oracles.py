@@ -212,13 +212,31 @@ def scan_translation_series(gamma, max_deg: int,
     return series
 
 
+def table_terms(table) -> Dict[Tuple[int, ...], int]:
+    """Exponent f g -> coefficient of each nonzero cell of a period table,
+    as Python ints."""
+    return dict(zip(map(tuple, table.terms.tolist()), table.coeffs.tolist()))
+
+
+def table_from_terms(table, *terms: Dict[Tuple[int, ...], int]):
+    """A period table with the fields of ``table`` and the cells of the
+    exponent -> coefficient dicts ``terms``: equal exponents add up and
+    zero cells drop out, as :func:`rational_from_pieces` merges numerators."""
+    merged: Dict[Tuple[int, ...], int] = {}
+    for e, c in itertools.chain.from_iterable(t.items() for t in terms):
+        _dict_add_term(merged, tuple(e), c)
+    exps, coeffs = numerator_arrays(table.nvars, merged)
+    return selberg.PeriodTable(table.nvars, table.factor, table.divisor,
+                               table.size, exps, coeffs)
+
+
 def periodic_extension(table, max_deg: int) -> MultiSeries:
     """The series of a period table to total degree max_deg: each cell's
     coefficient at every exponent f (g + D k), k >= 0, of degree at most
     max_deg; cells beyond the table count only when it is complete."""
     series = MultiSeries(table.nvars, max_deg)
     step = table.period if table.complete else max_deg + 1
-    for exp, coeff in table.terms.items():
+    for exp, coeff in table_terms(table).items():
         points = [((), 0)]
         for e in exp:
             points = [(p + (x,), total + x) for p, total in points
@@ -333,16 +351,6 @@ def key_sorted_terms(d: Dict[Exponent, int]) -> List[Tuple[Exponent, int]]:
     """The terms of d by (total degree, exponent), one key call per term;
     test oracle for ``polynomials._sorted_terms``."""
     return sorted(d.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-
-def generator_specialize_first(series: MultiSeries) -> Dict:
-    """Coefficients of x^k at x_2 = .. = x_n = 0 with 0^0 = 1, one generator
-    per term; test oracle for :meth:`MultiSeries.specialize_first`."""
-    out = {}
-    for e, c in series.terms.items():
-        if all(x == 0 for x in e[1:]):
-            out[e[0]] = out.get(e[0], 0) + c
-    return out
 
 
 def _exp_from_json(e):

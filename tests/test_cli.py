@@ -31,8 +31,9 @@ from latzeta.quotient import TranslationSubgroup
 from latzeta.selberg import (ConjugacyClass, comparison_check,
                              selberg_series_translation)
 from latzeta.zeta import zeta_positive_orders
-from perfbench import workloads
-from _oracles import piece_dicts, rational_from_pieces
+from perfbench import spans, workloads
+from _oracles import (piece_dicts, rational_from_pieces, table_from_terms,
+                      table_terms)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -864,6 +865,31 @@ def test_geodesic_oracle_stops_at_the_degree_of_the_zeta():
     assert peak < 1 << 20
 
 
+def test_traced_run_finds_every_span_target_and_counts_the_table():
+    # the benchmark's tracer wraps its targets from outside the program, so
+    # each must still be found once latzeta.cli is imported, and its
+    # series_terms counter reads len(table.terms): one per nonzero cell
+    gamma = TranslationSubgroup(3, [[3, 0], [0, 6]])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        tracer.member = "m"
+        code, _ = cli.run_config(RunConfig.from_json_obj(
+            {"n": 3, "gamma": {"kind": "translation",
+                               "basis": [[3, 0], [0, 6]]},
+             "maxDegree": 8, "checks": "all"}))
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert spans.leftover_wrappers() == []
+    stats = tracer.stats["m"]
+    assert stats["selberg.selberg_series_translation.calls"] == 1
+    cells = table_terms(selberg_series_translation(gamma, 8))
+    assert stats["selberg.series_terms"] == len(cells) > 1
+    assert all(cells.values())
+
+
 def _faulty(route, fault):
     """The route of latzeta.cli with one fault: +1 on the coefficient
     ``fault`` of the polynomial or series it returns, or for a class list
@@ -882,8 +908,7 @@ def _faulty(route, fault):
         if route == "enumerate_positive_geodesics":
             return out[1:]
         if route == "selberg_series_translation":
-            out.add_term(fault, 1)
-            return out
+            return table_from_terms(out, table_terms(out), {fault: 1})
         if route == "selberg_rational_translation":
             # +1 on the numerator term u^arg of each piece, or the first of
             # each piece's n - 1 factors with its exponent times arg

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from latzeta.polynomials import (IntPolynomial, MultiRational, MultiSeries,
                                  _exp_to_json, _sorted_terms)
 
-from _oracles import (combine, generator_specialize_first, key_sorted_terms,
+from _oracles import (combine, key_sorted_terms,
                       numerator_arrays, piece_dicts, product_expand,
                       rational_from_json, rational_from_pieces,
                       series_from_json)
@@ -156,14 +156,6 @@ def test_add_term_keys_normalised_and_checked():
         s.add_term([Fraction(1)], 1)
 
 
-def test_multi_series_specialize_first():
-    s = MultiSeries(3, 6)
-    s.add_term((2, 0, 0), 4)
-    s.add_term((3, 1, 0), 9)   # killed by 0^1
-    s.add_term((0, 0, 0), 1)
-    assert s.specialize_first() == {2: 4, 0: 1}
-
-
 # term dicts as the series hold them: int exponents, or Fractions for the
 # affine lengths at the geodesic scale, mixed within a key
 _EXPONENTS = (st.integers(0, 6)
@@ -180,22 +172,6 @@ def test_term_order_matches_the_key_sort(terms):
     # equal degrees and equal keys, so the exponent types too
     assert [[*map(type, e)] for e, _ in _sorted_terms(terms)] == [
         [*map(type, e)] for e, _ in key_sorted_terms(terms)]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(terms=_TERM_DICTS)
-def test_specialize_first_matches_the_generator_reference(terms):
-    nvars = len(next(iter(terms), (0,)))
-    built = MultiSeries(nvars, 100, terms)
-    assigned = MultiSeries(nvars, 100)
-    assigned.terms = dict(terms)
-    for s in (built, assigned):
-        got = s.specialize_first()
-        assert list(got.items()) == list(
-            generator_specialize_first(s).items())
-        # 0^0 = 1: the constant term survives at x^0
-        if (0,) * nvars in s.terms:
-            assert got[0] == s.terms[(0,) * nvars]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -47,7 +47,8 @@ from _oracles import (adjugate_membership, brute_force_translation_series,
                       perm_from_cycles, periodic_extension, piece_dicts,
                       random_type_zero_subgroup, rational_from_pieces,
                       scan_translation_series,
-                      series_from_json, series_log_derivative)
+                      series_from_json, series_log_derivative,
+                      table_from_terms, table_terms)
 from perfbench.workloads import (
     PANELS,
     _N4_N32,
@@ -62,7 +63,7 @@ def test_series_translation_constant_term():
                 TranslationSubgroup(4, [[1, 0, 1], [-1, 1, 1], [0, -1, 2]])]:
         s = selberg_series_translation(gam, 0)
         zero = (0,) * (gam.n - 1)
-        assert s.terms == {zero: gam.index * math.factorial(gam.n)}
+        assert table_terms(s) == {zero: gam.index * math.factorial(gam.n)}
 
 
 def test_series_translation_n2_example():
@@ -71,7 +72,9 @@ def test_series_translation_n2_example():
     assert dict(s.terms) == {(0,): 4, (2,): 4, (4,): 4, (6,): 4, (8,): 4}
     # one period cell of two, period 2
     table = selberg_series_translation(gam, 8)
-    assert table == PeriodTable(1, 1, 2, 2, {(0,): 4})
+    assert (table.nvars, table.factor, table.divisor, table.size) == (
+        1, 1, 2, 2)
+    assert table_terms(table) == {(0,): 4}
     assert table.period == 2 and table.complete
     assert periodic_extension(table, 8) == s
 
@@ -80,7 +83,7 @@ def test_series_translation_index3_example():
     gam = TranslationSubgroup(3, [[1, 0], [-1, 3]])
     assert scan_translation_series(gam, 6).get((3, 0)) == 18
     # (3, 0) is the cell (0, 0) of the period 3
-    assert selberg_series_translation(gam, 6).terms[(0, 0)] == 18
+    assert table_terms(selberg_series_translation(gam, 6))[(0, 0)] == 18
 
 
 def test_series_translation_matches_brute_force():
@@ -299,7 +302,7 @@ def test_series_translation_residue_guard_raises_before_allocating():
     peak = _translation_guard_peak(gam, 1000, r"residue.*2\^63")
     assert peak < slab_bytes // 100
     # the same subgroup is fine while the residues stay below 2^63
-    assert selberg_series_translation(gam, 2).terms[(0, 0)] == big * 6
+    assert table_terms(selberg_series_translation(gam, 2))[(0, 0)] == big * 6
 
 
 def test_series_translation_pattern_code_guard_raises_before_allocating():
@@ -315,7 +318,7 @@ def test_series_translation_pattern_code_guard_raises_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     # the period table has two cells at any degree
-    assert selberg_series_translation(gam, 2 ** 32).terms == {(0,): 4}
+    assert table_terms(selberg_series_translation(gam, 2 ** 32)) == {(0,): 4}
 def test_series_and_rational_at_a_huge_degree_allocate_little():
     # n = 2 [[2]] at maxDegree 10^9: a 2-cell table, and the identity runs
     # on the whole cell with no degree bound
@@ -341,8 +344,57 @@ def test_series_factorial_scale_rescales_exponents():
     gam = TranslationSubgroup(3, [[1, 0], [-1, 3]])
     geo = selberg_series_translation(gam, 4, GEODESIC)
     fact = selberg_series_translation(gam, 24, FACTORIAL)
-    rescaled = {tuple(6 * e for e in exp): c for exp, c in geo.terms.items()}
-    assert dict(fact.terms) == rescaled
+    rescaled = {tuple(6 * e for e in exp): c
+                for exp, c in table_terms(geo).items()}
+    assert table_terms(fact) == rescaled
+
+
+def test_period_table_holds_int64_arrays():
+    # the complete n = 4 index-64 table of 14,896 nonzero cells holds one
+    # int64 exponent row and one int64 coefficient a cell, 32 bytes; a dict
+    # of exponent tuples held about 127
+    gam = TranslationSubgroup(4, [[1, 0, 1], [-1, 1, 1], [0, -1, 62]])
+    selberg_series_translation(gam, 200)   # the subgroup's cached forms
+    tracemalloc.start()
+    try:
+        table = selberg_series_translation(gam, 200)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.complete and len(table.terms) == 14896
+    assert table.terms.dtype == table.coeffs.dtype == np.int64
+    assert held < 48 * len(table.terms)
+
+
+def test_table_writes_the_rows_of_its_series():
+    # the array writer against MultiSeries.to_json_obj of the same terms,
+    # on seeded subgroups at both scales, complete and partial tables, below
+    # the build degree, at it and at the table's own cutoff, and on
+    # coefficients beyond int64, byte for byte
+    rng = random.Random(38)
+    tables = []
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            gam = random_type_zero_subgroup(rng, n, bound=9 if n < 4 else 2)
+            divisor = gam.image.diag[-1]
+            for scale in (GEODESIC, FACTORIAL):
+                f = scale_factor(n, scale)
+                for size in {min(divisor, 8), min(divisor, 3)}:
+                    tables.append((selberg_series_translation(
+                        gam, f * (size - 1), scale), f * (size - 1)))
+    big = 3 ** 39
+    gam = TranslationSubgroup(3, [[big, -(big - 1) // 2], [0, 1]])
+    tables.append((selberg_series_translation(gam, 2), 2))
+    assert tables[-1][0].coeffs.dtype == object
+    assert {t.complete for t, _ in tables} == {True, False}
+    for table, max_deg in tables:
+        top = table.factor * table.nvars * (table.size - 1)
+        for d in {max_deg // 2, max_deg, top}:
+            got = table.to_json_obj(d)
+            expected = MultiSeries(table.nvars, d,
+                                   table_terms(table)).to_json_obj()
+            assert got == expected
+            assert cli.dumps_report(got) == cli.dumps_report(expected)
 
 
 def test_rational_translation_n2_closed_form():
@@ -433,10 +485,10 @@ def test_identity_names_the_first_failure():
     table = selberg_series_translation(gamma, 6)
     assert selberg_identity(gamma, rational, table) == (True, None)
     # a period that does not annihilate the quotient
-    wrong = PeriodTable(2, 1, 2, 2, dict(table.terms))
+    wrong = PeriodTable(2, 1, 2, 2, table.terms, table.coeffs)
     assert selberg_identity(gamma, rational, wrong) == (False, {"period": 2})
     # a tampered cell, and below it in term order a tampered numerator
-    table.add_term((2, 1), 1)
+    table = table_from_terms(table, table_terms(table), {(2, 1): 1})
     assert selberg_identity(gamma, rational, table) == (
         False, {"exponent": [2, 1]})
     tampered = rational_from_pieces(2, [({**num, (1, 1): 1}, den)])
@@ -469,7 +521,8 @@ def test_table_blocks_do_not_change_the_results(monkeypatch):
         assert not expected[0]
         for block in (1, 7, 500):
             monkeypatch.setattr(selberg, "_TABLE_BLOCK", block)
-            assert selberg_series_translation(gamma, max_deg) == table
+            assert table_terms(selberg_series_translation(
+                gamma, max_deg)) == table_terms(table)
             assert selberg_identity(gamma, rational, table) == (True, None)
             assert selberg_identity(gamma, tampered, table) == expected
         monkeypatch.undo()
@@ -594,7 +647,7 @@ def _assert_identity_matches_the_reference(gam):
                      for den, num in piece_dicts(rational).items()}
             whole = sum(cubes.values())
             cells = np.zeros(whole.shape, dtype=np.int64)
-            for e, c in table.terms.items():
+            for e, c in table_terms(table).items():
                 cells[tuple(x // f for x in e)] = c
             assert all(_box_form(n1, den, num, f, divisor)
                        for den, num in piece_dicts(rational).items())
@@ -1373,7 +1426,9 @@ def _assert_comparison_verdict_is_the_series_inverse(gamma, max_deg, zeta,
     ok, result = comparison_check(gamma, max_deg, zeta, series)
     top = zeta.degree + series.period if series.complete else max_deg
     x_log, _ = series_log_derivative(zeta, top)
-    first = series.specialize_first()
+    # S(x, 0, .., 0) with 0^0 = 1: a cell counts iff its later exponents
+    # vanish
+    first = {e[0]: c for e, c in table_terms(series).items() if not any(e[1:])}
     factor = math.factorial(gamma.n - 1)
     differ = [k for k in range(1, top + 1)
               if first.get(k % series.period, 0) != -factor * x_log[k]]
@@ -1453,11 +1508,8 @@ def _sweep_subgroups():
 
 
 def _bumped_cell(table, k):
-    terms = dict(table.terms)
-    key = (k,) + (0,) * (table.nvars - 1)
-    terms[key] = terms.get(key, 0) + 1
-    return PeriodTable(table.nvars, table.factor, table.divisor, table.size,
-                       terms)
+    return table_from_terms(table, table_terms(table),
+                            {(k,) + (0,) * (table.nvars - 1): 1})
 
 
 def test_comparison_holds_and_catches_every_single_tampering():
