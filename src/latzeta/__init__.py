@@ -53,7 +53,7 @@ from .zeta import (
     zeta_positive_orders,
 )
 from .selberg import (
-    ConjugacyClass,
+    AffineClasses,
     affine_conjugacy_classes,
     comparison_check,
     selberg_rational_translation,

@@ -26,8 +26,8 @@ from .cayley import (
     perturb_adjacency,
     typed_adjacency,
 )
-from .lattice import AffineElement, GEODESIC, FACTORIAL, Permutation
-from .polynomials import IntPolynomial, MultiSeries, first_difference
+from .lattice import GEODESIC, FACTORIAL, Permutation
+from .polynomials import IntPolynomial, first_difference
 from .quotient import AffineSubgroup, TranslationSubgroup, characters, quotient_group
 from .selberg import (
     PeriodTable,
@@ -457,15 +457,10 @@ def _check_invariants(lazy: _Lazy, cfg: RunConfig):
 def _check_affine_selberg_series(lazy: _Lazy, cfg: RunConfig):
     gamma = lazy.gamma
     classes = affine_conjugacy_classes(gamma, cfg.max_degree, cfg.scale)
-    series = MultiSeries(cfg.n - 1, cfg.max_degree)
-    for cls in classes:
-        series.add_term(cls.lengths.exponent_tuple(), cls.weight)
-    identity = AffineElement.identity(cfg.n)
-    id_weight = next(
-        (c.weight for c in classes if c.representative == identity), None)
+    id_weight = classes.identity_weight()
     ok = id_weight == gamma.index_in_affine_group
     return ok, {
-        "series": series.to_json_obj(),
+        "series": classes.to_json_obj(cfg.max_degree),
         "identity_class_weight": id_weight,
         "group_index": gamma.index_in_affine_group,
     }

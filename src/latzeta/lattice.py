@@ -13,7 +13,8 @@ Conventions used throughout the package:
   "geodesic" scale the gaps are returned as they are; at the "factorial"
   scale they are multiplied by n!, which clears every cycle denominator and
   makes all values integers.  Lengths are computed for a whole stack of
-  translations with one permutation part at once (:func:`length_vectors`).
+  translations with one permutation part at once, as integer gaps scaled
+  by the lcm of the cycle lengths (:func:`length_gaps`).
 * The dominant cone x1 >= ... >= xn, in the coordinates t_j = x_j - x_n,
   is the closed orthant g >= 0 of the gaps g_j = t_j - t_{j+1}
   (g_{n-1} = t_{n-1}): one simplicial cone whose rays are the axes, whose
@@ -32,7 +33,6 @@ import numpy as np
 
 from .errors import ResourceCapError, SingularMatrixError
 from .intmat import _int_stack, adjugate_and_det
-from .polynomials import norm_exponent
 from .value import Value
 
 GEODESIC = "geodesic"
@@ -163,7 +163,7 @@ class Permutation(Value):
 
     def basis_matrix(self) -> List[List[int]]:
         """Action on basis coordinates (e_1 .. e_{n-1}, with e_n = -sum)."""
-        return basis_matrices([self])[0].tolist()
+        return basis_matrices([self.images])[0].tolist()
 
 
 def all_permutations(n: int):
@@ -171,14 +171,14 @@ def all_permutations(n: int):
         yield Permutation(images)
 
 
-def basis_matrices(perms: Sequence[Permutation]) -> np.ndarray:
-    """The action of each of perms (all of one rank n) on basis coordinates
-    (e_1 .. e_{n-1}, with e_n = -sum), as one int64 stack: entry (s, r, i)
-    is 1 where perms[s] takes i to r and -1 where it takes i to n - 1."""
-    n = perms[0].n
-    images = np.array([p.images[:-1] for p in perms])[:, None, :]
-    rows = np.arange(n - 1)[:, None]
-    return (images == rows).astype(np.int64) - (images == n - 1)
+def basis_matrices(images) -> np.ndarray:
+    """The action on basis coordinates (e_1 .. e_{n-1}, with e_n = -sum) of
+    the permutations of one rank n whose images are the rows of images, as
+    one int64 stack: entry (s, r, i) is 1 where row s takes i to r and -1
+    where it takes i to n - 1."""
+    images = np.asarray(images)[:, None, :-1]
+    rows = np.arange(images.shape[2])[:, None]
+    return (images == rows).astype(np.int64) - (images == images.shape[2])
 
 
 class AffineElement(Value):
@@ -221,33 +221,15 @@ class LengthVector(Value):
             raise ValueError("length values must be nonnegative")
         self._assign(values, scale)
 
-    @classmethod
-    def _unchecked(cls, values: Tuple[Fraction, ...], scale: str
-                   ) -> "LengthVector":
-        """The vector of values, known to be nonnegative, with no
-        ``__init__`` check."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "values", values)
-        object.__setattr__(out, "scale", scale)
-        return out
 
-    def exponent_tuple(self):
-        return norm_exponent(self.values)
-
-
-def length_vectors(p: Permutation, translations,
-                   scale: str = GEODESIC) -> List[LengthVector]:
-    """Lengths of the elements (v, p), one per row v of translations (n
-    integer coordinates a row, any representative of each class mod the
-    diagonal): cycle-average the translation part, sort, take gaps.
-
-    Conjugation-invariant, and integer-valued on the whole group at the
-    factorial scale.  The cycle averages are kept as ints scaled by the lcm
-    L of the cycle lengths (one product with the cycle-sum matrix), sorted
-    per row and differenced as one integer array, and each distinct gap
-    becomes one division by L.  A scaled cycle sum is at most L max|v|, so
-    the array is int64 when f * 2 L max|v| is below 2^63.
-    """
+def length_gaps(p: Permutation, translations, scale: str = GEODESIC
+                ) -> Tuple[np.ndarray, int]:
+    """The lengths of the elements (v, p), one row per row v of
+    translations (n integer coordinates, any representative mod the
+    diagonal), times the lcm L of p's cycle lengths, and L: the cycle sums
+    times L over the cycle length (one product), sorted per row and
+    differenced.  A scaled cycle sum is at most L max|v|, so the rows and
+    their sums are int64 when f * 2 L max|v| < 2^63, else exact objects."""
     n = p.n
     f = scale_factor(n, scale)
     cycles = p.cycles()
@@ -261,16 +243,15 @@ def length_vectors(p: Permutation, translations,
                 weights[i][j] = lcm // len(cyc)
     avg = _int_stack(rows, bound) @ _int_stack(weights, bound)
     avg.sort(axis=1)
-    gaps = (np.diff(avg, axis=1)[:, ::-1] * f).tolist()
-    fractions = {x: Fraction(x, lcm)
-                 for x in set(itertools.chain.from_iterable(gaps))}
-    return [LengthVector._unchecked(tuple([fractions[x] for x in row]), scale)
-            for row in gaps]
+    return np.diff(avg, axis=1)[:, ::-1] * f, lcm
 
 
 def length_vector(g: AffineElement, scale: str = GEODESIC) -> LengthVector:
-    """Lengths of g, by :func:`length_vectors` on its one translation."""
-    return length_vectors(g.p, [g.v.coords], scale)[0]
+    """Lengths of g by :func:`length_gaps`, each gap over L: conjugation-
+    invariant, and integer-valued on the whole group at the factorial scale."""
+    gaps, lcm = length_gaps(g.p, [g.v.coords], scale)
+    return LengthVector(tuple([Fraction(x, lcm) for x in gaps[0].tolist()]),
+                        scale)
 
 
 def edge_multiples(basis: Sequence[Sequence[int]]):

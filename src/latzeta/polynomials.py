@@ -1,17 +1,16 @@
 """Exact polynomial arithmetic.
 
 Univariate integer polynomials are dense coefficient lists over Python ints.
-Multivariate series are sparse dicts keyed by exponent tuples; they serve
-the affine series, whose exponents may be Fractions (the half-integer
-lengths of affine elements), and expansions.  A tuple's total degree is its
-plain sum.
+Multivariate series are sparse dicts keyed by exponent tuples, which may
+hold Fractions; they serve expansions.  A tuple's total degree is its plain
+sum.
 
 Rational functions are sums of pieces ``numerator / prod(1 - u^a)``, one
 per denominator, kept in factored form; a numerator is an int64 exponent
 array with one row per term and its coefficient array beside it.  Pieces
 are built whole and never merge.  Expansion divides by one factor at a time
 by the recurrence ``s[e] += s[e - a]`` in increasing total degree.  Array
-terms are written by :func:`array_rows`.
+terms, over a common denominator, are written by :func:`array_rows`.
 """
 
 from __future__ import annotations
@@ -241,18 +240,24 @@ def _term_rows(d: Dict[Exponent, int]) -> list:
     return [[[*map(_exp_to_json, e)], str(d[e])] for e in _sorted_exponents(d)]
 
 
-def array_rows(exps: np.ndarray, coeffs: np.ndarray) -> list:
+def array_rows(exps: np.ndarray, coeffs: np.ndarray,
+               denominator: int = 1) -> list:
     """The JSON rows ``[exponents, "coefficient"]`` of the terms held as an
-    int64 exponent array and its coefficient array, by total degree, then
-    by exponent, as :func:`_term_rows` orders a dict."""
+    integer exponent array over a common denominator and its coefficient
+    array, by total degree, then by exponent, as :func:`_term_rows` orders
+    and writes a dict."""
     # lexsort's last key leads
     order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
     # one string per distinct coefficient, shared by its rows, so that the
     # report holds no string a term
     values = coeffs[order].tolist()
     texts = {c: str(c) for c in set(values)}
-    return list(map(list, zip(exps[order].tolist(),
-                              map(texts.__getitem__, values))))
+    rows = exps[order].tolist()
+    if denominator > 1:
+        names = {e: _exp_to_json(_norm_num(Fraction(e, denominator)))
+                 for e in set(itertools.chain.from_iterable(rows))}
+        rows = [[names[e] for e in row] for row in rows]
+    return list(map(list, zip(rows, map(texts.__getitem__, values))))
 
 
 class MultiSeries:

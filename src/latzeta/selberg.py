@@ -14,11 +14,11 @@ table, check the rational by an exact identity with no degree bound.
 
 For a split affine subgroup M x| P, conjugacy classes are enumerated
 exactly: for fixed permutation part p, translation parts live in the cosets
-of (1-p)M inside M, and the finite group P folds those cosets together.
-Each coset box is filtered in int64 by the spread of its cycle sums
-(scaled by the lcm of the cycle lengths, so the test is exact), and the
-survivors are keyed in int64 by integer conjugation maps.  Class weights
-are centralizer indices from fixed sublattices and membership counts.
+of (1-p)M inside M, which P folds together.  Each coset box is filtered in
+int64 by the spread of its cycle sums times the lcm L of the cycle lengths,
+and the survivors are keyed in int64 by integer conjugation maps.  Each
+part's classes stay int64 arrays, of representatives, centralizer-index
+weights and lengths times L, up to the merged series.
 
 Every int64 kernel checks a proven bound on its entries before it
 allocates, the box scans a cap on their cell count, the cone route the
@@ -50,34 +50,19 @@ from .intmat import (
     unimodular_inverse,
 )
 from .lattice import (
-    AffineElement,
     GEODESIC,
-    LatticeVector,
-    LengthVector,
     Permutation,
     all_permutations,
     basis_matrices,
     cone_decompose,
     edge_multiples,
-    length_vectors,
+    length_gaps,
     scale_factor,
 )
 from .polynomials import (IntPolynomial, MultiRational, array_rows,
                           first_difference)
 from .quotient import AffineSubgroup, TranslationSubgroup
-from .value import Value
 from .zeta import direction_orders
-
-
-class ConjugacyClass(Value):
-    """A conjugacy class: canonical representative, centralizer-index weight,
-    and the conjugation-invariant lengths."""
-
-    __slots__ = _fields = ("representative", "weight", "lengths")
-
-    def __init__(self, representative: AffineElement, weight: int,
-                 lengths: LengthVector):
-        self._assign(representative, weight, lengths)
 
 
 def _check_int64(context: str, what: str, bound: int) -> None:
@@ -253,16 +238,18 @@ def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
 
 
 def _merge_terms(held) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct codes of the (codes, values) pairs held, sorted, with
+    """The distinct keys of the (keys, values) pairs held, nonnegative
+    integer codes or rows of them, sorted (rows lexicographically), with
     their summed values, by one sort and one segment sum; zero sums are
     dropped."""
-    codes = np.concatenate([c for c, _ in held])
-    order = np.argsort(codes)
-    codes = codes[order]
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    sums = np.add.reduceat(np.concatenate([v for _, v in held])[order],
-                           starts) if len(codes) else codes
-    return codes[starts][sums != 0], sums[sums != 0]
+    keys = np.concatenate([k for k, _ in held])
+    order = np.lexsort(keys.T[::-1]) if keys.ndim > 1 else np.argsort(keys)
+    keys = keys[order]
+    step = np.diff(keys, axis=0, prepend=-1)
+    starts = np.flatnonzero(step.any(axis=1) if keys.ndim > 1 else step)
+    values = np.concatenate([v for _, v in held])[order]
+    sums = np.add.reduceat(values, starts) if len(keys) else values
+    return keys[starts][sums != 0], sums[sums != 0]
 
 
 def _image_lattices(gamma: TranslationSubgroup) -> Dict[Tuple, int]:
@@ -287,7 +274,7 @@ def _image_lattices(gamma: TranslationSubgroup) -> Dict[Tuple, int]:
             f"{SERIES_GRID_CELLS}")
     perms = list(all_permutations(n))
     # q·basis for every q, with |entries| <= (n-1) max|basis|
-    stack = basis_matrices(perms) @ _int_stack(
+    stack = basis_matrices([q.images for q in perms]) @ _int_stack(
         gamma.basis, (n - 1) * max(map(abs, itertools.chain(*gamma.basis))))
     members = triangular_members(hnf_columns(gamma.basis),
                                  stack.transpose(0, 2, 1)).all(axis=1)
@@ -554,45 +541,76 @@ def _least_keys(coords: np.ndarray, maps, divisors: Sequence[int],
     return {tuple(row) for row in best.tolist()}
 
 
-def _representatives(data: _PermCosetData, keys: np.ndarray,
-                     context: str) -> np.ndarray:
-    """e-coordinates of the elements with these U-coordinate rows: one
-    product keys (M U^-1)^T."""
-    _check_int64(context, "a representative (n-1)*max|M U^-1|*max|key|",
-                 (data.n - 1) * max(map(abs, itertools.chain(*data.to_e)))
-                 * max(-int(keys.min()), int(keys.max())))
-    return keys @ np.array(data.to_e, dtype=np.int64).T
-
-
 def _class_weights(data: _PermCosetData, reps, context: str) -> List[int]:
     """Centralizer indices of the classes of p with these e-coordinate rows:
     the fixed-lattice index times the ratio of the counts of commuting q
-    with (1 - q) e in (1-p)Lambda and in (1-p)M, one stacked product over
-    the commuting q."""
-    p = data.p
+    (q p = p q on image arrays) with (1 - q) e in (1-p)Lambda and in
+    (1-p)M, one stacked product over the commuting q."""
+    p = np.array(data.p.images)
+    e = np.array(reps, dtype=np.int64)
     _check_int64(context, "a membership residue n*(n-1)*max|U|*max|e|",
                  data.n * (data.n - 1)
-                 * max(1, *map(abs, itertools.chain(*reps)))
+                 * max(1, -int(e.min(initial=0)), int(e.max(initial=0)))
                  * max(map(abs, sum(data.image_lambda.u + data.image_m.u, []))))
-    e = np.array(reps, dtype=np.int64)
 
-    def fixing(perms, image: ImageLattice) -> np.ndarray:
-        q_stack = basis_matrices([q for q in perms
-                                  if q.compose(p) == p.compose(q)])
+    def fixing(images, image: ImageLattice) -> np.ndarray:
+        q = np.array(images)
+        q_stack = basis_matrices(q[(q[:, p] == p[q]).all(1)])
         mods = np.array(image.moduli, dtype=np.int64)
         w = (e - e @ q_stack.transpose(0, 2, 1)) @ np.array(image.u).T
         return (np.where(mods > 0, w % np.maximum(mods, 1), w)
                 == 0).all(axis=2).sum(axis=0)
 
-    qg = fixing(all_permutations(data.n), data.image_lambda)
-    qgamma = fixing(data.perms, data.image_m)
+    qg = fixing(list(itertools.permutations(range(data.n))), data.image_lambda)
+    qgamma = fixing([q.images for q in data.perms], data.image_m)
     if (qg % qgamma).any():
         raise ArithmeticError("permutation centralizer counts are inconsistent")
     return [data.fixed_index * r for r in (qg // qgamma).tolist()]
 
 
+class AffineClasses:
+    """The conjugacy classes of an affine subgroup of rank ``n`` at one
+    ``scale``, ``len()`` of them: ``parts`` holds (p, reps, weights, gaps,
+    L) per permutation part p, in ascending order of its images, with its
+    classes in key order: the int64 e-coordinate rows of their
+    representatives, their centralizer indices (int64, or an object array
+    beyond it), and their lengths times the lcm L of p's cycle lengths."""
+
+    __slots__ = ("n", "scale", "parts")
+
+    def __init__(self, n: int, scale: str, parts: list):
+        self.n, self.scale, self.parts = n, scale, parts
+
+    def __len__(self) -> int:
+        return sum(len(part[1]) for part in self.parts)
+
+    def identity_weight(self) -> Optional[int]:
+        """The weight at the identity part's zero row, or None."""
+        p, reps, weights, _, _ = self.parts[0]
+        zero = np.flatnonzero(~reps.any(axis=1))
+        return (int(weights[zero[0]]) if len(zero)
+                and p.images == tuple(range(self.n)) else None)
+
+    def to_json_obj(self, max_deg: int):
+        """The series sum of weight u^lengths over the classes to degree
+        max_deg as a MultiSeries writes it: gaps over one denominator, rows
+        above max_deg dropped, equal rows merged.  A kept gap is at most
+        max_deg L, a merged weight at most the class count times the
+        largest: int64 below 2^63, exact object arrays beyond it."""
+        den = math.lcm(*(lcm for *_, lcm in self.parts))
+        bound = len(self) * max(int(abs(weights).max(initial=0))
+                                for _, _, weights, _, _ in self.parts)
+        held = []
+        for _, _, weights, gaps, lcm in self.parts:
+            keep = gaps.sum(axis=1) <= max_deg * lcm
+            held.append((_int_stack(gaps[keep], max_deg * den) * (den // lcm),
+                         _int_stack(weights[keep], bound)))
+        return {"variables": self.n - 1, "cutoff": max_deg,
+                "terms": array_rows(*_merge_terms(held), den)}
+
+
 def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
-                             scale: str = GEODESIC) -> List[ConjugacyClass]:
+                             scale: str = GEODESIC) -> AffineClasses:
     """Conjugacy classes of the affine subgroup with length degree <= max_deg.
 
     For each permutation part p the translation parts are enumerated coset
@@ -600,8 +618,8 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     derived from the exact inverse of the cycle-average map, and a doubled
     box re-scan guards against any box sizing error.  The box cells are
     capped before any scan; each block of short points is keyed by
-    :func:`_least_keys`, and the new keys of each permutation part become
-    representatives, lengths and weights in one stacked pass.
+    :func:`_least_keys`, and the keys of each permutation part become its
+    arrays of representatives, weights and gaps in one stacked pass.
     """
     n = gamma.n
     f = scale_factor(n, scale)
@@ -643,20 +661,21 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
     collect(0)
     # the doubled box re-scan keys only the points outside the plain box
     collect(pad)
-    out = []
+    parts = []
     for p, keys in itertools.groupby(sorted(classes), key=lambda k: k[0]):
         data = data_by_perm[p]
-        reps = _representatives(
-            data, np.array([row for _, row in keys], dtype=np.int64), context)
+        keys = np.array([row for _, row in keys], dtype=np.int64)
+        _check_int64(context, "a representative (n-1)*max|M U^-1|*max|key|",
+                     (n - 1) * max(map(abs, itertools.chain(*data.to_e)))
+                     * max(-int(keys.min()), int(keys.max())))
+        # the e-coordinates of the keys, as one product keys (M U^-1)^T
+        reps = keys @ np.array(data.to_e, dtype=np.int64).T
+        weights = _class_weights(data, reps, context)
         # the lengths read the translations e with e_n = 0
-        lengths = length_vectors(data.p, np.pad(reps, ((0, 0), (0, 1))),
-                                 scale)
-        for e_coords, weight, length in zip(
-                reps.tolist(), _class_weights(data, reps, context), lengths):
-            elem = AffineElement(LatticeVector.from_basis_coords(n, e_coords),
-                                 data.p)
-            out.append(ConjugacyClass(elem, weight, length))
-    return out
+        parts.append((data.p, reps, _int_stack(weights, max(weights)),
+                      *length_gaps(data.p, np.pad(reps, ((0, 0), (0, 1))),
+                                   scale)))
+    return AffineClasses(n, scale, parts)
 
 
 def comparison_price(gamma: TranslationSubgroup, max_deg: int,

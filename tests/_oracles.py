@@ -268,8 +268,8 @@ def length_vector_from_ratios(numerators: Sequence[int], denominator: int,
     are checked on the ints, before any Fraction is made."""
     if denominator <= 0 or min(numerators) < 0:
         raise ValueError("length values must be nonnegative")
-    return LengthVector._unchecked(
-        tuple([Fraction(x, denominator) for x in numerators]), scale)
+    return LengthVector(tuple([Fraction(x, denominator) for x in numerators]),
+                        scale)
 
 
 def fraction_turn(chi, cls: Sequence[int]) -> Fraction:
@@ -474,7 +474,8 @@ def fraction_inverse(m: Sequence[Sequence[int]]) -> List[List[Fraction]]:
 def element_from_coords(data, coords: Sequence[int]) -> List[int]:
     """e-coordinates M U^-1 coords of the element with the given
     U-coordinates of a permutation part, one matrix-vector product at a
-    time; reference for the stacked ``selberg._representatives``."""
+    time; reference for the stacked product of
+    ``selberg.affine_conjugacy_classes``."""
     return mat_vec(data.m_basis, mat_vec(data.uinv, coords))
 
 
@@ -580,6 +581,30 @@ def per_permutation_class_weights(data, reps) -> List[int]:
     return [data.fixed_index * r for r in (qg // qgamma).tolist()]
 
 
+class ConjugacyClass(Value):
+    """A conjugacy class: canonical representative, centralizer-index weight,
+    and the conjugation-invariant lengths."""
+
+    __slots__ = _fields = ("representative", "weight", "lengths")
+
+    def __init__(self, representative: AffineElement, weight: int,
+                 lengths: LengthVector):
+        self._assign(representative, weight, lengths)
+
+
+def class_list(result) -> List[ConjugacyClass]:
+    """The classes of a :func:`selberg.affine_conjugacy_classes` result as
+    objects, in its order: each e-coordinate row built as an element, its
+    weight as an int and its gaps over the part's L as Fractions."""
+    return [ConjugacyClass(
+        AffineElement(LatticeVector.from_basis_coords(result.n, e), p),
+        weight, LengthVector(tuple(Fraction(g, lcm) for g in row),
+                             result.scale))
+        for p, reps, weights, gaps, lcm in result.parts
+        for e, weight, row in zip(reps.tolist(), weights.tolist(),
+                                  gaps.tolist())]
+
+
 def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC):
     """The affine class scan point by point: every survivor of the spread
     filter is built as an element, measured in Fractions and keyed one
@@ -631,7 +656,7 @@ def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC):
     for key in sorted(classes):
         p2, e_coords = classes[key]
         elem = AffineElement(LatticeVector.from_basis_coords(n, e_coords), p2)
-        out.append(selberg.ConjugacyClass(
+        out.append(ConjugacyClass(
             representative=elem,
             weight=class_weight(data_by_perm[p2.images], e_coords),
             lengths=fraction_length_vector(elem, scale)))

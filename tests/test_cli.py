@@ -8,6 +8,7 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +26,10 @@ from latzeta.cli import (
     run_config,
 )
 from latzeta.cayley import build_graph, export_edge_list, perturb_adjacency
-from latzeta.lattice import GEODESIC, AffineElement
+from latzeta.lattice import GEODESIC
 from latzeta.polynomials import IntPolynomial
 from latzeta.quotient import TranslationSubgroup
-from latzeta.selberg import (ConjugacyClass, comparison_check,
-                             selberg_series_translation)
+from latzeta.selberg import comparison_check, selberg_series_translation
 from latzeta.zeta import zeta_positive_orders
 from perfbench import spans, workloads
 from _oracles import (piece_dicts, rational_from_pieces, table_from_terms,
@@ -868,8 +868,12 @@ def test_geodesic_oracle_stops_at_the_degree_of_the_zeta():
 def test_traced_run_finds_every_span_target_and_counts_the_table():
     # the benchmark's tracer wraps its targets from outside the program, so
     # each must still be found once latzeta.cli is imported, and its
-    # series_terms counter reads len(table.terms): one per nonzero cell
+    # series_terms counter reads len(table.terms): one per nonzero cell,
+    # and its affine_classes counter len() of the class scan's result
     gamma = TranslationSubgroup(3, [[3, 0], [0, 6]])
+    affine = {m["name"]: m["config"]
+              for m in workloads.PANELS["selberg_deep"]
+              if m["config"]["gamma"]["kind"] == "affine"}
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -879,6 +883,9 @@ def test_traced_run_finds_every_span_target_and_counts_the_table():
             {"n": 3, "gamma": {"kind": "translation",
                                "basis": [[3, 0], [0, 6]]},
              "maxDegree": 8, "checks": "all"}))
+        for name, config in affine.items():
+            tracer.member = name
+            assert cli.run_config(RunConfig.from_json_obj(config))[0] == 0
     finally:
         tracer.restore()
     assert code == 0
@@ -888,12 +895,39 @@ def test_traced_run_finds_every_span_target_and_counts_the_table():
     cells = table_terms(selberg_series_translation(gamma, 8))
     assert stats["selberg.series_terms"] == len(cells) > 1
     assert all(cells.values())
+    assert {name: tracer.stats[name]["selberg.affine_classes"]
+            for name in affine} == {"n3_affine_rot_D36": 163,
+                                    "n4_affine_rot_D12": 68,
+                                    "n4_affine_swap_D12": 173}
+
+
+def _tampered_classes(classes, fault, max_deg):
+    """The affine classes with the first class other than the identity
+    dropped, or with its weight + 1; the series they give must differ."""
+    parts = list(classes.parts)
+    for i, (p, reps, weights, gaps, lcm) in enumerate(parts):
+        other = np.flatnonzero(reps.any(axis=1)
+                               | (p.images != tuple(range(classes.n))))
+        if len(other):
+            break
+    j = other[0]
+    if fault == "drop":
+        keep = np.arange(len(reps)) != j
+        parts[i] = (p, reps[keep], weights[keep], gaps[keep], lcm)
+    else:
+        weights = weights.copy()
+        weights[j] += 1
+        parts[i] = (p, reps, weights, gaps, lcm)
+    out = selberg.AffineClasses(classes.n, classes.scale, parts)
+    assert out.to_json_obj(max_deg) != classes.to_json_obj(max_deg)
+    return out
 
 
 def _faulty(route, fault):
     """The route of latzeta.cli with one fault: +1 on the coefficient
     ``fault`` of the polynomial or series it returns, or for a class list
-    one class dropped or, for the affine classes, one weight + 1."""
+    one class dropped or, for the affine classes, one weight + 1
+    (:func:`_tampered_classes`)."""
     original = getattr(cli, route)
 
     def bump(poly):
@@ -922,15 +956,7 @@ def _faulty(route, fault):
                 pieces.append((num, den))
             return rational_from_pieces(out.nvars, pieces)
         if route == "affine_conjugacy_classes":
-            identity = AffineElement.identity(args[0].n)
-            i = next(i for i, c in enumerate(out)
-                     if c.representative != identity)
-            if fault == "drop":
-                return out[:i] + out[i + 1:]
-            c = out[i]
-            return [*out[:i],
-                    ConjugacyClass(c.representative, c.weight + 1, c.lengths),
-                    *out[i + 1:]]
+            return _tampered_classes(out, fault, args[1])
         return bump(out)
 
     return faulty

@@ -25,7 +25,8 @@ from latzeta.lattice import (
     length_vector,
     scale_factor,
 )
-from latzeta.polynomials import IntPolynomial, MultiRational, MultiSeries
+from latzeta.polynomials import (IntPolynomial, MultiRational, MultiSeries,
+                                 norm_exponent)
 from latzeta.quotient import AffineSubgroup, TranslationSubgroup
 from latzeta.selberg import (
     PeriodTable,
@@ -38,7 +39,7 @@ from latzeta.selberg import (
 from latzeta.zeta import zeta_positive_det, zeta_positive_orders
 import _oracles
 from _oracles import (adjugate_membership, brute_force_translation_series,
-                      combine, cube_coefficients, denominator_factors,
+                      class_list, combine, cube_coefficients, denominator_factors,
                       element_from_coords,
                       face_groups, find_conjugator,
                       fraction_free_coordinate_bounds,
@@ -1015,7 +1016,7 @@ def test_affine_trivial_permutation_part_reduces_to_translation():
 def test_affine_n2_swap_classes():
     gam = TranslationSubgroup(2, [[2]])
     aff = AffineSubgroup(gam, [Permutation((1, 0))])
-    classes = affine_conjugacy_classes(aff, 4)
+    classes = class_list(affine_conjugacy_classes(aff, 4))
     identity = Permutation.identity(2)
     swap_classes = [c for c in classes if c.representative.p != identity]
     assert len(swap_classes) == 2
@@ -1037,7 +1038,7 @@ def test_affine_n3_cycle_example():
     gam = TranslationSubgroup(3, [[3, 0], [0, 3]])
     aff = AffineSubgroup(gam, [perm_from_cycles(3, [(0, 1, 2)])])
     assert aff.index_in_affine_group == 18
-    classes = affine_conjugacy_classes(aff, 0)
+    classes = class_list(affine_conjugacy_classes(aff, 0))
     identity = [c for c in classes if c.representative == AffineElement.identity(3)]
     assert identity[0].weight == 18
     torsion = [c for c in classes
@@ -1078,7 +1079,7 @@ def brute_force_class_weight(aff, elem, box=6):
 def test_affine_weights_against_brute_force():
     gam = TranslationSubgroup(2, [[2]])
     aff = AffineSubgroup(gam, [Permutation((1, 0))])
-    for cls in affine_conjugacy_classes(aff, 4):
+    for cls in class_list(affine_conjugacy_classes(aff, 4)):
         brute = brute_force_class_weight(aff, cls.representative, box=8)
         assert brute == cls.weight
 
@@ -1089,7 +1090,7 @@ def test_affine_weights_against_brute_force_full_s3():
     aff = AffineSubgroup(gam, [perm_from_cycles(3, [(0, 1)]),
                                perm_from_cycles(3, [(0, 1, 2)])])
     assert aff.index_in_affine_group == 9
-    classes = affine_conjugacy_classes(aff, 3)
+    classes = class_list(affine_conjugacy_classes(aff, 3))
     assert len(classes) == 11
     for cls in classes:
         brute = brute_force_class_weight(aff, cls.representative, box=6)
@@ -1229,7 +1230,7 @@ def test_affine_classes_match_the_naive_scan(n, lattice, gens, scale,
                                              max_deg):
     aff = AffineSubgroup(TranslationSubgroup(n, lattice),
                          [Permutation(images) for images in gens])
-    classes = affine_conjugacy_classes(aff, max_deg, scale)
+    classes = class_list(affine_conjugacy_classes(aff, max_deg, scale))
     naive = naive_affine_classes(aff, max_deg, scale)
     assert len(classes) == len(naive) > 1
     for cls, ref in zip(classes, naive):
@@ -1245,8 +1246,67 @@ def test_affine_benchmark_members_match_the_naive_scan(name):
     gamma = cfg["gamma"]
     aff = AffineSubgroup(TranslationSubgroup(cfg["n"], gamma["lattice"]),
                          [Permutation(tuple(p)) for p in gamma["perms"]])
-    classes = affine_conjugacy_classes(aff, cfg["maxDegree"])
+    classes = class_list(affine_conjugacy_classes(aff, cfg["maxDegree"]))
     assert classes == naive_affine_classes(aff, cfg["maxDegree"])
+
+
+# fractional geodesic exponents: a transposition on 3I gives 3/2, and a
+# 3-cycle on 4I and on 5I gives 4/3 and 5/3
+_FRACTIONAL_AFFINE = [(3, (1, 0, 2), "3/2"), (4, (0, 2, 3, 1), "4/3"),
+                      (5, (1, 2, 0, 3, 4), "5/3")]
+_AFFINE_REPORTS = [
+    ({"n": n, "gamma": {"kind": "affine",
+                        "lattice": [[n * (i == j) for j in range(n - 1)]
+                                    for i in range(n - 1)],
+                        "perms": [list(images)]},
+      "maxDegree": max_deg, "scale": scale},
+     fraction if scale == GEODESIC and max_deg > 1 else None)
+    for n, images, fraction in _FRACTIONAL_AFFINE
+    for max_deg in (1, 5, 9) for scale in (GEODESIC, FACTORIAL)
+] + [(m["config"], None) for m in PANELS["selberg_deep"]
+     if m["config"]["gamma"]["kind"] == "affine"]
+
+
+@pytest.mark.parametrize("obj, fraction", _AFFINE_REPORTS)
+def test_affine_series_report_matches_the_class_objects(obj, fraction):
+    # the report's bytes against a series built one class object at a
+    # time, as a MultiSeries adds and writes it
+    cfg = RunConfig.from_json_obj({**obj, "checks": ["selberg_series"]})
+    code, report = run_config(cfg)
+    assert code == 0
+    naive = naive_affine_classes(cfg.subgroup, cfg.max_degree, cfg.scale)
+    expected = MultiSeries(cfg.n - 1, cfg.max_degree)
+    for cls in naive:
+        expected.add_term(norm_exponent(cls.lengths.values), cls.weight)
+    result = report["results"]["selberg_series"]
+    assert (cli.dumps_report(result["series"])
+            == cli.dumps_report(expected.to_json_obj()))
+    assert result["identity_class_weight"] == next(
+        c.weight for c in naive
+        if c.representative == AffineElement.identity(cfg.n))
+    if fraction:
+        assert fraction in {e for row, _ in result["series"]["terms"]
+                            for e in row}
+
+
+def test_affine_series_leaves_int64_exactly_beyond_its_bounds():
+    # two classes of equal lengths whose weights sum to 2^63, and a
+    # maxDegree whose gaps over the common denominator 2 reach 2^63: the
+    # weights and the exponents merge as exact object arrays
+    identity, swap = Permutation((0, 1, 2)), Permutation((1, 0, 2))
+    parts = [(identity, np.array([[0, 0], [3, 0]]),
+              np.array([2 ** 62, 2 ** 62]), np.array([[1, 0], [1, 0]]), 1),
+             (swap, np.array([[0, 0]]), np.array([1]), np.array([[3, 0]]),
+              2)]
+    classes = selberg.AffineClasses(3, GEODESIC, parts)
+    expected = MultiSeries(2, 2 ** 62)
+    for exps, weight in [((1, 0), 2 ** 62), ((1, 0), 2 ** 62),
+                         ((Fraction(3, 2), 0), 1)]:
+        expected.add_term(exps, weight)
+    assert classes.to_json_obj(2 ** 62) == expected.to_json_obj() == {
+        "variables": 2, "cutoff": 2 ** 62,
+        "terms": [[[1, 0], str(2 ** 63)], [["3/2", 0], "1"]]}
+    assert len(classes) == 3 and classes.identity_weight() == 2 ** 62
 
 
 @pytest.mark.parametrize("n, lattice, images", AFFINE_FILTER_CASES)
@@ -1262,7 +1322,7 @@ def test_stacked_class_weights_match_the_per_permutation_loop(n, lattice,
                                        for _ in range(n - 1)])
                 for _ in range(40)]
         reps += [list(c.representative.v.to_basis_coords())
-                 for c in affine_conjugacy_classes(aff, 6)
+                 for c in class_list(affine_conjugacy_classes(aff, 6))
                  if c.representative.p == p]
         assert (selberg._class_weights(data, reps, "affine")
                 == per_permutation_class_weights(data, reps))
@@ -1329,7 +1389,7 @@ def test_affine_weights_positive_integers():
                         perm_from_cycles(3, [(0, 1, 2)])]),
     ]
     for aff in cases:
-        for cls in affine_conjugacy_classes(aff, 4):
+        for cls in class_list(affine_conjugacy_classes(aff, 4)):
             assert isinstance(cls.weight, int)
             assert cls.weight >= 1
 

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from latzeta import cayley, cli, lattice, quotient, selberg, zeta
+from latzeta import cayley, cli, lattice, quotient, zeta
 from latzeta.cli import RunConfig
 from latzeta.lattice import (GEODESIC, AffineElement, LatticeVector,
                              Permutation, length_vector)
@@ -21,10 +21,9 @@ VALUE_TYPES = [
     (quotient, ("FiniteAbelianGroup", "Character")),
     (cayley, ("GeneratorSet", "QuotientGraph")),
     (zeta, ("GeodesicClass", "CycleClass")),
-    (selberg, ("ConjugacyClass",)),
     (cli, ("RunConfig",)),
-    # the face oracle of the cone route
-    (_oracles, ("FaceDescriptor",)),
+    # the face oracle of the cone route, and the affine classes as objects
+    (_oracles, ("FaceDescriptor", "ConjugacyClass")),
 ]
 
 
