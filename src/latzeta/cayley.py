@@ -9,6 +9,7 @@ pairwise and satisfy A_i^T = A_{n-i}.
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -19,7 +20,7 @@ from .quotient import FiniteAbelianGroup, TranslationSubgroup, quotient_group
 from .value import Value
 
 MAX_VERTICES = 4096
-# directed edges, (2^n - 2) N, that build_graph will add up one at a time
+# directed edges, (2^n - 2) N, that build_graph indexes at once
 MAX_EDGES = 1 << 22
 
 
@@ -50,9 +51,12 @@ class QuotientGraph(Value):
 
     mats[i-1][w, v] counts the generators s of type i with v + s = w, so
     parallel edges coming from small quotients keep their multiplicity.
+    The matrices are not changed after construction, so their sum is kept.
     """
 
-    __slots__ = _fields = ("n", "gamma", "group", "vertices", "mats")
+    _fields = ("n", "gamma", "group", "vertices", "mats")
+    # the __dict__ holds the cached adjacency
+    __slots__ = _fields + ("__dict__",)
 
     def __init__(self, n: int, gamma: TranslationSubgroup,
                  group: FiniteAbelianGroup,
@@ -64,8 +68,15 @@ class QuotientGraph(Value):
     def num_vertices(self) -> int:
         return len(self.vertices)
 
+    @functools.cached_property
+    def _adjacency(self) -> np.ndarray:
+        a = sum(self.mats)
+        a.flags.writeable = False
+        return a
+
     def adjacency(self) -> np.ndarray:
-        return sum(self.mats)
+        """The sum of the typed matrices, read-only, summed once."""
+        return self._adjacency
 
     def is_simple(self) -> bool:
         a = self.adjacency()
@@ -85,18 +96,15 @@ def build_graph(gamma: TranslationSubgroup, *,
         raise ResourceCapError(
             f"rank {n} gives 2^{n} - 2 generators on {q.order} vertices, "
             f"{edges} edges, above the cap {MAX_EDGES}")
-    vertices = tuple(sorted(q.elements()))
-    index = {v: i for i, v in enumerate(vertices)}
-    mats = [np.zeros((len(vertices), len(vertices)), dtype=np.int64)
-            for _ in range(n - 1)]
+    # elements() is in lexicographic order, which shift_indices counts in
+    vertices = tuple(q.elements())
     gens = generator_set(n)
-    for s, t in zip(gens.elements, gens.types):
-        sigma = q.project_vector(s)
-        for v, vi in index.items():
-            w = q.add(v, sigma)
-            mats[t - 1][index[w], vi] += 1
+    heads = q.shift_indices([q.project_vector(s) for s in gens.elements])
+    mats = np.zeros((n - 1, q.order, q.order), dtype=np.int64)
+    np.add.at(mats, (np.array(gens.types)[:, None] - 1, heads,
+                     np.arange(q.order)), 1)
     return QuotientGraph(n=n, gamma=gamma, group=q, vertices=vertices,
-                         mats=tuple(m for m in mats))
+                         mats=tuple(mats))
 
 
 def typed_adjacency(g: QuotientGraph, i: int) -> np.ndarray:

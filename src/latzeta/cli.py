@@ -364,6 +364,7 @@ def _check_geodesic_oracle(lazy: _Lazy, cfg: RunConfig):
     return ok, {
         "euler_truncated": product.to_json_coeffs(),
         "determinant_truncated": expected.to_json_coeffs(),
+        "first_difference": first_difference(product, expected),
         "class_counts_match": counts_ok,
         "primitive_classes": len(classes),
         "direction_orders": orders,

@@ -15,6 +15,8 @@ import itertools
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import SingularMatrixError, TypeZeroViolationError
 from .intmat import ImageLattice, mat_mul, mat_vec
 from .lattice import LatticeVector, Permutation
@@ -159,6 +161,15 @@ class FiniteAbelianGroup(Value):
 
     def elements(self) -> Iterator[Tuple[int, ...]]:
         yield from itertools.product(*(range(d) for d in self.divisors))
+
+    def shift_indices(self, shifts: Sequence[Sequence[int]]) -> np.ndarray:
+        """Row j: the position of v + shifts[j], in :meth:`elements` order
+        (mixed radix over the divisors), for every element v in that order."""
+        coords = np.indices(self.divisors).reshape(len(self.divisors), 1, -1)
+        moved = coords + np.array(shifts, dtype=np.int64).T[:, :, None]
+        return np.ravel_multi_index(
+            tuple(moved % np.array(self.divisors)[:, None, None]),
+            self.divisors)
 
     def element_order(self, cls: Sequence[int]) -> int:
         out = 1

@@ -10,9 +10,12 @@ prime.  A fourth route truncates the
 Euler product over brute-force enumerated positive geodesics.  The classical
 Ihara zeta comes from the Bass determinant.  On simple quotients it is
 checked against the Euler product over primitive backtrackless tailless
-cycles, which the traces of the non-backtracking edge operator give in time
-polynomial in the depth; the explicit cycle enumerator stays as the
-reference for small depths.
+cycles, which the traces of the non-backtracking edge operator W give in
+time polynomial in the depth L: W x at an edge v -> w is the sum of x over
+the in-edges of v minus x at w -> v.  Entries of W^L stay within r^L and
+in-edge sums within c^(L-1), r and c the most predecessors and successors
+of an edge, both checked below 2^63 first.  The explicit cycle enumerator
+stays as the reference for small depths.
 """
 
 from __future__ import annotations
@@ -207,29 +210,26 @@ def enumerate_positive_geodesics(g: QuotientGraph, max_len: int
     """All classes of primitive closed positive geodesics of length <= max_len.
 
     A positive geodesic is a straight walk repeating a single type-1
-    direction, so enumeration walks each direction from each vertex until it
-    first closes; classes are closed walks up to rotation of the start.
+    direction, so each direction permutes the vertices and its classes are
+    the permutation's cycles, all as long as the direction's order.  A
+    class is represented by its least vertex, the orbit minimum, found by
+    pointer doubling: after k rounds rep[v] is the least of the 2^k vertices
+    from v on.  Classes come sorted by direction, then representative.
     """
     out: List[GeodesicClass] = []
     q = g.group
+    ids = np.arange(q.order)
     for i, step in enumerate(q.directions, start=1):
-        visited = set()
-        for start in g.vertices:
-            if start in visited:
-                continue
-            cycle = [start]
-            cur = q.add(start, step)
-            while cur != start:
-                cycle.append(cur)
-                cur = q.add(cur, step)
-            visited.update(cycle)
-            if len(cycle) <= max_len:
-                out.append(GeodesicClass(
-                    length=len(cycle),
-                    direction=i,
-                    representative=min(cycle),
-                ))
-    out.sort(key=lambda c: (c.direction, c.representative))
+        length = q.element_order(step)
+        if length > max_len:
+            continue
+        rep, jump = ids, q.shift_indices([step])[0]
+        for _ in range((length - 1).bit_length()):
+            rep, jump = np.minimum(rep, rep[jump]), jump[jump]
+        # each orbit's least vertex is the one that is its own minimum
+        out += [GeodesicClass(length=length, direction=i,
+                              representative=g.vertices[v])
+                for v in np.flatnonzero(rep == ids).tolist()]
     return out
 
 
@@ -354,49 +354,51 @@ def hashimoto_traces(g: QuotientGraph, max_len: int) -> List[int]:
     Edges are v -> w wherever a[w, v], and (W x)[f] sums x[e] over the
     predecessors e of f: head(e) = tail(f) and tail(e) != head(f).  So
     tr(W^L) counts closed tailless backtrackless walks of length L with a
-    marked start edge.  Nothing assumes the graph is undirected or
-    vertex-transitive.  Indicator columns of HASHIMOTO_BLOCK start edges at a
-    time go through W by gather-sums over a predecessor table padded with a
-    zero row.  Every entry of W^L is at most r^L, where r is the largest
-    number of predecessors of an edge, so r^max_len < 2^63 is checked before
-    the table or any block is allocated.
+    marked start edge.  On a simple graph the predecessors of f = v -> w are
+    the in-edges of v less w -> v, so (W x)[f] is the sum of x over the
+    in-edges of v minus x at w -> v when that edge exists.  Nothing assumes
+    the graph is undirected or vertex-transitive.  Indicator columns of
+    HASHIMOTO_BLOCK start edges at a time go through W by one gather-sum
+    over an in-edge table padded with a zero row, one gather by tail, one
+    by the reverse edge (the zero row when it is absent) and one subtract.
+    Every entry of W^L is at most r^L, r the largest number of predecessors
+    of an edge.  An in-edge sum of W^(L-1) x is part of a column sum, and
+    the column sums of W^(L-1) are at most c^(L-1), c the largest number
+    of successors; so r^max_len and c^(max_len-1) are checked below 2^63
+    before the table or any block is allocated.  On the quotients r = c.
     """
     if not g.is_simple():
         raise MultigraphError(
             "Hashimoto traces need a simple quotient graph")
     a = g.adjacency() != 0
     heads, tails = np.nonzero(a)          # sorted by head
-    # v -> w has the in-edges of v as predecessors, less w -> v if present
-    r = int((a.sum(axis=1)[tails] - a[tails, heads]).max(initial=0))
-    if r ** max_len >= 2 ** 63:
+    in_deg, back = a.sum(axis=1), a[tails, heads]
+    # predecessors of v -> w: in-edges of v less w -> v; successors: the
+    # out-edges of w less w -> v
+    r = int((in_deg[tails] - back).max(initial=0))
+    c = int((a.sum(axis=0)[heads] - back).max(initial=0))
+    if r and max(r ** max_len, c ** (max_len - 1)) >= 2 ** 63:
         raise ResourceCapError(
             f"Hashimoto traces to length {max_len}: entries of W^{max_len} "
-            f"can reach {r}^{max_len}, above the int64 bound 2^63")
+            f"can reach {r}^{max_len} and in-edge sums {c}^{max_len - 1}, "
+            f"above the int64 bound 2^63")
     traces = [0] * max_len
     if r == 0:
         return traces
-    heads, tails = heads.tolist(), tails.tolist()
-    n_edges = len(heads)
-    in_edges: List[List[int]] = [[] for _ in range(g.num_vertices)]
-    for e, w in enumerate(heads):
-        in_edges[w].append(e)
-    pred = np.full((n_edges, r), n_edges)       # row n_edges stays zero
-    for f, (w, v) in enumerate(zip(heads, tails)):
-        row = [e for e in in_edges[v] if tails[e] != w]
-        pred[f, :len(row)] = row
+    size, n_edges = g.num_vertices, len(heads)
+    codes = heads * size + tails
+    rev = np.where(back, np.searchsorted(codes, tails * size + heads),
+                   n_edges)
+    first = np.cumsum(in_deg) - in_deg
+    in_edges = np.full((size, in_deg.max()), n_edges)   # row n_edges is 0
+    in_edges[heads, np.arange(n_edges) - first[heads]] = np.arange(n_edges)
     for lo in range(0, n_edges, HASHIMOTO_BLOCK):
         starts = np.arange(lo, min(lo + HASHIMOTO_BLOCK, n_edges))
         cols = np.arange(len(starts))
         x = np.zeros((n_edges + 1, len(starts)), dtype=np.int64)
         x[starts, cols] = 1
-        nxt = np.empty((n_edges, len(starts)), dtype=np.int64)
-        gathered = np.empty_like(nxt)
         for step in range(max_len):
-            np.take(x, pred[:, 0], axis=0, out=nxt)
-            for slot in range(1, r):
-                np.take(x, pred[:, slot], axis=0, out=gathered)
-                nxt += gathered
-            x[:n_edges] = nxt
+            x[:n_edges] = x[in_edges].sum(axis=1)[tails] - x[rev]
             traces[step] += sum(x[starts, cols].tolist())
     return traces
 

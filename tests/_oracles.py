@@ -1103,3 +1103,73 @@ def cube_coefficients(rational: MultiRational, f: int, top: int
                 view[i] += view[i - a // f]
         out += piece
     return out
+
+
+def loop_build_graph(gamma: TranslationSubgroup):
+    """(vertices, typed matrices) of the quotient Cayley graph, one
+    generator and one vertex at a time by the group's tuple addition;
+    reference for :func:`cayley.build_graph`."""
+    from latzeta.cayley import generator_set
+
+    q = gamma.quotient
+    n = gamma.n
+    vertices = tuple(sorted(q.elements()))
+    index = {v: i for i, v in enumerate(vertices)}
+    mats = [np.zeros((len(vertices), len(vertices)), dtype=np.int64)
+            for _ in range(n - 1)]
+    gens = generator_set(n)
+    for s, t in zip(gens.elements, gens.types):
+        sigma = q.project_vector(s)
+        for v, vi in index.items():
+            mats[t - 1][index[q.add(v, sigma)], vi] += 1
+    return vertices, mats
+
+
+def walk_positive_geodesics(g, max_len: int):
+    """[(length, direction, representative)] of the primitive closed
+    positive geodesics of length <= max_len, by walking each direction from
+    each vertex until it closes; reference for
+    :func:`zeta.enumerate_positive_geodesics`."""
+    out = []
+    q = g.group
+    for i, step in enumerate(q.directions, start=1):
+        visited = set()
+        for start in g.vertices:
+            if start in visited:
+                continue
+            cycle = [start]
+            cur = q.add(start, step)
+            while cur != start:
+                cycle.append(cur)
+                cur = q.add(cur, step)
+            visited.update(cycle)
+            if len(cycle) <= max_len:
+                out.append((len(cycle), i, min(cycle)))
+    return sorted(out, key=lambda c: (c[1], c[2]))
+
+
+def slot_hashimoto_traces(g, max_len: int) -> List[int]:
+    """[tr(W), .., tr(W^max_len)] for the non-backtracking edge operator of
+    a simple graph, with W x at f summed over an explicit predecessor table
+    one slot at a time, every edge pushed at once; reference for
+    :func:`zeta.hashimoto_traces`."""
+    a = g.adjacency() != 0
+    heads, tails = np.nonzero(a)
+    n_edges = len(heads)
+    pred = [[e for e in range(n_edges)
+             if heads[e] == tails[f] and tails[e] != heads[f]]
+            for f in range(n_edges)]
+    width = max(map(len, pred), default=0)
+    table = np.full((n_edges, width), n_edges)
+    for f, row in enumerate(pred):
+        table[f, :len(row)] = row
+    x = np.vstack([np.eye(n_edges, dtype=object),
+                   np.zeros((1, n_edges), dtype=object)])
+    traces = []
+    for _ in range(max_len):
+        nxt = np.zeros((n_edges, n_edges), dtype=object)
+        for slot in range(width):
+            nxt += x[table[:, slot]]
+        x[:n_edges] = nxt
+        traces.append(int(np.trace(nxt)))
+    return traces

@@ -1,12 +1,18 @@
+import functools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from latzeta.errors import ResourceCapError, TypeZeroViolationError
+from latzeta import RunConfig, run_config
 from latzeta.cayley import (
+    MAX_EDGES,
+    MAX_VERTICES,
+    QuotientGraph,
     build_graph,
     export_edge_list,
     generator_set,
@@ -14,6 +20,10 @@ from latzeta.cayley import (
     typed_adjacency,
 )
 from latzeta.quotient import TranslationSubgroup
+from latzeta.zeta import enumerate_positive_geodesics
+
+from _oracles import (loop_build_graph, random_type_zero_subgroup,
+                      walk_positive_geodesics)
 
 
 @pytest.mark.parametrize("n,count,type_counts", [
@@ -153,3 +163,95 @@ def test_export_edge_list_format():
         v, w, t, m = line.split(" ")
         assert len(v.split(",")) == 2
         assert t in ("1", "2")
+
+
+def _reference_subgroups():
+    """Three seeded type-zero subgroups for each n = 2..5 with at most 64
+    vertices, the multigraph quotient of index 3, and index 1 (untyped)."""
+    rng = random.Random(40)
+    out = []
+    for n in range(2, 6):
+        found = 0
+        while found < 3:
+            gamma = random_type_zero_subgroup(rng, n, bound=3)
+            if gamma.index <= 64:
+                out.append(gamma)
+                found += 1
+    out.append(TranslationSubgroup(3, [[1, 0], [-1, 3]]))
+    out.append(TranslationSubgroup(3, [[1, 0], [0, 1]], check_types=False))
+    return out
+
+
+@pytest.mark.parametrize("gamma", _reference_subgroups(), ids=repr)
+def test_graph_and_geodesics_match_the_loop_references(gamma):
+    g = build_graph(gamma)
+    vertices, mats = loop_build_graph(gamma)
+    assert g.vertices == vertices
+    assert len(g.mats) == len(mats) == gamma.n - 1
+    for got, want in zip(g.mats, mats):
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert (got == want).all()
+    for max_len in (0, 1, 2, 3, 7, gamma.n * gamma.index):
+        classes = enumerate_positive_geodesics(g, max_len)
+        assert [(c.length, c.direction, c.representative)
+                for c in classes] == walk_positive_geodesics(g, max_len)
+
+
+def _rank_cyclic_basis(n):
+    # columns e_1 - e_2, .., e_(n-2) - e_(n-1) and n e_(n-1): index n
+    return [[n if i == j == n - 2 else (i == j) - (i == j + 1)
+             for j in range(n - 1)] for i in range(n - 1)]
+
+
+@pytest.mark.parametrize("n, basis, message", [
+    # 66^2 = 4356 vertices, above MAX_VERTICES
+    (3, [[66, 0], [0, 66]], "4356 vertices"),
+    # (2^20 - 2) 20 directed edges, above MAX_EDGES
+    (20, _rank_cyclic_basis(20), "rank 20"),
+])
+def test_graph_caps_exit_3_before_allocating(n, basis, message):
+    gamma = TranslationSubgroup(n, basis)
+    assert gamma.index > MAX_VERTICES or (2 ** n - 2) * gamma.index > MAX_EDGES
+    cfg = RunConfig.from_json_obj({
+        "n": n, "gamma": {"kind": "translation", "basis": basis},
+        "checks": ["ihara"]})
+    tracemalloc.start()
+    try:
+        code, report = run_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and message in report["error"]
+    assert peak < 1 << 20
+
+
+def test_adjacency_is_summed_once_and_read_only():
+    g = build_graph(TranslationSubgroup(3, [[3, 0], [0, 6]]))
+    a = g.adjacency()
+    assert a is g.adjacency()
+    assert (a == g.mats[0] + g.mats[1]).all()
+    with pytest.raises(ValueError):
+        a[0, 0] = 1
+    # a copy with a perturbed matrix sums its own
+    p = perturb_adjacency(g, 1, 0, 0, 1)
+    assert p.adjacency()[0, 0] == a[0, 0] + 1
+
+
+def test_ihara_sums_the_adjacency_once(monkeypatch):
+    # is_simple (twice), the Bass numerator and the Hashimoto traces all
+    # read the one sum
+    calls = []
+    summed = QuotientGraph._adjacency.func
+
+    def counted(self):
+        calls.append(self)
+        return summed(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(QuotientGraph, "_adjacency")
+    monkeypatch.setattr(QuotientGraph, "_adjacency", prop)
+    code, report = run_config(RunConfig.from_json_obj({
+        "n": 3, "gamma": {"kind": "translation", "basis": [[3, 0], [0, 6]]},
+        "maxDegree": 8, "checks": ["ihara"]}))
+    assert code == 0 and report["results"]["ihara"]["oracle"] == "match"
+    assert len(calls) == 1

@@ -1042,11 +1042,19 @@ def test_single_fault_fails_exactly_these_checks(monkeypatch, config, route,
     assert failed == fails
     assert code == (1 if fails else 0)
     # the polynomial checks, and the comparison's identity, name the
-    # coefficient that the fault moved
+    # coefficient that the fault moved; a dropped geodesic class of length
+    # 3 first shows at u^3
     if route in _ZETA_ROUTES:
-        for name in fails & {"comparison", "positive_zeta", "lfunction"}:
+        for name in fails & {"comparison", "positive_zeta", "lfunction",
+                             "geodesic_oracle"}:
             assert report["results"][name]["first_difference"]["index"] \
                 == fault
+    if route == "enumerate_positive_geodesics":
+        assert report["results"]["geodesic_oracle"]["first_difference"][
+            "index"] == 3
+    geodesic = report["results"].get("geodesic_oracle")
+    if geodesic is not None and "geodesic_oracle" not in fails:
+        assert geodesic["first_difference"] is None
     # and the identity names the term or the factor
     if route == "selberg_rational_translation":
         assert report["results"]["selberg_rational"][

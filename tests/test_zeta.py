@@ -14,7 +14,7 @@ from mpmath import mp, mpc, mpf
 
 from latzeta import RunConfig, exactdet, run_config, zeta
 from latzeta.errors import MultigraphError, ResourceCapError
-from latzeta.cayley import build_graph, perturb_adjacency
+from latzeta.cayley import QuotientGraph, build_graph, perturb_adjacency
 from latzeta.exactdet import coefficient_bound, crt_primes, polymatrix_det
 from latzeta.polynomials import IntPolynomial
 from latzeta.quotient import TranslationSubgroup, characters, quotient_group
@@ -36,7 +36,7 @@ from latzeta.zeta import (
 )
 
 from _oracles import (fixed_point_product, lfunction_error_bound,
-                      naive_polymatrix_det)
+                      naive_polymatrix_det, slot_hashimoto_traces)
 
 
 def test_polymatrix_det_against_leibniz_oracle():
@@ -938,6 +938,16 @@ def test_backtrackless_counts_match_hashimoto_traces():
     counts = {}
     for c in classes:
         counts[c.length] = counts.get(c.length, 0) + 1
+    traces = _dense_b_traces(g, 6)
+    for ell in range(1, 7):
+        expected = sum(d * counts.get(d, 0) for d in range(1, ell + 1)
+                       if ell % d == 0)
+        assert traces[ell - 1] == expected
+
+
+def _dense_b_traces(g, max_len):
+    """tr(B^L) for L = 1..max_len, B the dense non-backtracking matrix:
+    B[j, i] = 1 when edge j = x -> y follows edge i = v -> w, x = w, y != v."""
     a = g.adjacency()
     size = g.num_vertices
     edges = [(v, w) for v in range(size) for w in range(size) if a[w, v]]
@@ -948,11 +958,30 @@ def test_backtrackless_counts_match_hashimoto_traces():
             if x == w and y != v:
                 b[j, i] = 1
     power = np.eye(len(edges), dtype=np.int64)
-    for ell in range(1, 7):
+    traces = []
+    for _ in range(max_len):
         power = power @ b
-        expected = sum(d * counts.get(d, 0) for d in range(1, ell + 1)
-                       if ell % d == 0)
-        assert int(np.trace(power)) == expected
+        traces.append(int(np.trace(power)))
+    return traces
+
+
+def _brute_force_traces(g, max_len):
+    """Every closed tailless backtrackless walk of length <= max_len with a
+    marked start edge, counted by an unpruned walk from each edge."""
+    a = g.adjacency()
+    out = [np.nonzero(a[:, v])[0].tolist() for v in range(g.num_vertices)]
+    brute = [0] * max_len
+    for v0 in range(g.num_vertices):
+        for w0 in out[v0]:
+            stack = [(w0, v0, 1)]
+            while stack:
+                cur, prev, length = stack.pop()
+                if cur == v0 and prev != w0:
+                    brute[length - 1] += 1
+                if length < max_len:
+                    stack.extend((nxt, cur, length + 1)
+                                 for nxt in out[cur] if nxt != prev)
+    return brute
 
 
 def _closed_walk_counts(classes, max_len):
@@ -974,22 +1003,91 @@ def _directed_graphs():
         yield g
 
 
+def _edge_deleted_graphs():
+    """Simple graphs with one edge deleted by -1, so its reverse edge has no
+    partner: a type-1 edge of 3I and a type-2 edge of the 6 x 3 quotient."""
+    for gam, t in [(TranslationSubgroup(3, [[3, 0], [0, 3]]), 1),
+                   (TranslationSubgroup(3, [[6, 0], [0, 3]]), 2)]:
+        g = build_graph(gam)
+        row, col = (int(i[0]) for i in np.nonzero(g.mats[t - 1]))
+        g = perturb_adjacency(g, t, row, col, -1)
+        a = g.adjacency()
+        assert g.is_simple() and (a != a.T).any()
+        yield g
+
+
+def _no_in_edge_graph():
+    """The 6 x 3 quotient with every in-edge of vertex 0 removed, so its
+    row of the padded in-edge table is all padding."""
+    g = build_graph(TranslationSubgroup(3, [[6, 0], [0, 3]]))
+    mats = tuple(m.copy() for m in g.mats)
+    for m in mats:
+        m[0] = 0
+    g = QuotientGraph(g.n, g.gamma, g.group, g.vertices, mats)
+    a = g.adjacency()
+    assert g.is_simple() and not a[0].any() and a[:, 0].any()
+    return g
+
+
+@pytest.mark.parametrize("kind", ["directed", "edge_deleted", "no_in_edges",
+                                  "cycle"])
+def test_hashimoto_push_matches_the_dense_and_brute_force_references(kind):
+    # the push reads W x at v -> w as the in-edge sum at v minus x at
+    # w -> v; each kind breaks one of its shortcuts: reverse edges missing,
+    # an empty in-edge row, and r = 1 on the n = 2 cycles
+    graphs = {
+        "directed": lambda: _directed_graphs(),
+        "edge_deleted": _edge_deleted_graphs,
+        "no_in_edges": lambda: [_no_in_edge_graph()],
+        "cycle": lambda: [build_graph(TranslationSubgroup(2, [[m]]))
+                          for m in (4, 6, 10)],
+    }[kind]()
+    for g in graphs:
+        expected = _dense_b_traces(g, 6)
+        assert _brute_force_traces(g, 6) == expected
+        assert slot_hashimoto_traces(g, 6) == expected
+        assert hashimoto_traces(g, 6) == expected
+        if kind == "cycle":
+            m = g.num_vertices
+            assert expected == [2 * m * (ell % m == 0) for ell in range(1, 7)]
+
+
+def test_hashimoto_guard_bounds_the_in_edge_sums():
+    # n = 4, 4I: r = c = 13 predecessors and successors, in-degree 14.  An
+    # in-edge sum of W^16 x is part of a column sum, at most 13^16, though
+    # 14 * 13^16 > 2^63; so length 17 runs (entries up to 13^17 < 2^63) and
+    # length 18 is refused
+    g = build_graph(TranslationSubgroup(4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]]))
+    assert int(g.adjacency().sum(axis=1).max()) == 14
+    assert 13 ** 17 < 2 ** 63 <= 14 * 13 ** 16
+    product, count = backtrackless_cycle_product(g, 17)
+    assert product == ihara_zeta_series(*ihara_bass(g), 17) and count > 0
+    with pytest.raises(ResourceCapError,
+                       match=r"13\^18 and in-edge sums 13\^17.*2\^63"):
+        hashimoto_traces(g, 18)
+
+
+def test_hashimoto_guard_bounds_the_in_edge_sums_by_successors():
+    # 0 -> 1 -> 2 -> 3..8: every edge has at most r = 1 predecessor, so the
+    # entries stay 0 or 1, but 1 -> 2 has c = 6 successors and an in-edge
+    # sum can grow as 6^(L-1)
+    g = build_graph(TranslationSubgroup(3, [[3, 0], [0, 3]]))
+    star = np.zeros_like(g.mats[0])
+    star[1, 0] = star[2, 1] = 1
+    star[3:, 2] = 1
+    g = QuotientGraph(g.n, g.gamma, g.group, g.vertices,
+                      (star, np.zeros_like(star)))
+    assert 1 ** 26 < 2 ** 63 <= 6 ** 25 and 6 ** 24 < 2 ** 63
+    assert hashimoto_traces(g, 25) == [0] * 25
+    with pytest.raises(ResourceCapError,
+                       match=r"1\^26 and in-edge sums 6\^25.*2\^63"):
+        hashimoto_traces(g, 26)
+
+
 def test_backtrackless_enumerator_on_directed_graph_matches_brute_force():
     # every closed tailless backtrackless walk of length <= 6, unpruned
     g = next(_directed_graphs())
-    a = g.adjacency()
-    out = [np.nonzero(a[:, v])[0].tolist() for v in range(g.num_vertices)]
-    brute = [0] * 6
-    for v0 in range(g.num_vertices):
-        for w0 in out[v0]:
-            stack = [(w0, v0, 1)]
-            while stack:
-                cur, prev, length = stack.pop()
-                if cur == v0 and prev != w0:
-                    brute[length - 1] += 1
-                if length < 6:
-                    stack.extend((nxt, cur, length + 1)
-                                 for nxt in out[cur] if nxt != prev)
+    brute = _brute_force_traces(g, 6)
     assert brute[5] == 17010
     assert _closed_walk_counts(enumerate_backtrackless_cycles(g, 6), 6) \
         == brute
