@@ -14,11 +14,13 @@ table, check the rational by an exact identity with no degree bound.
 
 For a split affine subgroup M x| P, conjugacy classes are enumerated
 exactly: for fixed permutation part p, translation parts live in the cosets
-of (1-p)M inside M, which P folds together.  Each coset box is filtered in
-int64 by the spread of its cycle sums times the lcm L of the cycle lengths,
-and the survivors are keyed in int64 by integer conjugation maps.  Each
-part's classes stay int64 arrays, of representatives, centralizer-index
-weights and lengths times L, up to the merged series.
+of (1-p)M inside M, which P folds together.  Each part's coset boxes,
+widened for a self-check, are one int64 pass filtered by the spread of the
+cycle sums times the lcm L of the cycle lengths; the survivors are keyed in
+int64 by integer conjugation maps, and one sort of the keys makes them
+distinct and checks that the widening found no new one.  Each part's
+classes stay int64 arrays, of representatives, centralizer-index weights
+and lengths times L, up to the merged series.
 
 Every int64 kernel checks a proven bound on its entries before it
 allocates, the box scans a cap on their cell count, the cone route the
@@ -142,13 +144,7 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
             f"the cap of {SERIES_GRID_CELLS}")
     rows = [(list(row) + [-sum(row)], d)
             for row, d in zip(gamma.image.u, gamma.image.diag) if d > 1]
-    # the distinct W over q, as residues of least absolute value, each with
-    # the number of q giving it
-    weights: Dict[Tuple[int, ...], int] = {}
-    for q in itertools.permutations(range(n)):
-        key = tuple((s + d // 2) % d - d // 2 for w, d in rows
-                    for s in itertools.accumulate(w[k] for k in q[:0:-1]))
-        weights[key] = weights.get(key, 0) + 1
+    weights = _permuted_weights(rows, n)
     w_max = max(map(abs, itertools.chain(*weights)), default=0)
     _check_int64(context, f"a Smith residue (n-1)*(size-1)*max|W| = "
                  f"{n - 1}*{size - 1}*{w_max}", (n - 1) * (size - 1) * w_max)
@@ -173,6 +169,27 @@ def selberg_series_translation(gamma: TranslationSubgroup, max_deg: int,
                         gamma.index * math.factorial(n)) * gamma.index
     return PeriodTable(n - 1, f, divisor, size, np.concatenate(gaps) * f,
                        coeffs)
+
+
+def _permuted_weights(rows, n: int) -> Dict[Tuple[int, ...], int]:
+    """The distinct W over the n! permutations q, as residues of least
+    absolute value, each with the number of q giving it: W reads only how q
+    orders the columns c of the rows (w, d) mod d, so one pass over their
+    distinct arrangements counts each prod_c (multiplicity of c)! times."""
+    a = sorted(zip(*[[x % d for x in w] for w, d in rows])) or [()] * n
+    count = math.prod(math.factorial(a.count(c)) for c in set(a))
+    weights: Dict[Tuple[int, ...], int] = {}
+    while True:
+        key = tuple((s + d // 2) % d - d // 2 for r, (_, d) in enumerate(rows)
+                    for s in itertools.accumulate(c[r] for c in a[:0:-1]))
+        weights[key] = weights.get(key, 0) + count
+        # the next arrangement: raise the last ascent, reverse what follows
+        i = next((i for i in range(n - 2, -1, -1) if a[i] < a[i + 1]), -1)
+        if i < 0:
+            return weights
+        j = max(j for j in range(i + 1, n) if a[j] > a[i])
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 def selberg_identity(gamma: TranslationSubgroup, rational: MultiRational,
@@ -385,9 +402,8 @@ class _PermCosetData:
         self.one_minus_p = [[int(i == j) - x for j, x in enumerate(row)]
                             for i, row in enumerate(p.basis_matrix())]
         self.one_minus_p_m = mat_mul(self.one_minus_p, m_basis)
-        self.lattice = gamma.lattice
         self.u, d, _ = snf_with_transforms(_solve_columns(
-            self.lattice, self.one_minus_p_m,
+            gamma.lattice, self.one_minus_p_m,
             "lattice is not stable under the permutation"))
         self.divisors = snf_diagonal(d)
         self.uinv = unimodular_inverse(self.u)
@@ -459,93 +475,101 @@ def _free_coordinate_bounds(data: _PermCosetData, torsion_coords, max_spread):
     return los, his
 
 
-def _short_box_points(data: _PermCosetData, torsion: Sequence[int],
-                      los: Sequence[int], his: Sequence[int], factor: int,
-                      max_deg: int, extra: int = 0) -> Iterator[np.ndarray]:
-    """Blocks of U-coordinates, in lexicographic order, of the points with
-    the given torsion coordinates and free coordinates in
-    [los - extra, his + extra], but not in [los, his] when extra > 0, whose
-    element has total length at most max_deg.
-
-    The total length is factor * (max - min) of the cycle averages; times
-    the lcm L of the cycle lengths it is an integer, so the test
-    factor * spread(T) <= max_deg * L on T = coords @ scaled_averages is
-    exact in int64.
-    """
-    n1 = len(data.divisors)
-    los, his = [lo - extra for lo in los], [hi + extra for hi in his]
-    shape = [hi - lo + 1 for lo, hi in zip(los, his)]
-    total = math.prod(max(w, 0) for w in shape)
-    coord_max = max([abs(x) for x in (*los, *his)] + list(torsion), default=0)
+def _box_points(data: _PermCosetData, boxes, pad: int, factor: int,
+                max_deg: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Blocks of the U-coordinates (columns) of the short points of part p,
+    beside whether each lies in its plain box.  A box (torsion, los, his)
+    holds those torsion coordinates and the free ones in [los - pad,
+    his + pad]; the boxes share one flat index space, a point's box found
+    by a search of their cumulative sizes.  The total length, factor *
+    (max - min) of the cycle averages, is an integer over the lcm L of the
+    cycle lengths, so the test factor * spread(T) <= max_deg * L on
+    T = scaled_averages^T coords is exact in int64."""
+    torsions = [box[0] for box in boxes]
+    los = [[lo - pad for lo in box[1]] for box in boxes]
+    his = [[hi + pad for hi in box[2]] for box in boxes]
+    shape = [[hi - lo + 1 for lo, hi in zip(*box)] for box in zip(los, his)]
+    sizes = [math.prod(max(w, 0) for w in row) for row in shape]
+    coord_max = max(map(abs, itertools.chain(*los, *his, *torsions)),
+                    default=0)
     # |T_c| <= coord_max * (column sum of |scaled_averages|)
     col_max = max(map(sum, zip(*[[abs(x) for x in row]
                                  for row in data.scaled_averages])))
     context = f"affine class scan to degree {max_deg}"
-    _check_int64(context, "the box point count", total)
+    _check_int64(context, "the box point count", sum(sizes))
     _check_int64(context, "factor * the spread of the scaled cycle sums",
                  2 * factor * coord_max * col_max)
     _check_int64(context, "max_deg * L", max_deg * data.lcm)
-    weights = np.array(data.scaled_averages, dtype=np.int64)
-    limit = max_deg * data.lcm
-    for start in range(0, total, _BOX_BLOCK):
-        flat = np.arange(start, min(start + _BOX_BLOCK, total), dtype=np.int64)
-        coords = np.empty((len(flat), n1), dtype=np.int64)
-        for pos, idx in enumerate(data.torsion_idx):
-            coords[:, idx] = torsion[pos]
-        inner = np.full(len(flat), extra > 0)
-        for pos in reversed(range(len(shape))):
-            flat, digit = np.divmod(flat, shape[pos])
-            coords[:, data.free_idx[pos]] = digit + los[pos]
-            inner &= (digit >= extra) & (digit < shape[pos] - extra)
-        t = coords @ weights
-        keep = (factor * (t.max(axis=1) - t.min(axis=1)) <= limit) & ~inner
+    weights = np.array(data.scaled_averages, dtype=np.int64).T
+    starts = np.cumsum([0] + sizes, dtype=np.int64)
+    lo, width, tors = (np.array(x, dtype=np.int64).reshape(len(sizes), -1).T
+                       for x in (los, shape, torsions))
+    for start in range(0, sum(sizes), _BOX_BLOCK):
+        flat = np.arange(start, min(start + _BOX_BLOCK, starts[-1]),
+                         dtype=np.int64)
+        box = np.searchsorted(starts, flat, side="right") - 1
+        flat -= starts[box]
+        coords = np.empty((len(data.divisors), len(flat)), dtype=np.int64)
+        coords[data.torsion_idx] = tors[:, box]
+        plain = np.ones(len(flat), dtype=bool)
+        for pos in reversed(range(len(width))):
+            flat, digit = np.divmod(flat, width[pos, box])
+            coords[data.free_idx[pos]] = digit + lo[pos, box]
+            plain &= (digit >= pad) & (digit < width[pos, box] - pad)
+        t = weights @ coords
+        keep = factor * (t.max(axis=0) - t.min(axis=0)) <= max_deg * data.lcm
         if keep.any():
-            yield coords[keep]
+            yield coords[:, keep], plain[keep]
 
 
-def _conjugate_key_maps(data: _PermCosetData, data_by_perm):
-    """Data of the least conjugate p' = q p q^-1 over q in P, and for each
-    q giving it the integer map K = U_p' (M^-1 Q M) U_p^-1 of U-coordinates.
-    """
-    conj = {q: q.compose(data.p).compose(q.inverse()).images
-            for q in data.perms}
-    data2 = data_by_perm[min(conj.values())]
-    right = mat_mul(data.m_basis, data.uinv)
-    maps = []
-    for q, images in conj.items():
-        if images == data2.p.images:
-            x = _solve_columns(data.lattice, mat_mul(q.basis_matrix(), right),
+def _key_maps(lattice: TranslationSubgroup, data_by_perm):
+    """Per part p, the data of its least conjugate p' = q p q^-1 over q in
+    P, and for each q giving it the integer map K = U_p' (M^-1 Q M) U_p^-1
+    of U-coordinates, with M^-1 Q M solved in the lattice once per q."""
+    any_part = next(iter(data_by_perm.values()))
+    moves = {q: _solve_columns(lattice,
+                               mat_mul(q.basis_matrix(), any_part.m_basis),
                                "element is not in the translation part")
-            maps.append(mat_mul(data2.u, x))
-    return data2, maps
+             for q in any_part.perms}
+    out = {}
+    for p, data in data_by_perm.items():
+        conj = {q: q.compose(data.p).compose(q.inverse()).images
+                for q in moves}
+        data2 = data_by_perm[min(conj.values())]
+        out[p] = data2, [mat_mul(data2.u, mat_mul(moves[q], data.uinv))
+                         for q, images in conj.items()
+                         if images == data2.p.images]
+    return out
 
 
-def _least_keys(coords: np.ndarray, maps, divisors: Sequence[int],
-                context: str) -> set:
-    """Distinct keys of a block: per row the lexicographically least
-    coords @ K^T over the maps, reduced modulo the nonzero divisors."""
+def _key_columns(coords: np.ndarray, maps, divisors: Sequence[int],
+                 context: str) -> np.ndarray:
+    """Per column of coords the lexicographically least K coords over the
+    maps K, reduced modulo the nonzero divisors."""
     _check_int64(context, "a conjugate key (n-1)*max|K|*coord_max",
                  len(divisors) * max(abs(x) for k in maps for r in k for x in r)
                  * max(-int(coords.min()), int(coords.max()), 1))
     tors = [i for i, d in enumerate(divisors) if d]
-    rows = np.arange(len(coords))
+    cols = np.arange(coords.shape[1])
     best = None
     for k in maps:
-        keys = coords @ np.array(k, dtype=np.int64).T
-        keys[:, tors] %= np.array(divisors, dtype=np.int64)[tors]
+        keys = np.array(k, dtype=np.int64) @ coords
+        keys[tors] %= np.array(divisors, dtype=np.int64)[tors, None]
         if best is not None:
-            first = (keys != best).argmax(axis=1)
-            keep = best[rows, first] <= keys[rows, first]
-            keys[keep] = best[keep]
+            first = (keys != best).argmax(axis=0)
+            keep = best[first, cols] <= keys[first, cols]
+            keys[:, keep] = best[:, keep]
         best = keys
-    return {tuple(row) for row in best.tolist()}
+    return best
 
 
-def _class_weights(data: _PermCosetData, reps, context: str) -> List[int]:
+def _class_weights(data: _PermCosetData, reps, context: str,
+                   sym: np.ndarray) -> List[int]:
     """Centralizer indices of the classes of p with these e-coordinate rows:
     the fixed-lattice index times the ratio of the counts of commuting q
     (q p = p q on image arrays) with (1 - q) e in (1-p)Lambda and in
-    (1-p)M, one stacked product over the commuting q."""
+    (1-p)M, one stacked product over the commuting q among the n! rows of
+    sym."""
     p = np.array(data.p.images)
     e = np.array(reps, dtype=np.int64)
     _check_int64(context, "a membership residue n*(n-1)*max|U|*max|e|",
@@ -554,14 +578,14 @@ def _class_weights(data: _PermCosetData, reps, context: str) -> List[int]:
                  * max(map(abs, sum(data.image_lambda.u + data.image_m.u, []))))
 
     def fixing(images, image: ImageLattice) -> np.ndarray:
-        q = np.array(images)
+        q = np.asarray(images)
         q_stack = basis_matrices(q[(q[:, p] == p[q]).all(1)])
         mods = np.array(image.moduli, dtype=np.int64)
         w = (e - e @ q_stack.transpose(0, 2, 1)) @ np.array(image.u).T
         return (np.where(mods > 0, w % np.maximum(mods, 1), w)
                 == 0).all(axis=2).sum(axis=0)
 
-    qg = fixing(list(itertools.permutations(range(data.n))), data.image_lambda)
+    qg = fixing(sym, data.image_lambda)
     qgamma = fixing([q.images for q in data.perms], data.image_m)
     if (qg % qgamma).any():
         raise ArithmeticError("permutation centralizer counts are inconsistent")
@@ -615,66 +639,61 @@ def affine_conjugacy_classes(gamma: AffineSubgroup, max_deg: int,
 
     For each permutation part p the translation parts are enumerated coset
     by coset modulo (1-p)M; the free coset coordinates are scanned over a box
-    derived from the exact inverse of the cycle-average map, and a doubled
-    box re-scan guards against any box sizing error.  The box cells are
-    capped before any scan; each block of short points is keyed by
-    :func:`_least_keys`, and the keys of each permutation part become its
-    arrays of representatives, weights and gaps in one stacked pass.
+    derived from the exact inverse of the cycle-average map, all capped
+    before any scan.  Each part makes one pass over its boxes, widened as a
+    self-check against any box sizing error (:func:`_box_points`), keyed by
+    :func:`_key_columns`.  One ``np.lexsort`` per least conjugate p' puts
+    each key the widening adds after the equal plain ones, and raises
+    :class:`BoxExhaustionError` on one that comes first; the distinct keys
+    become p''s arrays of representatives, weights and gaps.
     """
     n = gamma.n
     f = scale_factor(n, scale)
     max_spread = Fraction(max_deg, f)
     context = f"affine class scan to degree {max_deg}"
     data_by_perm = {p.images: _PermCosetData(gamma, p) for p in gamma.perms}
-    boxes = [(data, torsion,
-              *_free_coordinate_bounds(data, torsion, max_spread))
-             for data in data_by_perm.values()
-             for torsion in itertools.product(
-                 *[range(data.divisors[i]) for i in data.torsion_idx])]
+    boxes = {p: [(torsion, *_free_coordinate_bounds(data, torsion, max_spread))
+                 for torsion in itertools.product(
+                     *[range(data.divisors[i]) for i in data.torsion_idx])]
+             for p, data in data_by_perm.items()}
+    every = list(itertools.chain(*boxes.values()))
     # the doubled box widens every box by half the widest zero-torsion box
-    pad = max([0] + [h - l for _, torsion, los, his in boxes
+    pad = max([0] + [h - l for torsion, los, his in every
                      if not any(torsion) for l, h in zip(los, his)]) // 2 + 1
     cells = sum(math.prod(max(h - l + 1 + 2 * x, 0) for l, h in zip(los, his))
-                for _, _, los, his in boxes
-                for x in (0, pad))
+                for _, los, his in every for x in (0, pad))
     if cells > SERIES_GRID_CELLS:
         raise ResourceCapError(
             f"{context}: the coset boxes hold {cells} cells, above the cap "
             f"of {SERIES_GRID_CELLS} cells")
-    key_maps = {p: _conjugate_key_maps(data, data_by_perm)
-                for p, data in data_by_perm.items()}
-    # (permutation part, key row) of every class
-    classes = set()
-
-    def collect(extra: int) -> None:
-        for data, torsion, los, his in boxes:
-            data2, maps = key_maps[data.p.images]
-            for coords in _short_box_points(data, torsion, los, his, f,
-                                            max_deg, extra):
-                keys = {(data2.p.images, row) for row in _least_keys(
-                    coords, maps, data2.divisors, context)}
-                if extra and not keys <= classes:
-                    raise BoxExhaustionError(
-                        "doubling the enumeration box changed the class list")
-                classes.update(keys)
-
-    collect(0)
-    # the doubled box re-scan keys only the points outside the plain box
-    collect(pad)
+    key_maps = _key_maps(gamma.lattice, data_by_perm)
+    # per least conjugate p', key columns over 1 where off the plain box
+    held: Dict[Tuple[int, ...], list] = {}
+    for p, data in data_by_perm.items():
+        data2, maps = key_maps[p]
+        for coords, plain in _box_points(data, boxes[p], pad, f, max_deg):
+            keys = _key_columns(coords, maps, data2.divisors, context)
+            held.setdefault(data2.p.images, []).append(
+                np.vstack((keys, ~plain)))
+    sym = np.array(list(itertools.permutations(range(n))))
     parts = []
-    for p, keys in itertools.groupby(sorted(classes), key=lambda k: k[0]):
-        data = data_by_perm[p]
-        keys = np.array([row for _, row in keys], dtype=np.int64)
+    for p in sorted(held):
+        stack = np.concatenate(held[p], axis=1)
+        # sorted by key, a point off the plain box after its equal plain ones
+        keys, ring = np.split(stack[:, np.lexsort(stack[::-1])], [-1])
+        first = np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(0)))
+        if ring[0, first].any():
+            raise BoxExhaustionError(
+                "doubling the enumeration box changed the class list")
+        keys, data = keys[:, first], data_by_perm[p]
         _check_int64(context, "a representative (n-1)*max|M U^-1|*max|key|",
                      (n - 1) * max(map(abs, itertools.chain(*data.to_e)))
                      * max(-int(keys.min()), int(keys.max())))
-        # the e-coordinates of the keys, as one product keys (M U^-1)^T
-        reps = keys @ np.array(data.to_e, dtype=np.int64).T
-        weights = _class_weights(data, reps, context)
-        # the lengths read the translations e with e_n = 0
-        parts.append((data.p, reps, _int_stack(weights, max(weights)),
-                      *length_gaps(data.p, np.pad(reps, ((0, 0), (0, 1))),
-                                   scale)))
+        # the e-coordinates of the keys, then e_n = 0 for the lengths
+        e = (np.array(data.to_e + [[0] * (n - 1)], dtype=np.int64) @ keys).T
+        weights = _class_weights(data, e[:, :-1], context, sym)
+        parts.append((data.p, e[:, :-1], _int_stack(weights, max(weights)),
+                      *length_gaps(data.p, e, scale)))
     return AffineClasses(n, scale, parts)
 
 

@@ -557,6 +557,19 @@ def class_weight(data, e_coords: Sequence[int]) -> int:
     return data.fixed_index * (qg // qgamma)
 
 
+def permutation_loop_weights(rows, n: int) -> Dict[Tuple[int, ...], int]:
+    """The distinct permuted Smith weight vectors W of a period table, one
+    permutation q of the n! at a time: W_j the sum of the last j entries of
+    each row (w, d) permuted by q, as a residue of least absolute value;
+    reference for ``selberg._permuted_weights``."""
+    weights: Dict[Tuple[int, ...], int] = {}
+    for q in itertools.permutations(range(n)):
+        key = tuple((s + d // 2) % d - d // 2 for w, d in rows
+                    for s in itertools.accumulate(w[k] for k in q[:0:-1]))
+        weights[key] = weights.get(key, 0) + 1
+    return weights
+
+
 def per_permutation_class_weights(data, reps) -> List[int]:
     """Centralizer indices of the classes of p with these e-coordinate rows,
     one int64 pass over all rows per commuting permutation q; the reference
@@ -606,42 +619,59 @@ def class_list(result) -> List[ConjugacyClass]:
 
 
 def naive_affine_classes(gamma, max_deg: int, scale: str = GEODESIC):
-    """The affine class scan point by point: every survivor of the spread
-    filter is built as an element, measured in Fractions and keyed one
-    conjugate at a time, and every class weighed on its own; test oracle for
-    :func:`selberg.affine_conjugacy_classes`."""
+    """The affine class scan point by point: every point of the Fraction
+    boxes, listed by ``itertools.product`` (the widened box by its ring
+    alone), is measured by its cycle sums in Python ints, every short one
+    keyed one conjugate at a time, and every class weighed and measured on
+    its own; test oracle for :func:`selberg.affine_conjugacy_classes`,
+    sharing no enumeration with it."""
     n = gamma.n
     f = scale_factor(n, scale)
     max_spread = Fraction(max_deg, f)
     data_by_perm = {p.images: selberg._PermCosetData(gamma, p)
                     for p in gamma.perms}
+    # M U^-1, from U-coordinates to e-coordinates
+    to_e = {p: mat_mul(data.m_basis, data.uinv)
+            for p, data in data_by_perm.items()}
     classes = {}
 
     def collect(extra: int) -> None:
         for p in gamma.perms:
             data = data_by_perm[p.images]
+            cycles = p.cycles()
+            lcm = math.lcm(*map(len, cycles))
             torsion_ranges = [range(data.divisors[i]) for i in data.torsion_idx]
             for torsion in itertools.product(*torsion_ranges):
                 los, his = fraction_free_coordinate_bounds(data, torsion,
                                                            max_spread)
-                for block in selberg._short_box_points(
-                        data, torsion, los, his, f, max_deg, extra):
-                    for coords in block.tolist():
-                        e_coords = element_from_coords(data, coords)
-                        elem = AffineElement(
-                            LatticeVector.from_basis_coords(n, e_coords), p)
-                        lengths = fraction_length_vector(elem, scale)
-                        if sum(lengths.values) > max_deg:
-                            continue
-                        key, rep = conjugate_key(gamma, data_by_perm, p,
-                                                 e_coords)
-                        if key in classes:
-                            continue
-                        if extra:
-                            raise BoxExhaustionError(
-                                "doubling the enumeration box changed the "
-                                "class list")
-                        classes[key] = rep
+                for free in itertools.product(*[
+                        range(lo - extra, hi + extra + 1)
+                        for lo, hi in zip(los, his)]):
+                    # the widened box re-scans only its ring
+                    if extra and all(lo <= x <= hi
+                                     for x, lo, hi in zip(free, los, his)):
+                        continue
+                    coords = [0] * len(data.divisors)
+                    for pos, idx in enumerate(data.torsion_idx):
+                        coords[idx] = torsion[pos]
+                    for pos, idx in enumerate(data.free_idx):
+                        coords[idx] = free[pos]
+                    e_coords = mat_vec(to_e[p.images], coords)
+                    # the total length is f times the spread of the cycle
+                    # averages S_c / |c|; times L = lcm |c|, all integers
+                    vec = e_coords + [0]
+                    avgs = [sum(vec[i] for i in cyc) * (lcm // len(cyc))
+                            for cyc in cycles]
+                    if f * (max(avgs) - min(avgs)) > max_deg * lcm:
+                        continue
+                    key, rep = conjugate_key(gamma, data_by_perm, p, e_coords)
+                    if key in classes:
+                        continue
+                    if extra:
+                        raise BoxExhaustionError(
+                            "doubling the enumeration box changed the class "
+                            "list")
+                    classes[key] = rep
 
     collect(0)
     widths = [0]

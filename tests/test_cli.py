@@ -486,6 +486,30 @@ def test_importing_the_cli_leaves_dataclasses_out():
     assert out.stdout.strip() == "False"
 
 
+def test_benchmark_panels_import_nothing_on_first_call():
+    # each benchmark pass runs in a fresh process, so a numpy routine that
+    # imports a submodule on its first call (np.unique and np.isin pull in
+    # numpy.ma, about 15 ms) costs every workload; one run of every member
+    # of the three panels must leave sys.modules as the import left it
+    code = "\n".join([
+        "import sys",
+        "import latzeta.cli as cli",
+        "from perfbench.workloads import PANELS, members",
+        "before = set(sys.modules)",
+        "for workload in PANELS:",
+        "    for member in members(workload, 1):",
+        "        cfg = cli.RunConfig.from_json_obj(member['config'])",
+        "        cli.dumps_report(cli.run_config(cfg)[1])",
+        "print(sorted(set(sys.modules) - before))"])
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    repo_root = str(Path(package_root).parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             [package_root, repo_root])})
+    assert out.stdout.strip() == "[]"
+
+
 def test_resource_cap_exit_code(tmp_path):
     cfg = {"n": 3, "gamma": {"kind": "translation", "basis": [[3, 0], [0, 3]]},
            "checks": ["positive_zeta"], "caps": {"maxVertices": 4}}

@@ -856,6 +856,50 @@ def test_cone_route_prices_its_permuted_bases_before_listing_them(
         selberg._image_lattices(TranslationSubgroup(8, _cyclic_basis(8)))
 
 
+def test_period_table_weights_match_the_permutation_loop(monkeypatch):
+    # the distinct arrangements of the Smith columns mod d, each counted
+    # prod_c m_c! times, against all n! permutations one at a time, on the
+    # panels and on seeded subgroups with n = 2..7: equal weights and equal
+    # tables
+    rng = random.Random(4141)
+    gammas = _panel_subgroups() + [random_type_zero_subgroup(rng, n, bound=3)
+                                   for n in range(2, 8) for _ in range(4)]
+    for gamma in gammas:
+        rows = [(list(row) + [-sum(row)], d) for row, d in
+                zip(gamma.image.u, gamma.image.diag) if d > 1]
+        assert (selberg._permuted_weights(rows, gamma.n)
+                == _oracles.permutation_loop_weights(rows, gamma.n))
+    tables = [selberg_series_translation(gamma, 3) for gamma in gammas]
+    monkeypatch.setattr(selberg, "_permuted_weights",
+                        _oracles.permutation_loop_weights)
+    for gamma, table in zip(gammas, tables):
+        ref = selberg_series_translation(gamma, 3)
+        fields = ("nvars", "factor", "divisor", "size", "complete")
+        assert ([getattr(table, k) for k in fields]
+                == [getattr(ref, k) for k in fields])
+        assert table.coeffs.dtype == ref.coeffs.dtype
+        assert np.array_equal(table.terms, ref.terms)
+        assert np.array_equal(table.coeffs, ref.coeffs)
+
+
+def test_cyclic_period_table_reads_one_arrangement():
+    # n = 10: the Smith row (1, .., 1, -9) is one column mod 10, so the
+    # table reads one arrangement for all 10! permutations, and the check
+    # passes; the n! cap is unchanged, so n = 11 is refused
+    gamma = TranslationSubgroup(10, _cyclic_basis(10))
+    assert gamma.image.diag[-1] == 10 and gamma.image.u[-1] == [1] * 9
+    assert selberg._permuted_weights([([1] * 9 + [-9], 10)], 10) == {
+        (1, 2, 3, 4, -5, -4, -3, -2, -1): math.factorial(10)}
+    code, report = run_config(RunConfig.from_json_obj({
+        "n": 10, "gamma": {"kind": "translation",
+                           "basis": _cyclic_basis(10)},
+        "maxDegree": 1, "checks": ["selberg_series"]}))
+    assert code == 0 and report["results"]["selberg_series"]["pass"]
+    with pytest.raises(ResourceCapError, match="11! permutations"):
+        selberg_series_translation(TranslationSubgroup(11, _cyclic_basis(11)),
+                                   1)
+
+
 def _seeded_subgroups():
     """30 type-zero subgroups with n = 2..5 and then 2 with n = 6, each
     basis rewritten by a seeded unimodular column transform.  The index is
@@ -1136,22 +1180,22 @@ AFFINE_FILTER_CASES = [
                           (FACTORIAL, 57)])
 def test_affine_integer_filter_keeps_exactly_the_short_points(
         n, lattice, images, scale, max_deg):
+    # all the boxes of a part in one pass, each widened by 2 so that it
+    # holds points on both sides of the cut: the short points in box order,
+    # each marked by whether it lies in its plain box
     aff = AffineSubgroup(TranslationSubgroup(n, lattice),
                          [Permutation(images)])
     f = math.factorial(n) if scale == FACTORIAL else 1
     for p in aff.perms:
         data = selberg._PermCosetData(aff, p)
         torsion_ranges = [range(data.divisors[i]) for i in data.torsion_idx]
-        for torsion in itertools.product(*torsion_ranges):
-            los, his = selberg._free_coordinate_bounds(
-                data, torsion, Fraction(max_deg, f))
-            # a box wider than the one the scan uses, so that it holds
-            # points on both sides of the cut
-            los = [lo - 2 for lo in los]
-            his = [hi + 2 for hi in his]
-            expected = []
+        boxes = [(torsion, *selberg._free_coordinate_bounds(
+            data, torsion, Fraction(max_deg, f)))
+            for torsion in itertools.product(*torsion_ranges)]
+        expected = []
+        for torsion, los, his in boxes:
             for free in itertools.product(
-                    *[range(lo, hi + 1) for lo, hi in zip(los, his)]):
+                    *[range(lo - 2, hi + 3) for lo, hi in zip(los, his)]):
                 coords = [0] * len(data.divisors)
                 for pos, idx in enumerate(data.torsion_idx):
                     coords[idx] = torsion[pos]
@@ -1160,10 +1204,12 @@ def test_affine_integer_filter_keeps_exactly_the_short_points(
                 elem = AffineElement(LatticeVector.from_basis_coords(
                     n, element_from_coords(data, coords)), p)
                 if sum(length_vector(elem, scale).values) <= max_deg:
-                    expected.append(coords)
-            kept = [c for block in selberg._short_box_points(
-                data, torsion, los, his, f, max_deg) for c in block.tolist()]
-            assert kept == expected
+                    expected.append((coords, all(
+                        lo <= x <= hi for x, lo, hi in zip(free, los, his))))
+        kept = [(c, plain) for coords, plains in selberg._box_points(
+                    data, boxes, 2, f, max_deg)
+                for c, plain in zip(coords.T.tolist(), plains.tolist())]
+        assert kept == expected
 
 
 def test_affine_scan_guards_raise_before_allocating():
@@ -1182,8 +1228,8 @@ def test_affine_scan_guards_raise_before_allocating():
         for data, los, his, max_deg, match in cases:
             torsion = [0] * len(data.torsion_idx)
             with pytest.raises(ResourceCapError, match=match + r".*2\^63"):
-                next(selberg._short_box_points(data, torsion, los, his, 1,
-                                               max_deg))
+                next(selberg._box_points(data, [(torsion, los, his)], 0, 1,
+                                         max_deg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1309,6 +1355,10 @@ def test_affine_series_leaves_int64_exactly_beyond_its_bounds():
     assert len(classes) == 3 and classes.identity_weight() == 2 ** 62
 
 
+def _all_images(n):
+    return np.array(list(itertools.permutations(range(n))))
+
+
 @pytest.mark.parametrize("n, lattice, images", AFFINE_FILTER_CASES)
 def test_stacked_class_weights_match_the_per_permutation_loop(n, lattice,
                                                               images):
@@ -1324,7 +1374,7 @@ def test_stacked_class_weights_match_the_per_permutation_loop(n, lattice,
         reps += [list(c.representative.v.to_basis_coords())
                  for c in class_list(affine_conjugacy_classes(aff, 6))
                  if c.representative.p == p]
-        assert (selberg._class_weights(data, reps, "affine")
+        assert (selberg._class_weights(data, reps, "affine", _all_images(n))
                 == per_permutation_class_weights(data, reps))
 
 
@@ -1334,15 +1384,16 @@ def test_affine_key_and_weight_guards_raise_before_allocating():
     data_by_perm = {p.images: selberg._PermCosetData(aff, p)
                     for p in aff.perms}
     identity = data_by_perm[(0, 1, 2)]
-    data2, maps = selberg._conjugate_key_maps(identity, data_by_perm)
+    data2, maps = selberg._key_maps(aff.lattice, data_by_perm)[(0, 1, 2)]
     assert max(abs(x) for k in maps for row in k for x in row) == 1
-    coords = np.array([[2 ** 62, 0]], dtype=np.int64)
+    coords = np.array([[2 ** 62], [0]], dtype=np.int64)
+    sym = _all_images(3)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match=r"conjugate key.*2\^63"):
-            selberg._least_keys(coords, maps, data2.divisors, "affine")
+            selberg._key_columns(coords, maps, data2.divisors, "affine")
         with pytest.raises(ResourceCapError, match=r"membership.*2\^63"):
-            selberg._class_weights(identity, [[2 ** 61, 0]], "affine")
+            selberg._class_weights(identity, [[2 ** 61, 0]], "affine", sym)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1354,12 +1405,11 @@ def test_conjugate_key_maps_refuse_an_inexact_division():
                          [Permutation((1, 2, 0))])
     data_by_perm = {p.images: selberg._PermCosetData(aff, p)
                     for p in aff.perms}
-    identity = data_by_perm[(0, 1, 2)]
     # a translation lattice that M^-1 Q M would not keep integral: the
     # solve runs in the index-4 sublattice 6 Z^2 of M = 3 Z^2
-    identity.lattice = TranslationSubgroup(3, [[6, 0], [0, 6]])
     with pytest.raises(ArithmeticError, match="translation part"):
-        selberg._conjugate_key_maps(identity, data_by_perm)
+        selberg._key_maps(TranslationSubgroup(3, [[6, 0], [0, 6]]),
+                          data_by_perm)
 
 
 def test_affine_transposition_half_integer_lengths():
